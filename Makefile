@@ -35,10 +35,12 @@ bench:
 # here: the sweep-kernel guards (bench_scanline, bench_sweep — doubling
 # the box count must stay sub-quadratic), the hierarchy-pipeline
 # flatten guard (bench_hierarchy — doubling the instance count must
-# grow flatten time < 3x), and the verification guard (bench_verify —
+# grow flatten time < 3x), the verification guard (bench_verify —
 # doubling the stamped instances must grow hierarchical extraction
-# < 3x), so a regression to the O(n^2) rescans or to
-# instance-proportional work fails CI.  The bench_hierarchy
+# < 3x), and the flat-compaction guards (bench_flat_compaction — flat
+# xy compaction grows <= 6x per 4x-box size step, one rubber-band pass
+# peaks < 200 MB RSS), so a regression to the O(n^2) rescans, the
+# dense LP, or instance-proportional work fails CI.  The bench_hierarchy
 # parallel case asserts jobs=2 output is identical to serial at every
 # size; bench_verify asserts hier extraction is LVS-identical to flat;
 # bench_batch asserts every numpy batch pass (scanline_vec, drc_vec,

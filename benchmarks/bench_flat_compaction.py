@@ -1,0 +1,120 @@
+"""E-FLAT — flat compaction of the multiplier at growing sizes.
+
+Two guards on the flat compactor of section 6.4, run on the flattened
+Baugh-Wooley multiplier (each size step quadruples the box count):
+
+* **scaling guard** — a flat ``xy`` compaction (two one-dimensional
+  passes), timed with the cyclic collector paused, must grow at most
+  6x per size step, for 3.6-3.9x the boxes: near-linear, with room for
+  the cache effects of a Python object graph that outgrows the CPU
+  caches (3.5-5x measured).  With
+  the all-pairs alignment scan the jog metrics once used, it grew
+  6-13x per step, and the scan took 5.1 s of the 5.8 s 16x16 compact
+  stage.  Rows ``flat_xy`` (n = box count).
+* **rubber-band memory guard** — one rubber-band x pass, in a fresh
+  interpreter, must peak under 200 MB RSS.  The dense LP rows it once
+  built peaked at 565 MB on 8x8 and grow with constraints x variables
+  (16x16 would need about 4 GB).  Rows ``rubber_band`` (n = size).
+
+Both guards run in smoke mode too (``REPRO_BENCH_SMOKE=1``), at
+4 -> 8 and 8x8; full sizes are 8 -> 16 -> 32 and 16x16.
+"""
+
+import gc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import best_time, doubling_ratio
+
+from repro.compact import TECH_A
+from repro.compact.flat import compact_layout_xy
+from repro.layout.database import flatten_cell
+from repro.multiplier import generate_via_language
+
+SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: one rubber-band x pass in a fresh interpreter: seconds and peak RSS
+RUBBER_BAND = """\
+import json, resource, sys, time
+import scipy.optimize, scipy.sparse  # the pass imports them on first use
+from repro.compact import TECH_A, compact_layout
+from repro.layout.database import flatten_cell
+from repro.multiplier import generate_via_language
+layout = flatten_cell(generate_via_language({size}, {size})[0])
+start = time.perf_counter()
+result = compact_layout(layout, TECH_A, rubber_band=True, axis="x")
+print(json.dumps({{
+    "seconds": time.perf_counter() - start,
+    "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "jog_before": result.jog_before, "jog_after": result.jog_after,
+}}))
+"""
+
+
+def _impl_flat_scaling_guard(report, record):
+    sizes = (4, 8) if SMOKE else (8, 16, 32)
+    layouts = {n: flatten_cell(generate_via_language(n, n)[0]) for n in sizes}
+
+    def measure(n):
+        # Collector pauses land wherever the heap crosses a threshold,
+        # not where the work is; the guard is about the algorithms.
+        gc.collect()
+        gc.disable()
+        try:
+            return best_time(lambda: compact_layout_xy(layouts[n], TECH_A))
+        finally:
+            gc.enable()
+
+    lines = ["E-FLAT flat xy compaction of the n x n multiplier:"]
+    for small, large in zip(sizes, sizes[1:]):
+        ratio, t_small, t_large = doubling_ratio(measure, small, large, limit=6.0)
+        for n, seconds in ((small, t_small), (large, t_large)):
+            record("flat_xy", layouts[n].box_count(), seconds)
+        lines.append(
+            f"  {small:>2} -> {large:>2}: {layouts[small].box_count():>6} ->"
+            f" {layouts[large].box_count():>6} boxes,"
+            f" {t_small * 1000:8.1f} -> {t_large * 1000:8.1f} ms"
+            f"  ({ratio:.2f}x, must be <= 6)"
+        )
+        assert ratio <= 6.0, (
+            f"flat xy compaction grew {ratio:.2f}x from {small}x{small}"
+            f" to {large}x{large}"
+        )
+    report(*lines)
+
+
+def test_flat_scaling_guard(benchmark, report, record):
+    benchmark.pedantic(
+        lambda: _impl_flat_scaling_guard(report, record), rounds=1, iterations=1
+    )
+
+
+def _impl_rubber_band_memory(report, record):
+    size = 8 if SMOKE else 16
+    done = subprocess.run(
+        [sys.executable, "-c", RUBBER_BAND.format(size=size)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    outcome = json.loads(done.stdout.strip().splitlines()[-1])
+    record("rubber_band", size, outcome["seconds"])
+    report(
+        f"E-FLAT rubber-band x pass, {size}x{size} multiplier:"
+        f" {outcome['seconds'] * 1000:8.1f} ms, peak RSS"
+        f" {outcome['rss_mb']:6.1f} MB (must be < 200),"
+        f" jog {outcome['jog_before']} -> {outcome['jog_after']}"
+    )
+    assert outcome["jog_after"] <= outcome["jog_before"]
+    assert outcome["rss_mb"] < 200.0, (
+        f"rubber-band pass peaked at {outcome['rss_mb']:.0f} MB on {size}x{size}"
+    )
+
+
+def test_rubber_band_memory(benchmark, report, record):
+    benchmark.pedantic(
+        lambda: _impl_rubber_band_memory(report, record), rounds=1, iterations=1
+    )

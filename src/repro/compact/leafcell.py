@@ -17,6 +17,10 @@ a much lesser extent on the physical sizes of the cells themselves"
 All instances of a cell share one set of variables, so after compaction
 every instance has identical geometry — the defining property (and
 documented restriction) of leaf-cell compaction.
+
+The LP is assembled as a ``scipy.sparse`` matrix, and scipy is imported
+only when :meth:`LeafCellCompactor.solve` runs, so importing the
+package does not pay for it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..core.cell import CellDefinition
 from ..core.errors import CompactionError, InfeasibleConstraintsError
@@ -280,6 +283,9 @@ class LeafCellCompactor:
             cached = cache.get(key)
             if cached is not None:
                 return cached
+        from scipy import sparse  # deferred: see the module notes
+        from scipy.optimize import linprog
+
         variables = self.system.variables
         pitches = self.system.pitches
         index = {name: position for position, name in enumerate(variables)}
@@ -288,24 +294,36 @@ class LeafCellCompactor:
         }
         total = len(variables) + len(pitches)
 
-        rows: List[np.ndarray] = []
+        rows: List[int] = []
+        columns: List[int] = []
+        values: List[float] = []
         rhs: List[float] = []
-        for constraint in self.system.constraints:
-            row = np.zeros(total)
-            row[index[constraint.source]] += 1.0
-            row[index[constraint.target]] -= 1.0
+        for row, constraint in enumerate(self.system.constraints):
+            rows += (row, row)
+            columns += (index[constraint.source], index[constraint.target])
+            values += (1.0, -1.0)
             for pitch, coefficient in constraint.pitch_terms:
-                row[pitch_index[pitch]] += coefficient
-            rows.append(row)
+                rows.append(row)
+                columns.append(pitch_index[pitch])
+                values.append(float(coefficient))
             rhs.append(-float(constraint.weight))
 
         objective = np.full(total, cost.size_weight)
         for pitch in pitches:
             objective[pitch_index[pitch]] = cost.weight(pitch)
 
+        matrix = None
+        if rhs:
+            # Repeated (row, column) entries are summed, as the row
+            # arithmetic reads; entries that cancel (a pinned self-edge)
+            # are dropped, as a dense row would hold no entry there.
+            matrix = sparse.csr_array(
+                (values, (rows, columns)), shape=(len(rhs), total)
+            )
+            matrix.eliminate_zeros()
         result = linprog(
             objective,
-            A_ub=np.array(rows) if rows else None,
+            A_ub=matrix,
             b_ub=np.array(rhs) if rhs else None,
             bounds=[(0.0, None)] * total,
             method="highs",

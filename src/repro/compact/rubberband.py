@@ -11,6 +11,12 @@ achieved by the first pass, re-solve positions minimising the total
 misalignment of connected boxes (centre-to-centre |displacement| terms,
 linearised with auxiliary variables).  The difference-constraint matrix
 is totally unimodular, so the LP optimum is integral.
+
+The program is assembled as a ``scipy.sparse`` matrix (at most five
+non-zeros a row), so memory grows with the number of constraints, not
+with constraints times variables.  scipy is imported only when the pass
+runs: importing this module, and so every CLI start, does not pay for
+it.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..core.errors import InfeasibleConstraintsError
+from ..geometry import batch
 from .constraints import ConstraintSystem, Variable
 from .scanline import CompactionBox
 
@@ -30,13 +36,26 @@ __all__ = ["alignment_pairs", "rubber_band_solve", "misalignment"]
 def alignment_pairs(
     boxes: Sequence[CompactionBox],
 ) -> List[Tuple[CompactionBox, CompactionBox]]:
-    """Pairs of drawn-connected boxes whose centres want to align."""
-    pairs = []
-    for i, a in enumerate(boxes):
-        for b in boxes[i + 1:]:
-            if a.layer == b.layer and a.box.overlaps(b.box):
-                pairs.append((a, b))
-    return pairs
+    """Pairs of drawn-connected boxes whose centres want to align.
+
+    Same-layer boxes whose closed rectangles meet, as ``(a, b)`` with
+    ``a`` listed before ``b`` and the pairs in input order.  Found by the
+    per-layer sweep of :func:`repro.geometry.batch.touching_pairs`, so
+    the cost follows the layout's local density, not the square of its
+    box count.
+    """
+    items = list(boxes)
+    if len(items) < 2:
+        return []
+    layers = sorted({item.layer for item in items})
+    code_of = {name: code for code, name in enumerate(layers)}
+    codes = np.fromiter(
+        (code_of[item.layer] for item in items), dtype=np.int64, count=len(items)
+    )
+    first, second = batch.touching_pairs(
+        batch.boxes_to_arrays([item.box for item in items]), codes
+    )
+    return [(items[i], items[j]) for i, j in zip(first.tolist(), second.tolist())]
 
 
 def misalignment(
@@ -82,51 +101,21 @@ def rubber_band_solve(
     if pairs is None:
         pairs = alignment_pairs(boxes)
 
-    index = {name: i for i, name in enumerate(system.variables)}
-    num_x = len(system.variables)
-    num_t = len(pairs)
-    num_vars = num_x + num_t
+    cost, matrix, rhs, bounds = _rubber_band_program(system, pairs, max_width)
+    from scipy.optimize import linprog  # deferred: see the module notes
 
-    rows: List[np.ndarray] = []
-    rhs: List[float] = []
-    # Difference constraints: x[s] - x[t] <= -w.
-    for constraint in system.constraints:
-        row = np.zeros(num_vars)
-        row[index[constraint.source]] = 1.0
-        row[index[constraint.target]] = -1.0
-        rows.append(row)
-        rhs.append(-float(constraint.weight))
-    # |d_k - drawn_k| <= t_k where d_k = (l_a + r_a) - (l_b + r_b).
-    for k, (a, b) in enumerate(pairs):
-        drawn = float((a.box.xmin + a.box.xmax) - (b.box.xmin + b.box.xmax))
-        for sign in (1.0, -1.0):
-            row = np.zeros(num_vars)
-            row[index[a.left]] = sign
-            row[index[a.right]] = sign
-            row[index[b.left]] = -sign
-            row[index[b.right]] = -sign
-            row[num_x + k] = -1.0
-            rows.append(row)
-            rhs.append(sign * drawn)
-
-    cost = np.zeros(num_vars)
-    cost[num_x:] = 1.0
-    # Mild leftward pressure keeps the solution canonical when several
-    # jog-free placements exist.
-    cost[:num_x] = 1e-6
-
-    bounds = [(0.0, float(max_width))] * num_x + [(0.0, None)] * num_t
     result = linprog(
         cost,
-        A_ub=np.array(rows) if rows else None,
-        b_ub=np.array(rhs) if rhs else None,
+        A_ub=matrix,
+        b_ub=rhs,
         bounds=bounds,
         method="highs",
     )
     if not result.success:
         raise InfeasibleConstraintsError(f"rubber-band LP failed: {result.message}")
     solution = {
-        name: int(round(result.x[index[name]])) for name in system.variables
+        name: int(round(value))
+        for name, value in zip(system.variables, result.x.tolist())
     }
     violated = system.check(solution)
     if violated:
@@ -141,3 +130,69 @@ def rubber_band_solve(
             )
         return repaired
     return solution
+
+
+def _rubber_band_program(
+    system: ConstraintSystem,
+    pairs: Sequence[Tuple[CompactionBox, CompactionBox]],
+    max_width: int,
+):
+    """The rubber-band LP as ``(cost, A_ub, b_ub, bounds)``.
+
+    Variables are the edge abscissas in declaration order followed by
+    one misalignment bound ``t_k`` per pair.  Rows are every difference
+    constraint ``x[s] - x[t] <= -w`` in system order, then per pair
+    ``k`` the two rows of ``|d_k - drawn_k| <= t_k`` with
+    ``d_k = (l_a + r_a) - (l_b + r_b)``.  ``A_ub`` is a CSR matrix, or
+    ``None`` when there are no rows.
+    """
+    from scipy import sparse  # deferred: see the module notes
+
+    index = {name: position for position, name in enumerate(system.variables)}
+    num_x = len(system.variables)
+    num_t = len(pairs)
+    count = len(system.constraints)
+    # Difference rows, in system order: x[s] - x[t] <= -w.
+    rows = [np.arange(count), np.arange(count)]
+    columns = [
+        np.array([index[c.source] for c in system.constraints], dtype=np.int64),
+        np.array([index[c.target] for c in system.constraints], dtype=np.int64),
+    ]
+    values = [np.ones(count), -np.ones(count)]
+    rhs = np.empty(count + 2 * num_t)
+    rhs[:count] = [-float(c.weight) for c in system.constraints]
+    # Pair k, sign s (rows interleaved per pair):
+    # s * ((l_a + r_a) - (l_b + r_b)) - t_k <= s * drawn_k.
+    edges = np.array(
+        [(index[a.left], index[a.right], index[b.left], index[b.right])
+         for a, b in pairs],
+        dtype=np.int64,
+    ).reshape(num_t, 4)
+    drawn = np.array(
+        [(a.box.xmin + a.box.xmax) - (b.box.xmin + b.box.xmax) for a, b in pairs],
+        dtype=float,
+    )
+    bound_columns = num_x + np.arange(num_t)
+    for offset, sign in enumerate((1.0, -1.0)):
+        pair_rows = count + 2 * np.arange(num_t) + offset
+        for column, coefficient in zip(edges.T, (sign, sign, -sign, -sign)):
+            rows.append(pair_rows)
+            columns.append(column)
+            values.append(np.full(num_t, coefficient))
+        rows.append(pair_rows)
+        columns.append(bound_columns)
+        values.append(-np.ones(num_t))
+        rhs[count + offset::2] = sign * drawn
+
+    cost = np.ones(num_x + num_t)
+    # Mild leftward pressure keeps the solution canonical when several
+    # jog-free placements exist.
+    cost[:num_x] = 1e-6
+    bounds = [(0.0, float(max_width))] * num_x + [(0.0, None)] * num_t
+    if rhs.size == 0:
+        return cost, None, None, bounds
+    matrix = sparse.csr_array(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
+        shape=(rhs.size, num_x + num_t),
+    )
+    return cost, matrix, rhs, bounds

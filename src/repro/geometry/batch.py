@@ -10,7 +10,7 @@ restructures those loops around flat int64 arrays:
   once, not once per comparison);
 * sorted event vectors and ``searchsorted``/masking instead of bisect
   loops (:func:`merged_slab_runs`, :func:`overlap_pairs`,
-  :func:`runs_intersect`, :func:`runs_subtract`);
+  :func:`touching_pairs`, :func:`runs_intersect`, :func:`runs_subtract`);
 * segmented scans (:func:`segmented_cummax`) for the per-slab run merge
   and for the visibility front, which collapses to a running
   ``(xmax, arrival)`` argmax per elementary y slab
@@ -50,6 +50,7 @@ __all__ = [
     "merge_boxes_batch",
     "visible_pairs",
     "overlap_pairs",
+    "touching_pairs",
     "expand_ranges",
     "runs_intersect",
     "runs_subtract",
@@ -431,6 +432,66 @@ def overlap_pairs(slab_a, a0, a1, slab_b, b0, b1, closed=False):
         lo = np.searchsorted(b_end, key_a0, side="right")
         hi = np.searchsorted(b_start, key_a1, side="left")
     return expand_ranges(lo, hi)
+
+
+def touching_pairs(arrays: BoxArray, layer_codes):
+    """Index pairs ``(i, j)``, ``i < j``, of same-layer boxes that meet.
+
+    Boxes meet when their closed rectangles intersect, edge and corner
+    contact included (:meth:`repro.geometry.Box.overlaps`).  Per layer,
+    every box is entered in each horizontal band of height ``H`` (the
+    layer's median box height) that its closed y extent reaches.  Within
+    a band, sorted by ``xmin``, a box's candidates are the later entries
+    starting inside its closed x extent — one ``searchsorted`` window,
+    expanded by :func:`expand_ranges` — then filtered on y.  A pair that
+    shares several bands is kept only in the band holding the higher of
+    the two ``ymin``, a y both boxes reach.  Candidates are thus the
+    boxes of nearby bands, not of a whole column of the layout, so the
+    work grows with the box count rather than its square (or its 1.5th
+    power for a one-axis sweep of a square array).  Returns ``(i, j)``
+    arrays sorted lexicographically: the order of the nested
+    ``for i: for j > i`` scan.
+    """
+    np = require_numpy()
+    empty = np.empty(0, dtype=np.int64)
+    if len(arrays) < 2:
+        return empty, empty
+    keyed = []
+    count = np.int64(len(arrays))
+    for layer in unique_sorted(layer_codes).tolist():
+        members = np.flatnonzero(layer_codes == layer)
+        if members.size < 2:
+            continue
+        xmin, xmax = arrays.xmin[members], arrays.xmax[members]
+        ymin, ymax = arrays.ymin[members], arrays.ymax[members]
+        height = max(1, int(np.median(ymax - ymin)))
+        base_band = int(ymin.min()) // height
+        first_band = ymin // height - base_band
+        entry, band = expand_ranges(first_band, ymax // height - base_band + 1)
+        order = np.lexsort((xmin[entry], band))
+        entry, band = entry[order], band[order]
+        base = int(xmin.min())
+        span = np.int64(int(xmax.max()) - base + 1)
+        starts = band * span + (xmin[entry] - base)
+        ends = np.searchsorted(
+            starts, band * span + (xmax[entry] - base), side="right"
+        )
+        # Sorted position p's candidates are positions p+1 .. ends[p]-1.
+        first, second = expand_ranges(
+            np.arange(1, entry.size + 1, dtype=np.int64), ends
+        )
+        a, b = entry[first], entry[second]
+        keep = (
+            (ymin[a] <= ymax[b])
+            & (ymin[b] <= ymax[a])
+            & (np.maximum(ymin[a], ymin[b]) // height - base_band == band[first])
+        )
+        a, b = members[a[keep]], members[b[keep]]
+        keyed.append(np.minimum(a, b) * count + np.maximum(a, b))
+    if not keyed:
+        return empty, empty
+    pairs = np.sort(np.concatenate(keyed))
+    return pairs // count, pairs % count
 
 
 # ----------------------------------------------------------------------
