@@ -39,8 +39,10 @@ bench:
 # doubling the stamped instances must grow hierarchical extraction
 # < 3x), and the flat-compaction guards (bench_flat_compaction — flat
 # xy compaction grows <= 6x per 4x-box size step, one rubber-band pass
-# peaks < 200 MB RSS), so a regression to the O(n^2) rescans, the
-# dense LP, or instance-proportional work fails CI.  The bench_hierarchy
+# peaks < 200 MB RSS), and the packed multiplier check
+# (bench_multiplier_correctness — all 65 536 8x8 operand pairs in
+# under 1 s), so a regression to the O(n^2) rescans, the dense LP,
+# instance-proportional work or one-pair-at-a-time checking fails CI.  The bench_hierarchy
 # parallel case asserts jobs=2 output is identical to serial at every
 # size; bench_verify asserts hier extraction is LVS-identical to flat;
 # bench_batch asserts every numpy batch pass (scanline_vec, drc_vec,

@@ -60,12 +60,22 @@ def reference_product(a: int, b: int, m: int, n: int) -> int:
     return to_signed(to_signed(a, m) * to_signed(b, n), m + n)
 
 
+# Cell functions are lane-wise bitwise (the Netlist.add_cell contract),
+# so one call computes the cell in every packed vector at once.
 def _sum3(x: int, y: int, z: int) -> int:
-    return (x + y + z) & 1
+    return x ^ y ^ z
 
 
 def _carry3(x: int, y: int, z: int) -> int:
-    return 1 if (x + y + z) >= 2 else 0
+    return (x & y) | (z & (x | y))
+
+
+def _and(x: int, y: int) -> int:
+    return x & y
+
+
+def _nand(x: int, y: int) -> int:
+    return ~(x & y)
 
 
 def cell_type_grid(m: int, n: int) -> List[List[str]]:
@@ -106,12 +116,6 @@ def build_baugh_wooley(m: int, n: int) -> Netlist:
     sum_ref: Dict[Tuple[int, int], Ref] = {}
     carry_ref: Dict[Tuple[int, int], Ref] = {}
 
-    def and_gate(x: int, y: int) -> int:
-        return x & y
-
-    def nand_gate(x: int, y: int) -> int:
-        return 1 - (x & y)
-
     for j in range(n):
         for i in range(m):
             # Sum input: diagonal from (i+1, j-1); top/left edges get
@@ -133,7 +137,7 @@ def build_baugh_wooley(m: int, n: int) -> Netlist:
             else:
                 c_in = Netlist.const(0)
 
-            gate = nand_gate if types[j][i] == "II" else and_gate
+            gate = _nand if types[j][i] == "II" else _and
             product = netlist.add_cell(
                 f"pp_{i}_{j}", gate, [a_refs[i], b_refs[j]], kind="pp"
             )
@@ -163,7 +167,12 @@ def build_baugh_wooley(m: int, n: int) -> Netlist:
 
 
 def multiply(netlist: Netlist, a: int, b: int, m: int, n: int) -> int:
-    """Run the array combinationally and return the signed product."""
+    """Run the array on one operand pair and return the signed product.
+
+    This is the one-lane case of :meth:`Netlist.evaluate`; checking
+    many pairs is cheaper as one packed evaluation (see
+    :func:`repro.verify.driver.multiplier_mismatches`).
+    """
     values: Dict[str, int] = {}
     for index, bit in enumerate(to_bits(a, m)):
         values[f"a{index}"] = bit

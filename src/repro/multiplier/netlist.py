@@ -7,6 +7,10 @@ bit functions wired into a DAG, edges can carry register chains, and the
 simulator is cycle accurate.  This is the substrate both the functional
 check (does the generated array multiply?) and the retiming study
 (latency/register count versus pipelining degree beta) run on.
+
+Combinational evaluation is lane-parallel: a signal value is a Python
+int whose bit *k* is the signal in vector *k*, so one pass over the
+cells evaluates every vector at once (see :meth:`Netlist.evaluate`).
 """
 
 from __future__ import annotations
@@ -66,6 +70,16 @@ class Netlist:
         inputs: Sequence[Ref],
         kind: str = "",
     ) -> Ref:
+        """Add a combinational cell and return a reference to its output.
+
+        ``function`` must be lane-wise bitwise: built from ``&``, ``|``,
+        ``^`` and ``~`` only, so that bit *k* of its result depends only
+        on bit *k* of each operand.  Operands are words carrying one
+        vector per bit (see :meth:`evaluate`); the result may have
+        bits set above the lanes (``~`` sets them all), because callers
+        mask it.  Arithmetic such as ``1 - x`` or ``x + y`` mixes lanes
+        and is not allowed.
+        """
         if name in self.cells:
             raise ValueError(f"duplicate cell {name!r}")
         self.cells[name] = Cell(name, function, inputs, kind)
@@ -131,21 +145,30 @@ class Netlist:
     # ------------------------------------------------------------------
     # Combinational evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, input_values: Dict[str, int]) -> Dict[str, int]:
-        """Evaluate combinationally; returns output name -> bit."""
+    def evaluate(self, input_values: Dict[str, int], lanes: int = 1) -> Dict[str, int]:
+        """Evaluate ``lanes`` input vectors at once; returns output name -> word.
+
+        Each input value is a word whose bit *k* is that input in vector
+        *k*; each output word is read the same way.  The constant 1 is
+        all-ones over the lanes, and every input and cell value is
+        masked to the lanes.  With the default single lane, values are
+        plain bits.
+        """
+        mask = (1 << lanes) - 1
+        inputs = {name: value & mask for name, value in input_values.items()}
         values: Dict[str, int] = {}
 
         def fetch(ref: Ref) -> int:
             kind, target = ref
             if kind == "const":
-                return target  # type: ignore[return-value]
+                return mask if target else 0
             if kind == "input":
-                return input_values[target]  # type: ignore[index]
+                return inputs[target]  # type: ignore[index]
             return values[target]  # type: ignore[index]
 
         for name in self.topological_order():
             cell = self.cells[name]
-            values[name] = cell.function(*(fetch(ref) for ref in cell.inputs))
+            values[name] = cell.function(*(fetch(ref) for ref in cell.inputs)) & mask
         return {name: fetch(ref) for name, ref in self.outputs.items()}
 
     def count_kind(self, kind: str) -> int:

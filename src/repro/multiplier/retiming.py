@@ -168,7 +168,8 @@ class PipelinedSimulator:
             for position, ref in enumerate(cell.inputs):
                 queue = self._edge_queues.get((name, position))
                 operands.append(queue[0] if queue is not None else raw(ref))
-            values[name] = cell.function(*operands)
+            # One lane: mask the bitwise cell function's result to a bit.
+            values[name] = cell.function(*operands) & 1
 
         outputs: Dict[str, int] = {}
         for output, ref in self.netlist.outputs.items():

@@ -24,7 +24,14 @@ from .extract import ExtractionError, extract_layers, extract_netlist
 from .hier import TileExtraction, extract_netlist_hier
 from .lvs import LvsReport, compare_netlists
 from .netlist import Device, SwitchNetlist
-from .switchsim import SimulationError, X, exhaustive_vectors, sample_vectors, simulate
+from .switchsim import (
+    SimulationError,
+    X,
+    exhaustive_vectors,
+    sample_vectors,
+    sample_words,
+    simulate,
+)
 
 __all__ = [
     "Device",
@@ -43,6 +50,7 @@ __all__ = [
     "simulate",
     "exhaustive_vectors",
     "sample_vectors",
+    "sample_words",
     "VerificationReport",
     "verify_cell",
     "verify_multiplier",

@@ -22,7 +22,7 @@ the single pass/fail the CLI and the example scripts key on.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..compact.cache import CompactionCache
 from ..compact.rules import DesignRules
@@ -32,9 +32,18 @@ from .extract import extract_netlist
 from .hier import extract_netlist_hier
 from .lvs import LvsReport, compare_netlists
 from .netlist import SwitchNetlist
-from .switchsim import exhaustive_vectors, sample_vectors, simulate
+from .switchsim import exhaustive_vectors, sample_vectors, sample_words, simulate
 
-__all__ = ["VerificationReport", "verify_cell", "verify_pla", "verify_multiplier"]
+if TYPE_CHECKING:
+    from ..multiplier.netlist import Netlist
+
+__all__ = [
+    "VerificationReport",
+    "verify_cell",
+    "verify_pla",
+    "verify_multiplier",
+    "multiplier_mismatches",
+]
 
 #: default ceiling on simulated input combinations before sampling
 DEFAULT_MAX_VECTORS = 4096
@@ -183,11 +192,12 @@ def verify_pla(
         table = extract_personality(cell)
 
     if mode in ("lvs", "all"):
-        if is_decoder:
-            golden = intended_decoder_netlist(table.num_inputs)
-        else:
-            golden = intended_pla_netlist(table)
-        report.lvs = compare_netlists(netlist, golden)
+        with obs_trace.span("verify.lvs"):
+            if is_decoder:
+                golden = intended_decoder_netlist(table.num_inputs)
+            else:
+                golden = intended_pla_netlist(table)
+            report.lvs = compare_netlists(netlist, golden)
 
     if mode in ("sim", "all"):
         width = len(netlist.inputs)
@@ -201,18 +211,78 @@ def verify_pla(
             report.exhaustive = True
         else:
             vectors = sample_vectors(width, max_vectors, seed=width)
-        for bits in vectors:
-            values = simulate(netlist, dict(zip(netlist.inputs, bits)))
-            got = [values[net] for net in netlist.outputs]
-            if is_decoder:
-                index = sum(bit << k for k, bit in enumerate(bits))
-                want = [1 if k == index else 0 for k in range(len(netlist.outputs))]
-            else:
-                want = table.evaluate(list(bits))
-            if got != want:
-                report.failures.append(f"inputs {bits}: got {got}, want {want}")
+        with obs_trace.span(
+            "verify.sim", vectors=len(vectors), exhaustive=report.exhaustive
+        ):
+            for bits in vectors:
+                values = simulate(netlist, dict(zip(netlist.inputs, bits)))
+                got = [values[net] for net in netlist.outputs]
+                if is_decoder:
+                    index = sum(bit << k for k, bit in enumerate(bits))
+                    want = [
+                        1 if k == index else 0 for k in range(len(netlist.outputs))
+                    ]
+                else:
+                    want = table.evaluate(list(bits))
+                if got != want:
+                    report.failures.append(f"inputs {bits}: got {got}, want {want}")
         report.vectors_checked = len(vectors)
     return report
+
+
+def multiplier_mismatches(
+    netlist: Netlist,
+    a_values: Sequence[int],
+    b_values: Sequence[int],
+    m: int,
+    n: int,
+) -> List[str]:
+    """Multiply many operand pairs in one packed evaluation and check them.
+
+    Pair *k* is ``(a_values[k], b_values[k])``, an m-bit and an n-bit
+    operand, and occupies lane *k*: each operand bit is packed into one
+    word over all pairs, ``netlist`` (a Baugh-Wooley array from
+    :func:`~repro.multiplier.baughwooley.build_baugh_wooley`, or a
+    mutant of one) is evaluated once, and the m + n product planes are
+    unpacked into per-pair signed products.  Returns one
+    ``"a x b: got G, want W"`` line per pair whose product differs from
+    :func:`~repro.multiplier.baughwooley.reference_product`, in pair
+    order: the lines a per-pair :func:`~repro.multiplier.baughwooley.multiply`
+    loop would report.
+    """
+    import numpy as np
+
+    from ..multiplier.baughwooley import reference_product
+
+    lanes = len(a_values)
+    width = m + n
+    # Products of up to 62 bits fit int64; wider ones (a 32x32 array)
+    # are assembled as Python ints in object arrays.
+    dtype = np.int64 if width < 63 else object
+    a = np.asarray(a_values, dtype=dtype)
+    b = np.asarray(b_values, dtype=dtype)
+
+    def pack(values, bit: int) -> int:
+        plane = ((values >> bit) & 1).astype(np.uint8)
+        return int.from_bytes(np.packbits(plane, bitorder="little").tobytes(), "little")
+
+    inputs = {f"a{i}": pack(a, i) for i in range(m)}
+    inputs.update({f"b{j}": pack(b, j) for j in range(n)})
+    outputs = netlist.evaluate(inputs, lanes=lanes)
+    raw = np.zeros(lanes, dtype=dtype)
+    for k in range(width):
+        plane = np.frombuffer(
+            outputs[f"p{k}"].to_bytes((lanes + 7) // 8, "little"), dtype=np.uint8
+        )
+        bits = np.unpackbits(plane, count=lanes, bitorder="little")
+        raw |= bits.astype(dtype) << k
+    products = (raw - ((raw >> (width - 1)) << width)).tolist()
+    failures = []
+    for a_k, b_k, got in zip(a.tolist(), b.tolist(), products):
+        want = reference_product(a_k, b_k, m, n)
+        if got != want:
+            failures.append(f"{a_k} x {b_k}: got {got}, want {want}")
+    return failures
 
 
 def verify_multiplier(
@@ -227,14 +297,12 @@ def verify_multiplier(
     netlist; the functional pass reads the personality grid back from
     the masks, checks it against the Baugh-Wooley pattern, and
     multiplies every operand pair (or a seeded sample beyond
-    ``max_vectors``) against the reference product.
+    ``max_vectors``) against the reference product, all pairs in one
+    packed evaluation (:func:`multiplier_mismatches`).  A multiplier
+    with a 1-bit operand has no Baugh-Wooley array to check, so the
+    functional pass fails it rather than passing it unchecked.
     """
-    from ..multiplier.baughwooley import (
-        build_baugh_wooley,
-        cell_type_grid,
-        multiply,
-        reference_product,
-    )
+    from ..multiplier.baughwooley import build_baugh_wooley, cell_type_grid
     from ..multiplier.generator import intended_multiplier_netlist
     from .cellgraph import cell_graph_netlist, multiplier_personality
 
@@ -249,8 +317,9 @@ def verify_multiplier(
     report.nets = netlist.num_nets
 
     if mode in ("lvs", "all"):
-        golden = intended_multiplier_netlist(xsize, ysize)
-        report.lvs = compare_netlists(netlist, golden)
+        with obs_trace.span("verify.lvs"):
+            golden = intended_multiplier_netlist(xsize, ysize)
+            report.lvs = compare_netlists(netlist, golden)
 
     if mode in ("sim", "all"):
         if grid != cell_type_grid(xsize, ysize):
@@ -261,29 +330,30 @@ def verify_multiplier(
             report.failures.append(
                 "carry-propagate row carries a type II mask"
             )
-        if not report.failures and xsize >= 2 and ysize >= 2:
-            functional = build_baugh_wooley(xsize, ysize)
-            total = 1 << (xsize + ysize)
-            if total <= max_vectors:
-                pairs = [
-                    (a, b) for a in range(1 << xsize) for b in range(1 << ysize)
-                ]
-                report.exhaustive = True
-            else:
-                vectors = sample_vectors(xsize + ysize, max_vectors, seed=total)
-                pairs = [
-                    (
-                        sum(bit << k for k, bit in enumerate(bits[:xsize])),
-                        sum(bit << k for k, bit in enumerate(bits[xsize:])),
-                    )
-                    for bits in vectors
-                ]
-            for a, b in pairs:
-                got = multiply(functional, a, b, xsize, ysize)
-                want = reference_product(a, b, xsize, ysize)
-                if got != want:
-                    report.failures.append(f"{a} x {b}: got {got}, want {want}")
-            report.vectors_checked = len(pairs)
+        if xsize < 2 or ysize < 2:
+            report.failures.append(
+                f"{xsize}x{ysize} multiplier: the functional check needs"
+                " operands of at least 2 bits"
+            )
+        if report.failures:
+            return report
+        total = 1 << (xsize + ysize)
+        if total <= max_vectors:
+            pairs = range(total)
+            a_values = [k >> ysize for k in pairs]
+            b_values = [k & ((1 << ysize) - 1) for k in pairs]
+            report.exhaustive = True
+        else:
+            words = sample_words(xsize + ysize, max_vectors, seed=total)
+            a_values = [word & ((1 << xsize) - 1) for word in words]
+            b_values = [word >> xsize for word in words]
+        with obs_trace.span(
+            "verify.sim", vectors=len(a_values), exhaustive=report.exhaustive
+        ):
+            report.failures += multiplier_mismatches(
+                build_baugh_wooley(xsize, ysize), a_values, b_values, xsize, ysize
+            )
+        report.vectors_checked = len(a_values)
     return report
 
 

@@ -21,6 +21,8 @@ crosspoint rather than whole-netlist sweeps.
 :func:`exhaustive_vectors` and :func:`sample_vectors` provide the two
 evaluation regimes the verifier uses: every input combination for
 small designs, seeded random sampling for large ones.
+:func:`sample_words` is the same sample with each vector kept as one
+integer.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "simulate",
     "exhaustive_vectors",
     "sample_vectors",
+    "sample_words",
 ]
 
 #: the unknown logic value
@@ -171,9 +174,25 @@ def exhaustive_vectors(width: int) -> List[Tuple[int, ...]]:
     ]
 
 
-def sample_vectors(width: int, count: int, seed: int = 0) -> List[Tuple[int, ...]]:
-    """``count`` distinct-ish random vectors of ``width`` bits (seeded)."""
+def sample_words(width: int, count: int, seed: int = 0) -> List[int]:
+    """``count`` seeded random ``width``-bit words, one draw per word.
+
+    Each word is one ``getrandbits(width)`` draw; bit 0 is input 0.
+    The sample is a function of ``(width, count, seed)``.
+    """
     rng = random.Random(seed)
+    return [rng.getrandbits(width) for _ in range(count)]
+
+
+def sample_vectors(width: int, count: int, seed: int = 0) -> List[Tuple[int, ...]]:
+    """``count`` seeded random vectors of ``width`` bits.
+
+    The vectors are :func:`sample_words` split into bits, bit 0 first.
+    Drawing one word per vector (rather than ``width`` single bits, as
+    earlier releases did) changed which vectors a given seed yields;
+    the sample is still deterministic per seed.
+    """
     return [
-        tuple(rng.randint(0, 1) for _ in range(width)) for _ in range(count)
+        tuple((word >> bit) & 1 for bit in range(width))
+        for word in sample_words(width, count, seed)
     ]

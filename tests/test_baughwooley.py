@@ -1,5 +1,8 @@
 """Tests for the Baugh-Wooley multiplier netlist (chapter 5, Figure 5.1)."""
 
+import functools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +15,7 @@ from repro.multiplier import (
     to_bits,
     to_signed,
 )
+from repro.verify.driver import multiplier_mismatches
 
 
 class TestBitHelpers:
@@ -133,3 +137,141 @@ class TestNetlistSubstrate:
         net.add_cell("one", lambda v: v, [Netlist.const(1)])
         net.set_output("o", ("cell", "one"))
         assert net.evaluate({})["o"] == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _array(m, n):
+    return build_baugh_wooley(m, n)
+
+
+def _extremes(bits):
+    return [-(1 << (bits - 1)), -1, 0, (1 << (bits - 1)) - 1]
+
+
+def _operand(bits):
+    low, high = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    return st.one_of(st.sampled_from(_extremes(bits)), st.integers(low, high))
+
+
+@st.composite
+def _batches(draw, lanes):
+    """(m, n, pairs): ``lanes`` signed operand pairs for an m x n array.
+
+    The drawn pairs come first, then every sign-extreme combination,
+    then a seeded random fill up to ``lanes``.
+    """
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(2, 8))
+    drawn = draw(st.lists(st.tuples(_operand(m), _operand(n)), min_size=1, max_size=8))
+    corners = [(a, b) for a in _extremes(m) for b in _extremes(n)]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pairs = (drawn + corners)[:lanes]
+    while len(pairs) < lanes:
+        pairs.append((
+            rng.randrange(-(1 << (m - 1)), 1 << (m - 1)),
+            rng.randrange(-(1 << (n - 1)), 1 << (n - 1)),
+        ))
+    return m, n, pairs
+
+
+def _assert_lanes_match_scalar(m, n, pairs):
+    """One N-lane evaluation equals N one-lane evaluations and the golden."""
+    net = _array(m, n)
+    lanes = len(pairs)
+    words = {}
+    for name, bits, column in [("a", m, 0), ("b", n, 1)]:
+        for i in range(bits):
+            words[f"{name}{i}"] = sum(
+                ((pair[column] >> i) & 1) << k for k, pair in enumerate(pairs)
+            )
+    packed = net.evaluate(words, lanes=lanes)
+    assert all(0 <= word < 1 << lanes for word in packed.values())
+    for k, (a, b) in enumerate(pairs):
+        single = net.evaluate(
+            {**{f"a{i}": bit for i, bit in enumerate(to_bits(a, m))},
+             **{f"b{j}": bit for j, bit in enumerate(to_bits(b, n))}}
+        )
+        assert {name: (word >> k) & 1 for name, word in packed.items()} == single
+        raw = from_bits([(packed[f"p{q}"] >> k) & 1 for q in range(m + n)])
+        assert to_signed(raw, m + n) == reference_product(a, b, m, n)
+
+
+class TestLaneParallelEvaluation:
+    @pytest.mark.parametrize("lanes", [1, 63, 64, 65])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_n_lanes_equal_n_single_lanes(self, lanes, data):
+        _assert_lanes_match_scalar(*data.draw(_batches(lanes)))
+
+    @given(batch=_batches(4096))
+    @settings(max_examples=3, deadline=None)
+    def test_4096_lanes_equal_4096_single_lanes(self, batch):
+        _assert_lanes_match_scalar(*batch)
+
+    def test_constant_one_fills_every_lane(self):
+        from repro.multiplier import Netlist
+
+        net = Netlist()
+        net.add_cell("one", lambda v: v, [Netlist.const(1)])
+        net.set_output("o", ("cell", "one"))
+        assert net.evaluate({}, lanes=70)["o"] == (1 << 70) - 1
+
+    def test_complement_is_masked_to_the_lanes(self):
+        net = _array(3, 3)
+        type_ii = net.cells["pp_2_0"]
+        assert type_ii.function(0, 0) == -1  # ~0: bits above every lane
+        outputs = net.evaluate({f"{x}{i}": 0 for x in "ab" for i in range(3)}, lanes=5)
+        assert all(0 <= word < 1 << 5 for word in outputs.values())
+
+
+def _type_ii_products(m, n):
+    return [f"pp_{m - 1}_{j}" for j in range(n - 1)] + [
+        f"pp_{i}_{n - 1}" for i in range(m - 1)
+    ]
+
+
+def _assert_packed_matches_loop(net, pairs, m, n):
+    """The packed check fails, and reports what a per-pair loop reports."""
+    loop = []
+    for a, b in pairs:
+        got, want = multiply(net, a, b, m, n), reference_product(a, b, m, n)
+        if got != want:
+            loop.append(f"{a} x {b}: got {got}, want {want}")
+    packed = multiplier_mismatches(
+        net, [a for a, _ in pairs], [b for _, b in pairs], m, n
+    )
+    assert packed, "the mutant must fail the check"
+    assert packed == loop
+
+
+_M, _N = 4, 5
+_ALL_PAIRS = [(a, b) for a in range(1 << _M) for b in range(1 << _N)]
+
+
+class TestPackedCheckCatchesMutants:
+    @pytest.mark.parametrize("name", _type_ii_products(_M, _N))
+    def test_nand_swapped_for_and(self, name):
+        net = build_baugh_wooley(_M, _N)
+        net.cells[name].function = net.cells["pp_0_0"].function  # a type I AND
+        _assert_packed_matches_loop(net, _ALL_PAIRS, _M, _N)
+
+    @pytest.mark.parametrize("i,j", [(0, 0), (1, 2), (3, 4), (2, 1), (3, 0)])
+    def test_sum_swapped_for_carry(self, i, j):
+        net = build_baugh_wooley(_M, _N)
+        net.cells[f"cs_{i}_{j}"].function = net.cells[f"cc_{i}_{j}"].function
+        _assert_packed_matches_loop(net, _ALL_PAIRS, _M, _N)
+
+    def test_wide_mutant_matches_the_loop(self):
+        net = build_baugh_wooley(32, 32)
+        net.cells["cs_5_7"].function = net.cells["cc_5_7"].function
+        rng = random.Random(4)
+        pairs = [(rng.randrange(1 << 32), rng.randrange(1 << 32)) for _ in range(64)]
+        _assert_packed_matches_loop(net, pairs, 32, 32)
+
+    @pytest.mark.parametrize("m,n", [(6, 11), (32, 32)])  # 64-bit products too
+    def test_clean_array_has_no_mismatches(self, m, n):
+        net = _array(m, n)
+        rng = random.Random(3)
+        a_values = [rng.randrange(1 << m) for _ in range(200)] + [0, 1 << (m - 1)]
+        b_values = [rng.randrange(1 << n) for _ in range(200)] + [1 << (n - 1)] * 2
+        assert multiplier_mismatches(net, a_values, b_values, m, n) == []

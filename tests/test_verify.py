@@ -27,6 +27,8 @@ from repro.verify import (
     compare_netlists,
     extract_netlist,
     extract_netlist_hier,
+    sample_vectors,
+    sample_words,
     simulate,
     verify_cell,
     verify_pla,
@@ -380,3 +382,83 @@ class TestHierarchicalExtraction:
         hier = extract_netlist_hier(root)
         assert flat.vdd_nets and hier.vdd_nets
         assert compare_netlists(hier, flat).matched
+
+
+class TestSampling:
+    def test_sample_is_deterministic_per_seed(self):
+        assert sample_words(17, 300, seed=5) == sample_words(17, 300, seed=5)
+        assert sample_words(17, 300, seed=5) != sample_words(17, 300, seed=6)
+
+    @pytest.mark.parametrize("width", [1, 7, 16, 64, 70])
+    def test_count_width_and_range(self, width):
+        words = sample_words(width, 500, seed=width)
+        assert len(words) == 500
+        assert all(0 <= word < 1 << width for word in words)
+        # 500 draws set the top bit somewhere: the full width is used
+        assert any(word >> (width - 1) for word in words)
+
+    def test_vectors_are_the_words_bit_zero_first(self):
+        words = sample_words(9, 64, seed=2)
+        vectors = sample_vectors(9, 64, seed=2)
+        assert all(len(bits) == 9 and set(bits) <= {0, 1} for bits in vectors)
+        assert [
+            sum(bit << k for k, bit in enumerate(bits)) for bits in vectors
+        ] == words
+
+
+class TestMultiplierVerification:
+    @pytest.mark.parametrize("size", [(1, 4), (4, 1)])
+    def test_one_bit_operand_is_not_a_vacuous_pass(self, size):
+        from repro.multiplier import generate_via_language
+
+        cell, _ = generate_via_language(*size)
+        report = verify_cell(cell, mode="all")
+        assert not report.ok
+        assert report.vectors_checked == 0
+        assert any(f"{size[0]}x{size[1]}" in failure for failure in report.failures)
+        assert report.lvs is not None and report.lvs.matched
+        assert not verify_cell(cell, mode="sim").ok
+        # LVS-only mode checks no function, so the width does not matter
+        assert verify_cell(cell, mode="lvs").ok
+
+    @pytest.mark.parametrize("size", [(1, 4), (4, 1)])
+    def test_one_bit_operand_fails_in_the_verify_family(self, size):
+        from repro.cli import EXIT_VERIFY, exit_code_for
+        from repro.core.errors import VerificationError
+        from repro.service.jobs import JobSpec, execute_job
+
+        spec = JobSpec(
+            kind="multiplier", parameters=f"xsize={size[0]}\nysize={size[1]}\n",
+            verify="all",
+        )
+        with pytest.raises(VerificationError) as caught:
+            execute_job(spec)
+        assert exit_code_for(caught.value) == EXIT_VERIFY
+
+    def test_traced_job_has_lvs_and_sim_spans_under_verify(self):
+        from repro.obs import Tracer, activated
+        from repro.service.jobs import JobSpec, execute_job
+
+        tracer = Tracer()
+        with activated(tracer):
+            execute_job(JobSpec(
+                kind="multiplier", parameters="xsize=8\nysize=8\n", verify="all",
+            ))
+        spans = tracer.finished()
+        (verify,) = [span for span in spans if span.name == "job.verify"]
+        (lvs,) = [span for span in spans if span.name == "verify.lvs"]
+        (sim,) = [span for span in spans if span.name == "verify.sim"]
+        assert lvs.parent_id == verify.span_id
+        assert sim.parent_id == verify.span_id
+        assert sim.attributes["vectors"] == 4096
+        assert sim.attributes["exhaustive"] is False
+
+    def test_pla_verify_has_lvs_and_sim_spans(self):
+        from repro.obs import Tracer, activated
+
+        tracer = Tracer()
+        with activated(tracer):
+            verify_pla(generate_pla(TABLE), table=TABLE)
+        names = {span.name: span for span in tracer.finished()}
+        assert "verify.lvs" in names
+        assert names["verify.sim"].attributes == {"vectors": 8, "exhaustive": True}
