@@ -41,8 +41,12 @@ bench:
 # xy compaction grows <= 6x per 4x-box size step, one rubber-band pass
 # peaks < 200 MB RSS), and the packed multiplier check
 # (bench_multiplier_correctness — all 65 536 8x8 operand pairs in
-# under 1 s), so a regression to the O(n^2) rescans, the dense LP,
-# instance-proportional work or one-pair-at-a-time checking fails CI.  The bench_hierarchy
+# under 1 s), and the lane-parallel switch-level simulation
+# (bench_verify pla_sim_exhaustive_12in — all 4 096 vectors of a
+# 12-input PLA in under 1 s; pla_sim_exhaustive_8in's >= 20x over the
+# per-vector oracle runs via `make bench`), so a regression to the
+# O(n^2) rescans, the dense LP, instance-proportional work or
+# one-pair/one-vector-at-a-time checking fails CI.  The bench_hierarchy
 # parallel case asserts jobs=2 output is identical to serial at every
 # size; bench_verify asserts hier extraction is LVS-identical to flat;
 # bench_batch asserts every numpy batch pass (scanline_vec, drc_vec,

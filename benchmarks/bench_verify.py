@@ -27,19 +27,41 @@ should pay per *distinct tile*, not per instance.
   extraction is already cheap, so the cache's value is cross-run and
   on-disk persistence).
 
-Set ``REPRO_BENCH_SMOKE=1`` to trim to the smallest size (the 3x
-speedup assertion is skipped there; the scaling guard still runs).
+* **lane-parallel simulation** — every exhaustive input vector of
+  an extracted PLA in one :func:`~repro.verify.switchsim.simulate`
+  call, checked net for net against the truth table.
+  ``pla_sim_exhaustive_8in`` (256 vectors) must be at least 20x faster
+  than one :func:`~repro.verify.switchsim.simulate_reference` call per
+  vector (row ``pla_sim_exhaustive_8in_reference``), and the engine
+  must agree with that loop on every net of every lane;
+  ``pla_sim_exhaustive_12in`` (4 096 vectors) must stay under 1 s, in
+  smoke mode too.
+
+Set ``REPRO_BENCH_SMOKE=1`` to trim to the smallest size (the 3x and
+20x speedup assertions are skipped there, and the 8-input comparison
+runs on 5 inputs; the scaling guard and the 12-input bound still run).
 """
 
 import os
 import random
+import time
 from contextlib import contextmanager
 
 from conftest import best_time, doubling_ratio
 
 from repro.compact import CompactionCache
 from repro.pla import TruthTable, generate_pla
-from repro.verify import compare_netlists, extract_netlist, extract_netlist_hier
+from repro.verify import (
+    X,
+    compare_netlists,
+    exhaustive_vectors,
+    extract_netlist,
+    extract_netlist_hier,
+    input_planes,
+    simulate,
+)
+from repro.verify.driver import pla_layout_netlist
+from repro.verify.switchsim import simulate_reference
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -149,3 +171,61 @@ def test_cached_reverification(report, record):
         "E-VERIFY: cached re-verification",
         f"  {n} x {n}   cold {cold * 1000:8.2f} ms   warm {warm * 1000:8.2f} ms",
     )
+
+
+def exhaustive_sim(inputs, terms, outputs):
+    """An extracted PLA plus its exhaustive two-rail input words."""
+    table = plane_table(inputs, terms, outputs)
+    netlist = pla_layout_netlist(generate_pla(table, name=f"sim_pla_{inputs}"))
+    lanes = 1 << inputs
+    mask = (1 << lanes) - 1
+    planes = input_planes(inputs)
+    words = {
+        net: plane | (mask ^ plane) << lanes
+        for net, plane in zip(netlist.inputs, planes)
+    }
+    return table, netlist, planes, words, lanes
+
+
+def test_pla_sim_exhaustive_8in(report, record):
+    inputs = 5 if SMOKE else 8
+    _, netlist, _, words, lanes = exhaustive_sim(inputs, 16, 4)
+    start = time.perf_counter()
+    loop = [
+        simulate_reference(netlist, dict(zip(netlist.inputs, bits)))
+        for bits in exhaustive_vectors(inputs)
+    ]
+    loop_s = time.perf_counter() - start
+    got = simulate(netlist, words, lanes=lanes)
+    for lane, values in enumerate(loop):
+        for net, value in enumerate(values):
+            high, low = (got[net] >> lane) & 1, (got[net] >> (lanes + lane)) & 1
+            assert (high if high != low else X) == value, (lane, net)
+    lane_s = best_time(lambda: simulate(netlist, words, lanes=lanes))
+    record("pla_sim_exhaustive_8in", lanes, lane_s)
+    record("pla_sim_exhaustive_8in_reference", lanes, loop_s)
+    ratio = loop_s / lane_s
+    report(
+        f"E-VERIFY: {inputs}-input PLA, all {lanes} vectors: lanes"
+        f" {lane_s * 1000:.1f} ms, one vector at a time {loop_s * 1000:.1f} ms"
+        f" ({ratio:.0f}x)"
+    )
+    if not SMOKE:
+        assert ratio >= 20, f"lane engine only {ratio:.1f}x over the per-vector loop"
+
+
+def test_pla_sim_exhaustive_12in(report, record):
+    table, netlist, planes, words, lanes = exhaustive_sim(12, 12, 4)
+    values = simulate(netlist, words, lanes=lanes)
+    want = table.evaluate(planes, lanes=lanes)
+    mask = (1 << lanes) - 1
+    assert [values[net] for net in netlist.outputs] == [
+        word | (mask ^ word) << lanes for word in want
+    ]
+    seconds = best_time(lambda: simulate(netlist, words, lanes=lanes))
+    record("pla_sim_exhaustive_12in", lanes, seconds)
+    report(
+        f"E-VERIFY: 12-input PLA, all {lanes} vectors in one relaxation:"
+        f" {seconds * 1000:.1f} ms (guard < 1 s)"
+    )
+    assert seconds < 1.0

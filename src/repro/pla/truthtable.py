@@ -79,25 +79,33 @@ class TruthTable:
         return cls(and_rows, or_rows)
 
     # ------------------------------------------------------------------
-    def evaluate(self, inputs: Sequence[int]) -> List[int]:
-        """Evaluate the two-level logic for an input vector."""
+    def evaluate(self, inputs: Sequence[int], lanes: int = 1) -> List[int]:
+        """Evaluate the two-level logic, one vector per bit lane.
+
+        Input *i* is a word whose bit *k* is its value in vector *k*;
+        output *o* comes back as the same kind of word.  With the
+        default ``lanes=1`` the words are plain 0/1 bits: one vector.
+        """
         if len(inputs) != self.num_inputs:
             raise ValueError("wrong input width")
+        mask = (1 << lanes) - 1
+        true = [value & mask for value in inputs]
+        false = [mask ^ value for value in true]
         terms = []
         for row in self.and_plane:
-            active = 1
-            for bit, literal in zip(inputs, row):
-                if literal == "1" and not bit:
-                    active = 0
-                elif literal == "0" and bit:
-                    active = 0
+            active = mask
+            for literal, high, low in zip(row, true, false):
+                if literal == "1":
+                    active &= high
+                elif literal == "0":
+                    active &= low
             terms.append(active)
         outputs = []
         for index in range(self.num_outputs):
             value = 0
-            for term_active, row in zip(terms, self.or_plane):
-                if term_active and row[index] == "1":
-                    value = 1
+            for active, row in zip(terms, self.or_plane):
+                if row[index] == "1":
+                    value |= active
             outputs.append(value)
         return outputs
 

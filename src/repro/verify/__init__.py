@@ -5,7 +5,7 @@ from generated mask geometry back to logical function.
 
 * :mod:`repro.verify.netlist` — the switch-level netlist substrate;
 * :mod:`repro.verify.extract` — sweep-kernel device/node extraction;
-* :mod:`repro.verify.switchsim` — event-driven 0/1/X simulation;
+* :mod:`repro.verify.switchsim` — lane-parallel 0/1/X simulation;
 * :mod:`repro.verify.lvs` — canonical-form netlist comparison;
 * :mod:`repro.verify.hier` — extract-once/stamp-many hierarchical
   extraction with content-fingerprint caching;
@@ -28,6 +28,7 @@ from .switchsim import (
     SimulationError,
     X,
     exhaustive_vectors,
+    input_planes,
     sample_vectors,
     sample_words,
     simulate,
@@ -49,6 +50,7 @@ __all__ = [
     "X",
     "simulate",
     "exhaustive_vectors",
+    "input_planes",
     "sample_vectors",
     "sample_words",
     "VerificationReport",

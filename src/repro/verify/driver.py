@@ -32,7 +32,7 @@ from .extract import extract_netlist
 from .hier import extract_netlist_hier
 from .lvs import LvsReport, compare_netlists
 from .netlist import SwitchNetlist
-from .switchsim import exhaustive_vectors, sample_vectors, sample_words, simulate
+from .switchsim import X, input_planes, sample_words, simulate
 
 if TYPE_CHECKING:
     from ..multiplier.netlist import Netlist
@@ -173,6 +173,13 @@ def verify_pla(
     :func:`~repro.pla.generator.extract_personality`, which still
     closes the loop from mask geometry to the personality actually
     drawn.  ``mode`` is ``"lvs"``, ``"sim"`` or ``"all"``.
+
+    The functional check simulates every vector in one lane-parallel
+    :func:`~repro.verify.switchsim.simulate` call (lane *k* holds
+    vector *k*) and decodes only the lanes that mismatch into
+    ``inputs (...): got [...], want [...]`` lines, in vector order.
+    It fails without simulating when the extracted inputs or outputs
+    do not match the table (a decoder needs 2^inputs rows).
     """
     from ..pla.generator import (
         extract_personality,
@@ -206,28 +213,75 @@ def verify_pla(
                 f"extracted {width} inputs, table has {table.num_inputs}"
             )
             return report
+        outputs = len(netlist.outputs)
+        expected = 1 << width if is_decoder else table.num_outputs
+        if outputs != expected:
+            what = f"decoder has {expected} rows" if is_decoder else f"table has {expected}"
+            report.failures.append(f"extracted {outputs} outputs, {what}")
+            return report
         if (1 << width) <= max_vectors:
-            vectors = exhaustive_vectors(width)
+            lanes = 1 << width
+            indices: Sequence[int] = range(lanes)
             report.exhaustive = True
         else:
-            vectors = sample_vectors(width, max_vectors, seed=width)
+            indices = sample_words(width, max_vectors, seed=width)
+            lanes = len(indices)
         with obs_trace.span(
-            "verify.sim", vectors=len(vectors), exhaustive=report.exhaustive
+            "verify.sim", vectors=lanes, exhaustive=report.exhaustive, lanes=lanes
         ):
-            for bits in vectors:
-                values = simulate(netlist, dict(zip(netlist.inputs, bits)))
-                got = [values[net] for net in netlist.outputs]
-                if is_decoder:
-                    index = sum(bit << k for k, bit in enumerate(bits))
-                    want = [
-                        1 if k == index else 0 for k in range(len(netlist.outputs))
-                    ]
-                else:
-                    want = table.evaluate(list(bits))
-                if got != want:
-                    report.failures.append(f"inputs {bits}: got {got}, want {want}")
-        report.vectors_checked = len(vectors)
+            planes = input_planes(width, None if report.exhaustive else indices)
+            mask = (1 << lanes) - 1
+            values = simulate(
+                netlist,
+                {net: plane | (mask ^ plane) << lanes
+                 for net, plane in zip(netlist.inputs, planes)},
+                lanes=lanes,
+            )
+            if is_decoder:
+                want = [0] * outputs
+                for lane, index in enumerate(indices):
+                    want[index] |= 1 << lane
+            else:
+                want = table.evaluate(planes, lanes=lanes)
+            report.failures += _lane_mismatches(
+                [values[net] for net in netlist.outputs], want, indices, width, lanes
+            )
+        report.vectors_checked = lanes
     return report
+
+
+def _lane_mismatches(
+    got: Sequence[int],
+    want: Sequence[int],
+    indices: Sequence[int],
+    width: int,
+    lanes: int,
+) -> List[str]:
+    """One failure line per lane whose outputs are not the wanted ones.
+
+    ``got`` holds two-rail output words from :func:`simulate`, ``want``
+    plain output words; a lane matches only when each output is on
+    exactly its wanted rail.  Lines come in lane (vector) order, in
+    the ``inputs (...): got [...], want [...]`` form.
+    """
+    mask = (1 << lanes) - 1
+    bad = 0
+    for word, expected in zip(got, want):
+        bad |= word ^ (expected | (mask ^ expected) << lanes)
+    bad = (bad | bad >> lanes) & mask
+    failures = []
+    while bad:
+        lane = (bad & -bad).bit_length() - 1
+        bad &= bad - 1
+        index = indices[lane]
+        bits = tuple((index >> k) & 1 for k in range(width))
+        values = []
+        for word in got:
+            high, low = (word >> lane) & 1, (word >> (lanes + lane)) & 1
+            values.append(high if high != low else X)
+        wanted = [(word >> lane) & 1 for word in want]
+        failures.append(f"inputs {bits}: got {values}, want {wanted}")
+    return failures
 
 
 def multiplier_mismatches(

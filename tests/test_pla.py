@@ -56,6 +56,14 @@ class TestTruthTable:
         assert TABLE.evaluate([0, 1, 1]) == [1, 1]
         assert TABLE.evaluate([0, 0, 1]) == [0, 0]
 
+    def test_evaluate_lanes_is_the_per_vector_evaluation(self):
+        # lane j holds input vector j: input k is bit k of j
+        planes = [0b10101010, 0b11001100, 0b11110000]
+        words = TABLE.evaluate(planes, lanes=8)
+        for lane in range(8):
+            bits = [(lane >> k) & 1 for k in range(3)]
+            assert [(word >> lane) & 1 for word in words] == TABLE.evaluate(bits)
+
     def test_crosspoints(self):
         assert TABLE.crosspoints() == (6, 4)
 
