@@ -32,7 +32,7 @@ bench:
 # fixture runs each workload once without timing loops, and the
 # REPRO_BENCH_SMOKE knob trims size-parameterised benchmarks (routing,
 # connectivity) to their smallest case.  The scaling guards still run
-# here: the sweep-kernel guards (bench_scanline, bench_sweep — doubling
+# here: the geometry-pass guards (bench_scanline, bench_sweep — doubling
 # the box count must stay sub-quadratic), the hierarchy-pipeline
 # flatten guard (bench_hierarchy — doubling the instance count must
 # grow flatten time < 3x), the verification guard (bench_verify —
@@ -49,10 +49,11 @@ bench:
 # one-pair/one-vector-at-a-time checking fails CI.  The bench_hierarchy
 # parallel case asserts jobs=2 output is identical to serial at every
 # size; bench_verify asserts hier extraction is LVS-identical to flat;
-# bench_batch asserts every numpy batch pass (scanline_vec, drc_vec,
-# merge_vec, extract_vec, verify_extract_vec) matches its interpreted
-# oracle output exactly (the >= 3x speedup guards run at full sizes
-# via `make bench`).
+# bench_scanline, bench_sweep and bench_batch assert every geometry
+# pass (visibility scan, DRC, merge, wire extraction, the extraction
+# mask walk) matches its *_reference oracle output exactly (the >= 5x
+# and >= 3x speedup guards over the oracles run at full sizes via
+# `make bench`).
 # BENCH_compaction.json is written here too (at the smoke
 # sizes) so CI can upload the trajectory per run.
 bench-smoke:

@@ -6,10 +6,10 @@ Comparisons on randomized mask layouts:
 * legality — the hidden-edge-skipping band scan misses the partially
   hidden pair of Figure 6.6 and emits an illegal layout;
 * cost — generation time of the two scanners;
-* the sweep kernel — the :class:`~repro.geometry.IntervalFront` front
+* the production scan — :func:`visibility_constraints` on flat arrays
   versus the retained flat-list reference at n >= 2000 boxes (>= 5x
   required), plus the CI scaling guard: doubling the box count must
-  grow the kernel's runtime sub-quadratically (< 3x).
+  grow the production scan's runtime sub-quadratically (< 3x).
 
 Timing rows land in ``BENCH_compaction.json`` via the ``record``
 fixture.  Set ``REPRO_BENCH_SMOKE=1`` for the small sizes (the speedup
@@ -32,7 +32,6 @@ from repro.compact import (
     visibility_constraints,
     visibility_constraints_reference,
 )
-from repro.compact.scanline import visibility_constraints_python
 from repro.compact.constraints import ConstraintSystem
 from repro.geometry import Box
 from repro.layout.database import FlatLayout
@@ -118,15 +117,12 @@ def test_figure_66_legality(benchmark, report):
 
 
 def _impl_kernel_speedup(report, record):
-    # Pinned to the interpreted kernel so the "scanline" trajectory row
-    # keeps measuring the same implementation it always did; the numpy
-    # batch kernel has its own "scanline_vec" row in bench_batch.py.
     n = 400 if SMOKE else 2000
     boxes = sweep_layout_pairs(n)
 
     def run_new():
         system, comp = build_edge_variables(boxes)
-        return visibility_constraints_python(system, comp, TECH_A)
+        return visibility_constraints(system, comp, TECH_A)
 
     def run_reference():
         system, comp = build_edge_variables(boxes)
@@ -154,13 +150,13 @@ def test_kernel_speedup(benchmark, report, record):
 def _impl_visibility_scaling_guard(report, record):
     # CI guard: doubling the box count must stay sub-quadratic (< 3x;
     # a regression to the O(n^2) front would show ~4x).  Runs at smoke
-    # sizes too — this is the cheap canary for the kernel itself.
+    # sizes too — this is the cheap canary for the scan itself.
     def measure(n):
         boxes = sweep_layout_pairs(n)
 
         def run():
             system, comp = build_edge_variables(boxes)
-            return visibility_constraints_python(system, comp, TECH_A)
+            return visibility_constraints(system, comp, TECH_A)
 
         return best_time(run, repeats=5)
 

@@ -1,16 +1,17 @@
-"""E-SWEEP — the sweep-line geometry kernel across DRC, merge, extract.
+"""E-SWEEP — the production geometry passes against their oracles.
 
-Three geometry passes were rebuilt on :mod:`repro.geometry.sweep` with
-their pre-kernel implementations retained as ``*_reference`` oracles:
+Three geometry passes run on flat arrays (:mod:`repro.geometry.batch`)
+with their interpreted implementations retained as ``*_reference``
+oracles:
 
-* :func:`repro.compact.drc.check_layout` — one y-event sweep plus
-  bisect-window inter-layer gap checks, against the reference's
-  per-slab full rescan and per-pair run loop;
-* :func:`repro.layout.database.merge_boxes` — slab runs from the active
-  interval set, against the per-slab rescan of every box;
-* :func:`repro.route.extract.wire_components` — heap-expired active
-  set, against the per-item active-list rebuild (a constant-factor
-  win: the connection pair loop dominates both variants).
+* :func:`repro.compact.drc.check_layout` — all-slab run vectors and
+  keyed ``searchsorted`` inter-layer gap probes, against the
+  reference's per-slab full rescan and per-pair run loop;
+* :func:`repro.layout.database.merge_boxes` — all-slab merged runs and
+  one coalescing lexsort, against the per-slab rescan of every box;
+* :func:`repro.route.extract.wire_components` — per-event-line
+  segmented scans, against the per-item active-list rebuild and pair
+  loop.
 
 Each comparison asserts output equality, records machine-readable rows
 into ``BENCH_compaction.json`` via the ``record`` fixture, and the DRC
@@ -18,21 +19,16 @@ pass carries the CI scaling guard: doubling the box count must grow
 runtime sub-quadratically (< 3x).  Set ``REPRO_BENCH_SMOKE=1`` for the
 small sizes (speedup assertions are skipped there; the scaling guard
 still runs).
-
-These rows are pinned to the interpreted (``*_python``) kernels so the
-trajectory keeps measuring the same implementations it always did; the
-numpy batch kernel records its own ``*_vec`` rows in ``bench_batch.py``.
 """
 
 import os
 
 from conftest import best_time, compare_kernel, doubling_ratio, sweep_layout_pairs
 
-from repro.compact import TECH_A, check_layout_reference
-from repro.compact.drc import check_layout_python
+from repro.compact import TECH_A, check_layout, check_layout_reference
 from repro.geometry import Box
-from repro.layout.database import merge_boxes_python, merge_boxes_reference
-from repro.route.extract import wire_components_python, wire_components_reference
+from repro.layout.database import merge_boxes, merge_boxes_reference
+from repro.route.extract import wire_components, wire_components_reference
 from repro.route.style import RouteStyle
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -55,7 +51,7 @@ def trunk_layers(n):
 def _impl_drc(report, record):
     n = 400 if SMOKE else 2000
     layers = random_layers(n)
-    assert sorted(map(str, check_layout_python(layers, TECH_A))) == sorted(
+    assert sorted(map(str, check_layout(layers, TECH_A))) == sorted(
         map(str, check_layout_reference(layers, TECH_A))
     )
     compare_kernel(
@@ -63,7 +59,7 @@ def _impl_drc(report, record):
         record,
         "drc",
         n,
-        lambda: check_layout_python(layers, TECH_A),
+        lambda: check_layout(layers, TECH_A),
         lambda: check_layout_reference(layers, TECH_A),
         min_ratio=5.0,
         smoke=SMOKE,
@@ -78,7 +74,7 @@ def _impl_drc_scaling_guard(report, record):
     # CI guard: doubling the box count must stay sub-quadratic (< 3x).
     def measure(n):
         layers = random_layers(n)
-        return best_time(lambda: check_layout_python(layers, TECH_A), repeats=5)
+        return best_time(lambda: check_layout(layers, TECH_A), repeats=5)
 
     ratio, t_small, t_large = doubling_ratio(measure, 600, 1200, limit=3.0)
     record("drc", 600, t_small)
@@ -99,13 +95,13 @@ def test_drc_scaling_guard(benchmark, report, record):
 def _impl_merge(report, record):
     n = 400 if SMOKE else 2000
     boxes = [box for layer in random_layers(n).values() for box in layer]
-    assert merge_boxes_python(boxes) == merge_boxes_reference(boxes)
+    assert merge_boxes(boxes) == merge_boxes_reference(boxes)
     compare_kernel(
         report,
         record,
         "merge",
         n,
-        lambda: merge_boxes_python(boxes),
+        lambda: merge_boxes(boxes),
         lambda: merge_boxes_reference(boxes),
         min_ratio=5.0,
         smoke=SMOKE,
@@ -120,15 +116,14 @@ def _impl_extract(report, record):
     n = 300 if SMOKE else 1500
     layers = trunk_layers(n)
     style = RouteStyle()
-    assert wire_components_python(layers, style) == wire_components_reference(layers, style)
-    # No minimum ratio: the connection pair loop dominates both variants
-    # on this workload; the heap removes the per-item rebuild only.
+    assert wire_components(layers, style) == wire_components_reference(layers, style)
+    # No minimum ratio: a trajectory row only.
     compare_kernel(
         report,
         record,
         "extract",
         n,
-        lambda: wire_components_python(layers, style),
+        lambda: wire_components(layers, style),
         lambda: wire_components_reference(layers, style),
     )
 

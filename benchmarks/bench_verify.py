@@ -10,12 +10,12 @@ should pay per *distinct tile*, not per instance.
   ways, assert LVS equivalence, and at full sizes enforce the >= 3x
   acceptance bar for the hierarchical extractor.  Rows ``verify_flat``
   / ``verify_hier`` land in ``BENCH_compaction.json``.  The timed
-  comparison is pinned to the interpreted geometry kernel
-  (``REPRO_KERNEL=python``): the bar documents the structural
-  extract-once/stamp-many win, which the numpy batch kernel's
-  constant-factor speedup of the *flat* mask walk (its
-  ``verify_extract_vec`` row in ``bench_batch.py``) would otherwise
-  mask — small per-tile extractions amortize no batch export.
+  comparison swaps the mask walk to its interpreted oracle
+  (``_sweep_reference``): the bar documents the structural
+  extract-once/stamp-many win, which the array walk's constant-factor
+  speedup of the *flat* extraction (its ``verify_extract_vec`` row in
+  ``bench_batch.py``) would otherwise mask — small per-tile extractions
+  amortize no array export.
 * **scaling guard** (runs in smoke mode, fails CI) — doubling the
   instance count (twice the product terms) must grow hierarchical
   extraction < 3x: the tile set is unchanged, so only stamping and
@@ -60,6 +60,7 @@ from repro.verify import (
     input_planes,
     simulate,
 )
+from repro.verify import extract as extract_module
 from repro.verify.driver import pla_layout_netlist
 from repro.verify.switchsim import simulate_reference
 
@@ -96,16 +97,18 @@ def build(n, terms=None):
 
 @contextmanager
 def interpreted_kernel():
-    """Pin the geometry kernel to ``python`` for a timed comparison."""
-    previous = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_KERNEL"] = "python"
+    """Swap the extraction mask walk to its interpreted oracle.
+
+    ``extract_netlist`` looks ``_sweep_batch`` up in its module on every
+    call, so replacing that attribute routes flat and hierarchical
+    extraction alike through ``_sweep_reference`` until the block ends.
+    """
+    production = extract_module._sweep_batch
+    extract_module._sweep_batch = extract_module._sweep_reference
     try:
         yield
     finally:
-        if previous is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = previous
+        extract_module._sweep_batch = production
 
 
 def test_flat_vs_hier(report, record):
@@ -115,7 +118,7 @@ def test_flat_vs_hier(report, record):
         with interpreted_kernel():
             flat_time = best_time(lambda: extract_netlist(cell))
             hier_time = best_time(lambda: extract_netlist_hier(cell))
-        # LVS equivalence holds under the shipping (default) kernel too.
+        # LVS equivalence holds under the production mask walk too.
         assert compare_netlists(
             extract_netlist_hier(cell), extract_netlist(cell)
         ).matched

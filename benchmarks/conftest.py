@@ -4,17 +4,17 @@ Every benchmark prints the paper-shaped table through ``report`` (which
 bypasses pytest's capture) so the rows appear in ``bench_output.txt``,
 and records machine-readable timings through ``record``: each call
 appends a ``{"bench", "n", "seconds"}`` row stamped with provenance
-(the active geometry kernel, the Python version, and a UTC timestamp —
-so a trajectory mixing kernels or interpreters is visible as such
-instead of reading as a regression), and at session finish the
-accumulated rows are merged into ``BENCH_compaction.json`` at the repo
-root — the seed of the performance trajectory that CI uploads per run
+(the geometry kernel name, the Python version, and a UTC timestamp —
+so a trajectory mixing kernels or interpreters across its history is
+visible as such instead of reading as a regression), and at session
+finish the accumulated rows are merged into ``BENCH_compaction.json``
+at the repo root — the seed of the performance trajectory that CI uploads per run
 (see the "Performance" section of ``docs/architecture.md``).  Rows are
 merged by ``(bench, n)`` so a partial or smoke-size session updates its
 own measurements without dropping the rest of the trajectory.
 
 ``best_time`` and ``sweep_layout_pairs`` are the timing discipline and
-the randomized-layout regime shared by the sweep-kernel benchmarks
+the randomized-layout regime shared by the geometry-pass benchmarks
 (``bench_scanline.py``, ``bench_sweep.py``).
 """
 
@@ -34,14 +34,10 @@ _RECORDS = []
 
 def _provenance():
     """Environment stamp shared by every timing row of this session."""
-    try:
-        from repro.geometry.batch import kernel_name
+    from repro.geometry.batch import kernel_name
 
-        kernel = kernel_name()
-    except Exception:
-        kernel = "unknown"
     return {
-        "kernel": kernel,
+        "kernel": kernel_name(),
         "python": platform.python_version(),
         "recorded_at": datetime.datetime.now(datetime.timezone.utc)
         .replace(microsecond=0)

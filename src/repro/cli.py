@@ -601,7 +601,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--sim-vectors",
         type=int,
         metavar="N",
-        help="cap on simulated input combinations for --verify"
+        help="cap on simulated input combinations for --verify sim/all"
         " (exhaustive up to N, seeded random sampling beyond;"
         " default: 4096)",
     )
@@ -622,8 +622,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--cache-dir has no effect without --compact")
     if arguments.router != "auto" and not arguments.route:
         parser.error("--router has no effect without --route")
-    if arguments.sim_vectors is not None and not arguments.verify:
-        parser.error("--sim-vectors has no effect without --verify")
+    if arguments.sim_vectors is not None and arguments.verify not in ("sim", "all"):
+        parser.error("--sim-vectors has no effect without --verify sim/all")
     if arguments.sim_vectors is not None and arguments.sim_vectors < 1:
         parser.error("--sim-vectors must be at least 1")
     if arguments.sim_vectors is not None and arguments.route:

@@ -6,11 +6,12 @@ inter-layer gaps (drawn crossings of different layers are intentional
 and exempt, mirroring the constraint generator's semantics — true
 layer-interaction rules go through the derived layers of section 6.4.3).
 
-Two implementations are provided.  :func:`check_layout` rides the sweep
-kernel: one y-event sweep maintains the active material per layer
-(:func:`repro.geometry.slab_decompose`), and the inter-layer gap check
-walks sorted runs with bisect windows instead of testing every run pair.
-:func:`check_layout_reference` is the pre-kernel checker — it rebuilds
+Two implementations are provided.  :func:`check_layout` works on flat
+arrays (:mod:`repro.geometry.batch`): every slab's merged runs are
+materialised at once, width and same-layer gap checks are masked
+column comparisons, and each inter-layer check is a pair of keyed
+``searchsorted`` probes instead of a test of every run pair.
+:func:`check_layout_reference` is the interpreted checker — it rebuilds
 every layer's runs from *all* boxes for *every* slab (``O(slabs x
 boxes)``) and compares runs pairwise (``O(runs^2)`` per layer pair) —
 retained as the equivalence oracle for property tests and benchmarks.
@@ -19,19 +20,17 @@ Both emit the same violation multiset.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..geometry import Box, batch, interval_gaps, slab_decompose
-from ..obs import trace as obs_trace
+import numpy as np
+
+from ..geometry import Box, batch
 from .rules import DesignRules
 
 __all__ = [
     "Violation",
     "check_layout",
-    "check_layout_batch",
-    "check_layout_python",
     "check_layout_reference",
 ]
 
@@ -62,35 +61,16 @@ def check_layout(
 ) -> List[Violation]:
     """Check min width and spacing; returns all violations found.
 
-    Dispatches on the ``REPRO_KERNEL`` switch: the numpy batch checker
-    (:func:`check_layout_batch`) by default, the interpreted sweep
-    checker (:func:`check_layout_python`) otherwise.  Both emit the
-    same violation multiset (emission order may differ).
-    """
-    if batch.use_numpy():
-        if obs_trace.is_enabled():
-            obs_trace.annotate(kernel="numpy")
-        return check_layout_batch(layers, rules)
-    if obs_trace.is_enabled():
-        obs_trace.annotate(kernel="python")
-    return check_layout_python(layers, rules)
-
-
-def check_layout_batch(
-    layers: Dict[str, List[Box]], rules: DesignRules
-) -> List[Violation]:
-    """Numpy batch build of the slab checker.
-
     All slabs of a layer are materialised at once as flat
     ``(slab, x0, x1)`` run vectors
     (:func:`repro.geometry.batch.merged_slab_runs`); width and
     same-layer gap checks are single masked comparisons over those
     columns, and each inter-layer check is two keyed ``searchsorted``
-    probes over the partner layer's run starts/ends — the batch form of
-    the per-slab bisect windows of :func:`check_layout_python`, which
-    it matches violation-for-violation.
+    probes over the partner layer's run starts/ends, so only the runs
+    inside a spacing-sized window around each run end are visited.
+    Emits the violation multiset of :func:`check_layout_reference`
+    (emission order may differ).
     """
-    np = batch.require_numpy()
     violations: List[Violation] = []
     layer_names = sorted(layers)
     if not layer_names:
@@ -159,89 +139,6 @@ def check_layout_batch(
     return violations
 
 
-def check_layout_python(
-    layers: Dict[str, List[Box]], rules: DesignRules
-) -> List[Violation]:
-    """The interpreted sweep-kernel checker.
-
-    The slab decomposition comes from one y-event sweep over the active
-    material, and each inter-layer check inspects only the runs inside
-    a spacing-sized bisect window around every run end — sub-quadratic
-    where the reference checker rescans all boxes per slab and all run
-    pairs per layer pair.  Serves as the equivalence oracle for
-    :func:`check_layout_batch`.
-    """
-    violations: List[Violation] = []
-    layer_names = sorted(layers)
-    tables = rules.tables(layer_names)
-    pairs = [
-        (a, b, spacing)
-        for i, a in enumerate(layer_names)
-        for b in layer_names[i + 1:]
-        if (spacing := tables.spacing[a, b]) is not None
-    ]
-    # slab_decompose reuses a layer's runs list while its active set is
-    # unchanged; cache the derived gap lists and bisect arrays per layer
-    # keyed on that object identity (the cached reference keeps the list
-    # alive, so identity cannot be recycled while the entry exists).
-    gap_lists: Dict[str, tuple] = {}
-    bisect_arrays: Dict[str, tuple] = {}
-    for y0, _, runs in slab_decompose(layers):
-        for name in layer_names:
-            width = tables.width[name]
-            spacing = tables.spacing[name, name]
-            slab = runs[name]
-            for x0, x1 in slab:
-                if x1 - x0 < width:
-                    violations.append(
-                        Violation("width", name, name, (x0, y0), width, x1 - x0)
-                    )
-            if spacing is not None:
-                cached = gap_lists.get(name)
-                if cached is None or cached[0] is not slab:
-                    cached = (slab, interval_gaps(slab))
-                    gap_lists[name] = cached
-                for g0, g1 in cached[1]:
-                    if g1 - g0 < spacing:
-                        violations.append(
-                            Violation("spacing", name, name, (g0, y0), spacing, g1 - g0)
-                        )
-        for name_a, name_b, spacing in pairs:
-            runs_a = runs[name_a]
-            runs_b = runs[name_b]
-            if not runs_a or not runs_b:
-                continue
-            cached = bisect_arrays.get(name_b)
-            if cached is None or cached[0] is not runs_b:
-                cached = (
-                    runs_b,
-                    [b0 for b0, _ in runs_b],
-                    [b1 for _, b1 in runs_b],
-                )
-                bisect_arrays[name_b] = cached
-            _, starts_b, ends_b = cached
-            for a0, a1 in runs_a:
-                # b runs starting in (a1, a1 + spacing): gap to the right.
-                lo = bisect_right(starts_b, a1)
-                hi = bisect_left(starts_b, a1 + spacing, lo=lo)
-                for b0, _ in runs_b[lo:hi]:
-                    violations.append(
-                        Violation(
-                            "spacing", name_a, name_b, (a1, y0), spacing, b0 - a1
-                        )
-                    )
-                # b runs ending in (a0 - spacing, a0): gap to the left.
-                lo = bisect_right(ends_b, a0 - spacing)
-                hi = bisect_left(ends_b, a0, lo=lo)
-                for _, b1 in runs_b[lo:hi]:
-                    violations.append(
-                        Violation(
-                            "spacing", name_a, name_b, (b1, y0), spacing, a0 - b1
-                        )
-                    )
-    return violations
-
-
 def _slab_runs(boxes: Sequence[Box], y0: int, y1: int) -> List[Tuple[int, int]]:
     """Merged x intervals of material fully covering the slab [y0, y1]."""
     intervals = sorted(
@@ -261,11 +158,11 @@ def _slab_runs(boxes: Sequence[Box], y0: int, y1: int) -> List[Tuple[int, int]]:
 def check_layout_reference(
     layers: Dict[str, List[Box]], rules: DesignRules
 ) -> List[Violation]:
-    """The pre-kernel checker, retained as an equivalence oracle.
+    """The interpreted checker, retained as the equivalence oracle.
 
     Rebuilds every layer's slab runs from all boxes for every slab and
-    tests every inter-layer run pair — the quadratic rescans the sweep
-    kernel removes.  Must emit the same violation multiset as
+    tests every inter-layer run pair — the quadratic rescans the array
+    build removes.  Must emit the same violation multiset as
     :func:`check_layout` on any input.
     """
     violations: List[Violation] = []

@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..geometry import Box, IntervalFront, batch
-from ..obs import trace as obs_trace
+import numpy as np
+
+from ..geometry import Box, batch
 from .constraints import Constraint, ConstraintSystem
 from .rules import DesignRules, RuleTables
 
@@ -35,8 +36,6 @@ __all__ = [
     "build_edge_variables",
     "naive_constraints",
     "visibility_constraints",
-    "visibility_constraints_batch",
-    "visibility_constraints_python",
     "visibility_constraints_reference",
     "rebuild_boxes",
 ]
@@ -221,38 +220,23 @@ def visibility_constraints(
 ) -> int:
     """The correct vertical-scan method (Figure 6.7).
 
-    Dispatches on the ``REPRO_KERNEL`` switch: the numpy batch build
-    (:func:`visibility_constraints_batch`) by default, the interpreted
-    sweep build (:func:`visibility_constraints_python`) otherwise.  The
-    two emit the exact same constraint multiset; returns the number of
-    spacing constraints generated.
-    """
-    if batch.use_numpy():
-        if obs_trace.is_enabled():
-            obs_trace.annotate(kernel="numpy")
-        return visibility_constraints_batch(system, boxes, rules)
-    if obs_trace.is_enabled():
-        obs_trace.annotate(kernel="python")
-    return visibility_constraints_python(system, boxes, rules)
-
-
-def visibility_constraints_batch(
-    system: ConstraintSystem,
-    boxes: Sequence[CompactionBox],
-    rules: DesignRules,
-) -> int:
-    """Numpy batch build of the Figure 6.7 scan.
+    A vertical line sweeps left to right carrying, per layer, the
+    visible front: what a viewer on the line looking left sees.
+    Spacing constraints are generated only between a box and the front
+    segments it faces; shadowed material is skipped because any
+    constraint against it is implied transitively through the
+    shadowing box.  Returns the number of spacing constraints
+    generated.
 
     :func:`repro.geometry.batch.visible_pairs` computes every
     (visible, viewer) pair the sequential front would have produced in
     one offline segmented scan; pairs are then classified with masked
     column arithmetic and the spacing rows are emitted as one bulk
-    ``Constraint`` batch.  Connection pairs (a handful per layout) fall
-    back to :func:`_add_connection` so the overlap arithmetic lives in
+    ``Constraint`` batch.  Connection pairs (a handful per layout) go
+    through :func:`_add_connection` so the overlap arithmetic lives in
     exactly one place.  Emits the exact constraint multiset of
-    :func:`visibility_constraints_python`.
+    :func:`visibility_constraints_reference`.
     """
-    np = batch.require_numpy()
     items = list(boxes)
     count = len(items)
     if count < 2:
@@ -298,75 +282,18 @@ def visibility_constraints_batch(
     return int(spaced_indices.size)
 
 
-def visibility_constraints_python(
-    system: ConstraintSystem,
-    boxes: Sequence[CompactionBox],
-    rules: DesignRules,
-) -> int:
-    """The interpreted sweep-kernel build of the Figure 6.7 scan.
-
-    Sweeps left to right; per layer the scan line holds the visible
-    front (what a viewer on the line looking left sees).  Spacing
-    constraints are generated only between a new box and the visible
-    segments it faces; shadowed material is skipped because any
-    constraint against it is implied transitively through the shadowing
-    box.  Returns the number of spacing constraints generated.
-
-    The front is an :class:`~repro.geometry.IntervalFront` per layer, so
-    each box pays ``O(log n + k)`` to stab the segments it faces and to
-    replace what it reaches past — against the flat-list front of
-    :func:`visibility_constraints_reference`, which scanned and re-sorted
-    whole fronts per box.  Emits the exact constraint multiset of the
-    reference, and serves as the equivalence oracle for
-    :func:`visibility_constraints_batch`.
-    """
-    count = 0
-    fronts: Dict[str, IntervalFront] = {}
-    items = sorted(boxes, key=lambda item: (item.box.xmin, item.box.xmax))
-    tables = rules.tables({item.layer for item in items})
-    spacing_of = tables.spacing
-
-    for b in items:
-        box = b.box
-        for layer, front in fronts.items():
-            spacing = spacing_of[layer, b.layer]
-            if spacing is None and layer != b.layer:
-                # Cross-layer with no rule: nothing the stab could find
-                # would ever emit (connections need the same layer).
-                continue
-            handled = set()
-            for _, _, a in front.stab(box.ymin, box.ymax):
-                if id(a) in handled:
-                    continue
-                handled.add(id(a))
-                if _connected(a, b):
-                    _add_connection(system, a, b, rules, tables)
-                    continue
-                if spacing is None:
-                    continue
-                if a.box.xmax >= box.xmin:
-                    continue  # drawn crossing/contact of different layers
-                system.add(a.right, b.left, spacing, kind="spacing")
-                count += 1
-        right = box.xmax
-        fronts.setdefault(b.layer, IntervalFront()).replace(
-            box.ymin, box.ymax, b, keep=lambda old: old.box.xmax > right
-        )
-    return count
-
-
 def visibility_constraints_reference(
     system: ConstraintSystem,
     boxes: Sequence[CompactionBox],
     rules: DesignRules,
 ) -> int:
-    """The pre-kernel visibility scan, retained as an equivalence oracle.
+    """The interpreted visibility scan, retained as the equivalence oracle.
 
     Semantically identical to :func:`visibility_constraints` but keeps
-    the flat-list front that rescans every segment of every layer per
-    box and re-sorts the whole front on every insert — the quadratic
-    behaviour the sweep kernel removes.  Property tests and benchmarks
-    compare the two implementations.
+    a flat-list front per layer that rescans every segment of every
+    layer per box and re-sorts the whole front on every insert — the
+    quadratic behaviour the array build removes.  Property tests and
+    benchmarks compare the two implementations.
     """
     count = 0
     # front[layer] = sorted list of (y0, y1, CompactionBox)

@@ -1,13 +1,7 @@
-"""Geometry substrate: vectors, boxes, the D4 group, and the sweep kernel."""
+"""Geometry substrate: vectors, boxes, the D4 group, and the sweep primitives."""
 
 from .box import Box
-from .sweep import (
-    IntervalFront,
-    interval_gaps,
-    merge_intervals,
-    slab_decompose,
-    subtract_intervals,
-)
+from .sweep import merge_intervals, slab_decompose, subtract_intervals
 from .orientation import (
     ALL_ORIENTATIONS,
     EAST,
@@ -27,10 +21,8 @@ from .vector import ORIGIN, Vec2
 
 __all__ = [
     "Box",
-    "IntervalFront",
     "merge_intervals",
     "subtract_intervals",
-    "interval_gaps",
     "slab_decompose",
     "Orientation",
     "Transform",

@@ -1,10 +1,10 @@
 """Numpy batch geometry kernel: flat arrays for the plane-sweep passes.
 
-The sweep kernel (:mod:`repro.geometry.sweep`) removed the quadratic
-rescans from every geometry pass, but its inner loops — ``IntervalFront``
-bisect churn, per-box constraint emission, per-slab interval merging —
-are still interpreted Python at microseconds per box.  This module
-restructures those loops around flat int64 arrays:
+Every geometry pass — the Figure 6.7 visibility scan, DRC, box
+merging, wire extraction and mask-level netlist extraction — runs its
+plane sweep on this module.  Interpreted sweeps pay microseconds per box
+in bisect churn, per-box constraint emission and per-slab interval
+merging; here those loops are restructured around flat int64 arrays:
 
 * one :func:`boxes_to_arrays` bulk export per pass (objects are touched
   once, not once per comparison);
@@ -18,28 +18,23 @@ restructures those loops around flat int64 arrays:
 * batch decoding back to ``Box``/constraint/violation objects only at
   the boundary (:func:`boxes_from_arrays`).
 
-Every consumer keeps its interpreted build as the equivalence oracle,
-selected by the ``REPRO_KERNEL`` environment variable (``numpy`` by
-default, ``python`` to force the interpreted kernel) — the same
-``*_reference`` discipline the sweep kernel itself established.  The
-results are *identical*, not merely equivalent: the same constraint
-multisets, merged boxes, violation multisets, and extracted components,
-enforced by ``tests/test_sweep_equivalence.py`` under both kernels.
+Each consumer is the production build of its pass, with an interpreted
+``*_reference`` build retained as its equivalence oracle.  The results
+are *identical*, not merely equivalent: the same constraint multisets,
+merged boxes, violation multisets, and extracted components, enforced
+by ``tests/test_sweep_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence
+
+import numpy as np
 
 from .box import Box
 
 __all__ = [
-    "KernelUnavailableError",
-    "NUMPY_FLOOR",
     "kernel_name",
-    "use_numpy",
-    "require_numpy",
     "BoxArray",
     "boxes_to_arrays",
     "boxes_from_arrays",
@@ -47,7 +42,6 @@ __all__ = [
     "segmented_cummax",
     "merged_slab_runs",
     "slab_grid",
-    "merge_boxes_batch",
     "visible_pairs",
     "overlap_pairs",
     "touching_pairs",
@@ -56,82 +50,14 @@ __all__ = [
     "runs_subtract",
 ]
 
-#: minimum numpy the batch kernel is tested against: stable ``lexsort``
-#: / ``unique(return_inverse)`` semantics over int64 structured columns.
-NUMPY_FLOOR = (1, 22)
-
-
-class KernelUnavailableError(OSError):
-    """The requested geometry kernel cannot run in this environment.
-
-    An :class:`OSError` so the CLI maps it to exit-code family 5
-    (environment/filesystem problems) with the one-line actionable
-    message instead of a traceback.
-    """
-
-
-def _import_numpy():
-    """Import numpy, returning ``(module, None)`` or ``(None, reason)``."""
-    try:
-        import numpy
-    except Exception as error:  # pragma: no cover - depends on environment
-        return None, f"numpy is not installed ({error})"
-    version = getattr(numpy, "__version__", "0")
-    parts: List[int] = []
-    for token in version.split(".")[:2]:
-        digits = "".join(ch for ch in token if ch.isdigit())
-        parts.append(int(digits or 0))
-    if tuple(parts) < NUMPY_FLOOR:
-        floor = ".".join(map(str, NUMPY_FLOOR))
-        return None, (
-            f"the numpy batch kernel needs numpy >= {floor}"
-            f" (found {version}); upgrade numpy or set REPRO_KERNEL=python"
-        )
-    return numpy, None
-
-
-_np, _NUMPY_UNAVAILABLE = _import_numpy()
-
 
 def kernel_name() -> str:
-    """The selected geometry kernel: ``"numpy"`` or ``"python"``.
+    """The geometry kernel every pass runs on: always ``"numpy"``.
 
-    Driven by the ``REPRO_KERNEL`` environment variable.  Unset or
-    ``numpy`` selects the batch kernel (falling back to ``python`` when
-    numpy is missing and the choice was implicit); ``python`` forces the
-    interpreted kernel.  An explicit ``REPRO_KERNEL=numpy`` with no
-    usable numpy, or an unknown value, raises
-    :class:`KernelUnavailableError` with a one-line actionable message.
+    Kept as a function so benchmark provenance stamps can name the
+    kernel their timing rows were measured on.
     """
-    value = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    if value == "python":
-        return "python"
-    if value in ("", "numpy"):
-        if _NUMPY_UNAVAILABLE is None:
-            return "numpy"
-        if value == "numpy":
-            raise KernelUnavailableError(_NUMPY_UNAVAILABLE)
-        return "python"
-    raise KernelUnavailableError(
-        f"REPRO_KERNEL={value!r} is not a geometry kernel;"
-        " use 'numpy' (default) or 'python'"
-    )
-
-
-def use_numpy() -> bool:
-    """Whether the batch (numpy) kernel is selected for this process."""
-    return kernel_name() == "numpy"
-
-
-def require_numpy():
-    """The numpy module, or :class:`KernelUnavailableError` if unusable.
-
-    Batch implementations call this once at their top so every numpy
-    use below is guarded by the same actionable error.
-    """
-    if _np is None:
-        raise KernelUnavailableError(_NUMPY_UNAVAILABLE)
-    return _np
+    return "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +92,6 @@ def boxes_to_arrays(boxes: Sequence[Box]) -> BoxArray:
     this is the only per-object work a batch pass pays on its input
     side (measurably faster than a single ``fromiter`` interleave).
     """
-    np = require_numpy()
     return BoxArray(
         np.array([box.xmin for box in boxes], dtype=np.int64),
         np.array([box.ymin for box in boxes], dtype=np.int64),
@@ -213,7 +138,6 @@ def unique_sorted(values):
     int64 vectors the kernel dedups (event grids, pair codes), so this
     is the hot-loop replacement: one sort plus a neighbour mask.
     """
-    np = require_numpy()
     if values.size == 0:
         return values
     ordered = np.sort(values)
@@ -233,7 +157,6 @@ def segmented_cummax(groups, values):
     int64; otherwise values are ranked first so the offsets cannot
     overflow regardless of the coordinate range.
     """
-    np = require_numpy()
     if values.size == 0:
         return values
     group_start = np.empty(groups.size, dtype=bool)
@@ -260,14 +183,13 @@ def slab_grid(arrays: Iterable[BoxArray]):
     included, matching :func:`repro.geometry.sweep.slab_decompose` —
     and slab ``k`` spans ``(ys[k], ys[k+1])``.
     """
-    np = require_numpy()
     columns = [column for a in arrays for column in (a.ymin, a.ymax)]
     if not columns:
         return np.empty(0, dtype=np.int64)
     return unique_sorted(np.concatenate(columns))
 
 
-def _slab_incidence(np, ys, boxes: BoxArray):
+def _slab_incidence(ys, boxes: BoxArray):
     """Expand material boxes into (entry -> box index, slab index) rows.
 
     Only positive-area boxes produce material, matching the sweep
@@ -297,8 +219,7 @@ def merged_slab_runs(ys, boxes: BoxArray):
     elementary slab of the ``ys`` grid — the batch equivalent of
     draining :func:`repro.geometry.sweep.slab_decompose` for one layer.
     """
-    np = require_numpy()
-    box_index, slab = _slab_incidence(np, ys, boxes)
+    box_index, slab = _slab_incidence(ys, boxes)
     empty = np.empty(0, dtype=np.int64)
     if box_index.size == 0:
         return empty, empty, empty
@@ -330,7 +251,7 @@ def merged_slab_runs(ys, boxes: BoxArray):
 # ----------------------------------------------------------------------
 # Keyed interval algebra over (slab, x0, x1) run vectors
 # ----------------------------------------------------------------------
-def _run_events(np, slab, x0, x1, weight):
+def _run_events(slab, x0, x1, weight):
     """(slab, coordinate, depth-delta) event triples for a run set."""
     doubled = np.concatenate([slab, slab])
     coords = np.concatenate([x0, x1])
@@ -348,9 +269,8 @@ def _boolean_runs(target, slab_a, a0, a1, slab_b, b0, b1):
     length segments whose depth equals ``target``: 3 for intersection,
     1 for subtraction (``a`` minus ``b``).
     """
-    np = require_numpy()
-    sa, ca, da = _run_events(np, slab_a, a0, a1, 1)
-    sb, cb, db = _run_events(np, slab_b, b0, b1, 2)
+    sa, ca, da = _run_events(slab_a, a0, a1, 1)
+    sb, cb, db = _run_events(slab_b, b0, b1, 2)
     slab = np.concatenate([sa, sb])
     coords = np.concatenate([ca, cb])
     deltas = np.concatenate([da, db])
@@ -387,7 +307,6 @@ def expand_ranges(lo, hi):
     Returns ``(query_index, hit_index)`` — the vectorised equivalent of
     ``for i: for j in range(lo[i], hi[i])``.
     """
-    np = require_numpy()
     counts = np.maximum(hi - lo, 0)
     total = int(counts.sum())
     if total == 0:
@@ -399,7 +318,7 @@ def expand_ranges(lo, hi):
     return query, hits
 
 
-def _slab_keys(np, slab, coords, span, base):
+def _slab_keys(slab, coords, span, base):
     """Monotone composite (slab, coordinate) sort keys."""
     return slab * span + (coords - base)
 
@@ -414,17 +333,16 @@ def overlap_pairs(slab_a, a0, a1, slab_b, b0, b1, closed=False):
     that merely share an endpoint; the default requires positive
     overlap.  Returns ``(a_index, b_index)`` arrays.
     """
-    np = require_numpy()
     empty = np.empty(0, dtype=np.int64)
     if slab_a.size == 0 or slab_b.size == 0:
         return empty, empty
     base = int(min(a0.min(), b0.min()))
     top = int(max(a1.max(), b1.max()))
     span = np.int64(top - base + 2)
-    b_start = _slab_keys(np, slab_b, b0, span, base)
-    b_end = _slab_keys(np, slab_b, b1, span, base)
-    key_a0 = _slab_keys(np, slab_a, a0, span, base)
-    key_a1 = _slab_keys(np, slab_a, a1, span, base)
+    b_start = _slab_keys(slab_b, b0, span, base)
+    b_end = _slab_keys(slab_b, b1, span, base)
+    key_a0 = _slab_keys(slab_a, a0, span, base)
+    key_a1 = _slab_keys(slab_a, a1, span, base)
     if closed:
         lo = np.searchsorted(b_end, key_a0, side="left")
         hi = np.searchsorted(b_start, key_a1, side="right")
@@ -452,7 +370,6 @@ def touching_pairs(arrays: BoxArray, layer_codes):
     arrays sorted lexicographically: the order of the nested
     ``for i: for j > i`` scan.
     """
-    np = require_numpy()
     empty = np.empty(0, dtype=np.int64)
     if len(arrays) < 2:
         return empty, empty
@@ -495,42 +412,8 @@ def touching_pairs(arrays: BoxArray, layer_codes):
 
 
 # ----------------------------------------------------------------------
-# Whole-pass batch builds
+# The Figure 6.7 visibility structure
 # ----------------------------------------------------------------------
-def merge_boxes_batch(boxes: Sequence[Box]) -> List[Box]:
-    """Maximal-horizontal-strip merge on arrays; output matches
-    :func:`repro.layout.database.merge_boxes` exactly.
-
-    Slab runs come from :func:`merged_slab_runs`; vertical coalescing of
-    identical spans is one more lexsort over ``(x0, x1, slab)`` with a
-    run-break wherever the slab index is not the predecessor's successor
-    (the batch form of the ``previous_y1 == y0`` continuation test).
-    """
-    np = require_numpy()
-    if not boxes:
-        return []
-    arrays = boxes_to_arrays(boxes)
-    ys = slab_grid([arrays])
-    slab, x0, x1 = merged_slab_runs(ys, arrays)
-    if slab.size == 0:
-        return []
-    order = np.lexsort((slab, x1, x0))
-    slab, x0, x1 = slab[order], x0[order], x1[order]
-    starts = np.empty(slab.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = (
-        (x0[1:] != x0[:-1]) | (x1[1:] != x1[:-1]) | (slab[1:] != slab[:-1] + 1)
-    )
-    start_indices = np.flatnonzero(starts)
-    last_indices = np.append(start_indices[1:], slab.size) - 1
-    ymin = ys[slab[start_indices]]
-    ymax = ys[slab[last_indices] + 1]
-    xmin = x0[start_indices]
-    xmax = x1[start_indices]
-    order = np.lexsort((xmax, ymax, xmin, ymin))
-    return boxes_from_arrays(xmin[order], ymin[order], xmax[order], ymax[order])
-
-
 def visible_pairs(arrays: BoxArray, layer_codes, allowed=None):
     """Distinct (visible, viewer) box pairs of the Figure 6.7 scan.
 
@@ -556,7 +439,6 @@ def visible_pairs(arrays: BoxArray, layer_codes, allowed=None):
     stable) before ``viewer``.  Pure geometry — classifying pairs into
     connection/spacing constraints is the caller's business.
     """
-    np = require_numpy()
     count = len(arrays)
     empty = np.empty(0, dtype=np.int64)
     if count < 2:

@@ -1,23 +1,16 @@
-"""Shared sweep-line geometry kernel.
+"""Interpreted sweep-line primitives for the geometry oracles.
 
-Every geometry pass in the system — constraint generation, design-rule
-checking, box merging, wire extraction — is some flavour of plane sweep,
-and before this module each of them carried its own ad-hoc (and mostly
-quadratic) bookkeeping: the visibility scanner re-sorted its whole front
-on every insert, the slab passes rescanned every box per slab, the
-extractor rebuilt its active list per item.  This module centralises the
-three data structures they actually need:
+The production geometry passes run on flat arrays
+(:mod:`repro.geometry.batch`).  This module keeps the interpreted
+plane-sweep pieces their oracles and tests are written in:
 
-* :class:`IntervalFront` — a bisect-maintained, y-sorted *visible front*
-  of disjoint payload-carrying segments with ``O(log n + k)`` stab and
-  replace, for the Figure 6.7 vertical-scan constraint generator;
 * :func:`slab_decompose` — a y-event sweep that carries an active
-  interval set per layer and yields merged x runs per slab, so slab
-  consumers (merging, DRC) touch only the material that is actually
-  live instead of rescanning every box per slab;
+  interval set per layer and yields merged x runs per slab, touching
+  only the material that is actually live instead of rescanning every
+  box per slab; the mask walk of
+  :func:`repro.verify.extract._sweep_reference` drains it;
 * interval-set utilities (:func:`merge_intervals`,
-  :func:`subtract_intervals`, :func:`interval_gaps`) replacing the
-  ad-hoc copies that had grown in ``scanline.py`` and ``drc.py``.
+  :func:`subtract_intervals`).
 
 Everything here works on closed integer intervals where *touching*
 intervals coalesce — the semantics shared by box merging and run
@@ -26,31 +19,18 @@ construction throughout the code base.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from bisect import bisect_left, insort
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .box import Box
 
 __all__ = [
-    "IntervalFront",
     "merge_intervals",
     "subtract_intervals",
-    "interval_gaps",
     "slab_decompose",
 ]
 
 Interval = Tuple[int, int]
-Segment = Tuple[int, int, Any]
 
 
 # ----------------------------------------------------------------------
@@ -96,105 +76,6 @@ def subtract_intervals(
     return remaining
 
 
-def interval_gaps(intervals: Iterable[Interval]) -> List[Interval]:
-    """Gaps between consecutive intervals of the merged input.
-
-    The returned ``(lo, hi)`` pairs are the maximal uncovered ranges
-    strictly between covered material — the "spacing" runs a checker
-    inspects.
-    """
-    merged = merge_intervals(intervals)
-    return [
-        (a_hi, b_lo)
-        for (_, a_hi), (b_lo, _) in zip(merged, merged[1:])
-        if b_lo > a_hi
-    ]
-
-
-# ----------------------------------------------------------------------
-# The visible front
-# ----------------------------------------------------------------------
-class IntervalFront:
-    """A y-sorted visible front of disjoint payload-carrying segments.
-
-    Maintains segments ``(y0, y1, payload)`` with ``y0 < y1``, pairwise
-    disjoint (touching allowed), ordered by ``y0``.  This is the scan
-    line of Figure 6.7: each segment records which box a viewer on the
-    line, looking left, sees over that y range.  Both operations use
-    binary search over the segment starts, so a stab or replace over a
-    range touching ``k`` segments costs ``O(log n + k)`` — against the
-    flat-list front it replaces, which re-sorted all ``n`` segments on
-    every insert.
-    """
-
-    __slots__ = ("_starts", "_segments")
-
-    def __init__(self) -> None:
-        self._starts: List[int] = []
-        self._segments: List[Segment] = []
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self._segments)
-
-    def segments(self) -> List[Segment]:
-        """The current segments, sorted by start (a fresh list)."""
-        return list(self._segments)
-
-    def _window(self, y0: int, y1: int) -> Tuple[int, int]:
-        """Index range [lo, hi) of segments positively overlapping
-        ``(y0, y1)``."""
-        lo = bisect_right(self._starts, y0)
-        if lo and self._segments[lo - 1][1] > y0:
-            lo -= 1
-        hi = bisect_left(self._starts, y1, lo=lo)
-        return lo, hi
-
-    def stab(self, y0: int, y1: int) -> List[Segment]:
-        """Segments with positive overlap of ``(y0, y1)``, in y order."""
-        if y1 <= y0:
-            return []
-        lo, hi = self._window(y0, y1)
-        return self._segments[lo:hi]
-
-    def replace(
-        self,
-        y0: int,
-        y1: int,
-        payload: Any,
-        keep: Optional[Callable[[Any], bool]] = None,
-    ) -> None:
-        """Make ``payload`` visible over ``[y0, y1]``.
-
-        Overlapped segments are consumed within the range (their parts
-        outside it survive) unless ``keep(old_payload)`` is true, in
-        which case the old segment stays whole and *shadows* its y range
-        — the new payload is not recorded there.  This is exactly the
-        front update of the visibility scanner: a new box replaces what
-        it reaches past and is shadowed by what extends further right.
-        """
-        if y1 <= y0:
-            return
-        lo, hi = self._window(y0, y1)
-        coverage: List[Interval] = [(y0, y1)]
-        kept: List[Segment] = []
-        for s0, s1, old in self._segments[lo:hi]:
-            if keep is not None and keep(old):
-                kept.append((s0, s1, old))
-                coverage = subtract_intervals(coverage, [(s0, s1)])
-                continue
-            if s0 < y0:
-                kept.append((s0, y0, old))
-            if s1 > y1:
-                kept.append((y1, s1, old))
-        kept.extend((c0, c1, payload) for c0, c1 in coverage)
-        kept.sort(key=lambda segment: segment[0])
-        self._segments[lo:hi] = kept
-        self._starts[lo:hi] = [segment[0] for segment in kept]
-
-
 # ----------------------------------------------------------------------
 # Slab decomposition
 # ----------------------------------------------------------------------
@@ -205,8 +86,8 @@ def slab_decompose(
 
     The event grid is every distinct ``ymin``/``ymax`` over *all* boxes
     of *all* layers (degenerate boxes contribute grid lines but no
-    material), matching the slab semantics of the passes this kernel
-    replaces.  For each consecutive grid pair ``(y0, y1)`` the yielded
+    material), matching the slab semantics of
+    :func:`repro.geometry.batch.slab_grid`.  For each consecutive grid pair ``(y0, y1)`` the yielded
     dict maps every layer name to the sorted merged x intervals of its
     boxes fully covering the slab.
 

@@ -90,36 +90,22 @@ def write_cif(
         stream.write(f"DS {symbol} 1 1;\n")
         stream.write(f"9 {node.name};\n")
         current_layer: Optional[str] = None
-        if node.boxes and batch.use_numpy():
-            # Batch the B-line arithmetic: one array export per symbol,
-            # four column expressions, byte-identical output (int64
-            # floor division matches Python's for the centre halving).
-            arrays = batch.boxes_to_arrays([lb.box for lb in node.boxes])
-            widths = ((arrays.xmax - arrays.xmin) * scale).tolist()
-            heights = ((arrays.ymax - arrays.ymin) * scale).tolist()
-            centers_x = (((arrays.xmin + arrays.xmax) * scale) // 2).tolist()
-            centers_y = (((arrays.ymin + arrays.ymax) * scale) // 2).tolist()
-            for layer_box, width, height, cx, cy in zip(
-                node.boxes, widths, heights, centers_x, centers_y
-            ):
-                name = cif_layer(layer_box.layer)
-                if name != current_layer:
-                    stream.write(f"L {name};\n")
-                    current_layer = name
-                stream.write(f"B {width} {height} {cx} {cy};\n")
-        else:
-            for layer_box in node.boxes:
-                name = cif_layer(layer_box.layer)
-                if name != current_layer:
-                    stream.write(f"L {name};\n")
-                    current_layer = name
-                box = layer_box.box
-                width = box.width * scale
-                height = box.height * scale
-                cx, cy = box.center2x()
-                stream.write(
-                    f"B {width} {height} {cx * scale // 2} {cy * scale // 2};\n"
-                )
+        # Batch the B-line arithmetic: one array export per symbol,
+        # four column expressions (int64 floor division matches
+        # Python's for the centre halving).
+        arrays = batch.boxes_to_arrays([lb.box for lb in node.boxes])
+        widths = ((arrays.xmax - arrays.xmin) * scale).tolist()
+        heights = ((arrays.ymax - arrays.ymin) * scale).tolist()
+        centers_x = (((arrays.xmin + arrays.xmax) * scale) // 2).tolist()
+        centers_y = (((arrays.ymin + arrays.ymax) * scale) // 2).tolist()
+        for layer_box, width, height, cx, cy in zip(
+            node.boxes, widths, heights, centers_x, centers_y
+        ):
+            name = cif_layer(layer_box.layer)
+            if name != current_layer:
+                stream.write(f"L {name};\n")
+                current_layer = name
+            stream.write(f"B {width} {height} {cx} {cy};\n")
         for port in node.ports:
             # The common 94 extension takes an optional trailing layer
             # name; ports written without one read back layerless.

@@ -12,14 +12,15 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.cell import CellDefinition, Label, LayerBox, Port
-from ..geometry import Box, Transform, batch, slab_decompose
+from ..geometry import Box, Transform, batch
 
 __all__ = [
     "FlatLayout",
     "flatten_cell",
     "merge_boxes",
-    "merge_boxes_python",
     "merge_boxes_reference",
 ]
 
@@ -58,38 +59,41 @@ def merge_boxes(boxes: List[Box]) -> List[Box]:
     union region at every distinct y coordinate and merges x intervals
     within each slab, then coalesces vertically identical spans.
 
-    Dispatches on the ``REPRO_KERNEL`` switch: the numpy batch merge
-    (:func:`repro.geometry.batch.merge_boxes_batch`) by default, the
-    interpreted sweep build (:func:`merge_boxes_python`) otherwise.
-    Output is identical either way.
-    """
-    if batch.use_numpy():
-        return batch.merge_boxes_batch(boxes)
-    return merge_boxes_python(boxes)
-
-
-def merge_boxes_python(boxes: List[Box]) -> List[Box]:
-    """The interpreted sweep-kernel strip merger.
-
-    The slab runs come from the sweep kernel
-    (:func:`repro.geometry.slab_decompose`): one y-event sweep carries
-    the active intervals, so the cost is event maintenance plus
-    output-sensitive run merging instead of the ``O(slabs x boxes)``
-    rescan of :func:`merge_boxes_reference`.  Serves as the equivalence
-    oracle for the batch kernel's merge.
+    Slab runs come from :func:`repro.geometry.batch.merged_slab_runs`;
+    vertical coalescing of identical spans is one more lexsort over
+    ``(x0, x1, slab)`` with a run-break wherever the slab index is not
+    the predecessor's successor (the array form of the
+    ``previous_y1 == y0`` continuation test of :func:`_coalesce_slabs`).
+    Output is identical to :func:`merge_boxes_reference`.
     """
     if not boxes:
         return []
-    slabs: List[Tuple[int, int, Tuple[Tuple[int, int], ...]]] = []
-    for y0, y1, runs in slab_decompose({"": boxes}):
-        spans = runs[""]
-        if spans:
-            slabs.append((y0, y1, tuple(spans)))
-    return _coalesce_slabs(slabs)
+    arrays = batch.boxes_to_arrays(boxes)
+    ys = batch.slab_grid([arrays])
+    slab, x0, x1 = batch.merged_slab_runs(ys, arrays)
+    if slab.size == 0:
+        return []
+    order = np.lexsort((slab, x1, x0))
+    slab, x0, x1 = slab[order], x0[order], x1[order]
+    starts = np.empty(slab.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = (
+        (x0[1:] != x0[:-1]) | (x1[1:] != x1[:-1]) | (slab[1:] != slab[:-1] + 1)
+    )
+    start_indices = np.flatnonzero(starts)
+    last_indices = np.append(start_indices[1:], slab.size) - 1
+    ymin = ys[slab[start_indices]]
+    ymax = ys[slab[last_indices] + 1]
+    xmin = x0[start_indices]
+    xmax = x1[start_indices]
+    order = np.lexsort((xmax, ymax, xmin, ymin))
+    return batch.boxes_from_arrays(
+        xmin[order], ymin[order], xmax[order], ymax[order]
+    )
 
 
 def merge_boxes_reference(boxes: List[Box]) -> List[Box]:
-    """The pre-kernel strip merger, retained as an equivalence oracle.
+    """The interpreted strip merger, retained as the equivalence oracle.
 
     Rebuilds every slab's intervals by scanning *all* boxes per slab —
     quadratic on real cells — and must produce the identical box list

@@ -106,35 +106,24 @@ def svg_render(
         f' height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
-    use_batch = batch.use_numpy()
     for index, layer in enumerate(sorted(flat.layers)):
         color = palette[index % len(palette)]
         parts.append(f'<g fill="{color}" fill-opacity="0.55" stroke="{color}">')
         boxes = flat.layers[layer]
-        if boxes and use_batch:
-            # Batch the rect arithmetic: the coordinates are exactly
-            # representable in float64, so the column products format
-            # identically to the per-box Python expressions.
-            arrays = batch.boxes_to_arrays(boxes)
-            xs = ((arrays.xmin - bbox.xmin) * scale).tolist()
-            # SVG y axis points down; flip.
-            ys = ((bbox.ymax - arrays.ymax) * scale).tolist()
-            widths = ((arrays.xmax - arrays.xmin) * scale).tolist()
-            heights = ((arrays.ymax - arrays.ymin) * scale).tolist()
-            parts.extend(
-                f'<rect x="{x:.1f}" y="{y:.1f}" width="{w:.1f}"'
-                f' height="{h:.1f}"/>'
-                for x, y, w, h in zip(xs, ys, widths, heights)
-            )
-        else:
-            for box in boxes:
-                x = (box.xmin - bbox.xmin) * scale
-                # SVG y axis points down; flip.
-                y = (bbox.ymax - box.ymax) * scale
-                parts.append(
-                    f'<rect x="{x:.1f}" y="{y:.1f}" width="{box.width * scale:.1f}"'
-                    f' height="{box.height * scale:.1f}"/>'
-                )
+        # Batch the rect arithmetic: the coordinates are exactly
+        # representable in float64, so the column products format
+        # exactly as per-box Python expressions would.
+        arrays = batch.boxes_to_arrays(boxes)
+        xs = ((arrays.xmin - bbox.xmin) * scale).tolist()
+        # SVG y axis points down; flip.
+        ys = ((bbox.ymax - arrays.ymax) * scale).tolist()
+        widths = ((arrays.xmax - arrays.xmin) * scale).tolist()
+        heights = ((arrays.ymax - arrays.ymin) * scale).tolist()
+        parts.extend(
+            f'<rect x="{x:.1f}" y="{y:.1f}" width="{w:.1f}"'
+            f' height="{h:.1f}"/>'
+            for x, y, w, h in zip(xs, ys, widths, heights)
+        )
         parts.append("</g>")
     if show_labels and flat.labels:
         parts.append('<g fill="black" font-size="10" font-family="monospace">')

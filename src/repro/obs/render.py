@@ -39,7 +39,6 @@ def spans_from_jsonl(payload: bytes) -> List[Span]:
 
 
 _SHOWN_ATTRIBUTES = (
-    "kernel",
     "backend",
     "passes",
     "relaxations",

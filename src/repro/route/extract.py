@@ -13,8 +13,9 @@ extracted here must reproduce exactly the nets that were requested.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from ..core.cell import CellDefinition, Port
 from ..geometry import Box, Transform, batch
@@ -22,8 +23,6 @@ from .style import RouteStyle
 
 __all__ = [
     "wire_components",
-    "wire_components_batch",
-    "wire_components_python",
     "wire_components_reference",
     "routed_netlist",
 ]
@@ -62,24 +61,6 @@ def _connects(
     return bool(via_layer) and via_layer in (layer_a, layer_b)
 
 
-def wire_components(
-    layers: Dict[str, List[Box]], style: RouteStyle
-) -> List[List[Tuple[str, Box]]]:
-    """Group wire boxes into electrical components.
-
-    Same-layer boxes that touch or overlap merge; across layers only a
-    via square merges what it overlaps.  Dispatches on the
-    ``REPRO_KERNEL`` switch: the numpy batch build
-    (:func:`wire_components_batch`) by default, the interpreted sweep
-    (:func:`wire_components_python`) otherwise.  The grouping returned
-    is identical either way — both orders components by first box in
-    the canonical item order and boxes within a component likewise.
-    """
-    if batch.use_numpy():
-        return wire_components_batch(layers, style)
-    return wire_components_python(layers, style)
-
-
 def _grouped(
     items: List[Tuple[str, Box]], sets: _UnionFind
 ) -> List[List[Tuple[str, Box]]]:
@@ -90,10 +71,15 @@ def _grouped(
     return list(grouped.values())
 
 
-def wire_components_batch(
+def wire_components(
     layers: Dict[str, List[Box]], style: RouteStyle
 ) -> List[List[Tuple[str, Box]]]:
-    """Numpy batch build of the wire extractor.
+    """Group wire boxes into electrical components.
+
+    Same-layer boxes that touch or overlap merge; across layers only a
+    via square merges what it overlaps.  Components are ordered by
+    first box in the canonical item order, and boxes within a component
+    likewise.
 
     Two boxes overlap closed in y exactly when they share one of the
     ``ymin``/``ymax`` event lines, so connectivity decomposes per event
@@ -105,9 +91,8 @@ def wire_components_batch(
     ``searchsorted`` passes (the later starter's start lies inside the
     partner's span), deduplicated, and fed to the same union-find.
     The resulting partition — hence the returned grouping — is
-    identical to :func:`wire_components_python`'s.
+    identical to :func:`wire_components_reference`'s.
     """
-    np = batch.require_numpy()
     items: List[Tuple[str, Box]] = [
         (layer, box) for layer in sorted(layers) for box in layers[layer]
     ]
@@ -198,45 +183,14 @@ def wire_components_batch(
     return _grouped(items, sets)
 
 
-def wire_components_python(
-    layers: Dict[str, List[Box]], style: RouteStyle
-) -> List[List[Tuple[str, Box]]]:
-    """The interpreted sweep build of the wire extractor.
-
-    The plane sweep over x keeps its active set in a min-heap keyed on
-    ``xmax``, so expiry is ``O(log n)`` pops instead of the per-item
-    full list rebuild of :func:`wire_components_reference`.  Note the
-    connection pair loop still visits every live wire per item, so
-    worst-case cost remains ``O(n x active)`` on workloads where
-    nothing expires — the heap removes the rebuild overhead, not the
-    pair checks.  The grouping returned is identical to the
-    reference's; serves as the equivalence oracle for
-    :func:`wire_components_batch`.
-    """
-    items: List[Tuple[str, Box]] = [
-        (layer, box) for layer in sorted(layers) for box in layers[layer]
-    ]
-    items.sort(key=lambda item: item[1].xmin)
-    sets = _UnionFind(len(items))
-    active: List[Tuple[int, int]] = []  # (xmax, index) min-heap
-    for index, (layer, box) in enumerate(items):
-        while active and active[0][0] < box.xmin:
-            heappop(active)
-        for _, j in active:
-            other_layer, other_box = items[j]
-            if _connects(layer, box, other_layer, other_box, style.via_layer):
-                sets.union(index, j)
-        heappush(active, (box.xmax, index))
-    return _grouped(items, sets)
-
-
 def wire_components_reference(
     layers: Dict[str, List[Box]], style: RouteStyle
 ) -> List[List[Tuple[str, Box]]]:
-    """The pre-heap extractor sweep, retained as an equivalence oracle.
+    """The interpreted extractor sweep, retained as the equivalence oracle.
 
-    Rebuilds the whole active list per item — quadratic when wires stay
-    live across the sweep — and must return the identical grouping to
+    A plane sweep over x that rebuilds the whole active list per item
+    and checks every live pair — quadratic when wires stay live across
+    the sweep — and must return the identical grouping to
     :func:`wire_components` on any input.
     """
     items: List[Tuple[str, Box]] = [
@@ -252,10 +206,7 @@ def wire_components_reference(
             if _connects(layer, box, other_layer, other_box, style.via_layer):
                 sets.union(index, j)
         active.append(index)
-    grouped: Dict[int, List[Tuple[str, Box]]] = {}
-    for index, item in enumerate(items):
-        grouped.setdefault(sets.find(index), []).append(item)
-    return list(grouped.values())
+    return _grouped(items, sets)
 
 
 def _attaches(port: Port, layer: str, box: Box, via_layer: str) -> bool:

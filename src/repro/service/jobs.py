@@ -157,6 +157,11 @@ class JobSpec:
                 raise ServiceError("sim_vectors has no effect without verify sim/all")
             if not isinstance(self.sim_vectors, int) or self.sim_vectors < 1:
                 raise ServiceError("sim_vectors must be a positive integer")
+        if self.route_text is not None and self.sim_vectors is not None:
+            raise ServiceError(
+                "sim_vectors has no effect with route_text: routed composites"
+                " verify by connectivity round-trip, not simulation"
+            )
         if self.route_text is not None and self.compact is not None:
             raise ServiceError("compact and route cannot be combined")
         if self.router != "auto":
@@ -303,16 +308,6 @@ class JobResult:
         return cls(**{key: value for key, value in payload.items() if key in known})
 
 
-def _kernel_label() -> str:
-    """The active geometry-kernel name, or ``"unknown"`` when misconfigured."""
-    from ..geometry.batch import kernel_name
-
-    try:
-        return kernel_name()
-    except Exception:  # noqa: BLE001 — telemetry must never fail a job
-        return "unknown"
-
-
 def execute_job(spec: JobSpec, cache: Optional[CompactionCache] = None) -> JobResult:
     """Run the full pipeline for ``spec`` and return its result.
 
@@ -361,7 +356,7 @@ def _execute_traced(spec: JobSpec, cache: Optional[CompactionCache]) -> JobResul
 
     rules = _TECHS[spec.tech.upper()]
     if spec.compact:
-        with obs_trace.span("job.compact", kernel=_kernel_label()) as stage:
+        with obs_trace.span("job.compact") as stage:
             cell = _compact_stage(spec, cell, rules, cache, result)
         result.timings["compact"] = stage.duration_s
 
@@ -378,7 +373,7 @@ def _execute_traced(spec: JobSpec, cache: Optional[CompactionCache]) -> JobResul
         result.timings["route"] = stage.duration_s
 
     if spec.verify:
-        with obs_trace.span("job.verify", kernel=_kernel_label()) as stage:
+        with obs_trace.span("job.verify") as stage:
             _verify_stage(spec, cell, plan, rules, cache, result)
         result.timings["verify"] = stage.duration_s
 

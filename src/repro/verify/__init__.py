@@ -4,7 +4,7 @@ The subsystem closes the loop the paper closed with EXCL and SPICE:
 from generated mask geometry back to logical function.
 
 * :mod:`repro.verify.netlist` — the switch-level netlist substrate;
-* :mod:`repro.verify.extract` — sweep-kernel device/node extraction;
+* :mod:`repro.verify.extract` — mask-level device/node extraction;
 * :mod:`repro.verify.switchsim` — lane-parallel 0/1/X simulation;
 * :mod:`repro.verify.lvs` — canonical-form netlist comparison;
 * :mod:`repro.verify.hier` — extract-once/stamp-many hierarchical

@@ -2,9 +2,11 @@
 
 The paper verified generated layouts by extracting a transistor netlist
 from the masks and simulating it; this module is that loop's first
-half.  It reuses the sweep kernel (:mod:`repro.geometry.sweep`): one
-:func:`~repro.geometry.sweep.slab_decompose` pass over the expanded
-physical masks yields per-slab merged runs per layer, from which the
+half.  The expanded physical masks are cut into elementary y slabs
+(:func:`~repro.geometry.batch.merged_slab_runs` gives every slab's
+merged runs per layer at once; the interpreted ``_sweep_reference``
+walk, kept as the oracle, drains
+:func:`~repro.geometry.sweep.slab_decompose` instead), from which the
 extractor derives
 
 * **channels** — poly-over-diffusion overlap, minus contact cuts (a
@@ -29,6 +31,8 @@ physically disjoint rails become one electrical node.
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..compact.layers import expand_layout
 from ..compact.rules import TECH_A, DesignRules
@@ -177,12 +181,12 @@ _SweepResult = Tuple[
 ]
 
 
-def _sweep_python(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
+def _sweep_reference(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
     """The interpreted slab walk over the conductor masks.
 
     One :func:`~repro.geometry.sweep.slab_decompose` pass feeds the
     :class:`_RunGraph`; gates, depletion markers, terminals, and cut
-    links are discovered per slab with interval scans.  Serves as the
+    links are discovered per slab with interval scans.  Retained as the
     equivalence oracle for :func:`_sweep_batch`, which reproduces its
     node numbering and union sequence exactly.
     """
@@ -266,7 +270,7 @@ def _sweep_batch(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
     All slabs are materialised at once: merged runs per mask come from
     :func:`~repro.geometry.batch.merged_slab_runs`, the channel/
     conductor algebra from the keyed event-depth combinators, and every
-    per-slab interval scan of :func:`_sweep_python` (slab stitching,
+    per-slab interval scan of :func:`_sweep_reference` (slab stitching,
     gates, depletion, terminals, cut links) becomes a keyed
     ``searchsorted`` pair query.  Node ids are assigned in exactly the
     interpreted order — (slab, kind, x) — and stitch unions are applied
@@ -274,7 +278,6 @@ def _sweep_batch(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
     roots (and hence downstream net numbering) are *identical*, not
     merely isomorphic.
     """
-    np = batch.require_numpy()
     sets = _UnionFind()
     boxes: List[Tuple[str, Box]] = []
     gate_of: Dict[int, Set[int]] = {}
@@ -437,11 +440,9 @@ def extract_netlist(
     sweep_input["cut"] = list(layers.get("cut", ()))
     sweep_input["implant"] = list(layers.get("implant", ()))
 
-    if batch.use_numpy():
-        sweep = _sweep_batch(sweep_input)
-    else:
-        sweep = _sweep_python(sweep_input)
-    sets, boxes, gate_of, terminals_of, depletion, cut_links = sweep
+    sets, boxes, gate_of, terminals_of, depletion, cut_links = _sweep_batch(
+        sweep_input
+    )
 
     for linked in cut_links:
         for node in linked[1:]:

@@ -390,6 +390,13 @@ class TestVerifyFlags:
             main([str(parameter), "--sim-vectors", "8"])
         assert "--verify" in capsys.readouterr().err
 
+    def test_sim_vectors_with_verify_lvs_rejected(self, flow_files, capsys):
+        # LVS simulates nothing, so a vector cap would be silently ignored.
+        parameter, _ = flow_files
+        with pytest.raises(SystemExit):
+            main([str(parameter), "--verify", "lvs", "--sim-vectors", "8"])
+        assert "--verify sim" in capsys.readouterr().err
+
     def test_verify_routed_composite_round_trips(self, route_files, capsys):
         parameter, netfile, _ = route_files
         assert main(
@@ -476,19 +483,6 @@ class TestExitCodes:
 
         assert main(["/nonexistent/never.par"]) == EXIT_IO
         assert "error:" in capsys.readouterr().err
-
-    def test_bad_geometry_kernel_exits_io(self, flow_files, capsys, monkeypatch):
-        # An unusable REPRO_KERNEL value is an environment problem:
-        # one actionable line on stderr, exit family 5, no traceback.
-        from repro.cli import EXIT_IO
-
-        monkeypatch.setenv("REPRO_KERNEL", "bogus")
-        parameter, _ = flow_files
-        assert main([str(parameter)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "REPRO_KERNEL" in err
-        assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_tech_exits_generic(self, flow_files, capsys):
         from repro.cli import EXIT_ERROR

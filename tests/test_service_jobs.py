@@ -155,6 +155,14 @@ class TestValidation:
         with pytest.raises(ServiceError, match="sim_vectors"):
             custom(verify="lvs", sim_vectors=8).fingerprint
 
+    def test_sim_vectors_with_route_rejected(self):
+        # Routed composites verify by connectivity round-trip and never
+        # simulate; an ignored cap must not split the fingerprint.
+        with pytest.raises(ServiceError, match="round-trip"):
+            custom(
+                verify="all", sim_vectors=8, route_text="bottom a\ntop b\n"
+            ).fingerprint
+
     def test_compact_and_route_rejected(self):
         with pytest.raises(ServiceError, match="combined"):
             custom(compact="x", route_text="bottom a\ntop b\n").fingerprint

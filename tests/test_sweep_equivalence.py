@@ -1,26 +1,23 @@
-"""Equivalence of the sweep-kernel geometry passes and their oracles.
+"""Equivalence of the production geometry passes and their oracles.
 
-The sweep kernel (:mod:`repro.geometry.sweep`) rebuilt four hot paths —
-visibility constraint generation, DRC, box merging, wire extraction —
-whose pre-kernel implementations are retained as ``*_reference``
-functions.  These property tests drive randomized layouts through both
-builds across multiple seeds and densities and require *identical*
+Every geometry pass — visibility constraint generation, DRC, box
+merging, wire extraction and the mask walk of netlist extraction — has
+one production build on flat arrays (:mod:`repro.geometry.batch`) and
+one interpreted ``*_reference`` build retained as its oracle.  These
+property tests drive randomized layouts through both builds across
+multiple seeds, densities and box shapes (short boxes, and tall columns
+and long rows spanning the whole layout) and require *identical*
 observable results: the same constraint multiset and solved widths, the
 same merged geometry, the same violation multiset, the same extracted
-components.  Plus direct unit coverage of the kernel primitives.
-
-The numpy batch kernel (:mod:`repro.geometry.batch`) rebuilt the same
-passes again on flat int64 arrays, with the interpreted sweep builds
-retained as *its* oracles behind the ``REPRO_KERNEL`` switch.  The
-second half of this file holds the batch half of the contract: the
-same case matrix driven through ``*_batch`` versus ``*_python``, the
-degenerate layouts (empty, single box, all-overlapping), the batch
-primitives, and the kernel-selection switch itself.
+components, the same extraction node partition.  Plus direct unit
+coverage of the sweep and array primitives, and the degenerate layouts
+(empty, single box, all-overlapping).
 """
 
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.compact import (
@@ -34,43 +31,32 @@ from repro.compact import (
     visibility_constraints,
     visibility_constraints_reference,
 )
-from repro.compact.drc import check_layout_batch, check_layout_python
-from repro.compact.scanline import (
-    visibility_constraints_batch,
-    visibility_constraints_python,
-)
+from repro.core.errors import InfeasibleConstraintsError
 from repro.geometry import (
     Box,
-    IntervalFront,
-    interval_gaps,
     merge_intervals,
     slab_decompose,
     subtract_intervals,
 )
 from repro.geometry import batch
-from repro.geometry.batch import merge_boxes_batch
-from repro.layout.database import (
-    merge_boxes,
-    merge_boxes_python,
-    merge_boxes_reference,
+from repro.layout.database import merge_boxes, merge_boxes_reference
+from repro.pla import (
+    HplaGenerator,
+    TruthTable,
+    generate_decoder,
+    generate_pla,
+    generate_rom,
 )
-from repro.route.extract import (
-    wire_components,
-    wire_components_batch,
-    wire_components_python,
-    wire_components_reference,
-)
+from repro.route.extract import wire_components, wire_components_reference
 from repro.route.style import RouteStyle
-
-try:
-    batch.require_numpy()
-    NUMPY_OK = True
-except batch.KernelUnavailableError:
-    NUMPY_OK = False
-
-requires_numpy = pytest.mark.skipif(
-    not NUMPY_OK, reason="numpy batch kernel unavailable"
+from repro.verify import extract as extract_module
+from repro.verify.extract import (
+    CONDUCTOR_LAYERS,
+    _sweep_batch,
+    _sweep_reference,
+    extract_layers,
 )
+from repro.verify.hier import extract_netlist_hier
 
 LAYERS = ["diff", "poly", "metal1", "implant"]
 
@@ -83,20 +69,43 @@ CASES = [
 ]
 
 
-def random_pairs(seed, n, spread):
+#: box shapes of the case matrix: "short" boxes are at most 8 units on
+#: a side; "tall" layouts mix them with columns and rows whose extent
+#: reaches the whole spread, the shape where the array builds expand a
+#: box over the most event lines.
+SHAPES = ["short", "tall"]
+
+
+def _extents(rng, shape, spread, short):
+    """(width, height) of one box: ``short`` bounds the small side."""
+    small = (rng.randrange(*short), rng.randrange(*short))
+    if shape == "short":
+        return small
+    kind = rng.randrange(3)
+    if kind == 0:
+        return small
+    long = rng.randrange(short[0], spread + 1)
+    return (small[0], long) if kind == 1 else (long, small[1])
+
+
+def random_pairs(seed, n, spread, shape="short"):
     """A randomized (layer, box) layout; includes degenerate boxes."""
     rng = random.Random(seed)
     pairs = []
     for _ in range(n):
         x = rng.randrange(0, spread)
         y = rng.randrange(0, spread)
-        pairs.append(
-            (
-                rng.choice(LAYERS),
-                Box(x, y, x + rng.randrange(0, 9), y + rng.randrange(0, 9)),
-            )
-        )
+        width, height = _extents(rng, shape, spread, (0, 9))
+        pairs.append((rng.choice(LAYERS), Box(x, y, x + width, y + height)))
     return pairs
+
+
+def _solved(system):
+    """The longest-path solve, or ``None`` for an infeasible system."""
+    try:
+        return solve_longest_path(system)
+    except InfeasibleConstraintsError:
+        return None
 
 
 def constraint_multiset(system):
@@ -124,45 +133,6 @@ class TestIntervalUtilities:
     def test_subtract_disjoint_cut_is_noop(self):
         assert subtract_intervals([(0, 5)], [(7, 9)]) == [(0, 5)]
 
-    def test_gaps_between_runs(self):
-        assert interval_gaps([(0, 2), (5, 6), (9, 12)]) == [(2, 5), (6, 9)]
-
-    def test_gaps_of_touching_runs_empty(self):
-        assert interval_gaps([(0, 2), (2, 4)]) == []
-
-
-class TestIntervalFront:
-    def test_stab_returns_overlapping_segments_in_order(self):
-        front = IntervalFront()
-        front.replace(0, 4, "a")
-        front.replace(6, 9, "b")
-        assert [p for _, _, p in front.stab(3, 7)] == ["a", "b"]
-        assert front.stab(4, 6) == []  # touching is not overlap
-
-    def test_replace_consumes_covered_range(self):
-        front = IntervalFront()
-        front.replace(0, 10, "a")
-        front.replace(2, 6, "b")
-        assert [(y0, y1, p) for y0, y1, p in front.segments()] == [
-            (0, 2, "a"),
-            (2, 6, "b"),
-            (6, 10, "a"),
-        ]
-
-    def test_replace_keep_predicate_shadows(self):
-        front = IntervalFront()
-        front.replace(0, 10, "long")
-        front.replace(4, 12, "new", keep=lambda p: p == "long")
-        assert [(y0, y1, p) for y0, y1, p in front.segments()] == [
-            (0, 10, "long"),
-            (10, 12, "new"),
-        ]
-
-    def test_empty_range_is_noop(self):
-        front = IntervalFront()
-        front.replace(5, 5, "a")
-        assert len(front) == 0
-
 
 class TestSlabDecompose:
     def test_runs_merge_within_slab(self):
@@ -186,11 +156,14 @@ class TestSlabDecompose:
 # ----------------------------------------------------------------------
 # Path equivalence on randomized layouts
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("seed,n,spread", CASES)
 @pytest.mark.parametrize("rules", [TECH_A, TECH_B], ids=lambda r: r.name)
 class TestEquivalence:
-    def test_visibility_constraints_and_solved_widths(self, seed, n, spread, rules):
-        pairs = random_pairs(seed, n, spread)
+    def test_visibility_constraints_and_solved_widths(
+        self, seed, n, spread, rules, shape
+    ):
+        pairs = random_pairs(seed, n, spread, shape)
         kernel_system, kernel_boxes = build_edge_variables(pairs)
         reference_system, reference_boxes = build_edge_variables(pairs)
         kernel_count = visibility_constraints(kernel_system, kernel_boxes, rules)
@@ -202,16 +175,23 @@ class TestEquivalence:
             reference_system
         )
         # Identical constraints must solve to identical positions/widths;
-        # min-width mode keeps randomized layouts feasible.
+        # min-width mode keeps short-box layouts feasible.  Tall columns
+        # crossing long rows can pin connected chains into a positive
+        # cycle: then both systems must be infeasible alike.
         add_width_constraints(kernel_system, kernel_boxes, rules, mode="min")
         add_width_constraints(reference_system, reference_boxes, rules, mode="min")
-        kernel_stats = solve_longest_path(kernel_system)
-        reference_stats = solve_longest_path(reference_system)
-        assert kernel_stats.solution == reference_stats.solution
-        assert kernel_stats.width() == reference_stats.width()
+        kernel_stats = _solved(kernel_system)
+        reference_stats = _solved(reference_system)
+        if shape == "short":
+            assert kernel_stats is not None
+        if kernel_stats is None or reference_stats is None:
+            assert kernel_stats is reference_stats is None
+        else:
+            assert kernel_stats.solution == reference_stats.solution
+            assert kernel_stats.width() == reference_stats.width()
 
-    def test_check_layout_violation_multiset(self, seed, n, spread, rules):
-        pairs = random_pairs(seed, n, spread)
+    def test_check_layout_violation_multiset(self, seed, n, spread, rules, shape):
+        pairs = random_pairs(seed, n, spread, shape)
         layers = {}
         for layer, box in pairs:
             layers.setdefault(layer, []).append(box)
@@ -219,12 +199,12 @@ class TestEquivalence:
             check_layout_reference(layers, rules)
         )
 
-    def test_merge_boxes_identical_geometry(self, seed, n, spread, rules):
-        boxes = [box for _, box in random_pairs(seed, n, spread)]
+    def test_merge_boxes_identical_geometry(self, seed, n, spread, rules, shape):
+        boxes = [box for _, box in random_pairs(seed, n, spread, shape)]
         assert merge_boxes(boxes) == merge_boxes_reference(boxes)
 
 
-def random_wire_layers(seed, n, spread):
+def random_wire_layers(seed, n, spread, shape="short"):
     """Randomized routing-layer material for the extraction tests."""
     rng = random.Random(seed)
     layers = {}
@@ -232,15 +212,18 @@ def random_wire_layers(seed, n, spread):
         layer = rng.choice(["metal1", "poly", "contact"])
         x = rng.randrange(0, spread)
         y = rng.randrange(0, spread)
-        layers.setdefault(layer, []).append(
-            Box(x, y, x + rng.randrange(1, 30), y + rng.randrange(1, 6))
-        )
+        if shape == "short":
+            width, height = rng.randrange(1, 30), rng.randrange(1, 6)
+        else:
+            width, height = _extents(rng, shape, spread, (1, 6))
+        layers.setdefault(layer, []).append(Box(x, y, x + width, y + height))
     return layers
 
 
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("seed,n,spread", CASES)
-def test_wire_components_identical_grouping(seed, n, spread):
-    layers = random_wire_layers(seed, n, spread)
+def test_wire_components_identical_grouping(seed, n, spread, shape):
+    layers = random_wire_layers(seed, n, spread, shape)
     style = RouteStyle()
     assert wire_components(layers, style) == wire_components_reference(
         layers, style
@@ -248,10 +231,12 @@ def test_wire_components_identical_grouping(seed, n, spread):
 
 
 # ----------------------------------------------------------------------
-# Batch (numpy) kernel primitives
+# Array primitives
 # ----------------------------------------------------------------------
-@requires_numpy
 class TestBatchPrimitives:
+    def test_kernel_name_is_numpy(self):
+        assert batch.kernel_name() == "numpy"
+
     def test_box_array_roundtrip(self):
         boxes = [box for _, box in random_pairs(3, 40, 60)]
         arrays = batch.boxes_to_arrays(boxes)
@@ -263,7 +248,6 @@ class TestBatchPrimitives:
         )
 
     def test_unique_sorted_matches_numpy_unique(self):
-        np = batch.require_numpy()
         rng = random.Random(7)
         values = np.array(
             [rng.randrange(-50, 50) for _ in range(500)], dtype=np.int64
@@ -273,7 +257,6 @@ class TestBatchPrimitives:
         assert batch.unique_sorted(empty).size == 0
 
     def test_segmented_cummax_running_max_per_group(self):
-        np = batch.require_numpy()
         groups = np.array([0, 0, 0, 2, 2, 5], dtype=np.int64)
         values = np.array([3, 1, 5, 2, 7, 0], dtype=np.int64)
         assert batch.segmented_cummax(groups, values).tolist() == [
@@ -283,7 +266,6 @@ class TestBatchPrimitives:
     def test_segmented_cummax_overflow_fallback(self):
         # groups x span overflowing int64 must take the rank-based path
         # and still produce the per-group running maximum.
-        np = batch.require_numpy()
         groups = np.array([0, 0, 2**21, 2**21], dtype=np.int64)
         values = np.array([2**42, 5, -(2**42), 9], dtype=np.int64)
         assert batch.segmented_cummax(groups, values).tolist() == [
@@ -291,7 +273,6 @@ class TestBatchPrimitives:
         ]
 
     def test_merged_slab_runs_matches_slab_decompose(self):
-        np = batch.require_numpy()
         boxes = [box for _, box in random_pairs(9, 60, 80)]
         arrays = batch.boxes_to_arrays(boxes)
         ys = batch.slab_grid([arrays])
@@ -315,129 +296,130 @@ def _merged_runs_at(boxes, lo, hi):
     return merge_intervals(spans)
 
 
-# ----------------------------------------------------------------------
-# Batch kernel equivalence on randomized layouts
-# ----------------------------------------------------------------------
-@requires_numpy
-@pytest.mark.parametrize("seed,n,spread", CASES)
-@pytest.mark.parametrize("rules", [TECH_A, TECH_B], ids=lambda r: r.name)
-class TestBatchEquivalence:
-    """``*_batch`` versus ``*_python`` across the shared case matrix.
+def random_table(rng, inputs, outputs, terms):
+    """A seeded PLA personality: two thirds of the inputs are literals
+    in every product term, and every output is driven by some term."""
+    literals = -(-2 * inputs // 3)
+    and_plane, or_plane = [], []
+    for _ in range(terms):
+        row = ["-"] * inputs
+        for position in rng.sample(range(inputs), literals):
+            row[position] = rng.choice("01")
+        and_plane.append("".join(row))
+        out = ["0"] * outputs
+        for position in rng.sample(range(outputs), max(1, outputs // 2)):
+            out[position] = "1"
+        or_plane.append(out)
+    for column in range(outputs):
+        if all(row[column] == "0" for row in or_plane):
+            or_plane[rng.randrange(terms)][column] = "1"
+    return TruthTable(and_plane, ["".join(row) for row in or_plane])
 
-    The interpreted sweep builds are the batch kernel's oracles — the
-    same contract the sweep kernel holds against its ``*_reference``
-    builds above, so a layout surviving both classes has three builds
-    in exact agreement.
+
+SMALL_TABLE = TruthTable.parse(
     """
+    1-0 | 10
+    01- | 11
+    -11 | 01
+    """
+)
 
-    def test_visibility_constraints_and_solved_widths(self, seed, n, spread, rules):
-        pairs = random_pairs(seed, n, spread)
-        batch_system, batch_boxes = build_edge_variables(pairs)
-        python_system, python_boxes = build_edge_variables(pairs)
-        batch_count = visibility_constraints_batch(batch_system, batch_boxes, rules)
-        python_count = visibility_constraints_python(
-            python_system, python_boxes, rules
+#: real layouts whose conductor masks feed the extraction sweep: seeded
+#: PLAs of the flow benchmark's shapes (inputs, terms, outputs), the
+#: decoders, a ROM and an HPLA
+SWEEP_LAYOUTS = {
+    **{
+        f"pla-{inputs}x{terms}x{outputs}": (
+            lambda inputs=inputs, terms=terms, outputs=outputs, seed=seed:
+            generate_pla(random_table(random.Random(seed), inputs, outputs, terms))
         )
-        assert batch_count == python_count
-        assert constraint_multiset(batch_system) == constraint_multiset(
-            python_system
+        for seed, (inputs, terms, outputs) in enumerate(
+            [(5, 32, 2), (8, 8, 2), (6, 24, 5), (7, 16, 2), (5, 24, 8),
+             (7, 8, 8), (6, 32, 2)]
         )
-        add_width_constraints(batch_system, batch_boxes, rules, mode="min")
-        add_width_constraints(python_system, python_boxes, rules, mode="min")
-        batch_stats = solve_longest_path(batch_system)
-        python_stats = solve_longest_path(python_system)
-        assert batch_stats.solution == python_stats.solution
-        assert batch_stats.width() == python_stats.width()
-
-    def test_check_layout_violation_multiset(self, seed, n, spread, rules):
-        pairs = random_pairs(seed, n, spread)
-        layers = {}
-        for layer, box in pairs:
-            layers.setdefault(layer, []).append(box)
-        assert Counter(check_layout_batch(layers, rules)) == Counter(
-            check_layout_python(layers, rules)
-        )
-
-    def test_merge_boxes_identical_geometry(self, seed, n, spread, rules):
-        boxes = [box for _, box in random_pairs(seed, n, spread)]
-        assert merge_boxes_batch(boxes) == merge_boxes_python(boxes)
+    },
+    **{f"decoder-{n}": (lambda n=n: generate_decoder(n)) for n in (1, 2, 3, 4)},
+    "rom": lambda: generate_rom([0b101, 0b010, 0b111, 0b001, 0b110], 3)[0],
+    "hpla": lambda: HplaGenerator().generate(SMALL_TABLE),
+}
 
 
-@requires_numpy
-@pytest.mark.parametrize("seed,n,spread", CASES)
-def test_batch_wire_components_identical_grouping(seed, n, spread):
-    layers = random_wire_layers(seed, n, spread)
-    style = RouteStyle()
-    assert wire_components_batch(layers, style) == wire_components_python(
-        layers, style
-    )
-
-
-@requires_numpy
-def test_batch_verify_sweep_identical_netlist_parts():
-    """The mask-walk halves of netlist extraction agree on a real PLA."""
-    from repro.pla import TruthTable, generate_pla
-    from repro.verify.extract import (
-        CONDUCTOR_LAYERS,
-        _sweep_batch,
-        _sweep_python,
-        extract_layers,
-    )
-
-    table = TruthTable.parse(
-        """
-        1-0 | 10
-        01- | 11
-        -11 | 01
-        """
-    )
-    layers = extract_layers(generate_pla(table), None)
-    masks = {name: list(layers.get(name, ())) for name in CONDUCTOR_LAYERS}
-    masks["cut"] = list(layers.get("cut", ()))
-    masks["implant"] = list(layers.get("implant", ()))
-    result_python = _sweep_python(masks)
-    result_batch = _sweep_batch(masks)
+def _assert_sweeps_agree(masks):
+    reference = _sweep_reference(masks)
+    production = _sweep_batch(masks)
     # Same boxes, gates, and terminals; the union-find must induce the
     # same node partition (compare canonical roots, not parent arrays).
-    assert result_python[1:] == result_batch[1:]
-    sets_python, sets_batch = result_python[0], result_batch[0]
+    assert reference[1:] == production[1:]
+    reference_sets, production_sets = reference[0], production[0]
     assert [
-        sets_python.find(i) for i in range(len(sets_python.parent))
-    ] == [sets_batch.find(i) for i in range(len(sets_batch.parent))]
+        reference_sets.find(i) for i in range(len(reference_sets.parent))
+    ] == [production_sets.find(i) for i in range(len(production_sets.parent))]
+
+
+@pytest.mark.parametrize("tiles", [False, True], ids=["flat", "tiles"])
+@pytest.mark.parametrize("layout", sorted(SWEEP_LAYOUTS))
+def test_batch_verify_sweep_identical_netlist_parts(layout, tiles, monkeypatch):
+    """The mask walk of netlist extraction agrees with its oracle.
+
+    ``flat`` sweeps the whole layout's masks; ``tiles`` sweeps every
+    per-tile input :func:`repro.verify.hier.extract_netlist_hier`
+    builds, captured as the hierarchical extractor hands them over.
+    """
+    cell = SWEEP_LAYOUTS[layout]()
+    if tiles:
+        inputs = []
+
+        def recording(masks):
+            inputs.append(masks)
+            return _sweep_batch(masks)
+
+        monkeypatch.setattr(extract_module, "_sweep_batch", recording)
+        extract_netlist_hier(cell)
+        monkeypatch.undo()
+        assert inputs
+    else:
+        layers = extract_layers(cell, None)
+        masks = {name: list(layers.get(name, ())) for name in CONDUCTOR_LAYERS}
+        masks["cut"] = list(layers.get("cut", ()))
+        masks["implant"] = list(layers.get("implant", ()))
+        inputs = [masks]
+    for masks in inputs:
+        _assert_sweeps_agree(masks)
 
 
 # ----------------------------------------------------------------------
-# Batch kernel: degenerate layouts
+# Degenerate layouts
 # ----------------------------------------------------------------------
-@requires_numpy
 class TestBatchDegenerateLayouts:
     def run_all_passes(self, pairs):
-        """Drive every batch pass and its oracle over one tiny layout."""
-        batch_system, batch_boxes = build_edge_variables(pairs)
-        python_system, python_boxes = build_edge_variables(pairs)
-        assert visibility_constraints_batch(
-            batch_system, batch_boxes, TECH_A
-        ) == visibility_constraints_python(python_system, python_boxes, TECH_A)
-        assert constraint_multiset(batch_system) == constraint_multiset(
-            python_system
+        """Drive every pass and its oracle over one tiny layout."""
+        system, boxes = build_edge_variables(pairs)
+        reference_system, reference_boxes = build_edge_variables(pairs)
+        assert visibility_constraints(
+            system, boxes, TECH_A
+        ) == visibility_constraints_reference(
+            reference_system, reference_boxes, TECH_A
+        )
+        assert constraint_multiset(system) == constraint_multiset(
+            reference_system
         )
         layers = {}
         for layer, box in pairs:
             layers.setdefault(layer, []).append(box)
-        assert Counter(check_layout_batch(layers, TECH_A)) == Counter(
-            check_layout_python(layers, TECH_A)
+        assert Counter(check_layout(layers, TECH_A)) == Counter(
+            check_layout_reference(layers, TECH_A)
         )
         boxes = [box for _, box in pairs]
-        assert merge_boxes_batch(boxes) == merge_boxes_python(boxes)
+        assert merge_boxes(boxes) == merge_boxes_reference(boxes)
         style = RouteStyle()
-        assert wire_components_batch(layers, style) == wire_components_python(
+        assert wire_components(layers, style) == wire_components_reference(
             layers, style
         )
 
     def test_empty_layout(self):
         self.run_all_passes([])
-        assert merge_boxes_batch([]) == []
-        assert wire_components_batch({}, RouteStyle()) == wire_components_python(
+        assert merge_boxes([]) == []
+        assert wire_components({}, RouteStyle()) == wire_components_reference(
             {}, RouteStyle()
         )
 
@@ -456,42 +438,3 @@ class TestBatchDegenerateLayouts:
 
     def test_identical_stacked_boxes(self):
         self.run_all_passes([("poly", Box(2, 2, 10, 8))] * 5)
-
-
-# ----------------------------------------------------------------------
-# Kernel selection switch
-# ----------------------------------------------------------------------
-class TestKernelSelection:
-    def test_python_forced(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert batch.kernel_name() == "python"
-        assert not batch.use_numpy()
-
-    @requires_numpy
-    def test_numpy_explicit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert batch.kernel_name() == "numpy"
-        assert batch.use_numpy()
-
-    @requires_numpy
-    def test_default_prefers_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert batch.kernel_name() == "numpy"
-
-    def test_unknown_kernel_is_one_actionable_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "fortran")
-        with pytest.raises(batch.KernelUnavailableError) as error:
-            batch.kernel_name()
-        message = str(error.value)
-        assert "REPRO_KERNEL" in message and "python" in message
-        # OSError subclass: the CLI maps it to exit-code family 5.
-        assert isinstance(error.value, OSError)
-
-    @requires_numpy
-    def test_dispatchers_follow_the_switch(self, monkeypatch):
-        boxes = [box for _, box in random_pairs(1, 40, 60)]
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        via_python = merge_boxes(boxes)
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        via_numpy = merge_boxes(boxes)
-        assert via_python == via_numpy == merge_boxes_python(boxes)
