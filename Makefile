@@ -44,8 +44,12 @@ bench:
 # under 1 s), and the lane-parallel switch-level simulation
 # (bench_verify pla_sim_exhaustive_12in — all 4 096 vectors of a
 # 12-input PLA in under 1 s; pla_sim_exhaustive_8in's >= 20x over the
-# per-vector oracle runs via `make bench`), so a regression to the
-# O(n^2) rescans, the dense LP, instance-proportional work or
+# per-vector oracle runs via `make bench`), and the multiplier
+# verification guard (bench_verify verify_multiplier — 8x8 -> 16x16
+# verify grows <= 5x; the 16x16 -> 32x32 step, the 32x32 < 0.5 s bound
+# and lvs_mult_16's >= 10x over the per-netlist LVS oracle run via
+# `make bench`), so a regression to the O(n^2) rescans, the dense LP,
+# instance-proportional work, per-round content hashing in LVS or
 # one-pair/one-vector-at-a-time checking fails CI.  The bench_hierarchy
 # parallel case asserts jobs=2 output is identical to serial at every
 # size; bench_verify asserts hier extraction is LVS-identical to flat;

@@ -37,9 +37,21 @@ should pay per *distinct tile*, not per instance.
   ``pla_sim_exhaustive_12in`` (4 096 vectors) must stay under 1 s, in
   smoke mode too.
 
-Set ``REPRO_BENCH_SMOKE=1`` to trim to the smallest size (the 3x and
-20x speedup assertions are skipped there, and the 8-input comparison
-runs on 5 inputs; the scaling guard and the 12-input bound still run).
+* **union LVS** — :func:`~repro.verify.lvs.compare_netlists` on the
+  cell graph of a 16x16 multiplier against its golden (row
+  ``lvs_mult_16``) must be at least 10x faster than the per-netlist
+  oracle :func:`~repro.verify.lvs.compare_netlists_reference` (row
+  ``lvs_mult_16_reference``), with the identical report.
+* **multiplier verification scaling guard** (runs in smoke mode, fails
+  CI) — ``verify_multiplier`` rows at 8x8, 16x16 and 32x32: each size
+  step has 4x the cells and may grow verification at most 5x, and the
+  32x32 multiplier verifies in under 0.5 s.
+
+Set ``REPRO_BENCH_SMOKE=1`` to trim to the smallest size (the 3x, 10x
+and 20x speedup assertions are skipped there, the 8-input comparison
+runs on 5 inputs, and the union LVS comparison runs at 8x8; the scaling
+guards and the 12-input bound still run, the multiplier one on the
+8x8 -> 16x16 step only).
 """
 
 import os
@@ -50,18 +62,24 @@ from contextlib import contextmanager
 from conftest import best_time, doubling_ratio
 
 from repro.compact import CompactionCache
+from repro.multiplier import generate_multiplier
+from repro.multiplier.generator import intended_multiplier_netlist
 from repro.pla import TruthTable, generate_pla
 from repro.verify import (
     X,
+    cell_graph_netlist,
+    collect_occurrences,
     compare_netlists,
     exhaustive_vectors,
     extract_netlist,
     extract_netlist_hier,
     input_planes,
     simulate,
+    verify_multiplier,
 )
 from repro.verify import extract as extract_module
 from repro.verify.driver import pla_layout_netlist
+from repro.verify.lvs import compare_netlists_reference
 from repro.verify.switchsim import simulate_reference
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -71,6 +89,12 @@ SIZES = [4] if SMOKE else [4, 8, 12]
 ACCEPTANCE_N = 8
 SPEEDUP_FLOOR = 3.0
 SCALING_LIMIT = 3.0
+#: union LVS over the per-netlist oracle on the 16x16 cell graph
+LVS_SPEEDUP_FLOOR = 10.0
+#: multiplier sizes of the verification scaling guard (4x cells a step)
+MULTIPLIER_SIZES = [8, 16] if SMOKE else [8, 16, 32]
+MULTIPLIER_STEP_LIMIT = 5.0
+MULTIPLIER_32_BOUND_S = 0.5
 
 
 def plane_table(inputs, terms, outputs, seed=7):
@@ -232,3 +256,61 @@ def test_pla_sim_exhaustive_12in(report, record):
         f" {seconds * 1000:.1f} ms (guard < 1 s)"
     )
     assert seconds < 1.0
+
+
+def test_lvs_union_vs_reference(report, record):
+    n = 8 if SMOKE else 16
+    occurrences, strays = collect_occurrences(generate_multiplier(n, n))
+    assert strays == []
+    extracted = cell_graph_netlist(occurrences)
+    golden = intended_multiplier_netlist(n, n)
+    union = compare_netlists(extracted, golden)
+    assert union.matched
+    assert union.to_dict() == compare_netlists_reference(extracted, golden).to_dict()
+    union_s = best_time(lambda: compare_netlists(extracted, golden))
+    reference_s = best_time(lambda: compare_netlists_reference(extracted, golden))
+    record(f"lvs_mult_{n}", n, union_s)
+    record(f"lvs_mult_{n}_reference", n, reference_s)
+    ratio = reference_s / union_s
+    report(
+        f"E-VERIFY: {n}x{n} multiplier cell-graph LVS ({union.rounds} rounds):"
+        f" union {union_s * 1000:.1f} ms, per-netlist oracle"
+        f" {reference_s * 1000:.1f} ms ({ratio:.0f}x)"
+    )
+    if not SMOKE:
+        assert ratio >= LVS_SPEEDUP_FLOOR, (
+            f"union LVS only {ratio:.1f}x over the oracle (need >= {LVS_SPEEDUP_FLOOR}x)"
+        )
+
+
+def test_verify_multiplier_scaling_guard(report, record):
+    """Each size step (4x cells) may grow ``verify_multiplier`` <= 5x."""
+    cells = {n: generate_multiplier(n, n) for n in MULTIPLIER_SIZES}
+
+    def measure(n):
+        verification = verify_multiplier(cells[n])
+        assert verification.ok, verification.summary()
+        return best_time(lambda: verify_multiplier(cells[n]))
+
+    rows = []
+    seconds = {}
+    for small, large in zip(MULTIPLIER_SIZES, MULTIPLIER_SIZES[1:]):
+        ratio, seconds[small], seconds[large] = doubling_ratio(
+            measure, small, large, MULTIPLIER_STEP_LIMIT
+        )
+        rows.append(
+            f"  {small}x{small} -> {large}x{large}: {seconds[small] * 1000:.1f} ms ->"
+            f" {seconds[large] * 1000:.1f} ms ({ratio:.2f}x, limit"
+            f" {MULTIPLIER_STEP_LIMIT}x)"
+        )
+        assert ratio <= MULTIPLIER_STEP_LIMIT, (
+            f"verify_multiplier grew {ratio:.2f}x from {small}x{small} to {large}x{large}"
+        )
+    for n, value in seconds.items():
+        record("verify_multiplier", n, value)
+    report("E-VERIFY: verify_multiplier scaling guard", *rows)
+    if 32 in seconds:
+        assert seconds[32] < MULTIPLIER_32_BOUND_S, (
+            f"32x32 verify_multiplier took {seconds[32]:.2f} s"
+            f" (bound {MULTIPLIER_32_BOUND_S} s)"
+        )

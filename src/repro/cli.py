@@ -98,6 +98,7 @@ __all__ = [
     "exit_code_for",
     "solver_summary_lines",
     "timings_table",
+    "verify_summary_lines",
 ]
 
 # Exit-code families: every failure mode maps to a stable, distinct
@@ -362,6 +363,29 @@ def solver_summary_lines(spans) -> tuple:
         f" in {entry['seconds']:.3f}s"
         for backend, entry in sorted(totals.items())
     )
+
+
+def verify_summary_lines(spans) -> tuple:
+    """Break the verify stage into its sub-spans for the ``--timings`` table.
+
+    One line naming the seconds of each ``verify.*`` span that ran
+    (extract, cellgraph, lvs, sim), with the LVS refinement rounds.
+    """
+    seconds: Dict[str, float] = {}
+    rounds = 0
+    for span in spans:
+        stage, _, part = span.name.partition(".")
+        if stage != "verify" or not part:
+            continue
+        seconds[part] = seconds.get(part, 0.0) + span.duration_s
+        rounds += span.attributes.get("rounds", 0)
+    if not seconds:
+        return ()
+    parts = [
+        f"{part} {value:.3f}s" + (f" ({rounds} rounds)" if part == "lvs" else "")
+        for part, value in seconds.items()
+    ]
+    return ("verify: " + ", ".join(parts),)
 
 
 def _verify_flow_cell(
@@ -670,7 +694,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         f" {cell.count_instances(recursive=True)} instances"
     )
     if stage_timings is not None:
-        extras = solver_summary_lines(tracer.finished()) if tracer else ()
+        spans = tracer.finished() if tracer else []
+        extras = solver_summary_lines(spans) + verify_summary_lines(spans)
         print(timings_table(stage_timings, extras=extras))
     if arguments.render:
         print(ascii_render(cell))

@@ -13,7 +13,7 @@ from generated mask geometry back to logical function.
   points the CLI and the examples call.
 """
 
-from .cellgraph import cell_graph_netlist, multiplier_personality
+from .cellgraph import cell_graph_netlist, collect_occurrences, multiplier_personality
 from .driver import (
     VerificationReport,
     verify_cell,
@@ -42,6 +42,7 @@ __all__ = [
     "extract_netlist",
     "TileExtraction",
     "extract_netlist_hier",
+    "collect_occurrences",
     "cell_graph_netlist",
     "multiplier_personality",
     "LvsReport",

@@ -138,6 +138,13 @@ def _extract(
     return netlist
 
 
+def _stamp_lvs(span, lvs: LvsReport) -> None:
+    """Record what one LVS comparison refined on its ``verify.lvs`` span."""
+    span.set(
+        rounds=lvs.rounds, nets=sum(lvs.net_counts), devices=sum(lvs.device_counts)
+    )
+
+
 def pla_layout_netlist(
     cell: CellDefinition,
     rules: Optional[DesignRules] = None,
@@ -199,12 +206,13 @@ def verify_pla(
         table = extract_personality(cell)
 
     if mode in ("lvs", "all"):
-        with obs_trace.span("verify.lvs"):
+        with obs_trace.span("verify.lvs") as lvs_span:
             if is_decoder:
                 golden = intended_decoder_netlist(table.num_inputs)
             else:
                 golden = intended_pla_netlist(table)
             report.lvs = compare_netlists(netlist, golden)
+            _stamp_lvs(lvs_span, report.lvs)
 
     if mode in ("sim", "all"):
         width = len(netlist.inputs)
@@ -310,9 +318,10 @@ def multiplier_mismatches(
 
     lanes = len(a_values)
     width = m + n
-    # Products of up to 62 bits fit int64; wider ones (a 32x32 array)
-    # are assembled as Python ints in object arrays.
-    dtype = np.int64 if width < 63 else object
+    # Products of up to 64 bits (a 32x32 array) are assembled in uint64
+    # words and sign-extended through int64; wider ones as Python ints
+    # in object arrays.
+    dtype = np.uint64 if width <= 64 else object
     a = np.asarray(a_values, dtype=dtype)
     b = np.asarray(b_values, dtype=dtype)
 
@@ -330,7 +339,11 @@ def multiplier_mismatches(
         )
         bits = np.unpackbits(plane, count=lanes, bitorder="little")
         raw |= bits.astype(dtype) << k
-    products = (raw - ((raw >> (width - 1)) << width)).tolist()
+    if dtype is object:
+        products = (raw - ((raw >> (width - 1)) << width)).tolist()
+    else:
+        spare = 64 - width
+        products = ((raw << np.uint64(spare)).view(np.int64) >> spare).tolist()
     failures = []
     for a_k, b_k, got in zip(a.tolist(), b.tolist(), products):
         want = reference_product(a_k, b_k, m, n)
@@ -354,26 +367,40 @@ def verify_multiplier(
     ``max_vectors``) against the reference product, all pairs in one
     packed evaluation (:func:`multiplier_mismatches`).  A multiplier
     with a 1-bit operand has no Baugh-Wooley array to check, so the
-    functional pass fails it rather than passing it unchecked.
+    functional pass fails it rather than passing it unchecked.  One
+    hierarchy walk feeds both the read-back and the cell graph; a mask
+    that lands on no host cell, or on several, fails the read-back.
     """
     from ..multiplier.baughwooley import build_baugh_wooley, cell_type_grid
     from ..multiplier.generator import intended_multiplier_netlist
-    from .cellgraph import cell_graph_netlist, multiplier_personality
+    from .cellgraph import (
+        cell_graph_netlist,
+        collect_occurrences,
+        multiplier_personality,
+    )
 
     report = VerificationReport(f"{cell.name} (multiplier)", mode)
-    try:
-        xsize, ysize, grid, cpa = multiplier_personality(cell)
-    except ValueError as error:
-        report.failures.append(f"personality read-back: {error}")
-        return report
-    netlist = cell_graph_netlist(cell)
+    with obs_trace.span("verify.cellgraph") as cellgraph_span:
+        occurrences, strays = collect_occurrences(cell)
+        report.failures += [f"personality read-back: {stray}" for stray in strays]
+        try:
+            xsize, ysize, grid, cpa = multiplier_personality(occurrences)
+        except ValueError as error:
+            report.failures.append(f"personality read-back: {error}")
+            return report
+        netlist = cell_graph_netlist(occurrences)
+        cellgraph_span.set(
+            hosts=len(occurrences), strays=len(strays),
+            nets=netlist.num_nets, devices=len(netlist.devices),
+        )
     report.devices = len(netlist.devices)
     report.nets = netlist.num_nets
 
     if mode in ("lvs", "all"):
-        with obs_trace.span("verify.lvs"):
+        with obs_trace.span("verify.lvs") as lvs_span:
             golden = intended_multiplier_netlist(xsize, ysize)
             report.lvs = compare_netlists(netlist, golden)
+            _stamp_lvs(lvs_span, report.lvs)
 
     if mode in ("sim", "all"):
         if grid != cell_type_grid(xsize, ysize):

@@ -660,6 +660,17 @@ class TestTimingsFlag:
         # sum can drift from the printed total by 0.5 ms per stage.
         assert total == pytest.approx(sum(stages.values()), abs=0.005)
 
+    def test_verify_breakdown_rides_along_when_verifying(self, flow_files, capsys):
+        parameter, _ = flow_files
+        assert main([str(parameter), "--verify", "all", "--timings"]) == 0
+        out = capsys.readouterr().out
+        (line,) = [line for line in out.splitlines() if line.startswith("verify:")]
+        assert re.fullmatch(
+            r"verify: cellgraph \d+\.\d{3}s, lvs \d+\.\d{3}s \(\d+ rounds\),"
+            r" sim \d+\.\d{3}s",
+            line,
+        ), line
+
     def test_solver_summary_rides_along_when_compacting(self, flow_files, capsys):
         parameter, _ = flow_files
         assert main([str(parameter), "--compact", "x", "--timings"]) == 0

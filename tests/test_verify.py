@@ -11,6 +11,7 @@ import pytest
 from repro import CellDefinition
 from repro.compact.cache import CompactionCache
 from repro.compact.rules import TECH_A
+from repro.geometry import Vec2
 from repro.pla import (
     TruthTable,
     generate_decoder,
@@ -435,6 +436,42 @@ class TestMultiplierVerification:
             execute_job(spec)
         assert exit_code_for(caught.value) == EXIT_VERIFY
 
+    def test_stray_personalisation_mask_fails(self):
+        """A mask placed outside the array personalises no cell: FAIL."""
+        from repro.multiplier import generate_multiplier
+        from repro.verify import verify_multiplier
+
+        cell = generate_multiplier(4, 4)
+        assert verify_multiplier(cell).ok
+        type2 = next(
+            instance.definition
+            for instance in cell.instances[0].definition.instances
+            if instance.celltype == "type2"
+        )
+        cell.add_instance(type2, Vec2(1000, 1000))
+        report = verify_multiplier(cell)
+        assert not report.ok
+        assert report.failures == [
+            "personality read-back: mask type2 at (1000, 1000) lands on no host cell"
+        ]
+        assert "FAIL personality read-back" in report.summary()
+
+    def test_mask_on_two_overlapping_hosts_is_a_stray(self):
+        from repro.verify import collect_occurrences
+
+        host = CellDefinition("basiccell")
+        host.add_box("metal1", 0, 0, 10, 10)
+        mask = CellDefinition("type1")
+        mask.add_box("metal1", 0, 0, 1, 1)
+        top = CellDefinition("top")
+        top.add_instance(host, Vec2(0, 0))
+        top.add_instance(host, Vec2(5, 0))
+        top.add_instance(mask, Vec2(7, 3))
+        top.add_instance(mask, Vec2(2, 3))
+        occurrences, strays = collect_occurrences(top)
+        assert strays == ["mask type1 at (7, 3) lands on 2 host cells"]
+        assert [o.masks for o in occurrences] == [["type1"], []]
+
     def test_traced_job_has_lvs_and_sim_spans_under_verify(self):
         from repro.obs import Tracer, activated
         from repro.service.jobs import JobSpec, execute_job
@@ -446,10 +483,18 @@ class TestMultiplierVerification:
             ))
         spans = tracer.finished()
         (verify,) = [span for span in spans if span.name == "job.verify"]
+        (cellgraph,) = [span for span in spans if span.name == "verify.cellgraph"]
         (lvs,) = [span for span in spans if span.name == "verify.lvs"]
         (sim,) = [span for span in spans if span.name == "verify.sim"]
+        assert cellgraph.parent_id == verify.span_id
         assert lvs.parent_id == verify.span_id
         assert sim.parent_id == verify.span_id
+        # one walk finds 248 host cells, every mask on one of them
+        assert cellgraph.attributes == {
+            "hosts": 248, "strays": 0, "nets": 441, "devices": 248,
+        }
+        # LVS refined both netlists: 2 x 441 nets, 2 x 248 devices
+        assert lvs.attributes == {"rounds": 9, "nets": 882, "devices": 496}
         assert sim.attributes["vectors"] == 4096
         assert sim.attributes["exhaustive"] is False
 
@@ -460,7 +505,15 @@ class TestMultiplierVerification:
         with activated(tracer):
             verify_pla(generate_pla(TABLE), table=TABLE)
         names = {span.name: span for span in tracer.finished()}
-        assert "verify.lvs" in names
+        report = compare_netlists(
+            pla_layout_netlist(generate_pla(TABLE)), intended_pla_netlist(TABLE)
+        )
+        assert names["verify.lvs"].attributes == {
+            "rounds": report.rounds,
+            "nets": sum(report.net_counts),
+            "devices": sum(report.device_counts),
+        }
+        assert report.rounds >= 1
         # one relaxation over 8 lanes checks all 8 vectors
         attributes = dict(names["verify.sim"].attributes)
         assert attributes.pop("sweeps") >= 1

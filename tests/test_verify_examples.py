@@ -26,6 +26,7 @@ from repro.verify import (
     verify_pla,
 )
 from repro.verify.driver import pla_layout_netlist
+from repro.verify.lvs import compare_netlists_reference
 from repro.verify.netlist import Device
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -125,11 +126,15 @@ def _mutate(netlist, rng):
 
 
 class TestMutationGuard:
-    """Property test: any single-device mutation must fail LVS."""
+    """Property test: any single-device mutation must fail LVS.
+
+    Each mutant's report must also be the one the per-netlist oracle,
+    :func:`~repro.verify.lvs.compare_netlists_reference`, gives.
+    """
 
     TABLE = TruthTable.parse("1-0 | 10\n01- | 11\n-11 | 01\n00- | 10")
 
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", range(100))
     def test_single_device_mutation_fails_lvs(self, seed):
         golden = intended_pla_netlist(self.TABLE)
         extracted = pla_layout_netlist(generate_pla(self.TABLE))
@@ -139,3 +144,5 @@ class TestMutationGuard:
         what = _mutate(mutant, rng)
         report = compare_netlists(mutant, golden)
         assert not report.matched, f"LVS missed mutation: {what}"
+        oracle = compare_netlists_reference(mutant, golden)
+        assert report.to_dict() == oracle.to_dict(), what
