@@ -38,8 +38,10 @@ bench:
 # grow flatten time < 3x), the verification guard (bench_verify —
 # doubling the stamped instances must grow hierarchical extraction
 # < 3x), and the flat-compaction guards (bench_flat_compaction — flat
-# xy compaction grows <= 6x per 4x-box size step, one rubber-band pass
-# peaks < 200 MB RSS), and the packed multiplier check
+# xy compaction grows <= 6x per 4x-box size step with the collector
+# paused and with it on, one rubber-band pass peaks < 200 MB RSS; the
+# 32x32-with-collector < 0.5 s and small-cell leaf-row bounds run via
+# `make bench`), and the packed multiplier check
 # (bench_multiplier_correctness — all 65 536 8x8 operand pairs in
 # under 1 s), and the lane-parallel switch-level simulation
 # (bench_verify pla_sim_exhaustive_12in — all 4 096 vectors of a

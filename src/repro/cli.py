@@ -98,6 +98,7 @@ __all__ = [
     "exit_code_for",
     "solver_summary_lines",
     "timings_table",
+    "compact_summary_lines",
     "verify_summary_lines",
 ]
 
@@ -363,6 +364,39 @@ def solver_summary_lines(spans) -> tuple:
         f" in {entry['seconds']:.3f}s"
         for backend, entry in sorted(totals.items())
     )
+
+
+def compact_summary_lines(spans) -> tuple:
+    """Break the compact stage into its sub-spans for the ``--timings`` table.
+
+    One line naming the seconds of each flat-pass stage that ran
+    (``compact.flatten``, ``compact.edges``, ``compact.constraints``,
+    ``solver.solve``, ``compact.align``, ``compact.rubberband``,
+    ``compact.rebuild``), summed over every pass, with the boxes and
+    constraint rows the passes built.
+    """
+    seconds: Dict[str, float] = {}
+    boxes = constraints = 0
+    for span in spans:
+        if span.name == "solver.solve":
+            part = "solve"
+        else:
+            stage, _, part = span.name.partition(".")
+            if stage != "compact" or not part:
+                continue
+        seconds[part] = seconds.get(part, 0.0) + span.duration_s
+        if part == "edges":
+            boxes += span.attributes.get("boxes", 0)
+        elif part == "constraints":
+            constraints += span.attributes.get("constraints", 0)
+    if not seconds:
+        return ()
+    notes = {"edges": f" ({boxes} boxes)", "constraints": f" ({constraints} rows)"}
+    parts = [
+        f"{part} {value:.3f}s" + notes.get(part, "")
+        for part, value in seconds.items()
+    ]
+    return ("compact: " + ", ".join(parts),)
 
 
 def verify_summary_lines(spans) -> tuple:
@@ -695,7 +729,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if stage_timings is not None:
         spans = tracer.finished() if tracer else []
-        extras = solver_summary_lines(spans) + verify_summary_lines(spans)
+        extras = (
+            solver_summary_lines(spans)
+            + compact_summary_lines(spans)
+            + verify_summary_lines(spans)
+        )
         print(timings_table(stage_timings, extras=extras))
     if arguments.render:
         print(ascii_render(cell))

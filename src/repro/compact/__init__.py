@@ -10,7 +10,13 @@ from .cache import (
 )
 from .constraints import Constraint, ConstraintSystem
 from .drc import Violation, check_layout, check_layout_reference
-from .flat import CompactionResult, compact_cell, compact_layout, compact_layout_xy
+from .flat import (
+    CompactionResult,
+    compact_cell,
+    compact_cell_axes,
+    compact_layout,
+    compact_layout_xy,
+)
 from .pipeline import (
     HierarchicalCompactor,
     PipelineReport,
@@ -19,10 +25,11 @@ from .pipeline import (
 )
 from .layers import cut_count, expand_contact, expand_gate, expand_layout
 from .leafcell import LeafCellCompactor, LeafCellResult, PitchCost, pitch_name
-from .rubberband import alignment_pairs, misalignment, rubber_band_solve
+from .rubberband import AlignmentPairs, alignment_pairs, misalignment, rubber_band_solve
 from .rules import TECH_A, TECH_B, ContactRule, DesignRules, RuleTables
 from .scanline import (
     CompactionBox,
+    EdgeBoxes,
     add_width_constraints,
     build_edge_variables,
     naive_constraints,
@@ -60,6 +67,7 @@ __all__ = [
     "check_layout_reference",
     "CompactionResult",
     "compact_cell",
+    "compact_cell_axes",
     "compact_layout",
     "compact_layout_xy",
     "expand_contact",
@@ -70,6 +78,7 @@ __all__ = [
     "LeafCellResult",
     "PitchCost",
     "pitch_name",
+    "AlignmentPairs",
     "alignment_pairs",
     "misalignment",
     "rubber_band_solve",
@@ -79,6 +88,7 @@ __all__ = [
     "TECH_A",
     "TECH_B",
     "CompactionBox",
+    "EdgeBoxes",
     "build_edge_variables",
     "add_width_constraints",
     "naive_constraints",

@@ -25,6 +25,10 @@ they get back without corrupting the cache.
 
 ``cache=None`` everywhere reproduces the uncached behaviour exactly and
 is the equivalence oracle for the cached paths.
+
+Every key also carries :data:`FORMAT_VERSION`, the shape of the cached
+values: an on-disk entry pickled by a build whose results had another
+shape is never found, so it can never be unpickled into this one.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from ..core.cell import CellDefinition
 from .rules import DesignRules
 
 __all__ = [
+    "FORMAT_VERSION",
     "CacheStats",
     "CompactionCache",
     "cache_key",
@@ -49,6 +54,10 @@ __all__ = [
     "fingerprint_layout",
     "fingerprint_rules",
 ]
+
+#: shape of the cached result values; part of every compaction key.
+#: Bump it whenever a cached class changes what it stores.
+FORMAT_VERSION = "columns-1"
 
 
 def cache_key(*parts: Any) -> str:

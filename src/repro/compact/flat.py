@@ -4,6 +4,14 @@ The experimental compactor of section 6.4: flatten a cell, generate
 constraints with a scan method, solve by Bellman-Ford (optionally with
 the rubber-band refinement), and rebuild the geometry.  Supports both
 axes by transposing coordinates for the y pass.
+
+Geometry crosses from objects to arrays once per pass, when the
+flattened boxes are read into the columns of an
+:class:`~repro.compact.scanline.EdgeBoxes`, and back once, when
+:func:`~repro.compact.scanline.rebuild_boxes` decodes the solved
+columns.  In between, variables are integer ids and constraints are
+integer columns (:mod:`repro.compact.constraints`).  Each stage runs in
+its own ``compact.*`` trace span (``solver.solve`` for the solve).
 """
 
 from __future__ import annotations
@@ -11,25 +19,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.cell import CellDefinition
-from ..geometry import Box
-from ..layout.database import FlatLayout, flatten_cell, merge_boxes
+import numpy as np
+
+from ..core.cell import CellDefinition, LayerBox
+from ..geometry import Box, batch
+from ..layout.database import FlatLayout, flatten_cell, merge_box_arrays
 from ..obs import trace as obs_trace
-from .constraints import ConstraintSystem
 from .drc import Violation, check_layout
 from .rubberband import alignment_pairs, misalignment, rubber_band_solve
 from .rules import DesignRules
 from .scanline import (
-    CompactionBox,
+    EdgeBoxes,
     add_width_constraints,
     build_edge_variables,
     naive_constraints,
     rebuild_boxes,
+    solved_arrays,
     visibility_constraints,
 )
 from .solver import SolveStats, solve_longest_path
 
-__all__ = ["CompactionResult", "compact_layout", "compact_cell"]
+__all__ = ["CompactionResult", "compact_layout", "compact_cell", "compact_cell_axes"]
+
+#: band-scan method name -> :func:`naive_constraints` options
+_NAIVE_METHODS = {
+    "naive": {},
+    "naive-indiscriminate": {"merge_aware": False},
+    "naive-skip-hidden": {"skip_hidden": True},
+}
 
 
 @dataclass
@@ -50,8 +67,127 @@ class CompactionResult:
         return check_layout(self.layers, rules)
 
 
-def _transpose_box(box: Box) -> Box:
-    return Box(box.ymin, box.xmin, box.ymax, box.xmax)
+def _check_axis(axis: str) -> None:
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', not {axis!r}")
+
+
+def _layout_geometry(layout: FlatLayout) -> EdgeBoxes:
+    """The layout's boxes as columns: layers sorted, boxes in layout order."""
+    layers = [name for name, boxes in sorted(layout.layers.items()) if boxes]
+    counts = [len(layout.layers[name]) for name in layers]
+    arrays = batch.boxes_to_arrays(
+        [box for name in layers for box in layout.layers[name]]
+    )
+    codes = np.arange(len(layers), dtype=np.int64).repeat(counts)
+    return EdgeBoxes(layers, codes, arrays)
+
+
+def _frame(geometry: EdgeBoxes, merge: bool, axis: str) -> EdgeBoxes:
+    """``geometry`` in the compaction frame of ``axis`` (itself when
+    that frame is the layout's).
+
+    Each layer is merged into strips first when ``merge``; for
+    ``axis="y"`` the x and y columns swap, so the compacted axis is
+    always x.
+    """
+    if not merge and axis == "x":
+        return geometry
+    arrays, codes = geometry.arrays, geometry.codes
+    if merge:
+        parts = []
+        for code in range(len(geometry.layers)):
+            members = (codes == code).nonzero()[0]
+            parts.append(merge_box_arrays(batch.BoxArray(
+                arrays.xmin[members], arrays.ymin[members],
+                arrays.xmax[members], arrays.ymax[members],
+            )))
+        codes = np.arange(len(parts), dtype=np.int64).repeat(
+            [len(part) for part in parts]
+        )
+        arrays = batch.BoxArray(*(
+            np.concatenate([getattr(part, column) for part in parts])
+            if parts else np.empty(0, dtype=np.int64)
+            for column in ("xmin", "ymin", "xmax", "ymax")
+        ))
+    if axis == "y":
+        arrays = batch.BoxArray(arrays.ymin, arrays.xmin, arrays.ymax, arrays.xmax)
+    return EdgeBoxes(geometry.layers, codes, arrays)
+
+
+def _compact_pass(
+    source,
+    rules: DesignRules,
+    method: str,
+    width_mode: str,
+    rubber_band: bool,
+    axis: str,
+    merge: bool,
+    sizing: Optional[Dict[Tuple[str, str], int]],
+    sort_edges: bool,
+    solver: Optional[str],
+    decode: bool = True,
+) -> Tuple[CompactionResult, Optional[EdgeBoxes]]:
+    """One pass (options as in :func:`compact_layout`) over a
+    :class:`FlatLayout` or layout-frame columns.
+
+    With ``decode`` the compacted boxes land in ``result.layers``;
+    without, ``result.layers`` stays empty and the compacted boxes come
+    back as layout-frame columns instead — the next pass's input — so a
+    pass that only feeds another pass builds no box objects.
+    """
+    with obs_trace.span("compact.edges", axis=axis) as span:
+        geometry = source
+        if not isinstance(source, EdgeBoxes):
+            geometry = _layout_geometry(source)
+        boxes = _frame(geometry, merge, axis)
+        system, boxes = build_edge_variables(boxes)
+        span.set(boxes=boxes.count, variables=system.variable_count)
+    with obs_trace.span("compact.constraints", method=method) as span:
+        add_width_constraints(system, boxes, rules, mode=width_mode, sizing=sizing)
+        if method == "visibility":
+            spacing_count = visibility_constraints(system, boxes, rules)
+        else:
+            spacing_count = naive_constraints(
+                system, boxes, rules, **_NAIVE_METHODS[method]
+            )
+        span.set(constraints=len(system), spacing=spacing_count)
+    with obs_trace.span("solver.solve", axis=axis) as span:
+        stats = solve_longest_path(system, sort_edges=sort_edges, solver=solver)
+        span.set(**stats.to_dict())
+    result = CompactionResult(
+        stats=stats, constraint_count=len(system), spacing_constraints=spacing_count
+    )
+    values = stats.values
+    with obs_trace.span("compact.align") as span:
+        align = alignment_pairs(boxes)
+        result.jog_before = result.jog_after = misalignment(align, values)
+        span.set(pairs=len(align), jog=result.jog_before)
+    if rubber_band and len(align):
+        with obs_trace.span("compact.rubberband", pairs=len(align)) as span:
+            width_limit = max(values, default=0)
+            values = rubber_band_solve(system, boxes, width_limit, align, solver=solver)
+            result.jog_after = misalignment(align, values)
+            span.set(jog=result.jog_after)
+
+    solved = None
+    with obs_trace.span("compact.rebuild", boxes=boxes.count):
+        if decode:
+            result.layers = rebuild_boxes(boxes, values, axis=axis)
+        else:
+            solved = EdgeBoxes(
+                boxes.layers, boxes.codes, solved_arrays(boxes, values, axis=axis)
+            )
+        # The input extent is the unmerged boxes' bounding box.
+        if geometry.count:
+            drawn = geometry.arrays
+            if axis == "y":
+                result.width_before = int(drawn.ymax.max() - drawn.ymin.min())
+            else:
+                result.width_before = int(drawn.xmax.max() - drawn.xmin.min())
+        if values:
+            result.width_after = max(values) - min(values)
+    return result, solved
 
 
 def compact_layout(
@@ -69,29 +205,38 @@ def compact_layout(
 ) -> CompactionResult:
     """Compact a flat layout along one axis.
 
-    ``method`` is ``"visibility"`` (Figure 6.7), ``"naive"`` (band scan),
-    ``"naive-indiscriminate"`` (Figure 6.5 overconstraint) or
-    ``"naive-skip-hidden"`` (Figure 6.6 bug).  ``merge`` pre-merges boxes
-    per layer (section 6.4.1's preprocessing — incompatible with tag-based
-    ``sizing``, which is rejected).  ``solver`` names the longest-path
-    backend (see :mod:`repro.compact.solvers`); with ``width_mode="min"``
-    the constraint graph is acyclic and ``"topological"`` solves it in a
+    ``axis`` is ``"x"`` or ``"y"`` (anything else raises
+    ``ValueError``).  ``method`` is ``"visibility"`` (Figure 6.7),
+    ``"naive"`` (band scan), ``"naive-indiscriminate"`` (Figure 6.5
+    overconstraint) or ``"naive-skip-hidden"`` (Figure 6.6 bug).
+    ``merge`` pre-merges boxes per layer (section 6.4.1's preprocessing
+    — incompatible with tag-based ``sizing``, which is rejected; the
+    flat pass tags every box ``""``, so its sizing keys read
+    ``("", layer)``).  ``solver`` names the longest-path backend (see
+    :mod:`repro.compact.solvers`); with ``width_mode="min"`` the
+    constraint graph is acyclic and ``"topological"`` solves it in a
     single O(V+E) sweep.  ``cache`` (a
     :class:`~repro.compact.cache.CompactionCache`) memoizes the whole
     run under a content hash of the input geometry, the rule tables and
     every option listed above; ``cache=None`` is the uncached oracle.
     """
-    if merge and sizing:
-        raise ValueError(
-            "box merging loses the cell tags that device sizing needs"
-            " (section 6.4.1); choose one"
-        )
+    options = _checked_options(
+        method=method, width_mode=width_mode, rubber_band=rubber_band,
+        axis=axis, merge=merge, sizing=sizing, sort_edges=sort_edges,
+        solver=solver,
+    )
     key = None
     if cache is not None:
-        from .cache import cache_key, fingerprint_layout, fingerprint_rules
+        from .cache import (
+            FORMAT_VERSION,
+            cache_key,
+            fingerprint_layout,
+            fingerprint_rules,
+        )
 
         key = cache_key(
             "flat",
+            FORMAT_VERSION,
             fingerprint_layout(layout),
             fingerprint_rules(rules),
             method,
@@ -106,67 +251,37 @@ def compact_layout(
         cached = cache.get(key)
         if cached is not None:
             return cached
-    pairs: List[Tuple[str, Box]] = []
-    for layer, boxes in sorted(layout.layers.items()):
-        source = merge_boxes(boxes) if merge else boxes
-        for box in source:
-            pairs.append((layer, _transpose_box(box) if axis == "y" else box))
-
-    system, comp_boxes = build_edge_variables(pairs)
-    add_width_constraints(system, comp_boxes, rules, mode=width_mode, sizing=sizing)
-    if method == "visibility":
-        spacing_count = visibility_constraints(system, comp_boxes, rules)
-    elif method == "naive":
-        spacing_count = naive_constraints(system, comp_boxes, rules)
-    elif method == "naive-indiscriminate":
-        spacing_count = naive_constraints(system, comp_boxes, rules, merge_aware=False)
-    elif method == "naive-skip-hidden":
-        spacing_count = naive_constraints(system, comp_boxes, rules, skip_hidden=True)
-    else:
-        raise ValueError(f"unknown constraint method {method!r}")
-
-    with obs_trace.span("solver.solve", axis=axis) as solve_span:
-        stats = solve_longest_path(system, sort_edges=sort_edges, solver=solver)
-        solve_span.set(**stats.to_dict())
-    solution = stats.solution
-    align = alignment_pairs(comp_boxes)
-    result = CompactionResult(stats=stats)
-    result.spacing_constraints = spacing_count
-    result.constraint_count = len(system)
-    result.jog_before = misalignment(align, solution)
-    if rubber_band and align:
-        width_limit = max(solution.values()) if solution else 0
-        solution = rubber_band_solve(
-            system, comp_boxes, width_limit, align, solver=solver
-        )
-        result.jog_after = misalignment(align, solution)
-    else:
-        result.jog_after = result.jog_before
-
-    rebuilt = rebuild_boxes(comp_boxes, solution)
-    for layer, box in rebuilt:
-        result.layers.setdefault(layer, []).append(
-            _transpose_box(box) if axis == "y" else box
-        )
-
-    bbox = layout.bounding_box()
-    if bbox is not None:
-        result.width_before = bbox.width if axis == "x" else bbox.height
-    xs = [
-        (box.xmax if axis == "x" else box.ymax)
-        for boxes in result.layers.values()
-        for box in boxes
-    ]
-    lows = [
-        (box.xmin if axis == "x" else box.ymin)
-        for boxes in result.layers.values()
-        for box in boxes
-    ]
-    if xs:
-        result.width_after = max(xs) - min(lows)
+    result, _ = _compact_pass(layout, rules, **options)
     if cache is not None and key is not None:
         cache.put(key, result)
     return result
+
+
+def _checked_options(
+    method: str = "visibility",
+    width_mode: str = "preserve",
+    rubber_band: bool = False,
+    axis: str = "x",
+    merge: bool = False,
+    sizing: Optional[Dict[Tuple[str, str], int]] = None,
+    sort_edges: bool = True,
+    solver: Optional[str] = None,
+) -> Dict[str, object]:
+    """The pass options as keywords, rejecting an unknown axis or
+    method and merging combined with sizing."""
+    _check_axis(axis)
+    if merge and sizing:
+        raise ValueError(
+            "box merging loses the cell tags that device sizing needs"
+            " (section 6.4.1); choose one"
+        )
+    if method != "visibility" and method not in _NAIVE_METHODS:
+        raise ValueError(f"unknown constraint method {method!r}")
+    return {
+        "method": method, "width_mode": width_mode, "rubber_band": rubber_band,
+        "axis": axis, "merge": merge, "sizing": sizing, "sort_edges": sort_edges,
+        "solver": solver,
+    }
 
 
 def compact_layout_xy(
@@ -189,8 +304,7 @@ def compact_layout_xy(
     first = compact_layout(layout, rules, axis=order[0], **options)
     intermediate = FlatLayout(layout.name + "_pass1")
     for layer, boxes in first.layers.items():
-        for box in boxes:
-            intermediate.add(layer, box)
+        intermediate.layers[layer].extend(boxes)
     second = compact_layout(intermediate, rules, axis=order[1], **options)
     return first, second
 
@@ -201,11 +315,55 @@ def compact_cell(
     name: Optional[str] = None,
     **options,
 ) -> Tuple[CellDefinition, CompactionResult]:
-    """Flatten ``cell``, compact it, and return a new flat cell."""
-    layout = flatten_cell(cell)
+    """Flatten ``cell``, compact it, and return a new flat cell.
+
+    ``options`` are :func:`compact_layout`'s.  The cell holds boxes
+    only: ports and labels are neither flattened nor carried over.
+    """
+    _check_axis(options.get("axis", "x"))
+    with obs_trace.span("compact.flatten") as span:
+        layout = flatten_cell(cell, ports=False)
+        span.set(boxes=layout.box_count())
     result = compact_layout(layout, rules, **options)
-    compacted = CellDefinition(name or f"{cell.name}_compacted")
-    for layer, boxes in sorted(result.layers.items()):
-        for box in boxes:
-            compacted.add_box(layer, box.xmin, box.ymin, box.xmax, box.ymax)
-    return compacted, result
+    return _output_cell(name or f"{cell.name}_compacted", result), result
+
+
+def compact_cell_axes(
+    cell: CellDefinition,
+    rules: DesignRules,
+    axes: str,
+    name: Optional[str] = None,
+    **options,
+) -> Tuple[CellDefinition, CompactionResult]:
+    """One pass per letter of ``axes`` (``"x"``, ``"xy"``, ...).
+
+    The same cell and last result as :func:`compact_cell` applied once
+    per letter, but the cell is flattened once and the passes hand each
+    other columns, so only the last pass builds box objects.
+    ``options`` are :func:`compact_layout`'s, minus ``axis`` and
+    ``cache``.
+    """
+    if not axes:
+        raise ValueError("axes must name at least one axis")
+    passes = [_checked_options(axis=axis, **options) for axis in axes]
+    with obs_trace.span("compact.flatten") as span:
+        source = flatten_cell(cell, ports=False)
+        span.set(boxes=source.box_count())
+    for position, pass_options in enumerate(passes):
+        result, source = _compact_pass(
+            source, rules, decode=position == len(passes) - 1, **pass_options
+        )
+    return _output_cell(name or f"{cell.name}_compacted", result), result
+
+
+def _output_cell(name: str, result: CompactionResult) -> CellDefinition:
+    """A flat cell holding the compacted boxes, layers in sorted order."""
+    with obs_trace.span("compact.rebuild") as span:
+        compacted = CellDefinition(name)
+        compacted.add_boxes(
+            LayerBox(layer, box)
+            for layer, boxes in sorted(result.layers.items())
+            for box in boxes
+        )
+        span.set(boxes=len(compacted.boxes))
+    return compacted

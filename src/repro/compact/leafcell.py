@@ -35,17 +35,17 @@ from ..core.cell import CellDefinition
 from ..core.errors import CompactionError, InfeasibleConstraintsError
 from ..core.interface import Interface
 from ..core.operators import Rsg
-from ..geometry import Box, NORTH, Vec2
-from .constraints import Constraint, ConstraintSystem
+from ..geometry import Box, NORTH, Vec2, batch
+from .constraints import EQUAL, ConstraintSystem
 from .drc import Violation, check_layout
 from .rules import DesignRules
 from .scanline import (
-    CompactionBox,
+    EdgeBoxes,
     add_width_constraints,
     build_edge_variables,
     visibility_constraints,
 )
-from .solvers import DEFAULT_SOLVER, get_solver
+from .solvers import DEFAULT_SOLVER, SolveStats, get_solver
 
 __all__ = ["PitchCost", "LeafCellResult", "LeafCellCompactor", "pitch_name"]
 
@@ -107,7 +107,7 @@ class LeafCellCompactor:
         self.solver = get_solver(solver)
         self.solver_name = solver or DEFAULT_SOLVER
         self.system = ConstraintSystem()
-        self._cell_boxes: Dict[str, List[CompactionBox]] = {}
+        self._cell_boxes: Dict[str, EdgeBoxes] = {}
         #: cache-key snapshots taken at registration time:
         #: name -> (geometry fingerprint, frozen, sizing)
         self._cell_meta: Dict[str, Tuple[str, bool, Optional[Tuple]]] = {}
@@ -124,7 +124,7 @@ class LeafCellCompactor:
         name: str,
         frozen: bool = False,
         sizing: Optional[Dict[str, int]] = None,
-    ) -> List[CompactionBox]:
+    ) -> EdgeBoxes:
         """Register a leaf cell: edge variables plus intra-cell constraints.
 
         ``frozen`` pins the cell's geometry exactly (the "critical parts
@@ -156,14 +156,19 @@ class LeafCellCompactor:
         self._cell_boxes[name] = boxes
         if frozen:
             self._frozen.append(name)
-            anchor = boxes[0]
-            for item in boxes:
-                self.system.require_equal(
-                    anchor.left, item.left, item.box.xmin - anchor.box.xmin
-                )
-                self.system.require_equal(
-                    anchor.left, item.right, item.box.xmax - anchor.box.xmin
-                )
+            # Per box: left, then right, pinned to the first box's left
+            # edge at the drawn offset (two ``equal`` rows each).
+            anchor = np.full(len(boxes), boxes.left[0])
+            offset_left = boxes.arrays.xmin - boxes.arrays.xmin[0]
+            offset_right = boxes.arrays.xmax - boxes.arrays.xmin[0]
+            self.system.extend(
+                np.column_stack((anchor, boxes.left, anchor, boxes.right)).ravel(),
+                np.column_stack((boxes.left, anchor, boxes.right, anchor)).ravel(),
+                np.column_stack(
+                    (offset_left, -offset_left, offset_right, -offset_right)
+                ).ravel(),
+                EQUAL,
+            )
             return boxes
         sizing_map = (
             {(name, layer): width for layer, width in sizing.items()}
@@ -220,47 +225,44 @@ class LeafCellCompactor:
         offset = interface.vector
         boxes_a = self._cell_boxes[cell_a]
         boxes_b = self._cell_boxes[cell_b]
-        scratch = ConstraintSystem()
-        combined: List[CompactionBox] = []
-        # Instance 0 of A at the origin; instance 1 of B at the example
-        # pitch.  Scratch variables are per-instance so the scanner can
-        # run; the mapping carries (real variable, is-instance-1).
-        mapping: Dict[str, Tuple[str, bool]] = {}
-        for which, (boxes, shift, shifted) in enumerate(
-            ((boxes_a, Vec2(0, 0), False), (boxes_b, offset, True))
-        ):
-            for position, item in enumerate(boxes):
-                left = scratch.add_variable(
-                    f"i{which}.{position}.l", initial=item.box.xmin + shift.x
-                )
-                right = scratch.add_variable(
-                    f"i{which}.{position}.r", initial=item.box.xmax + shift.x
-                )
-                mapping[left] = (item.left, shifted)
-                mapping[right] = (item.right, shifted)
-                combined.append(
-                    CompactionBox(
-                        item.layer, item.box.translated(shift), left, right, item.tag
-                    )
-                )
+        # Instance 0 of A at the origin, instance 1 of B at the example
+        # pitch, scanned in a scratch system of their own.
+        layers = sorted(set(boxes_a.layers) | set(boxes_b.layers))
+        codes = np.concatenate([
+            np.array([layers.index(name) for name in boxes.layers],
+                     dtype=np.int64)[boxes.codes]
+            for boxes in (boxes_a, boxes_b)
+        ])
+        a, b = boxes_a.arrays, boxes_b.arrays
+        arrays = batch.BoxArray(
+            np.concatenate((a.xmin, b.xmin + offset.x)),
+            np.concatenate((a.ymin, b.ymin + offset.y)),
+            np.concatenate((a.xmax, b.xmax + offset.x)),
+            np.concatenate((a.ymax, b.ymax + offset.y)),
+        )
+        scratch, combined = build_edge_variables(EdgeBoxes(layers, codes, arrays))
         visibility_constraints(scratch, combined, self.rules)
-        for constraint in scratch.constraints:
-            source, source_shifted = mapping[constraint.source]
-            target, target_shifted = mapping[constraint.target]
-            if source_shifted == target_shifted:
-                # Intra-instance constraint: already covered by add_cell.
-                continue
-            # x'_t - x'_s >= w with x' = x + lambda on the shifted side.
-            coefficient = (1 if source_shifted else 0) - (
-                1 if target_shifted else 0
-            )
-            self.system.add(
-                source,
-                target,
-                constraint.weight,
-                pitch_terms=((pitch, coefficient),),
-                kind="inter:" + constraint.kind,
-            )
+        # Scratch id -> (real variable, on the shifted instance).
+        real = np.concatenate([
+            np.column_stack((boxes.left, boxes.right)).ravel()
+            for boxes in (boxes_a, boxes_b)
+        ])
+        shifted = np.repeat(np.array([0, 1]), (2 * len(boxes_a), 2 * len(boxes_b)))
+        source, target, weight, kind = scratch.columns()
+        # Intra-instance constraints are already covered by add_cell.
+        cross = shifted[source] != shifted[target]
+        # x'_t - x'_s >= w with x' = x + lambda on the shifted side.
+        coefficients = (shifted[source] - shifted[target])[cross].tolist()
+        kind_codes = np.zeros(len(scratch.kinds), dtype=np.int64)
+        for code in np.unique(kind[cross]).tolist():
+            kind_codes[code] = self.system.kind_code("inter:" + scratch.kinds[code])
+        self.system.extend(
+            real[source[cross]],
+            real[target[cross]],
+            weight[cross],
+            kind_codes[kind[cross]],
+            pitch_terms=[((pitch, coefficient),) for coefficient in coefficients],
+        )
 
     # ------------------------------------------------------------------
     # Solving
@@ -286,45 +288,49 @@ class LeafCellCompactor:
         from scipy import sparse  # deferred: see the module notes
         from scipy.optimize import linprog
 
-        variables = self.system.variables
-        pitches = self.system.pitches
-        index = {name: position for position, name in enumerate(variables)}
+        system = self.system
+        pitches = system.pitches
         pitch_index = {
-            name: len(variables) + position for position, name in enumerate(pitches)
+            name: system.variable_count + position
+            for position, name in enumerate(pitches)
         }
-        total = len(variables) + len(pitches)
+        total = system.variable_count + len(pitches)
 
-        rows: List[int] = []
-        columns: List[int] = []
-        values: List[float] = []
-        rhs: List[float] = []
-        for row, constraint in enumerate(self.system.constraints):
-            rows += (row, row)
-            columns += (index[constraint.source], index[constraint.target])
-            values += (1.0, -1.0)
-            for pitch, coefficient in constraint.pitch_terms:
-                rows.append(row)
-                columns.append(pitch_index[pitch])
-                values.append(float(coefficient))
-            rhs.append(-float(constraint.weight))
+        count = len(system)
+        source, target, weight, _ = system.columns()
+        term_rows, term_columns, term_values = [], [], []
+        for row, terms in system.pitch_terms.items():
+            for pitch, coefficient in terms:
+                term_rows.append(row)
+                term_columns.append(pitch_index[pitch])
+                term_values.append(float(coefficient))
+        rows = np.concatenate(
+            (np.arange(count), np.arange(count), np.array(term_rows, dtype=np.int64))
+        )
+        columns = np.concatenate(
+            (source, target, np.array(term_columns, dtype=np.int64))
+        )
+        values = np.concatenate((np.ones(count), -np.ones(count), term_values))
+        rhs = -weight.astype(float)
 
         objective = np.full(total, cost.size_weight)
         for pitch in pitches:
             objective[pitch_index[pitch]] = cost.weight(pitch)
 
         matrix = None
-        if rhs:
+        if count:
             # Repeated (row, column) entries are summed, as the row
             # arithmetic reads; entries that cancel (a pinned self-edge)
             # are dropped, as a dense row would hold no entry there.
             matrix = sparse.csr_array(
-                (values, (rows, columns)), shape=(len(rhs), total)
+                (values, (rows, columns)),
+                shape=(count, total),
             )
             matrix.eliminate_zeros()
         result = linprog(
             objective,
             A_ub=matrix,
-            b_ub=np.array(rhs) if rhs else None,
+            b_ub=rhs if count else None,
             bounds=[(0.0, None)] * total,
             method="highs",
         )
@@ -348,10 +354,11 @@ class LeafCellCompactor:
         workspace here would let a post-registration mutation poison
         the cache).
         """
-        from .cache import cache_key, fingerprint_rules
+        from .cache import FORMAT_VERSION, cache_key, fingerprint_rules
 
         return cache_key(
             "leafcell",
+            FORMAT_VERSION,
             [self._cell_meta[name] for name in self._cell_boxes],
             self._interface_meta,
             fingerprint_rules(self.rules),
@@ -364,7 +371,7 @@ class LeafCellCompactor:
 
     def _integerise(
         self, fractional: Dict[str, float], cost: PitchCost
-    ) -> Tuple[Dict[str, int], Dict[str, int]]:
+    ) -> Tuple[Dict[str, int], SolveStats]:
         """Find integral pitches near the LP optimum with a feasible
         integral edge assignment (Bellman-Ford at fixed pitches)."""
         names = list(fractional)
@@ -393,21 +400,22 @@ class LeafCellCompactor:
                 stats = self.solver.solve(self.system, pitches=trial)
             except InfeasibleConstraintsError:
                 continue
-            return trial, stats.solution
+            return trial, stats
         raise InfeasibleConstraintsError(
             "no integral pitch assignment near the LP optimum is feasible"
         )
 
     def _build_result(
         self,
-        solved: Tuple[Dict[str, int], Dict[str, int]],
+        solved: Tuple[Dict[str, int], SolveStats],
         cost: PitchCost,
     ) -> LeafCellResult:
-        pitch_values, edges = solved
+        pitch_values, stats = solved
+        edges = stats.values
         result = LeafCellResult()
         result.pitches = pitch_values
-        result.edge_positions = edges
-        result.variable_count = len(self.system.variables) + len(self.system.pitches)
+        result.edge_positions = stats.solution
+        result.variable_count = self.system.variable_count + len(self.system.pitches)
         result.naive_variable_count = 0
         result.constraint_count = len(self.system)
         result.cost = sum(
@@ -416,12 +424,14 @@ class LeafCellCompactor:
         for name, boxes in self._cell_boxes.items():
             cell = CellDefinition(name)
             original = self.rsg.cells.lookup(name)
-            for item, layer_box in zip(boxes, original.boxes):
+            for left, right, layer_box in zip(
+                boxes.left.tolist(), boxes.right.tolist(), original.boxes
+            ):
                 cell.add_box(
-                    item.layer,
-                    edges[item.left],
+                    layer_box.layer,
+                    edges[left],
                     layer_box.box.ymin,
-                    edges[item.right],
+                    edges[right],
                     layer_box.box.ymax,
                 )
             for port in original.ports:

@@ -32,8 +32,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.cell import CellDefinition
-from .cache import CompactionCache, cache_key, fingerprint_cell, fingerprint_rules
-from .flat import CompactionResult, compact_cell
+from . import cache as cache_module
+from .cache import (
+    CompactionCache,
+    cache_key,
+    fingerprint_cell,
+    fingerprint_rules,
+)
+from .flat import CompactionResult, compact_cell_axes
 from .rules import DesignRules
 
 __all__ = [
@@ -52,14 +58,9 @@ def _compact_one(
     solver: Optional[str],
 ) -> Tuple[CellDefinition, CompactionResult]:
     """One axis pass per letter of ``axes``; keeps the cell's name."""
-    result: Optional[CompactionResult] = None
-    for axis in axes:
-        cell, result = compact_cell(
-            cell, rules, name=cell.name, axis=axis,
-            width_mode=width_mode, solver=solver,
-        )
-    assert result is not None
-    return cell, result
+    return compact_cell_axes(
+        cell, rules, axes, name=cell.name, width_mode=width_mode, solver=solver
+    )
 
 
 def _compact_worker(payload):
@@ -101,6 +102,7 @@ def compact_cells(
         if cache is not None:
             key = cache_key(
                 "pipeline",
+                cache_module.FORMAT_VERSION,
                 fingerprint_cell(cell),
                 rules_print,
                 axes,

@@ -21,78 +21,86 @@ it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import InfeasibleConstraintsError
 from ..geometry import batch
-from .constraints import ConstraintSystem, Variable
-from .scanline import CompactionBox
+from .constraints import ConstraintSystem
+from .scanline import CompactionBox, EdgeBoxes
 
-__all__ = ["alignment_pairs", "rubber_band_solve", "misalignment"]
+__all__ = ["AlignmentPairs", "alignment_pairs", "rubber_band_solve", "misalignment"]
 
 
-def alignment_pairs(
-    boxes: Sequence[CompactionBox],
-) -> List[Tuple[CompactionBox, CompactionBox]]:
+class AlignmentPairs:
+    """Index pairs ``(first[k], second[k])`` of boxes that want to align.
+
+    ``len()`` is the pair count; iterating yields
+    :class:`~repro.compact.scanline.CompactionBox` view pairs.
+    """
+
+    __slots__ = ("boxes", "first", "second")
+
+    def __init__(self, boxes: EdgeBoxes, first, second) -> None:
+        self.boxes = boxes
+        self.first = first
+        self.second = second
+
+    def __len__(self) -> int:
+        return int(self.first.shape[0])
+
+    def __iter__(self) -> Iterator[Tuple[CompactionBox, CompactionBox]]:
+        boxes = self.boxes
+        for i, j in zip(self.first.tolist(), self.second.tolist()):
+            yield boxes[i], boxes[j]
+
+
+def alignment_pairs(boxes: EdgeBoxes) -> AlignmentPairs:
     """Pairs of drawn-connected boxes whose centres want to align.
 
-    Same-layer boxes whose closed rectangles meet, as ``(a, b)`` with
-    ``a`` listed before ``b`` and the pairs in input order.  Found by the
-    per-layer sweep of :func:`repro.geometry.batch.touching_pairs`, so
-    the cost follows the layout's local density, not the square of its
-    box count.
+    Same-layer boxes whose closed rectangles meet, as ``(i, j)`` with
+    ``i < j`` and the pairs in input order.  Found by the banded sweep
+    of :func:`repro.geometry.batch.touching_pairs`, so the cost follows
+    the layout's local density, not the square of its box count.
     """
-    items = list(boxes)
-    if len(items) < 2:
-        return []
-    layers = sorted({item.layer for item in items})
-    code_of = {name: code for code, name in enumerate(layers)}
-    codes = np.fromiter(
-        (code_of[item.layer] for item in items), dtype=np.int64, count=len(items)
-    )
-    first, second = batch.touching_pairs(
-        batch.boxes_to_arrays([item.box for item in items]), codes
-    )
-    return [(items[i], items[j]) for i, j in zip(first.tolist(), second.tolist())]
+    first, second = batch.touching_pairs(boxes.arrays, boxes.codes)
+    return AlignmentPairs(boxes, first, second)
 
 
-def misalignment(
-    pairs: Sequence[Tuple[CompactionBox, CompactionBox]],
-    solution: Dict[Variable, int],
-) -> int:
+def misalignment(pairs: AlignmentPairs, solution) -> int:
     """Total centre-to-centre x misalignment over connected pairs.
 
-    Uses doubled centres to stay on the integer grid.  Zero for a
-    perfectly jog-free solution of aligned pairs.
+    ``solution`` holds values by variable id.  Uses doubled centres to
+    stay on the integer grid.  Zero for a perfectly jog-free solution of
+    aligned pairs.
     """
-    total = 0
-    for a, b in pairs:
-        center_a = solution[a.left] + solution[a.right]
-        center_b = solution[b.left] + solution[b.right]
-        drawn_a = a.box.xmin + a.box.xmax
-        drawn_b = b.box.xmin + b.box.xmax
-        total += abs((center_a - center_b) - (drawn_a - drawn_b))
-    return total
+    if not len(pairs):
+        return 0
+    values = np.asarray(solution, dtype=np.int64)
+    boxes = pairs.boxes
+    centre = values[boxes.left] + values[boxes.right]
+    drawn = boxes.arrays.xmin + boxes.arrays.xmax
+    a, b = pairs.first, pairs.second
+    return int(np.abs((centre[a] - centre[b]) - (drawn[a] - drawn[b])).sum())
 
 
 def rubber_band_solve(
     system: ConstraintSystem,
-    boxes: Sequence[CompactionBox],
+    boxes: EdgeBoxes,
     max_width: int,
-    pairs: Optional[Sequence[Tuple[CompactionBox, CompactionBox]]] = None,
+    pairs: Optional[AlignmentPairs] = None,
     solver: Optional[str] = None,
-) -> Dict[Variable, int]:
+) -> List[int]:
     """Minimise connected-pair misalignment within ``max_width``.
 
     Subject to every constraint in ``system`` plus ``0 <= x <= max_width``
     for all variables.  Preserves the bounding box of the greedy solve
-    while removing the jogs it introduced.  ``solver`` names the
-    longest-path backend used to repair integer rounding: when the
-    rounded LP optimum violates a constraint, the backend re-relaxes
-    from the rounded point (hint-seeded solve) and the repair is kept if
-    it stays inside ``max_width``.
+    while removing the jogs it introduced.  Returns values by variable
+    id.  ``solver`` names the longest-path backend used to repair
+    integer rounding: when the rounded LP optimum violates a constraint,
+    the backend re-relaxes from the rounded point (hint-seeded solve)
+    and the repair is kept if it stays inside ``max_width``.
     """
     if system.has_pitch_terms():
         raise InfeasibleConstraintsError(
@@ -113,17 +121,16 @@ def rubber_band_solve(
     )
     if not result.success:
         raise InfeasibleConstraintsError(f"rubber-band LP failed: {result.message}")
-    solution = {
-        name: int(round(value))
-        for name, value in zip(system.variables, result.x.tolist())
-    }
+    solution = [
+        int(round(value)) for value in result.x[: system.variable_count].tolist()
+    ]
     violated = system.check(solution)
     if violated:
         # Repair: least feasible point at or above the rounded one.
         from .solvers import get_solver  # deferred: solvers import siblings
 
-        repaired = get_solver(solver).solve(system, hint=solution).solution
-        if max(repaired.values(), default=0) > max_width:
+        repaired = get_solver(solver).solve(system, hint=solution).values
+        if max(repaired, default=0) > max_width:
             raise InfeasibleConstraintsError(
                 f"rubber-band rounding violated {len(violated)} constraint(s)"
                 " and the repair exceeded the width limit"
@@ -134,48 +141,40 @@ def rubber_band_solve(
 
 def _rubber_band_program(
     system: ConstraintSystem,
-    pairs: Sequence[Tuple[CompactionBox, CompactionBox]],
+    pairs: AlignmentPairs,
     max_width: int,
 ):
     """The rubber-band LP as ``(cost, A_ub, b_ub, bounds)``.
 
-    Variables are the edge abscissas in declaration order followed by
-    one misalignment bound ``t_k`` per pair.  Rows are every difference
-    constraint ``x[s] - x[t] <= -w`` in system order, then per pair
-    ``k`` the two rows of ``|d_k - drawn_k| <= t_k`` with
+    Variables are the edge abscissas by id followed by one misalignment
+    bound ``t_k`` per pair.  Rows are every difference constraint
+    ``x[s] - x[t] <= -w`` in system order, then per pair ``k`` the two
+    rows of ``|d_k - drawn_k| <= t_k`` with
     ``d_k = (l_a + r_a) - (l_b + r_b)``.  ``A_ub`` is a CSR matrix, or
     ``None`` when there are no rows.
     """
     from scipy import sparse  # deferred: see the module notes
 
-    index = {name: position for position, name in enumerate(system.variables)}
-    num_x = len(system.variables)
+    num_x = system.variable_count
     num_t = len(pairs)
-    count = len(system.constraints)
+    count = len(system)
+    source, target, weight, _ = system.columns()
     # Difference rows, in system order: x[s] - x[t] <= -w.
     rows = [np.arange(count), np.arange(count)]
-    columns = [
-        np.array([index[c.source] for c in system.constraints], dtype=np.int64),
-        np.array([index[c.target] for c in system.constraints], dtype=np.int64),
-    ]
+    columns = [source, target]
     values = [np.ones(count), -np.ones(count)]
     rhs = np.empty(count + 2 * num_t)
-    rhs[:count] = [-float(c.weight) for c in system.constraints]
+    rhs[:count] = -weight.astype(float)
     # Pair k, sign s (rows interleaved per pair):
     # s * ((l_a + r_a) - (l_b + r_b)) - t_k <= s * drawn_k.
-    edges = np.array(
-        [(index[a.left], index[a.right], index[b.left], index[b.right])
-         for a, b in pairs],
-        dtype=np.int64,
-    ).reshape(num_t, 4)
-    drawn = np.array(
-        [(a.box.xmin + a.box.xmax) - (b.box.xmin + b.box.xmax) for a, b in pairs],
-        dtype=float,
-    )
+    boxes, a, b = pairs.boxes, pairs.first, pairs.second
+    edges = (boxes.left[a], boxes.right[a], boxes.left[b], boxes.right[b])
+    centre = boxes.arrays.xmin + boxes.arrays.xmax
+    drawn = (centre[a] - centre[b]).astype(float)
     bound_columns = num_x + np.arange(num_t)
     for offset, sign in enumerate((1.0, -1.0)):
         pair_rows = count + 2 * np.arange(num_t) + offset
-        for column, coefficient in zip(edges.T, (sign, sign, -sign, -sign)):
+        for column, coefficient in zip(edges, (sign, sign, -sign, -sign)):
             rows.append(pair_rows)
             columns.append(column)
             values.append(np.full(num_t, coefficient))

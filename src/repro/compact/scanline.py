@@ -16,34 +16,44 @@ Two generators are provided, matching the paper's narrative:
   generated only against visible material.  Hidden edges never appear,
   so box merging is implicitly taken care of.
 
-Both generators also emit width constraints and connection-preserving
-constraints for same-layer overlapping boxes.
+Both generators also emit connection-preserving constraints for
+same-layer overlapping boxes (:func:`connection_rows`), and
+:func:`add_width_constraints` adds the width rows.  Boxes travel as the
+columns of an :class:`EdgeBoxes`, and every generator appends whole
+columns of variable ids to the :class:`ConstraintSystem`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry import Box, batch
-from .constraints import Constraint, ConstraintSystem
-from .rules import DesignRules, RuleTables
+from .constraints import CONNECT, EQUAL, SPACING, WIDTH, ConstraintSystem
+from .rules import DesignRules
 
 __all__ = [
     "CompactionBox",
+    "EdgeBoxes",
     "build_edge_variables",
+    "add_width_constraints",
     "naive_constraints",
     "visibility_constraints",
     "visibility_constraints_reference",
     "rebuild_boxes",
+    "solved_arrays",
 ]
 
 
 @dataclass
 class CompactionBox:
-    """A box whose vertical edges are compaction variables."""
+    """One box whose vertical edges are compaction variables.
+
+    A per-box *view* of :class:`EdgeBoxes` with the edge variables by
+    name; the flat pass itself never builds one.
+    """
 
     layer: str
     box: Box
@@ -53,91 +63,222 @@ class CompactionBox:
     tag: str = ""
 
 
+class EdgeBoxes:
+    """Boxes whose vertical edges are compaction variables, as columns.
+
+    ``layers`` holds the sorted layer names and ``codes[i]`` indexes it
+    for box ``i``; ``arrays`` holds the coordinates (during a pass, in
+    the compaction frame, where x is the compacted axis);
+    ``left[i]``/``right[i]``, set by :func:`build_edge_variables`, are the
+    variable ids of box ``i``'s edges in ``system``; ``tags[i]`` indexes
+    ``tag_names`` (the sizing provenance).  Indexing or iterating yields
+    :class:`CompactionBox` views.
+    """
+
+    __slots__ = ("layers", "codes", "arrays", "count", "tag_names", "tags",
+                 "system", "left", "right")
+
+    def __init__(self, layers, codes, arrays, tag_names=("",), tags=None) -> None:
+        self.layers: Tuple[str, ...] = tuple(layers)
+        self.codes = codes
+        self.arrays: batch.BoxArray = arrays
+        self.count = int(codes.shape[0])
+        self.tag_names: Tuple[str, ...] = tuple(tag_names)
+        #: ``None`` when every box carries ``tag_names[0]``
+        self.tags = tags
+        self.system: Optional[ConstraintSystem] = None
+        self.left = self.right = None
+
+    @classmethod
+    def from_pairs(
+        cls,
+        pairs: Sequence[Tuple[str, Box]],
+        tags: Optional[Sequence[str]] = None,
+    ) -> "EdgeBoxes":
+        """Columns of ``(layer, Box)`` pairs, with optional per-box tags."""
+        layers = sorted({layer for layer, _ in pairs})
+        code_of = {name: code for code, name in enumerate(layers)}
+        codes = np.array([code_of[layer] for layer, _ in pairs], dtype=np.int64)
+        arrays = batch.boxes_to_arrays([box for _, box in pairs])
+        if not tags:
+            return cls(layers, codes, arrays)
+        tag_names = sorted(set(tags))
+        tag_of = {name: code for code, name in enumerate(tag_names)}
+        return cls(layers, codes, arrays, tag_names,
+                   np.array([tag_of[tag] for tag in tags], dtype=np.int64))
+
+    def bind(self, system: ConstraintSystem, first: int) -> "EdgeBoxes":
+        """These boxes with box ``i`` owning variables ``first + 2i`` and
+        ``first + 2i + 1`` of ``system`` (a copy when already bound)."""
+        bound = self
+        if self.system is not None:
+            bound = EdgeBoxes(self.layers, self.codes, self.arrays, self.tag_names,
+                              self.tags)
+        bound.system = system
+        stop = first + 2 * self.count
+        bound.left = np.arange(first, stop, 2, dtype=np.int64)
+        bound.right = np.arange(first + 1, stop, 2, dtype=np.int64)
+        return bound
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: int) -> CompactionBox:
+        arrays = self.arrays
+        names = self.system.variables if self.system is not None else None
+        left = names[self.left[index]] if names is not None else ""
+        right = names[self.right[index]] if names is not None else ""
+        return CompactionBox(
+            self.layers[self.codes[index]],
+            Box(int(arrays.xmin[index]), int(arrays.ymin[index]),
+                int(arrays.xmax[index]), int(arrays.ymax[index])),
+            left, right,
+            self.tag_names[self.tags[index] if self.tags is not None else 0],
+        )
+
+    def __iter__(self) -> Iterator[CompactionBox]:
+        return (self[index] for index in range(self.count))
+
+
 def build_edge_variables(
-    boxes: Sequence[Tuple[str, Box]],
+    boxes,
     system: Optional[ConstraintSystem] = None,
     prefix: str = "e",
     tags: Optional[Sequence[str]] = None,
-) -> Tuple[ConstraintSystem, List[CompactionBox]]:
-    """Create left/right variables for each (layer, box) pair."""
+) -> Tuple[ConstraintSystem, EdgeBoxes]:
+    """Create left/right variables for each box.
+
+    ``boxes`` is an unbound :class:`EdgeBoxes` or a sequence of
+    ``(layer, Box)`` pairs (``tags`` then gives each pair's sizing tag).
+    Box ``i`` owns variables ``first + 2i`` and ``first + 2i + 1``,
+    where ``first`` is the number of variables ``system`` held before.
+    """
     if system is None:
         system = ConstraintSystem()
-    result: List[CompactionBox] = []
-    for index, (layer, box) in enumerate(boxes):
-        left = system.add_variable(f"{prefix}{index}.l", initial=box.xmin)
-        right = system.add_variable(f"{prefix}{index}.r", initial=box.xmax)
-        tag = tags[index] if tags else ""
-        result.append(CompactionBox(layer, box, left, right, tag))
-    return system, result
+    if not isinstance(boxes, EdgeBoxes):
+        boxes = EdgeBoxes.from_pairs(boxes, tags)
+    first = system.add_edges(boxes.arrays.xmin, boxes.arrays.xmax, prefix)
+    return system, boxes.bind(system, first)
+
+
+def _width_table(rules: DesignRules, layers: Sequence[str]) -> np.ndarray:
+    return np.array([rules.width(name) for name in layers], dtype=np.int64)
+
+
+def _spacing_matrix(rules: DesignRules, layers: Sequence[str]) -> np.ndarray:
+    """Spacing per layer-code pair, ``-1`` where the pair is unconstrained."""
+    tables = rules.tables(layers)
+    code_of = {name: code for code, name in enumerate(layers)}
+    matrix = np.full((len(layers), len(layers)), -1, dtype=np.int64)
+    for (name_a, name_b), value in tables.spacing.items():
+        if value is not None:
+            matrix[code_of[name_a], code_of[name_b]] = value
+    return matrix
 
 
 def add_width_constraints(
     system: ConstraintSystem,
-    boxes: Sequence[CompactionBox],
+    boxes: EdgeBoxes,
     rules: DesignRules,
     mode: str = "preserve",
     sizing: Optional[Dict[Tuple[str, str], int]] = None,
 ) -> None:
-    """Width constraints per box.
+    """Width constraints per box, in box order.
 
-    ``mode="preserve"`` pins each box to its drawn width; ``mode="min"``
-    only enforces the rule minimum (widths collapse during technology
-    transport).  ``sizing`` maps ``(tag, layer)`` to an explicit minimum
-    width — the device/bus sizing mechanism of section 6.4.1 (tagged
-    cells whose instances the compactor must size).
+    ``mode="preserve"`` pins each box to its drawn width (two ``equal``
+    rows); ``mode="min"`` only enforces the rule minimum (widths
+    collapse during technology transport).  ``sizing`` maps
+    ``(tag, layer)`` to an explicit minimum width — the device/bus
+    sizing mechanism of section 6.4.1 (tagged cells whose instances the
+    compactor must size); a sized box gets one ``width`` row of at
+    least the directive, in either mode.
     """
-    sizing = sizing or {}
-    for item in boxes:
-        directive = sizing.get((item.tag, item.layer))
-        if mode == "preserve" and directive is None:
-            system.require_equal(item.left, item.right, item.box.width)
-            continue
-        minimum = rules.width(item.layer)
-        if directive is not None:
-            minimum = max(minimum, directive)
-        if mode == "preserve":
-            minimum = max(minimum, item.box.width)
-        system.add(item.left, item.right, minimum, kind="width")
+    if boxes.count == 0:
+        return
+    arrays = boxes.arrays
+    left, right = boxes.left, boxes.right
+    widths = arrays.xmax - arrays.xmin
+    if mode == "preserve" and not sizing:
+        # Every box pinned: rows (l -> r, w), (r -> l, -w) per box, as
+        # one (column, box, row) block.
+        block = np.empty((4, boxes.count, 2), dtype=np.int64)
+        block[0, :, 0] = block[1, :, 1] = left
+        block[0, :, 1] = block[1, :, 0] = right
+        block[2, :, 0] = widths
+        np.negative(widths, out=block[2, :, 1])
+        block[3] = EQUAL
+        system.extend(*block.reshape(4, -1))
+        return
+    minimum = _width_table(rules, boxes.layers)[boxes.codes]
+    sized = np.zeros(boxes.count, dtype=bool)
+    if sizing:
+        tags = boxes.tags
+        if tags is None:
+            tags = np.zeros(boxes.count, dtype=np.int64)
+        directive = np.zeros((len(boxes.tag_names), len(boxes.layers)), dtype=np.int64)
+        present = np.zeros(directive.shape, dtype=bool)
+        for (tag, layer), value in sizing.items():
+            if tag in boxes.tag_names and layer in boxes.layers:
+                row, column = boxes.tag_names.index(tag), boxes.layers.index(layer)
+                directive[row, column], present[row, column] = value, True
+        sized = present[tags, boxes.codes]
+        minimum = np.where(
+            sized, np.maximum(minimum, directive[tags, boxes.codes]), minimum
+        )
+    if mode != "preserve":
+        system.extend(left, right, minimum, WIDTH)
+        return
+    # Sized boxes get one width row, the others two equal rows.
+    equal = ~sized
+    rows = 1 + equal
+    start = np.cumsum(rows) - rows
+    total = int(start[-1] + rows[-1])
+    source, target, weight, kind = (np.empty(total, dtype=np.int64) for _ in range(4))
+    source[start], target[start] = left, right
+    weight[start] = np.where(equal, widths, np.maximum(minimum, widths))
+    kind[start] = np.where(equal, EQUAL, WIDTH)
+    second = start[equal] + 1
+    source[second], target[second] = right[equal], left[equal]
+    weight[second], kind[second] = -widths[equal], EQUAL
+    system.extend(source, target, weight, kind)
 
 
-def _y_overlap(a: Box, b: Box) -> bool:
-    """Positive-measure vertical overlap."""
-    return min(a.ymax, b.ymax) > max(a.ymin, b.ymin)
+def _interleave(*columns: np.ndarray) -> np.ndarray:
+    """Row-major interleave: ``a0, b0, ..., a1, b1, ...``."""
+    width = len(columns)
+    result = np.empty(width * columns[0].shape[0], dtype=np.int64)
+    for offset, column in enumerate(columns):
+        result[offset::width] = column
+    return result
 
 
-def _connected(a: CompactionBox, b: CompactionBox) -> bool:
-    """Same layer and touching/overlapping in the drawn layout."""
-    return a.layer == b.layer and a.box.overlaps(b.box)
+def connection_rows(boxes: EdgeBoxes, a, b, widths: np.ndarray):
+    """Constraint rows preserving contact between drawn-connected boxes.
 
-
-def _add_connection(
-    system: ConstraintSystem,
-    a: CompactionBox,
-    b: CompactionBox,
-    rules: DesignRules,
-    tables: Optional[RuleTables] = None,
-) -> None:
-    """Preserve electrical contact between two drawn-connected boxes.
-
-    The x overlap must stay at least ``min(drawn overlap, rule width)``
-    and the edge order of the pair is preserved, so connected chains
-    stay chains.  ``tables`` short-circuits the width lookup when the
-    caller has memoized the rule set.
+    For each pair ``(a[k], b[k])`` (same layer, touching or overlapping)
+    three rows, pair-major: the left box's left and right edges stay
+    left of the right box's (so connected chains stay chains), and the
+    x overlap stays at least ``min(drawn overlap, rule width)``.
+    ``widths`` is the rule width per layer code.  Returns
+    ``(source, target, weight)`` columns.
     """
-    width = tables.width[a.layer] if tables is not None else rules.width(a.layer)
-    overlap = min(a.box.xmax, b.box.xmax) - max(a.box.xmin, b.box.xmin)
-    keep = max(0, min(overlap, width))
-    left_box, right_box = (a, b) if a.box.xmin <= b.box.xmin else (b, a)
-    # order: left stays left
-    system.add(left_box.left, right_box.left, 0, kind="connect")
-    system.add(left_box.right, right_box.right, 0, kind="connect")
-    # overlap: right box's left edge at most (left box's right - keep)
-    system.add(right_box.left, left_box.right, keep, kind="connect")
+    xmin, xmax = boxes.arrays.xmin, boxes.arrays.xmax
+    overlap = np.minimum(xmax[a], xmax[b]) - np.maximum(xmin[a], xmin[b])
+    keep = np.maximum(0, np.minimum(overlap, widths[boxes.codes[a]]))
+    a_first = xmin[a] <= xmin[b]
+    low, high = np.where(a_first, a, b), np.where(a_first, b, a)
+    left, right = boxes.left, boxes.right
+    zero = np.zeros(keep.shape[0], dtype=np.int64)
+    return (
+        _interleave(left[low], right[low], left[high]),
+        _interleave(left[high], right[high], right[low]),
+        _interleave(zero, zero, keep),
+    )
 
 
 def naive_constraints(
     system: ConstraintSystem,
-    boxes: Sequence[CompactionBox],
+    boxes: EdgeBoxes,
     rules: DesignRules,
     skip_hidden: bool = False,
     merge_aware: bool = True,
@@ -155,67 +296,104 @@ def naive_constraints(
     same layer covers the gap over the pair's full shared y band — the
     overly clever heuristic that misses the *partially* hidden edge of
     Figure 6.6 and produces an illegal layout.
+
+    Pairs are visited as the band scan visits them — boxes sorted by
+    ``xmin`` (ties in input order), every ``(i, j > i)`` — in blocks of
+    rows classified with column arithmetic; rows are emitted in visit
+    order, three per connected pair and one per spaced pair.
     """
-    count = 0
-    items = sorted(boxes, key=lambda item: item.box.xmin)
-    tables = rules.tables({item.layer for item in items})
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            if not _y_overlap(a.box, b.box):
-                continue
-            touching = (
-                a.layer == b.layer
-                and a.box.overlaps(b.box)
-                and not a.box.overlaps_open(b.box)
+    count = boxes.count
+    if count < 2:
+        return 0
+    arrays = boxes.arrays
+    order = arrays.xmin.argsort(kind="stable")
+    xmin, xmax = arrays.xmin[order], arrays.xmax[order]
+    ymin, ymax = arrays.ymin[order], arrays.ymax[order]
+    codes = boxes.codes[order]
+    spacing_matrix = _spacing_matrix(rules, boxes.layers)
+    firsts, seconds, connects = [], [], []
+    step = max(1, 250_000 // count)
+    later = np.arange(count)[None, :]
+    for low in range(0, count - 1, step):
+        rows = np.arange(low, min(count - 1, low + step))[:, None]
+        i, j = rows, later
+        y_overlap = np.minimum(ymax[i], ymax[j]) > np.maximum(ymin[i], ymin[j])
+        same = codes[i] == codes[j]
+        closed = (
+            (xmin[i] <= xmax[j]) & (xmin[j] <= xmax[i])
+            & (ymin[i] <= ymax[j]) & (ymin[j] <= ymax[i])
+        )
+        opened = (
+            (xmin[i] < xmax[j]) & (xmin[j] < xmax[i])
+            & (ymin[i] < ymax[j]) & (ymin[j] < ymax[i])
+        )
+        touching = same & closed & ~opened
+        connect = same & closed
+        if not merge_aware:
+            connect &= ~touching
+        # Sorted by xmin, so box i is the left box of the pair: its gap
+        # to j is open unless they cross (touching same-layer boxes are
+        # spaced when the generator is not merge-aware).
+        spaced = (
+            ~connect & (spacing_matrix[codes[i], codes[j]] >= 0)
+            & ((xmin[j] > xmax[i]) | touching)
+        )
+        event = (j > i) & y_overlap & (connect | spaced)
+        row, column = np.nonzero(event)
+        firsts.append(row + low)
+        seconds.append(column)
+        connects.append(connect[row, column])
+    first = np.concatenate(firsts)
+    second = np.concatenate(seconds)
+    connect = np.concatenate(connects)
+    if skip_hidden:
+        keep = np.ones(first.size, dtype=bool)
+        for event in np.flatnonzero(~connect).tolist():
+            keep[event] = not _gap_covered(
+                xmin, xmax, ymin, ymax, codes, first[event], second[event]
             )
-            if _connected(a, b) and (merge_aware or not touching):
-                _add_connection(system, a, b, rules, tables)
-                continue
-            spacing = tables.spacing[a.layer, b.layer]
-            if spacing is None:
-                continue
-            left_box, right_box = (a, b) if a.box.xmin <= b.box.xmin else (b, a)
-            gap_lo = left_box.box.xmax
-            gap_hi = right_box.box.xmin
-            if gap_hi <= gap_lo and not touching:
-                # Drawn crossing or contact of different layers is
-                # intentional.
-                continue
-            if skip_hidden and _gap_covered(items, a.layer, left_box, right_box):
-                continue
-            system.add(left_box.right, right_box.left, spacing, kind="spacing")
-            count += 1
-    return count
+        first, second, connect = first[keep], second[keep], connect[keep]
+    # Back to box indices, then rows in visit order.
+    first, second = order[first], order[second]
+    per_event = np.where(connect, 3, 1)
+    start = np.cumsum(per_event) - per_event
+    total = int(per_event.sum())
+    source, target, weight = (np.empty(total, dtype=np.int64) for _ in range(3))
+    kind = np.full(total, SPACING, dtype=np.int64)
+    linked = (start[connect][:, None] + np.arange(3)).ravel()
+    (source[linked], target[linked], weight[linked]) = connection_rows(
+        boxes, first[connect], second[connect], _width_table(rules, boxes.layers)
+    )
+    kind[linked] = CONNECT
+    spaced = ~connect
+    at = start[spaced]
+    source[at] = boxes.right[first[spaced]]
+    target[at] = boxes.left[second[spaced]]
+    weight[at] = spacing_matrix[boxes.codes[first[spaced]], boxes.codes[second[spaced]]]
+    system.extend(source, target, weight, kind)
+    return int(spaced.sum())
 
 
-def _gap_covered(
-    items: Sequence[CompactionBox],
-    layer: str,
-    left_box: CompactionBox,
-    right_box: CompactionBox,
-) -> bool:
+def _gap_covered(xmin, xmax, ymin, ymax, codes, left, right) -> bool:
     """The (buggy) hidden-edge test of Figure 6.6.
 
     Decides hidden-ness where the pair first enters the horizontal band
     scan — the bottom of the shared y range — so a box that covers the
     gap at ``y1`` but not at ``y2`` wrongly suppresses the constraint.
+    Indices are positions in the columns given.
     """
-    y0 = max(left_box.box.ymin, right_box.box.ymin)
-    for other in items:
-        if other is left_box or other is right_box or other.layer != layer:
-            continue
-        if (
-            other.box.xmin <= left_box.box.xmax
-            and other.box.xmax >= right_box.box.xmin
-            and other.box.ymin <= y0 < other.box.ymax
-        ):
-            return True
-    return False
+    y0 = max(ymin[left], ymin[right])
+    cover = (
+        (codes == codes[left]) & (xmin <= xmax[left]) & (xmax >= xmin[right])
+        & (ymin <= y0) & (y0 < ymax)
+    )
+    cover[left] = cover[right] = False
+    return bool(cover.any())
 
 
 def visibility_constraints(
     system: ConstraintSystem,
-    boxes: Sequence[CompactionBox],
+    boxes: EdgeBoxes,
     rules: DesignRules,
 ) -> int:
     """The correct vertical-scan method (Figure 6.7).
@@ -230,31 +408,17 @@ def visibility_constraints(
 
     :func:`repro.geometry.batch.visible_pairs` computes every
     (visible, viewer) pair the sequential front would have produced in
-    one offline segmented scan; pairs are then classified with masked
-    column arithmetic and the spacing rows are emitted as one bulk
-    ``Constraint`` batch.  Connection pairs (a handful per layout) go
-    through :func:`_add_connection` so the overlap arithmetic lives in
-    exactly one place.  Emits the exact constraint multiset of
+    one offline segmented scan; pairs are classified with masked column
+    arithmetic and appended as two blocks of rows: the connections
+    (:func:`connection_rows`, in pair order), then the spacing rows.
+    Emits the exact constraint multiset of
     :func:`visibility_constraints_reference`.
     """
-    items = list(boxes)
-    count = len(items)
-    if count < 2:
+    if boxes.count < 2:
         return 0
-    layer_names = sorted({item.layer for item in items})
-    tables = rules.tables(layer_names)
-    code_of = {name: index for index, name in enumerate(layer_names)}
-    depth = len(layer_names)
-    spacing_matrix = np.full((depth, depth), -1, dtype=np.int64)
-    for (name_a, name_b), value in tables.spacing.items():
-        if value is not None:
-            spacing_matrix[code_of[name_a], code_of[name_b]] = value
-    allowed = spacing_matrix >= 0
-    arrays = batch.boxes_to_arrays([item.box for item in items])
-    codes = np.fromiter(
-        (code_of[item.layer] for item in items), dtype=np.int64, count=count
-    )
-    visible, viewer = batch.visible_pairs(arrays, codes, allowed)
+    spacing_matrix = _spacing_matrix(rules, boxes.layers)
+    arrays, codes = boxes.arrays, boxes.codes
+    visible, viewer = batch.visible_pairs(arrays, codes, spacing_matrix >= 0)
     if visible.size == 0:
         return 0
     # The viewer arrived after the visible box, so visible.xmin <=
@@ -265,21 +429,34 @@ def visibility_constraints(
     connected = (codes[visible] == codes[viewer]) & (a_xmax >= b_xmin)
     weights = spacing_matrix[codes[visible], codes[viewer]]
     spaced = ~connected & (weights >= 0) & (a_xmax < b_xmin)
-    for a_index, b_index in zip(
-        visible[connected].tolist(), viewer[connected].tolist()
-    ):
-        _add_connection(system, items[a_index], items[b_index], rules, tables)
-    spaced_indices = np.flatnonzero(spaced)
-    if spaced_indices.size:
-        sources = [items[i].right for i in visible[spaced_indices].tolist()]
-        targets = [items[i].left for i in viewer[spaced_indices].tolist()]
-        system.constraints.extend(
-            Constraint(source, target, weight, (), "spacing")
-            for source, target, weight in zip(
-                sources, targets, weights[spaced_indices].tolist()
-            )
+    if connected.any():
+        source, target, weight = connection_rows(
+            boxes, visible[connected], viewer[connected],
+            _width_table(rules, boxes.layers),
         )
-    return int(spaced_indices.size)
+        system.extend(source, target, weight, CONNECT)
+    system.extend(
+        boxes.right[visible[spaced]], boxes.left[viewer[spaced]],
+        weights[spaced], SPACING,
+    )
+    return int(np.count_nonzero(spaced))
+
+
+def _connected(a: CompactionBox, b: CompactionBox) -> bool:
+    """Same layer and touching/overlapping in the drawn layout."""
+    return a.layer == b.layer and a.box.overlaps(b.box)
+
+
+def _add_connection(
+    system: ConstraintSystem, a: CompactionBox, b: CompactionBox, rules: DesignRules
+) -> None:
+    """The reference scan's per-pair form of :func:`connection_rows`."""
+    overlap = min(a.box.xmax, b.box.xmax) - max(a.box.xmin, b.box.xmin)
+    keep = max(0, min(overlap, rules.width(a.layer)))
+    left_box, right_box = (a, b) if a.box.xmin <= b.box.xmin else (b, a)
+    system.add(left_box.left, right_box.left, 0, kind="connect")
+    system.add(left_box.right, right_box.right, 0, kind="connect")
+    system.add(right_box.left, left_box.right, keep, kind="connect")
 
 
 def visibility_constraints_reference(
@@ -370,21 +547,41 @@ def _subtract_interval(
     return result
 
 
+def solved_arrays(boxes: EdgeBoxes, solution, axis: str = "x") -> batch.BoxArray:
+    """The boxes at a solved assignment (values by variable id), as
+    columns in box order.
+
+    ``axis="y"`` means the compaction frame is transposed (its x is the
+    layout's y), so the columns are transposed back.
+    """
+    values = np.asarray(solution, dtype=np.int64)
+    low, high = values[boxes.left], values[boxes.right]
+    low, high = np.minimum(low, high), np.maximum(low, high)
+    arrays = boxes.arrays
+    if axis == "y":
+        return batch.BoxArray(arrays.ymin, low, arrays.ymax, high)
+    return batch.BoxArray(low, arrays.ymin, high, arrays.ymax)
+
+
 def rebuild_boxes(
-    boxes: Sequence[CompactionBox], solution: Dict[str, int]
-) -> List[Tuple[str, Box]]:
-    """Apply a solved x assignment back to (layer, box) pairs."""
-    rebuilt = []
-    for item in boxes:
-        rebuilt.append(
-            (
-                item.layer,
-                Box(
-                    solution[item.left],
-                    item.box.ymin,
-                    solution[item.right],
-                    item.box.ymax,
-                ),
-            )
-        )
-    return rebuilt
+    boxes: EdgeBoxes, solution, axis: str = "x"
+) -> Dict[str, List[Box]]:
+    """Apply a solved assignment (values by variable id) to the boxes.
+
+    Returns the boxes per layer — layers in sorted order, boxes in
+    input order — decoded from :func:`solved_arrays` in one
+    :func:`~repro.geometry.batch.boxes_from_arrays` call.
+    """
+    arrays, codes = solved_arrays(boxes, solution, axis), boxes.codes
+    order = codes.argsort(kind="stable")
+    decoded = batch.boxes_from_arrays(
+        arrays.xmin[order], arrays.ymin[order], arrays.xmax[order], arrays.ymax[order]
+    )
+    counts = np.bincount(codes, minlength=len(boxes.layers)).tolist()
+    layers: Dict[str, List[Box]] = {}
+    start = 0
+    for name, count in zip(boxes.layers, counts):
+        if count:
+            layers[name] = decoded[start:start + count]
+            start += count
+    return layers

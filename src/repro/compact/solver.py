@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .constraints import ConstraintSystem, Variable
+from .constraints import ConstraintSystem
 from .solvers import SolveStats, get_solver
 
 __all__ = ["SolveStats", "solve_longest_path"]
@@ -25,15 +25,16 @@ def solve_longest_path(
     lower_bound: int = 0,
     pitches: Optional[Dict[str, int]] = None,
     solver: Optional[str] = None,
-    hint: Optional[Dict[Variable, int]] = None,
+    hint=None,
 ) -> SolveStats:
     """Solve for the least solution with every variable >= lower_bound.
 
     ``pitches`` substitutes fixed values for pitch variables so that a
     leaf-cell system can be solved for given pitches (used to explore
     the tradeoff curves of section 6.2).  ``solver`` names a registered
-    backend (default ``"bellman-ford"``); ``hint`` seeds the relaxation,
-    returning the least solution at or above the hint.  Raises
+    backend (default ``"bellman-ford"``); ``hint`` (values by id, or a
+    mapping keyed by variable name) seeds the relaxation, returning the
+    least solution at or above the hint.  Raises
     :class:`InfeasibleConstraintsError` on a positive cycle and
     :class:`SolverConfigurationError` on an unknown backend name.
     """

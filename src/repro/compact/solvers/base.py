@@ -22,11 +22,14 @@ returns the global least solution.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ...core.errors import InfeasibleConstraintsError, SolverConfigurationError
-from ..constraints import ConstraintSystem, Variable
+from ..constraints import ConstraintSystem, Variable, VariableNames
 
 try:  # pragma: no cover - typing fallback for very old interpreters
     from typing import Protocol
@@ -54,16 +57,30 @@ class SolveStats:
     over the constraint list for Bellman-Ford; graph-order backends
     report the number of sweep-equivalents they needed).  ``reused`` is
     the number of variables an incremental re-solve kept from the prior
-    solution without relaxation.
+    solution without relaxation.  ``values`` is the solution by variable
+    id; :attr:`solution` is the same solution keyed by variable name,
+    spelled on first use from ``names``.
     """
 
     passes: int = 0
     relaxations: int = 0
     sorted_edges: bool = False
-    solution: Dict[Variable, int] = field(default_factory=dict)
+    values: List[int] = field(default_factory=list)
     backend: str = ""
     lower_bound: int = 0
     reused: int = 0
+    names: Optional[VariableNames] = field(default=None, repr=False, compare=False)
+    _solution: Optional[Dict[Variable, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def solution(self) -> Dict[Variable, int]:
+        """The solution keyed by variable name (built on first access)."""
+        if self._solution is None:
+            spelled = self.names.spell() if self.names is not None else []
+            self._solution = dict(zip(spelled, self.values))
+        return self._solution
 
     def width(self) -> int:
         """Extent of the solved placement.
@@ -76,15 +93,15 @@ class SolveStats:
         solve some variable always rests on ``lower_bound`` and the two
         definitions agree.
         """
-        if not self.solution:
+        if not self.values:
             return 0
-        low = min(min(self.solution.values()), self.lower_bound)
-        return max(self.solution.values()) - low
+        low = min(min(self.values), self.lower_bound)
+        return max(self.values) - low
 
     def __str__(self) -> str:
         name = self.backend or "solver"
         parts = [
-            f"{name}: {len(self.solution)} vars",
+            f"{name}: {len(self.values)} vars",
             f"width {self.width()}",
             f"{self.passes} pass{'es' if self.passes != 1 else ''}",
             f"{self.relaxations} relaxations",
@@ -98,15 +115,14 @@ class SolveStats:
 
         This is what rides on ``solver.solve`` trace spans and in
         machine-readable reports — counts and shape only; the solution
-        mapping stays behind because it is large and non-serialisable
-        (its keys are :class:`~repro.compact.constraints.Variable`).
+        stays behind because it is large.
         """
         return {
             "backend": self.backend,
             "passes": self.passes,
             "relaxations": self.relaxations,
             "sorted_edges": self.sorted_edges,
-            "variables": len(self.solution),
+            "variables": len(self.values),
             "width": self.width(),
             "lower_bound": self.lower_bound,
             "reused": self.reused,
@@ -125,9 +141,11 @@ class SolverBackend(Protocol):
         sort_edges: bool = True,
         lower_bound: int = 0,
         pitches: Optional[Dict[str, int]] = None,
-        hint: Optional[Dict[Variable, int]] = None,
+        hint=None,
     ) -> SolveStats:
         """Return the least solution of ``system`` (above ``hint``).
+
+        ``hint`` is values by id or a mapping keyed by variable name.
 
         Raises :class:`InfeasibleConstraintsError` on a positive cycle
         or on a symbolic pitch with no value in ``pitches``.
@@ -137,41 +155,43 @@ class SolverBackend(Protocol):
 
 def resolve_weights(
     system: ConstraintSystem, pitches: Optional[Dict[str, int]]
-) -> List[int]:
+) -> np.ndarray:
     """Effective integer weight of each constraint at fixed pitches.
 
-    Substitutes ``pitches`` into every pitch term, in constraint order.
-    Raises :class:`InfeasibleConstraintsError` when a pitch variable has
-    no value — symbolic pitches need the leaf-cell LP, not a
-    longest-path backend.
+    Substitutes ``pitches`` into every pitch term, in constraint order,
+    and returns the weights as an int64 column.  Raises
+    :class:`InfeasibleConstraintsError` when a pitch variable has no
+    value — symbolic pitches need the leaf-cell LP, not a longest-path
+    backend.
     """
-    pitches = pitches or {}
-    weights: List[int] = []
-    for constraint in system.constraints:
-        bound = constraint.weight
-        for pitch, coefficient in constraint.pitch_terms:
-            if pitch not in pitches:
-                raise InfeasibleConstraintsError(
-                    f"pitch variable {pitch!r} has no value; use the"
-                    " leaf-cell LP solver for symbolic pitches"
-                )
-            bound += coefficient * pitches[pitch]
-        weights.append(bound)
-    return weights
+    try:
+        return system.weights(pitches)
+    except KeyError as missing:
+        raise InfeasibleConstraintsError(
+            f"pitch variable {missing.args[0]!r} has no value; use the"
+            " leaf-cell LP solver for symbolic pitches"
+        ) from None
 
 
 def seed_solution(
     system: ConstraintSystem,
     lower_bound: int,
-    hint: Optional[Dict[Variable, int]],
-) -> Dict[Variable, int]:
-    """Initial variable assignment: ``max(hint, lower_bound)`` per variable."""
-    if not hint:
-        return {name: lower_bound for name in system.variables}
-    return {
-        name: max(hint.get(name, lower_bound), lower_bound)
-        for name in system.variables
-    }
+    hint,
+) -> List[int]:
+    """Initial value per variable id: ``max(hint, lower_bound)``.
+
+    ``hint`` is values by id or a mapping keyed by variable name (names
+    it does not list start at ``lower_bound``).
+    """
+    count = system.variable_count
+    if hint is None or len(hint) == 0:
+        return [lower_bound] * count
+    if isinstance(hint, Mapping):
+        return [
+            max(hint.get(name, lower_bound), lower_bound)
+            for name in system.variables
+        ]
+    return [value if value > lower_bound else lower_bound for value in hint]
 
 
 # ----------------------------------------------------------------------

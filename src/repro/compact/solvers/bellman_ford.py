@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ...core.errors import InfeasibleConstraintsError
-from ..constraints import ConstraintSystem, Variable
+from ..constraints import ConstraintSystem
 from .base import SolveStats, register_solver, resolve_weights, seed_solution
 
 __all__ = ["BellmanFordSolver"]
@@ -33,36 +33,43 @@ class BellmanFordSolver:
         sort_edges: bool = True,
         lower_bound: int = 0,
         pitches: Optional[Dict[str, int]] = None,
-        hint: Optional[Dict[Variable, int]] = None,
+        hint=None,
     ) -> SolveStats:
-        """Least solution by repeated relaxation passes."""
-        weights = resolve_weights(system, pitches)
-        constraints = list(zip(system.constraints, weights))
+        """Least solution by repeated relaxation passes.
+
+        With ``sort_edges`` the constraint list is ordered by the drawn
+        abscissa of each source variable, ties in constraint order (a
+        stable sort), then relaxed over plain int lists.
+        """
+        weight = resolve_weights(system, pitches)
+        source, target, _, _ = system.columns()
         if sort_edges:
-            constraints.sort(key=lambda pair: system.initial.get(pair[0].source, 0))
+            order = system.initial[source].argsort(kind="stable")
+            source, target, weight = source[order], target[order], weight[order]
+        sources, targets, weights = source.tolist(), target.tolist(), weight.tolist()
 
         x = seed_solution(system, lower_bound, hint)
-        stats = SolveStats(
-            sorted_edges=sort_edges, backend=self.name, lower_bound=lower_bound
-        )
-        limit = len(system.variables) + 1
+        passes = relaxations = 0
+        limit = system.variable_count + 1
         while True:
-            changed = False
-            stats.passes += 1
-            for constraint, bound in constraints:
-                candidate = x[constraint.source] + bound
-                if candidate > x[constraint.target]:
-                    x[constraint.target] = candidate
-                    stats.relaxations += 1
-                    changed = True
-            if not changed:
+            passes += 1
+            before = relaxations
+            for s, t, bound in zip(sources, targets, weights):
+                candidate = x[s] + bound
+                if candidate > x[t]:
+                    x[t] = candidate
+                    relaxations += 1
+            if relaxations == before:
                 break
-            if stats.passes > limit:
+            if passes > limit:
                 raise InfeasibleConstraintsError(
                     "positive cycle: the constraint system is overconstrained"
                 )
-        stats.solution = x
-        return stats
+        return SolveStats(
+            passes=passes, relaxations=relaxations, sorted_edges=sort_edges,
+            values=x, backend=self.name, lower_bound=lower_bound,
+            names=system.names(),
+        )
 
 
 register_solver(BellmanFordSolver.name, BellmanFordSolver)

@@ -28,7 +28,7 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from ...core.errors import InfeasibleConstraintsError
-from ..constraints import ConstraintSystem, Variable
+from ..constraints import ConstraintSystem
 from .base import SolveStats, register_solver, resolve_weights, seed_solution
 
 __all__ = ["IncrementalSolver"]
@@ -56,14 +56,12 @@ class IncrementalSolver:
         sort_edges: bool = True,
         lower_bound: int = 0,
         pitches: Optional[Dict[str, int]] = None,
-        hint: Optional[Dict[Variable, int]] = None,
+        hint=None,
     ) -> SolveStats:
         """Least solution, reusing the cached previous run when valid."""
-        names = system.variables
-        n = len(names)
-        index = {name: position for position, name in enumerate(names)}
-        weights = resolve_weights(system, pitches)
-        self._ensure_adjacency(system, index, weights)
+        n = system.variable_count
+        weights = resolve_weights(system, pitches).tolist()
+        self._ensure_adjacency(system)
 
         cached = (
             hint is None
@@ -81,27 +79,25 @@ class IncrementalSolver:
         else:
             changed = list(range(len(weights)))
 
-        constraints = system.constraints
-        affected = self._cone(
-            n, [index[constraints[i].target] for i in changed]
-        )
+        targets = system.columns()[1]
+        affected = self._cone(n, targets[changed].tolist())
         if cached:
             base = list(self._values)
             for v in affected:
                 base[v] = lower_bound
         else:
-            seeds = seed_solution(system, lower_bound, hint)
-            base = [seeds[name] for name in names]
+            base = seed_solution(system, lower_bound, hint)
 
         stats = SolveStats(
-            sorted_edges=sort_edges, backend=self.name, lower_bound=lower_bound
+            sorted_edges=sort_edges, backend=self.name, lower_bound=lower_bound,
+            names=system.names(),
         )
         stats.reused = n - len(affected)
         x = list(base)
         if affected:
-            self._relax(system, index, weights, x, base, affected, sort_edges, stats)
+            self._relax(system, weights, x, base, affected, sort_edges, stats)
 
-        stats.solution = dict(zip(names, x))
+        stats.values = list(x)
         if hint is None:
             # A hinted solve is minimal only above its hint; caching it
             # would poison later cone reuse, so only unhinted runs are
@@ -112,18 +108,13 @@ class IncrementalSolver:
         return stats
 
     # ------------------------------------------------------------------
-    def _ensure_adjacency(
-        self,
-        system: ConstraintSystem,
-        index: Dict[Variable, int],
-        weights: List[int],
-    ) -> None:
+    def _ensure_adjacency(self, system: ConstraintSystem) -> None:
         """(Re)build adjacency and drop the cache when the system changed shape."""
-        n = len(system.variables)
+        n = system.variable_count
         fresh = (
             self._system is not system
             or self._variable_count != n
-            or self._constraint_count != len(system.constraints)
+            or self._constraint_count != len(system)
         )
         if not fresh:
             return
@@ -133,14 +124,13 @@ class IncrementalSolver:
         self._values = None
         forward: List[List[int]] = [[] for _ in range(n)]
         incoming: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for position, constraint in enumerate(system.constraints):
-            source = index[constraint.source]
-            target = index[constraint.target]
-            forward[source].append(target)
-            incoming[target].append((source, position))
+        source, target, _, _ = system.columns()
+        for position, (u, v) in enumerate(zip(source.tolist(), target.tolist())):
+            forward[u].append(v)
+            incoming[v].append((u, position))
         self._system = system
         self._variable_count = n
-        self._constraint_count = len(system.constraints)
+        self._constraint_count = len(system)
         self._forward = forward
         self._incoming = incoming
 
@@ -166,7 +156,6 @@ class IncrementalSolver:
     def _relax(
         self,
         system: ConstraintSystem,
-        index: Dict[Variable, int],
         weights: List[int],
         x: List[int],
         base: List[int],
@@ -175,7 +164,6 @@ class IncrementalSolver:
         stats: SolveStats,
     ) -> None:
         """Gauss-Seidel over the affected cone's incoming constraints."""
-        names = system.variables
         incoming = self._incoming
         forward = self._forward
         in_cone = [False] * len(x)
@@ -186,7 +174,7 @@ class IncrementalSolver:
             if previous is not None and len(previous) == len(x):
                 order_key = previous
             else:
-                order_key = [system.initial.get(name, 0) for name in names]
+                order_key = system.initial.tolist()
             ordered = sorted(affected, key=lambda v: order_key[v])
         else:
             ordered = list(affected)

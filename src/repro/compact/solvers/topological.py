@@ -22,7 +22,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ...core.errors import InfeasibleConstraintsError
-from ..constraints import ConstraintSystem, Variable
+import numpy as np
+
+from ..constraints import ConstraintSystem
 from .base import SolveStats, register_solver, resolve_weights, seed_solution
 
 __all__ = ["TopologicalSolver"]
@@ -39,31 +41,27 @@ class TopologicalSolver:
         sort_edges: bool = True,
         lower_bound: int = 0,
         pitches: Optional[Dict[str, int]] = None,
-        hint: Optional[Dict[Variable, int]] = None,
+        hint=None,
     ) -> SolveStats:
         """Least solution in one sweep of the condensation order.
 
         ``sort_edges`` is accepted for interface compatibility; the
         processing order here is graph-derived, not abscissa-derived.
         """
-        names = system.variables
-        n = len(names)
-        index = {name: position for position, name in enumerate(names)}
-        weights = resolve_weights(system, pitches)
+        n = system.variable_count
+        weights = resolve_weights(system, pitches).tolist()
+        source, target, _, _ = system.columns()
 
         adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        indegree = [0] * n
-        for constraint, weight in zip(system.constraints, weights):
-            source = index[constraint.source]
-            target = index[constraint.target]
-            adjacency[source].append((target, weight))
-            indegree[target] += 1
+        for u, v, weight in zip(source.tolist(), target.tolist(), weights):
+            adjacency[u].append((v, weight))
+        indegree = np.bincount(target, minlength=n).tolist()
 
-        seeds = seed_solution(system, lower_bound, hint)
-        seed = [seeds[name] for name in names]
+        seed = seed_solution(system, lower_bound, hint)
 
         stats = SolveStats(
-            sorted_edges=False, backend=self.name, lower_bound=lower_bound
+            sorted_edges=False, backend=self.name, lower_bound=lower_bound,
+            names=system.names(),
         )
 
         # Fast path: Kahn's sweep doubling as the DP.  A vertex is
@@ -89,7 +87,7 @@ class TopologicalSolver:
         if processed == n:
             stats.passes = 1
             stats.relaxations = relaxations
-            stats.solution = dict(zip(names, x))
+            stats.values = x
             return stats
 
         # Cyclic system: exact sweep over the condensation.
@@ -99,7 +97,7 @@ class TopologicalSolver:
         stats.backend = f"{self.name}+scc"
         stats.passes = passes
         stats.relaxations = relaxations
-        stats.solution = dict(zip(names, x))
+        stats.values = x
         return stats
 
     # ------------------------------------------------------------------

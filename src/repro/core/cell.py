@@ -23,7 +23,7 @@ kernel's pattern.  Mutations must go through this API — appending to
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..geometry import Box, NORTH, Orientation, Transform, Vec2
 from .errors import DuplicateCellError, UnknownCellError
@@ -287,6 +287,11 @@ class CellDefinition:
         self.boxes.append(item)
         self._touch()
         return item
+
+    def add_boxes(self, items: Iterable[LayerBox]) -> None:
+        """Append many boxes under one mutation stamp."""
+        self.boxes.extend(items)
+        self._touch()
 
     def add_port(self, name: str, x: int, y: int, layer: str = "") -> Port:
         port = Port(name, Vec2(x, y), layer)

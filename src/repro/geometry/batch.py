@@ -27,7 +27,7 @@ by ``tests/test_sweep_equivalence.py``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -140,7 +140,8 @@ def unique_sorted(values):
     """
     if values.size == 0:
         return values
-    ordered = np.sort(values)
+    ordered = values.copy()
+    ordered.sort()
     keep = np.empty(ordered.size, dtype=bool)
     keep[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
@@ -162,7 +163,7 @@ def segmented_cummax(groups, values):
     group_start = np.empty(groups.size, dtype=bool)
     group_start[0] = True
     np.not_equal(groups[1:], groups[:-1], out=group_start[1:])
-    group_ids = np.cumsum(group_start) - 1
+    group_ids = group_start.cumsum() - 1
     floor = int(values.min())
     span = int(values.max()) - floor + 1
     if int(group_ids[-1]) * span < 2**62:
@@ -312,9 +313,9 @@ def expand_ranges(lo, hi):
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    query = np.repeat(np.arange(lo.size, dtype=np.int64), counts)
-    bases = np.repeat(np.cumsum(counts) - counts, counts)
-    hits = np.arange(total, dtype=np.int64) - bases + np.repeat(lo, counts)
+    query = np.arange(lo.size, dtype=np.int64).repeat(counts)
+    bases = (counts.cumsum() - counts).repeat(counts)
+    hits = np.arange(total, dtype=np.int64) - bases + lo.repeat(counts)
     return query, hits
 
 
@@ -359,7 +360,8 @@ def touching_pairs(arrays: BoxArray, layer_codes):
     contact included (:meth:`repro.geometry.Box.overlaps`).  Per layer,
     every box is entered in each horizontal band of height ``H`` (the
     layer's median box height) that its closed y extent reaches.  Within
-    a band, sorted by ``xmin``, a box's candidates are the later entries
+    a band (all layers' bands are sorted together, by layer, band and
+    ``xmin``), a box's candidates are the later entries
     starting inside its closed x extent — one ``searchsorted`` window,
     expanded by :func:`expand_ranges` — then filtered on y.  A pair that
     shares several bands is kept only in the band holding the higher of
@@ -371,43 +373,50 @@ def touching_pairs(arrays: BoxArray, layer_codes):
     ``for i: for j > i`` scan.
     """
     empty = np.empty(0, dtype=np.int64)
-    if len(arrays) < 2:
+    count = len(arrays)
+    if count < 2:
         return empty, empty
-    keyed = []
-    count = np.int64(len(arrays))
-    for layer in unique_sorted(layer_codes).tolist():
-        members = np.flatnonzero(layer_codes == layer)
-        if members.size < 2:
-            continue
-        xmin, xmax = arrays.xmin[members], arrays.xmax[members]
-        ymin, ymax = arrays.ymin[members], arrays.ymax[members]
-        height = max(1, int(np.median(ymax - ymin)))
-        base_band = int(ymin.min()) // height
-        first_band = ymin // height - base_band
-        entry, band = expand_ranges(first_band, ymax // height - base_band + 1)
-        order = np.lexsort((xmin[entry], band))
-        entry, band = entry[order], band[order]
-        base = int(xmin.min())
-        span = np.int64(int(xmax.max()) - base + 1)
-        starts = band * span + (xmin[entry] - base)
-        ends = np.searchsorted(
-            starts, band * span + (xmax[entry] - base), side="right"
-        )
-        # Sorted position p's candidates are positions p+1 .. ends[p]-1.
-        first, second = expand_ranges(
-            np.arange(1, entry.size + 1, dtype=np.int64), ends
-        )
-        a, b = entry[first], entry[second]
-        keep = (
-            (ymin[a] <= ymax[b])
-            & (ymin[b] <= ymax[a])
-            & (np.maximum(ymin[a], ymin[b]) // height - base_band == band[first])
-        )
-        a, b = members[a[keep]], members[b[keep]]
-        keyed.append(np.minimum(a, b) * count + np.maximum(a, b))
-    if not keyed:
+    xmin, ymin, xmax, ymax = arrays.xmin, arrays.ymin, arrays.xmax, arrays.ymax
+    # Band height per layer: the median box height, floored (heights
+    # are non-negative), and at least 1.
+    sizes = np.bincount(layer_codes)
+    if sizes.max() < 2:
         return empty, empty
-    pairs = np.sort(np.concatenate(keyed))
+    heights = ymax - ymin
+    by_layer = np.lexsort((heights, layer_codes))
+    starts = sizes.cumsum() - sizes
+    last = count - 1
+    low = heights[by_layer[np.minimum(starts + (sizes - 1) // 2, last)]]
+    high = heights[by_layer[np.minimum(starts + sizes // 2, last)]]
+    height = np.maximum((low + high) // 2, 1)[layer_codes]
+    # Bands are numbered from the lowest box's band; all layers share
+    # one sort over (layer, band, xmin) keys, so every layer's windows
+    # come out of one pass.
+    floor = int(ymin.min())
+    offset = floor // height
+    entry, band = expand_ranges(ymin // height - offset, ymax // height - offset + 1)
+    group = layer_codes[entry] * (int(band.max()) + 1) + band
+    order = np.lexsort((xmin[entry], group))
+    entry, band, group = entry[order], band[order], group[order]
+    base = int(xmin.min())
+    span = np.int64(int(xmax.max()) - base + 1)
+    keys = group * span
+    ends = (keys + (xmin[entry] - base)).searchsorted(
+        keys + (xmax[entry] - base), side="right"
+    )
+    # Sorted position p's candidates are positions p+1 .. ends[p]-1.
+    first, second = expand_ranges(np.arange(1, entry.size + 1, dtype=np.int64), ends)
+    a, b = entry[first], entry[second]
+    keep = (
+        (ymin[a] <= ymax[b])
+        & (ymin[b] <= ymax[a])
+        & (np.maximum(ymin[a], ymin[b]) // height[a] - offset[a] == band[first])
+    )
+    a, b = a[keep], b[keep]
+    if a.size == 0:
+        return empty, empty
+    pairs = np.minimum(a, b) * np.int64(count) + np.maximum(a, b)
+    pairs.sort()
     return pairs // count, pairs % count
 
 
@@ -422,11 +431,12 @@ def visible_pairs(arrays: BoxArray, layer_codes, allowed=None):
     further right.  That update rule makes the front at any y the
     running ``(xmax, arrival)`` argmax over already-processed boxes of
     the layer covering y — so the whole visibility structure is
-    computed offline.  Per front layer: expand the layer's boxes
-    (front updaters) and every box that stabs the layer (viewers) into
-    slab incidence rows in arrival order, take a segmented running
-    argmax per slab, and the predecessor of each viewer row is exactly
-    the segment the sequential stab would have returned there.
+    computed offline.  For every front layer at once: expand the
+    layer's boxes (front updaters) and every box that stabs the layer
+    (viewers) into slab incidence rows over that front's own slab grid,
+    in arrival order, take a segmented running argmax per slab, and the
+    predecessor of each viewer row is exactly the segment the
+    sequential stab would have returned there.
 
     ``allowed[front_layer, viewer_layer]`` (optional bool matrix over
     the ``layer_codes`` universe) skips viewer expansions the caller
@@ -454,51 +464,53 @@ def visible_pairs(arrays: BoxArray, layer_codes, allowed=None):
     # 0 is reserved for "viewer only" entries, which never win the max.
     # searchsorted-left on the (duplicate-keeping) sorted vector is a
     # valid rank: equal xmax share the first-occurrence index.
-    xmax_rank = np.searchsorted(
-        np.sort(arrays.xmax), arrays.xmax[arrival_to_input]
-    )
+    sorted_xmax = arrays.xmax.copy()
+    sorted_xmax.sort()
+    xmax_rank = sorted_xmax.searchsorted(arrays.xmax[arrival_to_input])
     priority = (
         xmax_rank * np.int64(count) + np.arange(count, dtype=np.int64) + 1
     )
-    codes: List[Any] = []
-    for front_layer in range(int(layer_codes.max()) + 1 if count else 0):
-        updater = layers == front_layer
-        if not updater.any():
-            continue
-        if allowed is None:
-            participant = solid.copy()
-        else:
-            participant = (updater | allowed[front_layer, layers]) & solid
-        members = np.flatnonzero(participant)  # ascending = arrival order
-        if members.size < 2:
-            continue
-        ys = unique_sorted(np.concatenate([ymin[members], ymax[members]]))
-        first = np.searchsorted(ys, ymin[members])
-        counts = np.searchsorted(ys, ymax[members]) - first
-        total = int(counts.sum())
-        entry = np.repeat(np.arange(members.size, dtype=np.int64), counts)
-        bases = np.repeat(np.cumsum(counts) - counts, counts)
-        slab = (
-            np.repeat(first, counts)
-            + np.arange(total, dtype=np.int64)
-            - bases
-        )
-        # Entries are generated in ascending arrival order, so a stable
-        # sort on slab alone keeps arrivals ordered within each slab.
-        order = np.argsort(slab, kind="stable")
-        entry, slab = entry[order], slab[order]
-        value = np.where(updater[members], priority[members], 0)[entry]
-        running = segmented_cummax(slab, value)
-        follows = np.empty(entry.size, dtype=bool)
-        follows[0] = False
-        follows[1:] = (slab[1:] == slab[:-1]) & (running[:-1] > 0)
-        indices = np.flatnonzero(follows)
-        visible = (running[indices - 1] - 1) % np.int64(count)
-        viewer = members[entry[indices]]
-        codes.append(viewer * np.int64(count) + visible)
-    if not codes:
+    # One row per (front layer, participant): a box takes part in a
+    # front when it is of that layer (an updater) or may view it, and
+    # is solid.  Row-major nonzero keeps arrivals ascending per front.
+    fronts = unique_sorted(layers)
+    same = layers[None, :] == fronts[:, None]
+    if allowed is None:
+        participant = np.broadcast_to(solid, same.shape)
+    else:
+        participant = (same | allowed[fronts][:, layers]) & solid
+    if participant.sum(axis=1).max() < 2:
         return empty, empty
-    pairs = unique_sorted(np.concatenate(codes))
+    front, members = participant.nonzero()
+    # Each front's slab grid is the distinct y of its participants;
+    # keying y by front puts every grid in one sorted vector, so slab
+    # ids are global and never shared between fronts.
+    floor = int(ymin.min())
+    span = np.int64(int(ymax.max()) - floor + 1)
+    low = front * span + (ymin[members] - floor)
+    high = front * span + (ymax[members] - floor)
+    ys = unique_sorted(np.concatenate([low, high]))
+    first = ys.searchsorted(low)
+    counts = ys.searchsorted(high) - first
+    total = int(counts.sum())
+    entry = np.arange(members.size, dtype=np.int64).repeat(counts)
+    bases = (counts.cumsum() - counts).repeat(counts)
+    slab = first.repeat(counts) + np.arange(total, dtype=np.int64) - bases
+    # Entries are generated in ascending arrival order per front, so a
+    # stable sort on slab alone keeps arrivals ordered within each slab.
+    order = slab.argsort(kind="stable")
+    entry, slab = entry[order], slab[order]
+    value = np.where(same[front, members], priority[members], 0)[entry]
+    running = segmented_cummax(slab, value)
+    follows = np.empty(entry.size, dtype=bool)
+    follows[:1] = False
+    follows[1:] = (slab[1:] == slab[:-1]) & (running[:-1] > 0)
+    indices = follows.nonzero()[0]
+    if indices.size == 0:
+        return empty, empty
+    visible = (running[indices - 1] - 1) % np.int64(count)
+    viewer = members[entry[indices]]
+    pairs = unique_sorted(viewer * np.int64(count) + visible)
     return (
         arrival_to_input[pairs % np.int64(count)],
         arrival_to_input[pairs // np.int64(count)],

@@ -21,6 +21,7 @@ __all__ = [
     "FlatLayout",
     "flatten_cell",
     "merge_boxes",
+    "merge_box_arrays",
     "merge_boxes_reference",
 ]
 
@@ -57,22 +58,33 @@ def merge_boxes(boxes: List[Box]) -> List[Box]:
     covers exactly the same area with no hidden or partially hidden
     vertical edges inside any strip row.  The decomposition slices the
     union region at every distinct y coordinate and merges x intervals
-    within each slab, then coalesces vertically identical spans.
+    within each slab, then coalesces vertically identical spans
+    (:func:`merge_box_arrays`).  Output is identical to
+    :func:`merge_boxes_reference`.
+    """
+    if not boxes:
+        return []
+    merged = merge_box_arrays(batch.boxes_to_arrays(boxes))
+    return batch.boxes_from_arrays(merged.xmin, merged.ymin, merged.xmax, merged.ymax)
+
+
+def merge_box_arrays(arrays: batch.BoxArray) -> batch.BoxArray:
+    """:func:`merge_boxes` on columns: the merged strips as a ``BoxArray``.
 
     Slab runs come from :func:`repro.geometry.batch.merged_slab_runs`;
     vertical coalescing of identical spans is one more lexsort over
     ``(x0, x1, slab)`` with a run-break wherever the slab index is not
     the predecessor's successor (the array form of the
     ``previous_y1 == y0`` continuation test of :func:`_coalesce_slabs`).
-    Output is identical to :func:`merge_boxes_reference`.
+    Strips come out sorted by ``(ymin, xmin, ymax, xmax)``.
     """
-    if not boxes:
-        return []
-    arrays = batch.boxes_to_arrays(boxes)
+    empty = np.empty(0, dtype=np.int64)
+    if len(arrays) == 0:
+        return batch.BoxArray(empty, empty, empty, empty)
     ys = batch.slab_grid([arrays])
     slab, x0, x1 = batch.merged_slab_runs(ys, arrays)
     if slab.size == 0:
-        return []
+        return batch.BoxArray(empty, empty, empty, empty)
     order = np.lexsort((slab, x1, x0))
     slab, x0, x1 = slab[order], x0[order], x1[order]
     starts = np.empty(slab.size, dtype=bool)
@@ -87,9 +99,7 @@ def merge_boxes(boxes: List[Box]) -> List[Box]:
     xmin = x0[start_indices]
     xmax = x1[start_indices]
     order = np.lexsort((xmax, ymax, xmin, ymin))
-    return batch.boxes_from_arrays(
-        xmin[order], ymin[order], xmax[order], ymax[order]
-    )
+    return batch.BoxArray(xmin[order], ymin[order], xmax[order], ymax[order])
 
 
 def merge_boxes_reference(boxes: List[Box]) -> List[Box]:
@@ -183,12 +193,20 @@ class FlatLayout:
         return f"FlatLayout({self.name!r}, layers={len(self.layers)}, boxes={self.box_count()})"
 
 
-def flatten_cell(cell: CellDefinition, merge: bool = False) -> FlatLayout:
-    """Flatten a hierarchical cell into a :class:`FlatLayout`."""
+def flatten_cell(
+    cell: CellDefinition, merge: bool = False, ports: bool = True
+) -> FlatLayout:
+    """Flatten a hierarchical cell into a :class:`FlatLayout`.
+
+    With ``ports=False`` only the boxes are flattened; the ports and
+    labels stay empty (for callers that read geometry alone).
+    """
     flat = FlatLayout(cell.name)
+    layers = flat.layers
     layer_box: LayerBox
     for layer_box in cell.flatten(Transform()):
-        flat.add(layer_box.layer, layer_box.box)
-    flat.ports = list(cell.flatten_ports(Transform()))
-    flat.labels = list(cell.flatten_labels(Transform()))
+        layers[layer_box.layer].append(layer_box.box)
+    if ports:
+        flat.ports = list(cell.flatten_ports(Transform()))
+        flat.labels = list(cell.flatten_labels(Transform()))
     return flat.merged() if merge else flat

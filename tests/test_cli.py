@@ -671,6 +671,49 @@ class TestTimingsFlag:
             line,
         ), line
 
+    def test_compact_breakdown_rides_along_when_compacting(self, flow_files, capsys):
+        parameter, _ = flow_files
+        assert main([str(parameter), "--compact", "xy", "--timings"]) == 0
+        out = capsys.readouterr().out
+        (line,) = [line for line in out.splitlines() if line.startswith("compact:")]
+        assert re.fullmatch(
+            r"compact: flatten \d+\.\d{3}s, edges \d+\.\d{3}s \(\d+ boxes\),"
+            r" constraints \d+\.\d{3}s \(\d+ rows\), solve \d+\.\d{3}s,"
+            r" align \d+\.\d{3}s, rebuild \d+\.\d{3}s",
+            line,
+        ), line
+
+    def test_compact_sub_spans_cover_the_compact_stage(self, flow_files):
+        """The flat pass's sub-spans account for >= 90% of job.compact on
+        an 8x8 --compact xy (best of three runs: a scheduler stall between
+        two spans is not a hot spot)."""
+        from repro.obs import trace as obs_trace
+
+        parameter, _ = flow_files
+        stages = {
+            "compact.flatten", "compact.edges", "compact.constraints",
+            "solver.solve", "compact.align", "compact.rebuild",
+        }
+        coverage = 0.0
+        for _ in range(3):
+            tracer = obs_trace.Tracer()
+            with obs_trace.activated(tracer):
+                run_flow(
+                    str(parameter), overrides=["xsize=8", "ysize=8"],
+                    compact_axes="xy",
+                )
+            spans = tracer.finished()
+            (stage,) = [span for span in spans if span.name == "job.compact"]
+            children = [span for span in spans if span.parent_id == stage.span_id]
+            assert {span.name for span in children} == stages
+            # Per pass: each stage once, plus the output cell's rebuild.
+            assert len(children) == 2 * (len(stages) + 1)
+            covered = sum(span.duration_s for span in children) / stage.duration_s
+            coverage = max(coverage, covered)
+            if coverage >= 0.9:
+                break
+        assert coverage >= 0.9, f"sub-spans cover {coverage:.0%} of job.compact"
+
     def test_solver_summary_rides_along_when_compacting(self, flow_files, capsys):
         parameter, _ = flow_files
         assert main([str(parameter), "--compact", "x", "--timings"]) == 0

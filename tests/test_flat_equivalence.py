@@ -1,0 +1,689 @@
+"""Flat compaction on integer columns reproduces the object-era build.
+
+The flat pass stores variables as integer ids and constraints as int64
+columns.  Four kinds of evidence that it computes exactly what the
+object-era build (``Constraint`` records, ``CompactionBox`` objects and
+``"e12.l"`` names) computed:
+
+* **golden digests** — sha256 of the CLI's CIF and its exact stdout
+  (Bellman-Ford passes and relaxations included) for the multiplier at
+  4x4 and 8x8 along ``x``, ``y``, ``xy`` and ``yx`` and at 13x13 ``yx``,
+  of ``execute_job``'s CIF for ``hier`` and ``hier:xy``, and of the
+  4x4 and 8x8 rubber-band boxes, all captured with the object-era
+  build;
+* **pinned library runs** — solver stats, row counts, widths and a box
+  digest of ``compact_layout`` over random layouts across methods,
+  width modes, sizing, merging, axes and backends, also captured with
+  the object-era build;
+* **constraint lists** — the column generators against the object-era
+  generators kept below as the oracle (``visibility_constraints_reference``
+  for the visibility scan);
+* **solvers** — every backend agrees with Bellman-Ford, and the column
+  Bellman-Ford counts the passes and relaxations of the object-era loop.
+
+Plus: an infeasible system still raises for every backend, and the
+flat pass builds no ``Constraint``, ``CompactionBox`` or variable name.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+from collections import Counter
+
+import pytest
+
+from repro import cli
+from repro.compact import (
+    TECH_A,
+    TECH_B,
+    add_width_constraints,
+    available_solvers,
+    build_edge_variables,
+    compact_cell,
+    compact_cell_axes,
+    compact_layout,
+    get_solver,
+    naive_constraints,
+    visibility_constraints,
+    visibility_constraints_reference,
+)
+from repro.compact import constraints as constraints_module
+from repro.compact import scanline
+from repro.core.errors import InfeasibleConstraintsError
+from repro.geometry import Box
+from repro.layout.database import FlatLayout, flatten_cell, merge_boxes
+from repro.multiplier import (
+    DESIGN_FILE,
+    MULTIPLIER_SAMPLE,
+    PARAMETER_FILE,
+    generate_via_language,
+)
+from repro.service.jobs import JobSpec, execute_job
+
+#: (size, axes) -> (sha256 of the CIF, the stdout lines reporting each
+#: pass), captured with the object-era build
+GOLDEN_CLI = {
+    (4, "x"): (
+        "156314b70b660d489409865be80d4faa27a6bf2e37aca2f59b4d320911cd5f2a",
+        "compacted x: width 220 -> 74 (bellman-ford: 688 vars, width 74,"
+        " 2 passes, 616 relaxations)\n",
+    ),
+    (4, "y"): (
+        "49502c068ac5c619e4c5916c56b1b7fa0beee738c96ccb96cc6f3d5f74fd5fa2",
+        "compacted y: width 164 -> 90 (bellman-ford: 688 vars, width 90,"
+        " 2 passes, 612 relaxations)\n",
+    ),
+    (4, "xy"): (
+        "63a1738bd039ad4d975365dd21fa09d9fec9e6eef6880988da3cf449162d1ee8",
+        "compacted x: width 220 -> 74 (bellman-ford: 688 vars, width 74,"
+        " 2 passes, 616 relaxations)\n"
+        "compacted y: width 164 -> 107 (bellman-ford: 688 vars, width 107,"
+        " 2 passes, 665 relaxations)\n",
+    ),
+    (4, "yx"): (
+        "2f2b78003d3ee868df4863ca30412eb37d5ae2ba73661ab1d65c8b4b4c17f38a",
+        "compacted y: width 164 -> 90 (bellman-ford: 688 vars, width 90,"
+        " 2 passes, 612 relaxations)\n"
+        "compacted x: width 220 -> 74 (bellman-ford: 688 vars, width 74,"
+        " 2 passes, 615 relaxations)\n",
+    ),
+    (8, "x"): (
+        "7855286f3e0ca9e7c3d4ef610d24e23bb3e1e611281ee31499b3acb2ab949791",
+        "compacted x: width 420 -> 146 (bellman-ford: 2496 vars, width 146,"
+        " 2 passes, 2312 relaxations)\n",
+    ),
+    (8, "y"): (
+        "aacfacdd64d18d39a1968a1d930e51f8f296195ccd38197e64f8ab0471ec8a55",
+        "compacted y: width 308 -> 150 (bellman-ford: 2496 vars, width 150,"
+        " 2 passes, 2282 relaxations)\n",
+    ),
+    (8, "xy"): (
+        "f45b19d86da85aea51f1eed40a35625aa200abd3c3d44e4c7fc5250374760522",
+        "compacted x: width 420 -> 146 (bellman-ford: 2496 vars, width 146,"
+        " 2 passes, 2312 relaxations)\n"
+        "compacted y: width 308 -> 207 (bellman-ford: 2496 vars, width 207,"
+        " 2 passes, 2498 relaxations)\n",
+    ),
+    (8, "yx"): (
+        "0d6deb0aeba8201f8d1683481c68e1c7df49657cdaed88e5791c8fa60719177b",
+        "compacted y: width 308 -> 150 (bellman-ford: 2496 vars, width 150,"
+        " 2 passes, 2282 relaxations)\n"
+        "compacted x: width 420 -> 146 (bellman-ford: 2496 vars, width 146,"
+        " 2 passes, 2307 relaxations)\n",
+    ),
+    (13, "yx"): (
+        "15e722f2a0f334bd811342e64e4820434029859883d65827c11e801e5d2295dd",
+        "compacted y: width 488 -> 225 (bellman-ford: 6292 vars, width 225,"
+        " 2 passes, 5809 relaxations)\n"
+        "compacted x: width 660 -> 234 (bellman-ford: 6292 vars, width 234,"
+        " 2 passes, 5897 relaxations)\n",
+    ),
+}
+
+#: compact mode -> sha256 of execute_job's CIF for a 5x4 multiplier
+GOLDEN_JOBS = {
+    "hier": "99751b3007f1523ea3011dbb89b5b9429828fced1bf96fb9ac2970b30ff6c0ca",
+    "hier:xy": "b26b0029157c1bb2d8d6d6970221a5d9a6a31b582d394e179214fcdd76e92a4c",
+}
+
+#: multiplier size -> (sha256 of the sorted rubber-band boxes as the flow
+#: benchmark digests them, jog before, jog after), object-era build
+GOLDEN_RUBBER_BAND = {
+    4: ("76614e3b684ea11c2f82998c0d62e42ae0b2198bcedad112be742dbd178c7b08", 2688, 672),
+    8: ("24b851ebcc31e4aba3aeaef065566e5154a47f117e701e84be041f342920ad10", 11344, 2384),
+}
+
+LAYERS = ["diff", "poly", "metal1", "implant"]
+
+
+def random_pairs(seed, n, spread):
+    """A random (layer, box) layout, degenerate boxes included."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(n):
+        x, y = rng.randrange(0, spread), rng.randrange(0, spread)
+        width, height = rng.randrange(0, 9), rng.randrange(0, 9)
+        pairs.append((rng.choice(LAYERS), Box(x, y, x + width, y + height)))
+    return pairs
+
+
+def random_layout(seed, n, spread):
+    layout = FlatLayout(f"random{seed}")
+    for layer, box in random_pairs(seed, n, spread):
+        layout.add(layer, box)
+    return layout
+
+
+#: compact_layout options of the pinned library runs
+OPTIONS = [
+    {},
+    {"width_mode": "min"},
+    {"axis": "y"},
+    {"method": "naive"},
+    {"method": "naive", "width_mode": "min"},
+    {"method": "naive-indiscriminate", "width_mode": "min"},
+    {"method": "naive-skip-hidden", "width_mode": "min", "axis": "y"},
+    {"merge": True},
+    {"merge": True, "width_mode": "min", "axis": "y"},
+    {"sizing": {("", "poly"): 5, ("", "metal1"): 1}},
+    {"sizing": {("", "diff"): 6}, "width_mode": "min"},
+    {"width_mode": "min", "solver": "topological"},
+    {"width_mode": "min", "solver": "incremental", "axis": "y"},
+    {"width_mode": "min", "sort_edges": False},
+]
+
+#: ((seed, boxes, spread), option index) -> (str(stats), rows, spacing
+#: rows, widths and a digest of the sorted boxes), captured with the
+#: object-era build; the rules alternate between TECH_A and TECH_B
+PINNED = {
+    ((1, 12, 30), 0): (
+        'bellman-ford: 24 vars, width 11, 2 passes, 15 relaxations',
+        '29 rows, 5 spacing, width 31->11, c146c4e1043cfa31',
+    ),
+    ((1, 12, 30), 1): (
+        'bellman-ford: 24 vars, width 6, 2 passes, 17 relaxations',
+        '17 rows, 5 spacing, width 31->6, 1588dd9eeb4d79fc',
+    ),
+    ((1, 12, 30), 2): (
+        'bellman-ford: 24 vars, width 24, 2 passes, 15 relaxations',
+        '28 rows, 4 spacing, width 32->24, 0ef47610a946ad87',
+    ),
+    ((1, 12, 30), 3): (
+        'bellman-ford: 24 vars, width 10, 2 passes, 15 relaxations',
+        '29 rows, 5 spacing, width 31->10, 3e84d0c6117a13da',
+    ),
+    ((1, 12, 30), 4): (
+        'bellman-ford: 24 vars, width 9, 2 passes, 17 relaxations',
+        '17 rows, 5 spacing, width 31->9, 8e3c96bc5890b55b',
+    ),
+    ((1, 12, 30), 5): (
+        'bellman-ford: 24 vars, width 6, 2 passes, 17 relaxations',
+        '17 rows, 5 spacing, width 31->6, 1588dd9eeb4d79fc',
+    ),
+    ((1, 12, 30), 6): (
+        'bellman-ford: 24 vars, width 8, 2 passes, 16 relaxations',
+        '17 rows, 5 spacing, width 32->8, 66f5414565cf181e',
+    ),
+    ((1, 12, 30), 7): (
+        'bellman-ford: 18 vars, width 9, 2 passes, 11 relaxations',
+        '20 rows, 2 spacing, width 31->9, c375e3173af19319',
+    ),
+    ((1, 12, 30), 8): (
+        'bellman-ford: 18 vars, width 8, 2 passes, 13 relaxations',
+        '13 rows, 4 spacing, width 32->8, e2b214d7560a7f88',
+    ),
+    ((1, 12, 30), 9): (
+        'bellman-ford: 24 vars, width 15, 2 passes, 16 relaxations',
+        '24 rows, 5 spacing, width 31->15, d7495d0b1f4c548e',
+    ),
+    ((1, 12, 30), 10): (
+        'bellman-ford: 24 vars, width 15, 2 passes, 17 relaxations',
+        '17 rows, 5 spacing, width 31->15, 0c1b328b76c01e3d',
+    ),
+    ((1, 12, 30), 11): (
+        'topological: 24 vars, width 6, 1 pass, 17 relaxations',
+        '17 rows, 5 spacing, width 31->6, 1588dd9eeb4d79fc',
+    ),
+    ((1, 12, 30), 12): (
+        'incremental: 24 vars, width 8, 1 pass, 15 relaxations, 9 reused',
+        '16 rows, 4 spacing, width 32->8, 66f5414565cf181e',
+    ),
+    ((1, 12, 30), 13): (
+        'bellman-ford: 24 vars, width 6, 4 passes, 22 relaxations',
+        '17 rows, 5 spacing, width 31->6, 1588dd9eeb4d79fc',
+    ),
+    ((2, 40, 120), 0): (
+        'bellman-ford: 80 vars, width 18, 2 passes, 37 relaxations',
+        '85 rows, 5 spacing, width 108->18, 04ad23dcfc726d3f',
+    ),
+    ((2, 40, 120), 1): (
+        'bellman-ford: 80 vars, width 9, 2 passes, 45 relaxations',
+        '45 rows, 5 spacing, width 108->9, 8af29e7082647ed6',
+    ),
+    ((2, 40, 120), 2): (
+        'bellman-ford: 80 vars, width 14, 2 passes, 40 relaxations',
+        '88 rows, 8 spacing, width 122->14, b92eae03449ff4f7',
+    ),
+    ((2, 40, 120), 3): (
+        'bellman-ford: 80 vars, width 18, 2 passes, 37 relaxations',
+        '85 rows, 5 spacing, width 108->18, 407c665f920cf956',
+    ),
+    ((2, 40, 120), 4): (
+        'bellman-ford: 80 vars, width 12, 2 passes, 45 relaxations',
+        '45 rows, 5 spacing, width 108->12, 35e79feacdaadc4f',
+    ),
+    ((2, 40, 120), 5): (
+        'bellman-ford: 80 vars, width 9, 2 passes, 45 relaxations',
+        '45 rows, 5 spacing, width 108->9, 8af29e7082647ed6',
+    ),
+    ((2, 40, 120), 6): (
+        'bellman-ford: 80 vars, width 12, 2 passes, 47 relaxations',
+        '48 rows, 8 spacing, width 122->12, 625e627432c04e06',
+    ),
+    ((2, 40, 120), 7): (
+        'bellman-ford: 56 vars, width 18, 2 passes, 31 relaxations',
+        '59 rows, 3 spacing, width 108->18, 5173d9b65a455c50',
+    ),
+    ((2, 40, 120), 8): (
+        'bellman-ford: 56 vars, width 12, 2 passes, 33 relaxations',
+        '34 rows, 6 spacing, width 122->12, 6650a011f20779b2',
+    ),
+    ((2, 40, 120), 9): (
+        'bellman-ford: 80 vars, width 18, 2 passes, 41 relaxations',
+        '64 rows, 5 spacing, width 108->18, 7a897ab433cdf372',
+    ),
+    ((2, 40, 120), 10): (
+        'bellman-ford: 80 vars, width 14, 2 passes, 45 relaxations',
+        '45 rows, 5 spacing, width 108->14, f2e7b7a3f227809e',
+    ),
+    ((2, 40, 120), 11): (
+        'topological: 80 vars, width 9, 1 pass, 45 relaxations',
+        '45 rows, 5 spacing, width 108->9, 8af29e7082647ed6',
+    ),
+    ((2, 40, 120), 12): (
+        'incremental: 80 vars, width 12, 1 pass, 47 relaxations, 33 reused',
+        '48 rows, 8 spacing, width 122->12, 625e627432c04e06',
+    ),
+    ((2, 40, 120), 13): (
+        'bellman-ford: 80 vars, width 9, 3 passes, 50 relaxations',
+        '45 rows, 5 spacing, width 108->9, 8af29e7082647ed6',
+    ),
+    ((3, 40, 120), 0): (
+        'bellman-ford: 80 vars, width 17, 3 passes, 50 relaxations',
+        '97 rows, 11 spacing, width 123->17, 54e81272d511cbc1',
+    ),
+    ((3, 40, 120), 1): (
+        'bellman-ford: 80 vars, width 20, 2 passes, 52 relaxations',
+        '57 rows, 11 spacing, width 123->20, 4d17408604e44121',
+    ),
+    ((3, 40, 120), 2): (
+        'bellman-ford: 80 vars, width 26, 2 passes, 48 relaxations',
+        '96 rows, 13 spacing, width 120->26, 95e327b63db746c1',
+    ),
+    ((3, 40, 120), 3): (
+        'bellman-ford: 80 vars, width 18, 3 passes, 50 relaxations',
+        '98 rows, 12 spacing, width 123->18, 462c087e0805d15f',
+    ),
+    ((3, 40, 120), 4): (
+        'bellman-ford: 80 vars, width 15, 2 passes, 52 relaxations',
+        '58 rows, 12 spacing, width 123->15, 02db3c2dc26c6f06',
+    ),
+    ((3, 40, 120), 5): (
+        'bellman-ford: 80 vars, width 20, 2 passes, 52 relaxations',
+        '58 rows, 12 spacing, width 123->20, 4d17408604e44121',
+    ),
+    ((3, 40, 120), 6): (
+        'bellman-ford: 80 vars, width 15, 2 passes, 51 relaxations',
+        '57 rows, 14 spacing, width 120->15, 261cea950f472dfe',
+    ),
+    ((3, 40, 120), 7): (
+        'bellman-ford: 64 vars, width 16, 2 passes, 43 relaxations',
+        '75 rows, 11 spacing, width 123->16, 59d6018f68a911ec',
+    ),
+    ((3, 40, 120), 8): (
+        'bellman-ford: 64 vars, width 15, 2 passes, 42 relaxations',
+        '48 rows, 13 spacing, width 120->15, b2b2f15918e95667',
+    ),
+    ((3, 40, 120), 9): (
+        'bellman-ford: 80 vars, width 23, 3 passes, 53 relaxations',
+        '79 rows, 11 spacing, width 123->23, 12505113b4b233f9',
+    ),
+    ((3, 40, 120), 10): (
+        'bellman-ford: 80 vars, width 15, 2 passes, 52 relaxations',
+        '57 rows, 11 spacing, width 123->15, e231ac52846a43e1',
+    ),
+    ((3, 40, 120), 11): (
+        'topological: 80 vars, width 20, 1 pass, 52 relaxations',
+        '57 rows, 11 spacing, width 123->20, 4d17408604e44121',
+    ),
+    ((3, 40, 120), 12): (
+        'incremental: 80 vars, width 15, 1 pass, 48 relaxations, 31 reused',
+        '56 rows, 13 spacing, width 120->15, 261cea950f472dfe',
+    ),
+    ((3, 40, 120), 13): (
+        'bellman-ford: 80 vars, width 20, 4 passes, 68 relaxations',
+        '57 rows, 11 spacing, width 123->20, 4d17408604e44121',
+    ),
+}
+
+
+def observe(seed, n, spread, options, rules):
+    """One pinned library run, as recorded in :data:`PINNED`."""
+    try:
+        result = compact_layout(random_layout(seed, n, spread), rules, **options)
+    except InfeasibleConstraintsError:
+        return "infeasible"
+    boxes = sorted(
+        (layer, b.xmin, b.ymin, b.xmax, b.ymax)
+        for layer, items in result.layers.items()
+        for b in items
+    )
+    digest = hashlib.sha256(repr(boxes).encode()).hexdigest()[:16]
+    return (
+        str(result.stats),
+        f"{result.constraint_count} rows, {result.spacing_constraints} spacing,"
+        f" width {result.width_before}->{result.width_after}, {digest}",
+    )
+
+
+# ----------------------------------------------------------------------
+# The object-era generators and solver loop: the oracle
+# ----------------------------------------------------------------------
+def width_oracle(system, items, rules, mode="preserve", sizing=None):
+    sizing = sizing or {}
+    for item in items:
+        directive = sizing.get((item.tag, item.layer))
+        if mode == "preserve" and directive is None:
+            system.require_equal(item.left, item.right, item.box.width)
+            continue
+        minimum = rules.width(item.layer)
+        if directive is not None:
+            minimum = max(minimum, directive)
+        if mode == "preserve":
+            minimum = max(minimum, item.box.width)
+        system.add(item.left, item.right, minimum, kind="width")
+
+
+def connection_oracle(system, a, b, rules):
+    overlap = min(a.box.xmax, b.box.xmax) - max(a.box.xmin, b.box.xmin)
+    keep = max(0, min(overlap, rules.width(a.layer)))
+    left_box, right_box = (a, b) if a.box.xmin <= b.box.xmin else (b, a)
+    system.add(left_box.left, right_box.left, 0, kind="connect")
+    system.add(left_box.right, right_box.right, 0, kind="connect")
+    system.add(right_box.left, left_box.right, keep, kind="connect")
+
+
+def gap_covered_oracle(items, layer, left_box, right_box):
+    y0 = max(left_box.box.ymin, right_box.box.ymin)
+    for other in items:
+        if other is left_box or other is right_box or other.layer != layer:
+            continue
+        if (
+            other.box.xmin <= left_box.box.xmax
+            and other.box.xmax >= right_box.box.xmin
+            and other.box.ymin <= y0 < other.box.ymax
+        ):
+            return True
+    return False
+
+
+def naive_oracle(system, boxes, rules, skip_hidden=False, merge_aware=True):
+    count = 0
+    items = sorted(boxes, key=lambda item: item.box.xmin)
+    for i, a in enumerate(items):
+        for b in items[i + 1:]:
+            if min(a.box.ymax, b.box.ymax) <= max(a.box.ymin, b.box.ymin):
+                continue
+            connected = a.layer == b.layer and a.box.overlaps(b.box)
+            touching = connected and not a.box.overlaps_open(b.box)
+            if connected and (merge_aware or not touching):
+                connection_oracle(system, a, b, rules)
+                continue
+            spacing = rules.spacing(a.layer, b.layer)
+            if spacing is None:
+                continue
+            left_box, right_box = (a, b) if a.box.xmin <= b.box.xmin else (b, a)
+            if right_box.box.xmin <= left_box.box.xmax and not touching:
+                continue
+            if skip_hidden and gap_covered_oracle(items, a.layer, left_box, right_box):
+                continue
+            system.add(left_box.right, right_box.left, spacing, kind="spacing")
+            count += 1
+    return count
+
+
+def bellman_ford_oracle(system, sort_edges=True):
+    """The name-keyed sorted-edge loop: (solution, passes, relaxations)."""
+    initial = dict(zip(system.variables, system.initial.tolist()))
+    constraints = list(system.constraints)
+    if sort_edges:
+        constraints.sort(key=lambda c: initial[c.source])
+    x = {name: 0 for name in system.variables}
+    passes = relaxations = 0
+    while True:
+        changed = False
+        passes += 1
+        for c in constraints:
+            if x[c.source] + c.weight > x[c.target]:
+                x[c.target] = x[c.source] + c.weight
+                relaxations += 1
+                changed = True
+        if not changed:
+            return x, passes, relaxations
+        if passes > len(system.variables) + 1:
+            raise InfeasibleConstraintsError("positive cycle")
+
+
+def rows(system):
+    return [(c.source, c.target, c.weight, c.kind) for c in system.constraints]
+
+
+def tagged_pairs(seed, n, spread):
+    """Random pairs with per-box sizing tags."""
+    rng = random.Random(seed + 1000)
+    pairs = random_pairs(seed, n, spread)
+    return pairs, [rng.choice(["", "cellA", "cellB"]) for _ in pairs]
+
+
+SIZING = {("cellA", "poly"): 5, ("", "diff"): 4, ("cellB", "metal1"): 1}
+CASES = [(seed, n, spread) for seed in (1, 2, 3) for n, spread in ((10, 24), (50, 90))]
+
+
+# ----------------------------------------------------------------------
+# Golden outputs
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def parameter_file(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    (directory / "mult.sample").write_text(MULTIPLIER_SAMPLE)
+    (directory / "mult.design").write_text(DESIGN_FILE)
+    body = PARAMETER_FILE.split("\n", 1)[1]
+    (directory / "mult.par").write_text(
+        f".example_file:{directory}/mult.sample\n"
+        f".concept_file:{directory}/mult.design\n"
+        f".output_file:{directory}/mult.cif\n.output_cell:thewholething\n" + body
+    )
+    return directory
+
+
+@pytest.mark.parametrize("size,axes", sorted(GOLDEN_CLI), ids=lambda v: str(v))
+def test_cli_cif_and_stdout_equal_the_object_era_build(parameter_file, size, axes):
+    argv = [
+        str(parameter_file / "mult.par"), "--set", f"xsize={size}",
+        "--set", f"ysize={size}", "--compact", axes,
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    cif_digest, passes = GOLDEN_CLI[size, axes]
+    cif = (parameter_file / "mult.cif").read_text()
+    assert hashlib.sha256(cif.encode()).hexdigest() == cif_digest
+    name = "thewholething" + "_compacted" * len(axes)
+    assert out.getvalue().replace(str(parameter_file), "<dir>") == (
+        passes
+        + "wrote cif to <dir>/mult.cif\n"
+        + f"generated cell {name!r}: 0 instances\n"
+    )
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_JOBS))
+def test_hierarchical_job_cif_equals_the_object_era_build(mode):
+    result = execute_job(
+        JobSpec(kind="multiplier", compact=mode, parameters="xsize=5\nysize=4")
+    )
+    assert hashlib.sha256(result.cif.encode()).hexdigest() == GOLDEN_JOBS[mode]
+
+
+@pytest.mark.parametrize("size", sorted(GOLDEN_RUBBER_BAND))
+def test_rubber_band_boxes_equal_the_object_era_build(size):
+    layout = flatten_cell(generate_via_language(size, size)[0])
+    result = compact_layout(layout, TECH_A, rubber_band=True, axis="x")
+    boxes = sorted(
+        (layer, b.xmin, b.ymin, b.xmax, b.ymax)
+        for layer, items in result.layers.items()
+        for b in items
+    )
+    digest = hashlib.sha256(json.dumps(boxes, sort_keys=True).encode()).hexdigest()
+    assert (digest, result.jog_before, result.jog_after) == GOLDEN_RUBBER_BAND[size]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_library_run_equals_the_object_era_build(key):
+    (seed, n, spread), index = key
+    rules = TECH_A if (seed + index) % 2 else TECH_B
+    assert observe(seed, n, spread, OPTIONS[index], rules) == PINNED[key]
+
+
+# ----------------------------------------------------------------------
+# Constraint rows against the object-era generators
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed,n,spread", CASES)
+@pytest.mark.parametrize("rules", [TECH_A, TECH_B], ids=lambda r: r.name)
+class TestConstraintRows:
+    @pytest.mark.parametrize("mode", ["preserve", "min"])
+    @pytest.mark.parametrize("sizing", [None, SIZING], ids=["plain", "sizing"])
+    def test_width_rows_in_box_order(self, seed, n, spread, rules, mode, sizing):
+        pairs, tags = tagged_pairs(seed, n, spread)
+        system, boxes = build_edge_variables(pairs, tags=tags)
+        add_width_constraints(system, boxes, rules, mode=mode, sizing=sizing)
+        oracle, items = build_edge_variables(pairs, tags=tags)
+        width_oracle(oracle, list(items), rules, mode=mode, sizing=sizing)
+        assert rows(system) == rows(oracle)
+
+    @pytest.mark.parametrize("merge", [False, True], ids=["drawn", "merged"])
+    def test_visibility_row_multiset(self, seed, n, spread, rules, merge):
+        pairs = random_pairs(seed, n, spread)
+        if merge:
+            by_layer = {}
+            for layer, box in pairs:
+                by_layer.setdefault(layer, []).append(box)
+            pairs = [
+                (layer, box)
+                for layer in sorted(by_layer)
+                for box in merge_boxes(by_layer[layer])
+            ]
+        system, boxes = build_edge_variables(pairs)
+        count = visibility_constraints(system, boxes, rules)
+        oracle, items = build_edge_variables(pairs)
+        assert count == visibility_constraints_reference(oracle, list(items), rules)
+        assert Counter(rows(system)) == Counter(rows(oracle))
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"merge_aware": False}, {"skip_hidden": True}],
+        ids=["naive", "indiscriminate", "skip-hidden"],
+    )
+    def test_naive_rows_in_scan_order(self, seed, n, spread, rules, options):
+        pairs = random_pairs(seed, n, spread)
+        system, boxes = build_edge_variables(pairs)
+        count = naive_constraints(system, boxes, rules, **options)
+        oracle, items = build_edge_variables(pairs)
+        assert count == naive_oracle(oracle, list(items), rules, **options)
+        assert rows(system) == rows(oracle)
+
+
+# ----------------------------------------------------------------------
+# Solvers
+# ----------------------------------------------------------------------
+def generated_system(seed, n, spread, rules, mode):
+    system, boxes = build_edge_variables(random_pairs(seed, n, spread))
+    add_width_constraints(system, boxes, rules, mode=mode)
+    visibility_constraints(system, boxes, rules)
+    return system
+
+
+@pytest.mark.parametrize("seed,n,spread", CASES)
+@pytest.mark.parametrize("mode", ["preserve", "min"])
+@pytest.mark.parametrize("sort_edges", [True, False], ids=["sorted", "unsorted"])
+def test_solvers_agree_and_count_like_the_object_era_loop(
+    seed, n, spread, mode, sort_edges
+):
+    system = generated_system(seed, n, spread, TECH_A, mode)
+    try:
+        expected = bellman_ford_oracle(system, sort_edges)
+    except InfeasibleConstraintsError:
+        for backend in available_solvers():
+            with pytest.raises(InfeasibleConstraintsError):
+                get_solver(backend).solve(system, sort_edges=sort_edges)
+        return
+    stats = get_solver("bellman-ford").solve(system, sort_edges=sort_edges)
+    assert (stats.solution, stats.passes, stats.relaxations) == expected
+    assert stats.values == [expected[0][name] for name in system.variables]
+    for backend in available_solvers():
+        other = get_solver(backend).solve(system, sort_edges=sort_edges)
+        assert other.values == stats.values
+
+
+@pytest.mark.parametrize("backend", available_solvers())
+def test_infeasible_system_still_raises(backend):
+    # Two abutting diff bars pinned to width 2 under a spacing rule that
+    # a third bar makes unsatisfiable: x1.l - x0.r >= 3 and <= 0.
+    system, boxes = build_edge_variables(
+        [("diff", Box(0, 0, 2, 10)), ("diff", Box(2, 0, 4, 10))]
+    )
+    add_width_constraints(system, boxes, TECH_A)
+    system.extend([boxes.right[0]], [boxes.left[1]], [3], "spacing")
+    system.extend([boxes.left[1]], [boxes.right[0]], [0], "connect")
+    with pytest.raises(InfeasibleConstraintsError):
+        get_solver(backend).solve(system)
+
+
+def test_infeasible_layout_raises_through_the_driver():
+    # Preserve mode pins every width; the connections that keep these
+    # three overlapping metal bars in their drawn edge order then form
+    # a positive cycle.
+    layout = FlatLayout("knot")
+    for box in (Box(13, 6, 17, 8), Box(11, 7, 23, 8), Box(19, 2, 38, 8)):
+        layout.add("metal1", box)
+    for backend in available_solvers():
+        with pytest.raises(InfeasibleConstraintsError):
+            compact_layout(layout, TECH_A, solver=backend)
+
+
+def test_flat_pass_builds_no_records_boxes_or_names(monkeypatch):
+    """The pass stays on columns: no ``Constraint``, no ``CompactionBox``
+    and no spelled variable name, from flatten to rebuild."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("object-era record built on the flat pass")
+
+    monkeypatch.setattr(constraints_module.Constraint, "__init__", refuse)
+    monkeypatch.setattr(scanline.CompactionBox, "__init__", refuse)
+    monkeypatch.setattr(constraints_module.VariableNames, "spell", refuse)
+    cell, _ = generate_via_language(4, 4)
+    for axis in "xy":
+        cell, result = compact_cell(cell, TECH_A, axis=axis)
+        assert result.constraint_count and result.layers
+    layout = random_layout(5, 40, 90)
+    for method in ("visibility", "naive", "naive-indiscriminate", "naive-skip-hidden"):
+        compact_layout(layout, TECH_B, method=method, width_mode="min")
+    for solver in available_solvers():
+        compact_layout(layout, TECH_B, width_mode="min", solver=solver, merge=True)
+    smoothed = compact_layout(layout, TECH_B, width_mode="min", rubber_band=True)
+    assert smoothed.jog_after <= smoothed.jog_before
+
+
+@pytest.mark.parametrize("axes", ["x", "y", "xy", "yx", "xyx"])
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"width_mode": "min", "merge": True}, {"solver": "topological"}],
+    ids=["preserve", "min-merged", "topological"],
+)
+def test_chained_passes_equal_one_compact_cell_per_axis(axes, options):
+    cell, _ = generate_via_language(4, 4)
+    expected = cell
+    for axis in axes:
+        expected, result = compact_cell(
+            expected, TECH_A, name="out", axis=axis, **options
+        )
+    chained, last = compact_cell_axes(cell, TECH_A, axes, name="out", **options)
+    assert [(b.layer, b.box) for b in chained.boxes] == [
+        (b.layer, b.box) for b in expected.boxes
+    ]
+    assert last.layers == result.layers
+    assert str(last.stats) == str(result.stats)
+    assert (last.width_before, last.width_after, last.jog_before) == (
+        result.width_before, result.width_after, result.jog_before
+    )

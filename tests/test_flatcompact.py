@@ -60,6 +60,22 @@ class TestCompactLayout:
         with pytest.raises(ValueError):
             compact_layout(layout, TECH_A, method="magic")
 
+    @pytest.mark.parametrize("axis", ["z", "X", "Y", "", "xy"])
+    def test_unknown_axis(self, axis):
+        # Two boxes 40 wide and 3 tall: any axis other than "x"/"y" once
+        # compacted along x and reported the height (3) as width_before.
+        layout = make_layout(
+            [("diff", Box(0, 0, 2, 3)), ("diff", Box(38, 0, 40, 3))]
+        )
+        assert compact_layout(layout, TECH_A, axis="x").width_before == 40
+        with pytest.raises(ValueError, match="axis"):
+            compact_layout(layout, TECH_A, axis=axis)
+        cell = CellDefinition("two")
+        cell.add_box("diff", 0, 0, 2, 3)
+        cell.add_box("diff", 38, 0, 40, 3)
+        with pytest.raises(ValueError, match="axis"):
+            compact_cell(cell, TECH_A, axis=axis)
+
     def test_technology_transport(self):
         """Design in TECH_A, compact into TECH_B: spacing re-solves to
         the new rules (section 6.1's motivation)."""

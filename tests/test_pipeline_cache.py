@@ -191,6 +191,64 @@ class TestLeafCellCache:
         assert len(stale.cells["A"].boxes) == 2
 
 
+class TestFormatVersion:
+    """Keys carry the cached values' format, so an entry pickled by a
+    build with another result shape is never found."""
+
+    @staticmethod
+    def layout():
+        from repro.layout.database import flatten_cell
+
+        return flatten_cell(make_leaf("x"))
+
+    def test_token_change_changes_flat_key(self, monkeypatch):
+        from repro.compact import cache as cache_module, compact_layout
+
+        cache = CompactionCache()
+        layout = self.layout()
+        compact_layout(layout, TECH_A, cache=cache)
+        compact_layout(layout, TECH_A, cache=cache)
+        assert cache.hits == 1 and len(cache) == 1
+        monkeypatch.setattr(cache_module, "FORMAT_VERSION", "another-format")
+        compact_layout(layout, TECH_A, cache=cache)
+        assert cache.misses == 2 and len(cache) == 2
+
+    def test_entry_under_the_unversioned_key_is_a_miss(self):
+        from repro.compact import cache_key, compact_layout, fingerprint_layout
+
+        cache = CompactionCache()
+        layout = self.layout()
+        # The key an unversioned build used for the default options.
+        old_key = cache_key(
+            "flat", fingerprint_layout(layout), fingerprint_rules(TECH_A),
+            "visibility", "preserve", False, "x", False, None, True, "",
+        )
+        cache.put(old_key, "stale object-era result")
+        result = compact_layout(layout, TECH_A, cache=cache)
+        assert result != "stale object-era result"
+        assert cache.misses == 1 and cache.hits == 0
+        assert result.layers == compact_layout(layout, TECH_A).layers
+
+    def test_token_change_changes_leaf_cell_key(self, monkeypatch):
+        from repro.compact import PitchCost, cache as cache_module
+
+        compactor = LeafCellCompactor(TestLeafCellCache.workspace(), TECH_A)
+        compactor.add_cell("A")
+        compactor.add_interface("A", "A", 1)
+        key = compactor._cache_key(PitchCost())
+        monkeypatch.setattr(cache_module, "FORMAT_VERSION", "another-format")
+        assert compactor._cache_key(PitchCost()) != key
+
+    def test_token_change_changes_pipeline_key(self, monkeypatch):
+        from repro.compact import cache as cache_module
+
+        cache = CompactionCache()
+        compact_cells([("x", make_leaf("x"))], TECH_A, cache=cache)
+        monkeypatch.setattr(cache_module, "FORMAT_VERSION", "another-format")
+        compact_cells([("x", make_leaf("x"))], TECH_A, cache=cache)
+        assert cache.hits == 0 and len(cache) == 2
+
+
 class TestOnDiskCache:
     def test_round_trip_through_fresh_cache_instance(self, tmp_path):
         directory = tmp_path / "cache"

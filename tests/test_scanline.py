@@ -25,10 +25,7 @@ def compact(boxes, method="visibility", width_mode="preserve", **kwargs):
     else:
         naive_constraints(system, comp, TECH_A, **kwargs)
     stats = solve_longest_path(system)
-    rebuilt = rebuild_boxes(comp, stats.solution)
-    layers = {}
-    for layer, box in rebuilt:
-        layers.setdefault(layer, []).append(box)
+    layers = rebuild_boxes(comp, stats.values)
     return layers, system, stats
 
 
@@ -200,9 +197,7 @@ class TestLegalityProperty:
             stats = solve_longest_path(system)
         except Exception:
             return  # drawn overlaps can make preserve-width infeasible
-        layers = {}
-        for layer, box in rebuild_boxes(comp, stats.solution):
-            layers.setdefault(layer, []).append(box)
+        layers = rebuild_boxes(comp, stats.values)
         before = {
             (v.kind, v.layer_a, v.layer_b)
             for v in check_layout(
