@@ -46,7 +46,9 @@ bench:
 # under 1 s), and the lane-parallel switch-level simulation
 # (bench_verify pla_sim_exhaustive_12in — all 4 096 vectors of a
 # 12-input PLA in under 1 s; pla_sim_exhaustive_8in's >= 20x over the
-# per-vector oracle runs via `make bench`), and the multiplier
+# per-vector oracle runs via `make bench`), and the service hand-off
+# guard (bench_service service_roundtrip — the median fresh tiny job
+# goes from submit to wait in under 40 ms), and the multiplier
 # verification guard (bench_verify verify_multiplier — 8x8 -> 16x16
 # verify grows <= 5x; the 16x16 -> 32x32 step, the 32x32 < 0.5 s bound
 # and lvs_mult_16's >= 10x over the per-netlist LVS oracle run via

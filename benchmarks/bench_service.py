@@ -15,6 +15,14 @@ provide:
   ``service_dedup8`` records the whole fan-in wall time; the measured
   dedup factor is asserted, not just reported.
 
+* **round trip** — 20 sequential fresh tiny jobs, each timed from
+  ``submit`` to ``wait`` returning: the hand-off latency the service
+  adds around a job that executes in milliseconds.  Row
+  ``service_roundtrip`` records the median; the guard (smoke mode too)
+  asserts it stays under 40 ms, which only holds while a submission
+  wakes an idle worker and the completion answers a held result
+  request — a 50 ms poll at either hand-off breaks it.
+
 Two robustness rows ride along (``test_service_backpressure_and_recovery``):
 
 * **backpressure** — the 429 + ``Retry-After`` rejection round trip
@@ -29,6 +37,7 @@ fixture.  Set ``REPRO_BENCH_SMOKE=1`` for the small multiplier size.
 """
 
 import os
+import statistics
 import subprocess
 import sys
 import threading
@@ -131,6 +140,28 @@ def test_service_cold_warm_and_dedup(tmp_path, report, record):
     # warm answer is a store read, not a pipeline run.
     assert ratio >= 5.0, f"warm resubmit only {ratio:.1f}x faster than cold"
     assert dedup_factor == 8.0
+
+
+def test_service_roundtrip(tmp_path, report, record):
+    with LayoutServer(str(tmp_path / "service"), port=0, workers=2) as server:
+        client = ServiceClient(server.url)
+        client.wait(client.submit(tiny_spec("warmup"))["job"], timeout=60.0)
+        times = []
+        for index in range(20):
+            started = time.perf_counter()
+            job = client.submit(tiny_spec(f"roundtrip_{index}"))["job"]
+            assert client.wait(job, timeout=60.0)["state"] == "done"
+            times.append(time.perf_counter() - started)
+    median_s = statistics.median(times)
+    record("service_roundtrip", len(times), median_s)
+    report(
+        f"E-SERVICE fresh tiny job, submit -> wait: median"
+        f" {median_s * 1000:6.1f} ms over {len(times)} jobs"
+        f" (min {min(times) * 1000:.1f}, max {max(times) * 1000:.1f} ms)"
+    )
+    assert median_s < 0.040, (
+        f"fresh-job round trip {median_s * 1000:.1f} ms: a hand-off is polling"
+    )
 
 
 def test_service_backpressure_and_recovery(tmp_path, report, record):

@@ -12,9 +12,13 @@ carries the client half of the service's robustness contract:
   retried with the same backoff; this is safe even for ``POST /jobs``
   because job identity is the content fingerprint, so a resubmission
   deduplicates server-side instead of double-running;
-* **polite polling** — :meth:`wait` backs off exponentially (capped
-  at ``max_poll_interval``) instead of hammering the service at a
-  fixed 50 ms.
+* **long-polled waiting** — :meth:`wait` asks the server to hold each
+  result request (``?wait=``) until the job finishes, so a job is
+  answered the moment a worker completes it, with one request.  Each
+  window stays below half the socket ``timeout``.  Only a pending
+  answer that comes back *before* its window ran out (an older daemon
+  that ignores ``wait``, or one shutting down) makes the client sleep,
+  backing off exponentially up to ``max_poll_interval``.
 
 ``submit_main`` is the ``repro submit`` CLI verb: it takes the *same*
 parameter file the batch CLI takes, embeds the sample/design texts the
@@ -188,9 +192,14 @@ class ServiceClient:
         """The job's ledger row."""
         return self._request(f"/jobs/{job}")
 
-    def result(self, job: str) -> Dict[str, Any]:
-        """Status plus ``result`` for a finished job (202-tolerant)."""
-        return self._request(f"/jobs/{job}/result")
+    def result(self, job: str, wait: Optional[float] = None) -> Dict[str, Any]:
+        """Status plus ``result`` for a finished job (202-tolerant).
+
+        ``wait`` asks the server to hold the answer up to that many
+        seconds while the job is still queued or running.
+        """
+        query = "" if wait is None else f"?wait={wait}"
+        return self._request(f"/jobs/{job}/result{query}")
 
     def wait(
         self,
@@ -199,21 +208,26 @@ class ServiceClient:
         poll_interval: float = 0.05,
         max_poll_interval: float = 2.0,
     ) -> Dict[str, Any]:
-        """Poll until the job finishes; raise on failure or deadline.
+        """Wait until the job finishes; raise on failure or deadline.
 
         Returns the full result payload of a ``done`` job.  A
         ``failed`` job raises :class:`ServiceError` carrying the
-        job's recorded error.  Polling starts at ``poll_interval``
-        and doubles after every still-pending answer, capped at
-        ``max_poll_interval`` — fast completion stays fast, a long
-        queue does not get hammered at 50 ms.
+        job's recorded error.  Each result request is long-polled with
+        a window of ``min(time left, self.timeout / 2)``, so the server
+        answers as soon as the job ends and the socket timeout is never
+        hit.  A pending answer that returns before its window ran out
+        means the server did not hold it: the client then sleeps,
+        starting at ``poll_interval`` and doubling up to
+        ``max_poll_interval``, so an older daemon is not hammered.
         """
         deadline = time.monotonic() + timeout
         interval = poll_interval
         polls = 0
         with obs_trace.span("client.wait") as wait_span:
             while True:
-                result = self.result(job)
+                asked = time.monotonic()
+                window = min(max(0.0, deadline - asked), self.timeout / 2)
+                result = self.result(job, wait=window)
                 polls += 1
                 state = result.get("state")
                 if state == "done":
@@ -224,13 +238,15 @@ class ServiceClient:
                     raise ServiceError(
                         f"job {job} failed: {result.get('error') or 'unknown error'}"
                     )
-                if time.monotonic() >= deadline:
+                now = time.monotonic()
+                if now >= deadline:
                     wait_span.set(polls=polls, state=state)
                     raise ServiceError(
                         f"job {job} still {state} after {timeout:g}s"
                     )
-                self._sleep(min(interval, max(0.0, deadline - time.monotonic())))
-                interval = min(max_poll_interval, interval * 2)
+                if now - asked < window:
+                    self._sleep(min(interval, deadline - now))
+                    interval = min(max_poll_interval, interval * 2)
 
     def artifact(self, job: str, name: str) -> bytes:
         """Download one artifact (``layout.cif``, ``result.json``,

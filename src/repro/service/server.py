@@ -10,6 +10,10 @@ Endpoints (all JSON unless noted)::
                                  job's trace artifact
     GET  /jobs/<fp>              job status
     GET  /jobs/<fp>/result       result.json + status (202 while pending)
+    GET  /jobs/<fp>/result?wait=S  the same, held up to S seconds (at most
+                                 MAX_RESULT_WAIT) until the job is done or
+                                 failed; a worker's completion answers it
+                                 at once (400 for a malformed or negative S)
     GET  /jobs/<fp>/artifact/<name>  digest-verified artifact bytes
                                  (layout.cif, result.json, trace.jsonl; a
                                  torn artifact quarantines and answers 404)
@@ -25,9 +29,11 @@ Endpoints (all JSON unless noted)::
 Built on ``http.server.ThreadingHTTPServer`` — no third-party
 dependencies — with the deduplication contract implemented in the
 store: a warm resubmission answers ``state: done`` straight from SQLite
-and never touches a worker.  ``serve_main`` is the ``repro serve`` CLI
-verb: it boots the daemon, then drains the worker pool gracefully on
-SIGTERM/SIGINT so in-flight jobs finish before exit.
+and never touches a worker.  A query string never takes part in
+routing; only ``wait`` on the result endpoint is read.  ``serve_main``
+is the ``repro serve`` CLI verb: it boots the daemon, then drains the
+worker pool gracefully on SIGTERM/SIGINT so in-flight jobs finish
+before exit, answering held result requests first.
 """
 
 from __future__ import annotations
@@ -36,8 +42,10 @@ import json
 import signal
 import sys
 import threading
+import time
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import QueueFullError, ServiceError
 from ..obs.trace import TRACE_HEADER, Span, Tracer, parse_token, service_enabled
@@ -47,10 +55,40 @@ from .metrics import build_registry
 from .store import Store
 from .workers import WorkerPool
 
-__all__ = ["DEFAULT_PORT", "LayoutServer", "serve_main"]
+__all__ = ["DEFAULT_PORT", "MAX_RESULT_WAIT", "LayoutServer", "serve_main"]
 
 #: default TCP port of the layout service
 DEFAULT_PORT = 8737
+
+#: the longest one ``GET /jobs/<fp>/result?wait=S`` is held, in seconds
+MAX_RESULT_WAIT = 60.0
+
+
+def _split_path(path: str) -> Tuple[List[str], Dict[str, List[str]]]:
+    """``(segments, query)`` of a request path; the query never routes."""
+    split = urllib.parse.urlsplit(path)
+    segments = [part for part in split.path.split("/") if part]
+    return segments, urllib.parse.parse_qs(split.query, keep_blank_values=True)
+
+
+def _wait_seconds(query: Dict[str, List[str]]) -> float:
+    """The ``wait`` query parameter, clamped to :data:`MAX_RESULT_WAIT`.
+
+    Absent means 0 (answer at once); a malformed, NaN or negative value
+    raises :class:`ServiceError`, which the handler answers with 400.
+    """
+    values = query.get("wait")
+    if not values:
+        return 0.0
+    try:
+        seconds = float(values[-1])
+    except ValueError:
+        seconds = float("nan")
+    if not seconds >= 0.0:
+        raise ServiceError(
+            f"wait must be a non-negative number of seconds, not {values[-1]!r}"
+        )
+    return min(seconds, MAX_RESULT_WAIT)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -97,11 +135,11 @@ class _Handler(BaseHTTPRequestHandler):
         if directive and directive.get("drop"):
             self.close_connection = True
             return
-        parts = [part for part in self.path.split("/") if part]
+        parts, _ = _split_path(self.path)
         if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "trace":
             self._append_trace(parts[1])
             return
-        if self.path.rstrip("/") != "/jobs":
+        if parts != ["jobs"]:
             self._send_json(404, {"error": f"no such endpoint {self.path!r}"})
             return
         token = self.headers.get(TRACE_HEADER)
@@ -115,7 +153,7 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
             payload = json.loads(self.rfile.read(length) or b"{}")
             spec = JobSpec.from_dict(payload)
-            submitted = self.service.store.submit(spec, trace=token)
+            submitted = self.service.pool.submit(spec, trace=token)
         except QueueFullError as error:
             self._send_json(
                 429,
@@ -162,8 +200,8 @@ class _Handler(BaseHTTPRequestHandler):
         if directive and directive.get("drop"):
             self.close_connection = True
             return
-        parts = [part for part in self.path.split("/") if part]
         try:
+            parts, query = _split_path(self.path)
             if parts == ["healthz"]:
                 self._healthz()
             elif parts == ["stats"]:
@@ -185,7 +223,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif len(parts) == 2 and parts[0] == "jobs":
                 self._job_status(parts[1])
             elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-                self._job_result(parts[1])
+                self._job_result(parts[1], _wait_seconds(query))
             elif len(parts) == 4 and parts[0] == "jobs" and parts[2] == "artifact":
                 self._job_artifact(parts[1], parts[3])
             else:
@@ -233,8 +271,8 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_json(200, status)
 
-    def _job_result(self, fingerprint: str) -> None:
-        result = self.service.store.result(fingerprint)
+    def _job_result(self, fingerprint: str, wait: float) -> None:
+        result = self.service.await_result(fingerprint, wait)
         if result is None:
             self._send_json(404, {"error": f"unknown job {fingerprint!r}"})
         elif result["state"] in ("queued", "running"):
@@ -293,6 +331,7 @@ class LayoutServer:
         handler = type("BoundHandler", (_Handler,), {"service": self})
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
+        self._closing = threading.Event()
 
     @property
     def url(self) -> str:
@@ -309,6 +348,7 @@ class LayoutServer:
         makes a crash of the last boot consistent.  Its report is kept
         as :attr:`recovery`.
         """
+        self._closing.clear()
         self.recovery = self.store.recover()
         self.pool.start()
         self._thread = threading.Thread(
@@ -318,8 +358,38 @@ class LayoutServer:
         )
         self._thread.start()
 
+    def await_result(
+        self, fingerprint: str, wait: float
+    ) -> Optional[Dict[str, Any]]:
+        """The job's result payload, held up to ``wait`` seconds for a
+        terminal state (``None`` for an unknown job).
+
+        Wakes on every transition the pool announces; ``poll_interval``
+        bounds each wait as a heartbeat re-check, for transitions made
+        outside this pool.  A stopping server answers at once with the
+        current state.
+        """
+        deadline = time.monotonic() + wait
+        while True:
+            seen = self.pool.transitions
+            result = self.store.result(fingerprint)
+            remaining = deadline - time.monotonic()
+            if (
+                result is None
+                or result["state"] not in ("queued", "running")
+                or remaining <= 0
+                or self._closing.is_set()
+            ):
+                return result
+            self.pool.await_transition(
+                seen, min(remaining, self.pool.poll_interval)
+            )
+
     def stop(self, drain: bool = True) -> int:
-        """Stop HTTP, then the pool; returns drained in-flight count."""
+        """Answer held result requests, stop HTTP, then the pool;
+        returns the drained in-flight count."""
+        self._closing.set()
+        self.pool.announce()
         self.httpd.shutdown()
         self.httpd.server_close()
         if self._thread is not None:

@@ -49,6 +49,7 @@ import json
 import os
 import shutil
 import sqlite3
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -61,7 +62,7 @@ from ..obs.trace import Span, parse_token
 from . import chaos
 from .jobs import JobResult, JobSpec
 
-__all__ = ["Store", "gc_main"]
+__all__ = ["Store", "fork_guard", "gc_main"]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -101,6 +102,38 @@ ARTIFACT_NAMES = ("layout.cif", "result.json")
 
 #: artifact files a job *may* additionally expose (absence is not torn)
 OPTIONAL_ARTIFACT_NAMES = ("trace.jsonl",)
+
+
+#: Store connections open in this process, guarded by ``_connections``
+_open_connections = 0
+_connections = threading.Condition()
+
+
+def _reset_after_fork() -> None:
+    """A child starts with no connection open and an unheld guard."""
+    global _open_connections, _connections
+    _open_connections = 0
+    _connections = threading.Condition()
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
+
+
+@contextmanager
+def fork_guard() -> Iterator[None]:
+    """Run a ``fork()`` while no thread of this process has a
+    :class:`Store` connection open.
+
+    SQLite keeps its file-lock bookkeeping per process.  A child forked
+    while another thread held a connection inherits that bookkeeping
+    without the connection that would release it, and every write the
+    child then attempts waits out the 30 s busy timeout.  Connections
+    here are short-lived: this waits for the open ones to close and
+    holds new ones back until the fork is done.
+    """
+    with _connections:
+        _connections.wait_for(lambda: _open_connections == 0)
+        yield
 
 
 def _digest(payload: bytes) -> str:
@@ -167,16 +200,29 @@ class Store:
 
     @contextmanager
     def _connect(self) -> Iterator[sqlite3.Connection]:
-        """A short-lived connection: commit on success, always close."""
-        connection = sqlite3.connect(self._db, timeout=30.0)
+        """A short-lived connection: commit on success, always close.
+
+        Counted open for :func:`fork_guard` from before it is opened to
+        after it is closed.
+        """
+        global _open_connections
+        with _connections:
+            _open_connections += 1
         try:
-            connection.row_factory = sqlite3.Row
-            connection.execute("PRAGMA journal_mode=WAL")
-            connection.execute("PRAGMA synchronous=NORMAL")
-            with connection:
-                yield connection
+            connection = sqlite3.connect(self._db, timeout=30.0)
+            try:
+                connection.row_factory = sqlite3.Row
+                connection.execute("PRAGMA journal_mode=WAL")
+                connection.execute("PRAGMA synchronous=NORMAL")
+                with connection:
+                    yield connection
+            finally:
+                connection.close()
         finally:
-            connection.close()
+            with _connections:
+                _open_connections -= 1
+                if not _open_connections:
+                    _connections.notify_all()
 
     def compaction_cache(self) -> CompactionCache:
         """A process-local handle on the shared compaction cache."""

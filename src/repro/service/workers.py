@@ -3,8 +3,19 @@
 Workers are separate *processes* (crash isolation: a dying worker takes
 down exactly one job, never the daemon), each looping claim → execute →
 complete against the shared :class:`~repro.service.store.Store`.  The
-store is the queue — claiming is an atomic SQLite transaction — so
-workers need no channel to the parent beyond the stop event.
+store is the queue — claiming is an atomic SQLite transaction — and two
+notifications keep hand-offs from waiting on a clock:
+
+* **submit → worker** — :meth:`WorkerPool.submit` releases a wake
+  semaphore whenever a submission queues work; an idle worker blocks on
+  it instead of sleeping between claim attempts;
+* **worker → parent** — every terminal transition a worker records is
+  announced over a one-way completion pipe; a listener thread in the
+  parent turns each announcement into a ``notify_all`` on a condition
+  that held result requests wait on (:meth:`WorkerPool.await_transition`).
+
+``poll_interval`` stays the heartbeat: the longest an idle worker waits
+before re-checking the queue on its own, and the supervisor's period.
 
 A supervisor thread in the parent enforces the pool contract:
 
@@ -28,13 +39,13 @@ import multiprocessing
 import os
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.errors import RsgError
 from ..obs.trace import Span, Tracer, activated, service_enabled
 from . import chaos
-from .jobs import execute_job
-from .store import Store
+from .jobs import JobSpec, execute_job
+from .store import Store, fork_guard
 
 __all__ = ["WorkerPool", "worker_loop"]
 
@@ -75,7 +86,25 @@ def _claim_span(
     )
 
 
-def worker_loop(root: str, stop_event, poll_interval: float = 0.05) -> None:
+def _announce(done, fingerprint: str) -> None:
+    """Tell the parent a job reached a terminal state.
+
+    ``done`` is shared by every worker without a lock: a message this
+    short goes out as one pipe write of fewer than ``PIPE_BUF`` bytes,
+    which POSIX keeps whole, so a worker killed at any instant can
+    neither tear a message nor leave a lock held.  A lost announcement
+    only costs latency — the supervisor's sweep and the waiters'
+    heartbeat re-check still see the store.
+    """
+    try:
+        done.send_bytes(fingerprint.encode("ascii"))
+    except OSError:
+        pass  # the parent is gone; nobody is waiting
+
+
+def worker_loop(
+    root: str, stop_event, wake, done, poll_interval: float = 0.05
+) -> None:
     """One worker process: claim jobs from the store until stopped.
 
     Runs the pure pipeline for each claimed job with a process-local
@@ -87,6 +116,10 @@ def worker_loop(root: str, stop_event, poll_interval: float = 0.05) -> None:
     supervisor treats worker death as transient.  Store I/O hiccups
     (a full disk while persisting artifacts, a transient claim error)
     fail the job in hand or back off — they never kill the worker.
+
+    An idle worker blocks on ``wake`` (the pool's submission
+    semaphore) for at most ``poll_interval`` before claiming again, and
+    every job it finishes or fails is announced on ``done``.
     """
     chaos.maybe_load_from_env()
     from ..cli import exit_code_for
@@ -104,7 +137,7 @@ def worker_loop(root: str, stop_event, poll_interval: float = 0.05) -> None:
             continue
         claim_seconds = time.perf_counter() - claim_t0
         if claim is None:
-            time.sleep(poll_interval)
+            wake.acquire(timeout=poll_interval)
             continue
         fingerprint, spec = claim
         chaos.fire("worker.claimed")
@@ -154,6 +187,7 @@ def worker_loop(root: str, stop_event, poll_interval: float = 0.05) -> None:
                     f"artifact write failed: {error}",
                     code=exit_code_for(error),
                 )
+        _announce(done, fingerprint)
         store.record_cache_stats(cache.cache_stats.diff(before))
 
 
@@ -183,9 +217,10 @@ class WorkerPool:
     ) -> None:
         """``job_timeout`` bounds one pipeline execution;
         ``max_attempts`` bounds retries of crashed-worker jobs;
-        ``poll_interval`` is both the workers' queue poll and the
-        supervisor's heartbeat; ``max_queue_depth`` enables the
-        store's submission backpressure (429 at the HTTP layer)."""
+        ``poll_interval`` is the heartbeat: the longest an idle worker
+        waits for a wake-up before re-checking the queue, and the
+        supervisor's period; ``max_queue_depth`` enables the store's
+        submission backpressure (429 at the HTTP layer)."""
         if workers < 1:
             raise ValueError(f"workers must be >= 1, not {workers}")
         self.root = root
@@ -197,16 +232,22 @@ class WorkerPool:
         )
         self._context = multiprocessing.get_context()
         self._stop = self._context.Event()
+        self._wake = self._context.Semaphore(0)
+        self._done_reader, self._done_writer = self._context.Pipe(duplex=False)
+        self._changed = threading.Condition()
+        self._transitions = 0
         self._processes: List[multiprocessing.Process] = []
         self._supervisor: Optional[threading.Thread] = None
-        self._stopping = False
+        self._listener: Optional[threading.Thread] = None
+        self._halt = threading.Event()
         self.timeouts = 0
         self.crashes = 0
         self.respawns = 0
 
     def start(self) -> None:
-        """Spawn the workers and the supervisor heartbeat."""
-        self._stopping = False
+        """Spawn the workers, the supervisor heartbeat and the listener
+        that turns worker announcements into waiter wake-ups."""
+        self._halt.clear()
         self._stop.clear()
         for _ in range(self.workers):
             self._spawn()
@@ -214,15 +255,69 @@ class WorkerPool:
             target=self._supervise, name="repro-service-supervisor", daemon=True
         )
         self._supervisor.start()
+        self._listener = threading.Thread(
+            target=self._listen, name="repro-service-listener", daemon=True
+        )
+        self._listener.start()
 
     def _spawn(self) -> None:
         process = self._context.Process(
             target=worker_loop,
-            args=(self.root, self._stop, self.poll_interval),
+            args=(
+                self.root, self._stop, self._wake, self._done_writer,
+                self.poll_interval,
+            ),
             daemon=True,
         )
-        process.start()
+        with fork_guard():
+            process.start()
         self._processes.append(process)
+
+    def submit(self, spec: JobSpec, trace: Optional[str] = None) -> Dict[str, Any]:
+        """:meth:`Store.submit`, waking an idle worker when it queued work.
+
+        A deduplicated submission queues nothing, so it wakes nobody.
+        """
+        submitted = self.store.submit(spec, trace=trace)
+        if not submitted["deduplicated"]:
+            self._wake.release()
+        return submitted
+
+    @property
+    def transitions(self) -> int:
+        """How many job transitions the pool has announced so far."""
+        return self._transitions
+
+    def announce(self) -> None:
+        """Count a transition and wake every :meth:`await_transition`
+        (a job changed state, or the server is answering held requests
+        before it stops)."""
+        with self._changed:
+            self._transitions += 1
+            self._changed.notify_all()
+
+    def await_transition(self, seen: int, timeout: float) -> int:
+        """Block until :attr:`transitions` moves past ``seen`` or
+        ``timeout`` seconds pass; returns the current count.
+
+        Read :attr:`transitions` *before* reading the store, then pass
+        it here: a transition announced in between returns at once
+        instead of being missed.
+        """
+        with self._changed:
+            self._changed.wait_for(lambda: self._transitions != seen, timeout)
+            return self._transitions
+
+    def _listen(self) -> None:
+        """Relay worker announcements until :meth:`stop` sends ``b""``."""
+        while True:
+            try:
+                message = self._done_reader.recv_bytes()
+            except (EOFError, OSError):
+                return
+            if not message:
+                return
+            self.announce()
 
     def alive_workers(self) -> int:
         """How many worker processes are currently running."""
@@ -238,8 +333,7 @@ class WorkerPool:
 
     def _supervise(self) -> None:
         """Heartbeat: enforce timeouts, sweep crashes, respawn workers."""
-        while not self._stopping:
-            time.sleep(self.poll_interval)
+        while not self._halt.wait(self.poll_interval):
             try:
                 self._enforce_timeouts()
                 self._sweep_crashes()
@@ -270,6 +364,7 @@ class WorkerPool:
             )
             if state is not None:
                 self.timeouts += 1
+                self.announce()
 
     def _sweep_crashes(self) -> None:
         dead = [process for process in self._processes if not process.is_alive()]
@@ -290,7 +385,12 @@ class WorkerPool:
                 )
                 if state is not None:
                     self.crashes += 1
-        if not self._stopping:
+                if state == "queued":
+                    self._wake.release()
+        # also covers a worker that died after committing, before its
+        # announcement went out
+        self.announce()
+        if not self._halt.is_set():
             while len(self._processes) < self.workers:
                 self._spawn()
                 self.respawns += 1
@@ -305,8 +405,10 @@ class WorkerPool:
         boot's claim, or by a concurrently running supervisor.
         """
         in_flight = len(self.store.running_jobs())
-        self._stopping = True
+        self._halt.set()
         self._stop.set()
+        for _ in self._processes:
+            self._wake.release()  # idle workers see the stop now
         if not drain:
             for process in self._processes:
                 if process.is_alive():
@@ -320,5 +422,9 @@ class WorkerPool:
                 process.join(timeout=5.0)
         if self._supervisor is not None:
             self._supervisor.join(timeout=5.0)
+        if self._listener is not None:
+            self._done_writer.send_bytes(b"")
+            self._listener.join(timeout=5.0)
+            self._listener = None
         self._processes = []
         return in_flight

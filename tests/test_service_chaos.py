@@ -24,11 +24,14 @@ eight distinct reproducible plans.  Run just this file via
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -488,22 +491,121 @@ class TestClientResilience:
         finally:
             chaos.deactivate()
 
-    def test_wait_backs_off_instead_of_busy_polling(self, tmp_path):
+    def test_wait_takes_one_request_and_no_sleep(self, tmp_path):
+        """Against the real server a wait is one held request."""
         with LayoutServer(
             str(tmp_path), port=0, workers=1, poll_interval=0.02
         ) as server:
             client = ServiceClient(server.url)
-            sleeps = []
-            client._sleep = lambda seconds: (
-                sleeps.append(seconds),
-                time.sleep(min(seconds, 0.05)),
-            )
+            sleeps, requests = [], []
+            client._sleep = sleeps.append
+            answer = client.result
+            client.result = lambda job, wait=None: (
+                requests.append(wait), answer(job, wait=wait)
+            )[1]
             job = client.submit(spec(delay=0.4, parameters="poll=1\n"))["job"]
-            client.wait(job, timeout=60.0, poll_interval=0.05)
-            assert sleeps, "wait() returned without ever polling"
-            assert sleeps[0] <= 0.05
-            assert all(second <= 2.0 for second in sleeps)
-            assert sorted(sleeps) == sleeps  # monotone backoff
+            assert client.wait(job, timeout=60.0)["state"] == "done"
+        assert len(requests) == 1, requests
+        assert 0 < requests[0] <= client.timeout / 2
+        assert sleeps == []
+
+    def test_expired_window_is_asked_again_without_sleep(self, tmp_path):
+        """A 202 that was held for its whole window needs no back-off."""
+        with LayoutServer(
+            str(tmp_path), port=0, workers=1, poll_interval=0.02
+        ) as server:
+            client = ServiceClient(server.url, timeout=0.5)  # 0.25 s windows
+            sleeps, requests = [], []
+            client._sleep = sleeps.append
+            answer = client.result
+            client.result = lambda job, wait=None: (
+                requests.append(wait), answer(job, wait=wait)
+            )[1]
+            job = client.submit(spec(delay=0.8, parameters="expire=1\n"))["job"]
+            assert client.wait(job, timeout=60.0)["state"] == "done"
+        assert len(requests) >= 3, requests
+        assert all(window == 0.25 for window in requests)
+        assert sleeps == []
+
+    def test_wait_backs_off_instead_of_busy_polling(self):
+        """A daemon that ignores ``wait`` still is not hammered."""
+        pending = 8
+        seen = []
+
+        class Stub(BaseHTTPRequestHandler):
+            def do_GET(self):  # noqa: N802 — http.server contract
+                seen.append(self.path)
+                done = len(seen) > pending
+                body = json.dumps(
+                    {"state": "done" if done else "queued", "result": {}}
+                ).encode("utf-8")
+                self.send_response(200 if done else 202)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        stub = ThreadingHTTPServer(("127.0.0.1", 0), Stub)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = stub.server_address[:2]
+            client = ServiceClient(f"http://{host}:{port}")
+            sleeps = []
+            client._sleep = sleeps.append
+            assert client.wait("f" * 64, timeout=60.0)["state"] == "done"
+        finally:
+            stub.shutdown()
+            stub.server_close()
+        assert all("?wait=" in path for path in seen)  # it did ask to be held
+        assert len(sleeps) == pending
+        assert sleeps[0] <= 0.05
+        assert sorted(sleeps) == sleeps  # monotone backoff
+        assert all(second <= 2.0 for second in sleeps)
+
+    def test_killed_worker_does_not_strand_a_held_wait(self, tmp_path):
+        """A waiter held across a worker's death ends in ``done`` early.
+
+        The retry runs on a respawned worker; its completion must answer
+        the held request at once, not at the next 2 s heartbeat and not
+        at the end of the 10 s window.
+        """
+        with LayoutServer(
+            str(tmp_path), port=0, workers=1, max_attempts=2, poll_interval=2.0
+        ) as server:
+            client = ServiceClient(server.url, timeout=20.0)  # 10 s windows
+            requests = []
+            answer = client.result
+            client.result = lambda job, wait=None: (
+                requests.append(wait), answer(job, wait=wait)
+            )[1]
+            job = client.submit(spec(delay=1.0, parameters="strand=1\n"))["job"]
+            outcome = {}
+
+            def hold():
+                started = time.monotonic()
+                outcome["result"] = client.wait(job, timeout=60.0)
+                outcome["seconds"] = time.monotonic() - started
+                outcome["answered_at"] = time.time()
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            deadline = time.monotonic() + 10.0
+            while server.store.status(job)["state"] != "running":
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.02)
+            os.kill(server.store.status(job)["worker_pid"], signal.SIGKILL)
+            holder.join(timeout=30.0)
+            status = server.store.status(job)
+        assert outcome["result"]["state"] == "done"
+        assert status["attempts"] == 2
+        assert len(requests) == 1 and requests[0] >= 9.0  # one held request
+        assert outcome["seconds"] < 8.0, outcome["seconds"]
+        lag = outcome["answered_at"] - status["finished_at"]
+        assert lag < 0.5, f"answered {lag:.2f}s after the retry finished"
 
     def test_connection_refused_eventually_surfaces(self):
         client = ServiceClient(

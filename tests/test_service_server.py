@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -137,6 +138,78 @@ class TestEndpoints:
         client = ServiceClient("http://127.0.0.1:9", timeout=2.0)
         with pytest.raises(ServiceError, match="cannot reach layout service"):
             client.health()
+
+
+class TestQueryStrings:
+    """A query string never takes part in routing."""
+
+    def _get(self, url):
+        try:
+            with urllib.request.urlopen(url, timeout=10.0) as response:
+                return response.status, json.loads(response.read())
+        except urllib.error.HTTPError as error:
+            return error.code, json.loads(error.read())
+
+    def test_query_is_stripped_before_routing(self, service):
+        job = service.submit(spec(parameters="query=1\n"))["job"]
+        service.wait(job, timeout=60.0)
+        for path in (f"/jobs/{job}?x=1", f"/jobs/{job}/result?x=1&y=2"):
+            code, payload = self._get(service.url + path)
+            assert code == 200, payload
+            assert payload["job"] == job
+        code, payload = self._get(service.url + "/healthz?verbose=1")
+        assert code == 200 and payload["ok"] is True
+
+    @pytest.mark.parametrize("value", ["-1", "soon", "", "nan"])
+    def test_malformed_or_negative_wait_is_http_400(self, service, value):
+        job = service.submit(spec(parameters="badwait=1\n"))["job"]
+        code, payload = self._get(f"{service.url}/jobs/{job}/result?wait={value}")
+        assert code == 400
+        assert "wait must be a non-negative number" in payload["error"]
+
+
+class TestPushNotPoll:
+    """Hand-offs ride notifications; ``poll_interval`` is only the heartbeat."""
+
+    def test_fresh_job_round_trip_does_not_wait_for_the_heartbeat(self, tmp_path):
+        with LayoutServer(
+            str(tmp_path), port=0, workers=1, poll_interval=5.0
+        ) as server:
+            client = ServiceClient(server.url)
+            time.sleep(0.2)  # the worker is idle, blocked on its wake-up
+            started = time.monotonic()
+            job = client.submit(spec(parameters="push=1\n"))["job"]
+            result = client.wait(job, timeout=30.0)
+            elapsed = time.monotonic() - started
+        assert result["state"] == "done"
+        assert elapsed < 1.0, f"submit -> wait took {elapsed:.2f}s"
+
+    def test_stop_answers_held_waiters_at_once(self, tmp_path):
+        server = LayoutServer(str(tmp_path), port=0, workers=1)
+        server.start()
+        client = ServiceClient(server.url)
+        job = client.submit(spec(delay=2.0, parameters="held=1\n"))["job"]
+        answered = {}
+
+        def hold():
+            url = f"{server.url}/jobs/{job}/result?wait=30"
+            with urllib.request.urlopen(url, timeout=40.0) as response:
+                answered["code"] = response.status
+                answered["state"] = json.loads(response.read())["state"]
+                answered["at"] = time.monotonic()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        time.sleep(0.3)
+        stopping = time.monotonic()
+        drained = server.stop(drain=True)
+        holder.join(timeout=10.0)
+        assert answered["code"] == 202
+        assert answered["state"] in ("queued", "running")
+        # held until the stop began, then answered at once, not after
+        # the drain or the window
+        assert 0.0 <= answered["at"] - stopping < 1.0
+        assert drained == 1
 
 
 class TestDegradedHealth:

@@ -16,6 +16,7 @@ fingerprint, so slow jobs are distinct jobs) rather than real layout
 bulk, keeping the suite fast.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -24,7 +25,7 @@ import time
 import pytest
 
 from repro.service.jobs import JobSpec
-from repro.service.store import Store
+from repro.service.store import Store, fork_guard
 from repro.service.workers import WorkerPool
 
 SAMPLE = """
@@ -125,6 +126,62 @@ class TestDeduplication:
             lambda: all(store.status(job)["state"] == "done" for job in jobs)
         )
         assert all(store.status(job)["executions"] == 1 for job in jobs)
+
+
+class TestWake:
+    def test_submission_wakes_an_idle_worker(self, root, request):
+        """The claim does not wait for the ``poll_interval`` heartbeat."""
+        pool = make_pool(root, request, workers=1, poll_interval=5.0)
+        time.sleep(0.2)  # the worker is idle, blocked on its wake-up
+        job = pool.submit(spec(parameters="wake=1\n"))["job"]
+        assert wait_for(
+            lambda: pool.store.status(job)["state"] != "queued", timeout=1.0
+        ), "an idle worker slept through the submission"
+
+    def test_deduplicated_submission_wakes_nobody(self, root):
+        pool = WorkerPool(root, workers=1)
+        job = spec(parameters="dedup_wake=1\n")
+        assert pool.submit(job)["deduplicated"] is False
+        assert pool.submit(job)["deduplicated"] is True
+        assert pool._wake.acquire(timeout=0)  # one token: the queued work
+        assert not pool._wake.acquire(timeout=0)
+
+
+def _submit_in_child(root):
+    Store(root).submit(spec(parameters="child=1\n"))
+
+
+class TestForkGuard:
+    def test_child_forked_beside_a_writer_can_write(self, root):
+        """A fork waits out open connections instead of copying one.
+
+        Unguarded, the child inherits SQLite's record of the parent
+        thread's write lock and its own write waits out the 30 s busy
+        timeout.
+        """
+        store = Store(root)
+        writing = threading.Event()
+
+        def write():
+            with store._connect() as connection:
+                connection.execute("BEGIN IMMEDIATE")
+                writing.set()
+                time.sleep(0.3)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        writing.wait()
+        child = multiprocessing.get_context("fork").Process(
+            target=_submit_in_child, args=(root,)
+        )
+        with fork_guard():
+            child.start()
+        child.join(timeout=10.0)
+        writer.join()
+        if child.exitcode is None:
+            child.kill()
+        assert child.exitcode == 0, "the forked child wedged on an inherited lock"
+        assert store.queue_depth() == 1
 
 
 class TestRobustness:
