@@ -16,7 +16,7 @@ Usage::
 
     python -m repro parameters.par
     python -m repro parameters.par --set xsize=8 --set ysize=8
-    python -m repro parameters.par --compact xy --solver topological
+    python -m repro parameters.par --compact xy --timings
     python -m repro parameters.par --compact hier --jobs 4 --cache-dir .rsgcache
     python -m repro parameters.par --route wires.net --router channel
     python -m repro parameters.par --verify all --sim-vectors 256
@@ -44,21 +44,23 @@ diagnostic on stderr (no raw tracebacks): 1 generic, 2 usage (argparse),
 ``--compact`` runs the chapter-6 flat compactor over the generated cell
 before it is written (``x``/``y``/``xy``/``yx``), or — with ``hier`` —
 the compact-once/stamp-many hierarchical pipeline that compacts each
-distinct leaf cell exactly once and re-stamps every instance.
-``--solver`` picks the longest-path backend from the
-:mod:`repro.compact.solvers` registry.  ``--jobs N`` fans independent
-leaf-cell compactions out over N worker processes (``hier`` only;
-output is byte-identical to ``--jobs 1``), and ``--cache-dir``
-persists compaction results on disk so an unchanged cell is never
-compacted twice, even across runs.  ``--route`` composes two cells
-from the workspace with the wiring subsystem: the net file names a
-bottom cell, a top cell and the nets to route between their facing
-edges (see :func:`repro.route.compose.parse_net_file`); the routed
-composite becomes the output cell.  ``--verify`` closes the loop from
-mask geometry back to logical function (:mod:`repro.verify`): device
-extraction plus LVS against the intended netlist and/or switch-level
-simulation against the programmed personality, with ``--sim-vectors``
-bounding the vector count; a failed check exits non-zero.
+distinct leaf cell exactly once and re-stamps every instance; every
+pass solves its constraints with the paper's sorted-edge Bellman-Ford
+(:mod:`repro.compact.solver`).  ``--tech`` picks the design-rule set
+that compaction, routing and verification read.  ``--jobs N`` fans
+independent leaf-cell compactions out over N worker processes
+(``hier`` only; output is byte-identical to ``--jobs 1``), and
+``--cache-dir`` persists compaction results on disk so an unchanged
+cell is never compacted twice, even across runs.  ``--route``
+composes two cells from the workspace with the wiring subsystem: the
+net file names a bottom cell, a top cell and the nets to route between
+their facing edges (see :func:`repro.route.compose.parse_net_file`);
+the routed composite becomes the output cell.  ``--verify`` closes the
+loop from mask geometry back to logical function (:mod:`repro.verify`):
+device extraction plus LVS against the intended netlist and/or
+switch-level simulation against the programmed personality, with
+``--sim-vectors`` bounding the vector count; a failed check exits
+non-zero.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from .compact import (
     TECH_B,
     CompactionCache,
     HierarchicalCompactor,
-    available_solvers,
     compact_cell,
 )
 from .core.cell import CellDefinition
@@ -159,7 +160,6 @@ def run_flow(
     overrides: Optional[List[str]] = None,
     output_stream=None,
     compact_axes: Optional[str] = None,
-    solver: Optional[str] = None,
     technology: str = "A",
     route_path: Optional[str] = None,
     router: str = "auto",
@@ -174,8 +174,8 @@ def run_flow(
     Returns the output cell.  ``overrides`` is a list of ``name=value``
     strings applied on top of the parameter file (sizes, mostly).
     ``compact_axes`` (``"x"``, ``"y"``, ``"xy"``, ``"yx"``) runs the flat
-    compactor over the result before writing, using the named ``solver``
-    backend and the ``technology`` rule set ("A" or "B");
+    compactor over the result before writing, using the ``technology``
+    rule set ("A" or "B", which routing and verification read too);
     ``compact_axes="hier"`` (or ``"hier:<axes>"`` to pick the per-leaf
     passes) runs the hierarchical compact-once pipeline instead,
     fanning leaf-cell solves over ``jobs`` worker processes.
@@ -207,7 +207,6 @@ def run_flow(
                 overrides,
                 output_stream,
                 compact_axes=compact_axes,
-                solver=solver,
                 technology=technology,
                 route_path=route_path,
                 router=router,
@@ -259,7 +258,7 @@ def run_flow(
     if compact_axes:
         with obs_trace.span("job.compact") as stage_span:
             cell = _compact_flow_cell(
-                cell, compact_axes, solver, technology, output_stream,
+                cell, compact_axes, technology, output_stream,
                 jobs=jobs, cache_dir=cache_dir,
             )
         if timings is not None:
@@ -341,9 +340,9 @@ def timings_table(timings: Dict[str, float], extras: tuple = ()) -> str:
 def solver_summary_lines(spans) -> tuple:
     """Summarise ``solver.solve`` spans for the ``--timings`` table.
 
-    Aggregates iteration and relaxation counts per solver backend —
-    the :class:`~repro.compact.solvers.base.SolveStats` numbers that
-    used to be ``__str__``-only — one line per backend used.
+    Aggregates the pass and relaxation counts of every solve — the
+    :class:`~repro.compact.solver.SolveStats` numbers that used to be
+    ``__str__``-only — into one line per solver named on the spans.
     """
     totals: Dict[str, Dict[str, float]] = {}
     for span in spans:
@@ -478,7 +477,6 @@ def _verify_flow_cell(
 def _compact_flow_cell(
     cell: CellDefinition,
     axes: str,
-    solver: Optional[str],
     technology: str,
     output_stream,
     jobs: int = 1,
@@ -510,8 +508,7 @@ def _compact_flow_cell(
     cache = CompactionCache(cache_dir) if cache_dir else None
     if hier_axes is not None:
         compactor = HierarchicalCompactor(
-            rules, axes=hier_axes, width_mode="preserve", solver=solver,
-            jobs=jobs, cache=cache,
+            rules, axes=hier_axes, width_mode="preserve", jobs=jobs, cache=cache,
         )
         cell = compactor.compact(cell)
         if output_stream is not None:
@@ -521,8 +518,7 @@ def _compact_flow_cell(
         return cell
     for axis in axes:
         cell, result = compact_cell(
-            cell, rules, axis=axis, width_mode="preserve", solver=solver,
-            cache=cache,
+            cell, rules, axis=axis, width_mode="preserve", cache=cache,
         )
         if output_stream is not None:
             print(
@@ -624,14 +620,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         " are never compacted twice, even across runs",
     )
     parser.add_argument(
-        "--solver",
-        choices=list(available_solvers()),
-        help="longest-path backend for compaction (default: bellman-ford)",
-    )
-    parser.add_argument(
         "--tech",
         choices=["A", "B"],
-        help="design-rule technology used by --compact/--route (default: A)",
+        help="design-rule technology used by --compact, --route and"
+        " --verify (default: A)",
     )
     parser.add_argument(
         "--route",
@@ -664,12 +656,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         " default: 4096)",
     )
     arguments = parser.parse_args(arguments_list)
-    if not arguments.compact and not arguments.route and (
-        arguments.solver or arguments.tech
+    if arguments.tech and not (
+        arguments.compact or arguments.route or arguments.verify
     ):
-        parser.error("--solver/--tech have no effect without --compact/--route")
-    if arguments.solver and not arguments.compact:
-        parser.error("--solver has no effect without --compact")
+        parser.error("--tech has no effect without --compact, --route or --verify")
     if arguments.jobs < 1:
         parser.error("--jobs must be at least 1")
     if arguments.jobs != 1 and not (
@@ -711,7 +701,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 arguments.set,
                 sys.stdout,
                 compact_axes=arguments.compact,
-                solver=arguments.solver,
                 technology=arguments.tech or "A",
                 route_path=arguments.route,
                 router=arguments.router,

@@ -38,16 +38,6 @@ from .scanline import (
     visibility_constraints_reference,
 )
 from .solver import SolveStats, solve_longest_path
-from .solvers import (
-    DEFAULT_SOLVER,
-    BellmanFordSolver,
-    IncrementalSolver,
-    SolverBackend,
-    TopologicalSolver,
-    available_solvers,
-    get_solver,
-    register_solver,
-)
 
 __all__ = [
     "CacheStats",
@@ -97,12 +87,4 @@ __all__ = [
     "rebuild_boxes",
     "SolveStats",
     "solve_longest_path",
-    "DEFAULT_SOLVER",
-    "SolverBackend",
-    "BellmanFordSolver",
-    "TopologicalSolver",
-    "IncrementalSolver",
-    "available_solvers",
-    "get_solver",
-    "register_solver",
 ]

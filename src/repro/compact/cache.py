@@ -13,7 +13,7 @@ content hash of everything that determines the outcome:
 * the :class:`~repro.compact.rules.DesignRules` content (widths,
   spacings, contact expansion, gate rule — the ``name`` is deliberately
   excluded so renamed-but-identical rule sets share entries),
-* the solver backend, width mode, axis, and the other driver options,
+* the width mode, axis, and the other driver options,
 * for leaf-cell compaction: the registered interfaces (pitch
   constraints) and the pitch cost function.
 
@@ -57,7 +57,7 @@ __all__ = [
 
 #: shape of the cached result values; part of every compaction key.
 #: Bump it whenever a cached class changes what it stores.
-FORMAT_VERSION = "columns-1"
+FORMAT_VERSION = "columns-2"
 
 
 def cache_key(*parts: Any) -> str:

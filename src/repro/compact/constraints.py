@@ -339,18 +339,6 @@ class ConstraintSystem:
             ]
         return self._views
 
-    def solve(self, solver: Optional[str] = None, **options):
-        """Solve this system with a named backend (default Bellman-Ford).
-
-        Convenience front door to :mod:`repro.compact.solvers`: keyword
-        options (``sort_edges``, ``lower_bound``, ``pitches``, ``hint``)
-        are forwarded to the backend's ``solve``.  Returns the backend's
-        :class:`~repro.compact.solvers.SolveStats`.
-        """
-        from .solvers import get_solver  # deferred: solvers import this module
-
-        return get_solver(solver).solve(self, **options)
-
     # ------------------------------------------------------------------
     def has_pitch_terms(self) -> bool:
         """Whether any constraint carries a symbolic pitch term."""

@@ -125,7 +125,6 @@ def _compact_pass(
     merge: bool,
     sizing: Optional[Dict[Tuple[str, str], int]],
     sort_edges: bool,
-    solver: Optional[str],
     decode: bool = True,
 ) -> Tuple[CompactionResult, Optional[EdgeBoxes]]:
     """One pass (options as in :func:`compact_layout`) over a
@@ -153,7 +152,7 @@ def _compact_pass(
             )
         span.set(constraints=len(system), spacing=spacing_count)
     with obs_trace.span("solver.solve", axis=axis) as span:
-        stats = solve_longest_path(system, sort_edges=sort_edges, solver=solver)
+        stats = solve_longest_path(system, sort_edges=sort_edges)
         span.set(**stats.to_dict())
     result = CompactionResult(
         stats=stats, constraint_count=len(system), spacing_constraints=spacing_count
@@ -166,7 +165,7 @@ def _compact_pass(
     if rubber_band and len(align):
         with obs_trace.span("compact.rubberband", pairs=len(align)) as span:
             width_limit = max(values, default=0)
-            values = rubber_band_solve(system, boxes, width_limit, align, solver=solver)
+            values = rubber_band_solve(system, boxes, width_limit, align)
             result.jog_after = misalignment(align, values)
             span.set(jog=result.jog_after)
 
@@ -200,7 +199,6 @@ def compact_layout(
     merge: bool = False,
     sizing: Optional[Dict[Tuple[str, str], int]] = None,
     sort_edges: bool = True,
-    solver: Optional[str] = None,
     cache=None,
 ) -> CompactionResult:
     """Compact a flat layout along one axis.
@@ -212,10 +210,8 @@ def compact_layout(
     ``merge`` pre-merges boxes per layer (section 6.4.1's preprocessing
     — incompatible with tag-based ``sizing``, which is rejected; the
     flat pass tags every box ``""``, so its sizing keys read
-    ``("", layer)``).  ``solver`` names the longest-path backend (see
-    :mod:`repro.compact.solvers`); with ``width_mode="min"`` the
-    constraint graph is acyclic and ``"topological"`` solves it in a
-    single O(V+E) sweep.  ``cache`` (a
+    ``("", layer)``).  ``sort_edges`` presorts the constraint list
+    for the Bellman-Ford solve (section 6.4.2).  ``cache`` (a
     :class:`~repro.compact.cache.CompactionCache`) memoizes the whole
     run under a content hash of the input geometry, the rule tables and
     every option listed above; ``cache=None`` is the uncached oracle.
@@ -223,7 +219,6 @@ def compact_layout(
     options = _checked_options(
         method=method, width_mode=width_mode, rubber_band=rubber_band,
         axis=axis, merge=merge, sizing=sizing, sort_edges=sort_edges,
-        solver=solver,
     )
     key = None
     if cache is not None:
@@ -246,7 +241,6 @@ def compact_layout(
             merge,
             sorted(sizing.items()) if sizing else None,
             sort_edges,
-            solver or "",
         )
         cached = cache.get(key)
         if cached is not None:
@@ -265,7 +259,6 @@ def _checked_options(
     merge: bool = False,
     sizing: Optional[Dict[Tuple[str, str], int]] = None,
     sort_edges: bool = True,
-    solver: Optional[str] = None,
 ) -> Dict[str, object]:
     """The pass options as keywords, rejecting an unknown axis or
     method and merging combined with sizing."""
@@ -280,7 +273,6 @@ def _checked_options(
     return {
         "method": method, "width_mode": width_mode, "rubber_band": rubber_band,
         "axis": axis, "merge": merge, "sizing": sizing, "sort_edges": sort_edges,
-        "solver": solver,
     }
 
 

@@ -45,7 +45,7 @@ from .scanline import (
     build_edge_variables,
     visibility_constraints,
 )
-from .solvers import DEFAULT_SOLVER, SolveStats, get_solver
+from .solver import SolveStats, solve_longest_path
 
 __all__ = ["PitchCost", "LeafCellResult", "LeafCellCompactor", "pitch_name"]
 
@@ -96,16 +96,15 @@ class LeafCellCompactor:
         rsg: Rsg,
         rules: DesignRules,
         width_mode: str = "min",
-        solver: Optional[str] = None,
     ) -> None:
-        """``solver`` names the longest-path backend used for the integer
-        rounding search (``"incremental"`` pays off there: the candidate
-        loop re-solves the same system at nearby pitch values)."""
+        """``width_mode`` is each cell's width policy (``"min"`` enforces
+        only the rule minimum, ``"preserve"`` pins the drawn widths; see
+        :func:`~repro.compact.scanline.add_width_constraints`).  The
+        integer rounding search solves each candidate pitch assignment
+        with the Bellman-Ford solver of :mod:`repro.compact.solver`."""
         self.rsg = rsg
         self.rules = rules
         self.width_mode = width_mode
-        self.solver = get_solver(solver)
-        self.solver_name = solver or DEFAULT_SOLVER
         self.system = ConstraintSystem()
         self._cell_boxes: Dict[str, EdgeBoxes] = {}
         #: cache-key snapshots taken at registration time:
@@ -274,9 +273,9 @@ class LeafCellCompactor:
         ``cache`` (a :class:`~repro.compact.cache.CompactionCache`)
         memoizes the whole solve under a content hash of the registered
         cells' geometry (with their frozen/sizing options), the
-        registered interfaces, the rule tables, the width mode, the
-        solver backend and the cost function — any change to one of
-        those is a miss; ``cache=None`` is the uncached oracle.
+        registered interfaces, the rule tables, the width mode and the
+        cost function — any change to one of those is a miss;
+        ``cache=None`` is the uncached oracle.
         """
         cost = cost or PitchCost()
         key = None
@@ -363,7 +362,6 @@ class LeafCellCompactor:
             self._interface_meta,
             fingerprint_rules(self.rules),
             self.width_mode,
-            self.solver_name,
             sorted(cost.weights.items()),
             cost.default_weight,
             cost.size_weight,
@@ -397,7 +395,7 @@ class LeafCellCompactor:
         for values in candidates:
             trial = dict(zip(names, values))
             try:
-                stats = self.solver.solve(self.system, pitches=trial)
+                stats = solve_longest_path(self.system, pitches=trial)
             except InfeasibleConstraintsError:
                 continue
             return trial, stats

@@ -55,18 +55,15 @@ def _compact_one(
     rules: DesignRules,
     axes: str,
     width_mode: str,
-    solver: Optional[str],
 ) -> Tuple[CellDefinition, CompactionResult]:
     """One axis pass per letter of ``axes``; keeps the cell's name."""
-    return compact_cell_axes(
-        cell, rules, axes, name=cell.name, width_mode=width_mode, solver=solver
-    )
+    return compact_cell_axes(cell, rules, axes, name=cell.name, width_mode=width_mode)
 
 
 def _compact_worker(payload):
     """Process-pool entry point: unpack, compact, repack by index."""
-    index, cell, rules, axes, width_mode, solver = payload
-    compacted, result = _compact_one(cell, rules, axes, width_mode, solver)
+    index, cell, rules, axes, width_mode = payload
+    compacted, result = _compact_one(cell, rules, axes, width_mode)
     return index, compacted, result
 
 
@@ -77,7 +74,6 @@ def compact_cells(
     cache: Optional[CompactionCache] = None,
     axes: str = "x",
     width_mode: str = "preserve",
-    solver: Optional[str] = None,
 ) -> List[Tuple[str, CellDefinition, CompactionResult]]:
     """Compact independent ``(name, cell)`` pairs, each at most once.
 
@@ -107,7 +103,6 @@ def compact_cells(
                 rules_print,
                 axes,
                 width_mode,
-                solver or "",
             )
             keys[index] = key
             # peek, not get: the stamped rebuild only reads the cached
@@ -127,8 +122,7 @@ def compact_cells(
 
     if jobs > 1 and len(pending) > 1:
         payloads = [
-            (index, cell, rules, axes, width_mode, solver)
-            for index, cell in pending
+            (index, cell, rules, axes, width_mode) for index, cell in pending
         ]
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -143,7 +137,7 @@ def compact_cells(
                 (index, cell) for index, cell in pending if results[index] is None
             ]
     for index, cell in pending:
-        compacted, result = _compact_one(cell, rules, axes, width_mode, solver)
+        compacted, result = _compact_one(cell, rules, axes, width_mode)
         finish(index, compacted, result)
     return [entry for entry in results if entry is not None]
 
@@ -232,7 +226,6 @@ class HierarchicalCompactor:
         rules: DesignRules,
         axes: str = "x",
         width_mode: str = "preserve",
-        solver: Optional[str] = None,
         jobs: int = 1,
         cache: Optional[CompactionCache] = None,
     ) -> None:
@@ -244,7 +237,6 @@ class HierarchicalCompactor:
         self.rules = rules
         self.axes = axes
         self.width_mode = width_mode
-        self.solver = solver
         self.jobs = jobs
         self.cache = cache
         self.last_report: Optional[PipelineReport] = None
@@ -281,7 +273,6 @@ class HierarchicalCompactor:
             cache=self.cache,
             axes=self.axes,
             width_mode=self.width_mode,
-            solver=self.solver,
         )
         replacement: Dict[int, CellDefinition] = {}
         for (fingerprint, group), (_, compacted, result) in zip(

@@ -29,6 +29,7 @@ from ..core.errors import InfeasibleConstraintsError
 from ..geometry import batch
 from .constraints import ConstraintSystem
 from .scanline import CompactionBox, EdgeBoxes
+from .solver import solve_longest_path
 
 __all__ = ["AlignmentPairs", "alignment_pairs", "rubber_band_solve", "misalignment"]
 
@@ -90,17 +91,16 @@ def rubber_band_solve(
     boxes: EdgeBoxes,
     max_width: int,
     pairs: Optional[AlignmentPairs] = None,
-    solver: Optional[str] = None,
 ) -> List[int]:
     """Minimise connected-pair misalignment within ``max_width``.
 
     Subject to every constraint in ``system`` plus ``0 <= x <= max_width``
     for all variables.  Preserves the bounding box of the greedy solve
     while removing the jogs it introduced.  Returns values by variable
-    id.  ``solver`` names the longest-path backend used to repair
-    integer rounding: when the rounded LP optimum violates a constraint,
-    the backend re-relaxes from the rounded point (hint-seeded solve)
-    and the repair is kept if it stays inside ``max_width``.
+    id.  Integer rounding is repaired by Bellman-Ford: when the rounded
+    LP optimum violates a constraint, the solver re-relaxes from the
+    rounded point (hint-seeded solve) and the repair is kept if it
+    stays inside ``max_width``.
     """
     if system.has_pitch_terms():
         raise InfeasibleConstraintsError(
@@ -127,9 +127,7 @@ def rubber_band_solve(
     violated = system.check(solution)
     if violated:
         # Repair: least feasible point at or above the rounded one.
-        from .solvers import get_solver  # deferred: solvers import siblings
-
-        repaired = get_solver(solver).solve(system, hint=solution).values
+        repaired = solve_longest_path(system, hint=solution).values
         if max(repaired, default=0) > max_width:
             raise InfeasibleConstraintsError(
                 f"rubber-band rounding violated {len(violated)} constraint(s)"

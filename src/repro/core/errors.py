@@ -19,7 +19,6 @@ __all__ = [
     "UnboundVariableError",
     "CompactionError",
     "InfeasibleConstraintsError",
-    "SolverConfigurationError",
     "VerificationError",
     "ServiceError",
     "QueueFullError",
@@ -88,10 +87,6 @@ class CompactionError(RsgError):
 
 class InfeasibleConstraintsError(CompactionError):
     """The constraint system admits no solution (positive cycle / LP infeasible)."""
-
-
-class SolverConfigurationError(CompactionError):
-    """A solver backend name did not resolve in the solver registry."""
 
 
 class VerificationError(RsgError):

@@ -308,7 +308,6 @@ def _spec_from_files(arguments) -> JobSpec:
         design_text=design_text,
         tech=arguments.tech,
         compact=arguments.compact,
-        solver=arguments.solver,
         verify=arguments.verify,
         sim_vectors=arguments.sim_vectors,
     )
@@ -346,7 +345,6 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
         help="override a parameter binding (repeatable)",
     )
     parser.add_argument("--compact", metavar="AXES", help="compaction mode (as the batch CLI)")
-    parser.add_argument("--solver", help="longest-path backend for --compact")
     parser.add_argument("--tech", default="A", help="design-rule technology (default: A)")
     parser.add_argument("--verify", metavar="MODE", help="verification mode: lvs, sim or all")
     parser.add_argument("--sim-vectors", type=int, metavar="N", help="simulated-vector cap")

@@ -10,11 +10,10 @@ one job:
 * the parameter-file text is *parsed*, not hashed verbatim — key
   order, whitespace, and comments do not change the fingerprint, while
   any binding change does;
-* default-equal options are folded onto their defaults (``solver=None``
-  equals the registry default; ``sim_vectors=None`` equals the
-  verification driver's cap; options that have no effect for the
-  request, like a solver without compaction, are rejected outright the
-  way the CLI rejects them);
+* default-equal options are folded onto their defaults
+  (``sim_vectors=None`` equals the verification driver's cap; options
+  that have no effect for the request, like a router without routing,
+  are rejected outright the way the CLI rejects them);
 * builtin kinds resolve to their library texts, so a library change
   changes the fingerprint (no stale artifact survives an upgrade).
 
@@ -31,13 +30,20 @@ store's compaction memos reach every worker.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..compact import TECH_A, TECH_B, CompactionCache, HierarchicalCompactor, compact_cell
+from ..compact import (
+    TECH_A,
+    TECH_B,
+    CompactionCache,
+    HierarchicalCompactor,
+    SolveStats,
+    compact_cell,
+)
 from ..compact.cache import cache_key
-from ..compact.solvers import DEFAULT_SOLVER, available_solvers
 from ..core.cell import CellDefinition
 from ..core.errors import RsgError, ServiceError, VerificationError
 from ..core.operators import Rsg
@@ -54,6 +60,11 @@ _COMPACT_MODES = ("x", "y", "xy", "yx", "hier", "hier:x", "hier:y", "hier:xy", "
 _VERIFY_MODES = ("lvs", "sim", "all")
 _ROUTERS = ("auto", "river", "channel")
 _TECHS = {"A": TECH_A, "B": TECH_B}
+#: spec fields that hold text, and those of them that may be null
+_TEXT_FIELDS = ("kind", "parameters", "tech", "router")
+_OPTIONAL_TEXT_FIELDS = (
+    "sample_text", "design_text", "output_cell", "compact", "verify", "route_text",
+)
 
 
 def _builtin_kinds() -> Dict[str, Tuple[str, str, str, str]]:
@@ -88,7 +99,6 @@ class JobSpec:
     output_cell: Optional[str] = None
     tech: str = "A"
     compact: Optional[str] = None
-    solver: Optional[str] = None
     verify: Optional[str] = None
     sim_vectors: Optional[int] = None
     route_text: Optional[str] = None
@@ -97,9 +107,23 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":
-        """Build a spec from a JSON payload, rejecting unknown keys."""
+        """Build a spec from a JSON payload, rejecting unknown keys.
+
+        Specs written when the longest-path solver was selectable carry
+        a ``solver`` key: ``null`` and ``"bellman-ford"`` load as the
+        spec they always meant, any other backend name is rejected.
+        """
         if not isinstance(payload, dict):
             raise ServiceError(f"job spec must be a JSON object, not {type(payload).__name__}")
+        payload = dict(payload)
+        solver = payload.pop("solver", None)
+        if solver not in (None, SolveStats.backend):
+            raise ServiceError(
+                f"solver {solver!r} is not available: the alternative"
+                " longest-path backends were removed and"
+                f" {SolveStats.backend} is the only solver (drop the"
+                " solver field)"
+            )
         known = {entry.name for entry in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -116,11 +140,20 @@ class JobSpec:
     def validate(self) -> None:
         """Raise :class:`ServiceError` unless the spec is serviceable.
 
-        Mirrors the CLI's option policing: options that cannot take
-        effect (a solver without compaction, vector caps without
-        simulation) are errors, not silently ignored spellings — they
+        Every field is type-checked first, so a malformed payload is a
+        :class:`ServiceError` at submission, not a crash in a worker.
+        Then it mirrors the CLI's option policing: options that cannot
+        take effect (vector caps without simulation, a router without
+        routing) are errors, not silently ignored spellings — they
         would otherwise split one job into many fingerprints.
         """
+        for name in _TEXT_FIELDS:
+            if not isinstance(getattr(self, name), str):
+                raise ServiceError(f"{name} must be a string")
+        for name in _OPTIONAL_TEXT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ServiceError(f"{name} must be a string or null")
         kinds = _builtin_kinds()
         if self.kind != "custom" and self.kind not in kinds:
             raise ServiceError(
@@ -132,22 +165,12 @@ class JobSpec:
                 raise ServiceError(
                     "kind 'custom' needs sample_text and design_text"
                 )
-        if not isinstance(self.parameters, str):
-            raise ServiceError("parameters must be parameter-file text")
         if self.tech.upper() not in _TECHS:
             raise ServiceError(f"unknown technology {self.tech!r} (use A or B)")
         if self.compact is not None and self.compact not in _COMPACT_MODES:
             raise ServiceError(
                 f"compact takes one of {', '.join(_COMPACT_MODES)}, not {self.compact!r}"
             )
-        if self.solver is not None:
-            if self.compact is None:
-                raise ServiceError("solver has no effect without compact")
-            if self.solver not in available_solvers():
-                raise ServiceError(
-                    f"unknown solver {self.solver!r}"
-                    f" (use one of: {', '.join(available_solvers())})"
-                )
         if self.verify is not None and self.verify not in _VERIFY_MODES:
             raise ServiceError(
                 f"verify takes lvs, sim or all, not {self.verify!r}"
@@ -155,7 +178,11 @@ class JobSpec:
         if self.sim_vectors is not None:
             if self.verify not in ("sim", "all"):
                 raise ServiceError("sim_vectors has no effect without verify sim/all")
-            if not isinstance(self.sim_vectors, int) or self.sim_vectors < 1:
+            if (
+                isinstance(self.sim_vectors, bool)
+                or not isinstance(self.sim_vectors, int)
+                or self.sim_vectors < 1
+            ):
                 raise ServiceError("sim_vectors must be a positive integer")
         if self.route_text is not None and self.sim_vectors is not None:
             raise ServiceError(
@@ -171,8 +198,13 @@ class JobSpec:
                 raise ServiceError(
                     f"router takes auto, river or channel, not {self.router!r}"
                 )
-        if not isinstance(self.delay, (int, float)) or self.delay < 0:
-            raise ServiceError("delay must be a non-negative number of seconds")
+        if (
+            isinstance(self.delay, bool)
+            or not isinstance(self.delay, (int, float))
+            or not math.isfinite(self.delay)
+            or self.delay < 0
+        ):
+            raise ServiceError("delay must be a finite, non-negative number of seconds")
 
     def _resolved_texts(self) -> Tuple[str, str, str, Optional[str]]:
         """(sample, design, base parameter text, default output cell)."""
@@ -216,7 +248,6 @@ class JobSpec:
             "output_cell": cell_name,
             "tech": self.tech.upper(),
             "compact": self.compact,
-            "solver": (self.solver or DEFAULT_SOLVER) if self.compact else None,
             "verify": self.verify,
             "sim_vectors": _canonical_vectors(self.verify, self.sim_vectors),
             "route": self.route_text,
@@ -398,8 +429,7 @@ def _compact_stage(
     if mode.startswith("hier"):
         axes = mode[len("hier:"):] if mode.startswith("hier:") else "x"
         compactor = HierarchicalCompactor(
-            rules, axes=axes, width_mode="preserve", solver=spec.solver,
-            cache=cache,
+            rules, axes=axes, width_mode="preserve", cache=cache,
         )
         cell = compactor.compact(cell)
         assert compactor.last_report is not None
@@ -407,8 +437,7 @@ def _compact_stage(
         return cell
     for axis in mode:
         cell, pass_result = compact_cell(
-            cell, rules, axis=axis, width_mode="preserve", solver=spec.solver,
-            cache=cache,
+            cell, rules, axis=axis, width_mode="preserve", cache=cache,
         )
         result.compaction.append(
             {

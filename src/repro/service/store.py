@@ -316,7 +316,9 @@ class Store:
 
         The claimed row moves to ``running`` with this worker's pid and
         bumped ``attempts``/``executions`` counters — the single place
-        a pipeline execution is accounted.
+        a pipeline execution is accounted.  A stored spec this build
+        cannot load (an option an older build offered and this one
+        removed) fails its job here, and ``None`` is returned.
         """
         with self._connect() as connection:
             connection.execute("BEGIN IMMEDIATE")
@@ -334,7 +336,13 @@ class Store:
             )
             chaos.fire("store.claim.pre_commit")  # crash here: claim rolls back
         chaos.fire("store.claim.post_commit")  # crash here: running row, dead pid
-        return row["fingerprint"], JobSpec.from_dict(json.loads(row["spec"]))
+        try:
+            return row["fingerprint"], JobSpec.from_dict(json.loads(row["spec"]))
+        except ServiceError as error:
+            from ..cli import EXIT_SERVICE
+
+            self.fail(row["fingerprint"], f"ServiceError: {error}", code=EXIT_SERVICE)
+            return None
 
     def complete(
         self,

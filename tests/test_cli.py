@@ -89,13 +89,12 @@ class TestMain:
 
 
 class TestCompactFlags:
-    @pytest.mark.parametrize("solver", ["bellman-ford", "topological", "incremental"])
-    def test_compact_with_each_solver(self, flow_files, capsys, solver):
+    def test_compact_reports_bellman_ford(self, flow_files, capsys):
         parameter, output = flow_files
-        assert main([str(parameter), "--compact", "x", "--solver", solver]) == 0
+        assert main([str(parameter), "--compact", "x"]) == 0
         out = capsys.readouterr().out
         assert "compacted x: width" in out
-        assert solver in out
+        assert "(bellman-ford: " in out
         assert output.exists()
 
     def test_compact_both_axes(self, flow_files, capsys):
@@ -105,29 +104,31 @@ class TestCompactFlags:
         assert "compacted x: width" in out
         assert "compacted y: width" in out
 
-    def test_solvers_shrink_to_same_width(self, flow_files, capsys):
-        parameter, _ = flow_files
-        widths = set()
-        for solver in ("bellman-ford", "topological"):
-            assert main([str(parameter), "--compact", "x", "--solver", solver]) == 0
-            line = next(
-                line
-                for line in capsys.readouterr().out.splitlines()
-                if line.startswith("compacted x")
-            )
-            widths.add(line.split("(")[0])
-        assert len(widths) == 1
+    @pytest.mark.parametrize("verb", [[], ["submit"]], ids=["flow", "submit"])
+    def test_no_solver_option(self, capsys, verb):
+        with pytest.raises(SystemExit) as excinfo:
+            main(verb + ["--help"])
+        assert excinfo.value.code == 0
+        assert "--solver" not in capsys.readouterr().out
 
-    def test_unknown_solver_rejected_by_parser(self, flow_files):
+    def test_tech_with_verify_accepted(self, flow_files, capsys):
+        # verification expands masks with the chosen rule set
         parameter, _ = flow_files
-        with pytest.raises(SystemExit):
-            main([str(parameter), "--compact", "x", "--solver", "simplex"])
+        assert main([str(parameter), "--tech", "B", "--verify", "all"]) == 0
+        assert "PASS" in capsys.readouterr().out
 
-    def test_solver_without_compact_rejected(self, flow_files, capsys):
+    def test_tech_with_compact_accepted(self, flow_files, capsys):
+        parameter, output = flow_files
+        assert main([str(parameter), "--tech", "B", "--compact", "x"]) == 0
+        assert "compacted x: width" in capsys.readouterr().out
+        assert output.exists()
+
+    def test_tech_alone_rejected(self, flow_files, capsys):
         parameter, _ = flow_files
-        with pytest.raises(SystemExit):
-            main([str(parameter), "--solver", "topological"])
-        assert "--compact" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(parameter), "--tech", "B"])
+        assert excinfo.value.code == 2
+        assert "--verify" in capsys.readouterr().err
 
     def test_bad_axes_via_run_flow(self, flow_files):
         parameter, _ = flow_files
@@ -310,6 +311,12 @@ class TestRouteFlags:
         for layer_box in wires.definition.flatten():
             layers.setdefault(layer_box.layer, []).append(layer_box.box)
         assert check_layout(layers, TECH_A) == []
+
+    def test_route_with_tech_accepted(self, route_files, capsys):
+        parameter, netfile, output = route_files
+        assert main([str(parameter), "--tech", "B", "--route", str(netfile)]) == 0
+        assert "composed 'ctrl' + 'dpath'" in capsys.readouterr().out
+        assert output.exists()
 
     def test_router_without_route_rejected(self, route_files, capsys):
         parameter, _, _ = route_files

@@ -1,15 +1,61 @@
 """Tests for the constraint system and the Bellman-Ford solver (§6.3/6.4.2)."""
 
+import random
+
 import pytest
 
 from repro.compact import (
     Constraint,
     ConstraintSystem,
-    available_solvers,
-    get_solver,
+    SolveStats,
     solve_longest_path,
 )
 from repro.core.errors import InfeasibleConstraintsError
+
+
+def reference_solve(system, lower_bound=0, pitches=None, hint=None):
+    """Textbook Bellman-Ford over the name-keyed constraint records, in
+    insertion order: the oracle for the column solver.
+
+    Returns the least solution at or above ``max(hint, lower_bound)``,
+    or raises on a positive cycle.
+    """
+    pitches, hint = pitches or {}, hint or {}
+    x = {
+        name: max(hint.get(name, lower_bound), lower_bound)
+        for name in system.variables
+    }
+    edges = [
+        (c.source, c.target,
+         c.weight + sum(k * pitches[p] for p, k in c.pitch_terms))
+        for c in system.constraints
+    ]
+    for _ in range(len(x) + 1):
+        changed = False
+        for s, t, w in edges:
+            if x[s] + w > x[t]:
+                x[t] = x[s] + w
+                changed = True
+        if not changed:
+            return x
+    raise InfeasibleConstraintsError("positive cycle")
+
+
+def random_system(n, extra, seed, cyclic=False):
+    rng = random.Random(seed)
+    system = ConstraintSystem()
+    for i in range(n):
+        system.add_variable(f"v{i}", initial=rng.randint(0, 100))
+    for i in range(n - 1):
+        system.add(f"v{i}", f"v{i+1}", rng.randint(-3, 5))
+    for _ in range(extra):
+        a, b = rng.sample(range(n), 2)
+        if not cyclic and a > b:
+            a, b = b, a
+        system.add(f"v{a}", f"v{b}", rng.randint(0, 4))
+    if cyclic:
+        system.require_equal("v0", f"v{n // 2}", 7)
+    return system
 
 
 def chain_system(n, gap=3, shuffle=False):
@@ -195,51 +241,177 @@ class TestSortedEdgeOptimisation:
         assert stats.relaxations == 19  # each variable settles once
 
 
-class TestBackendEquivalence:
-    """Every registered backend must reproduce the Bellman-Ford
-    solutions exactly, fixture by fixture."""
+class TestReferenceEquivalence:
+    """The column solver reproduces the textbook oracle exactly,
+    fixture by fixture."""
 
-    @pytest.mark.parametrize("backend", available_solvers())
     @pytest.mark.parametrize(
         "label,build,options",
         SOLVER_FIXTURES,
         ids=[label for label, _, _ in SOLVER_FIXTURES],
     )
-    def test_identical_solutions(self, backend, label, build, options):
+    def test_identical_solutions(self, label, build, options):
         system = build()
-        reference = get_solver("bellman-ford").solve(system, **options)
-        stats = get_solver(backend).solve(system, **options)
-        assert stats.solution == reference.solution
+        stats = solve_longest_path(system, **options)
+        oracle_options = {
+            key: value for key, value in options.items() if key != "sort_edges"
+        }
+        assert stats.solution == reference_solve(system, **oracle_options)
         assert system.check(
             stats.solution, pitches=options.get("pitches")
         ) == []
 
-    @pytest.mark.parametrize("backend", available_solvers())
-    def test_positive_cycle_detected(self, backend):
-        system = ConstraintSystem()
-        system.add_variable("a")
-        system.add_variable("b")
-        system.add("a", "b", 5)
-        system.add("b", "a", -3)
-        with pytest.raises(InfeasibleConstraintsError):
-            get_solver(backend).solve(system)
-
-    @pytest.mark.parametrize("backend", available_solvers())
-    def test_positive_self_loop_detected(self, backend):
+    def test_positive_self_loop_detected(self):
         system = ConstraintSystem()
         system.add_variable("a")
         system.add("a", "a", 1)
         with pytest.raises(InfeasibleConstraintsError):
-            get_solver(backend).solve(system)
+            solve_longest_path(system)
 
-    @pytest.mark.parametrize("backend", available_solvers())
-    def test_symbolic_pitch_rejected(self, backend):
-        system = pitch_system()
-        with pytest.raises(InfeasibleConstraintsError):
-            get_solver(backend).solve(system)
+    @pytest.mark.parametrize(
+        "label,build,options",
+        SOLVER_FIXTURES,
+        ids=[label for label, _, _ in SOLVER_FIXTURES],
+    )
+    def test_solution_is_a_fixed_point(self, label, build, options):
+        # seeded at its own least solution the solver has nothing to do:
+        # one confirming pass, no relaxation, the same solution back
+        system = build()
+        solved = solve_longest_path(system, **options)
+        again = solve_longest_path(system, hint=solved.solution, **options)
+        assert again.solution == solved.solution
+        assert (again.passes, again.relaxations) == (1, 0)
 
-    @pytest.mark.parametrize("backend", available_solvers())
-    def test_via_system_solve(self, backend):
-        system = chain_system(6)
-        stats = system.solve(solver=backend)
-        assert stats.solution == solve_longest_path(system).solution
+    @pytest.mark.parametrize("sort_edges", [True, False], ids=["sorted", "unsorted"])
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["dag", "cyclic"])
+    def test_fuzz_against_reference(self, cyclic, sort_edges):
+        for seed in range(8):
+            system = random_system(35, 40, seed=seed, cyclic=cyclic)
+            try:
+                reference = reference_solve(system, lower_bound=2)
+            except InfeasibleConstraintsError:
+                reference = "infeasible"
+            try:
+                solution = solve_longest_path(
+                    system, lower_bound=2, sort_edges=sort_edges
+                ).solution
+            except InfeasibleConstraintsError:
+                solution = "infeasible"
+            assert solution == reference
+
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["dag", "cyclic"])
+    def test_hinted_fuzz_against_reference(self, cyclic):
+        for seed in range(8):
+            system = random_system(35, 40, seed=seed, cyclic=cyclic)
+            hint = {f"v{i}": (i * 11 + seed) % 29 for i in range(0, 35, 3)}
+            try:
+                reference = reference_solve(system, lower_bound=2, hint=hint)
+            except InfeasibleConstraintsError:
+                reference = "infeasible"
+            try:
+                solution = solve_longest_path(
+                    system, lower_bound=2, hint=hint
+                ).solution
+            except InfeasibleConstraintsError:
+                solution = "infeasible"
+            assert solution == reference
+
+
+class TestSolveStats:
+    def test_str_names_solver_and_width(self):
+        system = random_system(6, 2, seed=1)
+        stats = solve_longest_path(system)
+        assert str(stats) == (
+            f"bellman-ford: 6 vars, width {stats.width()},"
+            f" {stats.passes} passes, {stats.relaxations} relaxations"
+        )
+
+    def test_width_measured_from_lower_bound_wall(self):
+        # A hinted solve can lift every variable off the wall; the width
+        # must still be measured from the wall the solver was given.
+        system = ConstraintSystem()
+        system.add_variable("a")
+        system.add_variable("b")
+        system.add("a", "b", 4)
+        stats = solve_longest_path(system, hint={"a": 3, "b": 3})
+        assert stats.solution == {"a": 3, "b": 7}
+        assert stats.lower_bound == 0
+        assert stats.width() == 7
+
+    def test_width_plain_minimal_solve_unchanged(self):
+        system = ConstraintSystem()
+        system.add_variable("a")
+        system.add_variable("b")
+        system.add("a", "b", 4)
+        stats = solve_longest_path(system, lower_bound=7)
+        assert stats.width() == 4
+
+    def test_empty_solution_width(self):
+        assert SolveStats().width() == 0
+
+    def test_str_spells_a_single_pass(self):
+        # no constraints: the first pass already confirms the fixpoint
+        system = ConstraintSystem()
+        system.add_variable("a")
+        assert str(solve_longest_path(system)) == (
+            "bellman-ford: 1 vars, width 0, 1 pass, 0 relaxations"
+        )
+
+    def test_to_dict_carries_the_span_attributes(self):
+        system = chain_system(5, gap=4)
+        stats = solve_longest_path(system, lower_bound=1)
+        assert stats.to_dict() == {
+            "backend": "bellman-ford",
+            "passes": stats.passes,
+            "relaxations": 4,
+            "sorted_edges": True,
+            "variables": 5,
+            "width": 16,
+            "lower_bound": 1,
+        }
+
+
+class TestHintSeeding:
+    """``hint`` seeds the relaxation: the result is the least solution
+    at or above the hint."""
+
+    @pytest.mark.parametrize("sort_edges", [True, False], ids=["sorted", "unsorted"])
+    def test_least_solution_above_hint(self, sort_edges):
+        system = random_system(30, 12, seed=3)
+        hint = {f"v{i}": (i * 7) % 23 for i in range(30)}
+        stats = solve_longest_path(system, hint=hint, sort_edges=sort_edges)
+        assert system.check(stats.solution) == []
+        assert all(stats.solution[k] >= v for k, v in hint.items())
+        assert stats.solution == reference_solve(system, hint=hint)
+
+    def test_hint_by_id_equals_hint_by_name(self):
+        system = random_system(30, 12, seed=3)
+        hint = {f"v{i}": (i * 7) % 23 for i in range(30)}
+        by_id = [hint[name] for name in system.variables]
+        assert (
+            solve_longest_path(system, hint=by_id).values
+            == solve_longest_path(system, hint=hint).values
+        )
+
+    def test_empty_hint_is_plain_solve(self):
+        system = random_system(12, 4, seed=4)
+        assert (
+            solve_longest_path(system, hint={}).solution
+            == solve_longest_path(system).solution
+        )
+
+    def test_hint_below_the_wall_is_clamped(self):
+        system = random_system(12, 4, seed=5)
+        hint = {name: -50 for name in system.variables}
+        assert (
+            solve_longest_path(system, lower_bound=3, hint=hint).solution
+            == solve_longest_path(system, lower_bound=3).solution
+        )
+
+    def test_hint_names_outside_the_system_are_ignored(self):
+        system = random_system(12, 4, seed=6)
+        hint = {"v1": 40, "ghost": 99}
+        assert (
+            solve_longest_path(system, hint=hint).solution
+            == solve_longest_path(system, hint={"v1": 40}).solution
+        )

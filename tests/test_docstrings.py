@@ -1,10 +1,9 @@
 """Documentation-surface enforcement for the compaction and routing layers.
 
 ``make docs-check`` runs exactly this module.  Every public module under
-``repro.compact`` (including the solver backends), ``repro.route``,
-``repro.verify``, ``repro.service`` and ``repro.obs`` must carry a
-module docstring, and every public class and function they
-define must be documented — both subsystems are walked through in the
+``repro.compact``, ``repro.route``, ``repro.verify``, ``repro.service``
+and ``repro.obs`` must carry a module docstring, and every public class
+and function they define must be documented — both subsystems are walked through in the
 architecture docs, so an undocumented entry point is a docs regression.
 """
 

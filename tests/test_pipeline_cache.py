@@ -2,8 +2,8 @@
 
 Covers the satellite checklist for the compact-once pipeline: a cache
 hit when the identical cell content comes back (even under a different
-name), a miss — with distinct results — when the rules, the solver
-backend or an interface constraint changes, an on-disk cache that
+name), a miss — with distinct results — when the rules, a driver
+option or an interface constraint changes, an on-disk cache that
 round-trips and survives a fresh process, and byte-for-byte determinism
 of the parallel path against the serial oracle.
 """
@@ -95,12 +95,6 @@ class TestFlatCompactionCache:
             != Counter((box.layer, box.box) for box in b.boxes)
         )
 
-    def test_miss_on_solver_backend_change(self):
-        cache = CompactionCache()
-        compact_cell(make_leaf("x"), TECH_A, solver="bellman-ford", cache=cache)
-        compact_cell(make_leaf("x"), TECH_A, solver="topological", cache=cache)
-        assert cache.hits == 0 and cache.misses == 2
-
     def test_miss_on_option_change(self):
         cache = CompactionCache()
         compact_cell(make_leaf("x"), TECH_A, width_mode="preserve", cache=cache)
@@ -137,8 +131,8 @@ class TestLeafCellCache:
         return rsg
 
     @staticmethod
-    def solve(rsg, cache, rules=TECH_A, solver=None):
-        compactor = LeafCellCompactor(rsg, rules, solver=solver)
+    def solve(rsg, cache, rules=TECH_A):
+        compactor = LeafCellCompactor(rsg, rules)
         compactor.add_cell("A")
         compactor.add_interface("A", "A", 1)
         return compactor.solve(cache=cache)
@@ -162,12 +156,6 @@ class TestLeafCellCache:
         cache = CompactionCache()
         self.solve(self.workspace(pitch=14), cache)
         self.solve(self.workspace(pitch=20), cache)
-        assert cache.hits == 0 and cache.misses == 2
-
-    def test_miss_on_solver_backend_change(self):
-        cache = CompactionCache()
-        self.solve(self.workspace(), cache, solver="bellman-ford")
-        self.solve(self.workspace(), cache, solver="incremental")
         assert cache.hits == 0 and cache.misses == 2
 
     def test_key_snapshots_geometry_at_registration(self):

@@ -53,12 +53,6 @@ class TestEqualSpecsHashEqual:
             == custom(parameters="top.2 = 4\ntop.1 = 3\n").fingerprint
         )
 
-    def test_default_solver_equals_explicit_default(self):
-        assert (
-            custom(compact="hier").fingerprint
-            == custom(compact="hier", solver="bellman-ford").fingerprint
-        )
-
     def test_default_sim_vectors_equals_driver_default(self):
         from repro.verify.driver import DEFAULT_MAX_VECTORS
 
@@ -105,12 +99,6 @@ class TestDistinctSpecsHashDistinct:
         }
         assert len(fingerprints) == 5
 
-    def test_solver_changes_fingerprint(self):
-        assert (
-            custom(compact="x", solver="topological").fingerprint
-            != custom(compact="x").fingerprint
-        )
-
     def test_verify_mode_changes_fingerprint(self):
         assert custom(verify="lvs").fingerprint != custom(verify="all").fingerprint
 
@@ -147,10 +135,6 @@ class TestValidation:
         with pytest.raises(ServiceError, match="compact"):
             custom(compact="sideways").fingerprint
 
-    def test_solver_without_compact_rejected(self):
-        with pytest.raises(ServiceError, match="solver"):
-            custom(solver="topological").fingerprint
-
     def test_sim_vectors_without_sim_rejected(self):
         with pytest.raises(ServiceError, match="sim_vectors"):
             custom(verify="lvs", sim_vectors=8).fingerprint
@@ -178,6 +162,69 @@ class TestValidation:
     def test_bad_parameter_text_is_a_service_error(self):
         with pytest.raises(ServiceError, match="bad parameter text"):
             custom(parameters="!!! nope\n").fingerprint
+
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ({"kind": ["x"]}, "kind"),
+            ({"kind": "multiplier", "tech": 1}, "tech"),
+            ({"kind": "multiplier", "parameters": None}, "parameters"),
+            ({"kind": "multiplier", "router": 3}, "router"),
+            ({"kind": "multiplier", "output_cell": 5}, "output_cell"),
+            ({"kind": "multiplier", "compact": ["x"]}, "compact"),
+            ({"kind": "multiplier", "verify": {"mode": "all"}}, "verify"),
+            ({"kind": "multiplier", "route_text": 1}, "route_text"),
+            ({"kind": "custom", "sample_text": 1, "design_text": "d"}, "sample_text"),
+            ({"kind": "custom", "sample_text": "s", "design_text": b"d"}, "design_text"),
+            ({"kind": "multiplier", "verify": "all", "sim_vectors": True}, "sim_vectors"),
+            ({"kind": "multiplier", "verify": "all", "sim_vectors": 2.0}, "sim_vectors"),
+            ({"kind": "multiplier", "delay": True}, "delay"),
+            ({"kind": "multiplier", "delay": "1"}, "delay"),
+            ({"kind": "multiplier", "delay": float("nan")}, "delay"),
+            ({"kind": None}, "kind"),
+            ({"kind": "multiplier", "router": None}, "router"),
+            ({"kind": "multiplier", "verify": "all", "sim_vectors": "8"}, "sim_vectors"),
+            ({"kind": "multiplier", "verify": "all", "sim_vectors": 0}, "sim_vectors"),
+            ({"kind": "multiplier", "delay": None}, "delay"),
+            ({"kind": "multiplier", "delay": float("inf")}, "delay"),
+            ({"kind": "multiplier", "delay": -1}, "delay"),
+        ],
+    )
+    def test_badly_typed_field_is_a_service_error(self, payload, field):
+        with pytest.raises(ServiceError, match=field):
+            fingerprint_spec(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "multiplier", "delay": 0},
+            {"kind": "multiplier", "delay": 0.5},
+            {"kind": "multiplier", "verify": "sim", "sim_vectors": 1},
+            {"kind": "multiplier", "output_cell": None, "compact": None},
+            {"kind": "multiplier", "tech": "b", "verify": "all"},
+        ],
+        ids=["int-delay", "float-delay", "one-vector", "null-optionals", "lower-tech"],
+    )
+    def test_well_typed_edge_values_accepted(self, payload):
+        # the type checks must not reject what the spec has always taken
+        fingerprint = fingerprint_spec(payload)
+        assert len(fingerprint) == 64 and int(fingerprint, 16) >= 0
+
+
+class TestStoredSolverField:
+    """Specs stored when the longest-path solver was selectable carry
+    a ``solver`` key; Bellman-Ford was the only one that remains."""
+
+    @pytest.mark.parametrize("solver", [None, "bellman-ford"])
+    def test_bellman_ford_loads_as_the_spec_it_meant(self, solver):
+        payload = {**custom(compact="x").to_dict(), "solver": solver}
+        assert JobSpec.from_dict(payload) == custom(compact="x")
+
+    @pytest.mark.parametrize("solver", ["topological", "incremental"])
+    def test_removed_backend_is_a_service_error(self, solver):
+        payload = {**custom(compact="x").to_dict(), "solver": solver}
+        with pytest.raises(ServiceError, match="removed"):
+            JobSpec.from_dict(payload)
 
 
 class TestExecuteJob:

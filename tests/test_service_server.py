@@ -93,6 +93,22 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="HTTP 400.*sample_text"):
             service.submit({"kind": "custom"})
 
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"kind": ["x"]}, "kind must be a string"),
+            ({"kind": "multiplier", "tech": 1}, "tech must be a string"),
+            ({"kind": "multiplier", "output_cell": 5}, "output_cell must be a string"),
+            ({"kind": "multiplier", "compact": "x", "solver": "topological"}, "removed"),
+        ],
+        ids=["kind", "tech", "output_cell", "solver"],
+    )
+    def test_badly_typed_spec_is_http_400(self, service, payload, message):
+        # a type error inside validation must not drop the connection,
+        # and a spec no worker can run must not be queued
+        with pytest.raises(ServiceError, match=f"HTTP 400.*{message}"):
+            service.submit(payload)
+
     def test_unknown_job_is_http_404(self, service):
         with pytest.raises(ServiceError, match="HTTP 404"):
             service.status("f" * 64)

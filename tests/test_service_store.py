@@ -98,6 +98,38 @@ class TestClaiming:
     def test_empty_queue_claims_none(self, store):
         assert store.claim(worker_pid=1) is None
 
+    def _store_spec_as(self, store, payload):
+        """Queue a job, then rewrite its stored spec to ``payload``."""
+        job = store.submit(spec(compact="x"))["job"]
+        with store._connect() as connection:
+            connection.execute(
+                "UPDATE jobs SET spec = ? WHERE fingerprint = ?",
+                (json.dumps(payload), job),
+            )
+        return job
+
+    @pytest.mark.parametrize("solver", [None, "bellman-ford"])
+    def test_claims_a_spec_stored_with_a_solver_field(self, store, solver):
+        # Earlier builds stored asdict(spec), which had a solver field.
+        job = self._store_spec_as(
+            store, {**spec(compact="x").to_dict(), "solver": solver}
+        )
+        assert store.claim(worker_pid=1) == (job, spec(compact="x"))
+
+    @pytest.mark.parametrize("solver", ["topological", "incremental"])
+    def test_stored_spec_naming_a_removed_solver_fails_its_job(self, store, solver):
+        from repro.cli import EXIT_SERVICE
+
+        job = self._store_spec_as(
+            store, {**spec(compact="x").to_dict(), "solver": solver}
+        )
+        assert store.claim(worker_pid=1) is None
+        status = store.status(job)
+        assert status["state"] == "failed"
+        assert status["error_code"] == EXIT_SERVICE
+        assert "removed" in status["error"]
+        assert store.claim(worker_pid=1) is None  # the queue is empty
+
     def test_oldest_submission_claimed_first(self, store):
         first = store.submit(spec(parameters="a=1\n"))["job"]
         store.submit(spec(parameters="a=2\n"))
