@@ -3,8 +3,10 @@
 Boots the real ``repro serve`` daemon as a subprocess on an ephemeral
 port, drives it the way a client fleet would — submit a multiplier job
 over HTTP, poll to completion, download the CIF artifact, resubmit to
-show the warm dedup path — then sends SIGTERM and asserts the
-clean-shutdown contract: in-flight work drains and the daemon exits 0.
+show the warm dedup path — then checks that ``repro <par>`` and
+``repro submit <par>`` write byte-identical CIF (one pipeline serves
+both), and finally sends SIGTERM and asserts the clean-shutdown
+contract: in-flight work drains and the daemon exits 0.
 
 This is also the CI end-to-end check for the service: every claim it
 prints is asserted, so a broken daemon fails the lane.
@@ -12,12 +14,15 @@ prints is asserted, so a broken daemon fails the lane.
 Run:  PYTHONPATH=src python examples/service_demo.py
 """
 
+import pathlib
 import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
+from repro.multiplier import DESIGN_FILE, MULTIPLIER_SAMPLE, PARAMETER_FILE
 from repro.service import JobSpec, ServiceClient
 
 
@@ -39,6 +44,36 @@ def boot():
     url = banner.split()[2]
     print(f"booted: {banner}")
     return process, url
+
+
+def same_bytes_locally_and_served(url):
+    """``repro <par>`` and ``repro submit <par>`` write the same CIF."""
+    with tempfile.TemporaryDirectory() as directory:
+        root = pathlib.Path(directory)
+        (root / "mult.sample").write_text(MULTIPLIER_SAMPLE)
+        (root / "mult.design").write_text(DESIGN_FILE)
+        parameter = root / "mult.par"
+        parameter.write_text(
+            f".example_file:{root / 'mult.sample'}\n"
+            f".concept_file:{root / 'mult.design'}\n"
+            f".output_file:{root / 'local.cif'}\n"
+            ".output_cell:thewholething\n"
+            + PARAMETER_FILE.split("\n", 1)[1]
+        )
+        sizes = ["--set", "xsize=3", "--set", "ysize=3", "--compact", "hier"]
+        for argv in (
+            [str(parameter), *sizes],
+            ["submit", str(parameter), *sizes, "--url", url,
+             "--output", str(root / "served.cif")],
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                check=True, capture_output=True, text=True,
+            )
+        local = (root / "local.cif").read_bytes()
+        served = (root / "served.cif").read_bytes()
+        assert local == served, "repro and repro submit wrote different CIF"
+        print(f"repro and repro submit: {len(local)} identical CIF bytes")
 
 
 def main():
@@ -81,6 +116,8 @@ def main():
         stats = client.stats()
         assert stats["executions"] == 1 and stats["submissions"] == 2
         print(f"stats: dedup factor {stats['dedup_factor']:.0f}")
+
+        same_bytes_locally_and_served(url)
     except BaseException:
         process.kill()
         # The daemon's worker processes inherit its stdout pipe, so an

@@ -24,6 +24,15 @@ Usage::
     python -m repro submit parameters.par --url http://127.0.0.1:8737 --wait
     python -m repro --version
 
+The flow is the layout service's pipeline: :func:`run_flow` reads the
+parameter file into a :class:`~repro.service.jobs.JobSpec` with the
+reader ``repro submit`` uses, runs
+:func:`~repro.service.jobs.run_job` (the one definition of the
+generate, compact, route and verify stages), prints the stage reports
+and writes the output file, so ``repro <par>`` and ``repro submit
+<par>`` produce the same layout.  The service package is imported on
+the first run, not with this module.
+
 The ``serve``, ``submit``, ``gc``, ``stats`` and ``trace`` verbs are
 the layout-as-a-service front door (:mod:`repro.service`): ``serve``
 runs the job-queue daemon with its shared artifact store (recovering
@@ -59,8 +68,8 @@ the routed composite becomes the output cell.  ``--verify`` closes the
 loop from mask geometry back to logical function (:mod:`repro.verify`):
 device extraction plus LVS against the intended netlist and/or
 switch-level simulation against the programmed personality, with
-``--sim-vectors`` bounding the vector count; a failed check exits
-non-zero.
+``--sim-vectors`` bounding the vector count; a failed check prints
+the report and exits 4.
 """
 
 from __future__ import annotations
@@ -68,16 +77,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import Dict, List, Optional
 
-from .compact import (
-    TECH_A,
-    TECH_B,
-    CompactionCache,
-    HierarchicalCompactor,
-    compact_cell,
-)
+from .compact import CompactionCache
+# Unused here: flowbench/tracing.py's LAYERS wraps repro.cli.compact_cell by name.
+from .compact import compact_cell  # noqa: F401
 from .core.cell import CellDefinition
 from .core.errors import (
     LanguageError,
@@ -85,12 +89,9 @@ from .core.errors import (
     ServiceError,
     VerificationError,
 )
-from .core.operators import Rsg
-from .lang.interpreter import Interpreter
 from .lang.param_file import parse_parameters
 from .layout.cif import write_cif
 from .layout.render import ascii_render, svg_render
-from .layout.sample import load_sample
 from .obs import trace as obs_trace
 
 __all__ = [
@@ -171,147 +172,96 @@ def run_flow(
 ) -> CellDefinition:
     """Execute the full generation flow described by a parameter file.
 
-    Returns the output cell.  ``overrides`` is a list of ``name=value``
-    strings applied on top of the parameter file (sizes, mostly).
-    ``compact_axes`` (``"x"``, ``"y"``, ``"xy"``, ``"yx"``) runs the flat
-    compactor over the result before writing, using the ``technology``
-    rule set ("A" or "B", which routing and verification read too);
-    ``compact_axes="hier"`` (or ``"hier:<axes>"`` to pick the per-leaf
-    passes) runs the hierarchical compact-once pipeline instead,
-    fanning leaf-cell solves over ``jobs`` worker processes.
-    ``cache_dir`` enables the on-disk compaction-result cache for
-    either compaction mode.  ``route_path`` names a net-request file:
-    the named cells are composed with the wiring subsystem (``router``
-    picks the algorithm) and the routed composite replaces the output
-    cell.  ``verify_mode`` (``"lvs"``, ``"sim"`` or ``"all"``) runs
-    the silicon-verification subsystem over the result — mask-level
-    extraction + LVS + switch-level simulation for PLA-family outputs,
-    the cell-level recipe for multipliers, the connectivity round-trip
-    for routed composites — and raises :class:`RsgError` on failure;
-    ``sim_vectors`` caps the simulated input combinations (exhaustive
-    below the cap, seeded sampling above).  ``timings``, when given a
-    dict, receives per-stage wall-clock seconds under the same stage
-    names :func:`repro.service.jobs.execute_job` records (``generate``
-    / ``compact`` / ``route`` / ``verify`` / ``emit``) — the
-    ``--timings`` flag prints them as a table.  Stage timing is
-    span-derived (:mod:`repro.obs.trace`): asking for timings (or
-    ``REPRO_TRACE=1``) activates a tracer if none is ambient, and each
-    stage's wall time is its ``job.<stage>`` span's duration.
+    Returns the output cell.  The flow is the layout service's: the
+    parameter file becomes a :class:`~repro.service.jobs.JobSpec`
+    (:func:`~repro.service.jobs.spec_from_files`, the reader ``repro
+    submit`` uses), :func:`~repro.service.jobs.run_job` runs its
+    generate / compact / route / verify stages, and this front end
+    prints the stage reports to ``output_stream`` and writes the output
+    file.  ``overrides`` is a list of ``name=value`` strings applied on
+    top of the parameter file (sizes, mostly).  ``compact_axes``
+    (``"x"``, ``"y"``, ``"xy"``, ``"yx"``) runs the flat compactor over
+    the result, using the ``technology`` rule set ("A" or "B", which
+    routing and verification read too); ``compact_axes="hier"`` (or
+    ``"hier:<axes>"`` to pick the per-leaf passes) runs the
+    hierarchical compact-once pipeline instead, fanning leaf-cell
+    solves over ``jobs`` worker processes.  ``cache_dir`` enables the
+    on-disk compaction-result cache for either compaction mode.
+    ``route_path`` names a net-request file: the named cells are
+    composed with the wiring subsystem (``router`` picks the algorithm)
+    and the routed composite replaces the output cell.  ``verify_mode``
+    (``"lvs"``, ``"sim"`` or ``"all"``) runs the silicon-verification
+    subsystem over the result and raises
+    :class:`~repro.core.errors.VerificationError` on failure;
+    ``sim_vectors`` caps the simulated input combinations.  Options that cannot take effect raise
+    :class:`~repro.core.errors.ServiceError` from
+    :meth:`~repro.service.jobs.JobSpec.validate`.  ``timings``, when
+    given a dict, receives the per-stage wall-clock seconds of the
+    job's ``job.<stage>`` spans (``generate`` / ``compact`` / ``route``
+    / ``verify`` / ``emit``) — the ``--timings`` flag prints them as a
+    table.
     """
-    if obs_trace.active() is None and (
-        timings is not None or obs_trace.local_enabled()
-    ):
-        with obs_trace.activated(obs_trace.Tracer()):
-            return run_flow(
-                parameter_path,
-                overrides,
-                output_stream,
-                compact_axes=compact_axes,
-                technology=technology,
-                route_path=route_path,
-                router=router,
-                jobs=jobs,
-                cache_dir=cache_dir,
-                verify_mode=verify_mode,
-                sim_vectors=sim_vectors,
-                timings=timings,
-            )
-    if compact_axes and route_path:
-        # The composite is built from the workspace cells, which flat
-        # compaction does not touch — allowing both would print
-        # compaction stats for geometry that never reaches the output.
-        raise RsgError("--compact and --route cannot be combined")
-    with open(parameter_path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if overrides:
-        text += "\n" + "\n".join(overrides)
-    parameters = parse_parameters(text)
+    from .service.jobs import run_job, spec_from_files, tracing
 
-    sample_path = parameters.directives.get("example_file")
-    design_path = parameters.directives.get("concept_file")
-    if not sample_path or not design_path:
-        raise RsgError(
-            "parameter file must name .example_file (sample layout) and"
-            " .concept_file (design file)"
-        )
-
-    with obs_trace.span("job.generate") as stage_span:
-        rsg = Rsg()
-        load_sample(sample_path, rsg)
-        interpreter = Interpreter(rsg)
-        interpreter.set_parameters(parameters.bindings)
-        result = interpreter.run_file(design_path)
-
-        output_cell_name = parameters.directives.get("output_cell")
-        if output_cell_name:
-            cell = rsg.cells.lookup(output_cell_name)
-        elif isinstance(result, CellDefinition):
-            cell = result
-        else:
-            raise RsgError(
-                "design file did not end with mk_cell and no .output_cell"
-                " directive was given"
-            )
-    if timings is not None:
-        timings["generate"] = stage_span.duration_s
-
-    if compact_axes:
-        with obs_trace.span("job.compact") as stage_span:
-            cell = _compact_flow_cell(
-                cell, compact_axes, technology, output_stream,
-                jobs=jobs, cache_dir=cache_dir,
-            )
-        if timings is not None:
-            timings["compact"] = stage_span.duration_s
-
-    plan = None
+    route_text = None
     if route_path:
-        from .route import compose_from_netfile
-
-        with obs_trace.span("job.route") as stage_span:
-            rules = {"A": TECH_A, "B": TECH_B}.get(technology.upper())
-            if rules is None:
-                raise RsgError(f"unknown technology {technology!r} (use A or B)")
-            with open(route_path, "r", encoding="utf-8") as handle:
-                net_text = handle.read()
-            cell, plan = compose_from_netfile(
-                net_text, rsg.cells, name=f"{cell.name}_routed",
-                rules=rules, router=router,
-            )
-        if timings is not None:
-            timings["route"] = stage_span.duration_s
-        if output_stream is not None:
-            print(plan.summary(), file=output_stream)
-
-    if verify_mode:
-        with obs_trace.span("job.verify") as stage_span:
-            _verify_flow_cell(
-                cell, plan, verify_mode, sim_vectors, technology, output_stream,
-            )
-        if timings is not None:
-            timings["verify"] = stage_span.duration_s
-
-    with obs_trace.span("job.emit") as stage_span:
-        output_path = parameters.directives.get("output_file")
-        output_format = parameters.directives.get("format", "cif").lower()
-        if output_path:
-            if output_format == "cif":
-                write_cif(cell, output_path)
-            elif output_format == "svg":
-                with open(output_path, "w", encoding="utf-8") as handle:
-                    handle.write(svg_render(cell))
-            elif output_format == "ascii":
-                with open(output_path, "w", encoding="utf-8") as handle:
-                    handle.write(ascii_render(cell))
-            else:
-                raise RsgError(f"unknown output format {output_format!r}")
-            if output_stream is not None:
-                print(
-                    f"wrote {output_format} to {output_path}", file=output_stream
-                )
+        with open(route_path, "r", encoding="utf-8") as handle:
+            route_text = handle.read()
+    spec = spec_from_files(
+        parameter_path, overrides, tech=technology,
+        compact=compact_axes, verify=verify_mode, sim_vectors=sim_vectors,
+        route_text=route_text, router=router,
+    )
+    directives = parse_parameters(spec.parameters).directives
+    cache = CompactionCache(cache_dir) if cache_dir else None
+    with tracing():
+        try:
+            cell, result = run_job(spec, cache=cache, jobs=jobs)
+        except VerificationError as error:
+            _print_result(error.result, cache, output_stream)
+            raise VerificationError(error.headline) from None
+        _print_result(result, cache, output_stream)
+        with obs_trace.span("job.emit") as stage:
+            output_path = directives.get("output_file")
+            output_format = directives.get("format", "cif").lower()
+            if output_path:
+                if output_format == "cif":
+                    write_cif(cell, output_path)
+                elif output_format in ("svg", "ascii"):
+                    render = svg_render if output_format == "svg" else ascii_render
+                    with open(output_path, "w", encoding="utf-8") as handle:
+                        handle.write(render(cell))
+                else:
+                    raise RsgError(f"unknown output format {output_format!r}")
+                if output_stream is not None:
+                    print(
+                        f"wrote {output_format} to {output_path}",
+                        file=output_stream,
+                    )
     if timings is not None:
-        timings["emit"] = stage_span.duration_s
+        timings.update(result.timings, emit=stage.duration_s)
     return cell
+
+
+def _print_result(result, cache: Optional[CompactionCache], output_stream) -> None:
+    """Print a job result's stage reports, in pipeline order."""
+    if output_stream is None or result is None:
+        return
+    lines = [
+        f"compacted {entry['axis']}: width {entry['width_before']} ->"
+        f" {entry['width_after']} ({entry['stats']})"
+        for entry in result.compaction
+    ]
+    if result.pipeline is not None:
+        lines.append(result.pipeline["summary"])
+    if cache is not None and "compact" in result.timings:
+        lines.append(cache.stats())
+    if result.route_summary is not None:
+        lines.append(result.route_summary)
+    if result.verification is not None:
+        lines.append(result.verification["summary"])
+    for line in lines:
+        print(line, file=output_stream)
 
 
 def timings_table(timings: Dict[str, float], extras: tuple = ()) -> str:
@@ -419,116 +369,6 @@ def verify_summary_lines(spans) -> tuple:
         for part, value in seconds.items()
     ]
     return ("verify: " + ", ".join(parts),)
-
-
-def _verify_flow_cell(
-    cell: CellDefinition,
-    plan,
-    mode: str,
-    sim_vectors: Optional[int],
-    technology: str,
-    output_stream,
-) -> None:
-    """Run the requested verification over the flow's output cell.
-
-    Routed composites get the wiring connectivity round-trip (the two
-    routed blocks are opaque here, so every mode runs the same
-    structural check — stated in the output rather than silently
-    assumed); everything else goes through
-    :func:`repro.verify.verify_cell`.  Raises :class:`RsgError` when
-    any check fails, so the CLI exits non-zero on a functionally
-    broken layout.
-    """
-    if mode not in ("lvs", "sim", "all"):
-        raise RsgError(f"--verify takes lvs, sim or all, not {mode!r}")
-    if plan is not None:
-        from .route.compose import verify_composite
-
-        mismatches = verify_composite(cell, plan)
-        if output_stream is not None:
-            print(
-                f"verify {cell.name} (routed composite, connectivity"
-                f" round-trip for any --verify mode):"
-                f" {len(plan.nets)} nets round-tripped,"
-                f" {len(mismatches)} mismatches", file=output_stream,
-            )
-        if mismatches:
-            raise VerificationError(
-                "verification failed: " + "; ".join(mismatches[:3])
-            )
-        return
-    from .verify import verify_cell
-    from .verify.driver import DEFAULT_MAX_VECTORS
-
-    rules = {"A": TECH_A, "B": TECH_B}.get(technology.upper())
-    if rules is None:
-        raise RsgError(f"unknown technology {technology!r} (use A or B)")
-    report = verify_cell(
-        cell, mode=mode,
-        max_vectors=sim_vectors or DEFAULT_MAX_VECTORS,
-        rules=rules,
-    )
-    if output_stream is not None:
-        print(report.summary(), file=output_stream)
-    if not report.ok:
-        raise VerificationError(f"verification failed for {cell.name!r}")
-
-
-def _compact_flow_cell(
-    cell: CellDefinition,
-    axes: str,
-    technology: str,
-    output_stream,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> CellDefinition:
-    """Run the requested compaction mode over ``cell``.
-
-    ``axes`` is one flat pass per letter (``x``/``y``/``xy``/``yx``) or
-    ``"hier"``/``"hier:<axes>"`` for the compact-once/stamp-many
-    hierarchical pipeline (bare ``hier`` compacts leaves along x;
-    ``hier:xy`` runs both passes per leaf).
-    """
-    hier_axes = None
-    if axes == "hier":
-        hier_axes = "x"
-    elif axes.startswith("hier:"):
-        hier_axes = axes[len("hier:"):]
-        if hier_axes not in ("x", "y", "xy", "yx"):
-            raise RsgError(
-                f"--compact hier:<axes> takes x, y, xy or yx, not {hier_axes!r}"
-            )
-    elif axes not in ("x", "y", "xy", "yx"):
-        raise RsgError(
-            f"--compact takes x, y, xy, yx, hier or hier:<axes>, not {axes!r}"
-        )
-    rules = {"A": TECH_A, "B": TECH_B}.get(technology.upper())
-    if rules is None:
-        raise RsgError(f"unknown technology {technology!r} (use A or B)")
-    cache = CompactionCache(cache_dir) if cache_dir else None
-    if hier_axes is not None:
-        compactor = HierarchicalCompactor(
-            rules, axes=hier_axes, width_mode="preserve", jobs=jobs, cache=cache,
-        )
-        cell = compactor.compact(cell)
-        if output_stream is not None:
-            print(compactor.last_report.summary(), file=output_stream)
-            if cache is not None:
-                print(cache.stats(), file=output_stream)
-        return cell
-    for axis in axes:
-        cell, result = compact_cell(
-            cell, rules, axis=axis, width_mode="preserve", cache=cache,
-        )
-        if output_stream is not None:
-            print(
-                f"compacted {axis}: width {result.width_before} ->"
-                f" {result.width_after} ({result.stats})",
-                file=output_stream,
-            )
-    if cache is not None and output_stream is not None:
-        print(cache.stats(), file=output_stream)
-    return cell
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -685,17 +525,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     stage_timings: Optional[Dict[str, float]] = (
         {} if arguments.timings else None
     )
-    tracer: Optional[obs_trace.Tracer] = (
-        obs_trace.Tracer()
-        if arguments.timings or obs_trace.local_enabled()
-        else None
-    )
+    tracer = obs_trace.Tracer()
     try:
-        with (
-            obs_trace.activated(tracer)
-            if tracer is not None
-            else _null_context()
-        ):
+        with obs_trace.activated(tracer):
             cell = run_flow(
                 arguments.parameter_file,
                 arguments.set,
@@ -717,7 +549,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f" {cell.count_instances(recursive=True)} instances"
     )
     if stage_timings is not None:
-        spans = tracer.finished() if tracer else []
+        spans = tracer.finished()
         extras = (
             solver_summary_lines(spans)
             + compact_summary_lines(spans)
@@ -727,13 +559,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if arguments.render:
         print(ascii_render(cell))
     return 0
-
-
-def _null_context():
-    """A no-op context manager (the untraced run_flow path)."""
-    import contextlib
-
-    return contextlib.nullcontext()
 
 
 if __name__ == "__main__":

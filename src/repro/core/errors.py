@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any
+
 __all__ = [
     "RsgError",
     "CellError",
@@ -90,7 +92,18 @@ class InfeasibleConstraintsError(CompactionError):
 
 
 class VerificationError(RsgError):
-    """A requested verification ran and the layout failed it."""
+    """A requested verification ran and the layout did not pass it.
+
+    ``headline`` is the one-line diagnostic; the message appends
+    ``detail`` (the report summary) when one is given.  ``result`` is
+    the partial job result when the shared pipeline raised it, so a
+    front end can still print the stages that ran.
+    """
+
+    def __init__(self, headline: str, detail: str = "", result: Any = None) -> None:
+        super().__init__(f"{headline}: {detail}" if detail else headline)
+        self.headline = headline
+        self.result = result
 
 
 class ServiceError(RsgError):

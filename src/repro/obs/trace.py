@@ -283,10 +283,10 @@ def service_enabled() -> bool:
 
 
 def local_enabled() -> bool:
-    """Policy: should local CLI runs trace?  Default off.
+    """Policy: did the user ask local runs to trace?  Default off.
 
-    Local pipelines only pay for tracing when asked, either with
-    ``REPRO_TRACE=1`` or the ``--timings`` flag (which builds its table
-    from spans).
+    True under ``REPRO_TRACE=1``.  The batch CLI no longer consults it:
+    ``repro <par>`` runs the service's pipeline, whose stage timings are
+    span durations, so it always runs under a tracer.
     """
     return os.environ.get("REPRO_TRACE", "0") == "1"

@@ -1,14 +1,18 @@
 """Layout-as-a-service: job queue, artifact store, worker pool, HTTP API.
 
 The batch CLI (:mod:`repro.cli`) runs one generate → compact → route →
-verify pipeline per invocation.  This package wraps the same pure
-pipeline functions in a long-running service:
+verify pipeline per invocation.  That pipeline is defined once, here,
+in :func:`repro.service.jobs.run_job`; the CLI calls it and this
+package wraps it in a long-running service:
 
-* :mod:`repro.service.jobs` — the job model.  A request is a
-  canonicalised :class:`JobSpec` (generator kind, parameter-file text,
-  technology, compact/route/verify options) hashed to a content
-  fingerprint with the :mod:`repro.compact.cache` machinery, so two
-  semantically identical requests *are* the same job;
+* :mod:`repro.service.jobs` — the job model and the pipeline.  A
+  request is a canonicalised :class:`JobSpec` (generator kind,
+  parameter-file text, technology, compact/route/verify options)
+  hashed to a content fingerprint with the :mod:`repro.compact.cache`
+  machinery, so two semantically identical requests *are* the same
+  job.  ``spec_from_files`` reads a parameter file into a spec for
+  both ``repro`` and ``repro submit``; ``run_job`` runs the stages and
+  ``execute_job`` adds the CIF emit stage the workers store;
 * :mod:`repro.service.store` — a SQLite-backed job/result/metadata
   store plus on-disk artifacts keyed by fingerprint, wrapping a shared
   :class:`~repro.compact.cache.CompactionCache` so compaction and
@@ -48,7 +52,14 @@ budget without touching live jobs.
 
 from .chaos import FaultPlan, FaultSpec
 from .client import ServiceClient, stats_main, submit_main, trace_main
-from .jobs import JobResult, JobSpec, execute_job, fingerprint_spec
+from .jobs import (
+    JobResult,
+    JobSpec,
+    execute_job,
+    fingerprint_spec,
+    run_job,
+    spec_from_files,
+)
 from .metrics import build_registry
 from .server import DEFAULT_PORT, LayoutServer, serve_main
 from .store import Store, gc_main
@@ -68,7 +79,9 @@ __all__ = [
     "execute_job",
     "fingerprint_spec",
     "gc_main",
+    "run_job",
     "serve_main",
+    "spec_from_files",
     "stats_main",
     "submit_main",
     "trace_main",

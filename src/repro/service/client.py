@@ -20,11 +20,12 @@ carries the client half of the service's robustness contract:
   that ignores ``wait``, or one shutting down) makes the client sleep,
   backing off exponentially up to ``max_poll_interval``.
 
-``submit_main`` is the ``repro submit`` CLI verb: it takes the *same*
-parameter file the batch CLI takes, embeds the sample/design texts the
-file's directives point at (a submission is self-contained — the
-server never reads the client's filesystem), and round-trips
-submit → wait → download.
+``submit_main`` is the ``repro submit`` CLI verb: it reads the *same*
+parameter file with the batch CLI's reader
+(:func:`~repro.service.jobs.spec_from_files`), which embeds the
+sample/design texts the file's directives point at (a submission is
+self-contained — the server never reads the client's filesystem), and
+round-trips submit → wait → download.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..core.errors import ServiceError
+from ..core.errors import LanguageError, RsgError, ServiceError
 from ..obs import trace as obs_trace
 from ..obs.render import render_trace, spans_from_jsonl
 from ..obs.trace import TRACE_HEADER, Span, Tracer, propagation_token
-from .jobs import JobSpec
+from .jobs import JobSpec, spec_from_files
 
 __all__ = ["ServiceClient", "stats_main", "submit_main", "trace_main"]
 
@@ -273,46 +274,6 @@ class ServiceClient:
         )
 
 
-def _spec_from_files(arguments) -> JobSpec:
-    """Build a self-contained spec from CLI arguments.
-
-    For ``--kind custom`` (the default) the parameter file's
-    ``.example_file`` / ``.concept_file`` directives are read and their
-    *contents* embedded, so the server needs no access to the client's
-    filesystem; builtin kinds carry their library texts server-side.
-    """
-    from ..lang.param_file import parse_parameters
-
-    with open(arguments.parameter_file, "r", encoding="utf-8") as handle:
-        parameter_text = handle.read()
-    if arguments.set:
-        parameter_text += "\n" + "\n".join(arguments.set)
-    sample_text = design_text = None
-    if arguments.kind == "custom":
-        parameters = parse_parameters(parameter_text)
-        sample_path = parameters.directives.get("example_file")
-        design_path = parameters.directives.get("concept_file")
-        if not sample_path or not design_path:
-            raise ServiceError(
-                "custom submissions need .example_file and .concept_file"
-                " directives (or use --kind for a builtin generator)"
-            )
-        with open(sample_path, "r", encoding="utf-8") as handle:
-            sample_text = handle.read()
-        with open(design_path, "r", encoding="utf-8") as handle:
-            design_text = handle.read()
-    return JobSpec(
-        kind=arguments.kind,
-        parameters=parameter_text,
-        sample_text=sample_text,
-        design_text=design_text,
-        tech=arguments.tech,
-        compact=arguments.compact,
-        verify=arguments.verify,
-        sim_vectors=arguments.sim_vectors,
-    )
-
-
 def submit_main(argv: Optional[List[str]] = None) -> int:
     """``repro submit``: send a job to a running layout service.
 
@@ -361,7 +322,18 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
     )
     arguments = parser.parse_args(argv)
 
-    spec = _spec_from_files(arguments)
+    try:
+        spec = spec_from_files(
+            arguments.parameter_file, arguments.set, kind=arguments.kind,
+            tech=arguments.tech, compact=arguments.compact,
+            verify=arguments.verify, sim_vectors=arguments.sim_vectors,
+        )
+    except LanguageError:
+        raise
+    except RsgError as error:  # a custom submission without its directives
+        raise ServiceError(
+            f"{error}, or use --kind for a builtin generator"
+        ) from None
     client = ServiceClient(arguments.url)
     if not obs_trace.service_enabled():
         code, _ = _submit_flow(arguments, client, spec)

@@ -17,12 +17,16 @@ one job:
 * builtin kinds resolve to their library texts, so a library change
   changes the fingerprint (no stale artifact survives an upgrade).
 
-:func:`execute_job` is the pure pipeline the workers run: generate →
-compact → route → verify → emit, returning a :class:`JobResult` with
-the CIF text, the stage reports, and per-stage wall timings.  Each
-stage runs inside a ``job.<stage>`` trace span
+:func:`run_job` is the one definition of the pipeline's stages —
+generate → compact → route → verify — shared by the workers and the
+batch CLI (:func:`repro.cli.run_flow`), which both build their spec
+with :func:`spec_from_files` or directly.  :func:`execute_job`, what
+the workers run, adds the emit stage (the CIF text) and returns a
+:class:`JobResult` with the stage reports and per-stage wall timings;
+the CLI emits to a file in the format the parameter file asks for.
+Each stage runs inside a ``job.<stage>`` trace span
 (:mod:`repro.obs.trace`) and the ``timings`` dict is a thin view over
-those spans — one clock, two presentations.  It takes an optional
+those spans — one clock, two presentations.  Both take an optional
 shared :class:`~repro.compact.cache.CompactionCache`, which is how the
 store's compaction memos reach every worker.
 """
@@ -33,7 +37,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..compact import (
     TECH_A,
@@ -54,7 +58,10 @@ from ..layout.cif import cif_text
 from ..layout.sample import loads_sample
 from ..obs import trace as obs_trace
 
-__all__ = ["JobSpec", "JobResult", "execute_job", "fingerprint_spec"]
+__all__ = [
+    "JobSpec", "JobResult", "execute_job", "fingerprint_spec", "run_job",
+    "spec_from_files",
+]
 
 _COMPACT_MODES = ("x", "y", "xy", "yx", "hier", "hier:x", "hier:y", "hier:xy", "hier:yx")
 _VERIFY_MODES = ("lvs", "sim", "all")
@@ -154,17 +161,16 @@ class JobSpec:
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ServiceError(f"{name} must be a string or null")
-        kinds = _builtin_kinds()
-        if self.kind != "custom" and self.kind not in kinds:
-            raise ServiceError(
-                f"unknown generator kind {self.kind!r}"
-                f" (use custom or one of: {', '.join(sorted(kinds))})"
-            )
         if self.kind == "custom":
             if not self.sample_text or not self.design_text:
                 raise ServiceError(
                     "kind 'custom' needs sample_text and design_text"
                 )
+        elif self.kind not in _builtin_kinds():
+            raise ServiceError(
+                f"unknown generator kind {self.kind!r}"
+                f" (use custom or one of: {', '.join(sorted(_builtin_kinds()))})"
+            )
         if self.tech.upper() not in _TECHS:
             raise ServiceError(f"unknown technology {self.tech!r} (use A or B)")
         if self.compact is not None and self.compact not in _COMPACT_MODES:
@@ -309,7 +315,9 @@ def _canonical_bindings(bindings: Dict[Any, Any]) -> List[List[Any]]:
 class JobResult:
     """What one pipeline execution produced, JSON-serialisable.
 
-    The CIF text is the layout artifact; the report dicts come from
+    The CIF text is the layout artifact; ``compaction`` has one entry
+    per flat pass (axis, widths before and after, the solver stats
+    string); the report dicts come from
     :meth:`~repro.compact.pipeline.PipelineReport.to_dict` /
     :meth:`~repro.verify.driver.VerificationReport.to_dict`; ``timings``
     maps stage name (``generate`` / ``compact`` / ``route`` / ``verify``
@@ -339,36 +347,103 @@ class JobResult:
         return cls(**{key: value for key, value in payload.items() if key in known})
 
 
+def spec_from_files(
+    parameter_path: str,
+    overrides: Optional[Sequence[str]] = None,
+    kind: str = "custom",
+    **options: Any,
+) -> JobSpec:
+    """Read a parameter file into a self-contained :class:`JobSpec`.
+
+    The one reader behind ``repro <par>`` and ``repro submit <par>``.
+    ``overrides`` are ``name=value`` lines appended to the file's text
+    (later bindings win, as with ``--set``).  For ``kind="custom"`` the
+    file's ``.example_file`` / ``.concept_file`` directives are read and
+    their *contents* embedded, so whoever runs the spec needs no access
+    to this filesystem; builtin kinds carry their library texts.
+    ``options`` are the remaining :class:`JobSpec` fields (``tech``,
+    ``compact``, ``verify``, ...).
+    """
+    with open(parameter_path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    if overrides:
+        text += "\n" + "\n".join(overrides)
+    sample_text = design_text = None
+    if kind == "custom":
+        directives = parse_parameters(text).directives
+        sample_path = directives.get("example_file")
+        design_path = directives.get("concept_file")
+        if not sample_path or not design_path:
+            raise RsgError(
+                "parameter file must name .example_file (sample layout) and"
+                " .concept_file (design file)"
+            )
+        with open(sample_path, "r", encoding="utf-8") as handle:
+            sample_text = handle.read()
+        with open(design_path, "r", encoding="utf-8") as handle:
+            design_text = handle.read()
+    return JobSpec(
+        kind=kind, parameters=text, sample_text=sample_text,
+        design_text=design_text, **options,
+    )
+
+
+def tracing():
+    """Activate a private tracer unless one is ambient.
+
+    Stage timings are span durations, so :func:`run_job` always runs
+    under a tracer: a traced caller's (a worker, ``--timings``) or the
+    private one its caller opens here.
+    """
+    return obs_trace.activated(obs_trace.active() or obs_trace.Tracer())
+
+
 def execute_job(spec: JobSpec, cache: Optional[CompactionCache] = None) -> JobResult:
     """Run the full pipeline for ``spec`` and return its result.
 
     This is the pure function the worker pool dispatches: no service
     state, no filesystem side effects — everything it needs is in the
     spec and everything it produced is in the returned
-    :class:`JobResult`.  ``cache`` is the shared compaction cache;
-    failures surface as :class:`~repro.core.errors.RsgError` subclasses
+    :class:`JobResult`.  It is :func:`run_job` plus the ``job.emit``
+    stage, which renders the CIF text.  ``cache`` is the shared
+    compaction cache; failures surface as
+    :class:`~repro.core.errors.RsgError` subclasses
     (:class:`~repro.core.errors.VerificationError` for a layout that
     generated fine but failed its checks).
-
-    Stage timing is span-derived: when a tracer is ambient (a traced
-    worker or ``--timings``) the stages parent under it; otherwise a
-    private tracer is activated just for this call, so ``timings`` is
-    always the same span clock either way.
     """
-    if obs_trace.active() is None:
-        with obs_trace.activated(obs_trace.Tracer()):
-            return _execute_traced(spec, cache)
-    return _execute_traced(spec, cache)
+    with tracing():
+        cell, result = run_job(spec, cache)
+        with obs_trace.span("job.emit") as stage:
+            result.cell_name = cell.name
+            result.instance_count = cell.count_instances(recursive=True)
+            result.cif = cif_text(cell)
+        result.timings["emit"] = stage.duration_s
+    return result
 
 
-def _execute_traced(spec: JobSpec, cache: Optional[CompactionCache]) -> JobResult:
-    """The pipeline body; requires an ambient tracer (see execute_job)."""
+def run_job(
+    spec: JobSpec, cache: Optional[CompactionCache] = None, jobs: int = 1
+) -> Tuple[CellDefinition, JobResult]:
+    """The generate → compact → route → verify stages for ``spec``.
+
+    The one definition of the pipeline, shared by :func:`execute_job`
+    and the batch CLI (:func:`repro.cli.run_flow`); each caller emits
+    the returned cell its own way.  Each stage runs inside a
+    ``job.<stage>`` trace span and ``result.timings`` is a view over
+    those spans.  ``cache`` memoises compaction; ``jobs`` fans the
+    ``hier`` pipeline's leaf-cell compactions over worker processes
+    (the output is the same for any ``jobs``, so it is not part of the
+    spec).  A failed verification raises
+    :class:`~repro.core.errors.VerificationError` carrying the partial
+    result.  The stages run under the caller's tracer: call it inside
+    :func:`tracing`.
+    """
+    assert obs_trace.active() is not None, "run_job needs an ambient tracer"
     spec.validate()
     sample, design, bindings, cell_name = spec.resolved()
     result = JobResult()
     if spec.delay:
         time.sleep(spec.delay)
-
     with obs_trace.span("job.generate") as stage:
         rsg = Rsg()
         loads_sample(sample, rsg)
@@ -380,15 +455,16 @@ def _execute_traced(spec: JobSpec, cache: Optional[CompactionCache]) -> JobResul
         elif isinstance(value, CellDefinition):
             cell = value
         else:
-            raise ServiceError(
-                "design text did not end with mk_cell and no output_cell was given"
+            raise RsgError(
+                "design file did not end with mk_cell and no"
+                " .output_cell directive was given"
             )
     result.timings["generate"] = stage.duration_s
 
     rules = _TECHS[spec.tech.upper()]
     if spec.compact:
         with obs_trace.span("job.compact") as stage:
-            cell = _compact_stage(spec, cell, rules, cache, result)
+            cell = _compact_stage(spec.compact, cell, rules, cache, jobs, result)
         result.timings["compact"] = stage.duration_s
 
     plan = None
@@ -405,31 +481,24 @@ def _execute_traced(spec: JobSpec, cache: Optional[CompactionCache]) -> JobResul
 
     if spec.verify:
         with obs_trace.span("job.verify") as stage:
-            _verify_stage(spec, cell, plan, rules, cache, result)
+            _verify_stage(spec, cell, plan, rules, result)
         result.timings["verify"] = stage.duration_s
-
-    with obs_trace.span("job.emit") as stage:
-        result.cell_name = cell.name
-        result.instance_count = cell.count_instances(recursive=True)
-        result.cif = cif_text(cell)
-    result.timings["emit"] = stage.duration_s
-    return result
+    return cell, result
 
 
 def _compact_stage(
-    spec: JobSpec,
+    mode: str,
     cell: CellDefinition,
     rules,
     cache: Optional[CompactionCache],
+    jobs: int,
     result: JobResult,
 ) -> CellDefinition:
     """Run the requested compaction mode, recording its reports."""
-    mode = spec.compact
-    assert mode is not None
     if mode.startswith("hier"):
         axes = mode[len("hier:"):] if mode.startswith("hier:") else "x"
         compactor = HierarchicalCompactor(
-            rules, axes=axes, width_mode="preserve", cache=cache,
+            rules, axes=axes, width_mode="preserve", jobs=jobs, cache=cache,
         )
         cell = compactor.compact(cell)
         assert compactor.last_report is not None
@@ -444,36 +513,42 @@ def _compact_stage(
                 "axis": axis,
                 "width_before": pass_result.width_before,
                 "width_after": pass_result.width_after,
+                "stats": str(pass_result.stats),
             }
         )
     return cell
 
 
 def _verify_stage(
-    spec: JobSpec,
-    cell: CellDefinition,
-    plan,
-    rules,
-    cache: Optional[CompactionCache],
-    result: JobResult,
+    spec: JobSpec, cell: CellDefinition, plan, rules, result: JobResult
 ) -> None:
-    """Run the requested verification, raising on functional failure."""
+    """Run the requested verification, raising unless it passes.
+
+    A failed check raises :class:`~repro.core.errors.VerificationError`;
+    its message carries the report summary and ``error.result`` the
+    partial result.
+    """
     if plan is not None:
         from ..route.compose import verify_composite
 
         mismatches = verify_composite(cell, plan)
+        summary = (
+            f"verify {cell.name} (routed composite, connectivity round-trip"
+            f" for any --verify mode): {len(plan.nets)} nets round-tripped,"
+            f" {len(mismatches)} mismatches"
+        )
         result.verification = {
             "subject": f"{cell.name} (routed composite)",
             "mode": spec.verify,
             "nets": len(plan.nets),
             "failures": mismatches,
             "ok": not mismatches,
-            "summary": f"connectivity round-trip: {len(plan.nets)} nets,"
-            f" {len(mismatches)} mismatches",
+            "summary": summary,
         }
         if mismatches:
             raise VerificationError(
-                "verification failed: " + "; ".join(mismatches[:3])
+                "verification failed: " + "; ".join(mismatches[:3]),
+                result=result,
             )
         return
     from ..verify import verify_cell
@@ -482,10 +557,11 @@ def _verify_stage(
     report = verify_cell(
         cell, mode=spec.verify or "all",
         max_vectors=spec.sim_vectors or DEFAULT_MAX_VECTORS,
-        rules=rules, cache=cache,
+        rules=rules,
     )
     result.verification = report.to_dict()
     if not report.ok:
         raise VerificationError(
-            f"verification failed for {cell.name!r}: {report.summary()}"
+            f"verification failed for {cell.name!r}",
+            detail=report.summary(), result=result,
         )

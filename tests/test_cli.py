@@ -413,6 +413,19 @@ class TestVerifyFlags:
         assert "routed composite" in out
         assert "0 mismatches" in out
 
+    def test_routed_composite_summary_is_the_services(self, route_files, capsys):
+        from repro.service.jobs import execute_job, spec_from_files
+
+        parameter, netfile, _ = route_files
+        assert main(
+            [str(parameter), "--route", str(netfile), "--verify", "all"]
+        ) == 0
+        result = execute_job(spec_from_files(
+            str(parameter), route_text=netfile.read_text(), verify="all",
+        ))
+        assert result.verification["ok"]
+        assert result.verification["summary"] in capsys.readouterr().out.splitlines()
+
     def test_verify_failure_exits_nonzero(self, flow_files, capsys, monkeypatch):
         """A failing check must surface as a non-zero exit."""
         from repro.verify.driver import VerificationReport
@@ -434,7 +447,7 @@ class TestVerifyFlags:
 
     def test_bad_verify_mode_via_run_flow(self, flow_files):
         parameter, _ = flow_files
-        with pytest.raises(RsgError, match="--verify takes"):
+        with pytest.raises(RsgError, match="verify takes"):
             run_flow(str(parameter), verify_mode="everything")
 
     def test_sim_vectors_with_route_rejected(self, route_files, capsys):
@@ -492,7 +505,7 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_tech_exits_generic(self, flow_files, capsys):
-        from repro.cli import EXIT_ERROR
+        from repro.cli import EXIT_SERVICE
 
         parameter, _ = flow_files
         assert main([str(parameter), "--compact", "x", "--tech", "A",
@@ -509,7 +522,7 @@ class TestExitCodes:
         try:
             run_flow(str(parameter), compact_axes="x", technology="Z")
         except RsgError as error:
-            assert exit_code_for(error) == EXIT_ERROR
+            assert exit_code_for(error) == EXIT_SERVICE
 
     def test_internal_errors_are_one_line_not_tracebacks(
         self, flow_files, capsys, monkeypatch
@@ -542,6 +555,40 @@ class TestExitCodes:
         parameter, _ = flow_files
         with pytest.raises(ValueError, match="boom"):
             main([str(parameter)])
+
+
+class TestOnePipeline:
+    """``repro`` and ``repro submit`` run one pipeline definition."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"compact": "xy"}, {"compact": "hier:xy"}, {"verify": "all"}],
+        ids=["plain", "xy", "hier-xy", "verify-all"],
+    )
+    def test_cli_cif_equals_the_submitted_jobs(self, flow_files, options):
+        from repro.service.jobs import execute_job, spec_from_files
+
+        parameter, output = flow_files
+        argv = [str(parameter)]
+        for name, value in options.items():
+            argv += [f"--{name}", value]
+        assert main(argv) == 0
+        spec = spec_from_files(str(parameter), tech="A", **options)
+        assert output.read_text() == execute_job(spec).cif
+
+    def test_import_loads_no_service_sqlite_or_http_server(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.cli; print(sorted(m for m in sys.modules if"
+            " m.startswith('repro.service') or m in ('sqlite3', 'http.server')))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True,
+        )
+        assert completed.stdout.strip() == "[]"
 
 
 class TestServiceVerbs:

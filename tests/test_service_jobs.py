@@ -279,6 +279,35 @@ class TestExecuteJob:
             ):
                 execute_job(broken)
 
+    def test_failed_verify_marks_its_span_and_keeps_the_summary(self):
+        from unittest import mock
+
+        from repro.obs import Tracer, activated
+
+        tracer = Tracer()
+        with mock.patch(
+            "repro.verify.verify_cell",
+            side_effect=lambda cell, **kw: _failing_report(cell),
+        ):
+            with activated(tracer), pytest.raises(VerificationError) as caught:
+                execute_job(custom(verify="all"))
+        assert caught.value.headline == "verification failed for 'top'"
+        assert "FAIL injected failure" in str(caught.value)
+        (verify,) = [s for s in tracer.finished() if s.name == "job.verify"]
+        assert verify.status == "error"
+
+    def test_design_without_a_cell_is_a_generic_error(self):
+        from repro.core.errors import RsgError
+
+        with pytest.raises(RsgError, match="mk_cell") as caught:
+            execute_job(custom(design_text="(mk_instance t tiny)\n"))
+        assert not isinstance(caught.value, ServiceError)
+
+    def test_flat_compaction_records_solver_stats(self):
+        result = execute_job(custom(compact="x"))
+        (entry,) = result.compaction
+        assert entry["stats"].startswith("bellman-ford: ")
+
     def test_result_round_trips_through_json(self):
         result = execute_job(custom())
         payload = result.to_dict()
