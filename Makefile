@@ -55,8 +55,8 @@ bench:
 # `make bench`), so a regression to the O(n^2) rescans, the dense LP,
 # instance-proportional work, per-round content hashing in LVS or
 # one-pair/one-vector-at-a-time checking fails CI.  The bench_hierarchy
-# parallel case asserts jobs=2 output is identical to serial at every
-# size; bench_verify asserts hier extraction is LVS-identical to flat;
+# cached case asserts warm output is identical to the uncached oracle;
+# bench_verify asserts hier extraction is LVS-identical to flat;
 # bench_scanline, bench_sweep and bench_batch assert every geometry
 # pass (visibility scan, DRC, merge, wire extraction, the extraction
 # mask walk) matches its *_reference oracle output exactly (the >= 5x

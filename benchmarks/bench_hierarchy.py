@@ -1,6 +1,6 @@
 """E-HIER — compact-once / stamp-many: the hierarchical pipeline.
 
-Three workloads on tiled arrays of randomized leaf cells, with the CI
+Two workloads on tiled arrays of randomized leaf cells, with the CI
 guards the acceptance criteria name:
 
 * **cached re-generation** — regenerate-and-compact an 8x8 tiled array
@@ -15,14 +15,6 @@ guards the acceptance criteria name:
   is deliberately streamed rather than memoized (memory over repeat
   speed), so the advantage is the constant-factor difference between
   translating child memos and recursive transform composition.
-* **parallel fan-out** — distinct leaf batches at ``jobs=1`` versus
-  ``jobs=2`` (rows ``compact_jobs1`` / ``compact_jobs2``), asserting the
-  results are identical; wall-clock gain is recorded, not asserted
-  (CI runners may be single-core).
-
-The ``--jobs`` byte-identity smoke lives in ``tests/test_cli.py``
-(``test_jobs2_output_byte_identical_to_serial``) where the full CIF
-pipeline runs; here the same property is asserted structurally.
 
 Timing rows land in ``BENCH_compaction.json`` via the ``record``
 fixture.  Set ``REPRO_BENCH_SMOKE=1`` for the small sizes (the 5x
@@ -35,7 +27,7 @@ from collections import Counter
 
 from conftest import best_time, doubling_ratio
 
-from repro.compact import TECH_A, CompactionCache, HierarchicalCompactor, compact_cells
+from repro.compact import TECH_A, CompactionCache, HierarchicalCompactor
 from repro.core.cell import CellDefinition
 from repro.geometry import Vec2, NORTH
 
@@ -172,42 +164,4 @@ def _impl_flatten_scaling_guard(report, record):
 def test_flatten_scaling_guard(benchmark, report, record):
     benchmark.pedantic(
         lambda: _impl_flatten_scaling_guard(report, record), rounds=1, iterations=1
-    )
-
-
-def _impl_parallel_fanout(report, record):
-    # The asserted property is determinism (parallel == serial); the
-    # wall-clock comparison is recorded for the trajectory but not
-    # asserted — a single-core runner can only lose to pool overhead,
-    # which is why the report line carries the visible core count.
-    count = 4 if SMOKE else 8
-    boxes = 40 if SMOKE else 400
-    batch = [
-        (f"cell{index}", random_leaf(f"cell{index}", index + 50, boxes))
-        for index in range(count)
-    ]
-    serial = compact_cells(batch, TECH_A, jobs=1)
-    parallel = compact_cells(batch, TECH_A, jobs=2)
-    # Determinism first: parallel output must be identical to serial.
-    assert [name for name, _, _ in serial] == [name for name, _, _ in parallel]
-    for (_, cell_s, result_s), (_, cell_p, result_p) in zip(serial, parallel):
-        assert Counter(cell_s.flatten()) == Counter(cell_p.flatten())
-        assert result_s.layers == result_p.layers
-
-    serial_s = best_time(lambda: compact_cells(batch, TECH_A, jobs=1), repeats=1)
-    parallel_s = best_time(lambda: compact_cells(batch, TECH_A, jobs=2), repeats=1)
-    record("compact_jobs1", count, serial_s)
-    record("compact_jobs2", count, parallel_s)
-    report(
-        f"E-HIER parallel fan-out, {count} distinct {boxes}-box cells:"
-        f" jobs=1 {serial_s * 1000:8.1f} ms,"
-        f" jobs=2 {parallel_s * 1000:8.1f} ms"
-        f"  ({serial_s / parallel_s:.2f}x on {os.cpu_count()} core(s),"
-        f" identical output)"
-    )
-
-
-def test_parallel_fanout(benchmark, report, record):
-    benchmark.pedantic(
-        lambda: _impl_parallel_fanout(report, record), rounds=1, iterations=1
     )

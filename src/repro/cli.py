@@ -17,7 +17,7 @@ Usage::
     python -m repro parameters.par
     python -m repro parameters.par --set xsize=8 --set ysize=8
     python -m repro parameters.par --compact xy --timings
-    python -m repro parameters.par --compact hier --jobs 4 --cache-dir .rsgcache
+    python -m repro parameters.par --compact hier --cache-dir .rsgcache
     python -m repro parameters.par --route wires.net --router channel
     python -m repro parameters.par --verify all --sim-vectors 256
     python -m repro serve --root .repro-service --workers 4
@@ -56,11 +56,9 @@ the compact-once/stamp-many hierarchical pipeline that compacts each
 distinct leaf cell exactly once and re-stamps every instance; every
 pass solves its constraints with the paper's sorted-edge Bellman-Ford
 (:mod:`repro.compact.solver`).  ``--tech`` picks the design-rule set
-that compaction, routing and verification read.  ``--jobs N`` fans
-independent leaf-cell compactions out over N worker processes
-(``hier`` only; output is byte-identical to ``--jobs 1``), and
-``--cache-dir`` persists compaction results on disk so an unchanged
-cell is never compacted twice, even across runs.  ``--route``
+that compaction, routing and verification read, and ``--cache-dir``
+persists compaction results on disk so an unchanged cell is never
+compacted twice, even across runs.  ``--route``
 composes two cells from the workspace with the wiring subsystem: the
 net file names a bottom cell, a top cell and the nets to route between
 their facing edges (see :func:`repro.route.compose.parse_net_file`);
@@ -164,7 +162,6 @@ def run_flow(
     technology: str = "A",
     route_path: Optional[str] = None,
     router: str = "auto",
-    jobs: int = 1,
     cache_dir: Optional[str] = None,
     verify_mode: Optional[str] = None,
     sim_vectors: Optional[int] = None,
@@ -184,8 +181,7 @@ def run_flow(
     the result, using the ``technology`` rule set ("A" or "B", which
     routing and verification read too); ``compact_axes="hier"`` (or
     ``"hier:<axes>"`` to pick the per-leaf passes) runs the
-    hierarchical compact-once pipeline instead, fanning leaf-cell
-    solves over ``jobs`` worker processes.  ``cache_dir`` enables the
+    hierarchical compact-once pipeline instead.  ``cache_dir`` enables the
     on-disk compaction-result cache for either compaction mode.
     ``route_path`` names a net-request file: the named cells are
     composed with the wiring subsystem (``router`` picks the algorithm)
@@ -216,7 +212,7 @@ def run_flow(
     cache = CompactionCache(cache_dir) if cache_dir else None
     with tracing():
         try:
-            cell, result = run_job(spec, cache=cache, jobs=jobs)
+            cell, result = run_job(spec, cache=cache)
         except VerificationError as error:
             _print_result(error.result, cache, output_stream)
             raise VerificationError(error.headline) from None
@@ -446,14 +442,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         " ('hier' = per-leaf x pass; 'hier:xy' etc. pick the leaf passes)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for --compact hier leaf-cell fan-out"
-        " (default: 1; output is byte-identical for any N)",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         help="persist compaction results under DIR so unchanged cells"
@@ -500,12 +488,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         arguments.compact or arguments.route or arguments.verify
     ):
         parser.error("--tech has no effect without --compact, --route or --verify")
-    if arguments.jobs < 1:
-        parser.error("--jobs must be at least 1")
-    if arguments.jobs != 1 and not (
-        arguments.compact or ""
-    ).startswith("hier"):
-        parser.error("--jobs has no effect without --compact hier")
     if arguments.cache_dir and not arguments.compact:
         parser.error("--cache-dir has no effect without --compact")
     if arguments.router != "auto" and not arguments.route:
@@ -536,7 +518,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 technology=arguments.tech or "A",
                 route_path=arguments.route,
                 router=arguments.router,
-                jobs=arguments.jobs,
                 cache_dir=arguments.cache_dir,
                 verify_mode=arguments.verify,
                 sim_vectors=arguments.sim_vectors,

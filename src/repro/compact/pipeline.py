@@ -5,13 +5,11 @@ of times, so compaction cost should scale with *distinct cells*, not
 *instances*.  This module provides the two pieces the flat driver
 lacks:
 
-* :func:`compact_cells` — a batch fan-out that compacts several
-  independent cells, optionally in parallel across a process pool
-  (``jobs``) and through a :class:`~repro.compact.cache.CompactionCache`
+* :func:`compact_cells` — a batch that compacts several independent
+  cells, optionally through a :class:`~repro.compact.cache.CompactionCache`
   (results keyed by content, so identical cells are solved once per run
-  and — with an on-disk cache — once *ever*).  Result order is the input
-  order regardless of worker scheduling, so parallel output is
-  deterministic.
+  and — with an on-disk cache — once *ever*).  Results come back in
+  input order.
 * :class:`HierarchicalCompactor` — the compact-once/stamp-many driver:
   collect the distinct leaf definitions under a cell, compact each
   exactly once (deduplicated by content fingerprint), and rebuild the
@@ -20,20 +18,20 @@ lacks:
   :class:`~repro.core.cell.CellDefinition`, so downstream flattening is
   O(instances) translations.
 
-``jobs=1, cache=None`` is the sequential uncached oracle: the parallel
-and cached paths must produce identical geometry (property-tested in
-``tests/test_pipeline_cache.py``).
+``cache=None`` is the uncached oracle: the cached path must produce
+identical geometry (property-tested in ``tests/test_pipeline_cache.py``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.cell import CellDefinition
 from . import cache as cache_module
 from .cache import (
+    CacheStats,
     CompactionCache,
     cache_key,
     fingerprint_cell,
@@ -50,51 +48,25 @@ __all__ = [
 ]
 
 
-def _compact_one(
-    cell: CellDefinition,
-    rules: DesignRules,
-    axes: str,
-    width_mode: str,
-) -> Tuple[CellDefinition, CompactionResult]:
-    """One axis pass per letter of ``axes``; keeps the cell's name."""
-    return compact_cell_axes(cell, rules, axes, name=cell.name, width_mode=width_mode)
-
-
-def _compact_worker(payload):
-    """Process-pool entry point: unpack, compact, repack by index."""
-    index, cell, rules, axes, width_mode = payload
-    compacted, result = _compact_one(cell, rules, axes, width_mode)
-    return index, compacted, result
-
-
 def compact_cells(
     items: Sequence[Tuple[str, CellDefinition]],
     rules: DesignRules,
-    jobs: int = 1,
     cache: Optional[CompactionCache] = None,
     axes: str = "x",
     width_mode: str = "preserve",
 ) -> List[Tuple[str, CellDefinition, CompactionResult]]:
     """Compact independent ``(name, cell)`` pairs, each at most once.
 
-    Cache lookups happen in the parent process; only misses are
-    dispatched, serially or — with ``jobs > 1`` — across a
-    ``concurrent.futures`` process pool.  Results come back in input
-    order whatever the completion order, and misses are written back to
-    the cache so the next run (or the next batch) hits.  Cache hits are
-    returned as shared (not copied) objects — treat them as read-only,
-    or copy before mutating.  Machines that cannot spawn worker
-    processes fall back to the serial path.
+    One axis pass per letter of ``axes``; each compacted cell keeps its
+    name.  Results come back in input order, and misses are written back
+    to the cache so the next run (or the next batch) hits.  Cache hits
+    are returned as shared (not copied) objects — treat them as
+    read-only, or copy before mutating.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, not {jobs}")
-    results: List[Optional[Tuple[str, CellDefinition, CompactionResult]]] = [
-        None
-    ] * len(items)
-    pending: List[Tuple[int, CellDefinition]] = []
-    keys: Dict[int, str] = {}
     rules_print = fingerprint_rules(rules) if cache is not None else ""
-    for index, (name, cell) in enumerate(items):
+    results: List[Tuple[str, CellDefinition, CompactionResult]] = []
+    for name, cell in items:
+        key = ""
         if cache is not None:
             key = cache_key(
                 "pipeline",
@@ -104,42 +76,20 @@ def compact_cells(
                 axes,
                 width_mode,
             )
-            keys[index] = key
             # peek, not get: the stamped rebuild only reads the cached
             # cell, so the defensive copy would be pure overhead.
             hit = cache.peek(key)
             if hit is not None:
                 compacted, result = hit
-                results[index] = (name, compacted, result)
+                results.append((name, compacted, result))
                 continue
-        pending.append((index, cell))
-
-    def finish(index: int, compacted: CellDefinition, result: CompactionResult) -> None:
-        name = items[index][0]
-        results[index] = (name, compacted, result)
+        compacted, result = compact_cell_axes(
+            cell, rules, axes, name=cell.name, width_mode=width_mode
+        )
         if cache is not None:
-            cache.put(keys[index], (compacted, result))
-
-    if jobs > 1 and len(pending) > 1:
-        payloads = [
-            (index, cell, rules, axes, width_mode) for index, cell in pending
-        ]
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for index, compacted, result in pool.map(_compact_worker, payloads):
-                    finish(index, compacted, result)
-            pending = []
-        except (OSError, BrokenExecutor):
-            # No process support (restricted sandboxes) or a worker died
-            # mid-batch (OOM kill): fall through to the serial path for
-            # whatever did not complete.
-            pending = [
-                (index, cell) for index, cell in pending if results[index] is None
-            ]
-    for index, cell in pending:
-        compacted, result = _compact_one(cell, rules, axes, width_mode)
-        finish(index, compacted, result)
-    return [entry for entry in results if entry is not None]
+            cache.put(key, (compacted, result))
+        results.append((name, compacted, result))
+    return results
 
 
 def distinct_leaf_cells(cell: CellDefinition) -> List[CellDefinition]:
@@ -176,9 +126,7 @@ class PipelineReport:
     instance_count: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    jobs: int = 1
-    results: Dict[str, CompactionResult] = field(default_factory=dict)
-    #: counters of the cache used for the run (None when uncached)
+    #: the cache traffic this run caused (None when uncached)
     cache_stats: Optional[Dict[str, int]] = None
 
     def summary(self) -> str:
@@ -186,7 +134,7 @@ class PipelineReport:
         return (
             f"hierarchical compaction: {self.distinct_cells} distinct leaf"
             f" cell(s) ({self.unique_contents} unique) over"
-            f" {self.instance_count} instance(s), jobs={self.jobs},"
+            f" {self.instance_count} instance(s),"
             f" {self.cache_hits} cache hit(s), {self.cache_misses} miss(es)"
         )
 
@@ -198,7 +146,6 @@ class PipelineReport:
             "instance_count": self.instance_count,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "jobs": self.jobs,
             "cache_stats": self.cache_stats,
             "summary": self.summary(),
         }
@@ -212,11 +159,11 @@ class HierarchicalCompactor:
     instance-proportional work.  This driver exploits the leaf-cell
     property instead (all instances of a cell share one geometry, paper
     section 6.1): leaves are compacted independently — deduplicated by
-    content, optionally cached and in parallel — and the hierarchy is
-    rebuilt with instances stamped at their original placements, so the
-    expensive work is O(distinct cells) and the rebuild is
-    O(instances).  Leaf ports and labels are carried over verbatim;
-    composite cells keep their own geometry untouched.  Placements are
+    content and optionally cached — and the hierarchy is rebuilt with
+    instances stamped at their original placements, so the expensive
+    work is O(distinct cells) and the rebuild is O(instances).  Leaf
+    ports and labels are carried over verbatim; composite cells keep
+    their own geometry untouched.  Placements are
     *not* re-spaced: this is per-leaf compaction under the original
     pitches, not a substitute for flat compaction of the assembly.
     """
@@ -226,18 +173,16 @@ class HierarchicalCompactor:
         rules: DesignRules,
         axes: str = "x",
         width_mode: str = "preserve",
-        jobs: int = 1,
         cache: Optional[CompactionCache] = None,
     ) -> None:
         """``axes`` is a sequence of flat-compaction pass letters applied
-        to each leaf (``"x"``, ``"y"``, ``"xy"``, ``"yx"``); ``jobs``
-        and ``cache`` configure the fan-out of :func:`compact_cells`."""
+        to each leaf (``"x"``, ``"y"``, ``"xy"``, ``"yx"``); ``cache``
+        memoises the leaf compactions of :func:`compact_cells`."""
         if not axes or any(axis not in "xy" for axis in axes):
             raise ValueError(f"axes must combine 'x' and 'y', not {axes!r}")
         self.rules = rules
         self.axes = axes
         self.width_mode = width_mode
-        self.jobs = jobs
         self.cache = cache
         self.last_report: Optional[PipelineReport] = None
 
@@ -253,10 +198,10 @@ class HierarchicalCompactor:
         report = PipelineReport(
             distinct_cells=len(leaves),
             instance_count=cell.count_instances(recursive=True),
-            jobs=self.jobs,
         )
-        hits_before = self.cache.hits if self.cache is not None else 0
-        misses_before = self.cache.misses if self.cache is not None else 0
+        before = CacheStats()
+        if self.cache is not None:
+            before = copy.copy(self.cache.cache_stats)
 
         # Deduplicate by content so a run compacts each unique geometry
         # exactly once even without a cache.
@@ -269,15 +214,12 @@ class HierarchicalCompactor:
         compacted_list = compact_cells(
             representatives,
             self.rules,
-            jobs=self.jobs,
             cache=self.cache,
             axes=self.axes,
             width_mode=self.width_mode,
         )
         replacement: Dict[int, CellDefinition] = {}
-        for (fingerprint, group), (_, compacted, result) in zip(
-            by_content.items(), compacted_list
-        ):
+        for group, (_, compacted, _) in zip(by_content.values(), compacted_list):
             for leaf in group:
                 rebuilt = CellDefinition(leaf.name)
                 for layer_box in compacted.boxes:
@@ -288,16 +230,6 @@ class HierarchicalCompactor:
                 for label in leaf.labels:
                     rebuilt.add_label(label.text, label.position.x, label.position.y)
                 replacement[id(leaf)] = rebuilt
-                # Distinct-content leaves can share a name; suffix the
-                # report key rather than overwrite the first result.
-                existing = report.results.get(leaf.name)
-                if existing is None or existing is result:
-                    report.results[leaf.name] = result
-                else:
-                    suffix = 2
-                    while f"{leaf.name}#{suffix}" in report.results:
-                        suffix += 1
-                    report.results[f"{leaf.name}#{suffix}"] = result
 
         rebuilt_memo: Dict[int, CellDefinition] = {}
 
@@ -329,8 +261,9 @@ class HierarchicalCompactor:
 
         result = rebuild(cell)
         if self.cache is not None:
-            report.cache_hits = self.cache.hits - hits_before
-            report.cache_misses = self.cache.misses - misses_before
-            report.cache_stats = self.cache.cache_stats.to_dict()
+            run_stats = self.cache.cache_stats.diff(before)
+            report.cache_hits = run_stats.hits
+            report.cache_misses = run_stats.misses
+            report.cache_stats = run_stats.to_dict()
         self.last_report = report
         return result

@@ -15,9 +15,10 @@ layout stack.  It has three pillars:
 * :mod:`repro.obs.render` — the JSONL codec for persisted trace
   artifacts and the indented-tree renderer behind ``repro trace``.
 
-When tracing is disabled (the default outside the service) every hook
-degrades to a near-zero-cost no-op, so the batched geometry kernels stay
-as fast as PR 9 left them.
+When no tracer is activated (library calls outside ``repro`` and the
+service, or the service under ``REPRO_TRACE=0``) every hook degrades to
+a near-zero-cost no-op, so the batched geometry kernels pay nothing for
+it.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry

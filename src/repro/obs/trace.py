@@ -17,9 +17,9 @@ The module-level helpers (:func:`span`, :func:`annotate`) act on the
 *activated* tracer.  When no tracer is activated they return a shared
 no-op object — a dict lookup plus an identity call — so instrumented
 hot paths cost effectively nothing when tracing is off.  The
-``REPRO_TRACE`` environment variable only steers *policy* at entry
-points (:func:`service_enabled`, :func:`local_enabled`); the hooks
-themselves key off activation, never off the environment.
+``REPRO_TRACE`` environment variable only steers the service's policy
+(:func:`service_enabled`); the hooks themselves key off activation,
+never off the environment.
 """
 
 import contextlib
@@ -37,7 +37,6 @@ __all__ = [
     "active",
     "annotate",
     "is_enabled",
-    "local_enabled",
     "new_id",
     "parse_token",
     "propagation_token",
@@ -280,13 +279,3 @@ def service_enabled() -> bool:
     are the service's flight recorder, so opting *out* is explicit.
     """
     return os.environ.get("REPRO_TRACE", "1") != "0"
-
-
-def local_enabled() -> bool:
-    """Policy: did the user ask local runs to trace?  Default off.
-
-    True under ``REPRO_TRACE=1``.  The batch CLI no longer consults it:
-    ``repro <par>`` runs the service's pipeline, whose stage timings are
-    span durations, so it always runs under a tracer.
-    """
-    return os.environ.get("REPRO_TRACE", "0") == "1"

@@ -75,9 +75,9 @@ def generate_pla(
 
     ``compactor`` (a
     :class:`~repro.compact.pipeline.HierarchicalCompactor`) compacts
-    each distinct plane/crosspoint cell exactly once — cached and
-    optionally in parallel — and re-stamps every instance; the
-    compacted cell replaces ``name`` in the workspace.
+    each distinct plane/crosspoint cell exactly once — optionally
+    cached — and re-stamps every instance; the compacted cell replaces
+    ``name`` in the workspace.
     """
     if rsg is None:
         rsg = load_pla_library()

@@ -422,7 +422,7 @@ def execute_job(spec: JobSpec, cache: Optional[CompactionCache] = None) -> JobRe
 
 
 def run_job(
-    spec: JobSpec, cache: Optional[CompactionCache] = None, jobs: int = 1
+    spec: JobSpec, cache: Optional[CompactionCache] = None
 ) -> Tuple[CellDefinition, JobResult]:
     """The generate → compact → route → verify stages for ``spec``.
 
@@ -430,13 +430,10 @@ def run_job(
     and the batch CLI (:func:`repro.cli.run_flow`); each caller emits
     the returned cell its own way.  Each stage runs inside a
     ``job.<stage>`` trace span and ``result.timings`` is a view over
-    those spans.  ``cache`` memoises compaction; ``jobs`` fans the
-    ``hier`` pipeline's leaf-cell compactions over worker processes
-    (the output is the same for any ``jobs``, so it is not part of the
-    spec).  A failed verification raises
-    :class:`~repro.core.errors.VerificationError` carrying the partial
-    result.  The stages run under the caller's tracer: call it inside
-    :func:`tracing`.
+    those spans.  ``cache`` memoises compaction.  A failed verification
+    raises :class:`~repro.core.errors.VerificationError` carrying the
+    partial result.  The stages run under the caller's tracer: call it
+    inside :func:`tracing`.
     """
     assert obs_trace.active() is not None, "run_job needs an ambient tracer"
     spec.validate()
@@ -464,7 +461,7 @@ def run_job(
     rules = _TECHS[spec.tech.upper()]
     if spec.compact:
         with obs_trace.span("job.compact") as stage:
-            cell = _compact_stage(spec.compact, cell, rules, cache, jobs, result)
+            cell = _compact_stage(spec.compact, cell, rules, cache, result)
         result.timings["compact"] = stage.duration_s
 
     plan = None
@@ -491,14 +488,13 @@ def _compact_stage(
     cell: CellDefinition,
     rules,
     cache: Optional[CompactionCache],
-    jobs: int,
     result: JobResult,
 ) -> CellDefinition:
     """Run the requested compaction mode, recording its reports."""
     if mode.startswith("hier"):
         axes = mode[len("hier:"):] if mode.startswith("hier:") else "x"
         compactor = HierarchicalCompactor(
-            rules, axes=axes, width_mode="preserve", jobs=jobs, cache=cache,
+            rules, axes=axes, width_mode="preserve", cache=cache,
         )
         cell = compactor.compact(cell)
         assert compactor.last_report is not None

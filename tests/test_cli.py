@@ -159,14 +159,6 @@ class TestHierarchicalFlags:
         with pytest.raises(RsgError, match="hier"):
             run_flow(str(parameter), compact_axes="hier:z")
 
-    def test_jobs2_output_byte_identical_to_serial(self, flow_files):
-        """The acceptance smoke: --jobs 2 CIF == --jobs 1 CIF, byte for byte."""
-        parameter, output = flow_files
-        assert main([str(parameter), "--compact", "hier", "--jobs", "1"]) == 0
-        serial = output.read_bytes()
-        assert main([str(parameter), "--compact", "hier", "--jobs", "2"]) == 0
-        assert output.read_bytes() == serial
-
     def test_cache_dir_hits_on_second_run(self, flow_files, tmp_path, capsys):
         parameter, _ = flow_files
         cache_dir = str(tmp_path / "rsgcache")
@@ -193,19 +185,27 @@ class TestHierarchicalFlags:
         ) == 0
         assert "1 hits (1 from disk)" in capsys.readouterr().out
 
-    def test_jobs_without_hier_rejected(self, flow_files, capsys):
-        parameter, _ = flow_files
-        with pytest.raises(SystemExit):
-            main([str(parameter), "--jobs", "2"])
-        assert "--compact hier" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main([str(parameter), "--compact", "x", "--jobs", "2"])
+    def test_warm_cache_output_byte_identical_to_cold(self, flow_files, tmp_path):
+        parameter, output = flow_files
+        cache_dir = str(tmp_path / "rsgcache")
+        assert main([str(parameter), "--compact", "hier"]) == 0
+        uncached = output.read_bytes()
+        for _ in ("cold", "warm"):
+            assert main(
+                [str(parameter), "--compact", "hier", "--cache-dir", cache_dir]
+            ) == 0
+            assert output.read_bytes() == uncached
 
-    def test_bad_jobs_rejected(self, flow_files, capsys):
+    @pytest.mark.parametrize(
+        "flags", [["--compact", "hier", "--jobs", "2"], ["--jobs", "1"]]
+    )
+    def test_jobs_option_is_unrecognized(self, flow_files, capsys, flags):
+        """Hierarchical compaction has one serial path and no --jobs."""
         parameter, _ = flow_files
-        with pytest.raises(SystemExit):
-            main([str(parameter), "--compact", "hier", "--jobs", "0"])
-        assert "at least 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(parameter), *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_cache_dir_without_compact_rejected(self, flow_files, capsys):
         parameter, _ = flow_files
@@ -787,23 +787,16 @@ class TestTimingsFlag:
     def test_structure_is_stable_under_trace_env(
         self, flow_files, capsys, monkeypatch
     ):
-        """REPRO_TRACE only decides *whether* spans are kept — it must
-        not change what the CLI prints, with or without --timings."""
+        """REPRO_TRACE steers only the service — it must not change what
+        the CLI prints: the --timings table up to its numbers, the plain
+        output byte for byte."""
         parameter, _ = flow_files
-        shapes = {}
+        shapes, plain = {}, {}
         for value in ("0", "1"):
             monkeypatch.setenv("REPRO_TRACE", value)
             assert main([str(parameter), "--compact", "x", "--timings"]) == 0
             shapes[value] = self._masked(capsys.readouterr().out)
-        assert shapes["0"] == shapes["1"]
-
-    def test_plain_output_identical_under_trace_env(
-        self, flow_files, capsys, monkeypatch
-    ):
-        parameter, _ = flow_files
-        outputs = {}
-        for value in ("0", "1"):
-            monkeypatch.setenv("REPRO_TRACE", value)
             assert main([str(parameter)]) == 0
-            outputs[value] = capsys.readouterr().out
-        assert outputs["0"] == outputs["1"]
+            plain[value] = capsys.readouterr().out
+        assert shapes["0"] == shapes["1"]
+        assert plain["0"] == plain["1"]

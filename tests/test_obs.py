@@ -30,7 +30,7 @@ from repro.obs import (
     spans_from_jsonl,
     spans_to_jsonl,
 )
-from repro.obs.trace import _NOOP, local_enabled, new_id, service_enabled
+from repro.obs.trace import _NOOP, new_id, service_enabled
 
 
 class TestSpan:
@@ -140,11 +140,11 @@ class TestActivation:
 
     def test_policy_helpers_read_environment(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert service_enabled() and not local_enabled()
+        assert service_enabled()
         monkeypatch.setenv("REPRO_TRACE", "0")
-        assert not service_enabled() and not local_enabled()
+        assert not service_enabled()
         monkeypatch.setenv("REPRO_TRACE", "1")
-        assert service_enabled() and local_enabled()
+        assert service_enabled()
 
 
 class TestPropagation:

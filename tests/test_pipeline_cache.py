@@ -1,11 +1,10 @@
-"""Correctness of the compaction-result cache and the parallel fan-out.
+"""Correctness of the compaction-result cache and the compact-once pipeline.
 
-Covers the satellite checklist for the compact-once pipeline: a cache
-hit when the identical cell content comes back (even under a different
-name), a miss — with distinct results — when the rules, a driver
-option or an interface constraint changes, an on-disk cache that
-round-trips and survives a fresh process, and byte-for-byte determinism
-of the parallel path against the serial oracle.
+Covers a cache hit when the identical cell content comes back (even
+under a different name), a miss — with distinct results — when the
+rules, a driver option or an interface constraint changes, an on-disk
+cache that round-trips and survives a fresh process, and the cached
+hierarchical pipeline against the uncached oracle.
 """
 
 import random
@@ -23,6 +22,7 @@ from repro.compact import (
     HierarchicalCompactor,
     LeafCellCompactor,
     compact_cell,
+    compact_cell_axes,
     compact_cells,
     distinct_leaf_cells,
     fingerprint_cell,
@@ -281,30 +281,46 @@ class TestOnDiskCache:
         assert cell.boxes
 
 
-class TestParallelFanout:
+class TestCompactCells:
     @staticmethod
     def batch():
         return [(f"cell{index}", make_leaf(f"cell{index}", seed=index)) for index in range(5)]
 
-    def test_jobs2_identical_to_serial(self):
-        serial = compact_cells(self.batch(), TECH_A, jobs=1)
-        parallel = compact_cells(self.batch(), TECH_A, jobs=2)
-        assert [name for name, _, _ in serial] == [name for name, _, _ in parallel]
-        for (_, cell_s, result_s), (_, cell_p, result_p) in zip(serial, parallel):
-            assert layer_multiset(cell_s) == layer_multiset(cell_p)
-            assert result_s.layers == result_p.layers
-            assert result_s.width_after == result_p.width_after
-
     def test_deterministic_ordering_with_cache_mix(self):
         cache = CompactionCache()
-        compact_cells(self.batch()[:2], TECH_A, jobs=1, cache=cache)
-        mixed = compact_cells(self.batch(), TECH_A, jobs=2, cache=cache)
+        compact_cells(self.batch()[:2], TECH_A, cache=cache)
+        mixed = compact_cells(self.batch(), TECH_A, cache=cache)
         assert [name for name, _, _ in mixed] == [name for name, _ in self.batch()]
         assert cache.hits == 2
 
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            compact_cells(self.batch(), TECH_A, jobs=0)
+    def test_equals_compacting_each_cell_alone(self):
+        """The batch is exactly one compaction per item, in order."""
+        for (name, cell, result), (_, item) in zip(
+            compact_cells(self.batch(), TECH_A), self.batch()
+        ):
+            alone, alone_result = compact_cell_axes(item, TECH_A, "x", name=item.name)
+            assert cell.name == name
+            assert layer_multiset(cell) == layer_multiset(alone)
+            assert result.width_after == alone_result.width_after
+
+    def test_cached_batch_equals_uncached_oracle(self):
+        cache = CompactionCache()
+        oracle = compact_cells(self.batch(), TECH_A, axes="xy")
+        compact_cells(self.batch(), TECH_A, cache=cache, axes="xy")
+        cached = compact_cells(self.batch(), TECH_A, cache=cache, axes="xy")
+        assert cache.hits == 5
+        for (_, cell_o, result_o), (_, cell_c, result_c) in zip(oracle, cached):
+            assert layer_multiset(cell_o) == layer_multiset(cell_c)
+            assert result_o.width_after == result_c.width_after
+
+    def test_repeated_content_within_one_batch_hits(self):
+        """A miss is written back before the next item is looked up."""
+        cache = CompactionCache()
+        items = [("a", make_leaf("a", seed=3)), ("b", make_leaf("b", seed=3))]
+        results = compact_cells(items, TECH_A, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert [name for name, _, _ in results] == ["a", "b"]
+        assert layer_multiset(results[0][1]) == layer_multiset(results[1][1])
 
 
 class TestHierarchicalCompactor:
@@ -333,15 +349,13 @@ class TestHierarchicalCompactor:
         assert warm.last_report.cache_hits == 3
         assert warm.last_report.cache_misses == 0
 
-    def test_parallel_path_equals_serial_oracle(self):
-        serial = HierarchicalCompactor(TECH_A, jobs=1).compact(self.tiled())
-        parallel = HierarchicalCompactor(TECH_A, jobs=2).compact(self.tiled())
-        assert layer_multiset(serial) == layer_multiset(parallel)
-        assert list(serial.flatten()) == list(parallel.flatten())
+    def test_repeat_run_is_deterministic(self):
+        first = HierarchicalCompactor(TECH_A).compact(self.tiled())
+        second = HierarchicalCompactor(TECH_A).compact(self.tiled())
+        assert list(first.flatten()) == list(second.flatten())
 
-    def test_report_keeps_both_results_on_name_collision(self):
-        """Distinct-content leaves sharing a name must not overwrite
-        each other's CompactionResult in the report."""
+    def test_name_collision_keeps_both_contents(self):
+        """Distinct-content leaves sharing a name are compacted apart."""
         top = CellDefinition("top")
         top.add_instance(make_leaf("same", seed=1), Vec2(0, 0), NORTH)
         top.add_instance(make_leaf("same", seed=2), Vec2(300, 0), NORTH)
@@ -349,7 +363,6 @@ class TestHierarchicalCompactor:
         compactor.compact(top)
         report = compactor.last_report
         assert report.unique_contents == 2
-        assert set(report.results) == {"same", "same#2"}
 
     def test_content_dedup_compacts_once(self):
         """Same-content leaves under different names share one solve."""
@@ -376,13 +389,24 @@ class TestHierarchicalCompactor:
             HierarchicalCompactor(TECH_A, axes="z")
 
     def test_report_counts(self):
-        compactor = HierarchicalCompactor(TECH_A, jobs=1)
+        compactor = HierarchicalCompactor(TECH_A)
         compactor.compact(self.tiled(n=4, distinct=3))
         report = compactor.last_report
         assert report.instance_count == 16
         assert report.distinct_cells == 3
-        assert set(report.results) == {"leaf0", "leaf1", "leaf2"}
         assert "3 distinct leaf cell(s)" in report.summary()
+
+    def test_report_dict_fields(self):
+        """The report is counts and cache traffic only."""
+        compactor = HierarchicalCompactor(TECH_A, cache=CompactionCache())
+        compactor.compact(self.tiled())
+        report = compactor.last_report.to_dict()
+        assert set(report) == {
+            "distinct_cells", "unique_contents", "instance_count",
+            "cache_hits", "cache_misses", "cache_stats", "summary",
+        }
+        assert report["summary"] == compactor.last_report.summary()
+        assert "jobs" not in report["summary"]
 
 
 class TestCacheStats:
@@ -454,11 +478,17 @@ class TestCacheStats:
         compactor = HierarchicalCompactor(TECH_A, cache=CompactionCache())
         compactor.compact(top)
         report = compactor.last_report.to_dict()
-        assert report["cache_stats"]["misses"] >= 1
+        assert report["cache_stats"]["misses"] == report["cache_misses"] == 1
         assert set(report["cache_stats"]) == {
             "hits", "misses", "disk_hits", "bytes_read", "bytes_written",
             "locks_broken", "write_errors",
         }
+        # A second run through the same cache reports its own traffic,
+        # not the cache's lifetime counters.
+        compactor.compact(top)
+        report = compactor.last_report.to_dict()
+        assert report["cache_stats"]["hits"] == report["cache_hits"] == 1
+        assert report["cache_stats"]["misses"] == report["cache_misses"] == 0
 
 
 class TestConcurrentWrites:

@@ -253,6 +253,30 @@ class TestExecuteJob:
         assert result.pipeline["distinct_cells"] > 0
         assert "compact" in result.timings
 
+    def test_each_job_reports_only_its_own_cache_traffic(self):
+        """Jobs sharing one cache must not inherit each other's counters."""
+        from repro.compact import CompactionCache
+
+        cache = CompactionCache()
+        reports = [
+            execute_job(
+                JobSpec(kind="multiplier", parameters=parameters, compact="hier"),
+                cache=cache,
+            ).pipeline
+            for parameters in (
+                "xsize=2\nysize=2\n", "xsize=3\nysize=2\n", "xsize=2\nysize=2\n",
+            )
+        ]
+        first, second, third = reports
+        assert first["cache_misses"] == first["unique_contents"]
+        for report in reports:
+            assert report["cache_stats"]["hits"] == report["cache_hits"]
+            assert report["cache_stats"]["misses"] == report["cache_misses"]
+        for report in (second, third):
+            assert report["cache_hits"] == report["unique_contents"]
+            assert report["cache_misses"] == 0
+        assert cache.cache_stats.hits == second["cache_hits"] + third["cache_hits"]
+
     def test_flat_compaction_records_axis_widths(self):
         result = execute_job(custom(compact="xy"))
         assert [entry["axis"] for entry in result.compaction] == ["x", "y"]
