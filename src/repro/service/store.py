@@ -18,6 +18,14 @@ deduplication proof the tests assert on) and ``submissions`` how many
 times clients asked, so ``submissions / executions`` is the fleet-wide
 dedup factor.
 
+Each :class:`Store` keeps one SQLite connection for its whole life,
+opened on first use and shared by its threads under a lock.  Closing
+the last connection to a WAL database checkpoints and deletes the WAL
+(https://www.sqlite.org/wal.html), so a connection per operation would
+pay that on every hand-off.  :func:`fork_guard` closes every store's
+connection around a ``fork()``, and each store reopens on its next
+operation.
+
 Artifacts are written through temporary files and ``os.replace`` and
 the job row flips to ``done`` only afterwards, so a reader that sees
 ``done`` always finds complete artifacts.  Each artifact also gets a
@@ -51,6 +59,7 @@ import shutil
 import sqlite3
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -104,16 +113,30 @@ ARTIFACT_NAMES = ("layout.cif", "result.json")
 OPTIONAL_ARTIFACT_NAMES = ("trace.jsonl",)
 
 
-#: Store connections open in this process, guarded by ``_connections``
-_open_connections = 0
-_connections = threading.Condition()
+#: every live :class:`Store` in this process, guarded by ``_registry_lock``
+_stores: "weakref.WeakSet[Store]" = weakref.WeakSet()
+_registry_lock = threading.Lock()
+
+#: connections a fork child inherited; held so its GC never closes them
+_inherited: List[sqlite3.Connection] = []
 
 
 def _reset_after_fork() -> None:
-    """A child starts with no connection open and an unheld guard."""
-    global _open_connections, _connections
-    _open_connections = 0
-    _connections = threading.Condition()
+    """A child starts with unheld locks and no connection of its own.
+
+    An inherited connection is never used or closed here: its SQLite
+    lock bookkeeping describes the parent's locks, and closing it
+    would release them and attempt a checkpoint on the parent's
+    behalf.  It is parked in ``_inherited`` instead, so the child's
+    garbage collector cannot close it either.
+    """
+    global _registry_lock
+    _registry_lock = threading.Lock()
+    for store in _stores:
+        store._lock = threading.Lock()
+        if store._connection is not None:
+            _inherited.append(store._connection)
+            store._connection = None
 
 
 os.register_at_fork(after_in_child=_reset_after_fork)
@@ -121,19 +144,33 @@ os.register_at_fork(after_in_child=_reset_after_fork)
 
 @contextmanager
 def fork_guard() -> Iterator[None]:
-    """Run a ``fork()`` while no thread of this process has a
-    :class:`Store` connection open.
+    """Run a ``fork()`` while no :class:`Store` of this process has a
+    connection open.
 
     SQLite keeps its file-lock bookkeeping per process.  A child forked
-    while another thread held a connection inherits that bookkeeping
-    without the connection that would release it, and every write the
-    child then attempts waits out the 30 s busy timeout.  Connections
-    here are short-lived: this waits for the open ones to close and
-    holds new ones back until the fork is done.
+    while a connection was open inherits that bookkeeping without the
+    locks it describes.  Had a parent thread been mid-write, every write
+    the child attempts waits out the 30 s busy timeout; otherwise the
+    parent's later close can checkpoint and delete the WAL under the
+    child.  Each store keeps one long-lived connection: this takes
+    every live store's lock (waiting out any operation in flight),
+    closes its connection, and holds both the locks and new stores back
+    until the fork is done.  The parent reopens lazily on its next
+    operation.
     """
-    with _connections:
-        _connections.wait_for(lambda: _open_connections == 0)
-        yield
+    with _registry_lock:
+        held = []
+        try:
+            for store in list(_stores):
+                store._lock.acquire()
+                held.append(store)
+                if store._connection is not None:
+                    store._connection.close()
+                    store._connection = None
+            yield
+        finally:
+            for store in held:
+                store._lock.release()
 
 
 def _digest(payload: bytes) -> str:
@@ -159,10 +196,11 @@ def _pid_alive(pid: Optional[int]) -> bool:
 class Store:
     """SQLite-backed job ledger plus on-disk artifacts and shared cache.
 
-    Safe for concurrent use from many threads and processes: every
-    operation opens its own short-lived connection (WAL journal, busy
-    timeout), and the claim path runs under ``BEGIN IMMEDIATE`` so two
-    workers can never both claim one job.
+    Safe for concurrent use from many threads and processes: each
+    instance owns one long-lived connection (WAL journal, busy timeout)
+    that its lock hands to one thread at a time, and the claim path
+    runs under ``BEGIN IMMEDIATE`` so two workers can never both claim
+    one job.
     """
 
     def __init__(
@@ -186,6 +224,10 @@ class Store:
         self.max_queue_depth = max_queue_depth
         self.retry_after = retry_after
         self._db = self.root / "jobs.sqlite"
+        self._lock = threading.Lock()
+        self._connection: Optional[sqlite3.Connection] = None
+        with _registry_lock:
+            _stores.add(self)
         with self._connect() as connection:
             connection.executescript(_SCHEMA)
             columns = {
@@ -200,29 +242,24 @@ class Store:
 
     @contextmanager
     def _connect(self) -> Iterator[sqlite3.Connection]:
-        """A short-lived connection: commit on success, always close.
+        """This store's connection: commit on success, roll back on error.
 
-        Counted open for :func:`fork_guard` from before it is opened to
-        after it is closed.
+        The connection is opened on first use and kept for the store's
+        life, so no operation pays the checkpoint SQLite runs when the
+        last connection to a WAL database closes.  The store's lock is
+        held throughout, so one thread at a time uses it.
         """
-        global _open_connections
-        with _connections:
-            _open_connections += 1
-        try:
-            connection = sqlite3.connect(self._db, timeout=30.0)
-            try:
+        with self._lock:
+            if self._connection is None:
+                connection = sqlite3.connect(
+                    self._db, timeout=30.0, check_same_thread=False
+                )
                 connection.row_factory = sqlite3.Row
                 connection.execute("PRAGMA journal_mode=WAL")
                 connection.execute("PRAGMA synchronous=NORMAL")
-                with connection:
-                    yield connection
-            finally:
-                connection.close()
-        finally:
-            with _connections:
-                _open_connections -= 1
-                if not _open_connections:
-                    _connections.notify_all()
+                self._connection = connection
+            with self._connection:
+                yield self._connection
 
     def compaction_cache(self) -> CompactionCache:
         """A process-local handle on the shared compaction cache."""

@@ -8,12 +8,15 @@ counters, and restart survival.
 """
 
 import json
+import shutil
 import threading
 
 import pytest
 
 from repro.compact.cache import CacheStats
 from repro.core.errors import ServiceError
+from repro.service import chaos
+from repro.service.chaos import FaultPlan, FaultSpec
 from repro.service.jobs import JobSpec, execute_job
 from repro.service.store import Store
 
@@ -265,3 +268,73 @@ class TestPersistence:
     def test_shared_compaction_cache_lives_under_root(self, store):
         cache = store.compaction_cache()
         assert str(store.root) in str(cache.directory)
+
+
+class TestConnection:
+    """One long-lived connection per store, shared by its threads."""
+
+    def test_fresh_store_at_a_recreated_root_sees_an_empty_ledger(self, tmp_path):
+        """A connection belongs to its store, never to the root's path.
+
+        A session that deletes its root and opens a new store there (as
+        flowbench's ``service-mix`` does) must not be answered from the
+        deleted ledger, even while the old store is still alive.
+        """
+        root = tmp_path / "service"
+        old = Store(str(root))
+        old.submit(spec())
+        shutil.rmtree(root)
+        fresh = Store(str(root))
+        assert fresh.jobs() == []
+        assert (root / "jobs.sqlite").exists()
+        assert len(old.jobs()) == 1
+
+    def test_threads_share_one_store(self, store):
+        """8 submitting threads and a reader: exact counts, no misuse."""
+        errors = []
+        submitted = threading.Event()
+
+        def submit(thread):
+            try:
+                for index in range(25):
+                    store.submit(spec(parameters=f"t{thread}_{index}=1\n"))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        def read():
+            try:
+                while not submitted.is_set():
+                    store.stats()
+                    store.status("nope")
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        writers = [threading.Thread(target=submit, args=(t,)) for t in range(8)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join()
+        submitted.set()
+        reader.join()
+        assert errors == []
+        stats = store.stats()
+        assert stats["jobs"] == {"queued": 200}
+        assert stats["submissions"] == 200
+        assert store.queue_depth() == 200
+
+    def test_claim_that_raises_before_commit_rolls_back(self, store):
+        """An in-process failure leaves no transaction open behind it."""
+        job = store.submit(spec())["job"]
+        chaos.activate(FaultPlan([FaultSpec("store.claim.pre_commit", "raise")]))
+        try:
+            with pytest.raises(OSError, match="injected"):
+                store.claim(worker_pid=1)
+        finally:
+            chaos.deactivate()
+        status = store.status(job)
+        assert status["state"] == "queued"
+        assert status["executions"] == 0
+        assert store.claim(worker_pid=2)[0] == job
+        assert store.status(job)["worker_pid"] == 2

@@ -16,6 +16,7 @@ fingerprint, so slow jobs are distinct jobs) rather than real layout
 bulk, keeping the suite fast.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -151,6 +152,14 @@ def _submit_in_child(root):
     Store(root).submit(spec(parameters="child=1\n"))
 
 
+def _submit_twice_in_child(root, ready, go):
+    store = Store(root)
+    store.submit(spec(parameters="child=1\n"))
+    ready.set()
+    go.wait(10.0)
+    store.submit(spec(parameters="child=2\n"))
+
+
 class TestForkGuard:
     def test_child_forked_beside_a_writer_can_write(self, root):
         """A fork waits out open connections instead of copying one.
@@ -182,6 +191,73 @@ class TestForkGuard:
             child.kill()
         assert child.exitcode == 0, "the forked child wedged on an inherited lock"
         assert store.queue_depth() == 1
+
+    def test_guarded_fork_beside_an_idle_store_can_write(self, root):
+        """The guard closes an idle store's long-lived connection.
+
+        The parent reopens it on its next operation.
+        """
+        store = Store(root)
+        store.submit(spec(parameters="parent=1\n"))
+        child = multiprocessing.get_context("fork").Process(
+            target=_submit_in_child, args=(root,)
+        )
+        started = time.monotonic()
+        with fork_guard():
+            child.start()
+        child.join(timeout=10.0)
+        if child.exitcode is None:
+            child.kill()
+        assert child.exitcode == 0, "the forked child wedged on an inherited lock"
+        assert time.monotonic() - started < 10.0
+        assert store.queue_depth() == 2
+
+    def test_parent_close_keeps_a_guarded_childs_wal(self, root):
+        """A child forked under the guard holds its own file locks.
+
+        Had it inherited the parent's open connection, SQLite would
+        count that connection's locks as the child's, and the parent's
+        close would checkpoint and delete the WAL under the child,
+        losing the child's next write.
+        """
+        store = Store(root)
+        store.submit(spec(parameters="parent=1\n"))
+        context = multiprocessing.get_context("fork")
+        ready, go = context.Event(), context.Event()
+        child = context.Process(target=_submit_twice_in_child, args=(root, ready, go))
+        with fork_guard():
+            child.start()
+        assert ready.wait(10.0)
+        assert store.queue_depth() == 2
+        # The connection sits in a cycle with its statement cache, so
+        # only a collection closes it: here, beside the child's.
+        del store
+        gc.collect()
+        go.set()
+        child.join(timeout=10.0)
+        if child.exitcode is None:
+            child.kill()
+        assert child.exitcode == 0
+        assert Store(root).queue_depth() == 3
+
+    def test_unguarded_child_leaves_the_parents_ledger_intact(self, root):
+        """A child that inherits an open connection neither uses nor
+        closes it; its own store writes beside the parent's."""
+        store = Store(root)
+        parent_job = store.submit(spec(parameters="parent=1\n"))["job"]
+        child = multiprocessing.get_context("fork").Process(
+            target=_submit_in_child, args=(root,)
+        )
+        child.start()
+        child.join(timeout=10.0)
+        if child.exitcode is None:
+            child.kill()
+        assert child.exitcode == 0
+        assert store.queue_depth() == 2
+        assert store.status(parent_job)["submissions"] == 1
+        assert store.submit(spec(parameters="after=1\n"))["deduplicated"] is False
+        with store._connect() as connection:
+            assert connection.execute("PRAGMA integrity_check").fetchone()[0] == "ok"
 
 
 class TestRobustness:
