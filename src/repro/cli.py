@@ -42,7 +42,9 @@ parameter file to a running daemon instead of generating locally,
 a byte budget (``repro gc --root DIR --max-bytes 512M``) without ever
 touching queued or running jobs, ``stats`` pretty-prints a running
 daemon's ``/stats`` and ``/metrics`` telemetry, and ``trace`` renders
-the span tree a finished job recorded (:mod:`repro.obs`).
+the span tree a finished job recorded (:mod:`repro.obs`).  ``repro
+<par> --timings`` prints the same tree for a local run, under one
+``repro.run`` root span.
 
 Every failure mode exits with a family-specific code and a one-line
 diagnostic on stderr (no raw tracebacks): 1 generic, 2 usage (argparse),
@@ -75,7 +77,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .compact import CompactionCache
 # Unused here: flowbench/tracing.py's LAYERS wraps repro.cli.compact_cell by name.
@@ -91,15 +93,12 @@ from .lang.param_file import parse_parameters
 from .layout.cif import write_cif
 from .layout.render import ascii_render, svg_render
 from .obs import trace as obs_trace
+from .obs.render import render_trace
 
 __all__ = [
     "main",
     "run_flow",
     "exit_code_for",
-    "solver_summary_lines",
-    "timings_table",
-    "compact_summary_lines",
-    "verify_summary_lines",
 ]
 
 # Exit-code families: every failure mode maps to a stable, distinct
@@ -165,7 +164,6 @@ def run_flow(
     cache_dir: Optional[str] = None,
     verify_mode: Optional[str] = None,
     sim_vectors: Optional[int] = None,
-    timings: Optional[Dict[str, float]] = None,
 ) -> CellDefinition:
     """Execute the full generation flow described by a parameter file.
 
@@ -191,11 +189,10 @@ def run_flow(
     :class:`~repro.core.errors.VerificationError` on failure;
     ``sim_vectors`` caps the simulated input combinations.  Options that cannot take effect raise
     :class:`~repro.core.errors.ServiceError` from
-    :meth:`~repro.service.jobs.JobSpec.validate`.  ``timings``, when
-    given a dict, receives the per-stage wall-clock seconds of the
-    job's ``job.<stage>`` spans (``generate`` / ``compact`` / ``route``
-    / ``verify`` / ``emit``) — the ``--timings`` flag prints them as a
-    table.
+    :meth:`~repro.service.jobs.JobSpec.validate`.  Each stage runs in
+    a ``job.<stage>`` trace span (``generate`` / ``compact`` /
+    ``route`` / ``verify`` / ``emit``) under the ambient tracer, or a
+    private one when none is activated.
     """
     from .service.jobs import run_job, spec_from_files, tracing
 
@@ -217,7 +214,7 @@ def run_flow(
             _print_result(error.result, cache, output_stream)
             raise VerificationError(error.headline) from None
         _print_result(result, cache, output_stream)
-        with obs_trace.span("job.emit") as stage:
+        with obs_trace.span("job.emit"):
             output_path = directives.get("output_file")
             output_format = directives.get("format", "cif").lower()
             if output_path:
@@ -234,8 +231,6 @@ def run_flow(
                         f"wrote {output_format} to {output_path}",
                         file=output_stream,
                     )
-    if timings is not None:
-        timings.update(result.timings, emit=stage.duration_s)
     return cell
 
 
@@ -258,113 +253,6 @@ def _print_result(result, cache: Optional[CompactionCache], output_stream) -> No
         lines.append(result.verification["summary"])
     for line in lines:
         print(line, file=output_stream)
-
-
-def timings_table(timings: Dict[str, float], extras: tuple = ()) -> str:
-    """Format per-stage wall timings as the ``--timings`` table.
-
-    Stages print in pipeline order (``generate`` / ``compact`` /
-    ``route`` / ``verify`` / ``emit``); stages that did not run are
-    omitted, and a total row closes the table.  ``extras`` lines (the
-    solver summaries from the run's trace spans) are appended verbatim
-    after the total.  The same shape works for the stage timings a
-    service :class:`~repro.service.jobs.JobResult` carries.
-    """
-    stage_order = ("generate", "compact", "route", "verify", "emit")
-    rows = [f"{'stage':<10} {'seconds':>9}"]
-    for stage in stage_order:
-        if stage in timings:
-            rows.append(f"{stage:<10} {timings[stage]:>9.3f}")
-    for stage in timings:  # any stage outside the known pipeline order
-        if stage not in stage_order:
-            rows.append(f"{stage:<10} {timings[stage]:>9.3f}")
-    rows.append(f"{'total':<10} {sum(timings.values()):>9.3f}")
-    rows.extend(extras)
-    return "\n".join(rows)
-
-
-def solver_summary_lines(spans) -> tuple:
-    """Summarise ``solver.solve`` spans for the ``--timings`` table.
-
-    Aggregates the pass and relaxation counts of every solve — the
-    :class:`~repro.compact.solver.SolveStats` numbers that used to be
-    ``__str__``-only — into one line per solver named on the spans.
-    """
-    totals: Dict[str, Dict[str, float]] = {}
-    for span in spans:
-        if span.name != "solver.solve":
-            continue
-        backend = str(span.attributes.get("backend", "?"))
-        entry = totals.setdefault(
-            backend, {"solves": 0, "passes": 0, "relaxations": 0, "seconds": 0.0}
-        )
-        entry["solves"] += 1
-        entry["passes"] += span.attributes.get("passes", 0)
-        entry["relaxations"] += span.attributes.get("relaxations", 0)
-        entry["seconds"] += span.duration_s
-    return tuple(
-        f"solver {backend}: {int(entry['solves'])} solve(s),"
-        f" {int(entry['passes'])} pass(es),"
-        f" {int(entry['relaxations'])} relaxation(s)"
-        f" in {entry['seconds']:.3f}s"
-        for backend, entry in sorted(totals.items())
-    )
-
-
-def compact_summary_lines(spans) -> tuple:
-    """Break the compact stage into its sub-spans for the ``--timings`` table.
-
-    One line naming the seconds of each flat-pass stage that ran
-    (``compact.flatten``, ``compact.edges``, ``compact.constraints``,
-    ``solver.solve``, ``compact.align``, ``compact.rubberband``,
-    ``compact.rebuild``), summed over every pass, with the boxes and
-    constraint rows the passes built.
-    """
-    seconds: Dict[str, float] = {}
-    boxes = constraints = 0
-    for span in spans:
-        if span.name == "solver.solve":
-            part = "solve"
-        else:
-            stage, _, part = span.name.partition(".")
-            if stage != "compact" or not part:
-                continue
-        seconds[part] = seconds.get(part, 0.0) + span.duration_s
-        if part == "edges":
-            boxes += span.attributes.get("boxes", 0)
-        elif part == "constraints":
-            constraints += span.attributes.get("constraints", 0)
-    if not seconds:
-        return ()
-    notes = {"edges": f" ({boxes} boxes)", "constraints": f" ({constraints} rows)"}
-    parts = [
-        f"{part} {value:.3f}s" + notes.get(part, "")
-        for part, value in seconds.items()
-    ]
-    return ("compact: " + ", ".join(parts),)
-
-
-def verify_summary_lines(spans) -> tuple:
-    """Break the verify stage into its sub-spans for the ``--timings`` table.
-
-    One line naming the seconds of each ``verify.*`` span that ran
-    (extract, cellgraph, lvs, sim), with the LVS refinement rounds.
-    """
-    seconds: Dict[str, float] = {}
-    rounds = 0
-    for span in spans:
-        stage, _, part = span.name.partition(".")
-        if stage != "verify" or not part:
-            continue
-        seconds[part] = seconds.get(part, 0.0) + span.duration_s
-        rounds += span.attributes.get("rounds", 0)
-    if not seconds:
-        return ()
-    parts = [
-        f"{part} {value:.3f}s" + (f" ({rounds} rounds)" if part == "lvs" else "")
-        for part, value in seconds.items()
-    ]
-    return ("verify: " + ", ".join(parts),)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -429,9 +317,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--timings",
         action="store_true",
-        help="print the per-stage wall-clock table after the flow"
-        " (generate/compact/route/verify/emit — the same stages the"
-        " layout service records per job)",
+        help="print the run's span tree after the flow: every stage"
+        " (generate/compact/route/verify/emit) and its sub-stages in"
+        " milliseconds, each parent closed by an (unattributed) line"
+        " — the renderer 'repro trace' uses",
     )
     parser.add_argument(
         "--compact",
@@ -504,12 +393,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if arguments.compact and arguments.route:
         parser.error("--compact and --route cannot be combined (the composite"
                      " is built from the uncompacted workspace cells)")
-    stage_timings: Optional[Dict[str, float]] = (
-        {} if arguments.timings else None
-    )
     tracer = obs_trace.Tracer()
     try:
-        with obs_trace.activated(tracer):
+        with obs_trace.activated(tracer), tracer.span("repro.run"):
             cell = run_flow(
                 arguments.parameter_file,
                 arguments.set,
@@ -521,7 +407,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 cache_dir=arguments.cache_dir,
                 verify_mode=arguments.verify,
                 sim_vectors=arguments.sim_vectors,
-                timings=stage_timings,
             )
     except Exception as error:  # noqa: BLE001 — mapped to exit families
         return _report_error(error)
@@ -529,14 +414,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"generated cell {cell.name!r}:"
         f" {cell.count_instances(recursive=True)} instances"
     )
-    if stage_timings is not None:
-        spans = tracer.finished()
-        extras = (
-            solver_summary_lines(spans)
-            + compact_summary_lines(spans)
-            + verify_summary_lines(spans)
-        )
-        print(timings_table(stage_timings, extras=extras))
+    if arguments.timings:
+        print(render_trace(tracer.finished()))
     if arguments.render:
         print(ascii_render(cell))
     return 0

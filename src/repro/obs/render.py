@@ -9,6 +9,11 @@ Spans whose parent id is absent from the artifact are treated as roots:
 a deduplicated resubmission legitimately attaches a second client span
 tree to a job whose worker spans were recorded earlier, so the renderer
 tolerates a forest without complaint.
+
+Every span with children closes its child list with an
+``(unattributed)`` line: the part of its interval that no child
+covers, so a stage's time accounts for itself (``repro <par>
+--timings`` prints the same tree for a local run).
 """
 
 import json
@@ -39,10 +44,12 @@ def spans_from_jsonl(payload: bytes) -> List[Span]:
 
 
 _SHOWN_ATTRIBUTES = (
-    "backend",
     "passes",
     "relaxations",
     "variables",
+    "constraints",
+    "boxes",
+    "rounds",
     "retries",
     "state",
     "deduplicated",
@@ -60,11 +67,32 @@ def _attribute_text(attributes: Dict[str, Any]) -> str:
     return f"  [{' '.join(shown)}]" if shown else ""
 
 
+def _unattributed_s(parent: Span, kids: Sequence[Span]) -> float:
+    """The part of ``parent``'s interval that no child interval covers.
+
+    ``kids`` are sorted by start.  Each child is clipped to the parent
+    and overlapping children count once, so a child that outlives its
+    parent (``worker.execute`` under the ``client.request`` that
+    submitted it) never drives the figure negative.
+    """
+    end = parent.start_s + parent.duration_s
+    covered, reach = 0.0, parent.start_s
+    for kid in kids:
+        low = max(kid.start_s, reach)
+        high = min(kid.start_s + kid.duration_s, end)
+        if high > low:
+            covered += high - low
+            reach = high
+    return max(0.0, parent.duration_s - covered)
+
+
 def render_trace(spans: Sequence[Span]) -> str:
     """Render spans as an indented tree with millisecond durations.
 
     Children sort by wall-clock start; any span whose parent is not in
-    ``spans`` renders as a root.  Returns a newline-joined string.
+    ``spans`` renders as a root.  A span with children ends its list
+    with an ``(unattributed)`` line at child indent (see
+    :func:`_unattributed_s`).  Returns a newline-joined string.
     """
     if not spans:
         return "(empty trace)"
@@ -88,8 +116,14 @@ def render_trace(spans: Sequence[Span]) -> str:
             f"{'  ' * depth}{node.name}  {node.duration_s * 1000.0:.2f} ms"
             f"{status}{_attribute_text(node.attributes)}"
         )
-        for child in children.get(node.span_id, ()):
+        kids = children.get(node.span_id, ())
+        for child in kids:
             walk(child, depth + 1)
+        if kids:
+            lines.append(
+                f"{'  ' * (depth + 1)}(unattributed)"
+                f"  {_unattributed_s(node, kids) * 1000.0:.2f} ms"
+            )
 
     for root in roots:
         walk(root, 1)

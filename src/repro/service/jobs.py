@@ -392,7 +392,7 @@ def tracing():
     """Activate a private tracer unless one is ambient.
 
     Stage timings are span durations, so :func:`run_job` always runs
-    under a tracer: a traced caller's (a worker, ``--timings``) or the
+    under a tracer: a traced caller's (a worker, ``repro <par>``) or the
     private one its caller opens here.
     """
     return obs_trace.activated(obs_trace.active() or obs_trace.Tracer())

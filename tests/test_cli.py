@@ -628,79 +628,124 @@ class TestServiceVerbs:
         assert "artifact store" in capsys.readouterr().out
 
 
-class TestTimingsFlag:
-    """--timings prints the per-stage wall-clock table run_flow records
-    (the same stage names the layout service stores per job)."""
+_TREE_HEADER = re.compile(r"trace [0-9a-f]+  \(\d+ spans\)")
+_TREE_ROW = re.compile(r"( *)(\S+)  (\d+\.\d{2}) ms(?:  !\w+)?(?:  \[(.*)\])?")
 
-    def test_prints_stage_table(self, flow_files, capsys):
+
+def _tree_rows(out):
+    """The span tree printed in ``out`` as (depth, name, ms, attributes) rows."""
+    lines = out.splitlines()
+    header = next(i for i, line in enumerate(lines) if _TREE_HEADER.fullmatch(line))
+    rows = []
+    for line in lines[header + 1:]:
+        match = _TREE_ROW.fullmatch(line)
+        if match is None:
+            break
+        indent, name, ms, attributes = match.groups()
+        rows.append((len(indent) // 2, name, float(ms), attributes or ""))
+    return rows
+
+
+def _children(rows, name):
+    """The rows directly under the first ``name`` row, in printed order."""
+    index = next(i for i, row in enumerate(rows) if row[1] == name)
+    depth = rows[index][0]
+    children = []
+    for row in rows[index + 1:]:
+        if row[0] <= depth:
+            break
+        if row[0] == depth + 1:
+            children.append(row)
+    return children
+
+
+def _child_names(rows, name):
+    return [row[1] for row in _children(rows, name)]
+
+
+class TestTimingsFlag:
+    """--timings prints the run's span tree through ``render_trace`` (the
+    renderer ``repro trace`` uses): one ``repro.run`` root over the
+    ``job.<stage>`` spans the layout service records per job, each
+    parent closed by an ``(unattributed)`` line."""
+
+    def test_prints_the_run_as_a_span_tree(self, flow_files, capsys):
         parameter, _ = flow_files
         assert main([str(parameter), "--timings"]) == 0
-        out = capsys.readouterr().out
-        lines = out.splitlines()
-        header = next(i for i, line in enumerate(lines) if line.split() == ["stage", "seconds"])
-        # The plain flow runs generate and emit; total closes the table.
-        stages = [line.split()[0] for line in lines[header + 1:] if line.strip()]
-        assert stages[0] == "generate"
-        assert "emit" in stages
-        assert stages[-1] == "total"
+        rows = _tree_rows(capsys.readouterr().out)
+        assert rows[0][:2] == (1, "repro.run")
+        # The plain flow runs generate and emit; nothing else is a root.
+        assert [row for row in rows if row[0] == 1] == rows[:1]
+        assert _child_names(rows, "repro.run") == [
+            "job.generate", "job.emit", "(unattributed)",
+        ]
 
     def test_includes_compact_stage_when_compacting(self, flow_files, capsys):
         parameter, _ = flow_files
         assert main([str(parameter), "--compact", "x", "--timings"]) == 0
-        out = capsys.readouterr().out
-        stages = [line.split()[0] for line in out.splitlines() if line.strip()]
-        assert "compact" in stages
-        # Pipeline order is preserved in the printed table.
-        assert stages.index("generate") < stages.index("compact") < stages.index("total")
+        stages = _child_names(_tree_rows(capsys.readouterr().out), "repro.run")
+        # Pipeline order is preserved in the printed tree.
+        assert stages == [
+            "job.generate", "job.compact", "job.emit", "(unattributed)",
+        ]
 
     def test_off_by_default(self, flow_files, capsys):
         parameter, _ = flow_files
         assert main([str(parameter)]) == 0
         out = capsys.readouterr().out
         assert "seconds" not in out
+        assert "(unattributed)" not in out and "repro.run" not in out
 
-    def test_timings_table_shape(self):
-        from repro.cli import timings_table
+    @pytest.mark.parametrize(
+        "flags",
+        [["--compact", "xy"], ["--compact", "hier", "--verify", "lvs"],
+         ["--verify", "all"]],
+        ids=["xy", "hier-lvs", "verify-all"],
+    )
+    def test_output_is_render_trace_of_the_runs_spans(
+        self, flow_files, capsys, monkeypatch, flags
+    ):
+        from repro.obs import render_trace
+        from repro.obs import trace as obs_trace
 
-        table = timings_table({"generate": 0.5, "emit": 0.25})
-        lines = table.splitlines()
-        assert lines[0].split() == ["stage", "seconds"]
-        assert lines[1].split() == ["generate", "0.500"]
-        assert lines[2].split() == ["emit", "0.250"]
-        assert lines[3].split() == ["total", "0.750"]
+        tracers = []
 
-    def test_timings_table_keeps_unknown_stages(self):
-        from repro.cli import timings_table
+        class Recording(obs_trace.Tracer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tracers.append(self)
 
-        table = timings_table({"generate": 0.1, "lint": 0.2})
-        stages = [line.split()[0] for line in table.splitlines()]
-        assert stages == ["stage", "generate", "lint", "total"]
+        monkeypatch.setattr(obs_trace, "Tracer", Recording)
+        parameter, _ = flow_files
+        assert main([str(parameter), *flags, "--timings"]) == 0
+        out = capsys.readouterr().out
+        (tracer,) = tracers
+        assert out.endswith("instances\n" + render_trace(tracer.finished()) + "\n")
 
-    def test_timings_table_appends_extras_after_total(self):
-        from repro.cli import timings_table
+    def test_lists_the_route_stage_when_routing(self, route_files, capsys):
+        parameter, netfile, _ = route_files
+        assert main([str(parameter), "--route", str(netfile), "--timings"]) == 0
+        stages = _child_names(_tree_rows(capsys.readouterr().out), "repro.run")
+        assert stages == [
+            "job.generate", "job.route", "job.emit", "(unattributed)",
+        ]
 
-        table = timings_table({"generate": 0.1}, extras=("solver x: 1 solve(s)",))
-        lines = table.splitlines()
-        assert lines[-2].split()[0] == "total"
-        assert lines[-1] == "solver x: 1 solve(s)"
-
-    def _parse_table(self, out):
-        """The printed table as (ordered stage->seconds dict, total)."""
-        lines = out.splitlines()
-        header = next(
-            i for i, line in enumerate(lines) if line.split() == ["stage", "seconds"]
-        )
-        stages = {}
-        total = None
-        for line in lines[header + 1:]:
-            parts = line.split()
-            if len(parts) != 2:
-                break
-            if parts[0] == "total":
-                total = float(parts[1])
-                break
-            stages[parts[0]] = float(parts[1])
-        return stages, total
+    def test_unattributed_line_closes_every_parent(self, flow_files, capsys):
+        parameter, _ = flow_files
+        assert main([str(parameter), "--compact", "xy", "--verify", "all",
+                     "--timings"]) == 0
+        rows = _tree_rows(capsys.readouterr().out)
+        parents = [
+            row[1] for row, following in zip(rows, rows[1:])
+            if following[0] > row[0]
+        ]
+        assert parents == ["repro.run", "job.compact", "job.verify"]
+        for name in parents:
+            names = _child_names(rows, name)
+            assert names[-1] == "(unattributed)", name
+            assert names.count("(unattributed)") == 1, name
+        # One line per parent, none for a leaf.
+        assert [row[1] for row in rows].count("(unattributed)") == len(parents)
 
     def test_every_executed_stage_is_listed_and_sums_to_total(
         self, flow_files, capsys
@@ -708,34 +753,42 @@ class TestTimingsFlag:
         parameter, _ = flow_files
         assert main([str(parameter), "--compact", "x", "--verify", "lvs",
                      "--timings"]) == 0
-        stages, total = self._parse_table(capsys.readouterr().out)
-        assert list(stages) == ["generate", "compact", "verify", "emit"]
-        # Each printed row rounds to 3 decimals, so the reconstructed
-        # sum can drift from the printed total by 0.5 ms per stage.
-        assert total == pytest.approx(sum(stages.values()), abs=0.005)
+        rows = _tree_rows(capsys.readouterr().out)
+        stages = _children(rows, "repro.run")
+        assert [row[1] for row in stages] == [
+            "job.generate", "job.compact", "job.verify", "job.emit",
+            "(unattributed)",
+        ]
+        # The stages run one after another inside the root, so they and
+        # the unattributed line sum to it, up to the 0.005 ms each
+        # printed row rounds away.
+        assert rows[0][2] == pytest.approx(
+            sum(row[2] for row in stages), abs=0.005 * (len(stages) + 1) + 0.01
+        )
 
     def test_verify_breakdown_rides_along_when_verifying(self, flow_files, capsys):
         parameter, _ = flow_files
         assert main([str(parameter), "--verify", "all", "--timings"]) == 0
-        out = capsys.readouterr().out
-        (line,) = [line for line in out.splitlines() if line.startswith("verify:")]
-        assert re.fullmatch(
-            r"verify: cellgraph \d+\.\d{3}s, lvs \d+\.\d{3}s \(\d+ rounds\),"
-            r" sim \d+\.\d{3}s",
-            line,
-        ), line
+        rows = _children(_tree_rows(capsys.readouterr().out), "job.verify")
+        assert [row[1] for row in rows] == [
+            "verify.cellgraph", "verify.lvs", "verify.sim", "(unattributed)",
+        ]
+        assert re.fullmatch(r"rounds=\d+", rows[1][3]), rows[1]
 
     def test_compact_breakdown_rides_along_when_compacting(self, flow_files, capsys):
         parameter, _ = flow_files
         assert main([str(parameter), "--compact", "xy", "--timings"]) == 0
-        out = capsys.readouterr().out
-        (line,) = [line for line in out.splitlines() if line.startswith("compact:")]
-        assert re.fullmatch(
-            r"compact: flatten \d+\.\d{3}s, edges \d+\.\d{3}s \(\d+ boxes\),"
-            r" constraints \d+\.\d{3}s \(\d+ rows\), solve \d+\.\d{3}s,"
-            r" align \d+\.\d{3}s, rebuild \d+\.\d{3}s",
-            line,
-        ), line
+        rows = _children(_tree_rows(capsys.readouterr().out), "job.compact")
+        one_pass = [
+            "compact.flatten", "compact.edges", "compact.constraints",
+            "solver.solve", "compact.align", "compact.rebuild",
+            "compact.rebuild",
+        ]
+        assert [row[1] for row in rows] == one_pass * 2 + ["(unattributed)"]
+        attributes = dict((row[1], row[3]) for row in rows)
+        assert re.fullmatch(r"boxes=\d+", attributes["compact.flatten"])
+        assert re.fullmatch(r"variables=\d+ boxes=\d+", attributes["compact.edges"])
+        assert re.fullmatch(r"constraints=\d+", attributes["compact.constraints"])
 
     def test_compact_sub_spans_cover_the_compact_stage(self, flow_files):
         """The flat pass's sub-spans account for >= 90% of job.compact on
@@ -768,28 +821,27 @@ class TestTimingsFlag:
                 break
         assert coverage >= 0.9, f"sub-spans cover {coverage:.0%} of job.compact"
 
-    def test_solver_summary_rides_along_when_compacting(self, flow_files, capsys):
+    def test_solver_spans_show_passes_and_relaxations(self, flow_files, capsys):
         parameter, _ = flow_files
         assert main([str(parameter), "--compact", "x", "--timings"]) == 0
         out = capsys.readouterr().out
-        summary = [line for line in out.splitlines() if line.startswith("solver ")]
-        assert summary, out
-        assert re.search(
-            r"solver bellman-ford: \d+ solve\(s\), \d+ pass\(es\),"
-            r" \d+ relaxation\(s\) in \d+\.\d{3}s",
-            summary[0],
-        )
+        (solve,) = [row for row in _tree_rows(out) if row[1] == "solver.solve"]
+        # The one solver is implied: the backend attribute is not shown.
+        assert re.fullmatch(
+            r"passes=\d+ relaxations=\d+ variables=\d+", solve[3]
+        ), solve
+        assert "backend" not in out
 
     @staticmethod
     def _masked(out):
-        return re.sub(r"\d+(\.\d+)?", "N", out)
+        return re.sub(r"\d+(\.\d+)?", "N", _TREE_HEADER.sub("trace ID", out))
 
     def test_structure_is_stable_under_trace_env(
         self, flow_files, capsys, monkeypatch
     ):
         """REPRO_TRACE steers only the service — it must not change what
-        the CLI prints: the --timings table up to its numbers, the plain
-        output byte for byte."""
+        the CLI prints: the --timings tree up to its numbers and trace
+        id, the plain output byte for byte."""
         parameter, _ = flow_files
         shapes, plain = {}, {}
         for value in ("0", "1"):
@@ -798,5 +850,31 @@ class TestTimingsFlag:
             shapes[value] = self._masked(capsys.readouterr().out)
             assert main([str(parameter)]) == 0
             plain[value] = capsys.readouterr().out
+        assert "trace ID" in shapes["0"]
         assert shapes["0"] == shapes["1"]
         assert plain["0"] == plain["1"]
+
+    def test_fresh_process_closes_each_stage_with_unattributed_time(
+        self, flow_files
+    ):
+        """A fresh interpreter pays the lazy imports of the service
+        pipeline and of ``repro.verify`` (in-process tests already hold
+        them): the tree still lists every stage and sub-stage, and each
+        parent ends with the time none of its children covers."""
+        import subprocess
+        import sys
+
+        parameter, _ = flow_files
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", str(parameter), "--verify", "all",
+             "--timings"],
+            capture_output=True, text=True, check=True,
+        )
+        rows = _tree_rows(completed.stdout)
+        assert rows[0][1] == "repro.run"
+        assert _child_names(rows, "repro.run") == [
+            "job.generate", "job.verify", "job.emit", "(unattributed)",
+        ]
+        assert _child_names(rows, "job.verify") == [
+            "verify.cellgraph", "verify.lvs", "verify.sim", "(unattributed)",
+        ]

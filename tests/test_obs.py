@@ -286,3 +286,56 @@ class TestRendering:
 
     def test_render_empty(self):
         assert render_trace([]) == "(empty trace)"
+
+
+def _timed(name, start_ms, duration_ms, parent=None):
+    """A hand-built finished span; its name doubles as its id."""
+    return Span(
+        name=name, trace_id="t", span_id=name, parent_id=parent,
+        start_s=1000.0 + start_ms / 1000.0, duration_s=duration_ms / 1000.0,
+    )
+
+
+class TestUnattributedLine:
+    def test_parent_less_its_children(self):
+        lines = render_trace([
+            _timed("job", 0, 10),
+            _timed("generate", 1, 3, parent="job"),
+            _timed("emit", 5, 4, parent="job"),
+        ]).splitlines()
+        assert [line.strip() for line in lines[1:]] == [
+            "job  10.00 ms", "generate  3.00 ms", "emit  4.00 ms",
+            "(unattributed)  3.00 ms",
+        ]
+        # After the children, at their indent.
+        indent = [len(line) - len(line.lstrip()) for line in lines[1:]]
+        assert indent[3] == indent[1] > indent[0]
+
+    def test_overlapping_children_count_once(self):
+        rendered = render_trace([
+            _timed("job", 0, 10),
+            _timed("a", 1, 4, parent="job"),
+            _timed("b", 3, 5, parent="job"),
+        ])
+        # [1, 5] and [3, 8] cover 7 ms of 10, not 9.
+        assert rendered.splitlines()[-1].strip() == "(unattributed)  3.00 ms"
+
+    def test_child_outliving_its_parent_is_clipped(self):
+        """``worker.execute`` runs in another process and outlives the
+        ``client.request`` that submitted it: parent - sum(children)
+        would read -18 ms here."""
+        rendered = render_trace([
+            _timed("client.request", 0, 10),
+            _timed("worker.execute", 2, 28, parent="client.request"),
+        ])
+        assert rendered.splitlines()[-1].strip() == "(unattributed)  2.00 ms"
+
+    def test_leaf_spans_get_no_line(self):
+        assert "(unattributed)" not in render_trace([_timed("alone", 0, 5)])
+        rendered = render_trace([
+            _timed("job", 0, 10),
+            _timed("leaf", 0, 10, parent="job"),
+        ])
+        # Only the parent closes with one; a fully covered parent reads 0.
+        assert rendered.count("(unattributed)") == 1
+        assert rendered.splitlines()[-1].strip() == "(unattributed)  0.00 ms"
