@@ -5,15 +5,31 @@ We reproduce the scaling shape: generation time versus multiplier size.
 Absolute numbers differ (Python on modern hardware vs CLU on a DEC-20);
 the claim that survives is near-linear growth in cell count and an
 interactive-scale 32x32 time.
+
+``test_generation_scaling`` times the Python API (``generate_multiplier``).
+``test_language_generation_scaling_guard`` times the design-language path
+users run (``generate_via_language``: the Appendix B design file, compiled
+once per process, then evaluated) and records it as the ``generate_mult``
+rows; each size step (4x cells) may grow it at most 5x, and the 8 -> 16
+step runs in ``make bench-smoke``.
 """
 
 import os
 
 import pytest
+from conftest import best_time, doubling_ratio
 
-from repro.multiplier import generate_multiplier, load_multiplier_library, report_for
+from repro.multiplier import (
+    generate_multiplier,
+    generate_via_language,
+    load_multiplier_library,
+)
 
-SIZES = [8] if os.environ.get("REPRO_BENCH_SMOKE") else [8, 16, 32, 64]
+SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+SIZES = [8] if SMOKE else [8, 16, 32, 64]
+#: design-language generation sizes (4x cells a step) and the step bound
+LANGUAGE_SIZES = [8, 16] if SMOKE else [8, 16, 32]
+LANGUAGE_STEP_LIMIT = 5.0
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -35,3 +51,29 @@ def test_generation_scaling(benchmark, size, report):
 def test_library_load(benchmark):
     """Reading the sample layout (phase 1 of the paper's three phases)."""
     benchmark(load_multiplier_library)
+
+
+def test_language_generation_scaling_guard(report, record):
+    """Each size step (4x cells) may grow ``generate_via_language`` <= 5x."""
+
+    def measure(n):
+        return best_time(lambda: generate_via_language(n, n))
+
+    rows = []
+    seconds = {}
+    for small, large in zip(LANGUAGE_SIZES, LANGUAGE_SIZES[1:]):
+        ratio, seconds[small], seconds[large] = doubling_ratio(
+            measure, small, large, LANGUAGE_STEP_LIMIT
+        )
+        rows.append(
+            f"  {small}x{small} -> {large}x{large}: {seconds[small] * 1000:.1f} ms ->"
+            f" {seconds[large] * 1000:.1f} ms ({ratio:.2f}x, limit"
+            f" {LANGUAGE_STEP_LIMIT}x)"
+        )
+        assert ratio <= LANGUAGE_STEP_LIMIT, (
+            f"generate_via_language grew {ratio:.2f}x from {small}x{small}"
+            f" to {large}x{large}"
+        )
+    for n, value in seconds.items():
+        record("generate_mult", n, value)
+    report("E-T1: design-language generation scaling guard", *rows)

@@ -194,7 +194,11 @@ def run_flow(
     ``route`` / ``verify`` / ``emit``) under the ambient tracer, or a
     private one when none is activated.
     """
-    from .service.jobs import run_job, spec_from_files, tracing
+    # Imported here, not at module level, so `import repro.cli` stays
+    # light; the span keeps the first call's import out of the root's
+    # unattributed time.
+    with obs_trace.span("import.service"):
+        from .service.jobs import run_job, spec_from_files, tracing
 
     route_text = None
     if route_path:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.cell import CellDefinition
+from ..obs import trace as obs_trace
 from . import cache as cache_module
 from .cache import (
     CacheStats,
@@ -61,33 +62,36 @@ def compact_cells(
     name.  Results come back in input order, and misses are written back
     to the cache so the next run (or the next batch) hits.  Cache hits
     are returned as shared (not copied) objects — treat them as
-    read-only, or copy before mutating.
+    read-only, or copy before mutating.  Each item runs in a
+    ``compact.leaf`` span whose ``cell`` and ``cached`` attributes say
+    which leaf it was and whether the cache answered.
     """
     rules_print = fingerprint_rules(rules) if cache is not None else ""
     results: List[Tuple[str, CellDefinition, CompactionResult]] = []
     for name, cell in items:
-        key = ""
-        if cache is not None:
-            key = cache_key(
-                "pipeline",
-                cache_module.FORMAT_VERSION,
-                fingerprint_cell(cell),
-                rules_print,
-                axes,
-                width_mode,
-            )
-            # peek, not get: the stamped rebuild only reads the cached
-            # cell, so the defensive copy would be pure overhead.
-            hit = cache.peek(key)
-            if hit is not None:
+        with obs_trace.span("compact.leaf", cell=name) as leaf:
+            key, hit = "", None
+            if cache is not None:
+                key = cache_key(
+                    "pipeline",
+                    cache_module.FORMAT_VERSION,
+                    fingerprint_cell(cell),
+                    rules_print,
+                    axes,
+                    width_mode,
+                )
+                # peek, not get: the stamped rebuild only reads the cached
+                # cell, so the defensive copy would be pure overhead.
+                hit = cache.peek(key)
+            leaf.set(cached=hit is not None)
+            if hit is None:
+                compacted, result = compact_cell_axes(
+                    cell, rules, axes, name=cell.name, width_mode=width_mode
+                )
+                if cache is not None:
+                    cache.put(key, (compacted, result))
+            else:
                 compacted, result = hit
-                results.append((name, compacted, result))
-                continue
-        compacted, result = compact_cell_axes(
-            cell, rules, axes, name=cell.name, width_mode=width_mode
-        )
-        if cache is not None:
-            cache.put(key, (compacted, result))
         results.append((name, compacted, result))
     return results
 

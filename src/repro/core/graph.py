@@ -18,17 +18,18 @@ Cycle edges are permitted but checked: when a non-tree edge is encountered
 during expansion, the placement it implies must agree with the placement
 already assigned, otherwise :class:`InconsistentGraphError` is raised (the
 paper calls cycle information "redundant"; we verify the redundancy).
+Tree edges are evaluated once, from the end that places the other.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..geometry import NORTH, Orientation, Vec2
 from .cell import CellDefinition, Instance
 from .errors import DisconnectedGraphError, GraphError, InconsistentGraphError
-from .interface import propagate_placement
+from .interface import Interface, propagate_placement
 from .interface_table import InterfaceTable
 
 __all__ = ["Node", "Edge", "expand_graph", "collect_graph"]
@@ -121,21 +122,24 @@ def collect_graph(root: Node) -> List[Node]:
 
 
 def _placement_across(
-    edge: Edge, placed: Node, table: InterfaceTable
+    edge: Edge, placed: Node, table: InterfaceTable, inverses: Dict[int, Interface]
 ) -> Tuple[Vec2, Orientation]:
-    """Placement of the unplaced endpoint of ``edge`` from the placed one.
+    """Placement of the other endpoint of ``edge`` from the placed one.
 
     Traversal along the edge direction uses the table interface directly;
     traversal against it uses the inverse — this is where the direction
-    bit earns its keep for same-celltype edges.
+    bit earns its keep for same-celltype edges.  ``inverses`` memoises
+    each table interface's inverse for one expansion (keyed by identity:
+    the table holds every interface for the expansion's duration).
     """
-    other = edge.other(placed)
     interface = table.lookup(edge.source.celltype, edge.target.celltype, edge.index)
     if not edge.emanates_from(placed):
-        interface = interface.inverse()
-    return propagate_placement(
-        placed.instance.location, placed.instance.orientation, interface
-    )
+        inverse = inverses.get(id(interface))
+        if inverse is None:
+            inverse = inverses[id(interface)] = interface.inverse()
+        interface = inverse
+    instance = placed.instance
+    return propagate_placement(instance.location, instance.orientation, interface)
 
 
 def expand_graph(
@@ -149,8 +153,11 @@ def expand_graph(
 
     The root is placed at ``(root_location, root_orientation)``; every
     other reachable node receives the placement implied by the spanning
-    tree of the breadth-first traversal.  Non-tree (cycle) edges are
-    verified for consistency.
+    tree of the breadth-first traversal.  Each tree edge is evaluated
+    once, when it places its far node: walking it back from that node
+    would only re-derive the placement it just made.  Every other edge
+    (a parallel edge, a self-loop, a cycle edge) is verified for
+    consistency.
 
     ``expected_nodes`` (optional) asserts that the reachable component
     covers exactly those nodes, raising
@@ -163,13 +170,17 @@ def expand_graph(
         node.instance.orientation = None
 
     root.instance.place(root_location, root_orientation)
+    inverses: Dict[int, Interface] = {}
     order = [root]
-    queue = deque([root])
+    # (node, the tree edge it was placed across)
+    queue: Deque[Tuple[Node, Optional[Edge]]] = deque([(root, None)])
     while queue:
-        node = queue.popleft()
+        node, tree_edge = queue.popleft()
         for edge in node.edges:
+            if edge is tree_edge:
+                continue
             neighbor = edge.other(node)
-            location, orientation = _placement_across(edge, node, table)
+            location, orientation = _placement_across(edge, node, table, inverses)
             if neighbor.is_placed:
                 if (
                     neighbor.instance.location != location
@@ -184,7 +195,7 @@ def expand_graph(
                 continue
             neighbor.instance.place(location, orientation)
             order.append(neighbor)
-            queue.append(neighbor)
+            queue.append((neighbor, edge))
 
     if expected_nodes is not None:
         reachable = {id(node) for node in order}

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Union
 
 from ..geometry import NORTH, Orientation, Vec2
+from ..obs import trace as obs_trace
 from .cell import CellDefinition, CellTable, Instance
 from .errors import GraphError
 from .graph import Node, collect_graph, expand_graph
@@ -76,7 +77,10 @@ class Rsg:
         """Expand the graph reachable from ``root`` into a new cell
         (section 4.4.3) and register it in the cell table.
         """
-        order = expand_graph(root, self.interfaces, root_location, root_orientation)
+        with obs_trace.span("graph.expand", cell=name):
+            order = expand_graph(
+                root, self.interfaces, root_location, root_orientation
+            )
         cell = self.cells.new_cell(name, replace=replace)
         for node in order:
             # adopt (not a raw append) so the new cell's geometry caches

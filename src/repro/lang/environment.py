@@ -68,9 +68,11 @@ class Environment:
 
     # ------------------------------------------------------------------
     def bind(self, key: BindingKey, value: Any) -> None:
+        """Bind (or rebind) ``key`` in this frame."""
         self.bindings[key] = value
 
     def has_local(self, key: BindingKey) -> bool:
+        """True when ``key`` is bound in this frame itself."""
         return key in self.bindings
 
     def local(self, key: BindingKey) -> Any:
@@ -111,6 +113,7 @@ class GlobalEnvironment:
         self.cell_table = cell_table
 
     def bind(self, key: BindingKey, value: Any) -> None:
+        """Bind (or rebind) a global, e.g. a parameter-file value."""
         self.bindings[key] = value
 
     def lookup_raw(self, key: BindingKey) -> Any:
@@ -126,6 +129,7 @@ class GlobalEnvironment:
         raise UnboundVariableError(f"unbound variable {_describe(key)}")
 
     def frame(self, procedure_name: str = "") -> Environment:
+        """A fresh, empty procedure frame over this global environment."""
         return Environment(self, procedure_name)
 
 

@@ -14,18 +14,31 @@ Executes the Lisp-subset language of Appendix A against an
   environment, then the cell table, chasing parameter-file aliases;
 * procedures are *not* first class (they live in a separate procedure
   table and cannot be passed as values).
+
+Each statement is compiled once to a closure ``code(interpreter, env)``
+(closure compilation: Feeley and Lapalme, "Using closures for code
+generation", Computer Languages 12(1), 1987): a form's head is
+classified and its special form dispatched when the closure is built,
+not each time it runs.  Compiled programs are cached by design text and
+hold no per-run state, so one program serves every interpreter that runs
+that text.  What a run can change stays a run-time lookup: variables,
+procedures and builtins are resolved by name when the statement runs,
+and every arity or type error is raised when the malformed statement
+runs (a malformed form in a branch never taken is never an error).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+import functools
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cell import CellDefinition, Instance
 from ..core.errors import EvalError, UnknownCellError
 from ..core.graph import Node
 from ..core.operators import Rsg
+from ..obs import trace as obs_trace
 from .ast_nodes import Form, IndexedVar, Statement, Symbol
-from .environment import Alias, BindingKey, Environment, GlobalEnvironment
+from .environment import Environment, GlobalEnvironment
 from .parser import parse_program
 
 __all__ = ["Interpreter", "Procedure"]
@@ -34,7 +47,7 @@ __all__ = ["Interpreter", "Procedure"]
 class Procedure:
     """A user-defined function or macro (not a first-class value)."""
 
-    __slots__ = ("name", "formals", "locals", "body", "is_macro")
+    __slots__ = ("name", "formals", "locals", "body", "is_macro", "code")
 
     def __init__(
         self,
@@ -49,6 +62,8 @@ class Procedure:
         self.locals = locals_
         self.body = body
         self.is_macro = is_macro
+        #: the body compiled once, when the definition is compiled
+        self.code = _compile_body(body)
 
     def __repr__(self) -> str:
         kind = "macro" if self.is_macro else "defun"
@@ -116,7 +131,10 @@ def _register_arith() -> None:
         def call(*args: Any) -> bool:
             if len(args) < 2:
                 raise EvalError("comparison needs two arguments")
-            return all(op(a, b) for a, b in zip(args, args[1:]))
+            for left, right in zip(args, args[1:]):
+                if not op(left, right):
+                    return False
+            return True
 
         return call
 
@@ -170,30 +188,467 @@ def _register_table_builtins(builtins: Dict[str, Callable[..., Any]]) -> None:
     builtins["table_output"] = table_output
 
 
-_SPECIAL_FORMS = frozenset(
-    {
-        "defun",
-        "macro",
-        "cond",
-        "do",
-        "assign",
-        "setq",
-        "prog",
-        "and",
-        "or",
-        "subcell",
-        "mk_instance",
-        "mkinstance",
-        "connect",
-        "mk_cell",
-        "mkcell",
-        "declare_interface",
-        "declareinterface",
-        "print",
-        "read",
-        "quote",
-    }
-)
+# ----------------------------------------------------------------------
+# Compilation: every statement becomes a closure ``code(interpreter, env)``
+# ----------------------------------------------------------------------
+Code = Callable[["Interpreter", Environment], Any]
+
+
+def _constant(value: Any) -> Code:
+    return lambda interpreter, env: value
+
+
+def _raiser(message: str) -> Code:
+    """A statement that raises ``EvalError(message)`` when it runs."""
+
+    def fail(interpreter: "Interpreter", env: Environment) -> Any:
+        raise EvalError(message)
+
+    return fail
+
+
+def _compile(statement: Statement) -> Code:
+    if isinstance(statement, int) or isinstance(statement, str):
+        return _constant(statement)
+    if isinstance(statement, Symbol):
+        name = statement.name
+        return lambda interpreter, env: env.lookup(name)
+    if isinstance(statement, IndexedVar):
+        key = _compile_index_key(statement)
+        return lambda interpreter, env: env.lookup(key(interpreter, env))
+    if isinstance(statement, Form):
+        return _compile_form(statement)
+    return _raiser(f"cannot evaluate {statement!r}")
+
+
+def _compile_body(statements: Sequence[Statement]) -> Tuple[Code, ...]:
+    return tuple(_compile(statement) for statement in statements)
+
+
+def _run_body(
+    body: Tuple[Code, ...], interpreter: "Interpreter", env: Environment
+) -> Any:
+    """Run compiled statements in order; the value of the last (nil if none)."""
+    result: Any = None
+    for code in body:
+        result = code(interpreter, env)
+    return result
+
+
+def _compile_index_key(var: IndexedVar) -> Code:
+    """The binding key ``(base, (i,))`` or ``(base, (i, j))`` of ``var``."""
+    base, line = var.base, var.line
+    indices = _compile_body(var.indices)
+
+    def key(interpreter: "Interpreter", env: Environment) -> Any:
+        values = []
+        for index in indices:
+            value = index(interpreter, env)
+            if not isinstance(value, int):
+                raise EvalError(
+                    f"line {line}: index of {base!r} must be an"
+                    f" integer, got {value!r}"
+                )
+            values.append(value)
+        return (base, tuple(values))
+
+    return key
+
+
+def _compile_target(target: Statement) -> Code:
+    """The binding key an assignment or ``mk_instance`` writes."""
+    if isinstance(target, Symbol):
+        return _constant(target.name)
+    if isinstance(target, IndexedVar):
+        return _compile_index_key(target)
+    return _raiser("assignment target must be a variable")
+
+
+def _compile_form(form: Form) -> Code:
+    if len(form) == 0:
+        return _constant(None)
+    head = form[0]
+    if not isinstance(head, Symbol):
+        return _raiser(f"line {form.line}: form head must be a name")
+    name = head.name
+    special = _SPECIAL_FORMS.get(name)
+    if special is not None:
+        return special(form)
+    arguments = _compile_body(form.items[1:])
+    if name in _ARITH:
+        return _compile_arith(_ARITH[name], arguments)
+    return _compile_call(name, arguments, form.line)
+
+
+def _compile_arith(function: Callable[..., Any], arguments: Tuple[Code, ...]) -> Code:
+    # Two operands (loop steps and tests) skip building an argument list.
+    if len(arguments) == 2:
+        left, right = arguments
+        return lambda interpreter, env: function(
+            left(interpreter, env), right(interpreter, env)
+        )
+    return lambda interpreter, env: function(
+        *[argument(interpreter, env) for argument in arguments]
+    )
+
+
+def _compile_call(name: str, arguments: Tuple[Code, ...], line: int) -> Code:
+    """A builtin or procedure call; the callee is looked up when it runs."""
+
+    def call(interpreter: "Interpreter", env: Environment) -> Any:
+        if name in interpreter.builtins:
+            values = [argument(interpreter, env) for argument in arguments]
+            try:
+                return interpreter.builtins[name](*values)
+            except EvalError:
+                raise
+            except Exception as exc:
+                raise EvalError(f"line {line}: {name}: {exc}") from exc
+        if name in interpreter.procedures:
+            values = [argument(interpreter, env) for argument in arguments]
+            return interpreter._apply(interpreter.procedures[name], values)
+        raise EvalError(f"line {line}: unknown procedure {name!r}")
+
+    return call
+
+
+# ----------------------------------------------------------------------
+# Special forms: definitions
+# ----------------------------------------------------------------------
+def _procedure(form: Form, is_macro: bool) -> Procedure:
+    keyword = "macro" if is_macro else "defun"
+    if len(form) < 3:
+        raise EvalError(f"line {form.line}: malformed {keyword}")
+    name_node = form[1]
+    if not isinstance(name_node, Symbol):
+        raise EvalError(f"line {form.line}: {keyword} name must be a symbol")
+    name = name_node.name
+    if is_macro and not name.startswith("m"):
+        raise EvalError(
+            f"line {form.line}: macro name {name!r} must begin with 'm'"
+            " (section 4.2)"
+        )
+    if not is_macro and name.startswith("m"):
+        raise EvalError(
+            f"line {form.line}: function name {name!r} may not begin"
+            " with 'm' — the interpreter classifies call sites by the"
+            " leading letter (section 4.2)"
+        )
+    formals_node = form[2]
+    if not isinstance(formals_node, Form):
+        raise EvalError(f"line {form.line}: {keyword} needs a formals list")
+    formals = [_formal_name(item, form) for item in formals_node]
+    body = list(form.items[3:])
+    locals_: List[str] = []
+    if body and isinstance(body[0], Form) and len(body[0]) >= 1:
+        first = body[0]
+        if isinstance(first[0], Symbol) and first[0].name in ("locals", "local"):
+            locals_ = [_formal_name(item, form) for item in first.items[1:]]
+            body = body[1:]
+    return Procedure(name, formals, locals_, body, is_macro)
+
+
+def _formal_name(item: Statement, form: Form) -> str:
+    if not isinstance(item, Symbol):
+        raise EvalError(f"line {form.line}: formal/local must be a symbol")
+    return item.name
+
+
+def _compile_definition(form: Form, is_macro: bool) -> Code:
+    """``defun``/``macro``: the procedure is built once, bound per run."""
+    try:
+        procedure = _procedure(form, is_macro)
+    except EvalError as error:
+        return _raiser(str(error))
+
+    def define(interpreter: "Interpreter", env: Environment) -> None:
+        interpreter.procedures[procedure.name] = procedure
+
+    return define
+
+
+# ----------------------------------------------------------------------
+# Special forms: control
+# ----------------------------------------------------------------------
+def _compile_cond(form: Form) -> Code:
+    clauses = []
+    malformed = None
+    for clause in form.items[1:]:
+        if not isinstance(clause, Form) or len(clause) < 1:
+            # Clauses after a malformed one are unreachable.
+            malformed = f"line {form.line}: malformed cond clause"
+            break
+        clauses.append((_compile(clause[0]), _compile_body(clause.items[1:])))
+
+    def cond(interpreter: "Interpreter", env: Environment) -> Any:
+        for test, body in clauses:
+            if _truthy(test(interpreter, env)):
+                return _run_body(body, interpreter, env)
+        if malformed is not None:
+            raise EvalError(malformed)
+        return None
+
+    return cond
+
+
+def _compile_do(form: Form) -> Code:
+    if len(form) < 2 or not isinstance(form[1], Form) or len(form[1]) != 4:
+        return _raiser(f"line {form.line}: do needs (var initial next exit) header")
+    variable = form[1][0]
+    if not isinstance(variable, Symbol):
+        return _raiser(f"line {form.line}: do variable must be a symbol")
+    name = variable.name
+    initial, step, finished = _compile_body(form[1].items[1:])
+    body = _compile_body(form.items[2:])
+    runaway = f"line {form.line}: runaway do loop"
+
+    def loop(interpreter: "Interpreter", env: Environment) -> Any:
+        env.bind(name, initial(interpreter, env))
+        result: Any = None
+        iterations = 0
+        while not _truthy(finished(interpreter, env)):
+            for code in body:
+                result = code(interpreter, env)
+            env.bind(name, step(interpreter, env))
+            iterations += 1
+            if iterations > 10_000_000:
+                raise EvalError(runaway)
+        return result
+
+    return loop
+
+
+def _compile_prog(form: Form) -> Code:
+    body = _compile_body(form.items[1:])
+    return lambda interpreter, env: _run_body(body, interpreter, env)
+
+
+def _compile_and(form: Form) -> Code:
+    operands = _compile_body(form.items[1:])
+
+    def conjunction(interpreter: "Interpreter", env: Environment) -> Any:
+        value: Any = True
+        for operand in operands:
+            value = operand(interpreter, env)
+            if not _truthy(value):
+                return False
+        return value
+
+    return conjunction
+
+
+def _compile_or(form: Form) -> Code:
+    operands = _compile_body(form.items[1:])
+
+    def disjunction(interpreter: "Interpreter", env: Environment) -> Any:
+        for operand in operands:
+            value = operand(interpreter, env)
+            if _truthy(value):
+                return value
+        return False
+
+    return disjunction
+
+
+def _compile_quote(form: Form) -> Code:
+    if len(form) != 2:
+        return _raiser(f"line {form.line}: quote needs one argument")
+    item = form[1]
+    return _constant(item.name if isinstance(item, Symbol) else item)
+
+
+# ----------------------------------------------------------------------
+# Special forms: assignment and environment access
+# ----------------------------------------------------------------------
+def _compile_assign(form: Form) -> Code:
+    if len(form) != 3:
+        return _raiser(f"line {form.line}: assign needs target and value")
+    target, value = _compile_target(form[1]), _compile(form[2])
+
+    def assign(interpreter: "Interpreter", env: Environment) -> Any:
+        result = value(interpreter, env)
+        env.bind(target(interpreter, env), result)
+        return result
+
+    return assign
+
+
+def _compile_subcell(form: Form) -> Code:
+    line = form.line
+    if len(form) != 3:
+        return _raiser(f"line {line}: subcell needs env and variable")
+    source = _compile(form[1])
+    key_node = form[2]
+    if isinstance(key_node, Symbol):
+        key = _constant(key_node.name)
+    elif isinstance(key_node, IndexedVar):
+        # Index expressions evaluate in the *caller's* environment.
+        key = _compile_index_key(key_node)
+    else:
+        key = _raiser(f"line {line}: subcell variable must be a name")
+
+    def subcell(interpreter: "Interpreter", env: Environment) -> Any:
+        target_env = source(interpreter, env)
+        if not isinstance(target_env, Environment):
+            raise EvalError(
+                f"line {line}: subcell's first argument must be a macro"
+                f" environment, got {type(target_env).__name__}"
+            )
+        return target_env.local(key(interpreter, env))
+
+    return subcell
+
+
+# ----------------------------------------------------------------------
+# Special forms: graph primitives (section 4.4)
+# ----------------------------------------------------------------------
+def _compile_mk_instance(form: Form) -> Code:
+    line = form.line
+    if len(form) != 3:
+        return _raiser(f"line {line}: mk_instance needs variable and cell")
+    target, cell = _compile_target(form[1]), _compile(form[2])
+
+    def mk_instance(interpreter: "Interpreter", env: Environment) -> Node:
+        node = interpreter.rsg.mk_instance(
+            interpreter._resolve_cell(cell(interpreter, env), line)
+        )
+        env.bind(target(interpreter, env), node)
+        return node
+
+    return mk_instance
+
+
+def _compile_connect(form: Form) -> Code:
+    line = form.line
+    if len(form) != 4:
+        return _raiser(
+            f"line {line}: connect needs two nodes and an interface number"
+        )
+    source, target, index = _compile_body(form.items[1:])
+
+    def connect(interpreter: "Interpreter", env: Environment) -> Node:
+        source_node = source(interpreter, env)
+        target_node = target(interpreter, env)
+        number = index(interpreter, env)
+        if not isinstance(source_node, Node) or not isinstance(target_node, Node):
+            raise EvalError(f"line {line}: connect arguments must be instances")
+        if not isinstance(number, int):
+            raise EvalError(f"line {line}: interface number must be an integer")
+        return interpreter.rsg.connect(source_node, target_node, number)
+
+    return connect
+
+
+def _compile_mk_cell(form: Form) -> Code:
+    line = form.line
+    if len(form) != 3:
+        return _raiser(f"line {line}: mk_cell needs a name and a node")
+    name, root = _compile(form[1]), _compile(form[2])
+
+    def mk_cell(interpreter: "Interpreter", env: Environment) -> CellDefinition:
+        cell_name = name(interpreter, env)
+        if not isinstance(cell_name, str):
+            raise EvalError(f"line {line}: cell name must be a string")
+        root_node = root(interpreter, env)
+        if not isinstance(root_node, Node):
+            raise EvalError(f"line {line}: mk_cell root must be an instance")
+        return interpreter.rsg.mk_cell(cell_name, root_node)
+
+    return mk_cell
+
+
+def _compile_declare_interface(form: Form) -> Code:
+    line = form.line
+    if len(form) != 7:
+        return _raiser(
+            f"line {line}: declare_interface needs"
+            " cellC cellD newindex instA instB existingindex"
+        )
+    cell_c, cell_d, new_index, inst_a, inst_b, existing_index = _compile_body(
+        form.items[1:]
+    )
+
+    def declare_interface(interpreter: "Interpreter", env: Environment) -> Any:
+        resolve = interpreter._resolve_cell
+        c = resolve(cell_c(interpreter, env), line)
+        d = resolve(cell_d(interpreter, env), line)
+        new = new_index(interpreter, env)
+        a = inst_a(interpreter, env)
+        b = inst_b(interpreter, env)
+        existing = existing_index(interpreter, env)
+        if not isinstance(new, int) or not isinstance(existing, int):
+            raise EvalError(f"line {line}: interface numbers must be integers")
+        if not isinstance(a, (Node, Instance)) or not isinstance(b, (Node, Instance)):
+            raise EvalError(
+                f"line {line}: declare_interface subcells must be instances"
+            )
+        return interpreter.rsg.declare_interface(c, d, new, a, b, existing)
+
+    return declare_interface
+
+
+# ----------------------------------------------------------------------
+# Special forms: I/O
+# ----------------------------------------------------------------------
+def _compile_print(form: Form) -> Code:
+    operands = _compile_body(form.items[1:])
+
+    def show(interpreter: "Interpreter", env: Environment) -> Any:
+        value: Any = None
+        for operand in operands:
+            value = operand(interpreter, env)
+            interpreter.output.append(value)
+        return value
+
+    return show
+
+
+def _compile_read(form: Form) -> Code:
+    empty = f"line {form.line}: read with empty input queue"
+
+    def read(interpreter: "Interpreter", env: Environment) -> Any:
+        if not interpreter.input_queue:
+            raise EvalError(empty)
+        return interpreter.input_queue.pop(0)
+
+    return read
+
+
+#: special-form name -> compiler (the legacy Appendix B spellings
+#: ``mkinstance``/``mkcell``/``declareinterface`` included)
+_SPECIAL_FORMS: Dict[str, Callable[[Form], Code]] = {
+    "defun": lambda form: _compile_definition(form, is_macro=False),
+    "macro": lambda form: _compile_definition(form, is_macro=True),
+    "cond": _compile_cond,
+    "do": _compile_do,
+    "assign": _compile_assign,
+    "setq": _compile_assign,
+    "prog": _compile_prog,
+    "and": _compile_and,
+    "or": _compile_or,
+    "subcell": _compile_subcell,
+    "mk_instance": _compile_mk_instance,
+    "mkinstance": _compile_mk_instance,
+    "connect": _compile_connect,
+    "mk_cell": _compile_mk_cell,
+    "mkcell": _compile_mk_cell,
+    "declare_interface": _compile_declare_interface,
+    "declareinterface": _compile_declare_interface,
+    "print": _compile_print,
+    "read": _compile_read,
+    "quote": _compile_quote,
+}
+
+
+@functools.lru_cache(maxsize=32)
+def _compile_program(text: str) -> Tuple[Code, ...]:
+    """Parse and compile design-file text, once per distinct text.
+
+    The ``lang.compile`` span is opened only here, so it appears in a
+    trace only when the cache missed.
+    """
+    with obs_trace.span("lang.compile"):
+        return _compile_body(parse_program(text))
 
 
 class Interpreter:
@@ -233,15 +688,19 @@ class Interpreter:
     # Entry points
     # ------------------------------------------------------------------
     def run(self, text: str) -> Any:
-        """Parse and execute design-file text; return the last value."""
-        program = parse_program(text)
+        """Execute design-file text; return the value of its last statement.
+
+        The text is compiled once per process (the compiled program is
+        cached by text) and runs in a fresh top-level frame of this
+        interpreter's global environment, inside a ``lang.eval`` span.
+        """
+        program = _compile_program(text)
         frame = self.globals.frame("__toplevel__")
-        result: Any = None
-        for statement in program:
-            result = self.eval(statement, frame)
-        return result
+        with obs_trace.span("lang.eval"):
+            return _run_body(program, self, frame)
 
     def run_file(self, path: str) -> Any:
+        """Execute the design file at ``path`` (see :meth:`run`)."""
         with open(path, "r", encoding="utf-8") as handle:
             return self.run(handle.read())
 
@@ -250,6 +709,7 @@ class Interpreter:
         self.globals.bind(name, value)
 
     def set_parameters(self, bindings: Dict[str, Any]) -> None:
+        """Bind each ``name -> value`` of a parameter file as a global."""
         for name, value in bindings.items():
             self.set_parameter(name, value)
 
@@ -261,59 +721,8 @@ class Interpreter:
         return self._apply(procedure, list(args))
 
     # ------------------------------------------------------------------
-    # Evaluation
+    # Run-time support for compiled code
     # ------------------------------------------------------------------
-    def eval(self, statement: Statement, env: Environment) -> Any:
-        if isinstance(statement, int) or isinstance(statement, str):
-            return statement
-        if isinstance(statement, Symbol):
-            return env.lookup(statement.name)
-        if isinstance(statement, IndexedVar):
-            return env.lookup(self._index_key(statement, env))
-        if isinstance(statement, Form):
-            return self._eval_form(statement, env)
-        raise EvalError(f"cannot evaluate {statement!r}")
-
-    def _index_key(self, var: IndexedVar, env: Environment) -> BindingKey:
-        indices = []
-        for index_statement in var.indices:
-            value = self.eval(index_statement, env)
-            if not isinstance(value, int):
-                raise EvalError(
-                    f"line {var.line}: index of {var.base!r} must be an"
-                    f" integer, got {value!r}"
-                )
-            indices.append(value)
-        return (var.base, tuple(indices))
-
-    def _eval_form(self, form: Form, env: Environment) -> Any:
-        if len(form) == 0:
-            return None
-        head = form[0]
-        if not isinstance(head, Symbol):
-            raise EvalError(f"line {form.line}: form head must be a name")
-        name = head.name
-
-        if name in _SPECIAL_FORMS:
-            return getattr(self, "_form_" + name.replace("mkinstance", "mk_instance")
-                           .replace("mkcell", "mk_cell")
-                           .replace("declareinterface", "declare_interface"))(form, env)
-        if name in _ARITH:
-            args = [self.eval(item, env) for item in form[1:]]
-            return _ARITH[name](*args)
-        if name in self.builtins:
-            args = [self.eval(item, env) for item in form[1:]]
-            try:
-                return self.builtins[name](*args)
-            except EvalError:
-                raise
-            except Exception as exc:
-                raise EvalError(f"line {form.line}: {name}: {exc}") from exc
-        if name in self.procedures:
-            args = [self.eval(item, env) for item in form[1:]]
-            return self._apply(self.procedures[name], args)
-        raise EvalError(f"line {form.line}: unknown procedure {name!r}")
-
     def _apply(self, procedure: Procedure, args: List[Any]) -> Any:
         if len(args) != len(procedure.formals):
             raise EvalError(
@@ -329,165 +738,11 @@ class Interpreter:
             frame.bind(local, None)
         self._depth += 1
         try:
-            result: Any = None
-            for statement in procedure.body:
-                result = self.eval(statement, frame)
+            result = _run_body(procedure.code, self, frame)
         finally:
             self._depth -= 1
         return frame if procedure.is_macro else result
 
-    # ------------------------------------------------------------------
-    # Special forms: definitions
-    # ------------------------------------------------------------------
-    def _define(self, form: Form, env: Environment, is_macro: bool) -> None:
-        keyword = "macro" if is_macro else "defun"
-        if len(form) < 3:
-            raise EvalError(f"line {form.line}: malformed {keyword}")
-        name_node = form[1]
-        if not isinstance(name_node, Symbol):
-            raise EvalError(f"line {form.line}: {keyword} name must be a symbol")
-        name = name_node.name
-        if is_macro and not name.startswith("m"):
-            raise EvalError(
-                f"line {form.line}: macro name {name!r} must begin with 'm'"
-                " (section 4.2)"
-            )
-        if not is_macro and name.startswith("m"):
-            raise EvalError(
-                f"line {form.line}: function name {name!r} may not begin"
-                " with 'm' — the interpreter classifies call sites by the"
-                " leading letter (section 4.2)"
-            )
-        formals_node = form[2]
-        if not isinstance(formals_node, Form):
-            raise EvalError(f"line {form.line}: {keyword} needs a formals list")
-        formals = [self._formal_name(item, form) for item in formals_node]
-        body = list(form.items[3:])
-        locals_: List[str] = []
-        if body and isinstance(body[0], Form) and len(body[0]) >= 1:
-            first = body[0]
-            if isinstance(first[0], Symbol) and first[0].name in ("locals", "local"):
-                locals_ = [self._formal_name(item, form) for item in first.items[1:]]
-                body = body[1:]
-        self.procedures[name] = Procedure(name, formals, locals_, body, is_macro)
-
-    @staticmethod
-    def _formal_name(item: Statement, form: Form) -> str:
-        if not isinstance(item, Symbol):
-            raise EvalError(f"line {form.line}: formal/local must be a symbol")
-        return item.name
-
-    def _form_defun(self, form: Form, env: Environment) -> None:
-        self._define(form, env, is_macro=False)
-
-    def _form_macro(self, form: Form, env: Environment) -> None:
-        self._define(form, env, is_macro=True)
-
-    # ------------------------------------------------------------------
-    # Special forms: control
-    # ------------------------------------------------------------------
-    def _form_cond(self, form: Form, env: Environment) -> Any:
-        for clause in form.items[1:]:
-            if not isinstance(clause, Form) or len(clause) < 1:
-                raise EvalError(f"line {form.line}: malformed cond clause")
-            if _truthy(self.eval(clause[0], env)):
-                result: Any = None
-                for statement in clause.items[1:]:
-                    result = self.eval(statement, env)
-                return result
-        return None
-
-    def _form_do(self, form: Form, env: Environment) -> Any:
-        if len(form) < 2 or not isinstance(form[1], Form) or len(form[1]) != 4:
-            raise EvalError(
-                f"line {form.line}: do needs (var initial next exit) header"
-            )
-        header = form[1]
-        var = header[0]
-        if not isinstance(var, Symbol):
-            raise EvalError(f"line {form.line}: do variable must be a symbol")
-        env.bind(var.name, self.eval(header[1], env))
-        result: Any = None
-        iterations = 0
-        while not _truthy(self.eval(header[3], env)):
-            for statement in form.items[2:]:
-                result = self.eval(statement, env)
-            env.bind(var.name, self.eval(header[2], env))
-            iterations += 1
-            if iterations > 10_000_000:
-                raise EvalError(f"line {form.line}: runaway do loop")
-        return result
-
-    def _form_prog(self, form: Form, env: Environment) -> Any:
-        result: Any = None
-        for statement in form.items[1:]:
-            result = self.eval(statement, env)
-        return result
-
-    def _form_and(self, form: Form, env: Environment) -> Any:
-        value: Any = True
-        for statement in form.items[1:]:
-            value = self.eval(statement, env)
-            if not _truthy(value):
-                return False
-        return value
-
-    def _form_or(self, form: Form, env: Environment) -> Any:
-        for statement in form.items[1:]:
-            value = self.eval(statement, env)
-            if _truthy(value):
-                return value
-        return False
-
-    def _form_quote(self, form: Form, env: Environment) -> Any:
-        if len(form) != 2:
-            raise EvalError(f"line {form.line}: quote needs one argument")
-        item = form[1]
-        if isinstance(item, Symbol):
-            return item.name
-        return item
-
-    # ------------------------------------------------------------------
-    # Special forms: assignment and environment access
-    # ------------------------------------------------------------------
-    def _assign_target(self, target: Statement, env: Environment) -> BindingKey:
-        if isinstance(target, Symbol):
-            return target.name
-        if isinstance(target, IndexedVar):
-            return self._index_key(target, env)
-        raise EvalError("assignment target must be a variable")
-
-    def _form_assign(self, form: Form, env: Environment) -> Any:
-        if len(form) != 3:
-            raise EvalError(f"line {form.line}: assign needs target and value")
-        value = self.eval(form[2], env)
-        env.bind(self._assign_target(form[1], env), value)
-        return value
-
-    _form_setq = _form_assign
-
-    def _form_subcell(self, form: Form, env: Environment) -> Any:
-        if len(form) != 3:
-            raise EvalError(f"line {form.line}: subcell needs env and variable")
-        target_env = self.eval(form[1], env)
-        if not isinstance(target_env, Environment):
-            raise EvalError(
-                f"line {form.line}: subcell's first argument must be a macro"
-                f" environment, got {type(target_env).__name__}"
-            )
-        key_node = form[2]
-        if isinstance(key_node, Symbol):
-            key: BindingKey = key_node.name
-        elif isinstance(key_node, IndexedVar):
-            # Index expressions evaluate in the *caller's* environment.
-            key = self._index_key(key_node, env)
-        else:
-            raise EvalError(f"line {form.line}: subcell variable must be a name")
-        return target_env.local(key)
-
-    # ------------------------------------------------------------------
-    # Special forms: graph primitives (section 4.4)
-    # ------------------------------------------------------------------
     def _resolve_cell(self, value: Any, line: int) -> CellDefinition:
         if isinstance(value, CellDefinition):
             return value
@@ -499,75 +754,3 @@ class Interpreter:
         raise EvalError(
             f"line {line}: expected a cell, got {type(value).__name__}"
         )
-
-    def _form_mk_instance(self, form: Form, env: Environment) -> Node:
-        if len(form) != 3:
-            raise EvalError(f"line {form.line}: mk_instance needs variable and cell")
-        cell = self._resolve_cell(self.eval(form[2], env), form.line)
-        node = self.rsg.mk_instance(cell)
-        env.bind(self._assign_target(form[1], env), node)
-        return node
-
-    def _form_connect(self, form: Form, env: Environment) -> Node:
-        if len(form) != 4:
-            raise EvalError(
-                f"line {form.line}: connect needs two nodes and an interface number"
-            )
-        source = self.eval(form[1], env)
-        target = self.eval(form[2], env)
-        index = self.eval(form[3], env)
-        if not isinstance(source, Node) or not isinstance(target, Node):
-            raise EvalError(f"line {form.line}: connect arguments must be instances")
-        if not isinstance(index, int):
-            raise EvalError(f"line {form.line}: interface number must be an integer")
-        return self.rsg.connect(source, target, index)
-
-    def _form_mk_cell(self, form: Form, env: Environment) -> CellDefinition:
-        if len(form) != 3:
-            raise EvalError(f"line {form.line}: mk_cell needs a name and a node")
-        name = self.eval(form[1], env)
-        if not isinstance(name, str):
-            raise EvalError(f"line {form.line}: cell name must be a string")
-        root = self.eval(form[2], env)
-        if not isinstance(root, Node):
-            raise EvalError(f"line {form.line}: mk_cell root must be an instance")
-        return self.rsg.mk_cell(name, root)
-
-    def _form_declare_interface(self, form: Form, env: Environment) -> Any:
-        if len(form) != 7:
-            raise EvalError(
-                f"line {form.line}: declare_interface needs"
-                " cellC cellD newindex instA instB existingindex"
-            )
-        cell_c = self._resolve_cell(self.eval(form[1], env), form.line)
-        cell_d = self._resolve_cell(self.eval(form[2], env), form.line)
-        new_index = self.eval(form[3], env)
-        inst_a = self.eval(form[4], env)
-        inst_b = self.eval(form[5], env)
-        existing_index = self.eval(form[6], env)
-        if not isinstance(new_index, int) or not isinstance(existing_index, int):
-            raise EvalError(f"line {form.line}: interface numbers must be integers")
-        if not isinstance(inst_a, (Node, Instance)) or not isinstance(
-            inst_b, (Node, Instance)
-        ):
-            raise EvalError(
-                f"line {form.line}: declare_interface subcells must be instances"
-            )
-        return self.rsg.declare_interface(
-            cell_c, cell_d, new_index, inst_a, inst_b, existing_index
-        )
-
-    # ------------------------------------------------------------------
-    # Special forms: I/O
-    # ------------------------------------------------------------------
-    def _form_print(self, form: Form, env: Environment) -> Any:
-        value: Any = None
-        for statement in form.items[1:]:
-            value = self.eval(statement, env)
-            self.output.append(value)
-        return value
-
-    def _form_read(self, form: Form, env: Environment) -> Any:
-        if not self.input_queue:
-            raise EvalError(f"line {form.line}: read with empty input queue")
-        return self.input_queue.pop(0)

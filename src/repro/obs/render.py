@@ -44,6 +44,8 @@ def spans_from_jsonl(payload: bytes) -> List[Span]:
 
 
 _SHOWN_ATTRIBUTES = (
+    "cell",
+    "cached",
     "passes",
     "relaxations",
     "variables",

@@ -443,7 +443,8 @@ def run_job(
         time.sleep(spec.delay)
     with obs_trace.span("job.generate") as stage:
         rsg = Rsg()
-        loads_sample(sample, rsg)
+        with obs_trace.span("sample.load"):
+            loads_sample(sample, rsg)
         interpreter = Interpreter(rsg)
         interpreter.set_parameters(bindings)
         value = interpreter.run(design)
@@ -547,8 +548,11 @@ def _verify_stage(
                 result=result,
             )
         return
-    from ..verify import verify_cell
-    from ..verify.driver import DEFAULT_MAX_VECTORS
+    # The first call pays the package import: a span of its own keeps it
+    # out of the stage's unattributed time.
+    with obs_trace.span("import.verify"):
+        from ..verify import verify_cell
+        from ..verify.driver import DEFAULT_MAX_VECTORS
 
     report = verify_cell(
         cell, mode=spec.verify or "all",

@@ -674,10 +674,11 @@ class TestTimingsFlag:
         assert main([str(parameter), "--timings"]) == 0
         rows = _tree_rows(capsys.readouterr().out)
         assert rows[0][:2] == (1, "repro.run")
-        # The plain flow runs generate and emit; nothing else is a root.
+        # The plain flow runs generate and emit after the lazy import of
+        # the service pipeline; nothing else is a root.
         assert [row for row in rows if row[0] == 1] == rows[:1]
         assert _child_names(rows, "repro.run") == [
-            "job.generate", "job.emit", "(unattributed)",
+            "import.service", "job.generate", "job.emit", "(unattributed)",
         ]
 
     def test_includes_compact_stage_when_compacting(self, flow_files, capsys):
@@ -686,7 +687,8 @@ class TestTimingsFlag:
         stages = _child_names(_tree_rows(capsys.readouterr().out), "repro.run")
         # Pipeline order is preserved in the printed tree.
         assert stages == [
-            "job.generate", "job.compact", "job.emit", "(unattributed)",
+            "import.service", "job.generate", "job.compact", "job.emit",
+            "(unattributed)",
         ]
 
     def test_off_by_default(self, flow_files, capsys):
@@ -727,7 +729,8 @@ class TestTimingsFlag:
         assert main([str(parameter), "--route", str(netfile), "--timings"]) == 0
         stages = _child_names(_tree_rows(capsys.readouterr().out), "repro.run")
         assert stages == [
-            "job.generate", "job.route", "job.emit", "(unattributed)",
+            "import.service", "job.generate", "job.route", "job.emit",
+            "(unattributed)",
         ]
 
     def test_unattributed_line_closes_every_parent(self, flow_files, capsys):
@@ -739,7 +742,9 @@ class TestTimingsFlag:
             row[1] for row, following in zip(rows, rows[1:])
             if following[0] > row[0]
         ]
-        assert parents == ["repro.run", "job.compact", "job.verify"]
+        assert parents == [
+            "repro.run", "job.generate", "lang.eval", "job.compact", "job.verify",
+        ]
         for name in parents:
             names = _child_names(rows, name)
             assert names[-1] == "(unattributed)", name
@@ -756,8 +761,8 @@ class TestTimingsFlag:
         rows = _tree_rows(capsys.readouterr().out)
         stages = _children(rows, "repro.run")
         assert [row[1] for row in stages] == [
-            "job.generate", "job.compact", "job.verify", "job.emit",
-            "(unattributed)",
+            "import.service", "job.generate", "job.compact", "job.verify",
+            "job.emit", "(unattributed)",
         ]
         # The stages run one after another inside the root, so they and
         # the unattributed line sum to it, up to the 0.005 ms each
@@ -771,9 +776,10 @@ class TestTimingsFlag:
         assert main([str(parameter), "--verify", "all", "--timings"]) == 0
         rows = _children(_tree_rows(capsys.readouterr().out), "job.verify")
         assert [row[1] for row in rows] == [
-            "verify.cellgraph", "verify.lvs", "verify.sim", "(unattributed)",
+            "import.verify", "verify.cellgraph", "verify.lvs", "verify.sim",
+            "(unattributed)",
         ]
-        assert re.fullmatch(r"rounds=\d+", rows[1][3]), rows[1]
+        assert re.fullmatch(r"rounds=\d+", rows[2][3]), rows[2]
 
     def test_compact_breakdown_rides_along_when_compacting(self, flow_files, capsys):
         parameter, _ = flow_files
@@ -821,6 +827,72 @@ class TestTimingsFlag:
                 break
         assert coverage >= 0.9, f"sub-spans cover {coverage:.0%} of job.compact"
 
+    def test_generate_breakdown_rides_along(self, flow_files, capsys):
+        """job.generate splits into the sample load, the compile (only
+        when the design text is new to the process) and the evaluation,
+        which holds one graph.expand per mk_cell."""
+        from repro.lang.interpreter import _compile_program
+
+        parameter, _ = flow_files
+        _compile_program.cache_clear()
+        for compiled in (["lang.compile"], []):
+            assert main([str(parameter), "--timings"]) == 0
+            rows = _tree_rows(capsys.readouterr().out)
+            assert _child_names(rows, "job.generate") == [
+                "sample.load", *compiled, "lang.eval", "(unattributed)",
+            ]
+            expansions = _children(rows, "lang.eval")
+            assert [row[1] for row in expansions] == (
+                ["graph.expand"] * 5 + ["(unattributed)"]
+            )
+            assert [row[3] for row in expansions[:-1]] == [
+                "cell=rightregs", "cell=bottomregs", "cell=array",
+                "cell=topregs", "cell=thewholething",
+            ]
+
+    def test_generate_sub_spans_cover_the_generate_stage(self, flow_files):
+        """On a warm 8x8 job (design already compiled) the sample load
+        and the evaluation account for >= 90% of job.generate (best of
+        three runs, as for the compact stage)."""
+        from repro.obs import trace as obs_trace
+
+        parameter, _ = flow_files
+        overrides = ["xsize=8", "ysize=8"]
+        run_flow(str(parameter), overrides=overrides)
+        coverage = 0.0
+        for _ in range(3):
+            tracer = obs_trace.Tracer()
+            with obs_trace.activated(tracer):
+                run_flow(str(parameter), overrides=overrides)
+            spans = tracer.finished()
+            (stage,) = [span for span in spans if span.name == "job.generate"]
+            children = [span for span in spans if span.parent_id == stage.span_id]
+            assert [span.name for span in children] == ["sample.load", "lang.eval"]
+            covered = sum(span.duration_s for span in children) / stage.duration_s
+            coverage = max(coverage, covered)
+            if coverage >= 0.9:
+                break
+        assert coverage >= 0.9, f"sub-spans cover {coverage:.0%} of job.generate"
+
+    def test_hier_compaction_opens_one_span_per_leaf(
+        self, flow_files, capsys, tmp_path
+    ):
+        """Each unique leaf of the 3x3 multiplier is one compact.leaf row
+        naming the cell; a second run through the same on-disk cache
+        marks every one cached."""
+        parameter, _ = flow_files
+        leaves = ["basiccell", "type1", "phi2_1", "reg", "goboth"]
+        for cached in (False, True):
+            assert main([
+                str(parameter), "--compact", "hier",
+                "--cache-dir", str(tmp_path / "cache"), "--timings",
+            ]) == 0
+            rows = _children(_tree_rows(capsys.readouterr().out), "job.compact")
+            assert [(row[1], row[3]) for row in rows[:-1]] == [
+                ("compact.leaf", f"cell={name} cached={cached}") for name in leaves
+            ]
+            assert rows[-1][1] == "(unattributed)"
+
     def test_solver_spans_show_passes_and_relaxations(self, flow_files, capsys):
         parameter, _ = flow_files
         assert main([str(parameter), "--compact", "x", "--timings"]) == 0
@@ -859,8 +931,9 @@ class TestTimingsFlag:
     ):
         """A fresh interpreter pays the lazy imports of the service
         pipeline and of ``repro.verify`` (in-process tests already hold
-        them): the tree still lists every stage and sub-stage, and each
-        parent ends with the time none of its children covers."""
+        them): each import is a row of its own, the tree still lists
+        every stage and sub-stage, and each parent ends with the time
+        none of its children covers."""
         import subprocess
         import sys
 
@@ -873,8 +946,10 @@ class TestTimingsFlag:
         rows = _tree_rows(completed.stdout)
         assert rows[0][1] == "repro.run"
         assert _child_names(rows, "repro.run") == [
-            "job.generate", "job.verify", "job.emit", "(unattributed)",
+            "import.service", "job.generate", "job.verify", "job.emit",
+            "(unattributed)",
         ]
         assert _child_names(rows, "job.verify") == [
-            "verify.cellgraph", "verify.lvs", "verify.sim", "(unattributed)",
+            "import.verify", "verify.cellgraph", "verify.lvs", "verify.sim",
+            "(unattributed)",
         ]

@@ -1,10 +1,11 @@
 """Documentation-surface enforcement for the compaction and routing layers.
 
 ``make docs-check`` runs exactly this module.  Every public module under
-``repro.compact``, ``repro.route``, ``repro.verify``, ``repro.service``
-and ``repro.obs`` must carry a module docstring, and every public class
-and function they define must be documented — both subsystems are walked through in the
-architecture docs, so an undocumented entry point is a docs regression.
+``repro.compact``, ``repro.lang``, ``repro.route``, ``repro.verify``,
+``repro.service`` and ``repro.obs`` must carry a module docstring, and
+every public class and function they define must be documented — these
+subsystems are walked through in the architecture docs, so an
+undocumented entry point is a docs regression.
 """
 
 import importlib
@@ -14,6 +15,7 @@ import pkgutil
 import pytest
 
 import repro.compact
+import repro.lang
 import repro.obs
 import repro.route
 import repro.service
@@ -25,6 +27,7 @@ def _public_modules():
     modules = []
     for package in (
         repro.compact,
+        repro.lang,
         repro.obs,
         repro.route,
         repro.service,

@@ -232,3 +232,82 @@ class TestDirectedSameCelltype:
         table.declare("a", "a", 1, Interface(Vec2(5, 0), NORTH))
         with pytest.raises(InconsistentGraphError):
             expand_graph(node, table)
+
+
+class TestSingleVisit:
+    """Expansion evaluates each tree edge once, from the end that places
+    the other; parallel edges, self-loops and cycle edges are still
+    checked."""
+
+    @pytest.fixture
+    def ab_table(self):
+        table = InterfaceTable()
+        table.declare("a", "b", 1, Interface(Vec2(10, 0), NORTH))
+        table.declare("a", "b", 2, Interface(Vec2(12, 0), NORTH))
+        return table
+
+    @pytest.mark.parametrize("root", ["parent", "child"])
+    def test_contradicting_parallel_edge_rejected(self, ab_table, cells, root):
+        na, nb = Node(cells["a"]), Node(cells["b"])
+        na.connect(nb, 1)
+        na.connect(nb, 2)  # parallel to the tree edge and contradicting it
+        with pytest.raises(InconsistentGraphError):
+            expand_graph(na if root == "parent" else nb, ab_table)
+
+    def test_consistent_parallel_edge_accepted(self, ab_table, cells):
+        na, nb = Node(cells["a"]), Node(cells["b"])
+        na.connect(nb, 1)
+        nb.connect(na, 1)  # the same interface, loaded bilaterally
+        expand_graph(na, ab_table)
+        assert nb.instance.location == Vec2(10, 0)
+
+    @pytest.mark.parametrize(
+        "loop, consistent",
+        [(Interface(Vec2(5, 0), NORTH), False), (Interface(Vec2(0, 0), NORTH), True)],
+        ids=["translation", "identity"],
+    )
+    def test_self_loop_on_a_non_root_node(self, ab_table, cells, loop, consistent):
+        ab_table.declare("b", "b", 1, loop)
+        na, nb = Node(cells["a"]), Node(cells["b"])
+        na.connect(nb, 1)
+        nb.connect(nb, 1)
+        if consistent:
+            expand_graph(na, ab_table)
+            assert nb.instance.location == Vec2(10, 0)
+        else:
+            with pytest.raises(InconsistentGraphError):
+                expand_graph(na, ab_table)
+
+    def test_each_tree_edge_is_looked_up_once(self, cells, monkeypatch):
+        lookups = []
+        inversions = []
+
+        class Counting(InterfaceTable):
+            def lookup(self, *key):
+                lookups.append(key)
+                return super().lookup(*key)
+
+        inverse = Interface.inverse
+
+        def counting_inverse(interface):
+            inversions.append(interface)
+            return inverse(interface)
+
+        table = Counting()
+        table.declare("a", "a", 1, Interface(Vec2(6, 0), EAST))
+        monkeypatch.setattr(Interface, "inverse", counting_inverse)
+        chain = [Node(cells["a"]) for _ in range(6)]
+        for left, right in zip(chain, chain[1:]):
+            left.connect(right, 1)
+        # Rooted at the far end, every edge is walked against its
+        # direction: five lookups and one memoised inverse.
+        expand_graph(chain[-1], table)
+        assert len(lookups) == 5
+        assert len(inversions) == 1
+        # Four quarter turns close a loop, so an edge from the first
+        # node to the sixth is a consistent cycle edge: it is checked
+        # from both of its ends.
+        lookups.clear()
+        chain[0].connect(chain[-1], 1)
+        expand_graph(chain[0], table)
+        assert len(lookups) == 5 + 2

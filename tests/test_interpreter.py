@@ -294,3 +294,85 @@ class TestIO:
 
     def test_quote(self, interp):
         assert interp.run("(quote foo)") == "foo"
+
+
+class TestCompiledEvaluation:
+    """Each design text compiles once to closures; the checks a form
+    makes still run when (and only when) the form is evaluated, and the
+    cached program carries no state from one interpreter to another."""
+
+    PICK = """(defun pick (x)
+  (locals)
+  (cond ((= x 1) {form})
+        (true 0)))
+"""
+
+    @pytest.mark.parametrize(
+        "form, message",
+        [
+            ("(cond 5)", "line 3: malformed cond clause"),
+            ("(do (i 1) 5)", "line 3: do needs (var initial next exit) header"),
+            (
+                "(connect a b)",
+                "line 3: connect needs two nodes and an interface number",
+            ),
+        ],
+        ids=["cond", "do", "connect"],
+    )
+    def test_malformed_form_raises_only_when_taken(self, interp, form, message):
+        interp.run(self.PICK.format(form=form))
+        assert interp.run("(pick 0)") == 0
+        with pytest.raises(EvalError) as raised:
+            interp.run("(pick 1)")
+        assert str(raised.value) == message
+
+    def test_clause_after_the_taken_one_is_never_checked(self, interp):
+        assert interp.run("(cond (true 1) 5)") == 1
+        with pytest.raises(EvalError, match="malformed cond clause"):
+            interp.run("(cond (false 1) 5)")
+
+    def test_one_compile_serves_two_interpreters(self):
+        from repro.lang.interpreter import _compile_program
+
+        text = "(defun twice (x) (locals) (* 2 x)) (twice n)"
+        _compile_program.cache_clear()
+        results = []
+        for n in (1, 2):
+            interpreter = Interpreter()
+            interpreter.set_parameter("n", n)
+            results.append(interpreter.run(text))
+        assert results == [2, 4]
+        info = _compile_program.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_builtin_registered_after_the_compile(self):
+        text = "(triple 5)"
+        first, second = Interpreter(), Interpreter()
+        with pytest.raises(EvalError, match="unknown procedure 'triple'"):
+            first.run(text)
+        first.register_builtin("triple", lambda value: 3 * value)
+        assert first.run(text) == 15
+        with pytest.raises(EvalError, match="unknown procedure 'triple'"):
+            second.run(text)
+
+    def test_procedure_redefined_between_runs(self):
+        define = "(defun answer () (locals) {value})"
+        call = "(answer)"
+        first, second = Interpreter(), Interpreter()
+        for interpreter in (first, second):
+            interpreter.run(define.format(value=1))
+        first.run(define.format(value=2))
+        assert first.run(call) == 2
+        assert second.run(call) == 1
+        # Re-running the cached first definition rebinds it.
+        first.run(define.format(value=1))
+        assert first.run(call) == 1
+
+    def test_macro_environments_are_per_run(self):
+        text = "(macro mbox (v) (locals x) (setq x v)) (mbox n)"
+        environments = []
+        for n in (1, 2):
+            interpreter = Interpreter()
+            interpreter.set_parameter("n", n)
+            environments.append(interpreter.run(text))
+        assert [env.local("x") for env in environments] == [1, 2]
