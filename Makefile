@@ -37,14 +37,16 @@ bench:
 # flatten guard (bench_hierarchy — doubling the instance count must
 # grow flatten time < 3x), the verification guard (bench_verify —
 # doubling the stamped instances must grow hierarchical extraction
-# < 3x), and the flat-compaction guards (bench_flat_compaction — flat
-# xy compaction grows <= 6x per 4x-box size step with the collector
-# paused and with it on, one rubber-band pass peaks < 200 MB RSS; the
-# 32x32-with-collector < 0.5 s and small-cell leaf-row bounds run via
-# `make bench`), and the packed multiplier check
-# (bench_multiplier_correctness — all 65 536 8x8 operand pairs in
-# under 1 s), and the lane-parallel switch-level simulation
-# (bench_verify pla_sim_exhaustive_12in — all 4 096 vectors of a
+# < 3x, and doubling a PLA's product terms must grow the whole flat
+# extract_netlist < 3x: verify_extract_flat[_2x_terms] at n = 4 here,
+# n = 8 via `make bench`), and the flat-compaction guards
+# (bench_flat_compaction — flat xy compaction grows <= 6x per 4x-box
+# size step with the collector paused and with it on, one rubber-band
+# pass peaks < 200 MB RSS; the 32x32-with-collector < 0.5 s and
+# small-cell leaf-row bounds run via `make bench`), and the packed
+# multiplier check (bench_multiplier_correctness — all 65 536 8x8
+# operand pairs in under 1 s), and the lane-parallel switch-level
+# simulation (bench_verify pla_sim_exhaustive_12in — all 4 096 vectors of a
 # 12-input PLA in under 1 s; pla_sim_exhaustive_8in's >= 20x over the
 # per-vector oracle runs via `make bench`), and the service hand-off
 # guard (bench_service service_roundtrip — the median fresh tiny job

@@ -20,6 +20,13 @@ should pay per *distinct tile*, not per instance.
   instance count (twice the product terms) must grow hierarchical
   extraction < 3x: the tile set is unchanged, so only stamping and
   stitching may grow.
+* **flat scaling guard** (runs in smoke mode, fails CI) — the same
+  doubling for the whole flat :func:`~repro.verify.extract.extract_netlist`
+  (flatten, mask walk, resolution) on ``plane_table(n, n, n)`` and
+  ``plane_table(n, 2n, n)`` (rows ``verify_extract_flat`` and
+  ``verify_extract_flat_2x_terms``, both at n; n = 4 in smoke mode, 8
+  otherwise) must stay < 3x: twice the terms is about twice the sweep
+  nodes, so only linear growth fits.
 * **cached re-verification** — a second hierarchical run against a
   warm :class:`~repro.compact.CompactionCache` re-uses every tile
   extraction (row ``verify_hier_cached``); asserted to hit the cache,
@@ -182,6 +189,30 @@ def test_hier_scaling_guard(report, record):
     )
     assert ratio < SCALING_LIMIT, (
         f"hierarchical extraction grew {ratio:.2f}x on doubled instances"
+    )
+
+
+def test_flat_scaling_guard(report, record):
+    """Doubling the product terms must grow flat extraction < 3x."""
+    n = 4 if SMOKE else 8
+    small = build(n, terms=n)
+    large = build(n, terms=2 * n)
+
+    def measure(cell):
+        return best_time(lambda: extract_netlist(cell))
+
+    ratio, t_small, t_large = doubling_ratio(measure, small, large, SCALING_LIMIT)
+    # keyed by n in both rows: smoke mode's 4 x 8 x 4 PLA must not
+    # overwrite the full run's 8 x 8 x 8 one
+    record("verify_extract_flat", n, t_small)
+    record("verify_extract_flat_2x_terms", n, t_large)
+    report(
+        "E-VERIFY: flat extraction term-doubling scaling guard",
+        f"  {n} terms -> {2 * n} terms: {t_small * 1000:.2f} ms ->"
+        f" {t_large * 1000:.2f} ms ({ratio:.2f}x, limit {SCALING_LIMIT}x)",
+    )
+    assert ratio < SCALING_LIMIT, (
+        f"flat extraction grew {ratio:.2f}x on doubled product terms"
     )
 
 

@@ -163,13 +163,12 @@ def expand_graph(
     covers exactly those nodes, raising
     :class:`DisconnectedGraphError` otherwise.
 
-    Returns the list of nodes in traversal order.
+    Returns the list of nodes in traversal order.  Nodes placed by an
+    earlier expansion are re-placed: the visited set is this
+    expansion's own, so no pass first clears old placements.
     """
-    for node in collect_graph(root):
-        node.instance.location = None
-        node.instance.orientation = None
-
     root.instance.place(root_location, root_orientation)
+    placed = {id(root)}
     inverses: Dict[int, Interface] = {}
     order = [root]
     # (node, the tree edge it was placed across)
@@ -181,7 +180,7 @@ def expand_graph(
                 continue
             neighbor = edge.other(node)
             location, orientation = _placement_across(edge, node, table, inverses)
-            if neighbor.is_placed:
+            if id(neighbor) in placed:
                 if (
                     neighbor.instance.location != location
                     or neighbor.instance.orientation != orientation
@@ -194,12 +193,12 @@ def expand_graph(
                     )
                 continue
             neighbor.instance.place(location, orientation)
+            placed.add(id(neighbor))
             order.append(neighbor)
             queue.append((neighbor, edge))
 
     if expected_nodes is not None:
-        reachable = {id(node) for node in order}
-        missing = [node for node in expected_nodes if id(node) not in reachable]
+        missing = [node for node in expected_nodes if id(node) not in placed]
         if missing:
             raise DisconnectedGraphError(
                 f"{len(missing)} node(s) unreachable from the root,"

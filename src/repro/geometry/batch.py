@@ -68,8 +68,8 @@ class BoxArray:
 
     The batch kernel's unit of exchange: geometry crosses from objects
     to arrays exactly once per pass (:func:`boxes_to_arrays`) and back
-    exactly once (:func:`boxes_from_arrays`); everything in between is
-    column arithmetic.
+    at most once (:func:`boxes_from_arrays`, for geometry a caller
+    keeps); everything in between is column arithmetic.
     """
 
     __slots__ = ("xmin", "ymin", "xmax", "ymax")

@@ -51,6 +51,7 @@ _SHOWN_ATTRIBUTES = (
     "variables",
     "constraints",
     "boxes",
+    "nodes",
     "rounds",
     "retries",
     "state",

@@ -371,18 +371,22 @@ def verify_multiplier(
     hierarchy walk feeds both the read-back and the cell graph; a mask
     that lands on no host cell, or on several, fails the read-back.
     """
-    from ..multiplier.baughwooley import build_baugh_wooley, cell_type_grid
-    from ..multiplier.generator import intended_multiplier_netlist
-    from .cellgraph import (
-        cell_graph_netlist,
-        collect_occurrences,
-        multiplier_personality,
-    )
+    # The first call pays these imports: a span of its own keeps them
+    # out of the stage's unattributed time.
+    with obs_trace.span("import.multiplier"):
+        from ..multiplier.baughwooley import build_baugh_wooley, cell_type_grid
+        from ..multiplier.generator import intended_multiplier_netlist
+        from .cellgraph import (
+            cell_graph_netlist,
+            collect_occurrences,
+            multiplier_personality,
+        )
 
     report = VerificationReport(f"{cell.name} (multiplier)", mode)
-    with obs_trace.span("verify.cellgraph") as cellgraph_span:
+    with obs_trace.span("verify.collect"):
         occurrences, strays = collect_occurrences(cell)
-        report.failures += [f"personality read-back: {stray}" for stray in strays]
+    report.failures += [f"personality read-back: {stray}" for stray in strays]
+    with obs_trace.span("verify.cellgraph") as cellgraph_span:
         try:
             xsize, ysize, grid, cpa = multiplier_personality(occurrences)
         except ValueError as error:

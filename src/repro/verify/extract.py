@@ -23,6 +23,12 @@ extractor derives
   edge-adjacent to it, and an implant overlapping the channel marks a
   depletion load (gate dropped, per the netlist convention).
 
+The sweep's nodes (one per merged run per slab) stay int64 columns
+(:class:`_SweepNodes`) from the walk to the netlist: every node's root
+is one array computation, devices come from a loop over channel nodes
+only, and ports attach in one array pass.  ``Box`` objects are built
+only for a caller that asks for the run geometry (``geometry=``).
+
 Port and label names attach to the net whose conductor geometry
 contains their position; names ending in ``!`` merge globally so
 physically disjoint rails become one electrical node.
@@ -39,6 +45,7 @@ from ..compact.rules import TECH_A, DesignRules
 from ..core.cell import CellDefinition
 from ..geometry import Box, Transform, batch
 from ..geometry.sweep import Interval, slab_decompose, subtract_intervals
+from ..obs import trace as obs_trace
 from .netlist import SwitchNetlist
 
 __all__ = ["ExtractionError", "extract_netlist", "extract_layers", "CONDUCTOR_LAYERS"]
@@ -68,7 +75,11 @@ def _intersect_runs(a: Sequence[Interval], b: Sequence[Interval]) -> List[Interv
 
 
 class _UnionFind:
-    """Path-halving disjoint sets, grown on demand."""
+    """Path-halving disjoint sets, grown on demand.
+
+    The batch sweep hands one over with ``parent`` already flat (every
+    entry a root), so the cut-link unions replayed on it stay short.
+    """
 
     def __init__(self) -> None:
         self.parent: List[int] = []
@@ -113,6 +124,56 @@ def _overlapping(a: Interval, b: Interval) -> bool:
     return min(a[1], b[1]) > max(a[0], b[0])
 
 
+#: node-creation order of the conductor kinds within one slab; a node's
+#: kind code is its index here
+_SWEEP_KINDS = ("poly", "metal1", "diff", "channel")
+_KIND_CODE = {kind: code for code, kind in enumerate(_SWEEP_KINDS)}
+_CHANNEL = _KIND_CODE["channel"]
+
+
+class _SweepNodes:
+    """The sweep's nodes as int64 columns, in node order.
+
+    Node ``i`` is the run ``[x0[i], x1[i]] x [y0[i], y1[i]]`` of kind
+    ``_SWEEP_KINDS[kind[i]]``.  Node ids follow creation order: slab,
+    then kind (in ``_SWEEP_KINDS`` order), then x.  Within one slab and
+    kind the runs are sorted by x and never touch: merged runs coalesce
+    touching ones, and a subtraction leaves a positive-length gap.
+    """
+
+    __slots__ = ("kind", "x0", "y0", "x1", "y1")
+
+    def __init__(self, kind, x0, y0, x1, y1) -> None:
+        self.kind = kind
+        self.x0 = x0
+        self.y0 = y0
+        self.x1 = x1
+        self.y1 = y1
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Tuple[int, int, int, int, int]]) -> "_SweepNodes":
+        """Columns from ``(kind, x0, y0, x1, y1)`` rows in node order."""
+        table = np.array(rows, dtype=np.int64).reshape(-1, 5)
+        return cls(*(table[:, column].copy() for column in range(5)))
+
+    def __len__(self) -> int:
+        return int(self.kind.shape[0])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _SweepNodes):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, column), getattr(other, column))
+            for column in self.__slots__
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def boxes(self) -> List[Box]:
+        """One ``Box`` per node, in node order."""
+        return batch.boxes_from_arrays(self.x0, self.y0, self.x1, self.y1)
+
+
 class _RunGraph:
     """Per-slab conductor/channel runs stitched into components.
 
@@ -120,14 +181,14 @@ class _RunGraph:
     the same kind union when they share an edge of positive length
     (within a slab that merge already happened — runs are disjoint —
     so only the slab boundary stitch remains).  The graph also keeps,
-    per node, the run's rectangle so later passes (ports, cuts,
-    adjacency) can query geometry.
+    per node, a ``(kind code, x0, y0, x1, y1)`` row, which
+    :meth:`nodes` turns into :class:`_SweepNodes` columns.
     """
 
     def __init__(self) -> None:
         self.sets = _UnionFind()
-        #: node id -> (kind, Box)
-        self.boxes: List[Tuple[str, Box]] = []
+        #: node id -> (kind code, x0, y0, x1, y1)
+        self.rows: List[Tuple[int, int, int, int, int]] = []
         #: kind -> runs of the previous slab: list of (interval, node)
         self._previous: Dict[str, List[Tuple[Interval, int]]] = {}
         self._previous_top: Optional[int] = None
@@ -144,9 +205,10 @@ class _RunGraph:
         entries: List[Tuple[Interval, int]] = []
         previous = self._previous.get(kind, ())
         adjacent = self._previous_top == self._y0
+        code = _KIND_CODE[kind]
         for run in runs:
             node = self.sets.make()
-            self.boxes.append((kind, Box(run[0], self._y0, run[1], self._y1)))
+            self.rows.append((code, run[0], self._y0, run[1], self._y1))
             if adjacent:
                 for other_run, other_node in previous:
                     if _overlapping(run, other_run):
@@ -165,20 +227,54 @@ class _RunGraph:
         self._previous = self._current
         self._previous_top = self._y1
 
+    def nodes(self) -> _SweepNodes:
+        """Every node placed so far, as columns."""
+        return _SweepNodes.from_rows(self.rows)
 
-#: node-creation order of the conductor kinds within one slab
-_SWEEP_KINDS = ("poly", "metal1", "diff", "channel")
 
 #: what one sweep pass hands to the netlist-resolution phase:
-#: (union-find, node boxes, gate_of, terminals_of, depletion, cut_links)
+#: (union-find, node columns, gate_of, terminals_of, depletion, cut_links)
 _SweepResult = Tuple[
     _UnionFind,
-    List[Tuple[str, Box]],
+    _SweepNodes,
     Dict[int, Set[int]],
     Dict[int, Set[int]],
     Set[int],
     List[List[int]],
 ]
+
+
+def _jump(parent):
+    """Pointer-jump a parent array until every entry is its root."""
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return parent
+        parent = grand
+
+
+def _largest_node_roots(total: int, a, b):
+    """Every node's root under the unions ``(a[i], b[i])``, as an array.
+
+    The root of a component is its largest node id: what
+    :class:`_UnionFind` ends with when the unions are applied in
+    ascending ``(new, previous)`` order and each new node is still a
+    singleton when first met, as the slab stitch guarantees.  Computed
+    by hooking every root onto the largest root across its edges and
+    pointer jumping to stars, until no edge spans two trees (Shiloach
+    and Vishkin, J. Algorithms 3(1), 1982).  Pointers only ever grow,
+    so no cycle can form, and the star left with the largest id never
+    hooks.
+    """
+    parent = np.arange(total, dtype=np.int64)
+    while a.size:
+        root_a, root_b = parent[a], parent[b]
+        np.maximum.at(parent, root_a, root_b)
+        np.maximum.at(parent, root_b, root_a)
+        parent = _jump(parent)
+        split = parent[a] != parent[b]
+        a, b = a[split], b[split]
+    return parent
 
 
 def _sweep_reference(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
@@ -260,7 +356,7 @@ def _sweep_reference(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
         graph.end_slab()
 
     return (
-        graph.sets, graph.boxes, gate_of, terminals_of, depletion, cut_links
+        graph.sets, graph.nodes(), gate_of, terminals_of, depletion, cut_links
     )
 
 
@@ -273,25 +369,30 @@ def _sweep_batch(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
     per-slab interval scan of :func:`_sweep_reference` (slab stitching,
     gates, depletion, terminals, cut links) becomes a keyed
     ``searchsorted`` pair query.  Node ids are assigned in exactly the
-    interpreted order — (slab, kind, x) — and stitch unions are applied
-    in exactly the interpreted sequence, so the resulting union-find
-    roots (and hence downstream net numbering) are *identical*, not
-    merely isomorphic.
+    interpreted order — (slab, kind, x) — and the nodes stay columns.
+    The stitch roots come from one array computation
+    (:func:`_largest_node_roots`) equal to the interpreted union
+    sequence's, handed over as an already-flat union-find, so the roots
+    (and hence downstream net numbering) are *identical*, not merely
+    isomorphic.
     """
     sets = _UnionFind()
-    boxes: List[Tuple[str, Box]] = []
     gate_of: Dict[int, Set[int]] = {}
     terminals_of: Dict[int, Set[int]] = {}
     depletion: Set[int] = set()
     cut_links: List[List[int]] = []
-    result = (sets, boxes, gate_of, terminals_of, depletion, cut_links)
+    empty = np.empty(0, dtype=np.int64)
+    nothing = (
+        sets, _SweepNodes(empty, empty, empty, empty, empty),
+        gate_of, terminals_of, depletion, cut_links,
+    )
 
     arrays = {
         name: batch.boxes_to_arrays(value) for name, value in sweep_input.items()
     }
     ys = batch.slab_grid(arrays.values())
     if ys.size < 2:
-        return result
+        return nothing
     poly = batch.merged_slab_runs(ys, arrays["poly"])
     metal = batch.merged_slab_runs(ys, arrays["metal1"])
     diff = batch.merged_slab_runs(ys, arrays["diff"])
@@ -304,7 +405,7 @@ def _sweep_batch(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
     sizes = [int(runs[0].size) for runs in kinds]
     total = sum(sizes)
     if total == 0:
-        return result
+        return nothing
     slab_all = np.concatenate([runs[0] for runs in kinds])
     x0_all = np.concatenate([runs[1] for runs in kinds])
     x1_all = np.concatenate([runs[2] for runs in kinds])
@@ -318,18 +419,16 @@ def _sweep_batch(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
         node_of[offsets[index]: offsets[index] + sizes[index]]
         for index in range(4)
     ]
-    sets.parent = list(range(total))
     slab_sorted = slab_all[order]
-    for kind_rank, box in zip(
-        rank_all[order].tolist(),
-        batch.boxes_from_arrays(
-            x0_all[order], ys[slab_sorted], x1_all[order], ys[slab_sorted + 1]
-        ),
-    ):
-        boxes.append((_SWEEP_KINDS[kind_rank], box))
+    nodes = _SweepNodes(
+        rank_all[order], x0_all[order], ys[slab_sorted], x1_all[order],
+        ys[slab_sorted + 1],
+    )
+    result = (sets, nodes, gate_of, terminals_of, depletion, cut_links)
 
-    # Same-kind stitches across adjacent slabs, in interpreted union
-    # order: ascending (new node, previous node).
+    # Same-kind stitches across adjacent slabs.  Applied in ascending
+    # (new node, previous node) order they leave each component rooted
+    # at its largest node, which is what the array computation gives.
     stitch_cur: List[Any] = []
     stitch_prev: List[Any] = []
     for index in range(4):
@@ -341,12 +440,12 @@ def _sweep_batch(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
             stitch_cur.append(nid[index][cur_rows])
             stitch_prev.append(nid[index][prev_rows])
     if stitch_cur:
-        cur = np.concatenate(stitch_cur)
-        prev = np.concatenate(stitch_prev)
-        sequence = np.lexsort((prev, cur))
-        union = sets.union
-        for node, other in zip(cur[sequence].tolist(), prev[sequence].tolist()):
-            union(node, other)
+        roots = _largest_node_roots(
+            total, np.concatenate(stitch_cur), np.concatenate(stitch_prev)
+        )
+        sets.parent = roots.tolist()
+    else:
+        sets.parent = list(range(total))
 
     chan_nid, diff_nid, poly_nid, metal_nid = nid[3], nid[2], nid[0], nid[1]
     # Gates: poly runs positively overlapping a channel, same slab.
@@ -406,57 +505,126 @@ def _sweep_batch(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
     return result
 
 
-def extract_netlist(
-    cell: CellDefinition,
-    rules: Optional[DesignRules] = None,
-    layers: Optional[Dict[str, List[Box]]] = None,
-    ports: Optional[Sequence] = None,
-    geometry: Optional[List[Tuple[str, Box, int]]] = None,
-    finalise: bool = True,
-) -> SwitchNetlist:
-    """Extract the transistor netlist of a placed cell from its masks.
+_NO_NODES: frozenset = frozenset()
 
-    Returns a :class:`~repro.verify.netlist.SwitchNetlist` whose nets
-    carry every hierarchical port name that landed on them, with rails
-    classified from ``vdd``/``gnd`` names and global (``!``) names
-    merged.  ``layers``/``ports`` override the flatten step (the
-    hierarchical extractor passes pre-translated tiles).
 
-    When ``geometry`` is a list, every conductor run is appended to it
-    as ``(layer, box, net)`` — channels as ``("channel", box, -1)`` —
-    and with ``finalise=False`` the global-name merge, rail
-    classification and floating-net prune are skipped so the recorded
-    net ids stay valid; the hierarchical extractor relies on both to
-    stitch tiles.
+def _conductor_order(nodes: _SweepNodes, roots):
+    """Conductor node ids, and the order key of each one.
+
+    Conductors order by their component's first node, then by node id:
+    the order in which nets materialise for ``geometry=`` and in which
+    port candidates are tried.  The key is ``first * len(nodes) + id``.
     """
-    if layers is None:
-        layers = extract_layers(cell, rules)
-    if ports is None:
-        ports = list(cell.flatten_ports(Transform())) if cell is not None else []
+    conductor = np.flatnonzero(nodes.kind != _CHANNEL)
+    component = roots[conductor]
+    total = len(nodes)
+    first = np.full(total, total, dtype=np.int64)
+    np.minimum.at(first, component, conductor)
+    return conductor, first[component] * total + conductor
 
-    sweep_input: Dict[str, List[Box]] = {
-        name: list(layers.get(name, ())) for name in CONDUCTOR_LAYERS
-    }
-    sweep_input["cut"] = list(layers.get("cut", ()))
-    sweep_input["implant"] = list(layers.get("implant", ()))
 
-    sets, boxes, gate_of, terminals_of, depletion, cut_links = _sweep_batch(
-        sweep_input
-    )
+def _port_nodes(nodes: _SweepNodes, conductor, order, ports: Sequence) -> List[int]:
+    """The conductor node each port lands on, or -1, per port.
 
-    for linked in cut_links:
-        for node in linked[1:]:
-            sets.union(linked[0], node)
+    A port lands on the first conductor run whose closed rectangle
+    contains its position, on its own layer; a port without a layer
+    may land on any conductor layer, and ``cut``, ``implant`` or any
+    other layer names nothing.  "First" follows ``order`` (see
+    :func:`_conductor_order`); for a port without a layer the layers
+    themselves come first, in order of their first appearance in
+    ``order``.
 
-    # ------------------------------------------------------------------
-    # Resolve components into nets and devices.
-    # ------------------------------------------------------------------
+    One array pass: a run can contain the port only in the slab whose
+    bottom is the highest at or below it, or in the slab before (when
+    the port sits on their shared line), and within one slab and kind
+    the runs are sorted by x and never touch, so one ``searchsorted``
+    probe per slab and kind finds the only run that can.
+    """
+    found = [-1] * len(ports)
+    if not ports or conductor.size == 0:
+        return found
+    kind = nodes.kind[conductor]
+    x0, x1 = nodes.x0[conductor], nodes.x1[conductor]
+    y0, y1 = nodes.y0[conductor], nodes.y1[conductor]
+    groups = _CHANNEL  # the conductor kinds are the codes below it
+    appearance = np.full(groups, order.max() + 1)
+    np.minimum.at(appearance, kind, order)
+    layer_rank = np.argsort(np.argsort(appearance, kind="stable"), kind="stable")
+    # Probe keys, ascending in node order: the (slab, kind) group, then
+    # the rank of x0 among all the x0s.
+    slab_ys = batch.unique_sorted(y0)
+    xs = batch.unique_sorted(x0)
+    group = np.searchsorted(slab_ys, y0) * groups + kind
+    keys = group * xs.size + np.searchsorted(xs, x0)
+
+    query_port: List[int] = []
+    query_kind: List[int] = []
+    for index, port in enumerate(ports):
+        if not port.layer:
+            query_port += [index] * groups
+            query_kind += range(groups)
+        elif port.layer in CONDUCTOR_LAYERS:
+            query_port.append(index)
+            query_kind.append(_KIND_CODE[port.layer])
+    if not query_port:
+        return found
+    query = np.array(query_port, dtype=np.int64)
+    wanted = np.array(query_kind, dtype=np.int64)
+    px = np.array([ports[index].position.x for index in query_port], dtype=np.int64)
+    py = np.array([ports[index].position.y for index in query_port], dtype=np.int64)
+    slab = np.searchsorted(slab_ys, py, side="right") - 1
+    x_rank = np.searchsorted(xs, px, side="right") - 1
+    hit_port: List[Any] = []
+    hit_row: List[Any] = []
+    for slab_step in (0, 1):
+        # The last row at or before the probe key: in the probed group,
+        # the run starting nearest left of the port.
+        probe_group = (slab - slab_step) * groups + wanted
+        row = np.searchsorted(keys, probe_group * xs.size + x_rank, side="right") - 1
+        valid = (slab >= slab_step) & (x_rank >= 0) & (row >= 0)
+        row = np.where(valid, row, 0)
+        valid &= (group[row] == probe_group) & (x1[row] >= px) & (y1[row] >= py)
+        hit_port.append(query[valid])
+        hit_row.append(row[valid])
+    port_of = np.concatenate(hit_port)
+    if port_of.size == 0:
+        return found
+    row_of = np.concatenate(hit_row)
+    layerless = np.array([not port.layer for port in ports])
+    rank = np.where(layerless[port_of], layer_rank[kind[row_of]], 0)
+    best = np.lexsort((order[row_of], rank, port_of))
+    leading = np.empty(best.size, dtype=bool)
+    leading[0] = True
+    np.not_equal(port_of[best][1:], port_of[best][:-1], out=leading[1:])
+    chosen = best[leading]
+    for index, node in zip(
+        port_of[chosen].tolist(), conductor[row_of[chosen]].tolist()
+    ):
+        found[index] = node
+    return found
+
+
+def _resolve(
+    nodes: _SweepNodes,
+    roots,
+    gate_of: Dict[int, Set[int]],
+    terminals_of: Dict[int, Set[int]],
+    depletion: Set[int],
+    ports: Sequence,
+    geometry: Optional[List[Tuple[str, Box, int]]],
+) -> SwitchNetlist:
+    """Devices, nets and port names from the swept nodes and their roots.
+
+    Devices come from one loop over the channel nodes, in order of
+    their component roots; a conductor component gets a net only when a
+    device terminal, a port or ``geometry`` asks for it, in that order.
+    """
     netlist = SwitchNetlist()
     net_of_component: Dict[int, int] = {}
-    kind_of: List[str] = [kind for kind, _ in boxes]
+    root_of: List[int] = roots.tolist()
 
     def net_for(node: int) -> int:
-        root = sets.find(node)
+        root = root_of[node]
         net = net_of_component.get(root)
         if net is None:
             net = netlist.add_net()
@@ -464,18 +632,14 @@ def extract_netlist(
         return net
 
     # Channel components -> devices (deduplicated by component root).
+    channels = np.flatnonzero(nodes.kind == _CHANNEL).tolist()
     seen_channels: Dict[int, Tuple[Set[int], Set[int], bool]] = {}
-    for node in range(len(boxes)):
-        if kind_of[node] != "channel":
-            continue
-        root = sets.find(node)
-        gates, terminals, isdep = seen_channels.setdefault(
-            root, (set(), set(), False)
-        )
-        gates |= gate_of.get(node, set())
-        terminals |= terminals_of.get(node, set())
-        isdep = isdep or node in depletion
-        seen_channels[root] = (gates, terminals, isdep)
+    for node in channels:
+        root = root_of[node]
+        gates, terminals, isdep = seen_channels.get(root) or (set(), set(), False)
+        gates |= gate_of.get(node, _NO_NODES)
+        terminals |= terminals_of.get(node, _NO_NODES)
+        seen_channels[root] = (gates, terminals, isdep or node in depletion)
 
     for root in sorted(seen_channels):
         gates, terminals, isdep = seen_channels[root]
@@ -500,42 +664,81 @@ def extract_netlist(
                 )
             netlist.add_transistor(gate_nets[0], *terminal_nets)
 
-    # Materialise nets for conductor components that carry no device so
-    # port attachment below can still name them.
-    component_boxes: Dict[int, List[Tuple[str, Box]]] = {}
-    for node, (kind, box) in enumerate(boxes):
-        if kind == "channel":
-            if geometry is not None:
-                geometry.append(("channel", box, -1))
-            continue
-        component_boxes.setdefault(sets.find(node), []).append((kind, box))
+    conductor, order = _conductor_order(nodes, roots)
     if geometry is not None:
-        for root, boxes in component_boxes.items():
-            net = net_for(root)
-            for kind, box in boxes:
-                geometry.append((kind, box, net))
+        # Channels first, then every conductor run in conductor order;
+        # each component gets its net here, so recorded net ids cover
+        # every run.
+        boxes = nodes.boxes()
+        geometry.extend(("channel", boxes[node], -1) for node in channels)
+        kinds = nodes.kind.tolist()
+        for node in conductor[np.argsort(order)].tolist():
+            geometry.append((_SWEEP_KINDS[kinds[node]], boxes[node], net_for(node)))
 
-    # Attach port names by position; boxes are indexed per layer so a
-    # port only scans conductors it could legally land on.
-    boxes_by_layer: Dict[str, List[Tuple[Box, int]]] = {}
-    for root, boxes in component_boxes.items():
-        for kind, box in boxes:
-            boxes_by_layer.setdefault(kind, []).append((box, root))
-    for port in ports:
-        x, y = port.position.x, port.position.y
-        if port.layer:
-            candidates = boxes_by_layer.get(port.layer, ())
-        else:
-            candidates = [
-                item for boxes in boxes_by_layer.values() for item in boxes
-            ]
-        for box, root in candidates:
-            if box.xmin <= x <= box.xmax and box.ymin <= y <= box.ymax:
-                netlist.name_net(net_for(root), port.name, (x, y))
-                break
+    for port, node in zip(ports, _port_nodes(nodes, conductor, order, ports)):
+        if node >= 0:
+            position = port.position
+            netlist.name_net(net_for(node), port.name, (position.x, position.y))
+    return netlist
 
-    if finalise:
-        netlist.merge_global_names()
-        netlist.classify_rails()
-        netlist.prune_floating()
+
+def extract_netlist(
+    cell: CellDefinition,
+    rules: Optional[DesignRules] = None,
+    layers: Optional[Dict[str, List[Box]]] = None,
+    ports: Optional[Sequence] = None,
+    geometry: Optional[List[Tuple[str, Box, int]]] = None,
+    finalise: bool = True,
+) -> SwitchNetlist:
+    """Extract the transistor netlist of a placed cell from its masks.
+
+    Returns a :class:`~repro.verify.netlist.SwitchNetlist` whose nets
+    carry every hierarchical port name that landed on them, with rails
+    classified from ``vdd``/``gnd`` names and global (``!``) names
+    merged.  ``layers``/``ports`` override the flatten step (the
+    hierarchical extractor passes pre-translated tiles).
+
+    When ``geometry`` is a list, every conductor run is appended to it
+    as ``(layer, box, net)`` — channels as ``("channel", box, -1)`` —
+    and with ``finalise=False`` the global-name merge, rail
+    classification and floating-net prune are skipped so the recorded
+    net ids stay valid; the hierarchical extractor relies on both to
+    stitch tiles.
+
+    Three spans split the work: ``extract.flatten`` (masks and ports
+    out of the hierarchy, when not passed in), ``extract.sweep`` (the
+    slab walk and every node's root) and ``extract.resolve`` (devices,
+    nets and port names).
+    """
+    if layers is None or ports is None:
+        with obs_trace.span("extract.flatten"):
+            if layers is None:
+                layers = extract_layers(cell, rules)
+            if ports is None:
+                ports = list(cell.flatten_ports(Transform())) if cell is not None else []
+
+    sweep_input: Dict[str, List[Box]] = {
+        name: list(layers.get(name, ())) for name in CONDUCTOR_LAYERS
+    }
+    sweep_input["cut"] = list(layers.get("cut", ()))
+    sweep_input["implant"] = list(layers.get("implant", ()))
+
+    with obs_trace.span("extract.sweep") as sweep_span:
+        sets, nodes, gate_of, terminals_of, depletion, cut_links = _sweep_batch(
+            sweep_input
+        )
+        for linked in cut_links:
+            for node in linked[1:]:
+                sets.union(linked[0], node)
+        roots = _jump(np.array(sets.parent, dtype=np.int64))
+        sweep_span.set(nodes=len(nodes))
+
+    with obs_trace.span("extract.resolve", ports=len(ports)):
+        netlist = _resolve(
+            nodes, roots, gate_of, terminals_of, depletion, ports, geometry
+        )
+        if finalise:
+            netlist.merge_global_names()
+            netlist.classify_rails()
+            netlist.prune_floating()
     return netlist

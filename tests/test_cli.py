@@ -744,6 +744,7 @@ class TestTimingsFlag:
         ]
         assert parents == [
             "repro.run", "job.generate", "lang.eval", "job.compact", "job.verify",
+            "verify.extract",
         ]
         for name in parents:
             names = _child_names(rows, name)
@@ -776,10 +777,10 @@ class TestTimingsFlag:
         assert main([str(parameter), "--verify", "all", "--timings"]) == 0
         rows = _children(_tree_rows(capsys.readouterr().out), "job.verify")
         assert [row[1] for row in rows] == [
-            "import.verify", "verify.cellgraph", "verify.lvs", "verify.sim",
-            "(unattributed)",
+            "import.verify", "import.multiplier", "verify.collect",
+            "verify.cellgraph", "verify.lvs", "verify.sim", "(unattributed)",
         ]
-        assert re.fullmatch(r"rounds=\d+", rows[2][3]), rows[2]
+        assert re.fullmatch(r"rounds=\d+", rows[4][3]), rows[4]
 
     def test_compact_breakdown_rides_along_when_compacting(self, flow_files, capsys):
         parameter, _ = flow_files
@@ -950,6 +951,6 @@ class TestTimingsFlag:
             "(unattributed)",
         ]
         assert _child_names(rows, "job.verify") == [
-            "import.verify", "verify.cellgraph", "verify.lvs", "verify.sim",
-            "(unattributed)",
+            "import.verify", "import.multiplier", "verify.collect",
+            "verify.cellgraph", "verify.lvs", "verify.sim", "(unattributed)",
         ]

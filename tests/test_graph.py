@@ -81,6 +81,42 @@ class TestExpansion:
         expand_graph(nb, table)  # second expansion from the other root
         assert nb.instance.location == Vec2(0, 0)
 
+    @pytest.mark.parametrize("orientation", [NORTH, EAST, SOUTH])
+    def test_reexpansion_matches_a_fresh_expansion(self, cells, orientation):
+        """Re-expanding a placed graph (with a cycle edge, so the stale
+        placements would be checked if they counted as visited) from
+        another root placement gives what a fresh graph gives."""
+        table = InterfaceTable()
+        table.declare("a", "b", 1, Interface(Vec2(10, 0), NORTH))
+        table.declare("b", "c", 1, Interface(Vec2(0, 10), EAST))
+        table.declare("a", "c", 1, Interface(Vec2(10, 10), EAST))
+
+        def graph():
+            na, nb, nc = (Node(cells[n]) for n in "abc")
+            na.connect(nb, 1)
+            nb.connect(nc, 1)
+            na.connect(nc, 1)
+            return na, nb, nc
+
+        def placements(order):
+            return [
+                (n.celltype, n.instance.location, n.instance.orientation)
+                for n in order
+            ]
+
+        placed = graph()
+        expand_graph(placed[0], table)
+        again = expand_graph(
+            placed[1], table, root_location=Vec2(7, -3), root_orientation=orientation,
+            expected_nodes=list(placed),
+        )
+        fresh = graph()
+        once = expand_graph(
+            fresh[1], table, root_location=Vec2(7, -3), root_orientation=orientation,
+        )
+        assert placements(again) == placements(once)
+        assert placements(placed) == placements(fresh)
+
 
 class TestEquivalenceClasses:
     """Section 3.4: one graph = one layout *modulo an affine isometry*."""

@@ -287,6 +287,12 @@ class TestRendering:
     def test_render_empty(self):
         assert render_trace([]) == "(empty trace)"
 
+    def test_render_shows_the_sweep_node_count(self):
+        sweep = Span(
+            name="extract.sweep", trace_id="t", attributes={"nodes": 5478}
+        )
+        assert render_trace([sweep]).splitlines()[1].endswith("  [nodes=5478]")
+
 
 def _timed(name, start_ms, duration_ms, parent=None):
     """A hand-built finished span; its name doubles as its id."""
