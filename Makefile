@@ -37,9 +37,13 @@ bench:
 # flatten guard (bench_hierarchy — doubling the instance count must
 # grow flatten time < 3x), the verification guard (bench_verify —
 # doubling the stamped instances must grow hierarchical extraction
-# < 3x, and doubling a PLA's product terms must grow the whole flat
-# extract_netlist < 3x: verify_extract_flat[_2x_terms] at n = 4 here,
-# n = 8 via `make bench`), and the flat-compaction guards
+# < 3x: verify_hier_scale[_2x_terms], and doubling a PLA's product
+# terms must grow the whole flat extract_netlist < 3x:
+# verify_extract_flat[_2x_terms]; both at n = 4 here, n = 8 via
+# `make bench`), the flow ladder (bench_flow flow_mult_xy_* — each
+# stage of a --compact xy job, job.generate, compact.flatten,
+# job.compact and job.emit, grows <= 5x per 4x-cell step: 8 -> 16
+# here, 16 -> 32 via `make bench`), and the flat-compaction guards
 # (bench_flat_compaction — flat xy compaction grows <= 6x per 4x-box
 # size step with the collector paused and with it on, one rubber-band
 # pass peaks < 200 MB RSS; the 32x32-with-collector < 0.5 s and

@@ -102,7 +102,7 @@ def test_cached_regeneration(benchmark, report, record):
 def _impl_flatten_memo_vs_reference(report, record):
     n = 16 if SMOKE else 32
     array = tiled_array(n, boxes=20, pitch=240)
-    list(array.flatten())  # warm the child memos: the steady pipeline state
+    list(array.flatten())  # warm the memos: the steady pipeline state
 
     def run_memo():
         return sum(1 for _ in array.flatten())
@@ -121,10 +121,10 @@ def _impl_flatten_memo_vs_reference(report, record):
         f" memo {memo_s * 1000:8.1f} ms,"
         f" reference {reference_s * 1000:8.1f} ms  ({ratio:.1f}x)"
     )
-    # Informational row, no ratio guard: the root streams instead of
-    # memoizing (bounded memory beats repeat-call speed), so the
-    # constant-factor gap here is translate-vs-compose only.  The
-    # enforced flatten property is the scaling guard below.
+    # Informational row, no ratio guard: with the memos warm the memo
+    # side only decodes the root's columns into boxes, so the gap is
+    # decode-vs-compose.  The enforced flatten property is the scaling
+    # guard below.
     assert ratio > 0
 
 

@@ -180,8 +180,10 @@ def test_hier_scaling_guard(report, record):
     ratio, t_small, t_large = doubling_ratio(
         lambda cell: measure(cell), small, large, SCALING_LIMIT
     )
+    # keyed by n in both rows: smoke mode's 4-term pair must not
+    # overwrite the full run's 8-term one
     record("verify_hier_scale", n, t_small)
-    record("verify_hier_scale", 2 * n, t_large)
+    record("verify_hier_scale_2x_terms", n, t_large)
     report(
         "E-VERIFY: instance-doubling scaling guard",
         f"  {n} terms -> {2 * n} terms: {t_small * 1000:.2f} ms ->"

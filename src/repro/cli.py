@@ -218,7 +218,7 @@ def run_flow(
             _print_result(error.result, cache, output_stream)
             raise VerificationError(error.headline) from None
         _print_result(result, cache, output_stream)
-        with obs_trace.span("job.emit"):
+        with obs_trace.stage_span("job.emit"):
             output_path = directives.get("output_file")
             output_format = directives.get("format", "cif").lower()
             if output_path:

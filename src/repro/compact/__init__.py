@@ -5,6 +5,7 @@ from .cache import (
     CompactionCache,
     cache_key,
     fingerprint_cell,
+    fingerprint_geometry,
     fingerprint_layout,
     fingerprint_rules,
 )
@@ -16,6 +17,7 @@ from .flat import (
     compact_cell_axes,
     compact_layout,
     compact_layout_xy,
+    compact_passes,
 )
 from .pipeline import (
     HierarchicalCompactor,
@@ -44,6 +46,7 @@ __all__ = [
     "CompactionCache",
     "cache_key",
     "fingerprint_cell",
+    "fingerprint_geometry",
     "fingerprint_layout",
     "fingerprint_rules",
     "HierarchicalCompactor",
@@ -60,6 +63,7 @@ __all__ = [
     "compact_cell_axes",
     "compact_layout",
     "compact_layout_xy",
+    "compact_passes",
     "expand_contact",
     "expand_gate",
     "expand_layout",

@@ -51,6 +51,7 @@ __all__ = [
     "CompactionCache",
     "cache_key",
     "fingerprint_cell",
+    "fingerprint_geometry",
     "fingerprint_layout",
     "fingerprint_rules",
 ]
@@ -152,6 +153,27 @@ def fingerprint_layout(layout) -> str:
         parts.append(layer)
         for box in layout.layers[layer]:
             parts.append((box.xmin, box.ymin, box.xmax, box.ymax))
+    return cache_key(*parts)
+
+
+def fingerprint_geometry(geometry) -> str:
+    """:func:`fingerprint_layout` of the flat layout held as columns.
+
+    ``geometry`` is layout-frame :class:`~repro.compact.scanline.EdgeBoxes`
+    (sorted layer names, a layer code and four coordinates per box).
+    The key equals the one of the :class:`~repro.layout.database.FlatLayout`
+    with the same boxes per layer in the same order, so a flat pass fed
+    columns probes exactly the entries a pass fed that layout writes.
+    """
+    arrays, codes = geometry.arrays, geometry.codes
+    parts: list = []
+    for code, layer in enumerate(geometry.layers):
+        members = (codes == code).nonzero()[0]
+        parts.append(layer)
+        parts.extend(zip(
+            arrays.xmin[members].tolist(), arrays.ymin[members].tolist(),
+            arrays.xmax[members].tolist(), arrays.ymax[members].tolist(),
+        ))
     return cache_key(*parts)
 
 

@@ -5,13 +5,24 @@ constraints with a scan method, solve by Bellman-Ford (optionally with
 the rubber-band refinement), and rebuild the geometry.  Supports both
 axes by transposing coordinates for the y pass.
 
-Geometry crosses from objects to arrays once per pass, when the
-flattened boxes are read into the columns of an
-:class:`~repro.compact.scanline.EdgeBoxes`, and back once, when
-:func:`~repro.compact.scanline.rebuild_boxes` decodes the solved
-columns.  In between, variables are integer ids and constraints are
-integer columns (:mod:`repro.compact.constraints`).  Each stage runs in
-its own ``compact.*`` trace span (``solver.solve`` for the solve).
+Geometry crosses from objects to arrays once per *job*, not once per
+pass.  A cell is read into the columns of an
+:class:`~repro.compact.scanline.EdgeBoxes` straight from its column
+flatten memo (:meth:`~repro.core.cell.CellDefinition.flat_columns`), so
+no box object is built on the way in; a :class:`FlatLayout` input is
+read once.  The passes of a chain (``--compact xy``/``yx``,
+:func:`compact_passes`) hand each other solved columns, and only the
+last pass decodes boxes, through
+:func:`~repro.compact.scanline.rebuild_boxes`.  In between, variables
+are integer ids and constraints are integer columns
+(:mod:`repro.compact.constraints`).  Each stage runs in its own
+``compact.*`` trace span (``solver.solve`` for the solve).
+
+With a :class:`~repro.compact.cache.CompactionCache`, every pass of a
+chain is probed under the key :func:`compact_layout` gives that pass's
+input layout (:func:`~repro.compact.cache.fingerprint_geometry` reads
+it from the columns) and stores a whole decoded result, as a
+single-pass run does.
 """
 
 from __future__ import annotations
@@ -21,9 +32,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.cell import CellDefinition, LayerBox
+from ..core.cell import CellDefinition, LayerBox, layer_table
 from ..geometry import Box, batch
-from ..layout.database import FlatLayout, flatten_cell, merge_box_arrays
+from ..layout.database import FlatLayout, merge_box_arrays
+# Unused here: flowbench/tracing.py's LAYERS wraps repro.compact.flat.flatten_cell by name.
+from ..layout.database import flatten_cell  # noqa: F401
 from ..obs import trace as obs_trace
 from .drc import Violation, check_layout
 from .rubberband import alignment_pairs, misalignment, rubber_band_solve
@@ -39,7 +52,10 @@ from .scanline import (
 )
 from .solver import SolveStats, solve_longest_path
 
-__all__ = ["CompactionResult", "compact_layout", "compact_cell", "compact_cell_axes"]
+__all__ = [
+    "CompactionResult", "compact_layout", "compact_layout_xy", "compact_cell",
+    "compact_cell_axes", "compact_passes",
+]
 
 #: band-scan method name -> :func:`naive_constraints` options
 _NAIVE_METHODS = {
@@ -72,15 +88,32 @@ def _check_axis(axis: str) -> None:
         raise ValueError(f"axis must be 'x' or 'y', not {axis!r}")
 
 
-def _layout_geometry(layout: FlatLayout) -> EdgeBoxes:
-    """The layout's boxes as columns: layers sorted, boxes in layout order."""
-    layers = [name for name, boxes in sorted(layout.layers.items()) if boxes]
-    counts = [len(layout.layers[name]) for name in layers]
-    arrays = batch.boxes_to_arrays(
-        [box for name in layers for box in layout.layers[name]]
-    )
-    codes = np.arange(len(layers), dtype=np.int64).repeat(counts)
-    return EdgeBoxes(layers, codes, arrays)
+def _layers_geometry(layers: Dict[str, List[Box]]) -> EdgeBoxes:
+    """Boxes per layer as columns: layers sorted, boxes in list order."""
+    names = [name for name, boxes in sorted(layers.items()) if boxes]
+    counts = [len(layers[name]) for name in names]
+    arrays = batch.boxes_to_arrays([box for name in names for box in layers[name]])
+    codes = np.arange(len(names), dtype=np.int64).repeat(counts)
+    return EdgeBoxes(names, codes, arrays)
+
+
+def _cell_geometry(cell: CellDefinition) -> EdgeBoxes:
+    """``cell`` flattened, as columns: layers sorted, boxes of a layer in
+    flatten order (the columns :func:`_layers_geometry` gives the cell's
+    :func:`~repro.layout.database.flatten_cell`)."""
+    codes, arrays = cell.flat_columns()
+    counts = np.bincount(codes)
+    present = counts.nonzero()[0].tolist()
+    table = layer_table()
+    names = sorted(table[code] for code in present)
+    # rank[code] is the code's layer position in sorted-name order
+    rank = np.zeros(len(counts), dtype=np.int64)
+    rank[present] = [names.index(table[code]) for code in present]
+    sorted_codes = rank[codes]
+    order = np.argsort(sorted_codes, kind="stable")
+    return EdgeBoxes(names, sorted_codes[order], batch.BoxArray(
+        arrays.xmin[order], arrays.ymin[order], arrays.xmax[order], arrays.ymax[order]
+    ))
 
 
 def _frame(geometry: EdgeBoxes, merge: bool, axis: str) -> EdgeBoxes:
@@ -138,7 +171,7 @@ def _compact_pass(
     with obs_trace.span("compact.edges", axis=axis) as span:
         geometry = source
         if not isinstance(source, EdgeBoxes):
-            geometry = _layout_geometry(source)
+            geometry = _layers_geometry(source.layers)
         boxes = _frame(geometry, merge, axis)
         system, boxes = build_edge_variables(boxes)
         span.set(boxes=boxes.count, variables=system.variable_count)
@@ -220,35 +253,57 @@ def compact_layout(
         method=method, width_mode=width_mode, rubber_band=rubber_band,
         axis=axis, merge=merge, sizing=sizing, sort_edges=sort_edges,
     )
+    fingerprint = None
+    if cache is not None:
+        from .cache import fingerprint_layout
+
+        fingerprint = fingerprint_layout(layout)
+    result, _ = _run_pass(layout, fingerprint, rules, options, cache, decode=True)
+    return result
+
+
+def _run_pass(
+    source,
+    fingerprint: Optional[str],
+    rules: DesignRules,
+    options: Dict[str, object],
+    cache,
+    decode: bool,
+) -> Tuple[CompactionResult, Optional[EdgeBoxes]]:
+    """:func:`_compact_pass` through ``cache`` (options as
+    :func:`_checked_options` returns them).
+
+    ``fingerprint`` is the :func:`~repro.compact.cache.fingerprint_layout`
+    of ``source``, read only with a cache.  A cached entry is a whole
+    decoded result, so with a cache every pass decodes.  Returns the
+    result and, for a pass that did not decode, the compacted columns
+    (``None`` otherwise: the caller reads ``result.layers``).
+    """
     key = None
     if cache is not None:
-        from .cache import (
-            FORMAT_VERSION,
-            cache_key,
-            fingerprint_layout,
-            fingerprint_rules,
-        )
+        from .cache import FORMAT_VERSION, cache_key, fingerprint_rules
 
         key = cache_key(
             "flat",
             FORMAT_VERSION,
-            fingerprint_layout(layout),
+            fingerprint,
             fingerprint_rules(rules),
-            method,
-            width_mode,
-            rubber_band,
-            axis,
-            merge,
-            sorted(sizing.items()) if sizing else None,
-            sort_edges,
+            options["method"],
+            options["width_mode"],
+            options["rubber_band"],
+            options["axis"],
+            options["merge"],
+            sorted(options["sizing"].items()) if options["sizing"] else None,
+            options["sort_edges"],
         )
         cached = cache.get(key)
         if cached is not None:
-            return cached
-    result, _ = _compact_pass(layout, rules, **options)
-    if cache is not None and key is not None:
+            return cached, None
+        decode = True
+    result, solved = _compact_pass(source, rules, decode=decode, **options)
+    if key is not None:
         cache.put(key, result)
-    return result
+    return result, solved
 
 
 def _checked_options(
@@ -276,6 +331,38 @@ def _checked_options(
     }
 
 
+def _chain(
+    geometry: EdgeBoxes,
+    rules: DesignRules,
+    axes: str,
+    cache,
+    options: Dict[str, object],
+) -> List[CompactionResult]:
+    """One pass per letter of ``axes`` over ``geometry``, each handing the
+    next its compacted columns; only the last result keeps ``layers``."""
+    if not axes:
+        raise ValueError("axes must name at least one axis")
+    passes = [_checked_options(axis=axis, **options) for axis in axes]
+    results: List[CompactionResult] = []
+    for position, pass_options in enumerate(passes):
+        last = position == len(passes) - 1
+        fingerprint = None
+        if cache is not None:
+            from .cache import fingerprint_geometry
+
+            fingerprint = fingerprint_geometry(geometry)
+        result, solved = _run_pass(
+            geometry, fingerprint, rules, pass_options, cache, decode=last
+        )
+        if not last:
+            # A stored entry is a private copy, so the chain may drop
+            # the boxes it hands on as columns.
+            geometry = solved if solved is not None else _layers_geometry(result.layers)
+            result.layers = {}
+        results.append(result)
+    return results
+
+
 def compact_layout_xy(
     layout: FlatLayout,
     rules: DesignRules,
@@ -289,16 +376,44 @@ def compact_layout_xy(
     that require a more careful analysis of the interaction between the
     two dimensions" — this driver is that greedy baseline, and the pass
     order matters (try ``order="yx"``).  Returns the two pass results;
-    the second result's ``layers`` is the final geometry.
+    the second result's ``layers`` is the final geometry (the first
+    pass hands the second its boxes as columns, so its ``layers`` is
+    empty).  ``options`` are :func:`compact_layout`'s, minus ``axis``.
     """
     if sorted(order) != ["x", "y"]:
         raise ValueError("order must be 'xy' or 'yx'")
-    first = compact_layout(layout, rules, axis=order[0], **options)
-    intermediate = FlatLayout(layout.name + "_pass1")
-    for layer, boxes in first.layers.items():
-        intermediate.layers[layer].extend(boxes)
-    second = compact_layout(intermediate, rules, axis=order[1], **options)
+    cache = options.pop("cache", None)
+    first, second = _chain(_layers_geometry(layout.layers), rules, order, cache, options)
     return first, second
+
+
+def compact_passes(
+    cell: CellDefinition,
+    rules: DesignRules,
+    axes: str,
+    name: Optional[str] = None,
+    cache=None,
+    **options,
+) -> Tuple[CellDefinition, List[CompactionResult]]:
+    """Flatten ``cell`` once and run one pass per letter of ``axes``.
+
+    The one flat chain behind :func:`compact_cell`,
+    :func:`compact_cell_axes` and the ``--compact x|y|xy|yx`` stage.
+    The cell is read into columns from its flatten memo, the passes
+    hand each other columns, and only the last pass builds box
+    objects.  Returns the flat output cell (``name``, by default
+    ``<cell>_compacted``) and one result per pass, in pass order; only
+    the last one keeps ``layers``.  ``options`` are
+    :func:`compact_layout`'s, minus ``axis``; ``cache`` probes and fills
+    each pass exactly as :func:`compact_layout` does for the same input.
+    The cell holds boxes only: ports and labels are neither flattened
+    nor carried over.
+    """
+    with obs_trace.span("compact.flatten") as span:
+        geometry = _cell_geometry(cell)
+        span.set(boxes=geometry.count)
+    results = _chain(geometry, rules, axes, cache, options)
+    return _output_cell(name or f"{cell.name}_compacted", results[-1]), results
 
 
 def compact_cell(
@@ -309,15 +424,12 @@ def compact_cell(
 ) -> Tuple[CellDefinition, CompactionResult]:
     """Flatten ``cell``, compact it, and return a new flat cell.
 
-    ``options`` are :func:`compact_layout`'s.  The cell holds boxes
-    only: ports and labels are neither flattened nor carried over.
+    One pass of :func:`compact_passes` along ``axis`` (default
+    ``"x"``); ``options`` are :func:`compact_layout`'s.
     """
-    _check_axis(options.get("axis", "x"))
-    with obs_trace.span("compact.flatten") as span:
-        layout = flatten_cell(cell, ports=False)
-        span.set(boxes=layout.box_count())
-    result = compact_layout(layout, rules, **options)
-    return _output_cell(name or f"{cell.name}_compacted", result), result
+    axis = options.pop("axis", "x")
+    _check_axis(axis)
+    return compact_cell_axes(cell, rules, axis, name=name, **options)
 
 
 def compact_cell_axes(
@@ -329,23 +441,12 @@ def compact_cell_axes(
 ) -> Tuple[CellDefinition, CompactionResult]:
     """One pass per letter of ``axes`` (``"x"``, ``"xy"``, ...).
 
-    The same cell and last result as :func:`compact_cell` applied once
-    per letter, but the cell is flattened once and the passes hand each
-    other columns, so only the last pass builds box objects.
-    ``options`` are :func:`compact_layout`'s, minus ``axis`` and
-    ``cache``.
+    :func:`compact_passes` returning only the last pass's result: the
+    same cell and result as :func:`compact_cell` applied once per
+    letter.
     """
-    if not axes:
-        raise ValueError("axes must name at least one axis")
-    passes = [_checked_options(axis=axis, **options) for axis in axes]
-    with obs_trace.span("compact.flatten") as span:
-        source = flatten_cell(cell, ports=False)
-        span.set(boxes=source.box_count())
-    for position, pass_options in enumerate(passes):
-        result, source = _compact_pass(
-            source, rules, decode=position == len(passes) - 1, **pass_options
-        )
-    return _output_cell(name or f"{cell.name}_compacted", result), result
+    compacted, results = compact_passes(cell, rules, axes, name=name, **options)
+    return compacted, results[-1]
 
 
 def _output_cell(name: str, result: CompactionResult) -> CellDefinition:

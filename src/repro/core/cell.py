@@ -10,8 +10,21 @@ Flattening and bounding boxes are *array-aware*: a definition's fully
 flattened geometry is computed once per orientation it is used in and
 then every instance is stamped by an integer translation, so an n-cell
 array of one leaf pays O(distinct cells) transform work plus O(n)
-translations instead of O(n) recursive transform compositions.  The
-memos invalidate through mutation stamps: every ``add_box`` /
+translations instead of O(n) recursive transform compositions.
+
+The box flatten is a *column memo*: each (definition, orientation)
+keeps its flattened boxes as layer codes (indices into the process
+layer table, :func:`layer_table`) plus four int64 coordinate columns
+(:meth:`CellDefinition.flat_columns`).  A parent's entry is built in
+one gather: its placed instances are grouped by (child, composed
+orientation), each group's child columns are fetched once, and every
+instance is stamped by adding its translated point of call to a
+repeated copy of its group's rows, in instance order — so the box
+order is exactly the recursive walk's.  ``flatten()`` and
+:func:`~repro.layout.database.flatten_cell` decode boxes from that memo;
+the compactor reads the columns directly and builds no box object.
+
+The memos invalidate through mutation stamps: every ``add_box`` /
 ``add_instance`` / ``adopt`` / ``place`` (or direct assignment to an
 instance's ``location``/``orientation``) bumps the owning definition's
 stamp, and a cached value is reused only while the maximum stamp over
@@ -23,12 +36,65 @@ kernel's pattern.  Mutations must go through this API — appending to
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..geometry import Box, NORTH, Orientation, Transform, Vec2
+from ..geometry.batch import BoxArray, boxes_from_arrays, boxes_to_arrays
 from .errors import DuplicateCellError, UnknownCellError
 
-__all__ = ["LayerBox", "Port", "Label", "Instance", "CellDefinition", "CellTable"]
+__all__ = [
+    "LayerBox", "Port", "Label", "Instance", "CellDefinition", "CellTable",
+    "layer_table",
+]
+
+#: The process layer table: a flattened box's layer code indexes it.
+#: Names are appended on first use and never removed, so a code means
+#: the same layer for the life of the process (pickles drop the memos
+#: that hold codes, see ``CellDefinition.__getstate__``).
+_LAYER_NAMES: List[str] = []
+_LAYER_CODES: Dict[str, int] = {}
+_LAYER_LOCK = threading.Lock()
+
+
+def layer_table() -> List[str]:
+    """The layer names that :meth:`CellDefinition.flat_columns` codes index.
+
+    The list only grows; treat it as read-only.
+    """
+    return _LAYER_NAMES
+
+
+def _layer_code(name: str) -> int:
+    code = _LAYER_CODES.get(name)
+    if code is None:
+        with _LAYER_LOCK:
+            code = _LAYER_CODES.get(name)
+            if code is None:
+                code = _LAYER_CODES[name] = len(_LAYER_NAMES)
+                _LAYER_NAMES.append(name)
+    return code
+
+
+def _frozen(column):
+    column.flags.writeable = False
+    return column
+
+
+def _joined(parts):
+    """The columns in ``parts`` end to end (a lone part as it is)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _oriented(orientation: Orientation, arrays: BoxArray) -> BoxArray:
+    """Box columns under ``orientation`` about the origin (``Box.transformed``)."""
+    x0, y0 = orientation.apply(arrays.xmin, arrays.ymin)
+    x1, y1 = orientation.apply(arrays.xmax, arrays.ymax)
+    return BoxArray(
+        np.minimum(x0, x1), np.minimum(y0, y1), np.maximum(x0, x1), np.maximum(y0, y1)
+    )
 
 
 class LayerBox:
@@ -222,8 +288,8 @@ class CellDefinition:
         self._subtree_memo: Tuple[int, int] = (-1, 0)
         # (subtree stamp, bbox) — None until first query
         self._bbox_memo: Optional[Tuple[int, Optional[Box]]] = None
-        # orientation -> (subtree stamp, flattened tuple)
-        self._flat_memo: Dict[Orientation, Tuple[int, Tuple[LayerBox, ...]]] = {}
+        # orientation -> (subtree stamp, (layer codes, box columns))
+        self._flat_memo: Dict[Orientation, Tuple[int, Tuple[np.ndarray, BoxArray]]] = {}
         self._port_memo: Dict[Orientation, Tuple[int, Tuple[Port, ...]]] = {}
         self._label_memo: Dict[Orientation, Tuple[int, Tuple[Label, ...]]] = {}
 
@@ -379,33 +445,77 @@ class CellDefinition:
     # ------------------------------------------------------------------
     # Flattening (memoized stamping) and the reference walkers
     # ------------------------------------------------------------------
-    def _flat_boxes(self, orientation: Orientation) -> Tuple[LayerBox, ...]:
+    def flat_columns(
+        self, orientation: Orientation = NORTH
+    ) -> Tuple[np.ndarray, BoxArray]:
         """Fully flattened boxes of this definition under ``orientation``.
 
-        Equal to ``flatten(Transform(Vec2(0, 0), orientation))``; built
-        once per (definition, orientation) and reused until the subtree
-        mutates.  Sub-instances are stamped by translating the child's
-        own memoized flat list — the orientation math happens once per
-        distinct (child, composed orientation), not once per box per
-        instance.
+        ``(codes, arrays)``: ``codes[i]`` indexes :func:`layer_table` and
+        ``arrays`` holds the int64 coordinate columns, box ``i`` being
+        the ``i``-th box of ``flatten(Transform(Vec2(0, 0),
+        orientation))``.  Built once per (definition, orientation) and
+        reused until the subtree mutates; the columns are read-only.
+
+        One gather per definition: the placed instances are grouped by
+        (child, instance orientation), each group's child columns are
+        fetched once under the composed orientation, and every instance
+        is stamped by adding its translated point of call to its group's
+        rows, in instance order after the definition's own boxes.
         """
         stamp = self.subtree_stamp()
         memo = self._flat_memo.get(orientation)
         if memo is not None and memo[0] == stamp:
             return memo[1]
-        items: List[LayerBox] = []
-        for layer_box in self.boxes:
-            items.append(
-                LayerBox(layer_box.layer, layer_box.box.transformed(orientation))
-            )
+        own = boxes_to_arrays([item.box for item in self.boxes])
+        code_parts = [np.array([_layer_code(item.layer) for item in self.boxes],
+                               dtype=np.int64)]
+        column_parts = [own if orientation.is_identity else _oriented(orientation, own)]
+
+        groups: Dict[Tuple["CellDefinition", Orientation], int] = {}
+        members: List[int] = []
+        xs: List[int] = []
+        ys: List[int] = []
         for instance in self.instances:
-            if not instance.is_placed:
+            location, turn = instance._location, instance._orientation
+            if location is None or turn is None:
                 continue
-            child_orientation = orientation.compose(instance.orientation)
-            offset = instance.location.transformed(orientation)
-            for item in instance.definition._flat_boxes(child_orientation):
-                items.append(LayerBox(item.layer, item.box.translated(offset)))
-        result = tuple(items)
+            key = (instance._definition, turn)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = len(groups)
+            members.append(group)
+            xs.append(location.x)
+            ys.append(location.y)
+        if members:
+            blocks = [
+                child.flat_columns(orientation.compose(turn)) for child, turn in groups
+            ]
+            sizes = np.array([len(block[0]) for block in blocks], dtype=np.int64)
+            firsts = np.cumsum(sizes) - sizes
+            member = np.array(members, dtype=np.int64)
+            lengths = sizes[member]
+            total = int(lengths.sum())
+            starts = np.cumsum(lengths) - lengths
+            rows = np.repeat(firsts[member] - starts, lengths) + np.arange(
+                total, dtype=np.int64
+            )
+            dx, dy = orientation.apply(
+                np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+            )
+            dx, dy = np.repeat(dx, lengths), np.repeat(dy, lengths)
+            code_parts.append(np.concatenate([block[0] for block in blocks])[rows])
+            column_parts.append(BoxArray(*(
+                np.concatenate([getattr(block[1], name) for block in blocks])[rows]
+                + shift
+                for name, shift in (("xmin", dx), ("ymin", dy), ("xmax", dx), ("ymax", dy))
+            )))
+        result = (
+            _frozen(_joined(code_parts)),
+            BoxArray(*(
+                _frozen(_joined([getattr(part, name) for part in column_parts]))
+                for name in ("xmin", "ymin", "xmax", "ymax")
+            )),
+        )
         self._flat_memo[orientation] = (stamp, result)
         return result
 
@@ -457,24 +567,23 @@ class CellDefinition:
     def flatten(self, transform: Transform = Transform()) -> Iterator[LayerBox]:
         """Yield every mask box with hierarchy fully expanded.
 
-        Streams at the queried root — own boxes transformed directly,
-        each instance stamped by translating its definition's memoized
-        flat list — so the root's full flattening is never *retained*,
-        only the per-definition memos below it (which hierarchical
-        reuse keeps small: one entry per distinct definition and
-        orientation, however many times it is stamped).
+        Decoded from :meth:`flat_columns` under the transform's
+        orientation, translated by its offset; a definition without
+        instances yields its own boxes transformed directly.
         """
         orientation = transform.orientation
         offset = transform.offset
-        for layer_box in self.boxes:
-            yield LayerBox(layer_box.layer, layer_box.box.transformed(orientation, offset))
-        for instance in self.instances:
-            if not instance.is_placed:
-                continue
-            child_orientation = orientation.compose(instance.orientation)
-            child_offset = instance.location.transformed(orientation) + offset
-            for item in instance.definition._flat_boxes(child_orientation):
-                yield LayerBox(item.layer, item.box.translated(child_offset))
+        if not self.instances:
+            for layer_box in self.boxes:
+                yield LayerBox(layer_box.layer, layer_box.box.transformed(orientation, offset))
+            return
+        codes, arrays = self.flat_columns(orientation)
+        names = _LAYER_NAMES
+        for code, box in zip(codes.tolist(), boxes_from_arrays(
+            arrays.xmin + offset.x, arrays.ymin + offset.y,
+            arrays.xmax + offset.x, arrays.ymax + offset.y,
+        )):
+            yield LayerBox(names[code], box)
 
     def flatten_ports(self, transform: Transform = Transform(), prefix: str = "") -> Iterator[Port]:
         """Yield ports with hierarchical names ``inst/.../port``."""
@@ -568,10 +677,9 @@ class CellDefinition:
 
     def layers(self) -> Tuple[str, ...]:
         """Sorted tuple of layers present anywhere under this cell."""
-        seen = set()
-        for layer_box in self.flatten():
-            seen.add(layer_box.layer)
-        return tuple(sorted(seen))
+        codes, _ = self.flat_columns()
+        present = np.bincount(codes).nonzero()[0].tolist()
+        return tuple(sorted(_LAYER_NAMES[code] for code in present))
 
     def __repr__(self) -> str:
         return (

@@ -62,13 +62,15 @@ def write_cif(
             write_cif(cell, handle, scale=scale, layer_names=layer_names)
         return
 
-    layer_names = layer_names or {}
+    # Each layer's CIF name is worked out once per write, not once per box.
+    cif_names: Dict[str, str] = dict(layer_names or {})
 
     def cif_layer(layer: str) -> str:
-        if layer in layer_names:
-            return layer_names[layer]
-        cleaned = re.sub(r"[^A-Za-z0-9]", "", layer).upper()
-        return (cleaned or "X")[:8]
+        name = cif_names.get(layer)
+        if name is None:
+            cleaned = re.sub(r"[^A-Za-z0-9]", "", layer).upper()
+            name = cif_names[layer] = (cleaned or "X")[:8]
+        return name
 
     # Collect cells bottom-up so every call refers to an earlier symbol.
     order: List[CellDefinition] = []

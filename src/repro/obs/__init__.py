@@ -34,6 +34,7 @@ from repro.obs.trace import (
     parse_token,
     propagation_token,
     span,
+    stage_span,
 )
 
 __all__ = [
@@ -54,4 +55,5 @@ __all__ = [
     "span",
     "spans_from_jsonl",
     "spans_to_jsonl",
+    "stage_span",
 ]

@@ -59,6 +59,7 @@ _SHOWN_ATTRIBUTES = (
     "stage",
     "worker_pid",
     "http_status",
+    "gc_s",
 )
 
 

@@ -13,16 +13,24 @@ token of the form ``"<trace_id>:<span_id>"`` carried in the
 :data:`TRACE_HEADER` request header and in a column of the job row, so
 a worker process can root its spans under the submitting client's.
 
-The module-level helpers (:func:`span`, :func:`annotate`) act on the
-*activated* tracer.  When no tracer is activated they return a shared
-no-op object — a dict lookup plus an identity call — so instrumented
-hot paths cost effectively nothing when tracing is off.  The
+The module-level helpers (:func:`span`, :func:`stage_span`,
+:func:`annotate`) act on the *activated* tracer.  When no tracer is
+activated they return a shared no-op object — a dict lookup plus an
+identity call — so instrumented hot paths cost effectively nothing
+when tracing is off.  The
 ``REPRO_TRACE`` environment variable only steers the service's policy
 (:func:`service_enabled`); the hooks themselves key off activation,
 never off the environment.
+
+While a tracer is activated, one ``gc.callbacks`` hook times the cyclic
+collector, and :func:`stage_span` stamps a stage span with the
+collector's seconds and collection count inside it (``gc_s``,
+``gc_collections``).  The counts are process-wide: a collection that
+another thread triggers during the stage counts too.
 """
 
 import contextlib
+import gc
 import os
 import threading
 import time
@@ -42,6 +50,7 @@ __all__ = [
     "propagation_token",
     "service_enabled",
     "span",
+    "stage_span",
 ]
 
 TRACE_HEADER = "X-Repro-Trace-Id"
@@ -217,16 +226,39 @@ def is_enabled() -> bool:
     return _ACTIVE is not None
 
 
+#: [collector seconds, collections, start of the running collection]
+#: while a tracer is activated; :func:`stage_span` reads differences
+_COLLECTOR: List[Any] = [0.0, 0, None]
+
+
+def _time_collector(phase: str, info: Dict[str, Any]) -> None:
+    """The ``gc.callbacks`` hook: add up the collector's time and runs."""
+    if phase == "start":
+        _COLLECTOR[2] = time.perf_counter()
+    elif _COLLECTOR[2] is not None:
+        _COLLECTOR[0] += time.perf_counter() - _COLLECTOR[2]
+        _COLLECTOR[1] += 1
+        _COLLECTOR[2] = None
+
+
 @contextlib.contextmanager
 def activated(tracer: Tracer) -> Iterator[Tracer]:
-    """Make ``tracer`` the process-wide ambient tracer for the block."""
+    """Make ``tracer`` the process-wide ambient tracer for the block.
+
+    The outermost activation also installs the collector hook, and
+    removes it on the way out.
+    """
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = tracer
+    if previous is None and _time_collector not in gc.callbacks:
+        gc.callbacks.append(_time_collector)
     try:
         yield tracer
     finally:
         _ACTIVE = previous
+        if previous is None and _time_collector in gc.callbacks:
+            gc.callbacks.remove(_time_collector)
 
 
 def span(name: str, **attributes: Any):
@@ -238,6 +270,28 @@ def span(name: str, **attributes: Any):
     if _ACTIVE is None:
         return _NOOP
     return _ACTIVE.span(name, **attributes)
+
+
+@contextlib.contextmanager
+def stage_span(name: str, **attributes: Any) -> Iterator[Any]:
+    """:func:`span` stamped with the cyclic collector's work inside it.
+
+    On close the span gets ``gc_s`` (collector seconds) and
+    ``gc_collections`` (collections of any generation), both taken
+    while it was open.  A no-op span when tracing is off.
+    """
+    if _ACTIVE is None:
+        yield _NOOP
+        return
+    seconds, collections = _COLLECTOR[0], _COLLECTOR[1]
+    with _ACTIVE.span(name, **attributes) as opened:
+        try:
+            yield opened
+        finally:
+            opened.set(
+                gc_s=round(_COLLECTOR[0] - seconds, 6),
+                gc_collections=_COLLECTOR[1] - collections,
+            )
 
 
 def annotate(**attributes: Any) -> None:

@@ -45,8 +45,10 @@ from ..compact import (
     CompactionCache,
     HierarchicalCompactor,
     SolveStats,
-    compact_cell,
+    compact_passes,
 )
+# Unused here: flowbench/tracing.py's LAYERS wraps repro.service.jobs.compact_cell by name.
+from ..compact import compact_cell  # noqa: F401
 from ..compact.cache import cache_key
 from ..core.cell import CellDefinition
 from ..core.errors import RsgError, ServiceError, VerificationError
@@ -413,7 +415,7 @@ def execute_job(spec: JobSpec, cache: Optional[CompactionCache] = None) -> JobRe
     """
     with tracing():
         cell, result = run_job(spec, cache)
-        with obs_trace.span("job.emit") as stage:
+        with obs_trace.stage_span("job.emit") as stage:
             result.cell_name = cell.name
             result.instance_count = cell.count_instances(recursive=True)
             result.cif = cif_text(cell)
@@ -441,7 +443,7 @@ def run_job(
     result = JobResult()
     if spec.delay:
         time.sleep(spec.delay)
-    with obs_trace.span("job.generate") as stage:
+    with obs_trace.stage_span("job.generate") as stage:
         rsg = Rsg()
         with obs_trace.span("sample.load"):
             loads_sample(sample, rsg)
@@ -461,13 +463,13 @@ def run_job(
 
     rules = _TECHS[spec.tech.upper()]
     if spec.compact:
-        with obs_trace.span("job.compact") as stage:
+        with obs_trace.stage_span("job.compact") as stage:
             cell = _compact_stage(spec.compact, cell, rules, cache, result)
         result.timings["compact"] = stage.duration_s
 
     plan = None
     if spec.route_text:
-        with obs_trace.span("job.route") as stage:
+        with obs_trace.stage_span("job.route") as stage:
             from ..route import compose_from_netfile
 
             cell, plan = compose_from_netfile(
@@ -478,7 +480,7 @@ def run_job(
         result.timings["route"] = stage.duration_s
 
     if spec.verify:
-        with obs_trace.span("job.verify") as stage:
+        with obs_trace.stage_span("job.verify") as stage:
             _verify_stage(spec, cell, plan, rules, result)
         result.timings["verify"] = stage.duration_s
     return cell, result
@@ -501,10 +503,12 @@ def _compact_stage(
         assert compactor.last_report is not None
         result.pipeline = compactor.last_report.to_dict()
         return cell
-    for axis in mode:
-        cell, pass_result = compact_cell(
-            cell, rules, axis=axis, width_mode="preserve", cache=cache,
-        )
+    # One chain for every pass; each pass still renames the cell.
+    cell, passes = compact_passes(
+        cell, rules, mode, name=cell.name + "_compacted" * len(mode),
+        width_mode="preserve", cache=cache,
+    )
+    for axis, pass_result in zip(mode, passes):
         result.compaction.append(
             {
                 "axis": axis,

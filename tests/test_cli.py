@@ -786,12 +786,14 @@ class TestTimingsFlag:
         parameter, _ = flow_files
         assert main([str(parameter), "--compact", "xy", "--timings"]) == 0
         rows = _children(_tree_rows(capsys.readouterr().out), "job.compact")
+        # One flatten for the chain, one solve per pass, one output cell.
         one_pass = [
-            "compact.flatten", "compact.edges", "compact.constraints",
-            "solver.solve", "compact.align", "compact.rebuild",
-            "compact.rebuild",
+            "compact.edges", "compact.constraints", "solver.solve",
+            "compact.align", "compact.rebuild",
         ]
-        assert [row[1] for row in rows] == one_pass * 2 + ["(unattributed)"]
+        assert [row[1] for row in rows] == (
+            ["compact.flatten"] + one_pass * 2 + ["compact.rebuild", "(unattributed)"]
+        )
         attributes = dict((row[1], row[3]) for row in rows)
         assert re.fullmatch(r"boxes=\d+", attributes["compact.flatten"])
         assert re.fullmatch(r"variables=\d+ boxes=\d+", attributes["compact.edges"])
@@ -820,8 +822,9 @@ class TestTimingsFlag:
             (stage,) = [span for span in spans if span.name == "job.compact"]
             children = [span for span in spans if span.parent_id == stage.span_id]
             assert {span.name for span in children} == stages
-            # Per pass: each stage once, plus the output cell's rebuild.
-            assert len(children) == 2 * (len(stages) + 1)
+            # One flatten for the chain, each other stage once per pass,
+            # plus the output cell's rebuild.
+            assert len(children) == 1 + 2 * (len(stages) - 1) + 1
             covered = sum(span.duration_s for span in children) / stage.duration_s
             coverage = max(coverage, covered)
             if coverage >= 0.9:

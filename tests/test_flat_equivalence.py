@@ -21,8 +21,10 @@ object-era build (``Constraint`` records, ``CompactionBox`` objects and
 * **solver** — the column Bellman-Ford finds the solutions, and counts
   the passes and relaxations, of the object-era loop.
 
-Plus: an infeasible system still raises, and the flat pass builds no
-``Constraint``, ``CompactionBox`` or variable name.
+Plus: an infeasible system still raises, the flat pass builds no
+``Constraint``, ``CompactionBox`` or variable name, and a two-pass
+``--compact`` job flattens once and builds no box object before its
+last pass decodes.
 """
 
 import contextlib
@@ -49,9 +51,13 @@ from repro.compact import (
     visibility_constraints_reference,
 )
 from repro.compact import constraints as constraints_module
+from repro.compact import flat as flat_module
 from repro.compact import scanline
+from repro.core import cell as cell_module
 from repro.core.errors import InfeasibleConstraintsError
-from repro.geometry import Box
+from repro.geometry import Box, batch
+from repro.obs import trace as obs_trace
+from repro.service import jobs as jobs_module
 from repro.layout.database import FlatLayout, flatten_cell, merge_boxes
 from repro.multiplier import (
     DESIGN_FILE,
@@ -675,6 +681,60 @@ def test_flat_pass_builds_no_records_boxes_or_names(monkeypatch):
     compact_layout(layout, TECH_B, width_mode="min", merge=True)
     smoothed = compact_layout(layout, TECH_B, width_mode="min", rubber_band=True)
     assert smoothed.jog_after <= smoothed.jog_before
+
+
+def test_two_pass_job_flattens_once_and_decodes_only_at_the_end(monkeypatch):
+    """``--compact yx`` reads the hierarchy into columns once, hands the
+    solved columns from pass to pass, and builds its first ``Box`` or
+    ``LayerBox`` in the last pass's decode."""
+    decoding = []
+
+    def guarded(original):
+        def call(*args, **kwargs):
+            if not decoding:
+                raise AssertionError("box object built before the last decode")
+            return original(*args, **kwargs)
+        return call
+
+    def last_decode(original):
+        def call(*args, **kwargs):
+            decoding.append(True)
+            return original(*args, **kwargs)
+        return call
+
+    def compact_stage(original):
+        def call(*args, **kwargs):
+            # Generation builds boxes; the guard starts with compaction.
+            with monkeypatch.context() as guard:
+                guard.setattr(Box, "__init__", guarded(Box.__init__))
+                guard.setattr(cell_module.LayerBox, "__init__",
+                              guarded(cell_module.LayerBox.__init__))
+                guard.setattr(batch, "boxes_from_arrays", guarded(batch.boxes_from_arrays))
+                guard.setattr(cell_module, "boxes_from_arrays",
+                              guarded(cell_module.boxes_from_arrays))
+                guard.setattr(flat_module, "rebuild_boxes",
+                              last_decode(flat_module.rebuild_boxes))
+                return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(jobs_module, "_compact_stage", compact_stage(jobs_module._compact_stage))
+    tracer = obs_trace.Tracer()
+    with obs_trace.activated(tracer):
+        result = execute_job(
+            JobSpec(kind="multiplier", compact="yx", parameters="xsize=4\nysize=4")
+        )
+    assert decoding, "the last pass never decoded"
+    assert [entry["axis"] for entry in result.compaction] == ["y", "x"]
+    spans = tracer.finished()
+    (stage,) = [span for span in spans if span.name == "job.compact"]
+    inside, frontier = [], [stage.span_id]
+    while frontier:
+        parent = frontier.pop()
+        children = [span for span in spans if span.parent_id == parent]
+        inside += children
+        frontier += [span.span_id for span in children]
+    assert [span.name for span in inside].count("compact.flatten") == 1
+    assert [span.name for span in inside].count("solver.solve") == 2
 
 
 @pytest.mark.parametrize("axes", ["x", "y", "xy", "yx", "xyx"])

@@ -10,7 +10,9 @@ sub-definitions, all eight orientations, unplaced instances, degenerate
 boxes — through both builds, under random outer transforms, and require
 *identical* results.  Mutation mid-stream (the memo-invalidation path)
 and the hierarchical compactor's stamped rebuild under both
-technologies are covered the same way.
+technologies are covered the same way.  The box memo itself is columns
+(``flat_columns``): it must equal the reference walk column for column,
+layer codes included.
 """
 
 import random
@@ -19,7 +21,7 @@ from collections import Counter
 import pytest
 
 from repro.compact import TECH_A, TECH_B, HierarchicalCompactor
-from repro.core.cell import CellDefinition
+from repro.core.cell import CellDefinition, Instance, layer_table
 from repro.geometry import ALL_ORIENTATIONS, Box, Transform, Vec2
 
 LAYERS = ["diff", "poly", "metal1", "implant"]
@@ -188,3 +190,118 @@ def test_flatten_matches_known_transform_composition():
         .transformed(ALL_ORIENTATIONS[2], Vec2(0, 100))
     )
     assert [item.box for item in top.flatten()] == [expected]
+
+
+# ----------------------------------------------------------------------
+# The column memo against the reference walk, column for column
+# ----------------------------------------------------------------------
+def reference_columns(cell, orientation):
+    """``flatten_reference`` under ``orientation`` as (layers, x0, y0, x1, y1)."""
+    items = list(cell.flatten_reference(Transform(Vec2(0, 0), orientation)))
+    return (
+        [item.layer for item in items],
+        [item.box.xmin for item in items],
+        [item.box.ymin for item in items],
+        [item.box.xmax for item in items],
+        [item.box.ymax for item in items],
+    )
+
+
+def memo_columns(cell, orientation):
+    codes, arrays = cell.flat_columns(orientation)
+    names = layer_table()
+    return (
+        [names[code] for code in codes.tolist()],
+        arrays.xmin.tolist(),
+        arrays.ymin.tolist(),
+        arrays.xmax.tolist(),
+        arrays.ymax.tolist(),
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+class TestColumnMemo:
+    def test_columns_equal_reference_under_every_orientation(self, seed):
+        top = random_hierarchy(seed)
+        for orientation in ALL_ORIENTATIONS:
+            assert memo_columns(top, orientation) == reference_columns(top, orientation)
+
+    def test_every_definition_memo_equals_reference(self, seed):
+        """Inner definitions (queried by their parents under composed
+        orientations) hold the reference columns too."""
+        top = random_hierarchy(seed)
+        top.flat_columns()
+        stack, seen = [top], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            for orientation in node._flat_memo:
+                assert memo_columns(node, orientation) == reference_columns(
+                    node, orientation
+                )
+            stack.extend(instance.definition for instance in node.instances)
+
+    def test_unplaced_instances_contribute_nothing(self, seed):
+        top = random_hierarchy(seed)
+        placed = len(top.flat_columns()[0])
+        top.add_instance(top.instances[0].definition)  # partial instance
+        assert len(top.flat_columns()[0]) == placed
+        assert memo_columns(top, ALL_ORIENTATIONS[0]) == reference_columns(
+            top, ALL_ORIENTATIONS[0]
+        )
+
+    def test_mutation_after_a_memoized_query(self, seed):
+        rng = random.Random(seed + 2000)
+        top = random_hierarchy(seed)
+        orientation = ALL_ORIENTATIONS[seed % 8]
+        top.flat_columns(orientation)
+        node = top
+        while node.instances:
+            node = rng.choice(node.instances).definition
+        node.add_box("poly", -7, 3, -1, 9)
+        assert memo_columns(top, orientation) == reference_columns(top, orientation)
+        top.instances[-1].orientation = ALL_ORIENTATIONS[(seed + 3) % 8]
+        assert memo_columns(top, orientation) == reference_columns(top, orientation)
+
+    def test_columns_are_read_only(self, seed):
+        codes, arrays = random_hierarchy(seed).flat_columns()
+        for column in (codes, arrays.xmin, arrays.ymin, arrays.xmax, arrays.ymax):
+            with pytest.raises(ValueError):
+                column[:1] = 0
+
+
+def test_instance_shared_by_two_owners_invalidates_both():
+    leaf = CellDefinition("leaf")
+    leaf.add_box("metal1", 0, 0, 4, 2)
+    leaf.add_box("poly", 1, -3, 2, 5)
+    shared = Instance(leaf, Vec2(10, 0), ALL_ORIENTATIONS[1], name="s")
+    first, second = CellDefinition("first"), CellDefinition("second")
+    first.add_box("diff", 0, 0, 1, 1)
+    for owner in (first, second):
+        owner.adopt(shared)
+        owner.add_instance(leaf, Vec2(-5, 7), ALL_ORIENTATIONS[6])
+    top = CellDefinition("top")
+    top.add_instance(first, Vec2(0, 0))
+    top.add_instance(second, Vec2(100, 50), ALL_ORIENTATIONS[5])
+    for cell in (first, second, top):
+        assert memo_columns(cell, ALL_ORIENTATIONS[2]) == reference_columns(
+            cell, ALL_ORIENTATIONS[2]
+        )
+    shared.place(Vec2(-40, 3), ALL_ORIENTATIONS[7])
+    for cell in (first, second, top):
+        assert memo_columns(cell, ALL_ORIENTATIONS[2]) == reference_columns(
+            cell, ALL_ORIENTATIONS[2]
+        )
+    assert list(top.flatten()) == list(top.flatten_reference())
+
+
+def test_empty_definition_has_empty_columns():
+    empty = CellDefinition("empty")
+    parent = CellDefinition("parent")
+    parent.add_instance(empty, Vec2(3, 3))
+    for cell in (empty, parent):
+        codes, arrays = cell.flat_columns()
+        assert len(codes) == len(arrays) == 0
+        assert list(cell.flatten()) == []

@@ -1,11 +1,12 @@
 """Unit coverage of the flight-recorder package (`repro.obs`).
 
 Tracing: span lifecycle, tracer parenting, the no-op disabled path,
-and token propagation.  Metrics: instrument semantics, merging, and
+token propagation, and the collector stamps on stage spans.  Metrics: instrument semantics, merging, and
 the Prometheus text rendering.  Rendering: the JSONL codec and the
 indented tree.
 """
 
+import gc
 import json
 import re
 import threading
@@ -29,8 +30,9 @@ from repro.obs import (
     span,
     spans_from_jsonl,
     spans_to_jsonl,
+    stage_span,
 )
-from repro.obs.trace import _NOOP, new_id, service_enabled
+from repro.obs.trace import _NOOP, _time_collector, new_id, service_enabled
 
 
 class TestSpan:
@@ -137,6 +139,36 @@ class TestActivation:
             with activated(inner):
                 assert active() is inner
             assert active() is outer
+
+    def test_stage_span_stamps_the_collector_inside_it(self):
+        tracer = Tracer()
+        enabled = gc.isenabled()
+        gc.disable()  # only the explicit collections below run
+        try:
+            with activated(tracer):
+                assert gc.callbacks.count(_time_collector) == 1
+                with activated(Tracer()):
+                    assert gc.callbacks.count(_time_collector) == 1
+                with stage_span("job.generate"):
+                    gc.collect()
+                    gc.collect()
+                with stage_span("job.emit"):
+                    pass
+        finally:
+            if enabled:
+                gc.enable()
+        assert _time_collector not in gc.callbacks
+        generate, emit = tracer.finished()
+        assert generate.attributes["gc_collections"] == 2
+        assert 0 < generate.attributes["gc_s"] <= generate.duration_s
+        assert emit.attributes == {"gc_s": 0.0, "gc_collections": 0}
+        assert "[gc_s=" in render_trace([generate])
+
+    def test_stage_span_without_a_tracer_is_the_noop(self):
+        with stage_span("job.generate") as handle:
+            gc.collect()
+        assert handle is _NOOP
+        assert _time_collector not in gc.callbacks
 
     def test_policy_helpers_read_environment(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
