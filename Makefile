@@ -36,11 +36,9 @@ bench:
 # the box count must stay sub-quadratic), the hierarchy-pipeline
 # flatten guard (bench_hierarchy — doubling the instance count must
 # grow flatten time < 3x), the verification guard (bench_verify —
-# doubling the stamped instances must grow hierarchical extraction
-# < 3x: verify_hier_scale[_2x_terms], and doubling a PLA's product
-# terms must grow the whole flat extract_netlist < 3x:
-# verify_extract_flat[_2x_terms]; both at n = 4 here, n = 8 via
-# `make bench`), the flow ladder (bench_flow flow_mult_xy_* — each
+# doubling a PLA's product terms must grow the whole flat
+# extract_netlist < 3x: verify_extract_flat[_2x_terms], at n = 4 here,
+# n = 8 via `make bench`), the flow ladder (bench_flow flow_mult_xy_* — each
 # stage of a --compact xy job, job.generate, compact.flatten,
 # job.compact and job.emit, grows <= 5x per 4x-cell step: 8 -> 16
 # here, 16 -> 32 via `make bench`), and the flat-compaction guards
@@ -62,7 +60,6 @@ bench:
 # instance-proportional work, per-round content hashing in LVS or
 # one-pair/one-vector-at-a-time checking fails CI.  The bench_hierarchy
 # cached case asserts warm output is identical to the uncached oracle;
-# bench_verify asserts hier extraction is LVS-identical to flat;
 # bench_scanline, bench_sweep and bench_batch assert every geometry
 # pass (visibility scan, DRC, merge, wire extraction, the extraction
 # mask walk) matches its *_reference oracle output exactly (the >= 5x

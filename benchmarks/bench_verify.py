@@ -1,38 +1,12 @@
-"""E-VERIFY — silicon verification: flat versus hierarchical extraction.
+"""E-VERIFY — silicon verification: extraction, simulation and LVS.
 
-The verification analogue of the compact-once/stamp-many experiment
-(bench_hierarchy): a generated PLA plane is a handful of distinct
-crosspoint tiles stamped once per literal, so mask-level extraction
-should pay per *distinct tile*, not per instance.
-
-* **flat vs hier** — extract an n x n PLA plane (n inputs, n product
-  terms, n outputs; the acceptance workload is the 8x8 array) both
-  ways, assert LVS equivalence, and at full sizes enforce the >= 3x
-  acceptance bar for the hierarchical extractor.  Rows ``verify_flat``
-  / ``verify_hier`` land in ``BENCH_compaction.json``.  The timed
-  comparison swaps the mask walk to its interpreted oracle
-  (``_sweep_reference``): the bar documents the structural
-  extract-once/stamp-many win, which the array walk's constant-factor
-  speedup of the *flat* extraction (its ``verify_extract_vec`` row in
-  ``bench_batch.py``) would otherwise mask — small per-tile extractions
-  amortize no array export.
-* **scaling guard** (runs in smoke mode, fails CI) — doubling the
-  instance count (twice the product terms) must grow hierarchical
-  extraction < 3x: the tile set is unchanged, so only stamping and
-  stitching may grow.
-* **flat scaling guard** (runs in smoke mode, fails CI) — the same
-  doubling for the whole flat :func:`~repro.verify.extract.extract_netlist`
-  (flatten, mask walk, resolution) on ``plane_table(n, n, n)`` and
-  ``plane_table(n, 2n, n)`` (rows ``verify_extract_flat`` and
-  ``verify_extract_flat_2x_terms``, both at n; n = 4 in smoke mode, 8
-  otherwise) must stay < 3x: twice the terms is about twice the sweep
-  nodes, so only linear growth fits.
-* **cached re-verification** — a second hierarchical run against a
-  warm :class:`~repro.compact.CompactionCache` re-uses every tile
-  extraction (row ``verify_hier_cached``); asserted to hit the cache,
-  with the wall-clock gain recorded rather than asserted (tile
-  extraction is already cheap, so the cache's value is cross-run and
-  on-disk persistence).
+* **flat scaling guard** (runs in smoke mode, fails CI) — doubling the
+  product terms of a PLA for the whole flat
+  :func:`~repro.verify.extract.extract_netlist` (flatten, mask walk,
+  resolution) on ``plane_table(n, n, n)`` and ``plane_table(n, 2n, n)``
+  (rows ``verify_extract_flat`` and ``verify_extract_flat_2x_terms``,
+  both at n; n = 4 in smoke mode, 8 otherwise) must stay < 3x: twice
+  the terms is about twice the sweep nodes, so only linear growth fits.
 
 * **lane-parallel simulation** — every exhaustive input vector of
   an extracted PLA in one :func:`~repro.verify.switchsim.simulate`
@@ -54,9 +28,9 @@ should pay per *distinct tile*, not per instance.
   step has 4x the cells and may grow verification at most 5x, and the
   32x32 multiplier verifies in under 0.5 s.
 
-Set ``REPRO_BENCH_SMOKE=1`` to trim to the smallest size (the 3x, 10x
-and 20x speedup assertions are skipped there, the 8-input comparison
-runs on 5 inputs, and the union LVS comparison runs at 8x8; the scaling
+Set ``REPRO_BENCH_SMOKE=1`` to trim to the smallest size (the 10x and
+20x speedup assertions are skipped there, the 8-input comparison runs
+on 5 inputs, and the union LVS comparison runs at 8x8; the scaling
 guards and the 12-input bound still run, the multiplier one on the
 8x8 -> 16x16 step only).
 """
@@ -64,11 +38,9 @@ guards and the 12-input bound still run, the multiplier one on the
 import os
 import random
 import time
-from contextlib import contextmanager
 
 from conftest import best_time, doubling_ratio
 
-from repro.compact import CompactionCache
 from repro.multiplier import generate_multiplier
 from repro.multiplier.generator import intended_multiplier_netlist
 from repro.pla import TruthTable, generate_pla
@@ -79,22 +51,16 @@ from repro.verify import (
     compare_netlists,
     exhaustive_vectors,
     extract_netlist,
-    extract_netlist_hier,
     input_planes,
     simulate,
     verify_multiplier,
 )
-from repro.verify import extract as extract_module
 from repro.verify.driver import pla_layout_netlist
 from repro.verify.lvs import compare_netlists_reference
 from repro.verify.switchsim import simulate_reference
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
-SIZES = [4] if SMOKE else [4, 8, 12]
-#: the acceptance workload: hier must beat flat >= 3x here
-ACCEPTANCE_N = 8
-SPEEDUP_FLOOR = 3.0
 SCALING_LIMIT = 3.0
 #: union LVS over the per-netlist oracle on the 16x16 cell graph
 LVS_SPEEDUP_FLOOR = 10.0
@@ -126,74 +92,6 @@ def build(n, terms=None):
     return generate_pla(plane_table(n, terms or n, n), name=f"bench_pla_{n}_{terms}")
 
 
-@contextmanager
-def interpreted_kernel():
-    """Swap the extraction mask walk to its interpreted oracle.
-
-    ``extract_netlist`` looks ``_sweep_batch`` up in its module on every
-    call, so replacing that attribute routes flat and hierarchical
-    extraction alike through ``_sweep_reference`` until the block ends.
-    """
-    production = extract_module._sweep_batch
-    extract_module._sweep_batch = extract_module._sweep_reference
-    try:
-        yield
-    finally:
-        extract_module._sweep_batch = production
-
-
-def test_flat_vs_hier(report, record):
-    rows = []
-    for n in SIZES:
-        cell = build(n)
-        with interpreted_kernel():
-            flat_time = best_time(lambda: extract_netlist(cell))
-            hier_time = best_time(lambda: extract_netlist_hier(cell))
-        # LVS equivalence holds under the production mask walk too.
-        assert compare_netlists(
-            extract_netlist_hier(cell), extract_netlist(cell)
-        ).matched
-        record("verify_flat", n, flat_time)
-        record("verify_hier", n, hier_time)
-        ratio = flat_time / hier_time
-        rows.append(
-            f"  {n:>3} x {n}   flat {flat_time * 1000:8.2f} ms"
-            f"   hier {hier_time * 1000:8.2f} ms   {ratio:5.1f}x"
-        )
-        if not SMOKE and n == ACCEPTANCE_N:
-            assert ratio >= SPEEDUP_FLOOR, (
-                f"hierarchical extraction only {ratio:.1f}x faster than flat"
-                f" on the {n}x{n} array (need >= {SPEEDUP_FLOOR}x)"
-            )
-    report("E-VERIFY: flat vs hierarchical mask extraction", *rows)
-
-
-def test_hier_scaling_guard(report, record):
-    """Doubling the stamped instances must grow hier time < 3x."""
-    n = 4 if SMOKE else 8
-    small = build(n, terms=n)
-    large = build(n, terms=2 * n)
-
-    def measure(cell):
-        return best_time(lambda: extract_netlist_hier(cell))
-
-    ratio, t_small, t_large = doubling_ratio(
-        lambda cell: measure(cell), small, large, SCALING_LIMIT
-    )
-    # keyed by n in both rows: smoke mode's 4-term pair must not
-    # overwrite the full run's 8-term one
-    record("verify_hier_scale", n, t_small)
-    record("verify_hier_scale_2x_terms", n, t_large)
-    report(
-        "E-VERIFY: instance-doubling scaling guard",
-        f"  {n} terms -> {2 * n} terms: {t_small * 1000:.2f} ms ->"
-        f" {t_large * 1000:.2f} ms ({ratio:.2f}x, limit {SCALING_LIMIT}x)",
-    )
-    assert ratio < SCALING_LIMIT, (
-        f"hierarchical extraction grew {ratio:.2f}x on doubled instances"
-    )
-
-
 def test_flat_scaling_guard(report, record):
     """Doubling the product terms must grow flat extraction < 3x."""
     n = 4 if SMOKE else 8
@@ -215,21 +113,6 @@ def test_flat_scaling_guard(report, record):
     )
     assert ratio < SCALING_LIMIT, (
         f"flat extraction grew {ratio:.2f}x on doubled product terms"
-    )
-
-
-def test_cached_reverification(report, record):
-    n = SIZES[-1]
-    cell = build(n)
-    cache = CompactionCache()
-    cold = best_time(lambda: extract_netlist_hier(cell, cache=cache))
-    assert cache.misses > 0
-    warm = best_time(lambda: extract_netlist_hier(cell, cache=cache))
-    assert cache.hits > 0, "second run must reuse cached tile extractions"
-    record("verify_hier_cached", n, warm)
-    report(
-        "E-VERIFY: cached re-verification",
-        f"  {n} x {n}   cold {cold * 1000:8.2f} ms   warm {warm * 1000:8.2f} ms",
     )
 
 

@@ -14,7 +14,6 @@ from .drc import Violation, check_layout, check_layout_reference
 from .flat import (
     CompactionResult,
     compact_cell,
-    compact_cell_axes,
     compact_layout,
     compact_layout_xy,
     compact_passes,
@@ -60,7 +59,6 @@ __all__ = [
     "check_layout_reference",
     "CompactionResult",
     "compact_cell",
-    "compact_cell_axes",
     "compact_layout",
     "compact_layout_xy",
     "compact_passes",

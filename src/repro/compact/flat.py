@@ -54,7 +54,7 @@ from .solver import SolveStats, solve_longest_path
 
 __all__ = [
     "CompactionResult", "compact_layout", "compact_layout_xy", "compact_cell",
-    "compact_cell_axes", "compact_passes",
+    "compact_passes",
 ]
 
 #: band-scan method name -> :func:`naive_constraints` options
@@ -397,8 +397,8 @@ def compact_passes(
 ) -> Tuple[CellDefinition, List[CompactionResult]]:
     """Flatten ``cell`` once and run one pass per letter of ``axes``.
 
-    The one flat chain behind :func:`compact_cell`,
-    :func:`compact_cell_axes` and the ``--compact x|y|xy|yx`` stage.
+    The one flat chain behind :func:`compact_cell`, the hierarchical
+    pipeline's leaf passes and the ``--compact x|y|xy|yx`` stage.
     The cell is read into columns from its flatten memo, the passes
     hand each other columns, and only the last pass builds box
     objects.  Returns the flat output cell (``name``, by default
@@ -429,23 +429,7 @@ def compact_cell(
     """
     axis = options.pop("axis", "x")
     _check_axis(axis)
-    return compact_cell_axes(cell, rules, axis, name=name, **options)
-
-
-def compact_cell_axes(
-    cell: CellDefinition,
-    rules: DesignRules,
-    axes: str,
-    name: Optional[str] = None,
-    **options,
-) -> Tuple[CellDefinition, CompactionResult]:
-    """One pass per letter of ``axes`` (``"x"``, ``"xy"``, ...).
-
-    :func:`compact_passes` returning only the last pass's result: the
-    same cell and result as :func:`compact_cell` applied once per
-    letter.
-    """
-    compacted, results = compact_passes(cell, rules, axes, name=name, **options)
+    compacted, results = compact_passes(cell, rules, axis, name=name, **options)
     return compacted, results[-1]
 
 

@@ -38,7 +38,7 @@ from .cache import (
     fingerprint_cell,
     fingerprint_rules,
 )
-from .flat import CompactionResult, compact_cell_axes
+from .flat import CompactionResult, compact_passes
 from .rules import DesignRules
 
 __all__ = [
@@ -85,9 +85,10 @@ def compact_cells(
                 hit = cache.peek(key)
             leaf.set(cached=hit is not None)
             if hit is None:
-                compacted, result = compact_cell_axes(
+                compacted, passes = compact_passes(
                     cell, rules, axes, name=cell.name, width_mode=width_mode
                 )
+                result = passes[-1]
                 if cache is not None:
                     cache.put(key, (compacted, result))
             else:

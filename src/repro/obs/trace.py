@@ -213,7 +213,12 @@ class _NoopSpan:
 
 
 _NOOP = _NoopSpan()
+#: the ambient tracer: the newest live activation's, or ``None``
 _ACTIVE: Optional[Tracer] = None
+#: one ``[tracer]`` entry per live activation, oldest first; changed
+#: only under ``_ACTIVATIONS_LOCK``
+_ACTIVATIONS: List[List[Tracer]] = []
+_ACTIVATIONS_LOCK = threading.Lock()
 
 
 def active() -> Optional[Tracer]:
@@ -245,20 +250,27 @@ def _time_collector(phase: str, info: Dict[str, Any]) -> None:
 def activated(tracer: Tracer) -> Iterator[Tracer]:
     """Make ``tracer`` the process-wide ambient tracer for the block.
 
-    The outermost activation also installs the collector hook, and
-    removes it on the way out.
+    Activations may overlap across threads and need not end in the
+    order they began: each one is an entry in a shared list, and on
+    exit it removes its own entry and makes the newest remaining one
+    ambient (``None`` when none is left).  The collector hook stays
+    installed while any activation is live.
     """
     global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = tracer
-    if previous is None and _time_collector not in gc.callbacks:
-        gc.callbacks.append(_time_collector)
+    entry = [tracer]
+    with _ACTIVATIONS_LOCK:
+        if not _ACTIVATIONS and _time_collector not in gc.callbacks:
+            gc.callbacks.append(_time_collector)
+        _ACTIVATIONS.append(entry)
+        _ACTIVE = tracer
     try:
         yield tracer
     finally:
-        _ACTIVE = previous
-        if previous is None and _time_collector in gc.callbacks:
-            gc.callbacks.remove(_time_collector)
+        with _ACTIVATIONS_LOCK:
+            _ACTIVATIONS[:] = [live for live in _ACTIVATIONS if live is not entry]
+            _ACTIVE = _ACTIVATIONS[-1][0] if _ACTIVATIONS else None
+            if not _ACTIVATIONS and _time_collector in gc.callbacks:
+                gc.callbacks.remove(_time_collector)
 
 
 def span(name: str, **attributes: Any):

@@ -7,8 +7,6 @@ from generated mask geometry back to logical function.
 * :mod:`repro.verify.extract` — mask-level device/node extraction;
 * :mod:`repro.verify.switchsim` — lane-parallel 0/1/X simulation;
 * :mod:`repro.verify.lvs` — canonical-form netlist comparison;
-* :mod:`repro.verify.hier` — extract-once/stamp-many hierarchical
-  extraction with content-fingerprint caching;
 * :mod:`repro.verify.driver` — the high-level ``verify_*`` entry
   points the CLI and the examples call.
 """
@@ -21,7 +19,6 @@ from .driver import (
     verify_pla,
 )
 from .extract import ExtractionError, extract_layers, extract_netlist
-from .hier import TileExtraction, extract_netlist_hier
 from .lvs import LvsReport, compare_netlists
 from .netlist import Device, SwitchNetlist
 from .switchsim import (
@@ -40,8 +37,6 @@ __all__ = [
     "ExtractionError",
     "extract_layers",
     "extract_netlist",
-    "TileExtraction",
-    "extract_netlist_hier",
     "collect_occurrences",
     "cell_graph_netlist",
     "multiplier_personality",

@@ -4,11 +4,10 @@ Dispatches a generated cell to the right verification recipe:
 
 * **PLA family** (PLA / ROM / decoder — anything built from the
   :mod:`repro.pla` sample): full mask-level closure.  The transistor
-  netlist is extracted from the masks (flat, or tile-hierarchically
-  with ``hier=True``), LVS-compared against the generator's
-  ``intended_*_netlist`` golden, and switch-level simulated against
-  the truth table — exhaustively up to ``max_vectors`` input
-  combinations, seeded-randomly sampled beyond;
+  netlist is extracted from the flattened masks, LVS-compared against
+  the generator's ``intended_*_netlist`` golden, and switch-level
+  simulated against the truth table — exhaustively up to
+  ``max_vectors`` input combinations, seeded-randomly sampled beyond;
 * **multiplier** (stylised sample): cell-level LVS of the extracted
   cell graph against :func:`repro.multiplier.generator.intended_multiplier_netlist`,
   personality read-back against the Baugh-Wooley grid, and an
@@ -24,15 +23,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from ..compact.cache import CompactionCache
 from ..compact.rules import DesignRules
 from ..core.cell import CellDefinition
 from ..obs import trace as obs_trace
 from .extract import extract_netlist
-from .hier import extract_netlist_hier
 from .lvs import LvsReport, compare_netlists
 from .netlist import SwitchNetlist
 from .switchsim import X, input_planes, sample_words, simulate
+
+# Unused here: flowbench/tracing.py's LAYERS wraps this repro.verify.driver alias by name.
+extract_netlist_hier = extract_netlist
 
 if TYPE_CHECKING:
     from ..multiplier.netlist import Netlist
@@ -55,7 +55,6 @@ class VerificationReport:
     def __init__(self, subject: str, mode: str) -> None:
         self.subject = subject
         self.mode = mode
-        self.hierarchical = False
         self.lvs: Optional[LvsReport] = None
         self.vectors_checked = 0
         self.exhaustive = False
@@ -74,8 +73,7 @@ class VerificationReport:
     def summary(self) -> str:
         """Printable multi-line account of the run."""
         lines = [
-            f"verify {self.subject} ({self.mode},"
-            f" {'hierarchical' if self.hierarchical else 'flat'} extraction):"
+            f"verify {self.subject} ({self.mode}, flat extraction):"
             f" {self.devices} devices, {self.nets} nets"
         ]
         if self.lvs is not None:
@@ -96,7 +94,6 @@ class VerificationReport:
         return {
             "subject": self.subject,
             "mode": self.mode,
-            "hierarchical": self.hierarchical,
             "devices": self.devices,
             "nets": self.nets,
             "vectors_checked": self.vectors_checked,
@@ -123,17 +120,9 @@ def _celltypes(cell: CellDefinition) -> set:
     return names
 
 
-def _extract(
-    cell: CellDefinition,
-    rules: Optional[DesignRules],
-    hier: bool,
-    cache: Optional[CompactionCache],
-) -> SwitchNetlist:
-    with obs_trace.span("verify.extract", hier=hier) as extract_span:
-        if hier:
-            netlist = extract_netlist_hier(cell, rules, cache=cache)
-        else:
-            netlist = extract_netlist(cell, rules)
+def _extract(cell: CellDefinition, rules: Optional[DesignRules]) -> SwitchNetlist:
+    with obs_trace.span("verify.extract") as extract_span:
+        netlist = extract_netlist(cell, rules)
         extract_span.set(nets=len(netlist.net_names), devices=len(netlist.devices))
     return netlist
 
@@ -146,10 +135,7 @@ def _stamp_lvs(span, lvs: LvsReport) -> None:
 
 
 def pla_layout_netlist(
-    cell: CellDefinition,
-    rules: Optional[DesignRules] = None,
-    hier: bool = False,
-    cache: Optional[CompactionCache] = None,
+    cell: CellDefinition, rules: Optional[DesignRules] = None
 ) -> SwitchNetlist:
     """Extract a PLA-family layout and bind its primary pins.
 
@@ -157,7 +143,7 @@ def pla_layout_netlist(
     ports (buffered PLA/ROM) or, for a decoder, the ``row`` ports
     bottom to top.
     """
-    netlist = _extract(cell, rules, hier, cache)
+    netlist = _extract(cell, rules)
     netlist.inputs = netlist.nets_with_suffix("in")
     outputs = netlist.nets_with_suffix("out")
     netlist.outputs = outputs or netlist.nets_with_suffix("row")
@@ -170,8 +156,6 @@ def verify_pla(
     mode: str = "all",
     max_vectors: int = DEFAULT_MAX_VECTORS,
     rules: Optional[DesignRules] = None,
-    hier: bool = False,
-    cache: Optional[CompactionCache] = None,
 ) -> VerificationReport:
     """Verify a PLA/ROM/decoder layout at the mask level.
 
@@ -198,8 +182,7 @@ def verify_pla(
     report = VerificationReport(
         f"{cell.name} ({'decoder' if is_decoder else 'pla'})", mode
     )
-    report.hierarchical = hier
-    netlist = pla_layout_netlist(cell, rules, hier, cache)
+    netlist = pla_layout_netlist(cell, rules)
     report.devices = len(netlist.devices)
     report.nets = netlist.num_nets
     if table is None:
@@ -447,8 +430,6 @@ def verify_cell(
     mode: str = "all",
     max_vectors: int = DEFAULT_MAX_VECTORS,
     rules: Optional[DesignRules] = None,
-    hier: bool = False,
-    cache: Optional[CompactionCache] = None,
     table=None,
 ) -> VerificationReport:
     """Verify any generated cell, dispatching on its leaf vocabulary.
@@ -460,14 +441,12 @@ def verify_cell(
     names = _celltypes(cell)
     if "andsq" in names or "orsq" in names:
         return verify_pla(
-            cell, table=table, mode=mode, max_vectors=max_vectors,
-            rules=rules, hier=hier, cache=cache,
+            cell, table=table, mode=mode, max_vectors=max_vectors, rules=rules
         )
     if "basiccell" in names:
         return verify_multiplier(cell, mode=mode, max_vectors=max_vectors)
     report = VerificationReport(f"{cell.name} (generic)", mode)
-    report.hierarchical = hier
-    netlist = _extract(cell, rules, hier, cache)
+    netlist = _extract(cell, rules)
     report.devices = len(netlist.devices)
     report.nets = netlist.num_nets
     return report

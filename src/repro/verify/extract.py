@@ -26,8 +26,8 @@ extractor derives
 The sweep's nodes (one per merged run per slab) stay int64 columns
 (:class:`_SweepNodes`) from the walk to the netlist: every node's root
 is one array computation, devices come from a loop over channel nodes
-only, and ports attach in one array pass.  ``Box`` objects are built
-only for a caller that asks for the run geometry (``geometry=``).
+only, and ports attach in one array pass.  No ``Box`` is built per
+node.
 
 Port and label names attach to the net whose conductor geometry
 contains their position; names ending in ``!`` merge globally so
@@ -168,10 +168,6 @@ class _SweepNodes:
         )
 
     __hash__ = None  # type: ignore[assignment]
-
-    def boxes(self) -> List[Box]:
-        """One ``Box`` per node, in node order."""
-        return batch.boxes_from_arrays(self.x0, self.y0, self.x1, self.y1)
 
 
 class _RunGraph:
@@ -512,8 +508,8 @@ def _conductor_order(nodes: _SweepNodes, roots):
     """Conductor node ids, and the order key of each one.
 
     Conductors order by their component's first node, then by node id:
-    the order in which nets materialise for ``geometry=`` and in which
-    port candidates are tried.  The key is ``first * len(nodes) + id``.
+    the order in which port candidates are tried.  The key is
+    ``first * len(nodes) + id``.
     """
     conductor = np.flatnonzero(nodes.kind != _CHANNEL)
     component = roots[conductor]
@@ -611,13 +607,12 @@ def _resolve(
     terminals_of: Dict[int, Set[int]],
     depletion: Set[int],
     ports: Sequence,
-    geometry: Optional[List[Tuple[str, Box, int]]],
 ) -> SwitchNetlist:
     """Devices, nets and port names from the swept nodes and their roots.
 
     Devices come from one loop over the channel nodes, in order of
     their component roots; a conductor component gets a net only when a
-    device terminal, a port or ``geometry`` asks for it, in that order.
+    device terminal or a port asks for it, in that order.
     """
     netlist = SwitchNetlist()
     net_of_component: Dict[int, int] = {}
@@ -665,16 +660,6 @@ def _resolve(
             netlist.add_transistor(gate_nets[0], *terminal_nets)
 
     conductor, order = _conductor_order(nodes, roots)
-    if geometry is not None:
-        # Channels first, then every conductor run in conductor order;
-        # each component gets its net here, so recorded net ids cover
-        # every run.
-        boxes = nodes.boxes()
-        geometry.extend(("channel", boxes[node], -1) for node in channels)
-        kinds = nodes.kind.tolist()
-        for node in conductor[np.argsort(order)].tolist():
-            geometry.append((_SWEEP_KINDS[kinds[node]], boxes[node], net_for(node)))
-
     for port, node in zip(ports, _port_nodes(nodes, conductor, order, ports)):
         if node >= 0:
             position = port.position
@@ -683,39 +668,22 @@ def _resolve(
 
 
 def extract_netlist(
-    cell: CellDefinition,
-    rules: Optional[DesignRules] = None,
-    layers: Optional[Dict[str, List[Box]]] = None,
-    ports: Optional[Sequence] = None,
-    geometry: Optional[List[Tuple[str, Box, int]]] = None,
-    finalise: bool = True,
+    cell: CellDefinition, rules: Optional[DesignRules] = None
 ) -> SwitchNetlist:
     """Extract the transistor netlist of a placed cell from its masks.
 
     Returns a :class:`~repro.verify.netlist.SwitchNetlist` whose nets
     carry every hierarchical port name that landed on them, with rails
     classified from ``vdd``/``gnd`` names and global (``!``) names
-    merged.  ``layers``/``ports`` override the flatten step (the
-    hierarchical extractor passes pre-translated tiles).
-
-    When ``geometry`` is a list, every conductor run is appended to it
-    as ``(layer, box, net)`` — channels as ``("channel", box, -1)`` —
-    and with ``finalise=False`` the global-name merge, rail
-    classification and floating-net prune are skipped so the recorded
-    net ids stay valid; the hierarchical extractor relies on both to
-    stitch tiles.
+    merged.
 
     Three spans split the work: ``extract.flatten`` (masks and ports
-    out of the hierarchy, when not passed in), ``extract.sweep`` (the
-    slab walk and every node's root) and ``extract.resolve`` (devices,
-    nets and port names).
+    out of the hierarchy), ``extract.sweep`` (the slab walk and every
+    node's root) and ``extract.resolve`` (devices, nets and port names).
     """
-    if layers is None or ports is None:
-        with obs_trace.span("extract.flatten"):
-            if layers is None:
-                layers = extract_layers(cell, rules)
-            if ports is None:
-                ports = list(cell.flatten_ports(Transform())) if cell is not None else []
+    with obs_trace.span("extract.flatten"):
+        layers = extract_layers(cell, rules)
+        ports = list(cell.flatten_ports(Transform()))
 
     sweep_input: Dict[str, List[Box]] = {
         name: list(layers.get(name, ())) for name in CONDUCTOR_LAYERS
@@ -734,11 +702,8 @@ def extract_netlist(
         sweep_span.set(nodes=len(nodes))
 
     with obs_trace.span("extract.resolve", ports=len(ports)):
-        netlist = _resolve(
-            nodes, roots, gate_of, terminals_of, depletion, ports, geometry
-        )
-        if finalise:
-            netlist.merge_global_names()
-            netlist.classify_rails()
-            netlist.prune_floating()
+        netlist = _resolve(nodes, roots, gate_of, terminals_of, depletion, ports)
+        netlist.merge_global_names()
+        netlist.classify_rails()
+        netlist.prune_floating()
     return netlist

@@ -43,8 +43,8 @@ from repro.compact import (
     add_width_constraints,
     build_edge_variables,
     compact_cell,
-    compact_cell_axes,
     compact_layout,
+    compact_passes,
     naive_constraints,
     solve_longest_path,
     visibility_constraints,
@@ -750,7 +750,7 @@ def test_chained_passes_equal_one_compact_cell_per_axis(axes, options):
         expected, result = compact_cell(
             expected, TECH_A, name="out", axis=axis, **options
         )
-    chained, last = compact_cell_axes(cell, TECH_A, axes, name="out", **options)
+    chained, (*_, last) = compact_passes(cell, TECH_A, axes, name="out", **options)
     assert [(b.layer, b.box) for b in chained.boxes] == [
         (b.layer, b.box) for b in expected.boxes
     ]

@@ -140,6 +140,36 @@ class TestActivation:
                 assert active() is inner
             assert active() is outer
 
+    def test_interleaved_thread_activations_keep_the_newest_live_one(self):
+        """Thread A activates, B activates, A exits, B exits: once A is
+        out, B's tracer is ambient and the collector hook stays; once B
+        is out, no tracer is active and the hook is gone."""
+        first, second = Tracer(), Tracer()
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def run_a():
+            with activated(first):
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def run_b():
+            a_in.wait(10)
+            with activated(second):
+                b_in.set()
+                a_out.wait(10)
+                seen["after_a"] = (active(), _time_collector in gc.callbacks)
+
+        threads = [threading.Thread(target=run_a), threading.Thread(target=run_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(20)
+        assert seen["after_a"] == (second, True)
+        assert active() is None
+        assert _time_collector not in gc.callbacks
+
     def test_stage_span_stamps_the_collector_inside_it(self):
         tracer = Tracer()
         enabled = gc.isenabled()

@@ -22,8 +22,8 @@ from repro.compact import (
     HierarchicalCompactor,
     LeafCellCompactor,
     compact_cell,
-    compact_cell_axes,
     compact_cells,
+    compact_passes,
     distinct_leaf_cells,
     fingerprint_cell,
     fingerprint_rules,
@@ -298,7 +298,7 @@ class TestCompactCells:
         for (name, cell, result), (_, item) in zip(
             compact_cells(self.batch(), TECH_A), self.batch()
         ):
-            alone, alone_result = compact_cell_axes(item, TECH_A, "x", name=item.name)
+            alone, (alone_result,) = compact_passes(item, TECH_A, "x", name=item.name)
             assert cell.name == name
             assert layer_multiset(cell) == layer_multiset(alone)
             assert result.width_after == alone_result.width_after

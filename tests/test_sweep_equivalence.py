@@ -27,6 +27,7 @@ from repro.compact import (
     build_edge_variables,
     check_layout,
     check_layout_reference,
+    distinct_leaf_cells,
     solve_longest_path,
     visibility_constraints,
     visibility_constraints_reference,
@@ -49,14 +50,12 @@ from repro.pla import (
 )
 from repro.route.extract import wire_components, wire_components_reference
 from repro.route.style import RouteStyle
-from repro.verify import extract as extract_module
 from repro.verify.extract import (
     CONDUCTOR_LAYERS,
     _sweep_batch,
     _sweep_reference,
     extract_layers,
 )
-from repro.verify.hier import extract_netlist_hier
 
 LAYERS = ["diff", "poly", "metal1", "implant"]
 
@@ -356,35 +355,29 @@ def _assert_sweeps_agree(masks):
     ] == [production_sets.find(i) for i in range(len(production_sets.parent))]
 
 
+def _sweep_masks(cell):
+    """The extraction sweep's input for ``cell``: its expanded masks."""
+    layers = extract_layers(cell, None)
+    masks = {name: list(layers.get(name, ())) for name in CONDUCTOR_LAYERS}
+    masks["cut"] = list(layers.get("cut", ()))
+    masks["implant"] = list(layers.get("implant", ()))
+    return masks
+
+
 @pytest.mark.parametrize("tiles", [False, True], ids=["flat", "tiles"])
 @pytest.mark.parametrize("layout", sorted(SWEEP_LAYOUTS))
-def test_batch_verify_sweep_identical_netlist_parts(layout, tiles, monkeypatch):
+def test_batch_verify_sweep_identical_netlist_parts(layout, tiles):
     """The mask walk of netlist extraction agrees with its oracle.
 
-    ``flat`` sweeps the whole layout's masks; ``tiles`` sweeps every
-    per-tile input :func:`repro.verify.hier.extract_netlist_hier`
-    builds, captured as the hierarchical extractor hands them over.
+    ``flat`` sweeps the whole layout's masks; ``tiles`` sweeps the
+    masks of each distinct leaf definition of the layout, extracted
+    alone: small inputs, many of them cut off at the leaf's frame.
     """
     cell = SWEEP_LAYOUTS[layout]()
-    if tiles:
-        inputs = []
-
-        def recording(masks):
-            inputs.append(masks)
-            return _sweep_batch(masks)
-
-        monkeypatch.setattr(extract_module, "_sweep_batch", recording)
-        extract_netlist_hier(cell)
-        monkeypatch.undo()
-        assert inputs
-    else:
-        layers = extract_layers(cell, None)
-        masks = {name: list(layers.get(name, ())) for name in CONDUCTOR_LAYERS}
-        masks["cut"] = list(layers.get("cut", ()))
-        masks["implant"] = list(layers.get("implant", ()))
-        inputs = [masks]
-    for masks in inputs:
-        _assert_sweeps_agree(masks)
+    leaves = distinct_leaf_cells(cell) if tiles else [cell]
+    assert leaves
+    for leaf in leaves:
+        _assert_sweeps_agree(_sweep_masks(leaf))
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 :func:`~repro.verify.switchsim.simulate` settles every input vector in
 one relaxation, one vector per bit lane; :func:`simulate_reference` is
 the one-vector event-driven solver it replaced.  Every net of every
-lane must agree on the extracted netlists of each PLA-family generator
-(flat and hierarchical extraction), on seeded random depletion-load
+lane must agree on the extracted netlists of each PLA-family generator,
+on seeded random depletion-load
 gate networks with X inputs, and on feedback loops that settle to X.
 ``verify_pla`` reports, failure lines included, must be the ones the
 old per-vector loop gave.
@@ -105,10 +105,9 @@ FAMILY = {
 }
 
 
-@pytest.mark.parametrize("hier", [False, True])
 @pytest.mark.parametrize("family", sorted(FAMILY))
-def test_pla_family_lanes_match_the_oracle(family, hier):
-    netlist = pla_layout_netlist(FAMILY[family](), hier=hier)
+def test_pla_family_lanes_match_the_oracle(family):
+    netlist = pla_layout_netlist(FAMILY[family]())
     width = len(netlist.inputs)
     assert width and netlist.outputs
     vectors = exhaustive_vectors(width) + with_unknowns(width, 8, seed=width)
@@ -308,11 +307,10 @@ class TestLaneApi:
 # ---------------------------------------------------------------------------
 # verify_pla reports: lane engine versus the per-vector loop
 # ---------------------------------------------------------------------------
-def per_vector_report(cell, table, decoder, mode="all", hier=False, max_vectors=4096):
+def per_vector_report(cell, table, decoder, mode="all", max_vectors=4096):
     """``verify_pla`` as it ran before the lane engine: one oracle call per vector."""
     report = VerificationReport(f"{cell.name} ({'decoder' if decoder else 'pla'})", mode)
-    report.hierarchical = hier
-    netlist = pla_layout_netlist(cell, hier=hier)
+    netlist = pla_layout_netlist(cell)
     report.devices = len(netlist.devices)
     report.nets = netlist.num_nets
     if mode in ("lvs", "all"):
@@ -371,15 +369,14 @@ REPORT_CASES = {
 
 
 @pytest.mark.parametrize("mutated", [False, True])
-@pytest.mark.parametrize("hier", [False, True])
 @pytest.mark.parametrize("case", sorted(REPORT_CASES))
-def test_report_matches_the_per_vector_loop(case, hier, mutated):
+def test_report_matches_the_per_vector_loop(case, mutated):
     build, table, decoder, options = REPORT_CASES[case]
     cells = [build(), build()]
     if mutated:
         cells = [swap_first_crosspoint(cell) for cell in cells]
-    report = verify_pla(cells[0], table=table, hier=hier, **options)
-    oracle = per_vector_report(cells[1], table, decoder, hier=hier, **options)
+    report = verify_pla(cells[0], table=table, **options)
+    oracle = per_vector_report(cells[1], table, decoder, **options)
     assert report.failures == oracle.failures
     assert report.to_dict() == oracle.to_dict()
     assert report.ok == (not mutated and case != "pla-lying")

@@ -3,13 +3,12 @@
 The tentpole coverage: device extraction reads real transistors out of
 mask geometry, the switch-level simulator evaluates them correctly,
 LVS canonicalization matches structure and catches every local edit,
-and the hierarchical tile extractor is LVS-identical to the flat one.
+and geometry drawn across placed instances extracts as one circuit.
 """
 
 import pytest
 
 from repro import CellDefinition
-from repro.compact.cache import CompactionCache
 from repro.compact.rules import TECH_A
 from repro.geometry import Vec2
 from repro.pla import (
@@ -27,7 +26,6 @@ from repro.verify import (
     X,
     compare_netlists,
     extract_netlist,
-    extract_netlist_hier,
     sample_vectors,
     sample_words,
     simulate,
@@ -323,37 +321,12 @@ class TestPlaFamilyClosure:
         assert compare_netlists(netlist, intended_decoder_netlist(2)).matched
 
 
-class TestHierarchicalExtraction:
-    def test_lvs_identical_to_flat(self):
-        for cell in (generate_pla(TABLE), generate_decoder(3)):
-            flat = extract_netlist(cell)
-            hier = extract_netlist_hier(cell)
-            assert compare_netlists(hier, flat).matched
-
-    def test_rom_equivalence(self):
-        rom, _ = generate_rom(list(range(8)), 4)
-        assert compare_netlists(
-            extract_netlist_hier(rom), extract_netlist(rom)
-        ).matched
-
-    def test_cache_hit_gives_same_answer(self):
-        cache = CompactionCache()
-        pla = generate_pla(TABLE)
-        first = extract_netlist_hier(pla, cache=cache)
-        assert cache.misses > 0
-        second = extract_netlist_hier(pla, cache=cache)
-        assert cache.hits > 0
-        assert compare_netlists(first, second).matched
-
-    def test_hier_verify_report(self):
-        report = verify_pla(generate_pla(TABLE), table=TABLE, hier=True)
-        assert report.ok and report.hierarchical
-
-    def test_derived_gate_overhang_stitches_across_seam(self):
+class TestPlacedExtraction:
+    def test_derived_gate_overhang_joins_abutting_diffusion(self):
         """A derived gate's expanded diffusion reaches past the drawn
-        tile frame; the overhang must still stitch to the abutting
-        tile (regression: boundary was measured on drawn extent)."""
-        from repro import Vec2, NORTH
+        extent of its cell and joins the diffusion of the abutting cell:
+        the one transistor drawn has the gnd net as a channel terminal."""
+        from repro import NORTH
 
         a = CellDefinition("a")
         a.add_box("gate", 4, 0, 6, 2)      # expand_gate grows diff by 1
@@ -364,25 +337,24 @@ class TestHierarchicalExtraction:
         top = CellDefinition("top")
         top.add_instance(a, Vec2(0, 0), NORTH, name="a")
         top.add_instance(b, Vec2(0, 0), NORTH, name="b")
-        flat = extract_netlist(top)
-        hier = extract_netlist_hier(top)
-        assert hier.gnd_nets and compare_netlists(hier, flat).matched
+        netlist = extract_netlist(top)
+        (device,) = netlist.devices
+        (gnd,) = netlist.gnd_nets
+        assert gnd in device.pins_with_role("ch")
 
-    def test_orphan_port_over_interior_conductor(self):
-        """A box-less root's port lands on a tile-interior wire; it
-        must attach exactly as flat extraction attaches it
-        (regression: only frame-touching runs were searched)."""
-        from repro import Vec2, NORTH
+    def test_root_port_over_child_wire_attaches(self):
+        """A box-less root's port lands on a wire drawn inside a child
+        instance and names its net."""
+        from repro import NORTH
 
         child = CellDefinition("child")
         child.add_box("metal1", 2, 2, 8, 8)
         root = CellDefinition("root")
         root.add_instance(child, Vec2(0, 0), NORTH, name="child")
         root.add_port("vdd!", 5, 5, "metal1")
-        flat = extract_netlist(root)
-        hier = extract_netlist_hier(root)
-        assert flat.vdd_nets and hier.vdd_nets
-        assert compare_netlists(hier, flat).matched
+        netlist = extract_netlist(root)
+        assert netlist.vdd_nets == {netlist.find_net("vdd!")}
+        assert netlist.devices == []
 
 
 class TestSampling:

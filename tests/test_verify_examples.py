@@ -85,14 +85,6 @@ class TestShippedExamples:
         composite, plan = compose("soc", datapath, controller, nets)
         assert verify_composite(composite, plan) == []
 
-    def test_hierarchical_mode_agrees_on_examples(self):
-        module = load_example("pla_demo")
-        cell = generate_pla(module.TABLE)
-        flat = verify_pla(cell, table=module.TABLE, hier=False)
-        hier = verify_pla(cell, table=module.TABLE, hier=True)
-        assert flat.ok and hier.ok
-        assert flat.devices == hier.devices and flat.nets == hier.nets
-
 
 def _mutate(netlist, rng):
     """Apply one random local edit to a device; returns a description."""
