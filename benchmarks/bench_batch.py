@@ -25,6 +25,7 @@ SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 def _impl_verify_extract_vec(report, record):
     from bench_verify import plane_table
 
+    from repro.geometry import batch
     from repro.pla import generate_pla
     from repro.verify.extract import (
         CONDUCTOR_LAYERS,
@@ -39,13 +40,14 @@ def _impl_verify_extract_vec(report, record):
     masks = {name: list(layers.get(name, ())) for name in CONDUCTOR_LAYERS}
     masks["cut"] = list(layers.get("cut", ()))
     masks["implant"] = list(layers.get("implant", ()))
+    columns = {name: batch.boxes_to_arrays(boxes) for name, boxes in masks.items()}
 
     def roots(result):
         sets = result[0]
         return [sets.find(i) for i in range(len(sets.parent))]
 
     result_reference = _sweep_reference(masks)
-    result_batch = _sweep_batch(masks)
+    result_batch = _sweep_batch(columns)
     # boxes/gates/terminals/... and the union-find partition
     assert result_reference[1:] == result_batch[1:]
     assert roots(result_reference) == roots(result_batch)
@@ -54,7 +56,7 @@ def _impl_verify_extract_vec(report, record):
         record,
         "verify_extract_vec",
         n,
-        lambda: _sweep_batch(masks),
+        lambda: _sweep_batch(columns),
         lambda: _sweep_reference(masks),
         min_ratio=3.0,
         smoke=SMOKE,

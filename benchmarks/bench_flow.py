@@ -1,6 +1,8 @@
 """E-FLOW — the user's flow as a scaling ladder.
 
-The first rung of a per-stage ladder over the flow a user runs:
+Two rungs of a per-stage ladder over the flows a user runs.
+
+The multiplier rung:
 ``execute_job(JobSpec(kind="multiplier", compact="xy"))`` (``run_job``
 plus the CIF emit), in process, at 8x8, 16x16 and 32x32 — each step
 quadruples the cells.  Every stage time is read from the job's own
@@ -17,16 +19,45 @@ Guard: each stage grows at most 5x per size step (the bound
 multiplier size), best of three jobs per size, plus an unguarded
 ``flow_mult_xy_gc`` row: the collector seconds the ``job.*`` spans
 stamped (``gc_s``) in the fastest job.
+
+The PLA-verify rung: the ``pla-verify`` flow — a PLA through the design
+language, exhaustive ``verify_cell(mode="all")`` and ``cif_text`` — in
+process, traced, at 8, 16 and 32 product terms (6 inputs, 4 outputs):
+
+* ``job.generate`` — the design-language evaluation (a stage span this
+  bench opens around ``generate_pla_via_language``);
+* ``extract.flatten`` — masks and ports out of the hierarchy;
+* ``verify.extract`` — the whole mask extraction;
+* ``job.emit`` — the CIF text (a stage span this bench opens).
+
+Guard: each stage grows at most 3x per doubling of the terms; the
+8 -> 16 step runs in ``make bench-smoke``, 16 -> 32 in ``make bench``.
+Rows ``flow_pla_verify_<stage>`` (n = the term count), best of three
+jobs per size.
 """
 
 import os
 
+from bench_verify import plane_table
+
+from repro.layout.cif import cif_text
 from repro.obs import trace as obs_trace
+from repro.pla import generate_pla_via_language
 from repro.service.jobs import JobSpec, execute_job
+from repro.verify import verify_cell
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 SIZES = [8, 16] if SMOKE else [8, 16, 32]
 STEP_LIMIT = 5.0
+PLA_TERMS = [8, 16] if SMOKE else [8, 16, 32]
+PLA_STEP_LIMIT = 3.0
+#: span name -> row suffix of the PLA-verify rung
+PLA_STAGES = {
+    "job.generate": "generate",
+    "extract.flatten": "flatten",
+    "verify.extract": "extract",
+    "job.emit": "emit",
+}
 #: span name -> row suffix
 STAGES = {
     "job.generate": "generate",
@@ -91,3 +122,55 @@ def test_flow_mult_xy_ladder(report, record):
     report("E-FLOW: --compact xy flow, per-stage scaling ladder", *rows)
     broken = {key: ratio for key, ratio in ratios.items() if ratio > STEP_LIMIT}
     assert not broken, f"stages grew over {STEP_LIMIT}x per size step: {broken}"
+
+
+def traced_pla_job(terms):
+    """Stage seconds of one PLA-verify job, summed per span name."""
+    table = plane_table(6, terms, 4)
+    tracer = obs_trace.Tracer()
+    with obs_trace.activated(tracer):
+        with obs_trace.stage_span("job.generate"):
+            cell, _ = generate_pla_via_language(table)
+        assert verify_cell(cell, mode="all", table=table).ok
+        with obs_trace.stage_span("job.emit"):
+            cif_text(cell)
+    seconds = dict.fromkeys(PLA_STAGES, 0.0)
+    for span in tracer.finished():
+        if span.name in seconds:
+            seconds[span.name] += span.duration_s
+    return seconds
+
+
+def best_pla_stages(terms, repeats=3):
+    """Per stage, the best of ``repeats`` PLA-verify jobs."""
+    runs = [traced_pla_job(terms) for _ in range(repeats)]
+    return {name: min(run[name] for run in runs) for name in PLA_STAGES}
+
+
+def test_flow_pla_verify_ladder(report, record):
+    """Each stage of the PLA-verify flow grows <= 3x per term doubling."""
+    traced_pla_job(PLA_TERMS[0])  # compile the design text and import the flow
+    for attempt in range(3):
+        measured = {terms: best_pla_stages(terms) for terms in PLA_TERMS}
+        ratios = {
+            (small, large, name): measured[large][name] / measured[small][name]
+            for small, large in zip(PLA_TERMS, PLA_TERMS[1:])
+            for name in PLA_STAGES
+        }
+        if max(ratios.values()) <= PLA_STEP_LIMIT:
+            break
+    rows = []
+    for terms, seconds in measured.items():
+        for name, suffix in PLA_STAGES.items():
+            record(f"flow_pla_verify_{suffix}", terms, seconds[name])
+        rows.append(f"  {terms:>2} terms " + "  ".join(
+            f"{name} {seconds[name] * 1000:7.2f} ms" for name in PLA_STAGES
+        ))
+    for (small, large, name), ratio in sorted(ratios.items()):
+        rows.append(
+            f"  {name:<16} {small} -> {large} terms: {ratio:.2f}x"
+            f" (limit {PLA_STEP_LIMIT}x)"
+        )
+    report("E-FLOW: PLA generate -> verify -> emit, per-stage scaling ladder", *rows)
+    broken = {key: ratio for key, ratio in ratios.items() if ratio > PLA_STEP_LIMIT}
+    assert not broken, f"stages grew over {PLA_STEP_LIMIT}x per term doubling: {broken}"

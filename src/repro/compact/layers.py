@@ -10,16 +10,28 @@ exactly Magic's contact layer, which the paper cites.
 
 The same strategy handles transistors: a ``gate`` derived layer expands
 to poly over diff with the technology's gate width.
+
+:func:`expand_columns` is the one production build: it expands whole
+int64 box columns per layer (floor-division gate widening, diffusion
+extension, cut grids via ``np.repeat``), so netlist extraction reads a
+cell's column memo and builds no box object.  :func:`expand_layout` is
+its ``Box`` wrapper; the per-box :func:`expand_contact` and
+:func:`expand_gate` are kept as its oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
+
+import numpy as np
 
 from ..geometry import Box
+from ..geometry.batch import BoxArray, boxes_from_arrays, boxes_to_arrays
 from .rules import ContactRule, DesignRules
 
-__all__ = ["expand_contact", "expand_layout", "cut_count", "expand_gate"]
+__all__ = [
+    "expand_contact", "expand_columns", "expand_layout", "cut_count", "expand_gate",
+]
 
 
 def cut_count(extent: int, rule: ContactRule) -> int:
@@ -82,27 +94,97 @@ def expand_gate(box: Box, rules: DesignRules) -> List[Tuple[str, Box]]:
     return [("poly", poly), ("diff", diff)]
 
 
+def _cut_counts(extent, rule: ContactRule):
+    """:func:`cut_count` over an int64 column of extents."""
+    usable = extent - 2 * max(rule.metal_overlap, rule.poly_overlap)
+    return 1 + np.maximum(usable - rule.cut_size, 0) // (rule.cut_size + rule.cut_spacing)
+
+
+def _contact_cuts(boxes: BoxArray, rule: ContactRule) -> BoxArray:
+    """Every cut of every derived contact: box by box, rows then columns."""
+    width = boxes.xmax - boxes.xmin
+    height = boxes.ymax - boxes.ymin
+    columns = _cut_counts(width, rule)
+    rows = _cut_counts(height, rule)
+    step = rule.cut_size + rule.cut_spacing
+    x0 = boxes.xmin + (width - (columns * step - rule.cut_spacing)) // 2
+    y0 = boxes.ymin + (height - (rows * step - rule.cut_spacing)) // 2
+    counts = rows * columns
+    total = int(counts.sum())
+    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    per_row = np.repeat(columns, counts)
+    cx = np.repeat(x0, counts) + within % per_row * step
+    cy = np.repeat(y0, counts) + within // per_row * step
+    return BoxArray(cx, cy, cx + rule.cut_size, cy + rule.cut_size)
+
+
+def _gate_masks(boxes: BoxArray, rules: DesignRules) -> Tuple[BoxArray, BoxArray]:
+    """The poly and diffusion of every derived gate (:func:`expand_gate`)."""
+    gate_width = rules.gate_width or rules.width("poly")
+    narrow = boxes.xmax - boxes.xmin < gate_width
+    widened = (boxes.xmin + boxes.xmax - gate_width) // 2
+    poly = BoxArray(
+        np.where(narrow, widened, boxes.xmin), boxes.ymin,
+        np.where(narrow, widened + gate_width, boxes.xmax), boxes.ymax,
+    )
+    diff_extend = 1
+    diff = BoxArray(
+        boxes.xmin - diff_extend, boxes.ymin, boxes.xmax + diff_extend, boxes.ymax
+    )
+    return poly, diff
+
+
+def expand_columns(
+    layers: Mapping[str, BoxArray], rules: DesignRules
+) -> Dict[str, BoxArray]:
+    """Expand every derived layer of flat box columns to mask layers.
+
+    The column build of :func:`expand_layout`, with the same boxes in
+    the same order: a layer's output lists its contributions in input
+    layer order, a contact gives its ``metal1`` and ``poly`` overlaps
+    (the contact boxes themselves) and its cut grid, a gate its widened
+    poly and extended diffusion, and any other layer passes through.
+    Layers appear in the order their first box would have been put;
+    empty input layers contribute nothing.
+    """
+    parts: Dict[str, List[BoxArray]] = {}
+    for layer, boxes in layers.items():
+        if not len(boxes):
+            continue
+        if layer == "contact":
+            produced = [
+                ("metal1", boxes), ("poly", boxes),
+                ("cut", _contact_cuts(boxes, rules.contact)),
+            ]
+        elif layer == "gate":
+            poly, diff = _gate_masks(boxes, rules)
+            produced = [("poly", poly), ("diff", diff)]
+        else:
+            produced = [(layer, boxes)]
+        for name, columns in produced:
+            parts.setdefault(name, []).append(columns)
+    return {
+        name: group[0] if len(group) == 1 else BoxArray(*(
+            np.concatenate([getattr(part, column) for part in group])
+            for column in ("xmin", "ymin", "xmax", "ymax")
+        ))
+        for name, group in parts.items()
+    }
+
+
 def expand_layout(
     layers: Dict[str, List[Box]], rules: DesignRules
 ) -> Dict[str, List[Box]]:
     """Expand every derived layer of a flat layout to mask layers.
 
     Non-derived layers pass through unchanged; ``contact`` and ``gate``
-    boxes are expanded per the technology's tables.
+    boxes are expanded per the technology's tables.  A ``Box`` wrapper
+    over :func:`expand_columns`.
     """
-    result: Dict[str, List[Box]] = {}
-
-    def put(layer: str, box: Box) -> None:
-        result.setdefault(layer, []).append(box)
-
-    for layer, boxes in layers.items():
-        for box in boxes:
-            if layer == "contact":
-                for out_layer, out_box in expand_contact(box, rules.contact):
-                    put(out_layer, out_box)
-            elif layer == "gate":
-                for out_layer, out_box in expand_gate(box, rules):
-                    put(out_layer, out_box)
-            else:
-                put(layer, box)
-    return result
+    expanded = expand_columns(
+        {layer: boxes_to_arrays(boxes) for layer, boxes in layers.items()}, rules
+    )
+    return {
+        layer: boxes_from_arrays(boxes.xmin, boxes.ymin, boxes.xmax, boxes.ymax)
+        for layer, boxes in expanded.items()
+    }

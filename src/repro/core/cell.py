@@ -390,11 +390,16 @@ class CellDefinition:
         *alongside* any previous owner, which keeps tracking too — and
         bumps the mutation stamp for the append itself.
         """
-        if all(owner is not self for owner in instance.owners):
-            instance.owners = instance.owners + (self,)
-        self.instances.append(instance)
-        self._touch()
+        self.adopt_all((instance,))
         return instance
+
+    def adopt_all(self, instances: Iterable[Instance]) -> None:
+        """:meth:`adopt` every instance, in order, under one mutation stamp."""
+        for instance in instances:
+            if self not in instance.owners:
+                instance.owners = instance.owners + (self,)
+            self.instances.append(instance)
+        self._touch()
 
     # ------------------------------------------------------------------
     # Queries
@@ -531,12 +536,15 @@ class CellDefinition:
                 Port(port.name, port.position.transformed(orientation), port.layer)
             )
         for index, instance in enumerate(self.instances):
-            if not instance.is_placed:
+            location, turn = instance._location, instance._orientation
+            if location is None or turn is None:
+                continue
+            child_items = instance._definition._flat_ports(orientation.compose(turn))
+            if not child_items:
                 continue
             tag = instance.name or f"{instance.celltype}#{index}"
-            child_orientation = orientation.compose(instance.orientation)
-            offset = instance.location.transformed(orientation)
-            for item in instance.definition._flat_ports(child_orientation):
+            offset = location.transformed(orientation)
+            for item in child_items:
                 items.append(
                     Port(f"{tag}/{item.name}", item.position + offset, item.layer)
                 )
@@ -586,7 +594,13 @@ class CellDefinition:
             yield LayerBox(names[code], box)
 
     def flatten_ports(self, transform: Transform = Transform(), prefix: str = "") -> Iterator[Port]:
-        """Yield ports with hierarchical names ``inst/.../port``."""
+        """Yield ports with hierarchical names ``inst/.../port``.
+
+        A placed instance whose definition's ``_flat_ports`` memo is
+        empty (no port anywhere in its subtree, in any orientation) is
+        skipped before its orientation, name and offset are formed: an
+        array of port-less cells costs one dictionary read per instance.
+        """
         orientation = transform.orientation
         offset = transform.offset
         for port in self.ports:
@@ -595,13 +609,21 @@ class CellDefinition:
                 port.position.transformed(orientation) + offset,
                 port.layer,
             )
+        portless: Dict[CellDefinition, bool] = {}
         for index, instance in enumerate(self.instances):
-            if not instance.is_placed:
+            location, turn = instance._location, instance._orientation
+            if location is None or turn is None:
                 continue
-            tag = instance.name or f"{instance.celltype}#{index}"
-            child_orientation = orientation.compose(instance.orientation)
-            child_offset = instance.location.transformed(orientation) + offset
-            for item in instance.definition._flat_ports(child_orientation):
+            definition = instance._definition
+            skip = portless.get(definition)
+            if skip is None:
+                skip = portless[definition] = not definition._flat_ports(NORTH)
+            if skip:
+                continue
+            tag = instance.name or f"{definition.name}#{index}"
+            child_orientation = orientation.compose(turn)
+            child_offset = location.transformed(orientation) + offset
+            for item in definition._flat_ports(child_orientation):
                 yield Port(
                     f"{prefix}{tag}/{item.name}",
                     item.position + child_offset,

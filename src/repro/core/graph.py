@@ -29,7 +29,7 @@ from typing import Deque, Dict, Iterator, List, Optional, Tuple
 from ..geometry import NORTH, Orientation, Vec2
 from .cell import CellDefinition, Instance
 from .errors import DisconnectedGraphError, GraphError, InconsistentGraphError
-from .interface import Interface, propagate_placement
+from .interface import Interface
 from .interface_table import InterfaceTable
 
 __all__ = ["Node", "Edge", "expand_graph", "collect_graph"]
@@ -55,10 +55,6 @@ class Edge:
         if node is self.target:
             return self.source
         raise GraphError("node is not an endpoint of this edge")
-
-    def emanates_from(self, node: "Node") -> bool:
-        """True when the edge's direction bit is 1 at ``node``."""
-        return node is self.source
 
     def __repr__(self) -> str:
         return (
@@ -121,27 +117,6 @@ def collect_graph(root: Node) -> List[Node]:
     return order
 
 
-def _placement_across(
-    edge: Edge, placed: Node, table: InterfaceTable, inverses: Dict[int, Interface]
-) -> Tuple[Vec2, Orientation]:
-    """Placement of the other endpoint of ``edge`` from the placed one.
-
-    Traversal along the edge direction uses the table interface directly;
-    traversal against it uses the inverse — this is where the direction
-    bit earns its keep for same-celltype edges.  ``inverses`` memoises
-    each table interface's inverse for one expansion (keyed by identity:
-    the table holds every interface for the expansion's duration).
-    """
-    interface = table.lookup(edge.source.celltype, edge.target.celltype, edge.index)
-    if not edge.emanates_from(placed):
-        inverse = inverses.get(id(interface))
-        if inverse is None:
-            inverse = inverses[id(interface)] = interface.inverse()
-        interface = inverse
-    instance = placed.instance
-    return propagate_placement(instance.location, instance.orientation, interface)
-
-
 def expand_graph(
     root: Node,
     table: InterfaceTable,
@@ -159,6 +134,18 @@ def expand_graph(
     (a parallel edge, a self-loop, a cycle edge) is verified for
     consistency.
 
+    An edge costs one table lookup.  Traversal along the edge direction
+    uses the table interface; traversal against it uses the inverse —
+    this is where the direction bit earns its keep for same-celltype
+    edges — memoised per interface for the expansion.  Equations 3.1/3.2
+    then reduce to a *step*: the placed node's orientation applied to
+    the interface gives an integer offset ``O_a(V_ab)`` and the far
+    orientation ``O_a o O_ab``, which depend only on the interface, the
+    direction and ``O_a``.  Steps are memoised on those three (interfaces
+    keyed by identity: the table holds every interface for the
+    expansion's duration), so an array of n cells computes a handful of
+    steps and places each node with two integer additions.
+
     ``expected_nodes`` (optional) asserts that the reachable component
     covers exactly those nodes, raising
     :class:`DisconnectedGraphError` otherwise.
@@ -169,17 +156,40 @@ def expand_graph(
     """
     root.instance.place(root_location, root_orientation)
     placed = {id(root)}
+    lookup = table.lookup
     inverses: Dict[int, Interface] = {}
+    # (id(interface), along the edge, placed orientation) -> (dx, dy, far orientation)
+    steps: Dict[Tuple[int, bool, Orientation], Tuple[int, int, Orientation]] = {}
     order = [root]
     # (node, the tree edge it was placed across)
     queue: Deque[Tuple[Node, Optional[Edge]]] = deque([(root, None)])
     while queue:
         node, tree_edge = queue.popleft()
+        instance = node.instance
+        x, y = instance.location.x, instance.location.y
+        turn = instance.orientation
         for edge in node.edges:
             if edge is tree_edge:
                 continue
-            neighbor = edge.other(node)
-            location, orientation = _placement_across(edge, node, table, inverses)
+            source, target = edge.source, edge.target
+            interface = lookup(
+                source.instance.definition.name, target.instance.definition.name,
+                edge.index,
+            )
+            along = source is node
+            neighbor = target if along else source
+            key = (id(interface), along, turn)
+            step = steps.get(key)
+            if step is None:
+                if not along:
+                    inverse = inverses.get(id(interface))
+                    if inverse is None:
+                        inverse = inverses[id(interface)] = interface.inverse()
+                    interface = inverse
+                dx, dy = turn.apply(interface.vector.x, interface.vector.y)
+                step = steps[key] = (dx, dy, turn.compose(interface.orientation))
+            dx, dy, orientation = step
+            location = Vec2(x + dx, y + dy)
             if id(neighbor) in placed:
                 if (
                     neighbor.instance.location != location

@@ -62,7 +62,9 @@ class Rsg:
         ``source`` so calls chain naturally, matching the design-file
         convention that ``connect`` returns its first argument.
         """
-        self.interfaces.lookup(source.celltype, target.celltype, index)
+        self.interfaces.lookup(
+            source.instance.definition.name, target.instance.definition.name, index
+        )
         source.connect(target, index)
         return source
 
@@ -82,10 +84,9 @@ class Rsg:
                 root, self.interfaces, root_location, root_orientation
             )
         cell = self.cells.new_cell(name, replace=replace)
-        for node in order:
-            # adopt (not a raw append) so the new cell's geometry caches
-            # invalidate if a node's instance is ever re-placed later.
-            cell.adopt(node.instance)
+        # adopt (not a raw append) so the new cell's geometry caches
+        # invalidate if a node's instance is ever re-placed later.
+        cell.adopt_all([node.instance for node in order])
         return cell
 
     # ------------------------------------------------------------------

@@ -63,10 +63,18 @@ _SHOWN_ATTRIBUTES = (
 )
 
 
+def _attribute_value(value: Any) -> str:
+    """One attribute value; floats in fixed point (``0.000050``, never
+    ``5e-05``), so a row reads the same at every magnitude."""
+    return f"{value:f}" if isinstance(value, float) else f"{value}"
+
+
 def _attribute_text(attributes: Dict[str, Any]) -> str:
     """Render the whitelisted attributes as a compact ``k=v`` suffix."""
     shown = [
-        f"{key}={attributes[key]}" for key in _SHOWN_ATTRIBUTES if key in attributes
+        f"{key}={_attribute_value(attributes[key])}"
+        for key in _SHOWN_ATTRIBUTES
+        if key in attributes
     ]
     return f"  [{' '.join(shown)}]" if shown else ""
 

@@ -293,7 +293,9 @@ def multiplier_mismatches(
     ``"a x b: got G, want W"`` line per pair whose product differs from
     :func:`~repro.multiplier.baughwooley.reference_product`, in pair
     order: the lines a per-pair :func:`~repro.multiplier.baughwooley.multiply`
-    loop would report.
+    loop would report.  Up to 64 product bits the reference products
+    are one sign-extended int64 expression over all pairs; only the
+    mismatching pairs are formatted in Python.
     """
     import numpy as np
 
@@ -323,16 +325,27 @@ def multiplier_mismatches(
         bits = np.unpackbits(plane, count=lanes, bitorder="little")
         raw |= bits.astype(dtype) << k
     if dtype is object:
-        products = (raw - ((raw >> (width - 1)) << width)).tolist()
+        products = raw - ((raw >> (width - 1)) << width)
+        wanted = np.array([
+            reference_product(a_k, b_k, m, n) for a_k, b_k in zip(a.tolist(), b.tolist())
+        ], dtype=object)
     else:
-        spare = 64 - width
-        products = ((raw << np.uint64(spare)).view(np.int64) >> spare).tolist()
-    failures = []
-    for a_k, b_k, got in zip(a.tolist(), b.tolist(), products):
-        want = reference_product(a_k, b_k, m, n)
-        if got != want:
-            failures.append(f"{a_k} x {b_k}: got {got}, want {want}")
-    return failures
+        def signed(values, bits: int):
+            """The low ``bits`` of uint64 ``values``, two's complement, as int64."""
+            spare = 64 - bits
+            return (values << np.uint64(spare)).view(np.int64) >> spare
+
+        products = signed(raw, width)
+        # |a * b| <= 2^(m + n - 2): the signed product never overflows int64.
+        wanted = signed((signed(a, m) * signed(b, n)).view(np.uint64), width)
+    wrong = np.flatnonzero(products != wanted)
+    return [
+        f"{a_k} x {b_k}: got {got}, want {want}"
+        for a_k, b_k, got, want in zip(
+            a[wrong].tolist(), b[wrong].tolist(),
+            products[wrong].tolist(), wanted[wrong].tolist(),
+        )
+    ]
 
 
 def verify_multiplier(

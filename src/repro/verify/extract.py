@@ -2,7 +2,15 @@
 
 The paper verified generated layouts by extracting a transistor netlist
 from the masks and simulating it; this module is that loop's first
-half.  The expanded physical masks are cut into elementary y slabs
+half.  The masks come from the cell's column memo
+(:meth:`~repro.core.cell.CellDefinition.flat_columns`): layer codes
+and int64 box columns, split per layer and expanded to physical masks
+by :func:`~repro.compact.layers.expand_columns` (derived ``gate`` and
+``contact`` rows widened, extended and cut into grids with array
+arithmetic), so extraction builds no ``Box`` or ``LayerBox`` from the
+hierarchy to the netlist; :func:`extract_layers` decodes the same
+masks to boxes for the oracle callers.  The expanded physical masks
+are cut into elementary y slabs
 (:func:`~repro.geometry.batch.merged_slab_runs` gives every slab's
 merged runs per layer at once; the interpreted ``_sweep_reference``
 walk, kept as the oracle, drains
@@ -40,10 +48,11 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..compact.layers import expand_layout
+from ..compact.layers import expand_columns
 from ..compact.rules import TECH_A, DesignRules
-from ..core.cell import CellDefinition
+from ..core.cell import CellDefinition, layer_table
 from ..geometry import Box, Transform, batch
+from ..geometry.batch import BoxArray
 from ..geometry.sweep import Interval, slab_decompose, subtract_intervals
 from ..obs import trace as obs_trace
 from .netlist import SwitchNetlist
@@ -104,14 +113,46 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+#: the masks the slab walk reads, each one :class:`BoxArray` of columns
+_SWEEP_MASKS = CONDUCTOR_LAYERS + ("cut", "implant")
+
+
+def _mask_columns(
+    cell: CellDefinition, rules: Optional[DesignRules]
+) -> Dict[str, BoxArray]:
+    """The physical masks of ``cell`` as box columns, per layer.
+
+    Read from the cell's column memo (:meth:`CellDefinition.flat_columns`)
+    and expanded by :func:`~repro.compact.layers.expand_columns`: the
+    layers of the flattened boxes in order of first appearance, each
+    keeping the flatten's box order, so the masks equal
+    ``expand_layout`` of the decoded flatten box for box.
+    """
+    codes, arrays = cell.flat_columns()
+    names = layer_table()
+    present, first = np.unique(codes, return_index=True)
+    layers: Dict[str, BoxArray] = {}
+    for code in present[np.argsort(first)].tolist():
+        rows = np.flatnonzero(codes == code)
+        layers[names[code]] = BoxArray(
+            arrays.xmin[rows], arrays.ymin[rows], arrays.xmax[rows], arrays.ymax[rows]
+        )
+    return expand_columns(layers, rules or TECH_A)
+
+
 def extract_layers(
     cell: CellDefinition, rules: Optional[DesignRules] = None
 ) -> Dict[str, List[Box]]:
-    """Flatten ``cell`` and expand derived layers to physical masks."""
-    layers: Dict[str, List[Box]] = {}
-    for layer_box in cell.flatten(Transform()):
-        layers.setdefault(layer_box.layer, []).append(layer_box.box)
-    return expand_layout(layers, rules or TECH_A)
+    """Flatten ``cell`` and expand derived layers to physical masks.
+
+    The masks :func:`extract_netlist` sweeps, decoded to ``Box`` lists
+    for the oracle callers (the interpreted ``_sweep_reference`` walk
+    and its equivalence tests).
+    """
+    return {
+        name: batch.boxes_from_arrays(boxes.xmin, boxes.ymin, boxes.xmax, boxes.ymax)
+        for name, boxes in _mask_columns(cell, rules).items()
+    }
 
 
 def _touching(a: Interval, b: Interval) -> bool:
@@ -356,14 +397,16 @@ def _sweep_reference(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
     )
 
 
-def _sweep_batch(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
+def _sweep_batch(sweep_input: Dict[str, BoxArray]) -> _SweepResult:
     """Numpy batch build of the slab walk.
 
-    All slabs are materialised at once: merged runs per mask come from
-    :func:`~repro.geometry.batch.merged_slab_runs`, the channel/
-    conductor algebra from the keyed event-depth combinators, and every
-    per-slab interval scan of :func:`_sweep_reference` (slab stitching,
-    gates, depletion, terminals, cut links) becomes a keyed
+    ``sweep_input`` holds one :class:`~repro.geometry.batch.BoxArray`
+    per mask of ``_SWEEP_MASKS``; the oracle takes the same masks as
+    ``Box`` lists.  All slabs are materialised at once: merged runs per
+    mask come from :func:`~repro.geometry.batch.merged_slab_runs`, the
+    channel/conductor algebra from the keyed event-depth combinators,
+    and every per-slab interval scan of :func:`_sweep_reference` (slab
+    stitching, gates, depletion, terminals, cut links) becomes a keyed
     ``searchsorted`` pair query.  Node ids are assigned in exactly the
     interpreted order — (slab, kind, x) — and the nodes stay columns.
     The stitch roots come from one array computation
@@ -383,17 +426,14 @@ def _sweep_batch(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
         gate_of, terminals_of, depletion, cut_links,
     )
 
-    arrays = {
-        name: batch.boxes_to_arrays(value) for name, value in sweep_input.items()
-    }
-    ys = batch.slab_grid(arrays.values())
+    ys = batch.slab_grid(sweep_input.values())
     if ys.size < 2:
         return nothing
-    poly = batch.merged_slab_runs(ys, arrays["poly"])
-    metal = batch.merged_slab_runs(ys, arrays["metal1"])
-    diff = batch.merged_slab_runs(ys, arrays["diff"])
-    cut = batch.merged_slab_runs(ys, arrays["cut"])
-    implant = batch.merged_slab_runs(ys, arrays["implant"])
+    poly = batch.merged_slab_runs(ys, sweep_input["poly"])
+    metal = batch.merged_slab_runs(ys, sweep_input["metal1"])
+    diff = batch.merged_slab_runs(ys, sweep_input["diff"])
+    cut = batch.merged_slab_runs(ys, sweep_input["cut"])
+    implant = batch.merged_slab_runs(ys, sweep_input["implant"])
     channel = batch.runs_subtract(*batch.runs_intersect(*poly, *diff), *cut)
     diff_cond = batch.runs_subtract(*diff, *channel)
 
@@ -682,14 +722,12 @@ def extract_netlist(
     node's root) and ``extract.resolve`` (devices, nets and port names).
     """
     with obs_trace.span("extract.flatten"):
-        layers = extract_layers(cell, rules)
+        masks = _mask_columns(cell, rules)
         ports = list(cell.flatten_ports(Transform()))
 
-    sweep_input: Dict[str, List[Box]] = {
-        name: list(layers.get(name, ())) for name in CONDUCTOR_LAYERS
-    }
-    sweep_input["cut"] = list(layers.get("cut", ()))
-    sweep_input["implant"] = list(layers.get("implant", ()))
+    empty = np.empty(0, dtype=np.int64)
+    none = BoxArray(empty, empty, empty, empty)
+    sweep_input = {name: masks.get(name, none) for name in _SWEEP_MASKS}
 
     with obs_trace.span("extract.sweep") as sweep_span:
         sets, nodes, gate_of, terminals_of, depletion, cut_links = _sweep_batch(

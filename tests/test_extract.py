@@ -36,7 +36,8 @@ from test_sweep_equivalence import SWEEP_LAYOUTS, random_table
 from repro import CellDefinition, Vec2
 from repro.compact import TECH_A, TECH_B
 from repro.compact.flat import compact_cell
-from repro.geometry import ALL_ORIENTATIONS, batch
+from repro.core.cell import LayerBox
+from repro.geometry import ALL_ORIENTATIONS, Box, batch
 from repro.obs import trace as obs_trace
 from repro.pla import generate_pla_via_language
 from repro.verify import (
@@ -380,6 +381,28 @@ class TestHowExtractionRuns:
             raise AssertionError("flat extraction decoded sweep nodes to boxes")
 
         monkeypatch.setattr(batch, "boxes_from_arrays", refuse)
+        assert netlist_digest(extract_netlist(cell)) == expected
+
+    def test_extraction_builds_no_box_object(self, monkeypatch):
+        """Extraction reads the column memo: of a freshly generated PLA
+        it builds no ``Box`` or ``LayerBox``, decodes no columns to
+        boxes, and hands the mask walk no ``Box`` list to convert."""
+        name = "flow/1/6x24x5"
+        expected = netlist_digest(extract_netlist(_layout(name)))
+        cell = _layout(name)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("extraction built or converted box objects")
+
+        monkeypatch.setattr(Box, "__init__", refuse)
+        monkeypatch.setattr(LayerBox, "__init__", refuse)
+        monkeypatch.setattr(batch, "boxes_to_arrays", refuse)
+        decode = batch.boxes_from_arrays
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("repro") and (
+                getattr(module, "boxes_from_arrays", None) is decode
+            ):
+                monkeypatch.setattr(module, "boxes_from_arrays", refuse)
         assert netlist_digest(extract_netlist(cell)) == expected
 
     def test_fresh_process_pla_verify_leaves_scipy_unloaded(self):

@@ -1,6 +1,9 @@
 """Tests for derived layers and contact expansion (section 6.4.3, Fig 6.9)."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compact import (
     TECH_A,
@@ -11,7 +14,8 @@ from repro.compact import (
     expand_gate,
     expand_layout,
 )
-from repro.geometry import Box
+from repro.compact.layers import expand_columns
+from repro.geometry import Box, batch
 
 
 class TestCutCount:
@@ -124,3 +128,65 @@ class TestExpandLayout:
         expanded = expand_layout(result.layers, TECH_A)
         for cut in expanded["cut"]:
             assert any(m.contains_box(cut) for m in expanded["metal1"])
+
+
+def _expanded_by_box(layers, rules):
+    """The per-box oracle: (layer, box) pairs per input layer, in order."""
+    result = {}
+    for layer, boxes in layers.items():
+        for box in boxes:
+            if layer == "contact":
+                pairs = expand_contact(box, rules.contact)
+            elif layer == "gate":
+                pairs = expand_gate(box, rules)
+            else:
+                pairs = [(layer, box)]
+            for out_layer, out_box in pairs:
+                result.setdefault(out_layer, []).append(out_box)
+    return result
+
+
+#: boxes at negative and positive coordinates, from zero width through
+#: odd and narrow (under the gate width) to wide multi-cut contacts
+_boxes = st.builds(
+    lambda x, y, w, h: Box(x, y, x + w, y + h),
+    st.integers(-60, 60), st.integers(-60, 60),
+    st.integers(0, 24), st.integers(0, 24),
+)
+
+
+class TestColumnExpansion:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        layers=st.dictionaries(
+            st.sampled_from(["contact", "gate", "metal1", "poly", "diff"]),
+            st.lists(_boxes, max_size=12),
+        ),
+        rules=st.sampled_from([TECH_A, TECH_B]),
+    )
+    def test_columns_equal_the_per_box_oracle(self, layers, rules):
+        """The column build yields the oracle's (layer, box) multiset,
+        and its Box wrapper the oracle's boxes in the oracle's order."""
+        oracle = _expanded_by_box(layers, rules)
+        columns = expand_columns(
+            {layer: batch.boxes_to_arrays(boxes) for layer, boxes in layers.items()},
+            rules,
+        )
+        produced = Counter(
+            (layer, box)
+            for layer, arrays in columns.items()
+            for box in batch.boxes_from_arrays(
+                arrays.xmin, arrays.ymin, arrays.xmax, arrays.ymax
+            )
+        )
+        assert produced == Counter(
+            (layer, box) for layer, boxes in oracle.items() for box in boxes
+        )
+        assert expand_layout(layers, rules) == oracle
+
+    @pytest.mark.parametrize("rules", [TECH_A, TECH_B], ids=["TECH_A", "TECH_B"])
+    def test_multi_cut_contact_at_negative_coordinates(self, rules):
+        layers = {"contact": [Box(-31, -17, -9, 0)], "gate": [Box(-5, -7, -4, 3)]}
+        out = expand_layout(layers, rules)
+        assert len(out["cut"]) > 4
+        assert out == _expanded_by_box(layers, rules)

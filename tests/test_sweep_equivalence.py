@@ -345,7 +345,7 @@ SWEEP_LAYOUTS = {
 
 def _assert_sweeps_agree(masks):
     reference = _sweep_reference(masks)
-    production = _sweep_batch(masks)
+    production = _sweep_batch({k: batch.boxes_to_arrays(v) for k, v in masks.items()})
     # Same boxes, gates, and terminals; the union-find must induce the
     # same node partition (compare canonical roots, not parent arrays).
     assert reference[1:] == production[1:]
