@@ -6,7 +6,6 @@ from .cache import (
     cache_key,
     fingerprint_cell,
     fingerprint_geometry,
-    fingerprint_layout,
     fingerprint_rules,
 )
 from .constraints import Constraint, ConstraintSystem
@@ -35,6 +34,7 @@ from .scanline import (
     build_edge_variables,
     naive_constraints,
     rebuild_boxes,
+    solved_columns,
     visibility_constraints,
     visibility_constraints_reference,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "cache_key",
     "fingerprint_cell",
     "fingerprint_geometry",
-    "fingerprint_layout",
     "fingerprint_rules",
     "HierarchicalCompactor",
     "PipelineReport",
@@ -87,6 +86,7 @@ __all__ = [
     "visibility_constraints",
     "visibility_constraints_reference",
     "rebuild_boxes",
+    "solved_columns",
     "SolveStats",
     "solve_longest_path",
 ]

@@ -5,7 +5,9 @@ large arrays out of a handful of distinct leaf cells, so the expensive
 work — constraint generation plus longest-path/LP solving — should be
 paid once per *cell type*, not once per *instance* (and ideally once per
 *content*, across runs).  :class:`CompactionCache` memoizes
-:class:`~repro.compact.flat.CompactionResult` and
+flat passes (a :class:`~repro.compact.flat.CompactionResult` without
+its boxes, plus the pass's solved columns, which the next pass reads),
+hierarchical leaf compactions and
 :class:`~repro.compact.leafcell.LeafCellResult` values under a stable
 content hash of everything that determines the outcome:
 
@@ -52,13 +54,12 @@ __all__ = [
     "cache_key",
     "fingerprint_cell",
     "fingerprint_geometry",
-    "fingerprint_layout",
     "fingerprint_rules",
 ]
 
 #: shape of the cached result values; part of every compaction key.
 #: Bump it whenever a cached class changes what it stores.
-FORMAT_VERSION = "columns-2"
+FORMAT_VERSION = "columns-3"
 
 
 def cache_key(*parts: Any) -> str:
@@ -141,29 +142,14 @@ def fingerprint_cell(cell: CellDefinition) -> str:
     return _cell_parts(cell, {})
 
 
-def fingerprint_layout(layout) -> str:
-    """Content hash of a :class:`~repro.layout.database.FlatLayout`.
-
-    Layers are visited in sorted order (matching the driver's own
-    normalisation) with per-layer box lists in insertion order; ports
-    and labels are excluded because flat compaction ignores them.
-    """
-    parts: list = []
-    for layer in sorted(layout.layers):
-        parts.append(layer)
-        for box in layout.layers[layer]:
-            parts.append((box.xmin, box.ymin, box.xmax, box.ymax))
-    return cache_key(*parts)
-
-
 def fingerprint_geometry(geometry) -> str:
-    """:func:`fingerprint_layout` of the flat layout held as columns.
+    """Content hash of a flat layout held as columns.
 
     ``geometry`` is layout-frame :class:`~repro.compact.scanline.EdgeBoxes`
     (sorted layer names, a layer code and four coordinates per box).
-    The key equals the one of the :class:`~repro.layout.database.FlatLayout`
-    with the same boxes per layer in the same order, so a flat pass fed
-    columns probes exactly the entries a pass fed that layout writes.
+    Layers are visited in that order with each layer's boxes in column
+    order; ports and labels are no part of it, because flat compaction
+    ignores them.
     """
     arrays, codes = geometry.arrays, geometry.codes
     parts: list = []

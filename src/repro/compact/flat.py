@@ -11,18 +11,20 @@ pass.  A cell is read into the columns of an
 flatten memo (:meth:`~repro.core.cell.CellDefinition.flat_columns`), so
 no box object is built on the way in; a :class:`FlatLayout` input is
 read once.  The passes of a chain (``--compact xy``/``yx``,
-:func:`compact_passes`) hand each other solved columns, and only the
-last pass decodes boxes, through
+:func:`compact_passes`) hand each other solved columns, and boxes are
+decoded once, after the last pass, through
 :func:`~repro.compact.scanline.rebuild_boxes`.  In between, variables
 are integer ids and constraints are integer columns
 (:mod:`repro.compact.constraints`).  Each stage runs in its own
 ``compact.*`` trace span (``solver.solve`` for the solve).
 
 With a :class:`~repro.compact.cache.CompactionCache`, every pass of a
-chain is probed under the key :func:`compact_layout` gives that pass's
-input layout (:func:`~repro.compact.cache.fingerprint_geometry` reads
-it from the columns) and stores a whole decoded result, as a
-single-pass run does.
+chain is probed under a key of its input columns
+(:func:`~repro.compact.cache.fingerprint_geometry`), the rule tables and
+its options; an entry holds the pass's result without ``layers`` and
+its solved columns.  A pass read from the cache hands the next pass
+columns exactly as a computed one does, so a cached chain runs the same
+statements as an uncached one and also decodes once.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from ..layout.database import FlatLayout, merge_box_arrays
 # Unused here: flowbench/tracing.py's LAYERS wraps repro.compact.flat.flatten_cell by name.
 from ..layout.database import flatten_cell  # noqa: F401
 from ..obs import trace as obs_trace
+from . import cache as cache_module
 from .drc import Violation, check_layout
 from .rubberband import alignment_pairs, misalignment, rubber_band_solve
 from .rules import DesignRules
@@ -47,7 +50,7 @@ from .scanline import (
     build_edge_variables,
     naive_constraints,
     rebuild_boxes,
-    solved_arrays,
+    solved_columns,
     visibility_constraints,
 )
 from .solver import SolveStats, solve_longest_path
@@ -149,7 +152,7 @@ def _frame(geometry: EdgeBoxes, merge: bool, axis: str) -> EdgeBoxes:
 
 
 def _compact_pass(
-    source,
+    geometry: EdgeBoxes,
     rules: DesignRules,
     method: str,
     width_mode: str,
@@ -158,20 +161,15 @@ def _compact_pass(
     merge: bool,
     sizing: Optional[Dict[Tuple[str, str], int]],
     sort_edges: bool,
-    decode: bool = True,
-) -> Tuple[CompactionResult, Optional[EdgeBoxes]]:
-    """One pass (options as in :func:`compact_layout`) over a
-    :class:`FlatLayout` or layout-frame columns.
+) -> Tuple[CompactionResult, EdgeBoxes]:
+    """One pass (options as in :func:`compact_layout`) over layout-frame
+    columns.
 
-    With ``decode`` the compacted boxes land in ``result.layers``;
-    without, ``result.layers`` stays empty and the compacted boxes come
-    back as layout-frame columns instead — the next pass's input — so a
-    pass that only feeds another pass builds no box objects.
+    Returns the result, its ``layers`` empty, and the compacted boxes as
+    layout-frame columns: the next pass's input, or what the chain
+    decodes after its last pass.
     """
     with obs_trace.span("compact.edges", axis=axis) as span:
-        geometry = source
-        if not isinstance(source, EdgeBoxes):
-            geometry = _layers_geometry(source.layers)
         boxes = _frame(geometry, merge, axis)
         system, boxes = build_edge_variables(boxes)
         span.set(boxes=boxes.count, variables=system.variable_count)
@@ -202,14 +200,8 @@ def _compact_pass(
             result.jog_after = misalignment(align, values)
             span.set(jog=result.jog_after)
 
-    solved = None
     with obs_trace.span("compact.rebuild", boxes=boxes.count):
-        if decode:
-            result.layers = rebuild_boxes(boxes, values, axis=axis)
-        else:
-            solved = EdgeBoxes(
-                boxes.layers, boxes.codes, solved_arrays(boxes, values, axis=axis)
-            )
+        solved = solved_columns(boxes, values, axis=axis)
         # The input extent is the unmerged boxes' bounding box.
         if geometry.count:
             drawn = geometry.arrays
@@ -245,65 +237,19 @@ def compact_layout(
     flat pass tags every box ``""``, so its sizing keys read
     ``("", layer)``).  ``sort_edges`` presorts the constraint list
     for the Bellman-Ford solve (section 6.4.2).  ``cache`` (a
-    :class:`~repro.compact.cache.CompactionCache`) memoizes the whole
-    run under a content hash of the input geometry, the rule tables and
+    :class:`~repro.compact.cache.CompactionCache`) memoizes the pass
+    under a content hash of the input geometry, the rule tables and
     every option listed above; ``cache=None`` is the uncached oracle.
     """
-    options = _checked_options(
-        method=method, width_mode=width_mode, rubber_band=rubber_band,
-        axis=axis, merge=merge, sizing=sizing, sort_edges=sort_edges,
+    _check_axis(axis)
+    (result,), solved = _chain(
+        _layers_geometry(layout.layers), rules, axis, cache, {
+            "method": method, "width_mode": width_mode, "rubber_band": rubber_band,
+            "merge": merge, "sizing": sizing, "sort_edges": sort_edges,
+        },
     )
-    fingerprint = None
-    if cache is not None:
-        from .cache import fingerprint_layout
-
-        fingerprint = fingerprint_layout(layout)
-    result, _ = _run_pass(layout, fingerprint, rules, options, cache, decode=True)
+    result.layers = rebuild_boxes(solved)
     return result
-
-
-def _run_pass(
-    source,
-    fingerprint: Optional[str],
-    rules: DesignRules,
-    options: Dict[str, object],
-    cache,
-    decode: bool,
-) -> Tuple[CompactionResult, Optional[EdgeBoxes]]:
-    """:func:`_compact_pass` through ``cache`` (options as
-    :func:`_checked_options` returns them).
-
-    ``fingerprint`` is the :func:`~repro.compact.cache.fingerprint_layout`
-    of ``source``, read only with a cache.  A cached entry is a whole
-    decoded result, so with a cache every pass decodes.  Returns the
-    result and, for a pass that did not decode, the compacted columns
-    (``None`` otherwise: the caller reads ``result.layers``).
-    """
-    key = None
-    if cache is not None:
-        from .cache import FORMAT_VERSION, cache_key, fingerprint_rules
-
-        key = cache_key(
-            "flat",
-            FORMAT_VERSION,
-            fingerprint,
-            fingerprint_rules(rules),
-            options["method"],
-            options["width_mode"],
-            options["rubber_band"],
-            options["axis"],
-            options["merge"],
-            sorted(options["sizing"].items()) if options["sizing"] else None,
-            options["sort_edges"],
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return cached, None
-        decode = True
-    result, solved = _compact_pass(source, rules, decode=decode, **options)
-    if key is not None:
-        cache.put(key, result)
-    return result, solved
 
 
 def _checked_options(
@@ -331,36 +277,54 @@ def _checked_options(
     }
 
 
+def _pass_key(geometry: EdgeBoxes, rules: DesignRules, options: Dict[str, object]) -> str:
+    """The cache key of one pass: its input columns, the rule tables and
+    its options (as :func:`_checked_options` returns them)."""
+    return cache_module.cache_key(
+        "flat",
+        cache_module.FORMAT_VERSION,
+        cache_module.fingerprint_geometry(geometry),
+        cache_module.fingerprint_rules(rules),
+        options["method"],
+        options["width_mode"],
+        options["rubber_band"],
+        options["axis"],
+        options["merge"],
+        sorted(options["sizing"].items()) if options["sizing"] else None,
+        options["sort_edges"],
+    )
+
+
 def _chain(
     geometry: EdgeBoxes,
     rules: DesignRules,
     axes: str,
     cache,
     options: Dict[str, object],
-) -> List[CompactionResult]:
-    """One pass per letter of ``axes`` over ``geometry``, each handing the
-    next its compacted columns; only the last result keeps ``layers``."""
+) -> Tuple[List[CompactionResult], EdgeBoxes]:
+    """One pass per letter of ``axes`` over layout-frame ``geometry``.
+
+    Each pass hands the next its solved columns, whether it computed
+    them or read them from ``cache``: an entry is a pass's result
+    (``layers`` empty) and its solved columns, under :func:`_pass_key`.
+    Returns the results in pass order, all with ``layers`` empty, and
+    the last pass's columns, which the caller decodes once with
+    :func:`rebuild_boxes`.
+    """
     if not axes:
         raise ValueError("axes must name at least one axis")
     passes = [_checked_options(axis=axis, **options) for axis in axes]
     results: List[CompactionResult] = []
-    for position, pass_options in enumerate(passes):
-        last = position == len(passes) - 1
-        fingerprint = None
-        if cache is not None:
-            from .cache import fingerprint_geometry
-
-            fingerprint = fingerprint_geometry(geometry)
-        result, solved = _run_pass(
-            geometry, fingerprint, rules, pass_options, cache, decode=last
-        )
-        if not last:
-            # A stored entry is a private copy, so the chain may drop
-            # the boxes it hands on as columns.
-            geometry = solved if solved is not None else _layers_geometry(result.layers)
-            result.layers = {}
+    for pass_options in passes:
+        key = None if cache is None else _pass_key(geometry, rules, pass_options)
+        entry = None if key is None else cache.get(key)
+        if entry is None:
+            entry = _compact_pass(geometry, rules, **pass_options)
+            if key is not None:
+                cache.put(key, entry)
+        result, geometry = entry
         results.append(result)
-    return results
+    return results, geometry
 
 
 def compact_layout_xy(
@@ -383,7 +347,10 @@ def compact_layout_xy(
     if sorted(order) != ["x", "y"]:
         raise ValueError("order must be 'xy' or 'yx'")
     cache = options.pop("cache", None)
-    first, second = _chain(_layers_geometry(layout.layers), rules, order, cache, options)
+    (first, second), solved = _chain(
+        _layers_geometry(layout.layers), rules, order, cache, options
+    )
+    second.layers = rebuild_boxes(solved)
     return first, second
 
 
@@ -400,8 +367,8 @@ def compact_passes(
     The one flat chain behind :func:`compact_cell`, the hierarchical
     pipeline's leaf passes and the ``--compact x|y|xy|yx`` stage.
     The cell is read into columns from its flatten memo, the passes
-    hand each other columns, and only the last pass builds box
-    objects.  Returns the flat output cell (``name``, by default
+    hand each other columns, and only the output builds box objects.
+    Returns the flat output cell (``name``, by default
     ``<cell>_compacted``) and one result per pass, in pass order; only
     the last one keeps ``layers``.  ``options`` are
     :func:`compact_layout`'s, minus ``axis``; ``cache`` probes and fills
@@ -412,8 +379,15 @@ def compact_passes(
     with obs_trace.span("compact.flatten") as span:
         geometry = _cell_geometry(cell)
         span.set(boxes=geometry.count)
-    results = _chain(geometry, rules, axes, cache, options)
-    return _output_cell(name or f"{cell.name}_compacted", results[-1]), results
+    results, solved = _chain(geometry, rules, axes, cache, options)
+    with obs_trace.span("compact.rebuild") as span:
+        layers = results[-1].layers = rebuild_boxes(solved)
+        compacted = CellDefinition(name or f"{cell.name}_compacted")
+        compacted.add_boxes(
+            LayerBox(layer, box) for layer, boxes in sorted(layers.items()) for box in boxes
+        )
+        span.set(boxes=len(compacted.boxes))
+    return compacted, results
 
 
 def compact_cell(
@@ -432,15 +406,3 @@ def compact_cell(
     compacted, results = compact_passes(cell, rules, axis, name=name, **options)
     return compacted, results[-1]
 
-
-def _output_cell(name: str, result: CompactionResult) -> CellDefinition:
-    """A flat cell holding the compacted boxes, layers in sorted order."""
-    with obs_trace.span("compact.rebuild") as span:
-        compacted = CellDefinition(name)
-        compacted.add_boxes(
-            LayerBox(layer, box)
-            for layer, boxes in sorted(result.layers.items())
-            for box in boxes
-        )
-        span.set(boxes=len(compacted.boxes))
-    return compacted

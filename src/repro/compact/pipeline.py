@@ -54,7 +54,6 @@ def compact_cells(
     rules: DesignRules,
     cache: Optional[CompactionCache] = None,
     axes: str = "x",
-    width_mode: str = "preserve",
 ) -> List[Tuple[str, CellDefinition, CompactionResult]]:
     """Compact independent ``(name, cell)`` pairs, each at most once.
 
@@ -78,16 +77,13 @@ def compact_cells(
                     fingerprint_cell(cell),
                     rules_print,
                     axes,
-                    width_mode,
                 )
                 # peek, not get: the stamped rebuild only reads the cached
                 # cell, so the defensive copy would be pure overhead.
                 hit = cache.peek(key)
             leaf.set(cached=hit is not None)
             if hit is None:
-                compacted, passes = compact_passes(
-                    cell, rules, axes, name=cell.name, width_mode=width_mode
-                )
+                compacted, passes = compact_passes(cell, rules, axes, name=cell.name)
                 result = passes[-1]
                 if cache is not None:
                     cache.put(key, (compacted, result))
@@ -177,7 +173,6 @@ class HierarchicalCompactor:
         self,
         rules: DesignRules,
         axes: str = "x",
-        width_mode: str = "preserve",
         cache: Optional[CompactionCache] = None,
     ) -> None:
         """``axes`` is a sequence of flat-compaction pass letters applied
@@ -187,7 +182,6 @@ class HierarchicalCompactor:
             raise ValueError(f"axes must combine 'x' and 'y', not {axes!r}")
         self.rules = rules
         self.axes = axes
-        self.width_mode = width_mode
         self.cache = cache
         self.last_report: Optional[PipelineReport] = None
 
@@ -221,7 +215,6 @@ class HierarchicalCompactor:
             self.rules,
             cache=self.cache,
             axes=self.axes,
-            width_mode=self.width_mode,
         )
         replacement: Dict[int, CellDefinition] = {}
         for group, (_, compacted, _) in zip(by_content.values(), compacted_list):

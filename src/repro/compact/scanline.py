@@ -43,7 +43,7 @@ __all__ = [
     "visibility_constraints",
     "visibility_constraints_reference",
     "rebuild_boxes",
-    "solved_arrays",
+    "solved_columns",
 ]
 
 
@@ -547,9 +547,9 @@ def _subtract_interval(
     return result
 
 
-def solved_arrays(boxes: EdgeBoxes, solution, axis: str = "x") -> batch.BoxArray:
+def solved_columns(boxes: EdgeBoxes, solution, axis: str = "x") -> EdgeBoxes:
     """The boxes at a solved assignment (values by variable id), as
-    columns in box order.
+    unbound layout-frame columns in box order.
 
     ``axis="y"`` means the compaction frame is transposed (its x is the
     layout's y), so the columns are transposed back.
@@ -559,28 +559,29 @@ def solved_arrays(boxes: EdgeBoxes, solution, axis: str = "x") -> batch.BoxArray
     low, high = np.minimum(low, high), np.maximum(low, high)
     arrays = boxes.arrays
     if axis == "y":
-        return batch.BoxArray(arrays.ymin, low, arrays.ymax, high)
-    return batch.BoxArray(low, arrays.ymin, high, arrays.ymax)
+        arrays = batch.BoxArray(arrays.ymin, low, arrays.ymax, high)
+    else:
+        arrays = batch.BoxArray(low, arrays.ymin, high, arrays.ymax)
+    return EdgeBoxes(boxes.layers, boxes.codes, arrays)
 
 
-def rebuild_boxes(
-    boxes: EdgeBoxes, solution, axis: str = "x"
-) -> Dict[str, List[Box]]:
-    """Apply a solved assignment (values by variable id) to the boxes.
+def rebuild_boxes(geometry: EdgeBoxes) -> Dict[str, List[Box]]:
+    """Layout-frame columns (such as :func:`solved_columns` gives) as
+    boxes per layer.
 
-    Returns the boxes per layer — layers in sorted order, boxes in
-    input order — decoded from :func:`solved_arrays` in one
-    :func:`~repro.geometry.batch.boxes_from_arrays` call.
+    Layers come in sorted order and the boxes of a layer in column
+    order, decoded in one :func:`~repro.geometry.batch.boxes_from_arrays`
+    call.
     """
-    arrays, codes = solved_arrays(boxes, solution, axis), boxes.codes
+    arrays, codes = geometry.arrays, geometry.codes
     order = codes.argsort(kind="stable")
     decoded = batch.boxes_from_arrays(
         arrays.xmin[order], arrays.ymin[order], arrays.xmax[order], arrays.ymax[order]
     )
-    counts = np.bincount(codes, minlength=len(boxes.layers)).tolist()
+    counts = np.bincount(codes, minlength=len(geometry.layers)).tolist()
     layers: Dict[str, List[Box]] = {}
     start = 0
-    for name, count in zip(boxes.layers, counts):
+    for name, count in zip(geometry.layers, counts):
         if count:
             layers[name] = decoded[start:start + count]
             start += count

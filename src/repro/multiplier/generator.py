@@ -11,10 +11,7 @@ had only one front end).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..compact.pipeline import HierarchicalCompactor
+from typing import Dict, List, Optional, Tuple
 
 from ..core.cell import CellDefinition
 from ..core.graph import Node
@@ -165,7 +162,6 @@ def generate_multiplier(
     ysize: int,
     rsg: Optional[Rsg] = None,
     top_name: str = "thewholething",
-    compactor: Optional["HierarchicalCompactor"] = None,
 ) -> CellDefinition:
     """Generate the complete pipelined-multiplier layout (the mall macro).
 
@@ -173,13 +169,6 @@ def generate_multiplier(
     top/bottom/right register stacks attached through interfaces
     inherited from the single basiccell-to-reg examples in the sample
     layout.
-
-    ``compactor`` (a
-    :class:`~repro.compact.pipeline.HierarchicalCompactor`) runs the
-    compact-once/stamp-many pass over the result: each distinct leaf
-    cell is compacted exactly once — through the compactor's cache and
-    job pool — and every instance is re-stamped; the compacted cell
-    replaces ``top_name`` in the workspace.
     """
     if xsize < 1 or ysize < 1:
         raise ValueError("multiplier size must be at least 1x1")
@@ -208,11 +197,7 @@ def generate_multiplier(
     )
     rsg.connect(arrayi, rsg.mk_instance("rightregs"), 1)
 
-    cell = rsg.mk_cell(top_name, arrayi)
-    if compactor is not None:
-        cell = compactor.compact(cell)
-        rsg.cells.define(cell, replace=True)
-    return cell
+    return rsg.mk_cell(top_name, arrayi)
 
 
 def intended_multiplier_netlist(xsize: int, ysize: int) -> SwitchNetlist:

@@ -58,6 +58,7 @@ class Netlist:
     # Construction
     # ------------------------------------------------------------------
     def add_input(self, name: str) -> Ref:
+        """Declare primary input ``name``; returns its reference."""
         if name in self.inputs:
             raise ValueError(f"duplicate input {name!r}")
         self.inputs.append(name)
@@ -87,6 +88,7 @@ class Netlist:
         return ("cell", name)
 
     def set_output(self, name: str, ref: Ref) -> None:
+        """Name ``ref`` (an input, cell or constant) as output ``name``."""
         self.outputs[name] = ref
 
     @staticmethod
@@ -139,6 +141,7 @@ class Netlist:
         return depth
 
     def critical_path(self) -> int:
+        """The deepest cell's depth (0 for a netlist without cells)."""
         depths = self.depths()
         return max(depths.values(), default=0)
 
@@ -172,6 +175,7 @@ class Netlist:
         return {name: fetch(ref) for name, ref in self.outputs.items()}
 
     def count_kind(self, kind: str) -> int:
+        """Number of cells whose ``kind`` is ``kind``."""
         return sum(1 for cell in self.cells.values() if cell.kind == kind)
 
     def __repr__(self) -> str:

@@ -44,6 +44,7 @@ class RegisterConfiguration:
     right_length: int = 0
 
     def total_registers(self) -> int:
+        """Registers in the top skew and bottom deskew stacks plus the right-edge rows."""
         return (
             sum(self.top.values())
             + sum(self.bottom.values())

@@ -40,6 +40,7 @@ class RegisterAssignment:
         self.latency = 0
 
     def total_registers(self) -> int:
+        """Registers on cell-to-cell edges plus output deskew registers."""
         return sum(self.edge_registers.values()) + sum(
             self.output_registers.values()
         )

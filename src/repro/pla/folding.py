@@ -67,6 +67,7 @@ class FoldingPlan:
         return sum(1 for _, top in self.columns if top is not None)
 
     def column_count(self) -> int:
+        """Physical columns after folding."""
         return len(self.columns)
 
 

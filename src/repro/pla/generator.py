@@ -13,10 +13,7 @@ the scope of a given sample.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..compact.pipeline import HierarchicalCompactor
+from typing import Dict, List, Optional, Tuple
 
 from ..core.cell import CellDefinition
 from ..core.graph import Node
@@ -69,16 +66,8 @@ def generate_pla(
     table: TruthTable,
     rsg: Optional[Rsg] = None,
     name: str = "pla",
-    compactor: Optional["HierarchicalCompactor"] = None,
 ) -> CellDefinition:
-    """Generate a complete PLA layout for ``table``.
-
-    ``compactor`` (a
-    :class:`~repro.compact.pipeline.HierarchicalCompactor`) compacts
-    each distinct plane/crosspoint cell exactly once — optionally
-    cached — and re-stamps every instance; the compacted cell replaces
-    ``name`` in the workspace.
-    """
+    """Generate a complete PLA layout for ``table``."""
     if rsg is None:
         rsg = load_pla_library()
     pulls: List[Node] = []
@@ -96,26 +85,19 @@ def generate_pla(
             rsg.connect(square, rsg.mk_instance("inbuf"), 1)
         else:
             rsg.connect(square, rsg.mk_instance("outbuf"), 1)
-    cell = rsg.mk_cell(name, pulls[0])
-    if compactor is not None:
-        cell = compactor.compact(cell)
-        rsg.cells.define(cell, replace=True)
-    return cell
+    return rsg.mk_cell(name, pulls[0])
 
 
 def generate_decoder(
     n: int,
     rsg: Optional[Rsg] = None,
     name: str = "decoder",
-    compactor: Optional["HierarchicalCompactor"] = None,
 ) -> CellDefinition:
     """An n-to-2^n decoder from the *same* PLA sample cells.
 
     A decoder is an AND plane whose product terms are all minterms, with
     output buffers directly on the AND columns — "decoders can be built
     from an AND plane with appropriate output buffers" (section 1.2.2).
-    ``compactor`` applies the compact-once/stamp-many pass, as in
-    :func:`generate_pla`.
     """
     if rsg is None:
         rsg = load_pla_library()
@@ -145,11 +127,7 @@ def generate_decoder(
         pulls.append(pull)
     for square in bottom:
         rsg.connect(square, rsg.mk_instance("inbuf"), 1)
-    cell = rsg.mk_cell(name, pulls[0])
-    if compactor is not None:
-        cell = compactor.compact(cell)
-        rsg.cells.define(cell, replace=True)
-    return cell
+    return rsg.mk_cell(name, pulls[0])
 
 
 def _intended_and_plane(

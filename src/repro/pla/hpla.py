@@ -17,10 +17,7 @@ and no interface inheritance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..compact.pipeline import HierarchicalCompactor
+from typing import Dict, Optional
 
 from ..core.cell import CellDefinition
 from ..core.operators import Rsg
@@ -90,18 +87,10 @@ def compile_description(rsg: Optional[Rsg] = None) -> HplaDescription:
 class HplaGenerator:
     """The three-phase HPLA flow on a compiled description file."""
 
-    def __init__(
-        self,
-        description: Optional[HplaDescription] = None,
-        compactor: Optional["HierarchicalCompactor"] = None,
-    ) -> None:
-        """``compactor`` (a
-        :class:`~repro.compact.pipeline.HierarchicalCompactor`) is
-        applied by :meth:`generate` — even the flat relocation scheme
-        benefits, since its skeleton stamps the same handful of
-        description cells at every grid position."""
+    def __init__(self, description: Optional[HplaDescription] = None) -> None:
+        """``description`` defaults to :func:`compile_description` of the
+        PLA cell library."""
         self.description = description if description else compile_description()
-        self.compactor = compactor
 
     # ------------------------------------------------------------------
     # Phase 1: skeleton (sized but unencoded PLA)
@@ -187,10 +176,8 @@ class HplaGenerator:
     # Convenience: the whole flow
     # ------------------------------------------------------------------
     def generate(self, table: TruthTable, name: str = "hpla") -> CellDefinition:
+        """Size a skeleton for ``table`` (phase 1), then encode it (phase 2)."""
         skeleton = self.make_skeleton(
             table.num_inputs, table.num_outputs, table.num_terms, name=name
         )
-        cell = self.encode(skeleton, table)
-        if self.compactor is not None:
-            cell = self.compactor.compact(cell)
-        return cell
+        return self.encode(skeleton, table)

@@ -9,10 +9,7 @@ multipliers").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..compact.pipeline import HierarchicalCompactor
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.cell import CellDefinition
 from ..core.operators import Rsg
@@ -54,17 +51,12 @@ def generate_rom(
     data_bits: int,
     rsg: Optional[Rsg] = None,
     name: str = "rom",
-    compactor: Optional["HierarchicalCompactor"] = None,
 ) -> Tuple[CellDefinition, TruthTable]:
-    """Generate a ROM layout storing ``words``; returns (cell, table).
-
-    ``compactor`` threads through to :func:`generate_pla` — distinct
-    plane cells are compacted once and stamped everywhere.
-    """
+    """Generate a ROM layout storing ``words``; returns (cell, table)."""
     if rsg is None:
         rsg = load_pla_library()
     table = rom_table(words, data_bits)
-    return generate_pla(table, rsg=rsg, name=name, compactor=compactor), table
+    return generate_pla(table, rsg=rsg, name=name), table
 
 
 def intended_rom_netlist(words: Sequence[int], data_bits: int) -> SwitchNetlist:

@@ -23,10 +23,7 @@ The module also parses the CLI's net-request files (``--route``)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..compact.pipeline import HierarchicalCompactor
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..compact.rules import TECH_A, DesignRules
 from ..core.cell import CellDefinition, CellTable
@@ -194,7 +191,6 @@ def compose(
     top_x: int = 0,
     bottom_name: str = "",
     top_name: str = "",
-    compactor: Optional["HierarchicalCompactor"] = None,
 ) -> Tuple[CellDefinition, WiringPlan]:
     """Stack ``top`` above ``bottom`` and route the nets between them.
 
@@ -205,20 +201,10 @@ def compose(
     Returns ``(composite, plan)``; the composite holds both cells plus
     a ``wires`` child cell whose geometry realises every net.
 
-    ``compactor`` (a
-    :class:`~repro.compact.pipeline.HierarchicalCompactor`) runs the
-    compact-once/stamp-many pass over both cells before they are
-    placed, sharing its result cache across the pair (and across
-    repeated composition calls).  Ports are carried through verbatim;
-    if leaf compaction moved a terminal off its cell edge the existing
-    edge checks below reject the request rather than mis-route it.
-    The channel derivation itself leans on the cells' memoized bounding
-    boxes, so re-composing large arrays does not re-flatten them.
+    The channel derivation leans on the cells' memoized bounding boxes,
+    so re-composing large arrays does not re-flatten them.
     """
     requests = _normalise_nets(nets)
-    if compactor is not None:
-        bottom = compactor.compact(bottom)
-        top = compactor.compact(top)
     seen_names = set()
     for request in requests:
         if request.name in seen_names:
@@ -381,13 +367,8 @@ def compose_from_netfile(
     name: str = "composite",
     rules: DesignRules = TECH_A,
     router: str = "auto",
-    compactor: Optional["HierarchicalCompactor"] = None,
 ) -> Tuple[CellDefinition, WiringPlan]:
-    """Run :func:`compose` from net-file text against a cell table.
-
-    ``compactor`` threads through to :func:`compose` (compact-once over
-    both named cells before placement and routing).
-    """
+    """Run :func:`compose` from net-file text against a cell table."""
     bottom_name, top_name, top_x, requests = parse_net_file(text)
     return compose(
         name,
@@ -397,5 +378,4 @@ def compose_from_netfile(
         rules=rules,
         router=router,
         top_x=top_x,
-        compactor=compactor,
     )

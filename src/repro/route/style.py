@@ -7,7 +7,7 @@ channel's trunks (horizontal runs), branches (vertical runs) and vias
 (trunk/branch junctions) are drawn on.  :class:`RouteStyle` carries
 that table and the two constructors derive it from a
 :class:`~repro.compact.rules.DesignRules` so routed channels pass the
-same :func:`~repro.compact.drc.check_layout` oracle the compactor uses.
+same :func:`~repro.compact.drc.check_layout` oracle compaction uses.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ carries the client half of the service's robustness contract:
   window stays below half the socket ``timeout``.  Only a pending
   answer that comes back *before* its window ran out (an older daemon
   that ignores ``wait``, or one shutting down) makes the client sleep,
-  backing off exponentially up to ``max_poll_interval``.
+  backing off exponentially up to ``_MAX_POLL_INTERVAL``.
 
 ``submit_main`` is the ``repro submit`` CLI verb: it reads the *same*
 parameter file with the batch CLI's reader
@@ -53,6 +53,11 @@ _RETRYABLE_OS_ERRORS = (
     ConnectionAbortedError,
     BrokenPipeError,
 )
+
+#: first and longest sleep of :meth:`ServiceClient.wait` between result
+#: requests the server did not hold (seconds); each sleep doubles
+_POLL_INTERVAL = 0.05
+_MAX_POLL_INTERVAL = 2.0
 
 
 class ServiceClient:
@@ -202,13 +207,7 @@ class ServiceClient:
         query = "" if wait is None else f"?wait={wait}"
         return self._request(f"/jobs/{job}/result{query}")
 
-    def wait(
-        self,
-        job: str,
-        timeout: float = 120.0,
-        poll_interval: float = 0.05,
-        max_poll_interval: float = 2.0,
-    ) -> Dict[str, Any]:
+    def wait(self, job: str, timeout: float = 120.0) -> Dict[str, Any]:
         """Wait until the job finishes; raise on failure or deadline.
 
         Returns the full result payload of a ``done`` job.  A
@@ -218,11 +217,11 @@ class ServiceClient:
         answers as soon as the job ends and the socket timeout is never
         hit.  A pending answer that returns before its window ran out
         means the server did not hold it: the client then sleeps,
-        starting at ``poll_interval`` and doubling up to
-        ``max_poll_interval``, so an older daemon is not hammered.
+        starting at ``_POLL_INTERVAL`` and doubling up to
+        ``_MAX_POLL_INTERVAL``, so an older daemon is not hammered.
         """
         deadline = time.monotonic() + timeout
-        interval = poll_interval
+        interval = _POLL_INTERVAL
         polls = 0
         with obs_trace.span("client.wait") as wait_span:
             while True:
@@ -247,7 +246,7 @@ class ServiceClient:
                     )
                 if now - asked < window:
                     self._sleep(min(interval, deadline - now))
-                    interval = min(max_poll_interval, interval * 2)
+                    interval = min(_MAX_POLL_INTERVAL, interval * 2)
 
     def artifact(self, job: str, name: str) -> bytes:
         """Download one artifact (``layout.cif``, ``result.json``,

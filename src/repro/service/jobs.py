@@ -255,7 +255,8 @@ class JobSpec:
             "bindings": _canonical_bindings(bindings),
             "output_cell": cell_name,
             "tech": self.tech.upper(),
-            "compact": self.compact,
+            # hier compacts along x, so hier:x is the same job.
+            "compact": "hier" if self.compact == "hier:x" else self.compact,
             "verify": self.verify,
             "sim_vectors": _canonical_vectors(self.verify, self.sim_vectors),
             "route": self.route_text,
@@ -335,11 +336,11 @@ class JobResult:
     route_summary: Optional[str] = None
     timings: Dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self, include_cif: bool = False) -> Dict[str, Any]:
-        """JSON-ready form; the CIF rides separately as an artifact."""
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-ready form without the CIF, which rides separately as
+        an artifact."""
         payload = asdict(self)
-        if not include_cif:
-            payload.pop("cif")
+        payload.pop("cif")
         return payload
 
     @classmethod
@@ -496,17 +497,14 @@ def _compact_stage(
     """Run the requested compaction mode, recording its reports."""
     if mode.startswith("hier"):
         axes = mode[len("hier:"):] if mode.startswith("hier:") else "x"
-        compactor = HierarchicalCompactor(
-            rules, axes=axes, width_mode="preserve", cache=cache,
-        )
+        compactor = HierarchicalCompactor(rules, axes=axes, cache=cache)
         cell = compactor.compact(cell)
         assert compactor.last_report is not None
         result.pipeline = compactor.last_report.to_dict()
         return cell
     # One chain for every pass; each pass still renames the cell.
     cell, passes = compact_passes(
-        cell, rules, mode, name=cell.name + "_compacted" * len(mode),
-        width_mode="preserve", cache=cache,
+        cell, rules, mode, name=cell.name + "_compacted" * len(mode), cache=cache,
     )
     for axis, pass_result in zip(mode, passes):
         result.compaction.append(

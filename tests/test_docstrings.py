@@ -1,11 +1,11 @@
-"""Documentation-surface enforcement for the compaction and routing layers.
+"""Documentation-surface enforcement for the library's subsystems.
 
 ``make docs-check`` runs exactly this module.  Every public module under
-``repro.compact``, ``repro.lang``, ``repro.route``, ``repro.verify``,
-``repro.service`` and ``repro.obs`` must carry a module docstring, and
-every public class and function they define must be documented — these
-subsystems are walked through in the architecture docs, so an
-undocumented entry point is a docs regression.
+``repro.compact``, ``repro.lang``, ``repro.multiplier``, ``repro.obs``,
+``repro.pla``, ``repro.route``, ``repro.service`` and ``repro.verify``
+must carry a module docstring, and every public class and function they
+define must be documented — these subsystems are walked through in the
+architecture docs, so an undocumented entry point is a docs regression.
 """
 
 import importlib
@@ -16,7 +16,9 @@ import pytest
 
 import repro.compact
 import repro.lang
+import repro.multiplier
 import repro.obs
+import repro.pla
 import repro.route
 import repro.service
 import repro.verify
@@ -28,7 +30,9 @@ def _public_modules():
     for package in (
         repro.compact,
         repro.lang,
+        repro.multiplier,
         repro.obs,
+        repro.pla,
         repro.route,
         repro.service,
         repro.verify,

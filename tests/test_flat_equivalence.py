@@ -24,7 +24,10 @@ object-era build (``Constraint`` records, ``CompactionBox`` objects and
 Plus: an infeasible system still raises, the flat pass builds no
 ``Constraint``, ``CompactionBox`` or variable name, and a two-pass
 ``--compact`` job flattens once and builds no box object before its
-last pass decodes.
+last pass decodes.  A cached chain, cold or warm from memory or disk,
+gives the uncached chain's layers, widths and stats, builds no box
+object before its one decode, and a cached CLI run writes the uncached
+run's CIF.
 """
 
 import contextlib
@@ -759,3 +762,112 @@ def test_chained_passes_equal_one_compact_cell_per_axis(axes, options):
     assert (last.width_before, last.width_after, last.jog_before) == (
         result.width_before, result.width_after, result.jog_before
     )
+
+
+#: cache states of one flat chain: which cache a run reads, and the hits
+#: it must see (one per pass when warm)
+CACHE_STATES = ["uncached", "cold", "warm-memory", "warm-disk"]
+
+
+def chain_runs(tmp_path, cell, axes, options):
+    """``compact_passes`` over ``cell`` in every :data:`CACHE_STATES`,
+    in that order: a cold run fills an on-disk cache, the same instance
+    answers the warm-from-memory run and a fresh instance over the same
+    directory the warm-from-disk run."""
+    from repro.compact import CompactionCache
+
+    cold = CompactionCache(str(tmp_path / "cache"))
+    caches = {
+        "uncached": None, "cold": cold, "warm-memory": cold,
+        "warm-disk": CompactionCache(str(tmp_path / "cache")),
+    }
+    for state in CACHE_STATES:
+        cache = caches[state]
+        before = (cache.hits, cache.disk_hits) if cache is not None else (0, 0)
+        compacted, results = compact_passes(
+            cell, TECH_A, axes, name="out", cache=cache, **options
+        )
+        if cache is not None:
+            hits = (cache.hits - before[0], cache.disk_hits - before[1])
+            assert hits == {
+                "cold": (0, 0), "warm-memory": (len(axes), 0),
+                "warm-disk": (len(axes), len(axes)),
+            }[state], state
+        yield state, compacted, results
+
+
+@pytest.mark.parametrize("axes", ["x", "y", "xy", "yx"])
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"merge": True}, {"rubber_band": True}, {"merge": True, "rubber_band": True}],
+    ids=["plain", "merged", "rubber-band", "merged-rubber-band"],
+)
+def test_cached_chain_equals_the_uncached_chain(tmp_path, axes, options):
+    cell, _ = generate_via_language(4, 4)
+    runs = list(chain_runs(tmp_path, cell, axes, options))
+    _, expected_cell, expected = runs[0]
+    for state, compacted, results in runs[1:]:
+        assert [(b.layer, b.box) for b in compacted.boxes] == [
+            (b.layer, b.box) for b in expected_cell.boxes
+        ], state
+        assert results[-1].layers == expected[-1].layers, state
+        assert [result.layers for result in results[:-1]] == [{}] * (len(axes) - 1)
+        assert [
+            (r.width_before, r.width_after, r.jog_before, r.jog_after, str(r.stats))
+            for r in results
+        ] == [
+            (r.width_before, r.width_after, r.jog_before, r.jog_after, str(r.stats))
+            for r in expected
+        ], state
+
+
+@pytest.mark.parametrize("axes", ["xy", "yx"])
+def test_cached_chain_builds_no_box_before_its_one_decode(tmp_path, monkeypatch, axes):
+    """Uncached, cold, warm from memory and warm from disk, a two-pass
+    chain hands columns from pass to pass and builds its first ``Box``
+    or ``LayerBox`` in one decode after the last pass."""
+    cell, _ = generate_via_language(4, 4)
+    decodes = []
+
+    def guarded(original):
+        def call(*args, **kwargs):
+            if not decodes:
+                raise AssertionError("box object built before the chain's decode")
+            return original(*args, **kwargs)
+        return call
+
+    def counted(original):
+        def call(*args, **kwargs):
+            decodes.append(True)
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(Box, "__init__", guarded(Box.__init__))
+    monkeypatch.setattr(cell_module.LayerBox, "__init__",
+                        guarded(cell_module.LayerBox.__init__))
+    monkeypatch.setattr(batch, "boxes_from_arrays", guarded(batch.boxes_from_arrays))
+    monkeypatch.setattr(cell_module, "boxes_from_arrays",
+                        guarded(cell_module.boxes_from_arrays))
+    monkeypatch.setattr(flat_module, "rebuild_boxes", counted(flat_module.rebuild_boxes))
+    runs = chain_runs(tmp_path, cell, axes, {})
+    for state, compacted, results in runs:
+        assert len(decodes) == 1, state
+        assert compacted.boxes and results[-1].layers
+        decodes.clear()
+
+
+def test_cached_cli_runs_write_the_uncached_cif(parameter_file, tmp_path):
+    """Two ``repro <par> --compact xy --cache-dir D`` runs, cold then
+    warm, write the CIF of an uncached run byte for byte."""
+    argv = [
+        str(parameter_file / "mult.par"), "--set", "xsize=4", "--set", "ysize=4",
+        "--compact", "xy",
+    ]
+    cif_path = parameter_file / "mult.cif"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+        uncached = cif_path.read_bytes()
+        for _ in ("cold", "warm"):
+            cif_path.unlink()
+            assert cli.main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 0
+            assert cif_path.read_bytes() == uncached

@@ -202,13 +202,17 @@ class TestFormatVersion:
         assert cache.misses == 2 and len(cache) == 2
 
     def test_entry_under_the_unversioned_key_is_a_miss(self):
-        from repro.compact import cache_key, compact_layout, fingerprint_layout
+        from repro.compact import EdgeBoxes, cache_key, compact_layout, fingerprint_geometry
 
         cache = CompactionCache()
         layout = self.layout()
         # The key an unversioned build used for the default options.
         old_key = cache_key(
-            "flat", fingerprint_layout(layout), fingerprint_rules(TECH_A),
+            "flat",
+            fingerprint_geometry(EdgeBoxes.from_pairs(
+                [(layer, box) for layer, boxes in sorted(layout.layers.items()) for box in boxes]
+            )),
+            fingerprint_rules(TECH_A),
             "visibility", "preserve", False, "x", False, None, True, "",
         )
         cache.put(old_key, "stale object-era result")

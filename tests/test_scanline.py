@@ -12,6 +12,7 @@ from repro.compact import (
     naive_constraints,
     rebuild_boxes,
     solve_longest_path,
+    solved_columns,
     visibility_constraints,
 )
 from repro.geometry import Box
@@ -25,7 +26,7 @@ def compact(boxes, method="visibility", width_mode="preserve", **kwargs):
     else:
         naive_constraints(system, comp, TECH_A, **kwargs)
     stats = solve_longest_path(system)
-    layers = rebuild_boxes(comp, stats.values)
+    layers = rebuild_boxes(solved_columns(comp, stats.values))
     return layers, system, stats
 
 
@@ -197,7 +198,7 @@ class TestLegalityProperty:
             stats = solve_longest_path(system)
         except Exception:
             return  # drawn overlaps can make preserve-width infeasible
-        layers = rebuild_boxes(comp, stats.values)
+        layers = rebuild_boxes(solved_columns(comp, stats.values))
         before = {
             (v.kind, v.layer_a, v.layer_b)
             for v in check_layout(

@@ -74,6 +74,20 @@ class TestEqualSpecsHashEqual:
         spec = custom(parameters="a=1\n")
         assert fingerprint_spec(spec.to_dict()) == spec.fingerprint
 
+    def test_hier_x_is_the_hier_job(self):
+        # Plain hier compacts each leaf along x: the same work, one job.
+        # hier keeps its canonical form, so stored hier jobs keep their
+        # fingerprints.
+        assert custom(compact="hier:x").fingerprint == custom(compact="hier").fingerprint
+        assert custom(compact="hier:x").canonical()["compact"] == "hier"
+        results = [
+            execute_job(JobSpec(kind="multiplier", compact=mode,
+                                parameters="xsize=4\nysize=4"))
+            for mode in ("hier", "hier:x")
+        ]
+        assert results[0].cif == results[1].cif
+        assert results[0].pipeline == results[1].pipeline
+
 
 class TestDistinctSpecsHashDistinct:
     def test_binding_value_changes_fingerprint(self):
@@ -98,6 +112,13 @@ class TestDistinctSpecsHashDistinct:
             for mode in (None, "x", "xy", "hier", "hier:xy")
         }
         assert len(fingerprints) == 5
+
+    def test_hier_axes_other_than_x_stay_distinct(self):
+        fingerprints = {
+            custom(compact=mode).fingerprint
+            for mode in ("hier", "hier:y", "hier:xy", "hier:yx")
+        }
+        assert len(fingerprints) == 4
 
     def test_verify_mode_changes_fingerprint(self):
         assert custom(verify="lvs").fingerprint != custom(verify="all").fingerprint
