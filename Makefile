@@ -41,7 +41,9 @@ bench:
 # n = 8 via `make bench`), the flow ladder (bench_flow flow_mult_xy_* — each
 # stage of a --compact xy job, job.generate, compact.flatten,
 # job.compact and job.emit, grows <= 5x per 4x-cell step: 8 -> 16
-# here, 16 -> 32 via `make bench`; bench_flow flow_pla_verify_* — each
+# here, 16 -> 32 via `make bench`, and no compact.align span may sit
+# under a job's job.compact, since its plain passes read no jog;
+# bench_flow flow_pla_verify_* — each
 # stage of a PLA generate -> verify -> emit job, the generation,
 # extract.flatten, verify.extract and the CIF emit, grows <= 3x per
 # doubling of the product terms: 8 -> 16 here, 16 -> 32 via `make

@@ -15,7 +15,9 @@ trace spans, not from wrappers around the program:
 
 Guard: each stage grows at most 5x per size step (the bound
 ``generate_mult`` uses).  The 8 -> 16 step runs in ``make bench-smoke``,
-16 -> 32 in ``make bench``.  Rows ``flow_mult_xy_<stage>`` (n = the
+16 -> 32 in ``make bench``.  Every job also asserts that no
+``compact.align`` span sits under its ``job.compact``: the plain passes
+of the flow compute no alignment pairs.  Rows ``flow_mult_xy_<stage>`` (n = the
 multiplier size), best of three jobs per size, plus an unguarded
 ``flow_mult_xy_gc`` row: the collector seconds the ``job.*`` spans
 stamped (``gc_s``) in the fastest job.
@@ -68,15 +70,28 @@ STAGES = {
 
 
 def traced_job(size):
-    """Stage seconds of one job (summed per span name) and its gc_s."""
+    """Stage seconds of one job (summed per span name) and its gc_s.
+
+    Asserts that no ``compact.align`` span sits under ``job.compact``:
+    a plain pass finds no alignment pairs, since nothing reads its jog.
+    """
     tracer = obs_trace.Tracer()
     with obs_trace.activated(tracer):
         execute_job(JobSpec(
             kind="multiplier", compact="xy", parameters=f"xsize={size}\nysize={size}"
         ))
+    spans = tracer.finished()
+    (stage,) = [span for span in spans if span.name == "job.compact"]
+    inside, frontier = [], [stage.span_id]
+    while frontier:
+        parent = frontier.pop()
+        children = [span for span in spans if span.parent_id == parent]
+        inside += [span.name for span in children]
+        frontier += [span.span_id for span in children]
+    assert "solver.solve" in inside and "compact.align" not in inside, inside
     seconds = dict.fromkeys(STAGES, 0.0)
     collector = 0.0
-    for span in tracer.finished():
+    for span in spans:
         if span.name in seconds:
             seconds[span.name] += span.duration_s
         if span.name.startswith("job."):

@@ -44,6 +44,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
+import numpy as np
+
 from ..core.cell import CellDefinition
 from .rules import DesignRules
 
@@ -59,7 +61,7 @@ __all__ = [
 
 #: shape of the cached result values; part of every compaction key.
 #: Bump it whenever a cached class changes what it stores.
-FORMAT_VERSION = "columns-3"
+FORMAT_VERSION = "columns-4"
 
 
 def cache_key(*parts: Any) -> str:
@@ -146,21 +148,18 @@ def fingerprint_geometry(geometry) -> str:
     """Content hash of a flat layout held as columns.
 
     ``geometry`` is layout-frame :class:`~repro.compact.scanline.EdgeBoxes`
-    (sorted layer names, a layer code and four coordinates per box).
-    Layers are visited in that order with each layer's boxes in column
-    order; ports and labels are no part of it, because flat compaction
-    ignores them.
+    (layer names, a layer code and four coordinates per box).  SHA-256
+    over the layer names in code order, then the codes and the four
+    coordinate columns as contiguous little-endian int64 bytes, so no
+    per-box object is built and equal content hashes equally whatever
+    the arrays' strides.  Box order is part of the content; ports and
+    labels are not, because flat compaction ignores them.
     """
-    arrays, codes = geometry.arrays, geometry.codes
-    parts: list = []
-    for code, layer in enumerate(geometry.layers):
-        members = (codes == code).nonzero()[0]
-        parts.append(layer)
-        parts.extend(zip(
-            arrays.xmin[members].tolist(), arrays.ymin[members].tolist(),
-            arrays.xmax[members].tolist(), arrays.ymax[members].tolist(),
-        ))
-    return cache_key(*parts)
+    arrays = geometry.arrays
+    digest = hashlib.sha256(repr((tuple(geometry.layers), geometry.count)).encode("utf-8"))
+    for column in (geometry.codes, arrays.xmin, arrays.ymin, arrays.xmax, arrays.ymax):
+        digest.update(np.ascontiguousarray(column, dtype="<i8").data)
+    return digest.hexdigest()
 
 
 @dataclass

@@ -11,12 +11,16 @@ pass.  A cell is read into the columns of an
 flatten memo (:meth:`~repro.core.cell.CellDefinition.flat_columns`), so
 no box object is built on the way in; a :class:`FlatLayout` input is
 read once.  The passes of a chain (``--compact xy``/``yx``,
-:func:`compact_passes`) hand each other solved columns, and boxes are
-decoded once, after the last pass, through
-:func:`~repro.compact.scanline.rebuild_boxes`.  In between, variables
-are integer ids and constraints are integer columns
-(:mod:`repro.compact.constraints`).  Each stage runs in its own
-``compact.*`` trace span (``solver.solve`` for the solve).
+:func:`compact_passes`) hand each other solved columns, and the output
+cell is born from the last pass's columns
+(:meth:`~repro.core.cell.CellDefinition.from_columns`), so boxes are
+never decoded in the flow: CIF output and extraction read the columns,
+and only a caller that reads the cell's ``boxes`` or a result's
+``layers`` decodes them.  In between, variables are integer ids and
+constraints are integer columns (:mod:`repro.compact.constraints`).
+Each stage runs in its own ``compact.*`` trace span (``solver.solve``
+for the solve); a pass that does not rubber-band opens no
+``compact.align``, because nothing in it reads the alignment pairs.
 
 With a :class:`~repro.compact.cache.CompactionCache`, every pass of a
 chain is probed under a key of its input columns
@@ -24,7 +28,7 @@ chain is probed under a key of its input columns
 its options; an entry holds the pass's result without ``layers`` and
 its solved columns.  A pass read from the cache hands the next pass
 columns exactly as a computed one does, so a cached chain runs the same
-statements as an uncached one and also decodes once.
+statements as an uncached one and also builds no box object.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.cell import CellDefinition, LayerBox, layer_table
+from ..core.cell import CellDefinition, layer_table
 from ..geometry import Box, batch
 from ..layout.database import FlatLayout, merge_box_arrays
 # Unused here: flowbench/tracing.py's LAYERS wraps repro.compact.flat.flatten_cell by name.
@@ -70,16 +74,74 @@ _NAIVE_METHODS = {
 
 @dataclass
 class CompactionResult:
-    """Outcome of a flat compaction run."""
+    """Outcome of a flat compaction run.
 
-    layers: Dict[str, List[Box]] = field(default_factory=dict)
+    ``layers`` maps each layer (sorted) to its compacted boxes in column
+    order.  It is decoded from the solved columns on first read; the
+    earlier passes of a chain hand their columns on and keep it empty.
+
+    ``jog_before``/``jog_after`` are the total misalignment of
+    drawn-connected boxes (:func:`~repro.compact.rubberband.misalignment`)
+    before and after the rubber band.  A rubber-band pass computes both
+    as it runs, since it needs the alignment pairs.  A plain pass, where
+    the two are equal, computes them on first read from its
+    compaction-frame boxes and ``stats.values``, so a pass whose jog
+    nobody reads pays for no alignment; a cached result gives the same
+    values.
+    """
+
     width_before: int = 0
     width_after: int = 0
     constraint_count: int = 0
     spacing_constraints: int = 0
     stats: Optional[SolveStats] = None
-    jog_before: int = 0
-    jog_after: int = 0
+    #: decoded ``layers``, or ``None`` until the first read
+    _layers: Optional[Dict[str, List[Box]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: the layout-frame columns ``layers`` decodes (``None``: no boxes)
+    _columns: Optional[EdgeBoxes] = field(default=None, init=False, repr=False,
+                                          compare=False)
+    #: ``(jog_before, jog_after)``, unless ``_frame`` is still pending
+    _jogs: Tuple[int, int] = field(default=(0, 0), init=False, repr=False,
+                                   compare=False)
+    #: a plain pass's unbound compaction-frame boxes, until the jog is read
+    _frame: Optional[EdgeBoxes] = field(default=None, init=False, repr=False,
+                                        compare=False)
+
+    @property
+    def layers(self) -> Dict[str, List[Box]]:
+        """The compacted boxes per layer (decoded on first read)."""
+        if self._layers is None:
+            self._layers = {} if self._columns is None else rebuild_boxes(self._columns)
+        return self._layers
+
+    @layers.setter
+    def layers(self, value: Dict[str, List[Box]]) -> None:
+        self._layers = value
+
+    @property
+    def jog_before(self) -> int:
+        """Connected-pair misalignment of the greedy solve."""
+        return self._jog()[0]
+
+    @property
+    def jog_after(self) -> int:
+        """Connected-pair misalignment after the rubber band (the greedy
+        solve's on a plain pass)."""
+        return self._jog()[1]
+
+    def _jog(self) -> Tuple[int, int]:
+        frame = self._frame
+        if frame is not None:
+            with obs_trace.span("compact.align") as span:
+                # A fresh system numbers the edges as the pass's did.
+                _, boxes = build_edge_variables(frame)
+                align = alignment_pairs(boxes)
+                jog = misalignment(align, self.stats.values)
+                span.set(pairs=len(align), jog=jog)
+            self._jogs, self._frame = (jog, jog), None
+        return self._jogs
 
     def violations(self, rules: DesignRules) -> List[Violation]:
         """DRC the compacted geometry against ``rules``."""
@@ -166,8 +228,9 @@ def _compact_pass(
     columns.
 
     Returns the result, its ``layers`` empty, and the compacted boxes as
-    layout-frame columns: the next pass's input, or what the chain
-    decodes after its last pass.
+    layout-frame columns: the next pass's input, or the chain's output.
+    Only a rubber-band pass finds the alignment pairs; a plain pass
+    keeps its frame boxes for a later read of its jog.
     """
     with obs_trace.span("compact.edges", axis=axis) as span:
         boxes = _frame(geometry, merge, axis)
@@ -189,16 +252,20 @@ def _compact_pass(
         stats=stats, constraint_count=len(system), spacing_constraints=spacing_count
     )
     values = stats.values
-    with obs_trace.span("compact.align") as span:
-        align = alignment_pairs(boxes)
-        result.jog_before = result.jog_after = misalignment(align, values)
-        span.set(pairs=len(align), jog=result.jog_before)
-    if rubber_band and len(align):
-        with obs_trace.span("compact.rubberband", pairs=len(align)) as span:
-            width_limit = max(values, default=0)
-            values = rubber_band_solve(system, boxes, width_limit, align)
-            result.jog_after = misalignment(align, values)
-            span.set(jog=result.jog_after)
+    if not rubber_band:
+        result._frame = EdgeBoxes(boxes.layers, boxes.codes, boxes.arrays)
+    else:
+        with obs_trace.span("compact.align") as span:
+            align = alignment_pairs(boxes)
+            jog = misalignment(align, values)
+            span.set(pairs=len(align), jog=jog)
+        result._jogs = (jog, jog)
+        if len(align):
+            with obs_trace.span("compact.rubberband", pairs=len(align)) as span:
+                width_limit = max(values, default=0)
+                values = rubber_band_solve(system, boxes, width_limit, align)
+                result._jogs = (jog, misalignment(align, values))
+                span.set(jog=result._jogs[1])
 
     with obs_trace.span("compact.rebuild", boxes=boxes.count):
         solved = solved_columns(boxes, values, axis=axis)
@@ -308,8 +375,9 @@ def _chain(
     them or read them from ``cache``: an entry is a pass's result
     (``layers`` empty) and its solved columns, under :func:`_pass_key`.
     Returns the results in pass order, all with ``layers`` empty, and
-    the last pass's columns, which the caller decodes once with
-    :func:`rebuild_boxes`.
+    the last pass's columns.  Every pass keeps its input's row order
+    (merging regroups a layer's strips in layer order), so columns read
+    with the layers sorted come out so.
     """
     if not axes:
         raise ValueError("axes must name at least one axis")
@@ -367,10 +435,13 @@ def compact_passes(
     The one flat chain behind :func:`compact_cell`, the hierarchical
     pipeline's leaf passes and the ``--compact x|y|xy|yx`` stage.
     The cell is read into columns from its flatten memo, the passes
-    hand each other columns, and only the output builds box objects.
-    Returns the flat output cell (``name``, by default
-    ``<cell>_compacted``) and one result per pass, in pass order; only
-    the last one keeps ``layers``.  ``options`` are
+    hand each other columns, and the output cell is born from the last
+    pass's columns (:meth:`~repro.core.cell.CellDefinition.from_columns`):
+    the chain builds no box object.  Returns the flat output cell
+    (``name``, by default ``<cell>_compacted``; layers sorted, each
+    layer's boxes in column order) and one result per pass, in pass
+    order; only the last one has ``layers``, decoded on first read.
+    ``options`` are
     :func:`compact_layout`'s, minus ``axis``; ``cache`` probes and fills
     each pass exactly as :func:`compact_layout` does for the same input.
     The cell holds boxes only: ports and labels are neither flattened
@@ -380,13 +451,11 @@ def compact_passes(
         geometry = _cell_geometry(cell)
         span.set(boxes=geometry.count)
     results, solved = _chain(geometry, rules, axes, cache, options)
-    with obs_trace.span("compact.rebuild") as span:
-        layers = results[-1].layers = rebuild_boxes(solved)
-        compacted = CellDefinition(name or f"{cell.name}_compacted")
-        compacted.add_boxes(
-            LayerBox(layer, box) for layer, boxes in sorted(layers.items()) for box in boxes
+    with obs_trace.span("compact.rebuild", boxes=solved.count):
+        results[-1]._columns = solved
+        compacted = CellDefinition.from_columns(
+            name or f"{cell.name}_compacted", solved.layers, solved.codes, solved.arrays
         )
-        span.set(boxes=len(compacted.boxes))
     return compacted, results
 
 

@@ -24,6 +24,12 @@ order is exactly the recursive walk's.  ``flatten()`` and
 :func:`~repro.layout.database.flatten_cell` decode boxes from that memo;
 the compactor reads the columns directly and builds no box object.
 
+A flat cell can also be *born* from columns
+(:meth:`CellDefinition.from_columns`, the compactor's output): its
+``boxes`` list is decoded on first read, and until then the flatten
+memo, the bounding box and CIF output read the columns
+(:meth:`CellDefinition.own_columns`).
+
 The memos invalidate through mutation stamps: every ``add_box`` /
 ``add_instance`` / ``adopt`` / ``place`` (or direct assignment to an
 instance's ``location``/``orientation``) bumps the owning definition's
@@ -37,7 +43,7 @@ kernel's pattern.  Mutations must go through this API — appending to
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -279,7 +285,10 @@ class CellDefinition:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.boxes: List[LayerBox] = []
+        # None while a column-born cell's boxes are undecoded (see boxes)
+        self._boxes: Optional[List[LayerBox]] = []
+        # (layer names, codes into them, box columns) of a column-born cell
+        self._born: Optional[Tuple[Tuple[str, ...], np.ndarray, BoxArray]] = None
         self.ports: List[Port] = []
         self.labels: List[Label] = []
         self.instances: List[Instance] = []
@@ -292,6 +301,56 @@ class CellDefinition:
         self._flat_memo: Dict[Orientation, Tuple[int, Tuple[np.ndarray, BoxArray]]] = {}
         self._port_memo: Dict[Orientation, Tuple[int, Tuple[Port, ...]]] = {}
         self._label_memo: Dict[Orientation, Tuple[int, Tuple[Label, ...]]] = {}
+
+    @classmethod
+    def from_columns(
+        cls, name: str, layers: Sequence[str], codes: np.ndarray, arrays: BoxArray
+    ) -> "CellDefinition":
+        """A flat cell whose box ``i`` lies on ``layers[codes[i]]`` with
+        the coordinates of row ``i`` of the int64 ``arrays``.
+
+        No box object is built: :meth:`flat_columns`,
+        :meth:`bounding_box` and CIF output read the columns, and
+        :attr:`boxes` decodes them on first read, after which the cell
+        behaves as one built box by box.  Pickles and copies of a cell
+        not yet decoded carry the columns.
+        """
+        cell = cls(name)
+        cell._boxes = None
+        cell._born = (tuple(layers), codes, arrays)
+        return cell
+
+    @property
+    def boxes(self) -> List[LayerBox]:
+        """This definition's own boxes, in drawing order (a cell from
+        :meth:`from_columns` decodes its columns on the first read)."""
+        boxes = self._boxes
+        if boxes is None:
+            layers, codes, arrays = self._born
+            boxes = self._boxes = [
+                LayerBox(layers[code], box) for code, box in zip(
+                    codes.tolist(),
+                    boxes_from_arrays(arrays.xmin, arrays.ymin, arrays.xmax, arrays.ymax),
+                )
+            ]
+        return boxes
+
+    def own_columns(self) -> Tuple[Tuple[str, ...], np.ndarray, BoxArray]:
+        """This definition's own boxes as columns, without decoding.
+
+        ``(layers, codes, arrays)``: box ``i`` of :attr:`boxes` lies on
+        ``layers[codes[i]]`` with the coordinates of row ``i`` of
+        ``arrays``.  A cell from :meth:`from_columns` returns the
+        columns it was born with while its boxes are undecoded.
+        """
+        if self._boxes is None:
+            return self._born
+        index: Dict[str, int] = {}
+        codes = np.array(
+            [index.setdefault(item.layer, len(index)) for item in self._boxes],
+            dtype=np.int64,
+        )
+        return tuple(index), codes, boxes_to_arrays([item.box for item in self._boxes])
 
     # ------------------------------------------------------------------
     # Mutation stamps (memo invalidation)
@@ -326,8 +385,15 @@ class CellDefinition:
         return value
 
     def __getstate__(self):
-        """Drop memo caches from pickles (workers rebuild them lazily)."""
+        """Drop memo caches from pickles (workers rebuild them lazily).
+
+        An undecoded column-born cell keeps its columns: they are its
+        boxes.  Their codes index the cell's own layer names, not the
+        process layer table, so they mean the same in any process.
+        """
         state = self.__dict__.copy()
+        if state["_boxes"] is not None:
+            state["_born"] = None
         state["_subtree_memo"] = (-1, 0)
         state["_bbox_memo"] = None
         state["_flat_memo"] = {}
@@ -422,7 +488,12 @@ class CellDefinition:
         if memo is not None and memo[0] == stamp:
             return memo[1]
         result: Optional[Box] = None
-        for layer_box in self.boxes:
+        if self._boxes is None:
+            arrays = self._born[2]
+            if len(arrays):
+                result = Box(int(arrays.xmin.min()), int(arrays.ymin.min()),
+                             int(arrays.xmax.max()), int(arrays.ymax.max()))
+        for layer_box in self._boxes or ():
             result = layer_box.box if result is None else result.union(layer_box.box)
         for instance in self.instances:
             if not instance.is_placed:
@@ -471,9 +542,9 @@ class CellDefinition:
         memo = self._flat_memo.get(orientation)
         if memo is not None and memo[0] == stamp:
             return memo[1]
-        own = boxes_to_arrays([item.box for item in self.boxes])
-        code_parts = [np.array([_layer_code(item.layer) for item in self.boxes],
-                               dtype=np.int64)]
+        layers, codes, own = self.own_columns()
+        code_parts = [np.array([_layer_code(name) for name in layers],
+                               dtype=np.int64)[codes]]
         column_parts = [own if orientation.is_identity else _oriented(orientation, own)]
 
         groups: Dict[Tuple["CellDefinition", Orientation], int] = {}
@@ -704,8 +775,9 @@ class CellDefinition:
         return tuple(sorted(_LAYER_NAMES[code] for code in present))
 
     def __repr__(self) -> str:
+        boxes = len(self._born[1]) if self._boxes is None else len(self._boxes)
         return (
-            f"CellDefinition({self.name!r}, boxes={len(self.boxes)},"
+            f"CellDefinition({self.name!r}, boxes={boxes},"
             f" instances={len(self.instances)})"
         )
 

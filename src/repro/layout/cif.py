@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import io
 import re
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from typing import Callable, Dict, List, Optional, TextIO, Tuple, Union
+
+import numpy as np
 
 from ..core.cell import CellDefinition, CellTable
 from ..core.errors import ParseError
-from ..geometry import FLIP_NORTH, NORTH, Orientation, Vec2, batch
+from ..geometry import FLIP_NORTH, NORTH, Orientation, Vec2
 
 __all__ = ["write_cif", "cif_text", "read_cif"]
 
@@ -91,23 +93,7 @@ def write_cif(
         symbol = seen[id(node)]
         stream.write(f"DS {symbol} 1 1;\n")
         stream.write(f"9 {node.name};\n")
-        current_layer: Optional[str] = None
-        # Batch the B-line arithmetic: one array export per symbol,
-        # four column expressions (int64 floor division matches
-        # Python's for the centre halving).
-        arrays = batch.boxes_to_arrays([lb.box for lb in node.boxes])
-        widths = ((arrays.xmax - arrays.xmin) * scale).tolist()
-        heights = ((arrays.ymax - arrays.ymin) * scale).tolist()
-        centers_x = (((arrays.xmin + arrays.xmax) * scale) // 2).tolist()
-        centers_y = (((arrays.ymin + arrays.ymax) * scale) // 2).tolist()
-        for layer_box, width, height, cx, cy in zip(
-            node.boxes, widths, heights, centers_x, centers_y
-        ):
-            name = cif_layer(layer_box.layer)
-            if name != current_layer:
-                stream.write(f"L {name};\n")
-                current_layer = name
-            stream.write(f"B {width} {height} {cx} {cy};\n")
+        _write_boxes(stream, node, cif_layer, scale)
         for port in node.ports:
             # The common 94 extension takes an optional trailing layer
             # name; ports written without one read back layerless.
@@ -128,6 +114,45 @@ def write_cif(
             stream.write(call + ";\n")
         stream.write("DF;\n")
     stream.write(f"C {seen[id(cell)]};\nE\n")
+
+
+def _write_boxes(
+    stream: TextIO, node: CellDefinition, cif_layer: Callable[[str], str], scale: int
+) -> None:
+    """The ``L`` and ``B`` lines of one symbol, from its box columns.
+
+    Reads :meth:`~repro.core.cell.CellDefinition.own_columns`, so a
+    column-born cell is never decoded.  An ``L`` line opens each run of
+    boxes on one CIF layer, and the symbol's lines are formatted in one
+    ``%`` over its width, height and centre columns (int64 floor
+    division matches Python's for the centre halving).
+    """
+    layers, codes, arrays = node.own_columns()
+    count = len(codes)
+    if not count:
+        return
+    # Internal layers may share a CIF name: runs break on the CIF name.
+    names: Dict[str, int] = {}
+    cif_codes = [names.setdefault(cif_layer(layer), len(names)) for layer in layers]
+    if len(names) == 1:
+        starts = [0, count]
+    else:
+        per_box = np.array(cif_codes, dtype=np.int64)[codes]
+        starts = [0, *(np.flatnonzero(per_box[1:] != per_box[:-1]) + 1).tolist(), count]
+    values = np.empty((count, 4), dtype=np.int64)
+    np.subtract(arrays.xmax, arrays.xmin, out=values[:, 0])
+    np.subtract(arrays.ymax, arrays.ymin, out=values[:, 1])
+    np.add(arrays.xmin, arrays.xmax, out=values[:, 2])
+    np.add(arrays.ymin, arrays.ymax, out=values[:, 3])
+    values *= scale
+    values[:, 2:] //= 2
+    # One format over the whole symbol; a name's "%" must not format.
+    cif_names = [name.replace("%", "%%") for name in names]
+    template = "".join(
+        f"L {cif_names[cif_codes[codes[start]]]};\n" + "B %d %d %d %d;\n" * (stop - start)
+        for start, stop in zip(starts, starts[1:])
+    )
+    stream.write(template % tuple(values.ravel().tolist()))
 
 
 def cif_text(cell: CellDefinition, scale: int = 100) -> str:

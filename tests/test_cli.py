@@ -786,10 +786,10 @@ class TestTimingsFlag:
         parameter, _ = flow_files
         assert main([str(parameter), "--compact", "xy", "--timings"]) == 0
         rows = _children(_tree_rows(capsys.readouterr().out), "job.compact")
-        # One flatten for the chain, one solve per pass, one output cell.
+        # One flatten for the chain, one solve per pass, one output cell;
+        # a plain pass finds no alignment pairs.
         one_pass = [
-            "compact.edges", "compact.constraints", "solver.solve",
-            "compact.align", "compact.rebuild",
+            "compact.edges", "compact.constraints", "solver.solve", "compact.rebuild",
         ]
         assert [row[1] for row in rows] == (
             ["compact.flatten"] + one_pass * 2 + ["compact.rebuild", "(unattributed)"]
@@ -808,7 +808,7 @@ class TestTimingsFlag:
         parameter, _ = flow_files
         stages = {
             "compact.flatten", "compact.edges", "compact.constraints",
-            "solver.solve", "compact.align", "compact.rebuild",
+            "solver.solve", "compact.rebuild",
         }
         coverage = 0.0
         for _ in range(3):

@@ -23,17 +23,19 @@ object-era build (``Constraint`` records, ``CompactionBox`` objects and
 
 Plus: an infeasible system still raises, the flat pass builds no
 ``Constraint``, ``CompactionBox`` or variable name, and a two-pass
-``--compact`` job flattens once and builds no box object before its
-last pass decodes.  A cached chain, cold or warm from memory or disk,
-gives the uncached chain's layers, widths and stats, builds no box
-object before its one decode, and a cached CLI run writes the uncached
-run's CIF.
+``--compact`` job flattens once and builds no box object from the
+start of its compaction to the end of its CIF emit.  A cached chain,
+cold or warm from memory or disk, gives the uncached chain's layers,
+widths, jogs and stats, builds no box object, and a cached CLI run
+writes the uncached run's CIF.
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
+import pickle
 import random
 from collections import Counter
 
@@ -61,6 +63,7 @@ from repro.core.errors import InfeasibleConstraintsError
 from repro.geometry import Box, batch
 from repro.obs import trace as obs_trace
 from repro.service import jobs as jobs_module
+from repro.layout.cif import cif_text
 from repro.layout.database import FlatLayout, flatten_cell, merge_boxes
 from repro.multiplier import (
     DESIGN_FILE,
@@ -540,6 +543,27 @@ def test_rubber_band_boxes_equal_the_object_era_build(size):
     assert (digest, result.jog_before, result.jog_after) == GOLDEN_RUBBER_BAND[size]
 
 
+def test_alignment_runs_only_for_a_rubber_band_or_a_jog_read():
+    """A plain pass opens no ``compact.align`` span; reading its jog
+    opens one and gives the rubber-band pass's ``jog_before``, which
+    that pass found while it ran (the 4x4 golden)."""
+    layout = flatten_cell(generate_via_language(4, 4)[0])
+
+    def align_spans(run):
+        tracer = obs_trace.Tracer()
+        with obs_trace.activated(tracer):
+            value = run()
+        return value, [span for span in tracer.finished() if span.name == "compact.align"]
+
+    plain, spans = align_spans(lambda: compact_layout(layout, TECH_A))
+    assert spans == []
+    jog, spans = align_spans(lambda: (plain.jog_before, plain.jog_after))
+    assert len(spans) == 1 and jog == (GOLDEN_RUBBER_BAND[4][1],) * 2
+    smoothed, spans = align_spans(lambda: compact_layout(layout, TECH_A, rubber_band=True))
+    assert len(spans) == 1
+    assert (smoothed.jog_before, smoothed.jog_after) == GOLDEN_RUBBER_BAND[4][1:]
+
+
 @pytest.mark.parametrize("key", sorted(PINNED), ids=lambda key: f"{key[0]}-{key[1]}")
 def test_library_run_equals_the_object_era_build(key):
     (seed, n, spread), index = key
@@ -686,48 +710,45 @@ def test_flat_pass_builds_no_records_boxes_or_names(monkeypatch):
     assert smoothed.jog_after <= smoothed.jog_before
 
 
-def test_two_pass_job_flattens_once_and_decodes_only_at_the_end(monkeypatch):
-    """``--compact yx`` reads the hierarchy into columns once, hands the
-    solved columns from pass to pass, and builds its first ``Box`` or
-    ``LayerBox`` in the last pass's decode."""
-    decoding = []
+@pytest.mark.parametrize("verify", [None, "lvs"])
+def test_two_pass_job_flattens_once_and_builds_no_box_through_emit(monkeypatch, verify):
+    """``--compact xy`` reads the hierarchy into columns once, hands the
+    solved columns from pass to pass, and builds no ``Box`` or
+    ``LayerBox`` from the start of ``job.compact`` to the end of
+    ``job.emit``, with or without an LVS verify in between."""
+    armed = []
 
     def guarded(original):
         def call(*args, **kwargs):
-            if not decoding:
-                raise AssertionError("box object built before the last decode")
-            return original(*args, **kwargs)
-        return call
-
-    def last_decode(original):
-        def call(*args, **kwargs):
-            decoding.append(True)
+            if armed:
+                raise AssertionError("box object built after job.compact began")
             return original(*args, **kwargs)
         return call
 
     def compact_stage(original):
         def call(*args, **kwargs):
             # Generation builds boxes; the guard starts with compaction.
-            with monkeypatch.context() as guard:
-                guard.setattr(Box, "__init__", guarded(Box.__init__))
-                guard.setattr(cell_module.LayerBox, "__init__",
-                              guarded(cell_module.LayerBox.__init__))
-                guard.setattr(batch, "boxes_from_arrays", guarded(batch.boxes_from_arrays))
-                guard.setattr(cell_module, "boxes_from_arrays",
-                              guarded(cell_module.boxes_from_arrays))
-                guard.setattr(flat_module, "rebuild_boxes",
-                              last_decode(flat_module.rebuild_boxes))
-                return original(*args, **kwargs)
+            armed.append(True)
+            return original(*args, **kwargs)
         return call
 
+    monkeypatch.setattr(Box, "__init__", guarded(Box.__init__))
+    monkeypatch.setattr(cell_module.LayerBox, "__init__",
+                        guarded(cell_module.LayerBox.__init__))
+    monkeypatch.setattr(batch, "boxes_from_arrays", guarded(batch.boxes_from_arrays))
+    monkeypatch.setattr(cell_module, "boxes_from_arrays",
+                        guarded(cell_module.boxes_from_arrays))
     monkeypatch.setattr(jobs_module, "_compact_stage", compact_stage(jobs_module._compact_stage))
     tracer = obs_trace.Tracer()
     with obs_trace.activated(tracer):
-        result = execute_job(
-            JobSpec(kind="multiplier", compact="yx", parameters="xsize=4\nysize=4")
-        )
-    assert decoding, "the last pass never decoded"
-    assert [entry["axis"] for entry in result.compaction] == ["y", "x"]
+        result = execute_job(JobSpec(
+            kind="multiplier", compact="xy", verify=verify,
+            parameters="xsize=4\nysize=4",
+        ))
+    assert armed, "the job never compacted"
+    armed.clear()
+    assert [entry["axis"] for entry in result.compaction] == ["x", "y"]
+    assert result.cif.count("B ") > 0
     spans = tracer.finished()
     (stage,) = [span for span in spans if span.name == "job.compact"]
     inside, frontier = [], [stage.span_id]
@@ -738,6 +759,59 @@ def test_two_pass_job_flattens_once_and_decodes_only_at_the_end(monkeypatch):
         frontier += [span.span_id for span in children]
     assert [span.name for span in inside].count("compact.flatten") == 1
     assert [span.name for span in inside].count("solver.solve") == 2
+
+
+def decoded_twin(cell):
+    """A cell built box by box from ``cell``'s boxes."""
+    twin = cell_module.CellDefinition(cell.name)
+    twin.add_boxes(list(cell.boxes))
+    return twin
+
+
+@pytest.mark.parametrize(
+    "duplicate", [lambda cell: pickle.loads(pickle.dumps(cell)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_undecoded_compacted_cell_survives_pickle_and_copy(duplicate):
+    """A copy of a compacted cell whose boxes were never decoded carries
+    its columns (the pickled state drops the flatten memo): its boxes,
+    CIF, bounding box and flatten equal the decoded cell's."""
+    compacted, _ = compact_passes(generate_via_language(4, 4)[0], TECH_A, "xy", name="out")
+    compacted.flat_columns()
+    copied = duplicate(compacted)
+    assert copied._boxes is None and compacted._boxes is None
+    cif = cif_text(copied)
+    assert copied._boxes is None
+    twin = decoded_twin(compacted)
+    assert copied.boxes == compacted.boxes == twin.boxes
+    assert cif == cif_text(twin)
+    assert copied.bounding_box() == twin.bounding_box()
+    assert list(flatten_cell(copied).layers.items()) == list(
+        flatten_cell(twin).layers.items()
+    )
+
+
+def test_born_cell_reads_as_its_decoded_twin():
+    """Undecoded, a compacted cell gives the fingerprint, bounding box,
+    layers and flatten columns of a cell built box by box from its
+    boxes, and reading them decodes nothing but the fingerprint's boxes."""
+    from repro.compact import fingerprint_cell
+
+    compacted, _ = compact_passes(generate_via_language(4, 4)[0], TECH_B, "yx", name="out")
+    born = copy.deepcopy(compacted)
+    twin = decoded_twin(compacted)
+    assert born.bounding_box() == twin.bounding_box()
+    assert born.layers() == twin.layers()
+    codes, arrays = born.flat_columns()
+    twin_codes, twin_arrays = twin.flat_columns()
+    assert codes.tolist() == twin_codes.tolist()
+    assert all(
+        getattr(arrays, name).tolist() == getattr(twin_arrays, name).tolist()
+        for name in ("xmin", "ymin", "xmax", "ymax")
+    )
+    assert born._boxes is None
+    assert repr(born) == repr(twin)
+    assert fingerprint_cell(born) == fingerprint_cell(twin)
 
 
 @pytest.mark.parametrize("axes", ["x", "y", "xy", "yx", "xyx"])
@@ -822,23 +896,18 @@ def test_cached_chain_equals_the_uncached_chain(tmp_path, axes, options):
 
 
 @pytest.mark.parametrize("axes", ["xy", "yx"])
-def test_cached_chain_builds_no_box_before_its_one_decode(tmp_path, monkeypatch, axes):
+def test_cached_chain_builds_no_box_object(tmp_path, monkeypatch, axes):
     """Uncached, cold, warm from memory and warm from disk, a two-pass
-    chain hands columns from pass to pass and builds its first ``Box``
-    or ``LayerBox`` in one decode after the last pass."""
+    chain hands columns from pass to pass and builds no ``Box`` or
+    ``LayerBox``: the output cell's ``boxes`` and the last result's
+    ``layers`` decode on their first read."""
     cell, _ = generate_via_language(4, 4)
-    decodes = []
+    reading = []
 
     def guarded(original):
         def call(*args, **kwargs):
-            if not decodes:
-                raise AssertionError("box object built before the chain's decode")
-            return original(*args, **kwargs)
-        return call
-
-    def counted(original):
-        def call(*args, **kwargs):
-            decodes.append(True)
+            if not reading:
+                raise AssertionError("box object built by the chain")
             return original(*args, **kwargs)
         return call
 
@@ -848,12 +917,10 @@ def test_cached_chain_builds_no_box_before_its_one_decode(tmp_path, monkeypatch,
     monkeypatch.setattr(batch, "boxes_from_arrays", guarded(batch.boxes_from_arrays))
     monkeypatch.setattr(cell_module, "boxes_from_arrays",
                         guarded(cell_module.boxes_from_arrays))
-    monkeypatch.setattr(flat_module, "rebuild_boxes", counted(flat_module.rebuild_boxes))
-    runs = chain_runs(tmp_path, cell, axes, {})
-    for state, compacted, results in runs:
-        assert len(decodes) == 1, state
-        assert compacted.boxes and results[-1].layers
-        decodes.clear()
+    for state, compacted, results in chain_runs(tmp_path, cell, axes, {}):
+        reading.append(state)
+        assert compacted.boxes and results[-1].layers, state
+        reading.clear()
 
 
 def test_cached_cli_runs_write_the_uncached_cif(parameter_file, tmp_path):

@@ -75,6 +75,75 @@ class TestFingerprints:
         assert fingerprint_cell(parent_a) != fingerprint_cell(parent_b)
 
 
+class TestGeometryFingerprint:
+    """``fingerprint_geometry`` hashes the layer names and the five int64
+    columns as bytes: any change to a coordinate, a code or a name gives
+    a new key, and the arrays' memory layout gives none."""
+
+    @staticmethod
+    def geometry(layers=("diff", "metal1"), codes=(0, 0, 1), **columns):
+        import numpy as np
+
+        from repro.compact import EdgeBoxes
+        from repro.geometry.batch import BoxArray
+
+        values = {"xmin": [0, 4, 8], "ymin": [0, 1, 2], "xmax": [2, 6, 10], "ymax": [5, 6, 7]}
+        values.update(columns)
+        return EdgeBoxes(layers, np.array(codes, dtype=np.int64), BoxArray(*(
+            np.array(values[name], dtype=np.int64) for name in ("xmin", "ymin", "xmax", "ymax")
+        )))
+
+    def test_equal_content_equal_key(self):
+        from repro.compact import fingerprint_geometry
+
+        assert fingerprint_geometry(self.geometry()) == fingerprint_geometry(self.geometry())
+
+    @pytest.mark.parametrize("column", ["xmin", "ymin", "xmax", "ymax"])
+    def test_one_changed_coordinate_changes_the_key(self, column):
+        from repro.compact import fingerprint_geometry
+
+        base = self.geometry()
+        values = getattr(base.arrays, column).tolist()
+        values[1] += 1
+        assert fingerprint_geometry(self.geometry(**{column: values})) != (
+            fingerprint_geometry(base)
+        )
+
+    def test_one_changed_layer_code_changes_the_key(self):
+        from repro.compact import fingerprint_geometry
+
+        assert fingerprint_geometry(self.geometry(codes=(0, 1, 1))) != (
+            fingerprint_geometry(self.geometry())
+        )
+
+    def test_one_changed_layer_name_changes_the_key(self):
+        from repro.compact import fingerprint_geometry
+
+        assert fingerprint_geometry(self.geometry(layers=("diff", "metal2"))) != (
+            fingerprint_geometry(self.geometry())
+        )
+
+    def test_non_contiguous_columns_hash_as_their_content(self):
+        import numpy as np
+
+        from repro.compact import EdgeBoxes, fingerprint_geometry
+        from repro.geometry.batch import BoxArray
+
+        base = self.geometry()
+        # Every other row of doubled columns, and big-endian copies.
+        strided = EdgeBoxes(base.layers, np.repeat(base.codes, 2)[::2], BoxArray(*(
+            np.repeat(getattr(base.arrays, name), 2)[::2]
+            for name in ("xmin", "ymin", "xmax", "ymax")
+        )))
+        assert not strided.codes.flags.c_contiguous
+        swapped = EdgeBoxes(base.layers, base.codes.astype(">i8"), BoxArray(*(
+            getattr(base.arrays, name).astype(">i8")
+            for name in ("xmin", "ymin", "xmax", "ymax")
+        )))
+        assert fingerprint_geometry(strided) == fingerprint_geometry(base)
+        assert fingerprint_geometry(swapped) == fingerprint_geometry(base)
+
+
 class TestFlatCompactionCache:
     def test_hit_on_identical_cell_readd(self):
         cache = CompactionCache()
@@ -218,6 +287,28 @@ class TestFormatVersion:
         cache.put(old_key, "stale object-era result")
         result = compact_layout(layout, TECH_A, cache=cache)
         assert result != "stale object-era result"
+        assert cache.misses == 1 and cache.hits == 0
+        assert result.layers == compact_layout(layout, TECH_A).layers
+
+    def test_entry_under_the_previous_format_key_is_a_miss(self, tmp_path):
+        """An on-disk entry written by the ``columns-3`` build (keyed by
+        its per-box tuple fingerprint) is never read."""
+        import pickle
+
+        from repro.compact import cache_key, compact_layout
+
+        layout = self.layout()
+        parts = []
+        for layer, boxes in sorted(layout.layers.items()):
+            parts.append(layer)
+            parts.extend((b.xmin, b.ymin, b.xmax, b.ymax) for b in boxes)
+        old_key = cache_key(
+            "flat", "columns-3", cache_key(*parts), fingerprint_rules(TECH_A),
+            "visibility", "preserve", False, "x", False, None, True,
+        )
+        (tmp_path / f"{old_key}.pkl").write_bytes(pickle.dumps("stale columns-3 entry"))
+        cache = CompactionCache(str(tmp_path))
+        result = compact_layout(layout, TECH_A, cache=cache)
         assert cache.misses == 1 and cache.hits == 0
         assert result.layers == compact_layout(layout, TECH_A).layers
 

@@ -225,3 +225,19 @@ class TestLegalityProperty:
         except Exception:
             return
         assert system.check(stats.solution) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1(d): abutting same-layer boxes keep only a >= 0"
+    " overlap, so one slides onto the other",
+)
+def test_abutting_bars_keep_their_joint_width():
+    """Two abutting 2-wide metal1 bars are one legal 4-wide wire; the
+    visibility compactor stacks them into one 2-wide bar (a width
+    violation, required 3, actual 2).  The deterministic form of the
+    case ``TestLegalityProperty`` finds now and then."""
+    drawn = [("metal1", Box(10, 0, 12, 10)), ("metal1", Box(12, 0, 14, 10))]
+    assert check_layout({"metal1": [box for _, box in drawn]}, TECH_A) == []
+    layers, _, _ = compact(drawn)
+    assert check_layout(layers, TECH_A) == []
