@@ -76,10 +76,10 @@ bench:
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PY) -m pytest benchmarks/bench_*.py -q --benchmark-disable
 
-# Fails when public modules in src/repro/compact/, src/repro/lang/,
-# src/repro/multiplier/, src/repro/obs/, src/repro/pla/,
-# src/repro/route/, src/repro/service/ or src/repro/verify/ lack
-# docstrings — the documentation surface the architecture notes depend
+# Fails when public modules in src/repro/compact/, src/repro/core/,
+# src/repro/lang/, src/repro/layout/, src/repro/multiplier/,
+# src/repro/obs/, src/repro/pla/, src/repro/route/,
+# src/repro/service/ or src/repro/verify/ lack docstrings — the documentation surface the architecture notes depend
 # on.
 docs-check:
 	$(PY) -m pytest tests/test_docstrings.py -q

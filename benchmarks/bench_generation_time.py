@@ -12,6 +12,12 @@ users run (``generate_via_language``: the Appendix B design file, compiled
 once per process, then evaluated) and records it as the ``generate_mult``
 rows; each size step (4x cells) may grow it at most 5x, and the 8 -> 16
 step runs in ``make bench-smoke``.
+
+``test_language_over_api`` tracks the interpreter's own cost: the
+``generate_mult_lang_over_api`` row is ``generate_via_language`` over
+``generate_multiplier`` (both load the sample library and expand the
+same graphs), best of five each, at 8, 16 and 32.  The row holds a
+ratio, not seconds, and no bound.
 """
 
 import os
@@ -30,6 +36,8 @@ SIZES = [8] if SMOKE else [8, 16, 32, 64]
 #: design-language generation sizes (4x cells a step) and the step bound
 LANGUAGE_SIZES = [8, 16] if SMOKE else [8, 16, 32]
 LANGUAGE_STEP_LIMIT = 5.0
+#: sizes of the unguarded language-over-API ratio row
+RATIO_SIZES = [8] if SMOKE else [8, 16, 32]
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -77,3 +85,17 @@ def test_language_generation_scaling_guard(report, record):
     for n, value in seconds.items():
         record("generate_mult", n, value)
     report("E-T1: design-language generation scaling guard", *rows)
+
+
+def test_language_over_api(report, record):
+    """Design-language generation time over Python-API generation time."""
+    rows = []
+    for n in RATIO_SIZES:
+        language = best_time(lambda: generate_via_language(n, n), repeats=5)
+        api = best_time(lambda: generate_multiplier(n, n), repeats=5)
+        record("generate_mult_lang_over_api", n, language / api)
+        rows.append(
+            f"  {n}x{n}: language {language * 1000:.1f} ms, API"
+            f" {api * 1000:.1f} ms ({language / api:.2f}x)"
+        )
+    report("E-T1: the interpreter's own cost (language over API)", *rows)

@@ -113,6 +113,7 @@ class LayerBox:
         self.box = box
 
     def transformed(self, transform: Transform) -> "LayerBox":
+        """This box on the same layer, mapped by ``transform``."""
         return LayerBox(self.layer, transform.apply_box(self.box))
 
     def __eq__(self, other) -> bool:
@@ -138,6 +139,7 @@ class Port:
         self.layer = layer
 
     def transformed(self, transform: Transform) -> "Port":
+        """This port, its position mapped by ``transform``."""
         return Port(self.name, transform.apply(self.position), self.layer)
 
     def __eq__(self, other) -> bool:
@@ -166,6 +168,7 @@ class Label:
         self.position = position
 
     def transformed(self, transform: Transform) -> "Label":
+        """This label, its position mapped by ``transform``."""
         return Label(self.text, transform.apply(self.position))
 
     def __eq__(self, other) -> bool:
@@ -251,6 +254,8 @@ class Instance:
         return self._location is not None and self._orientation is not None
 
     def place(self, location: Vec2, orientation: Orientation) -> None:
+        """Set the point of call and orientation; every owner's memos
+        invalidate."""
         self._location = location
         self._orientation = orientation
         self._touch_owners()
@@ -262,6 +267,8 @@ class Instance:
         return Transform(self._location, self._orientation)
 
     def bounding_box(self) -> Optional[Box]:
+        """The definition's bounding box in the parent's coordinates (in
+        the definition's own while the instance is unplaced)."""
         inner = self.definition.bounding_box()
         if inner is None or not self.is_placed:
             return inner
@@ -415,6 +422,7 @@ class CellDefinition:
     # Construction
     # ------------------------------------------------------------------
     def add_box(self, layer: str, xmin: int, ymin: int, xmax: int, ymax: int) -> LayerBox:
+        """Append a box on ``layer`` (corners in either order)."""
         item = LayerBox(layer, Box(xmin, ymin, xmax, ymax))
         self.boxes.append(item)
         self._touch()
@@ -426,12 +434,14 @@ class CellDefinition:
         self._touch()
 
     def add_port(self, name: str, x: int, y: int, layer: str = "") -> Port:
+        """Append a named port at ``(x, y)``, optionally on ``layer``."""
         port = Port(name, Vec2(x, y), layer)
         self.ports.append(port)
         self._touch()
         return port
 
     def add_label(self, text: str, x: int, y: int) -> Label:
+        """Append a text label at ``(x, y)``."""
         label = Label(text, Vec2(x, y))
         self.labels.append(label)
         self._touch()
@@ -444,6 +454,8 @@ class CellDefinition:
         orientation: Optional[Orientation] = None,
         name: str = "",
     ) -> Instance:
+        """Call ``definition`` from this cell (a given location without an
+        orientation means North); returns the adopted instance."""
         if orientation is None and location is not None:
             orientation = NORTH
         return self.adopt(Instance(definition, location, orientation, name))
@@ -471,6 +483,7 @@ class CellDefinition:
     # Queries
     # ------------------------------------------------------------------
     def port(self, name: str) -> Port:
+        """This cell's own port called ``name`` (KeyError if none)."""
         for port in self.ports:
             if port.name == name:
                 return port
@@ -793,21 +806,26 @@ class CellTable:
         self._cells: Dict[str, CellDefinition] = {}
 
     def define(self, cell: CellDefinition, replace: bool = False) -> CellDefinition:
+        """Register ``cell`` under its name; a taken name is a
+        :class:`DuplicateCellError` unless ``replace``."""
         if cell.name in self._cells and not replace:
             raise DuplicateCellError(f"cell {cell.name!r} already defined")
         self._cells[cell.name] = cell
         return cell
 
     def new_cell(self, name: str, replace: bool = False) -> CellDefinition:
+        """Register and return an empty definition (see :meth:`define`)."""
         return self.define(CellDefinition(name), replace=replace)
 
     def lookup(self, name: str) -> CellDefinition:
+        """The definition called ``name`` (:class:`UnknownCellError` if none)."""
         try:
             return self._cells[name]
         except KeyError:
             raise UnknownCellError(f"unknown cell {name!r}") from None
 
     def get(self, name: str) -> Optional[CellDefinition]:
+        """The definition called ``name``, or None."""
         return self._cells.get(name)
 
     def __contains__(self, name: str) -> bool:
@@ -820,4 +838,5 @@ class CellTable:
         return len(self._cells)
 
     def names(self) -> Tuple[str, ...]:
+        """Every registered name, in definition order."""
         return tuple(self._cells)

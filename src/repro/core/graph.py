@@ -27,6 +27,7 @@ from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..geometry import NORTH, Orientation, Vec2
+from ..geometry.vector import _vec2_from_ints
 from .cell import CellDefinition, Instance
 from .errors import DisconnectedGraphError, GraphError, InconsistentGraphError
 from .interface import Interface
@@ -50,6 +51,7 @@ class Edge:
         self.index = index
 
     def other(self, node: "Node") -> "Node":
+        """The endpoint that is not ``node`` (raises if ``node`` is neither)."""
         if node is self.source:
             return self.target
         if node is self.target:
@@ -95,6 +97,7 @@ class Node:
         return edge
 
     def degree(self) -> int:
+        """Edges at this node, a self-loop counted once."""
         return len(self.edges)
 
     def __repr__(self) -> str:
@@ -143,8 +146,10 @@ def expand_graph(
     orientation ``O_a o O_ab``, which depend only on the interface, the
     direction and ``O_a``.  Steps are memoised on those three (interfaces
     keyed by identity: the table holds every interface for the
-    expansion's duration), so an array of n cells computes a handful of
-    steps and places each node with two integer additions.
+    expansion's duration; orientations by their ``(r, k)`` ints, which
+    hash without a Python call), so an array of n cells computes a
+    handful of steps and places each node with two integer additions
+    (its point built without re-coercing the ints).
 
     ``expected_nodes`` (optional) asserts that the reachable component
     covers exactly those nodes, raising
@@ -158,8 +163,9 @@ def expand_graph(
     placed = {id(root)}
     lookup = table.lookup
     inverses: Dict[int, Interface] = {}
-    # (id(interface), along the edge, placed orientation) -> (dx, dy, far orientation)
-    steps: Dict[Tuple[int, bool, Orientation], Tuple[int, int, Orientation]] = {}
+    # (id(interface), along the edge, placed orientation's r and k)
+    #   -> (dx, dy, far orientation)
+    steps: Dict[Tuple[int, bool, int, int], Tuple[int, int, Orientation]] = {}
     order = [root]
     # (node, the tree edge it was placed across)
     queue: Deque[Tuple[Node, Optional[Edge]]] = deque([(root, None)])
@@ -168,17 +174,18 @@ def expand_graph(
         instance = node.instance
         x, y = instance.location.x, instance.location.y
         turn = instance.orientation
+        r, k = turn.r, turn.k
         for edge in node.edges:
             if edge is tree_edge:
                 continue
             source, target = edge.source, edge.target
             interface = lookup(
-                source.instance.definition.name, target.instance.definition.name,
+                source.instance._definition.name, target.instance._definition.name,
                 edge.index,
             )
             along = source is node
             neighbor = target if along else source
-            key = (id(interface), along, turn)
+            key = (id(interface), along, r, k)
             step = steps.get(key)
             if step is None:
                 if not along:
@@ -189,7 +196,7 @@ def expand_graph(
                 dx, dy = turn.apply(interface.vector.x, interface.vector.y)
                 step = steps[key] = (dx, dy, turn.compose(interface.orientation))
             dx, dy, orientation = step
-            location = Vec2(x + dx, y + dy)
+            location = _vec2_from_ints(x + dx, y + dy)
             if id(neighbor) in placed:
                 if (
                     neighbor.instance.location != location

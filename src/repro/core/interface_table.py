@@ -78,6 +78,7 @@ class InterfaceTable:
         return self.lookup(cell_a, cell_b, index).inverse()
 
     def has(self, cell_a: str, cell_b: str, index: int) -> bool:
+        """True when ``I_ab`` is loaded under ``(cell_a, cell_b, index)``."""
         return (cell_a, cell_b, index) in self._table
 
     def indices_between(self, cell_a: str, cell_b: str) -> List[int]:

@@ -63,7 +63,7 @@ class Rsg:
         convention that ``connect`` returns its first argument.
         """
         self.interfaces.lookup(
-            source.instance.definition.name, target.instance.definition.name, index
+            source.instance._definition.name, target.instance._definition.name, index
         )
         source.connect(target, index)
         return source

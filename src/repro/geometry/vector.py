@@ -84,3 +84,19 @@ class Vec2:
 
 
 ORIGIN = Vec2(0, 0)
+
+_new_object = object.__new__
+_set_x = Vec2.x.__set__
+_set_y = Vec2.y.__set__
+
+
+def _vec2_from_ints(x: int, y: int) -> Vec2:
+    """A :class:`Vec2` of ``x`` and ``y``, which must already be ``int``s.
+
+    Skips the constructor's coercion and immutability guard: graph
+    expansion builds one point per placed instance from integer sums.
+    """
+    vector = _new_object(Vec2)
+    _set_x(vector, x)
+    _set_y(vector, y)
+    return vector

@@ -86,18 +86,29 @@ class Environment:
             ) from None
 
     def lookup(self, key: BindingKey, _depth: int = 0) -> Any:
-        """Full three-stage lookup with alias chasing (Figure 4.1)."""
-        if _depth > 32:
-            raise UnboundVariableError(
-                f"alias chain too deep while resolving {_describe(key)}"
-            )
-        if key in self.bindings:
-            value = self.bindings[key]
-        else:
-            value = self.globals.lookup_raw(key)
-        if isinstance(value, Alias):
-            return self.lookup(value.name, _depth + 1)
-        return value
+        """Full three-stage lookup with alias chasing (Figure 4.1).
+
+        Each alias re-enters the chain at this frame; more than 32
+        aliases in a row is an error.  ``_depth`` is the number of
+        aliases already chased to reach ``key``.
+        """
+        bindings = self.bindings
+        global_bindings = self.globals.bindings
+        while True:
+            if _depth > 32:
+                raise UnboundVariableError(
+                    f"alias chain too deep while resolving {_describe(key)}"
+                )
+            if key in bindings:
+                value = bindings[key]
+            elif key in global_bindings:
+                value = global_bindings[key]
+            else:
+                value = self.globals.lookup_raw(key)
+            if not isinstance(value, Alias):
+                return value
+            key = value.name
+            _depth += 1
 
     def __repr__(self) -> str:
         return f"Environment({self.procedure_name!r}, {len(self.bindings)} bindings)"
@@ -120,12 +131,10 @@ class GlobalEnvironment:
         """Global bindings, then the cell table (no alias chasing)."""
         if key in self.bindings:
             return self.bindings[key]
-        if (
-            isinstance(key, str)
-            and self.cell_table is not None
-            and key in self.cell_table
-        ):
-            return self.cell_table.lookup(key)
+        if isinstance(key, str) and self.cell_table is not None:
+            cell = self.cell_table.get(key)
+            if cell is not None:
+                return cell
         raise UnboundVariableError(f"unbound variable {_describe(key)}")
 
     def frame(self, procedure_name: str = "") -> Environment:

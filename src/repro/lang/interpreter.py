@@ -19,17 +19,27 @@ Each statement is compiled once to a closure ``code(interpreter, env)``
 (closure compilation: Feeley and Lapalme, "Using closures for code
 generation", Computer Languages 12(1), 1987): a form's head is
 classified and its special form dispatched when the closure is built,
-not each time it runs.  Compiled programs are cached by design text and
-hold no per-run state, so one program serves every interpreter that runs
-that text.  What a run can change stays a run-time lookup: variables,
-procedures and builtins are resolved by name when the statement runs,
-and every arity or type error is raised when the malformed statement
-runs (a malformed form in a branch never taken is never an error).
+not each time it runs.  Each design text is parsed and compiled once per
+process: compiled programs are cached by text and hold no per-run state,
+so one program serves every interpreter that runs that text.
+
+What the closure fixes at compile time: a variable's name (or an indexed
+variable's base and index code), a binding's target, a two-operand
+``+ - *`` or comparison's ``operator`` function.  What stays a run-time
+lookup, because a run can change it: the binding itself, probed in the
+frame and then the globals inside the reading closure (aliases and
+cell names go through :meth:`Environment.lookup`), and the callee, a
+builtin before a procedure.  Frames stay dictionaries: macros return
+them, ``subcell`` reads them by name, and indexed keys are run-time
+values, so there is no fixed slot layout to compile to.  Every arity or
+type error is raised when the malformed statement runs (a malformed
+form in a branch never taken is never an error).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cell import CellDefinition, Instance
@@ -38,7 +48,7 @@ from ..core.graph import Node
 from ..core.operators import Rsg
 from ..obs import trace as obs_trace
 from .ast_nodes import Form, IndexedVar, Statement, Symbol
-from .environment import Environment, GlobalEnvironment
+from .environment import Alias, Environment, GlobalEnvironment
 from .parser import parse_program
 
 __all__ = ["Interpreter", "Procedure"]
@@ -211,11 +221,9 @@ def _compile(statement: Statement) -> Code:
     if isinstance(statement, int) or isinstance(statement, str):
         return _constant(statement)
     if isinstance(statement, Symbol):
-        name = statement.name
-        return lambda interpreter, env: env.lookup(name)
+        return _compile_variable(statement.name)
     if isinstance(statement, IndexedVar):
-        key = _compile_index_key(statement)
-        return lambda interpreter, env: env.lookup(key(interpreter, env))
+        return _compile_indexed_variable(statement)
     if isinstance(statement, Form):
         return _compile_form(statement)
     return _raiser(f"cannot evaluate {statement!r}")
@@ -225,14 +233,51 @@ def _compile_body(statements: Sequence[Statement]) -> Tuple[Code, ...]:
     return tuple(_compile(statement) for statement in statements)
 
 
-def _run_body(
-    body: Tuple[Code, ...], interpreter: "Interpreter", env: Environment
-) -> Any:
-    """Run compiled statements in order; the value of the last (nil if none)."""
-    result: Any = None
-    for code in body:
-        result = code(interpreter, env)
-    return result
+def _read(env: Environment, key: Any) -> Any:
+    """Read ``key`` in ``env``, probing the frame and then the globals.
+
+    Only what those dictionaries cannot answer goes through
+    :meth:`Environment.lookup`: an alias, which re-enters Figure 4.1's
+    chain at this frame one step deep (so the 32-step bound counts from
+    here), and a key bound in neither (a cell name, or unbound).
+    """
+    bindings = env.bindings
+    if key in bindings:
+        value = bindings[key]
+    else:
+        bindings = env.globals.bindings
+        if key not in bindings:
+            return env.lookup(key)
+        value = bindings[key]
+    if isinstance(value, Alias):
+        return env.lookup(value.name, 1)
+    return value
+
+
+def _compile_variable(name: str) -> Code:
+    """A variable read: :func:`_read` with the name fixed, its body
+    inlined (this is the most frequent closure of a design file)."""
+
+    def read(interpreter: "Interpreter", env: Environment) -> Any:
+        bindings = env.bindings
+        if name in bindings:
+            value = bindings[name]
+        else:
+            bindings = env.globals.bindings
+            if name not in bindings:
+                return env.lookup(name)
+            value = bindings[name]
+        if isinstance(value, Alias):
+            return env.lookup(value.name, 1)
+        return value
+
+    return read
+
+
+def _compile_indexed_variable(var: IndexedVar) -> Code:
+    """An indexed-variable read: its key, then :func:`_read`."""
+    key = _compile_index_key(var)
+    return lambda interpreter, env: _read(env, key(interpreter, env))
 
 
 def _compile_index_key(var: IndexedVar) -> Code:
@@ -240,15 +285,28 @@ def _compile_index_key(var: IndexedVar) -> Code:
     base, line = var.base, var.line
     indices = _compile_body(var.indices)
 
+    def bad_index(value: Any) -> EvalError:
+        return EvalError(
+            f"line {line}: index of {base!r} must be an integer, got {value!r}"
+        )
+
+    if len(indices) == 1:
+        (index,) = indices
+
+        def key1(interpreter: "Interpreter", env: Environment) -> Any:
+            value = index(interpreter, env)
+            if not isinstance(value, int):
+                raise bad_index(value)
+            return (base, (value,))
+
+        return key1
+
     def key(interpreter: "Interpreter", env: Environment) -> Any:
         values = []
         for index in indices:
             value = index(interpreter, env)
             if not isinstance(value, int):
-                raise EvalError(
-                    f"line {line}: index of {base!r} must be an"
-                    f" integer, got {value!r}"
-                )
+                raise bad_index(value)
             values.append(value)
         return (base, tuple(values))
 
@@ -276,17 +334,44 @@ def _compile_form(form: Form) -> Code:
         return special(form)
     arguments = _compile_body(form.items[1:])
     if name in _ARITH:
-        return _compile_arith(_ARITH[name], arguments)
+        return _compile_arith(name, arguments)
     return _compile_call(name, arguments, form.line)
 
 
-def _compile_arith(function: Callable[..., Any], arguments: Tuple[Code, ...]) -> Code:
-    # Two operands (loop steps and tests) skip building an argument list.
+#: two-operand arithmetic, as ``operator`` functions (``-`` is the
+#: n-ary fold's ``-=``, whose type error names that operator)
+_BINARY: Dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.isub,
+    "*": operator.mul,
+}
+#: two-operand comparisons (their results are made True/False)
+_COMPARISONS: Dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "/=": operator.ne,
+    ">": operator.gt,
+    "<": operator.lt,
+    ">=": operator.ge,
+    "<=": operator.le,
+}
+
+
+def _compile_arith(name: str, arguments: Tuple[Code, ...]) -> Code:
+    # Two operands (loop steps and tests) call the operator directly.
     if len(arguments) == 2:
         left, right = arguments
-        return lambda interpreter, env: function(
-            left(interpreter, env), right(interpreter, env)
-        )
+        if name in _BINARY:
+            binary = _BINARY[name]
+            return lambda interpreter, env: binary(
+                left(interpreter, env), right(interpreter, env)
+            )
+        if name in _COMPARISONS:
+            compare = _COMPARISONS[name]
+            return lambda interpreter, env: (
+                True if compare(left(interpreter, env), right(interpreter, env))
+                else False
+            )
+    function = _ARITH[name]
     return lambda interpreter, env: function(
         *[argument(interpreter, env) for argument in arguments]
     )
@@ -296,17 +381,20 @@ def _compile_call(name: str, arguments: Tuple[Code, ...], line: int) -> Code:
     """A builtin or procedure call; the callee is looked up when it runs."""
 
     def call(interpreter: "Interpreter", env: Environment) -> Any:
-        if name in interpreter.builtins:
+        builtins = interpreter.builtins
+        if name in builtins:
             values = [argument(interpreter, env) for argument in arguments]
             try:
-                return interpreter.builtins[name](*values)
+                return builtins[name](*values)
             except EvalError:
                 raise
             except Exception as exc:
                 raise EvalError(f"line {line}: {name}: {exc}") from exc
-        if name in interpreter.procedures:
+        procedures = interpreter.procedures
+        if name in procedures:
             values = [argument(interpreter, env) for argument in arguments]
-            return interpreter._apply(interpreter.procedures[name], values)
+            # fetched after the arguments ran: one of them may redefine it
+            return interpreter._apply(procedures[name], values)
         raise EvalError(f"line {line}: unknown procedure {name!r}")
 
     return call
@@ -382,8 +470,12 @@ def _compile_cond(form: Form) -> Code:
 
     def cond(interpreter: "Interpreter", env: Environment) -> Any:
         for test, body in clauses:
-            if _truthy(test(interpreter, env)):
-                return _run_body(body, interpreter, env)
+            value = test(interpreter, env)
+            if value is not None and value is not False:
+                result = None
+                for code in body:
+                    result = code(interpreter, env)
+                return result
         if malformed is not None:
             raise EvalError(malformed)
         return None
@@ -403,16 +495,19 @@ def _compile_do(form: Form) -> Code:
     runaway = f"line {form.line}: runaway do loop"
 
     def loop(interpreter: "Interpreter", env: Environment) -> Any:
-        env.bind(name, initial(interpreter, env))
+        bindings = env.bindings
+        bindings[name] = initial(interpreter, env)
         result: Any = None
         iterations = 0
-        while not _truthy(finished(interpreter, env)):
+        done = finished(interpreter, env)
+        while done is None or done is False:
             for code in body:
                 result = code(interpreter, env)
-            env.bind(name, step(interpreter, env))
+            bindings[name] = step(interpreter, env)
             iterations += 1
             if iterations > 10_000_000:
                 raise EvalError(runaway)
+            done = finished(interpreter, env)
         return result
 
     return loop
@@ -420,7 +515,14 @@ def _compile_do(form: Form) -> Code:
 
 def _compile_prog(form: Form) -> Code:
     body = _compile_body(form.items[1:])
-    return lambda interpreter, env: _run_body(body, interpreter, env)
+
+    def prog(interpreter: "Interpreter", env: Environment) -> Any:
+        result: Any = None
+        for code in body:
+            result = code(interpreter, env)
+        return result
+
+    return prog
 
 
 def _compile_and(form: Form) -> Code:
@@ -430,7 +532,7 @@ def _compile_and(form: Form) -> Code:
         value: Any = True
         for operand in operands:
             value = operand(interpreter, env)
-            if not _truthy(value):
+            if value is None or value is False:
                 return False
         return value
 
@@ -443,7 +545,7 @@ def _compile_or(form: Form) -> Code:
     def disjunction(interpreter: "Interpreter", env: Environment) -> Any:
         for operand in operands:
             value = operand(interpreter, env)
-            if _truthy(value):
+            if value is not None and value is not False:
                 return value
         return False
 
@@ -467,7 +569,7 @@ def _compile_assign(form: Form) -> Code:
 
     def assign(interpreter: "Interpreter", env: Environment) -> Any:
         result = value(interpreter, env)
-        env.bind(target(interpreter, env), result)
+        env.bindings[target(interpreter, env)] = result
         return result
 
     return assign
@@ -494,7 +596,11 @@ def _compile_subcell(form: Form) -> Code:
                 f"line {line}: subcell's first argument must be a macro"
                 f" environment, got {type(target_env).__name__}"
             )
-        return target_env.local(key(interpreter, env))
+        name = key(interpreter, env)
+        bindings = target_env.bindings
+        if name in bindings:
+            return bindings[name]
+        return target_env.local(name)  # raises the unbound-variable error
 
     return subcell
 
@@ -512,7 +618,7 @@ def _compile_mk_instance(form: Form) -> Code:
         node = interpreter.rsg.mk_instance(
             interpreter._resolve_cell(cell(interpreter, env), line)
         )
-        env.bind(target(interpreter, env), node)
+        env.bindings[target(interpreter, env)] = node
         return node
 
     return mk_instance
@@ -695,9 +801,12 @@ class Interpreter:
         interpreter's global environment, inside a ``lang.eval`` span.
         """
         program = _compile_program(text)
-        frame = self.globals.frame("__toplevel__")
+        frame = Environment(self.globals, "__toplevel__")
+        result: Any = None
         with obs_trace.span("lang.eval"):
-            return _run_body(program, self, frame)
+            for code in program:
+                result = code(self, frame)
+        return result
 
     def run_file(self, path: str) -> Any:
         """Execute the design file at ``path`` (see :meth:`run`)."""
@@ -731,14 +840,17 @@ class Interpreter:
             )
         if self._depth >= self.max_depth:
             raise EvalError(f"recursion depth exceeded in {procedure.name}")
-        frame = self.globals.frame(procedure.name)
+        frame = Environment(self.globals, procedure.name)
+        bindings = frame.bindings
         for formal, value in zip(procedure.formals, args):
-            frame.bind(formal, value)
+            bindings[formal] = value
         for local in procedure.locals:
-            frame.bind(local, None)
+            bindings[local] = None
         self._depth += 1
+        result: Any = None
         try:
-            result = _run_body(procedure.code, self, frame)
+            for code in procedure.code:
+                result = code(self, frame)
         finally:
             self._depth -= 1
         return frame if procedure.is_macro else result

@@ -21,7 +21,7 @@ Comments start with ``#`` or ``;``.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.errors import ParseError
 from .environment import Alias
@@ -50,10 +50,25 @@ class ParameterSet:
         )
 
 
+def _parse_int(text: str) -> Optional[int]:
+    """``text`` as an integer, or None when it is not one.
+
+    ``str.isdigit`` admits strings ``int`` rejects (``--5``, ``²``), so
+    both must agree.
+    """
+    if not text.lstrip("-").isdigit():
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def _parse_value(text: str, line_number: int) -> Any:
     text = text.strip()
-    if text.lstrip("-").isdigit():
-        return int(text)
+    number = _parse_int(text)
+    if number is not None:
+        return number
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
         return text[1:-1]
     if _IDENT.match(text):
@@ -78,13 +93,14 @@ def parse_parameters(text: str) -> ParameterSet:
         indexed = _INDEXED_BINDING.match(line)
         if indexed:
             value_text = indexed.group(3).split("#", 1)[0].split(";", 1)[0].strip()
-            if not value_text.lstrip("-").isdigit():
+            value = _parse_int(value_text)
+            if value is None:
                 raise ParseError(
                     f"line {line_number}: indexed bindings take integer"
                     f" values, got {value_text!r}"
                 )
             indices = tuple(int(part) for part in indexed.group(2)[1:].split("."))
-            result.bindings[(indexed.group(1), indices)] = int(value_text)
+            result.bindings[(indexed.group(1), indices)] = value
             continue
         binding = _BINDING.match(line)
         if binding:

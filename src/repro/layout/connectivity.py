@@ -77,6 +77,7 @@ class PortNetlist:
         return self
 
     def multi_terminal_nets(self) -> List[List[str]]:
+        """Nets joining two or more ports (the ones a router must wire)."""
         return [net for net in self.nets if len(net) >= 2]
 
     def dangling_ports(self) -> List[str]:

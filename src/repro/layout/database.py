@@ -143,12 +143,15 @@ class FlatLayout:
         self.labels: List[Label] = []
 
     def add(self, layer: str, box: Box) -> None:
+        """Append ``box`` to ``layer``'s boxes."""
         self.layers[layer].append(box)
 
     def box_count(self) -> int:
+        """Boxes over all layers."""
         return sum(len(boxes) for boxes in self.layers.values())
 
     def bounding_box(self) -> Optional[Box]:
+        """The smallest box holding every box of every layer (None if empty)."""
         result: Optional[Box] = None
         for boxes in self.layers.values():
             for box in boxes:

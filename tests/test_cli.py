@@ -76,6 +76,26 @@ class TestMain:
         parameter, _ = flow_files
         assert main([str(parameter), "--set", "xsize=2", "--set", "ysize=2"]) == 0
 
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("xsize=--5", "bad parameter value '--5'"),
+            ("x=\u00b2", "bad parameter value '\u00b2'"),
+            ("x.1=--5", "indexed bindings take integer values, got '--5'"),
+        ],
+    )
+    def test_digit_like_set_value_is_a_parse_error(
+        self, flow_files, capsys, override, message
+    ):
+        """A value ``str.isdigit`` admits but ``int`` rejects exits 3
+        with the parameter file's line, not 70 as an internal error."""
+        parameter, _ = flow_files
+        assert main([str(parameter), "--set", override]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"error: line \d+: ", err)
+        assert message in err
+        assert "internal error" not in err
+
     def test_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.par"
         bad.write_text("x=1\n")

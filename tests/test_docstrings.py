@@ -1,9 +1,9 @@
 """Documentation-surface enforcement for the library's subsystems.
 
 ``make docs-check`` runs exactly this module.  Every public module under
-``repro.compact``, ``repro.lang``, ``repro.multiplier``, ``repro.obs``,
-``repro.pla``, ``repro.route``, ``repro.service`` and ``repro.verify``
-must carry a module docstring, and every public class and function they
+``repro.compact``, ``repro.core``, ``repro.lang``, ``repro.layout``,
+``repro.multiplier``, ``repro.obs``, ``repro.pla``, ``repro.route``,
+``repro.service`` and ``repro.verify`` must carry a module docstring, and every public class and function they
 define must be documented — these subsystems are walked through in the
 architecture docs, so an undocumented entry point is a docs regression.
 """
@@ -15,7 +15,9 @@ import pkgutil
 import pytest
 
 import repro.compact
+import repro.core
 import repro.lang
+import repro.layout
 import repro.multiplier
 import repro.obs
 import repro.pla
@@ -29,7 +31,9 @@ def _public_modules():
     modules = []
     for package in (
         repro.compact,
+        repro.core,
         repro.lang,
+        repro.layout,
         repro.multiplier,
         repro.obs,
         repro.pla,

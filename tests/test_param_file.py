@@ -52,6 +52,27 @@ class TestBindings:
         with pytest.raises(ParseError):
             parse_parameters("x=1.5")
 
+    @pytest.mark.parametrize("value", ["--5", "²", "-²", "1²"])
+    def test_digit_like_value_is_a_parse_error(self, value):
+        """``str.isdigit`` admits these but ``int`` does not."""
+        with pytest.raises(ParseError, match=r"line 2: bad parameter value"):
+            parse_parameters(f"n=1\nx = {value}\n")
+
+    @pytest.mark.parametrize("value", ["--5", "²"])
+    def test_digit_like_indexed_value_is_a_parse_error(self, value):
+        with pytest.raises(
+            ParseError, match=r"line 1: indexed bindings take integer values"
+        ):
+            parse_parameters(f"x.1 = {value}\n")
+
+    def test_integer_spellings_keep_their_bindings(self):
+        """Every spelling ``int`` accepts after the digit test still parses
+        to the same integer, non-ASCII decimal digits included."""
+        params = parse_parameters("a=007\nb=-0\nc=\u0663\nd.1=-12\ne.2.3=\u0663")
+        assert params.bindings == {
+            "a": 7, "b": 0, "c": 3, ("d", (1,)): -12, ("e", (2, 3)): 3,
+        }
+
 
 class TestAliasChaining:
     def test_alias_chain_through_interpreter(self):

@@ -185,6 +185,20 @@ class TestValidation:
             custom(parameters="!!! nope\n").fingerprint
 
     @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("xsize=--5", "bad parameter value '--5'"),
+            ("x = \u00b2", "bad parameter value '\u00b2'"),
+            ("x.1 = --5", "indexed bindings take integer values, got '--5'"),
+        ],
+    )
+    def test_digit_like_parameter_value_is_a_service_error(self, line, message):
+        spec = JobSpec(kind="multiplier", parameters=line)
+        with pytest.raises(ServiceError, match="bad parameter text: line") as caught:
+            spec.fingerprint()
+        assert message in str(caught.value)
+
+    @pytest.mark.parametrize(
         "payload,field",
         [
             ({"kind": ["x"]}, "kind"),
