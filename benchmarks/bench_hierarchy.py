@@ -11,10 +11,11 @@ guards the acceptance criteria name:
   doubling the instance count of a fresh (cold-memo) array must grow
   the flatten time < 3x.  Runs in smoke mode too.  Rows ``flatten`` /
   ``flatten_reference`` additionally compare the memoized stamp-flatten
-  against the retained recursive walker — informational only: the root
-  is deliberately streamed rather than memoized (memory over repeat
-  speed), so the advantage is the constant-factor difference between
-  translating child memos and recursive transform composition.
+  against the recursive walker of ``tests/oracles/cell.py`` —
+  informational only: the root is deliberately streamed rather than
+  memoized (memory over repeat speed), so the advantage is the
+  constant-factor difference between translating child memos and
+  recursive transform composition.
 
 Timing rows land in ``BENCH_compaction.json`` via the ``record``
 fixture.  Set ``REPRO_BENCH_SMOKE=1`` for the small sizes (the 5x
@@ -26,6 +27,7 @@ import random
 from collections import Counter
 
 from conftest import best_time, doubling_ratio
+from oracles.cell import flatten_reference
 
 from repro.compact import TECH_A, CompactionCache, HierarchicalCompactor
 from repro.core.cell import CellDefinition
@@ -108,9 +110,9 @@ def _impl_flatten_memo_vs_reference(report, record):
         return sum(1 for _ in array.flatten())
 
     def run_reference():
-        return sum(1 for _ in array.flatten_reference())
+        return sum(1 for _ in flatten_reference(array))
 
-    assert list(array.flatten()) == list(array.flatten_reference())
+    assert list(array.flatten()) == list(flatten_reference(array))
     memo_s = best_time(run_memo)
     reference_s = best_time(run_reference)
     record("flatten", n * n, memo_s)

@@ -7,7 +7,7 @@ Comparisons on randomized mask layouts:
   hidden pair of Figure 6.6 and emits an illegal layout;
 * cost — generation time of the two scanners;
 * the production scan — :func:`visibility_constraints` on flat arrays
-  versus the retained flat-list reference at n >= 2000 boxes (>= 5x
+  versus the flat-list reference oracle at n >= 2000 boxes (>= 5x
   required), plus the CI scaling guard: doubling the box count must
   grow the production scan's runtime sub-quadratically (< 3x).
 
@@ -22,6 +22,7 @@ import random
 import pytest
 
 from conftest import best_time, compare_kernel, doubling_ratio, sweep_layout_pairs
+from oracles.scanline import visibility_constraints_reference
 
 from repro.compact import (
     TECH_A,
@@ -30,7 +31,6 @@ from repro.compact import (
     compact_layout,
     naive_constraints,
     visibility_constraints,
-    visibility_constraints_reference,
 )
 from repro.compact.constraints import ConstraintSystem
 from repro.geometry import Box

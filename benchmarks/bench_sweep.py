@@ -1,8 +1,8 @@
 """E-SWEEP — the production geometry passes against their oracles.
 
 Three geometry passes run on flat arrays (:mod:`repro.geometry.batch`)
-with their interpreted implementations retained as ``*_reference``
-oracles:
+with their interpreted implementations as ``*_reference`` oracles
+(``tests/oracles/``):
 
 * :func:`repro.compact.drc.check_layout` — all-slab run vectors and
   keyed ``searchsorted`` inter-layer gap probes, against the
@@ -24,11 +24,14 @@ still runs).
 import os
 
 from conftest import best_time, compare_kernel, doubling_ratio, sweep_layout_pairs
+from oracles.database import merge_boxes_reference
+from oracles.drc import check_layout_reference
+from oracles.route_extract import wire_components_reference
 
-from repro.compact import TECH_A, check_layout, check_layout_reference
+from repro.compact import TECH_A, check_layout
 from repro.geometry import Box
-from repro.layout.database import merge_boxes, merge_boxes_reference
-from repro.route.extract import wire_components, wire_components_reference
+from repro.layout.database import merge_boxes
+from repro.route.extract import wire_components
 from repro.route.style import RouteStyle
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))

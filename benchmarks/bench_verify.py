@@ -40,6 +40,8 @@ import random
 import time
 
 from conftest import best_time, doubling_ratio
+from oracles.lvs import compare_netlists_reference
+from oracles.switchsim import simulate_reference
 
 from repro.multiplier import generate_multiplier
 from repro.multiplier.generator import intended_multiplier_netlist
@@ -56,8 +58,6 @@ from repro.verify import (
     verify_multiplier,
 )
 from repro.verify.driver import pla_layout_netlist
-from repro.verify.lvs import compare_netlists_reference
-from repro.verify.switchsim import simulate_reference
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 

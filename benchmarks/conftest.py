@@ -16,18 +16,27 @@ own measurements without dropping the rest of the trajectory.
 ``best_time`` and ``sweep_layout_pairs`` are the timing discipline and
 the randomized-layout regime shared by the geometry-pass benchmarks
 (``bench_scanline.py``, ``bench_sweep.py``).
+
+The oracles the benchmarks time the program against live with the
+tests (``tests/oracles/``), so ``tests/`` goes on ``sys.path`` here the
+way pytest puts it there for the test files: ``from oracles.drc import
+...`` reads the same in both.
 """
 
 import datetime
 import json
 import platform
 import random
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_compaction.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_JSON = ROOT / "BENCH_compaction.json"
+if str(ROOT / "tests") not in sys.path:
+    sys.path.insert(0, str(ROOT / "tests"))
 
 _RECORDS = []
 
@@ -112,7 +121,7 @@ def record():
 
 def compare_kernel(report, record, label, n, run_new, run_reference,
                    min_ratio=None, smoke=False, repeats=3):
-    """Time a kernel build against its retained reference oracle.
+    """Time a kernel build against its reference oracle.
 
     Records both rows (``label`` and ``label + "_reference"``), prints
     the paper-shaped comparison line, and — outside smoke mode — asserts

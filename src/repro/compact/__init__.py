@@ -9,7 +9,7 @@ from .cache import (
     fingerprint_rules,
 )
 from .constraints import Constraint, ConstraintSystem
-from .drc import Violation, check_layout, check_layout_reference
+from .drc import Violation, check_layout
 from .flat import (
     CompactionResult,
     compact_cell,
@@ -23,7 +23,7 @@ from .pipeline import (
     compact_cells,
     distinct_leaf_cells,
 )
-from .layers import cut_count, expand_contact, expand_gate, expand_layout
+from .layers import cut_count
 from .leafcell import LeafCellCompactor, LeafCellResult, PitchCost, pitch_name
 from .rubberband import AlignmentPairs, alignment_pairs, misalignment, rubber_band_solve
 from .rules import TECH_A, TECH_B, ContactRule, DesignRules, RuleTables
@@ -36,7 +36,6 @@ from .scanline import (
     rebuild_boxes,
     solved_columns,
     visibility_constraints,
-    visibility_constraints_reference,
 )
 from .solver import SolveStats, solve_longest_path
 
@@ -55,15 +54,11 @@ __all__ = [
     "ConstraintSystem",
     "Violation",
     "check_layout",
-    "check_layout_reference",
     "CompactionResult",
     "compact_cell",
     "compact_layout",
     "compact_layout_xy",
     "compact_passes",
-    "expand_contact",
-    "expand_gate",
-    "expand_layout",
     "cut_count",
     "LeafCellCompactor",
     "LeafCellResult",
@@ -84,7 +79,6 @@ __all__ = [
     "add_width_constraints",
     "naive_constraints",
     "visibility_constraints",
-    "visibility_constraints_reference",
     "rebuild_boxes",
     "solved_columns",
     "SolveStats",

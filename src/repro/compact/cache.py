@@ -21,9 +21,12 @@ content hash of everything that determines the outcome:
 
 Entries live in an in-process dict and, when a ``directory`` is given,
 as pickle files named by their key — the on-disk form survives the
-process, so a re-generation run pays only fingerprinting.  Every lookup
-path deep-copies on the way in and out: callers may freely mutate what
-they get back without corrupting the cache.
+process, so a re-generation run pays only fingerprinting.
+:meth:`CompactionCache.put` stores a deep copy and
+:meth:`CompactionCache.get` returns one, so their callers may mutate
+what they hand in or get back.  :meth:`CompactionCache.peek` returns the
+shared stored object without a copy: the hierarchical pipeline reads its
+warm hits that way, and must not mutate them.
 
 ``cache=None`` everywhere reproduces the uncached behaviour exactly and
 is the equivalence oracle for the cached paths.

@@ -6,22 +6,18 @@ inter-layer gaps (drawn crossings of different layers are intentional
 and exempt, mirroring the constraint generator's semantics — true
 layer-interaction rules go through the derived layers of section 6.4.3).
 
-Two implementations are provided.  :func:`check_layout` works on flat
-arrays (:mod:`repro.geometry.batch`): every slab's merged runs are
-materialised at once, width and same-layer gap checks are masked
-column comparisons, and each inter-layer check is a pair of keyed
-``searchsorted`` probes instead of a test of every run pair.
-:func:`check_layout_reference` is the interpreted checker — it rebuilds
-every layer's runs from *all* boxes for *every* slab (``O(slabs x
-boxes)``) and compares runs pairwise (``O(runs^2)`` per layer pair) —
-retained as the equivalence oracle for property tests and benchmarks.
-Both emit the same violation multiset.
+:func:`check_layout` works on flat arrays (:mod:`repro.geometry.batch`):
+every slab's merged runs are materialised at once, width and same-layer
+gap checks are masked column comparisons, and each inter-layer check is
+a pair of keyed ``searchsorted`` probes instead of a test of every run
+pair.  Its oracle, the interpreted per-slab checker, lives with the
+tests (``tests/oracles/drc.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -31,7 +27,6 @@ from .rules import DesignRules
 __all__ = [
     "Violation",
     "check_layout",
-    "check_layout_reference",
 ]
 
 
@@ -68,7 +63,7 @@ def check_layout(
     columns, and each inter-layer check is two keyed ``searchsorted``
     probes over the partner layer's run starts/ends, so only the runs
     inside a spacing-sized window around each run end are visited.
-    Emits the violation multiset of :func:`check_layout_reference`
+    Emits the violation multiset of the interpreted per-slab checker
     (emission order may differ).
     """
     violations: List[Violation] = []
@@ -136,83 +131,4 @@ def check_layout(
                     "spacing", name_a, name_b,
                     b1[qb], slab_a[qa], spacing, a0[qa] - b1[qb],
                 )
-    return violations
-
-
-def _slab_runs(boxes: Sequence[Box], y0: int, y1: int) -> List[Tuple[int, int]]:
-    """Merged x intervals of material fully covering the slab [y0, y1]."""
-    intervals = sorted(
-        (box.xmin, box.xmax)
-        for box in boxes
-        if box.ymin <= y0 and box.ymax >= y1 and box.xmax > box.xmin
-    )
-    merged: List[List[int]] = []
-    for x0, x1 in intervals:
-        if merged and x0 <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], x1)
-        else:
-            merged.append([x0, x1])
-    return [(a, b) for a, b in merged]
-
-
-def check_layout_reference(
-    layers: Dict[str, List[Box]], rules: DesignRules
-) -> List[Violation]:
-    """The interpreted checker, retained as the equivalence oracle.
-
-    Rebuilds every layer's slab runs from all boxes for every slab and
-    tests every inter-layer run pair — the quadratic rescans the array
-    build removes.  Must emit the same violation multiset as
-    :func:`check_layout` on any input.
-    """
-    violations: List[Violation] = []
-    ys = sorted(
-        {box.ymin for boxes in layers.values() for box in boxes}
-        | {box.ymax for boxes in layers.values() for box in boxes}
-    )
-    layer_names = sorted(layers)
-    for y0, y1 in zip(ys, ys[1:]):
-        if y0 == y1:
-            continue
-        runs = {name: _slab_runs(layers[name], y0, y1) for name in layer_names}
-        for name in layer_names:
-            width = rules.width(name)
-            spacing = rules.min_spacing.get(name)
-            slab = runs[name]
-            for x0, x1 in slab:
-                if x1 - x0 < width:
-                    violations.append(
-                        Violation("width", name, name, (x0, y0), width, x1 - x0)
-                    )
-            if spacing is not None:
-                for (_, r0), (l1, _) in zip(slab, slab[1:]):
-                    if l1 - r0 < spacing:
-                        violations.append(
-                            Violation("spacing", name, name, (r0, y0), spacing, l1 - r0)
-                        )
-        for i, name_a in enumerate(layer_names):
-            for name_b in layer_names[i + 1:]:
-                spacing = rules.spacing(name_a, name_b)
-                if spacing is None:
-                    continue
-                for a0, a1 in runs[name_a]:
-                    for b0, b1 in runs[name_b]:
-                        if a1 <= b0:
-                            gap = b0 - a1
-                        elif b1 <= a0:
-                            gap = a0 - b1
-                        else:
-                            continue  # drawn crossing: intentional
-                        # gap == 0 is an intentional different-layer contact
-                        if 0 < gap < spacing:
-                            violations.append(
-                                Violation(
-                                    "spacing",
-                                    name_a,
-                                    name_b,
-                                    (min(a1, b1), y0),
-                                    spacing,
-                                    gap,
-                                )
-                            )
     return violations

@@ -11,12 +11,11 @@ exactly Magic's contact layer, which the paper cites.
 The same strategy handles transistors: a ``gate`` derived layer expands
 to poly over diff with the technology's gate width.
 
-:func:`expand_columns` is the one production build: it expands whole
-int64 box columns per layer (floor-division gate widening, diffusion
-extension, cut grids via ``np.repeat``), so netlist extraction reads a
-cell's column memo and builds no box object.  :func:`expand_layout` is
-its ``Box`` wrapper; the per-box :func:`expand_contact` and
-:func:`expand_gate` are kept as its oracle.
+:func:`expand_columns` is the one build: it expands whole int64 box
+columns per layer (floor-division gate widening, diffusion extension,
+cut grids via ``np.repeat``), so netlist extraction reads a cell's
+column memo and builds no box object.  Its per-box oracle lives with
+the tests (``tests/oracles/layers.py``).
 """
 
 from __future__ import annotations
@@ -25,13 +24,10 @@ from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from ..geometry import Box
-from ..geometry.batch import BoxArray, boxes_from_arrays, boxes_to_arrays
+from ..geometry.batch import BoxArray
 from .rules import ContactRule, DesignRules
 
-__all__ = [
-    "expand_contact", "expand_columns", "expand_layout", "cut_count", "expand_gate",
-]
+__all__ = ["expand_columns", "cut_count"]
 
 
 def cut_count(extent: int, rule: ContactRule) -> int:
@@ -45,53 +41,6 @@ def cut_count(extent: int, rule: ContactRule) -> int:
     if usable < rule.cut_size:
         return 1
     return 1 + (usable - rule.cut_size) // (rule.cut_size + rule.cut_spacing)
-
-
-def expand_contact(box: Box, rule: ContactRule) -> List[Tuple[str, Box]]:
-    """Expand one derived contact box into physical mask geometry.
-
-    Returns (layer, box) pairs: a ``metal1`` overlap, a ``poly`` overlap,
-    and an evenly spread grid of ``cut`` boxes (Figure 6.9).
-    """
-    result: List[Tuple[str, Box]] = [
-        ("metal1", box.grown(0)),
-        ("poly", box.grown(0)),
-    ]
-    columns = cut_count(box.width, rule)
-    rows = cut_count(box.height, rule)
-    grid_width = columns * rule.cut_size + (columns - 1) * rule.cut_spacing
-    grid_height = rows * rule.cut_size + (rows - 1) * rule.cut_spacing
-    x0 = box.xmin + (box.width - grid_width) // 2
-    y0 = box.ymin + (box.height - grid_height) // 2
-    step = rule.cut_size + rule.cut_spacing
-    for row in range(rows):
-        for column in range(columns):
-            cx = x0 + column * step
-            cy = y0 + row * step
-            result.append(
-                ("cut", Box(cx, cy, cx + rule.cut_size, cy + rule.cut_size))
-            )
-    return result
-
-
-def expand_gate(box: Box, rules: DesignRules) -> List[Tuple[str, Box]]:
-    """Expand a derived gate box into poly-over-diff geometry.
-
-    The poly strip is widened to the technology's gate width when the
-    drawn derived box is narrower — the "poly may be 3 lambda except
-    over diffusion where it might have to be 5" rule.
-    """
-    gate_width = rules.gate_width or rules.width("poly")
-    poly = box
-    if box.width < gate_width:
-        center2x = box.xmin + box.xmax
-        xmin = (center2x - gate_width) // 2
-        poly = Box(xmin, box.ymin, xmin + gate_width, box.ymax)
-    diff_extend = 1
-    diff = Box(
-        box.xmin - diff_extend, box.ymin, box.xmax + diff_extend, box.ymax
-    )
-    return [("poly", poly), ("diff", diff)]
 
 
 def _cut_counts(extent, rule: ContactRule):
@@ -119,7 +68,8 @@ def _contact_cuts(boxes: BoxArray, rule: ContactRule) -> BoxArray:
 
 
 def _gate_masks(boxes: BoxArray, rules: DesignRules) -> Tuple[BoxArray, BoxArray]:
-    """The poly and diffusion of every derived gate (:func:`expand_gate`)."""
+    """The poly and diffusion of every derived gate, widened to the
+    technology's gate width where the drawn box is narrower."""
     gate_width = rules.gate_width or rules.width("poly")
     narrow = boxes.xmax - boxes.xmin < gate_width
     widened = (boxes.xmin + boxes.xmax - gate_width) // 2
@@ -139,8 +89,8 @@ def expand_columns(
 ) -> Dict[str, BoxArray]:
     """Expand every derived layer of flat box columns to mask layers.
 
-    The column build of :func:`expand_layout`, with the same boxes in
-    the same order: a layer's output lists its contributions in input
+    The same boxes in the same order as expanding box by box: a
+    layer's output lists its contributions in input
     layer order, a contact gives its ``metal1`` and ``poly`` overlaps
     (the contact boxes themselves) and its cut grid, a gate its widened
     poly and extended diffusion, and any other layer passes through.
@@ -169,22 +119,4 @@ def expand_columns(
             for column in ("xmin", "ymin", "xmax", "ymax")
         ))
         for name, group in parts.items()
-    }
-
-
-def expand_layout(
-    layers: Dict[str, List[Box]], rules: DesignRules
-) -> Dict[str, List[Box]]:
-    """Expand every derived layer of a flat layout to mask layers.
-
-    Non-derived layers pass through unchanged; ``contact`` and ``gate``
-    boxes are expanded per the technology's tables.  A ``Box`` wrapper
-    over :func:`expand_columns`.
-    """
-    expanded = expand_columns(
-        {layer: boxes_to_arrays(boxes) for layer, boxes in layers.items()}, rules
-    )
-    return {
-        layer: boxes_from_arrays(boxes.xmin, boxes.ymin, boxes.xmax, boxes.ymax)
-        for layer, boxes in expanded.items()
     }

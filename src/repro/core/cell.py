@@ -35,8 +35,8 @@ The memos invalidate through mutation stamps: every ``add_box`` /
 instance's ``location``/``orientation``) bumps the owning definition's
 stamp, and a cached value is reused only while the maximum stamp over
 the definition's subtree is unchanged.  The pre-memo recursive walkers
-are retained as ``*_reference`` equivalence oracles, mirroring the sweep
-kernel's pattern.  Mutations must go through this API — appending to
+are the test oracle (``tests/oracles/cell.py``), not part of this
+module.  Mutations must go through this API — appending to
 ``boxes``/``instances`` directly bypasses invalidation.
 """
 
@@ -517,22 +517,8 @@ class CellDefinition:
         self._bbox_memo = (stamp, result)
         return result
 
-    def bounding_box_reference(self) -> Optional[Box]:
-        """Uncached recursive bounding box (equivalence oracle)."""
-        result: Optional[Box] = None
-        for layer_box in self.boxes:
-            result = layer_box.box if result is None else result.union(layer_box.box)
-        for instance in self.instances:
-            if not instance.is_placed:
-                continue
-            sub = instance.definition.bounding_box_reference()
-            if sub is not None:
-                sub = instance.transform.apply_box(sub)
-                result = sub if result is None else result.union(sub)
-        return result
-
     # ------------------------------------------------------------------
-    # Flattening (memoized stamping) and the reference walkers
+    # Flattening (memoized stamping)
     # ------------------------------------------------------------------
     def flat_columns(
         self, orientation: Orientation = NORTH
@@ -727,50 +713,6 @@ class CellDefinition:
             child_offset = instance.location.transformed(orientation) + offset
             for item in instance.definition._flat_labels(child_orientation):
                 yield Label(item.text, item.position + child_offset)
-
-    def flatten_reference(self, transform: Transform = Transform()) -> Iterator[LayerBox]:
-        """The pre-memo recursive flatten, retained as an oracle.
-
-        Composes a :class:`Transform` per instance and applies it to
-        every box of the subtree — instance-proportional transform work,
-        but straight-line enough to trust.  Must yield the identical box
-        sequence to :meth:`flatten` on any input.
-        """
-        for layer_box in self.boxes:
-            yield layer_box.transformed(transform)
-        for instance in self.instances:
-            if not instance.is_placed:
-                continue
-            yield from instance.definition.flatten_reference(
-                transform.compose(instance.transform)
-            )
-
-    def flatten_ports_reference(
-        self, transform: Transform = Transform(), prefix: str = ""
-    ) -> Iterator[Port]:
-        """The pre-memo recursive port walker (equivalence oracle)."""
-        for port in self.ports:
-            item = port.transformed(transform)
-            item.name = prefix + port.name
-            yield item
-        for index, instance in enumerate(self.instances):
-            if not instance.is_placed:
-                continue
-            tag = instance.name or f"{instance.celltype}#{index}"
-            yield from instance.definition.flatten_ports_reference(
-                transform.compose(instance.transform), prefix=f"{prefix}{tag}/"
-            )
-
-    def flatten_labels_reference(self, transform: Transform = Transform()) -> Iterator[Label]:
-        """The pre-memo recursive label walker (equivalence oracle)."""
-        for label in self.labels:
-            yield label.transformed(transform)
-        for instance in self.instances:
-            if not instance.is_placed:
-                continue
-            yield from instance.definition.flatten_labels_reference(
-                transform.compose(instance.transform)
-            )
 
     def count_instances(self, recursive: bool = False) -> int:
         """Number of sub-instances (transitively when ``recursive``)."""

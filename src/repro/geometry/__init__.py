@@ -1,7 +1,6 @@
-"""Geometry substrate: vectors, boxes, the D4 group, and the sweep primitives."""
+"""Geometry substrate: vectors, boxes, the D4 group, and the array kernel."""
 
 from .box import Box
-from .sweep import merge_intervals, slab_decompose, subtract_intervals
 from .orientation import (
     ALL_ORIENTATIONS,
     EAST,
@@ -21,9 +20,6 @@ from .vector import ORIGIN, Vec2
 
 __all__ = [
     "Box",
-    "merge_intervals",
-    "subtract_intervals",
-    "slab_decompose",
     "Orientation",
     "Transform",
     "Vec2",

@@ -18,9 +18,9 @@ merging; here those loops are restructured around flat int64 arrays:
 * batch decoding back to ``Box``/constraint/violation objects only at
   the boundary (:func:`boxes_from_arrays`).
 
-Each consumer is the production build of its pass, with an interpreted
-``*_reference`` build retained as its equivalence oracle.  The results
-are *identical*, not merely equivalent: the same constraint multisets,
+Each consumer is the one build of its pass; its interpreted oracle
+lives with the tests (``tests/oracles/``).  The results are
+*identical*, not merely equivalent: the same constraint multisets,
 merged boxes, violation multisets, and extracted components, enforced
 by ``tests/test_sweep_equivalence.py``.
 """
@@ -181,8 +181,8 @@ def slab_grid(arrays: Iterable[BoxArray]):
     """The sorted distinct y event grid over several box collections.
 
     Every ``ymin``/``ymax`` contributes a grid line — degenerate boxes
-    included, matching :func:`repro.geometry.sweep.slab_decompose` —
-    and slab ``k`` spans ``(ys[k], ys[k+1])``.
+    included, as in the interpreted slab sweep of the oracles — and
+    slab ``k`` spans ``(ys[k], ys[k+1])``.
     """
     columns = [column for a in arrays for column in (a.ymin, a.ymax)]
     if not columns:
@@ -218,7 +218,7 @@ def merged_slab_runs(ys, boxes: BoxArray):
     Returns ``(slab, x0, x1)`` sorted by ``(slab, x0)``: the disjoint
     (touching-coalesced) x intervals of the layer's material per
     elementary slab of the ``ys`` grid — the batch equivalent of
-    draining :func:`repro.geometry.sweep.slab_decompose` for one layer.
+    draining the oracles' interpreted slab sweep for one layer.
     """
     box_index, slab = _slab_incidence(ys, boxes)
     empty = np.empty(0, dtype=np.int64)

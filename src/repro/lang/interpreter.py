@@ -89,11 +89,11 @@ _ARITH: Dict[str, Callable[..., Any]] = {}
 
 
 def _register_arith() -> None:
-    def fold(op: Callable[[int, int], int], unit: Optional[int] = None):
+    # A primitive's EvalError text follows "line N: <op>: " (see
+    # _compile_arith), so it does not repeat the operator's name.
+    def fold(op: Callable[[int, int], int], unit: int):
         def call(*args: int) -> int:
             if not args:
-                if unit is None:
-                    raise EvalError("operator needs at least one argument")
                 return unit
             result = args[0]
             for value in args[1:]:
@@ -107,7 +107,7 @@ def _register_arith() -> None:
 
     def minus(*args: int) -> int:
         if not args:
-            raise EvalError("'-' needs at least one argument")
+            raise EvalError("needs at least one argument")
         if len(args) == 1:
             return -args[0]
         result = args[0]
@@ -119,7 +119,7 @@ def _register_arith() -> None:
 
     def divide(*args: int) -> int:
         if len(args) != 2:
-            raise EvalError("'//' needs exactly two arguments")
+            raise EvalError("needs exactly two arguments")
         if args[1] == 0:
             raise EvalError("division by zero")
         quotient = abs(args[0]) // abs(args[1])
@@ -130,7 +130,7 @@ def _register_arith() -> None:
 
     def mod(*args: int) -> int:
         if len(args) != 2:
-            raise EvalError("'mod' needs exactly two arguments")
+            raise EvalError("needs exactly two arguments")
         if args[1] == 0:
             raise EvalError("mod by zero")
         return args[0] % args[1] if args[1] > 0 else -((-args[0]) % (-args[1]))
@@ -140,7 +140,7 @@ def _register_arith() -> None:
     def compare(op: Callable[[Any, Any], bool]):
         def call(*args: Any) -> bool:
             if len(args) < 2:
-                raise EvalError("comparison needs two arguments")
+                raise EvalError("needs at least two arguments")
             for left, right in zip(args, args[1:]):
                 if not op(left, right):
                     return False
@@ -156,12 +156,17 @@ def _register_arith() -> None:
     _ARITH["<="] = compare(lambda a, b: a <= b)
     _ARITH["min"] = lambda *args: min(args)
     _ARITH["max"] = lambda *args: max(args)
-    _ARITH["abs"] = lambda value: abs(value)
 
-    def logical_not(value: Any) -> bool:
-        return not _truthy(value)
+    def unary(function: Callable[[Any], Any]):
+        def call(*args: Any) -> Any:
+            if len(args) != 1:
+                raise EvalError("needs exactly one argument")
+            return function(args[0])
 
-    _ARITH["not"] = logical_not
+        return call
+
+    _ARITH["abs"] = unary(abs)
+    _ARITH["not"] = unary(lambda value: not _truthy(value))
 
 
 _register_arith()
@@ -334,7 +339,7 @@ def _compile_form(form: Form) -> Code:
         return special(form)
     arguments = _compile_body(form.items[1:])
     if name in _ARITH:
-        return _compile_arith(name, arguments)
+        return _compile_arith(name, arguments, form.line)
     return _compile_call(name, arguments, form.line)
 
 
@@ -356,25 +361,51 @@ _COMPARISONS: Dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def _compile_arith(name: str, arguments: Tuple[Code, ...]) -> Code:
+def _arith_error(name: str, line: int, exc: Exception) -> EvalError:
+    """A primitive's failure as the design file's error: ``line N: op: ...``."""
+    return EvalError(f"line {line}: {name}: {exc}")
+
+
+def _compile_arith(name: str, arguments: Tuple[Code, ...], line: int) -> Code:
     # Two operands (loop steps and tests) call the operator directly.
+    # The operands run outside the ``try``: an error of theirs is not
+    # this operator's.
     if len(arguments) == 2:
         left, right = arguments
         if name in _BINARY:
             binary = _BINARY[name]
-            return lambda interpreter, env: binary(
-                left(interpreter, env), right(interpreter, env)
-            )
+
+            def binary_call(interpreter: "Interpreter", env: Environment) -> Any:
+                a = left(interpreter, env)
+                b = right(interpreter, env)
+                try:
+                    return binary(a, b)
+                except Exception as exc:
+                    raise _arith_error(name, line, exc) from exc
+
+            return binary_call
         if name in _COMPARISONS:
             compare = _COMPARISONS[name]
-            return lambda interpreter, env: (
-                True if compare(left(interpreter, env), right(interpreter, env))
-                else False
-            )
+
+            def compare_call(interpreter: "Interpreter", env: Environment) -> bool:
+                a = left(interpreter, env)
+                b = right(interpreter, env)
+                try:
+                    return True if compare(a, b) else False
+                except Exception as exc:
+                    raise _arith_error(name, line, exc) from exc
+
+            return compare_call
     function = _ARITH[name]
-    return lambda interpreter, env: function(
-        *[argument(interpreter, env) for argument in arguments]
-    )
+
+    def call(interpreter: "Interpreter", env: Environment) -> Any:
+        values = [argument(interpreter, env) for argument in arguments]
+        try:
+            return function(*values)
+        except Exception as exc:
+            raise _arith_error(name, line, exc) from exc
+
+    return call
 
 
 def _compile_call(name: str, arguments: Tuple[Code, ...], line: int) -> Code:

@@ -2,7 +2,7 @@
 
 from .cif import cif_text, read_cif, write_cif
 from .connectivity import PortNetlist, extract_ports
-from .database import FlatLayout, flatten_cell, merge_boxes, merge_boxes_reference
+from .database import FlatLayout, flatten_cell, merge_boxes
 from .render import ascii_render, svg_render
 from .sample import SampleSummary, dump_sample, load_sample, loads_sample
 
@@ -12,7 +12,6 @@ __all__ = [
     "FlatLayout",
     "flatten_cell",
     "merge_boxes",
-    "merge_boxes_reference",
     "load_sample",
     "loads_sample",
     "dump_sample",

@@ -10,7 +10,7 @@ section 6.4.1), bounding boxes and utilisation statistics.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -22,33 +22,7 @@ __all__ = [
     "flatten_cell",
     "merge_boxes",
     "merge_box_arrays",
-    "merge_boxes_reference",
 ]
-
-
-def _coalesce_slabs(
-    slabs: List[Tuple[int, int, Tuple[Tuple[int, int], ...]]]
-) -> List[Box]:
-    """Coalesce consecutive slabs with identical x spans into boxes."""
-    result: List[Box] = []
-    open_spans: Dict[Tuple[int, int], int] = {}
-    previous_y1: Optional[int] = None
-    for y0, y1, spans in slabs:
-        continued = previous_y1 == y0
-        next_open: Dict[Tuple[int, int], int] = {}
-        for span in spans:
-            if continued and span in open_spans:
-                next_open[span] = open_spans.pop(span)
-            else:
-                next_open[span] = y0
-        for span, start in open_spans.items():
-            result.append(Box(span[0], start, span[1], y0 if continued else previous_y1))
-        open_spans = next_open
-        previous_y1 = y1
-    for span, start in open_spans.items():
-        result.append(Box(span[0], start, span[1], previous_y1))
-    result.sort(key=lambda b: (b.ymin, b.xmin, b.ymax, b.xmax))
-    return result
 
 
 def merge_boxes(boxes: List[Box]) -> List[Box]:
@@ -59,8 +33,7 @@ def merge_boxes(boxes: List[Box]) -> List[Box]:
     vertical edges inside any strip row.  The decomposition slices the
     union region at every distinct y coordinate and merges x intervals
     within each slab, then coalesces vertically identical spans
-    (:func:`merge_box_arrays`).  Output is identical to
-    :func:`merge_boxes_reference`.
+    (:func:`merge_box_arrays`).
     """
     if not boxes:
         return []
@@ -74,8 +47,8 @@ def merge_box_arrays(arrays: batch.BoxArray) -> batch.BoxArray:
     Slab runs come from :func:`repro.geometry.batch.merged_slab_runs`;
     vertical coalescing of identical spans is one more lexsort over
     ``(x0, x1, slab)`` with a run-break wherever the slab index is not
-    the predecessor's successor (the array form of the
-    ``previous_y1 == y0`` continuation test of :func:`_coalesce_slabs`).
+    the predecessor's successor (a slab continues a strip only when it
+    starts where the strip's last slab ended).
     Strips come out sorted by ``(ymin, xmin, ymax, xmax)``.
     """
     empty = np.empty(0, dtype=np.int64)
@@ -100,37 +73,6 @@ def merge_box_arrays(arrays: batch.BoxArray) -> batch.BoxArray:
     xmax = x1[start_indices]
     order = np.lexsort((xmax, ymax, xmin, ymin))
     return batch.BoxArray(xmin[order], ymin[order], xmax[order], ymax[order])
-
-
-def merge_boxes_reference(boxes: List[Box]) -> List[Box]:
-    """The interpreted strip merger, retained as the equivalence oracle.
-
-    Rebuilds every slab's intervals by scanning *all* boxes per slab —
-    quadratic on real cells — and must produce the identical box list
-    to :func:`merge_boxes` on any input.
-    """
-    if not boxes:
-        return []
-    ys = sorted({box.ymin for box in boxes} | {box.ymax for box in boxes})
-    slabs: List[Tuple[int, int, Tuple[Tuple[int, int], ...]]] = []
-    for y0, y1 in zip(ys, ys[1:]):
-        if y0 == y1:
-            continue
-        intervals: List[Tuple[int, int]] = []
-        for box in boxes:
-            if box.ymin <= y0 and box.ymax >= y1 and box.xmax > box.xmin:
-                intervals.append((box.xmin, box.xmax))
-        if not intervals:
-            continue
-        intervals.sort()
-        merged = [list(intervals[0])]
-        for x0, x1 in intervals[1:]:
-            if x0 <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], x1)
-            else:
-                merged.append([x0, x1])
-        slabs.append((y0, y1, tuple((a, b) for a, b in merged)))
-    return _coalesce_slabs(slabs)
 
 
 class FlatLayout:

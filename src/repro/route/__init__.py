@@ -29,7 +29,7 @@ from .compose import (
     parse_net_file,
     verify_composite,
 )
-from .extract import routed_netlist, wire_components, wire_components_reference
+from .extract import routed_netlist, wire_components
 from .river import river_route
 from .style import RouteStyle, RoutingError
 from .wiring import Wiring
@@ -46,7 +46,6 @@ __all__ = [
     "parse_net_file",
     "routed_netlist",
     "wire_components",
-    "wire_components_reference",
     "RouteStyle",
     "RoutingError",
     "Wiring",

@@ -23,7 +23,6 @@ from .style import RouteStyle
 
 __all__ = [
     "wire_components",
-    "wire_components_reference",
     "routed_netlist",
 ]
 
@@ -48,17 +47,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[rb] = ra
-
-
-def _connects(
-    layer_a: str, box_a: Box, layer_b: str, box_b: Box, via_layer: str
-) -> bool:
-    """True when two overlapping wire boxes are electrically one node."""
-    if not box_a.overlaps(box_b):
-        return False
-    if layer_a == layer_b:
-        return True
-    return bool(via_layer) and via_layer in (layer_a, layer_b)
 
 
 def _grouped(
@@ -90,8 +78,9 @@ def wire_components(
     pairs.  Via junctions are enumerated with two keyed
     ``searchsorted`` passes (the later starter's start lies inside the
     partner's span), deduplicated, and fed to the same union-find.
-    The resulting partition — hence the returned grouping — is
-    identical to :func:`wire_components_reference`'s.
+    The resulting partition, hence the returned grouping, is identical
+    to a plane sweep's that tests every live pair (the oracle,
+    ``tests/oracles/route_extract.py``).
     """
     items: List[Tuple[str, Box]] = [
         (layer, box) for layer in sorted(layers) for box in layers[layer]
@@ -180,32 +169,6 @@ def wire_components(
     if pair_codes:
         for code in batch.unique_sorted(np.concatenate(pair_codes)).tolist():
             sets.union(code // count, code % count)
-    return _grouped(items, sets)
-
-
-def wire_components_reference(
-    layers: Dict[str, List[Box]], style: RouteStyle
-) -> List[List[Tuple[str, Box]]]:
-    """The interpreted extractor sweep, retained as the equivalence oracle.
-
-    A plane sweep over x that rebuilds the whole active list per item
-    and checks every live pair — quadratic when wires stay live across
-    the sweep — and must return the identical grouping to
-    :func:`wire_components` on any input.
-    """
-    items: List[Tuple[str, Box]] = [
-        (layer, box) for layer in sorted(layers) for box in layers[layer]
-    ]
-    items.sort(key=lambda item: item[1].xmin)
-    sets = _UnionFind(len(items))
-    active: List[int] = []
-    for index, (layer, box) in enumerate(items):
-        active = [j for j in active if items[j][1].xmax >= box.xmin]
-        for j in active:
-            other_layer, other_box = items[j]
-            if _connects(layer, box, other_layer, other_box, style.via_layer):
-                sets.union(index, j)
-        active.append(index)
     return _grouped(items, sets)
 
 

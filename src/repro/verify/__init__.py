@@ -18,7 +18,7 @@ from .driver import (
     verify_multiplier,
     verify_pla,
 )
-from .extract import ExtractionError, extract_layers, extract_netlist
+from .extract import ExtractionError, extract_netlist
 from .lvs import LvsReport, compare_netlists
 from .netlist import Device, SwitchNetlist
 from .switchsim import (
@@ -35,7 +35,6 @@ __all__ = [
     "Device",
     "SwitchNetlist",
     "ExtractionError",
-    "extract_layers",
     "extract_netlist",
     "collect_occurrences",
     "cell_graph_netlist",

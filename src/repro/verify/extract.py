@@ -8,13 +8,10 @@ and int64 box columns, split per layer and expanded to physical masks
 by :func:`~repro.compact.layers.expand_columns` (derived ``gate`` and
 ``contact`` rows widened, extended and cut into grids with array
 arithmetic), so extraction builds no ``Box`` or ``LayerBox`` from the
-hierarchy to the netlist; :func:`extract_layers` decodes the same
-masks to boxes for the oracle callers.  The expanded physical masks
-are cut into elementary y slabs
-(:func:`~repro.geometry.batch.merged_slab_runs` gives every slab's
-merged runs per layer at once; the interpreted ``_sweep_reference``
-walk, kept as the oracle, drains
-:func:`~repro.geometry.sweep.slab_decompose` instead), from which the
+hierarchy to the netlist.  The expanded physical masks are cut into
+elementary y slabs (:func:`~repro.geometry.batch.merged_slab_runs`
+gives every slab's merged runs per layer at once; the interpreted slab
+walk of ``tests/oracles/extract.py`` is its oracle), from which the
 extractor derives
 
 * **channels** — poly-over-diffusion overlap, minus contact cuts (a
@@ -44,20 +41,19 @@ physically disjoint rails become one electrical node.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..compact.layers import expand_columns
 from ..compact.rules import TECH_A, DesignRules
 from ..core.cell import CellDefinition, layer_table
-from ..geometry import Box, Transform, batch
+from ..geometry import Transform, batch
 from ..geometry.batch import BoxArray
-from ..geometry.sweep import Interval, slab_decompose, subtract_intervals
 from ..obs import trace as obs_trace
 from .netlist import SwitchNetlist
 
-__all__ = ["ExtractionError", "extract_netlist", "extract_layers", "CONDUCTOR_LAYERS"]
+__all__ = ["ExtractionError", "extract_netlist", "CONDUCTOR_LAYERS"]
 
 #: layers that carry signals, in drawing order
 CONDUCTOR_LAYERS = ("diff", "poly", "metal1")
@@ -65,22 +61,6 @@ CONDUCTOR_LAYERS = ("diff", "poly", "metal1")
 
 class ExtractionError(ValueError):
     """Raised when mask geometry cannot be read as a circuit."""
-
-
-def _intersect_runs(a: Sequence[Interval], b: Sequence[Interval]) -> List[Interval]:
-    """Intersection of two sorted disjoint interval lists."""
-    result: List[Interval] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            result.append((lo, hi))
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return result
 
 
 class _UnionFind:
@@ -125,8 +105,8 @@ def _mask_columns(
     Read from the cell's column memo (:meth:`CellDefinition.flat_columns`)
     and expanded by :func:`~repro.compact.layers.expand_columns`: the
     layers of the flattened boxes in order of first appearance, each
-    keeping the flatten's box order, so the masks equal
-    ``expand_layout`` of the decoded flatten box for box.
+    keeping the flatten's box order, so the masks equal the decoded
+    flatten expanded box by box.
     """
     codes, arrays = cell.flat_columns()
     names = layer_table()
@@ -138,31 +118,6 @@ def _mask_columns(
             arrays.xmin[rows], arrays.ymin[rows], arrays.xmax[rows], arrays.ymax[rows]
         )
     return expand_columns(layers, rules or TECH_A)
-
-
-def extract_layers(
-    cell: CellDefinition, rules: Optional[DesignRules] = None
-) -> Dict[str, List[Box]]:
-    """Flatten ``cell`` and expand derived layers to physical masks.
-
-    The masks :func:`extract_netlist` sweeps, decoded to ``Box`` lists
-    for the oracle callers (the interpreted ``_sweep_reference`` walk
-    and its equivalence tests).
-    """
-    return {
-        name: batch.boxes_from_arrays(boxes.xmin, boxes.ymin, boxes.xmax, boxes.ymax)
-        for name, boxes in _mask_columns(cell, rules).items()
-    }
-
-
-def _touching(a: Interval, b: Interval) -> bool:
-    """Closed-interval contact: share at least a point."""
-    return a[0] <= b[1] and b[0] <= a[1]
-
-
-def _overlapping(a: Interval, b: Interval) -> bool:
-    """Positive-length interval overlap."""
-    return min(a[1], b[1]) > max(a[0], b[0])
 
 
 #: node-creation order of the conductor kinds within one slab; a node's
@@ -191,12 +146,6 @@ class _SweepNodes:
         self.x1 = x1
         self.y1 = y1
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Tuple[int, int, int, int, int]]) -> "_SweepNodes":
-        """Columns from ``(kind, x0, y0, x1, y1)`` rows in node order."""
-        table = np.array(rows, dtype=np.int64).reshape(-1, 5)
-        return cls(*(table[:, column].copy() for column in range(5)))
-
     def __len__(self) -> int:
         return int(self.kind.shape[0])
 
@@ -209,64 +158,6 @@ class _SweepNodes:
         )
 
     __hash__ = None  # type: ignore[assignment]
-
-
-class _RunGraph:
-    """Per-slab conductor/channel runs stitched into components.
-
-    Each run placed into the graph becomes a union-find node; runs of
-    the same kind union when they share an edge of positive length
-    (within a slab that merge already happened — runs are disjoint —
-    so only the slab boundary stitch remains).  The graph also keeps,
-    per node, a ``(kind code, x0, y0, x1, y1)`` row, which
-    :meth:`nodes` turns into :class:`_SweepNodes` columns.
-    """
-
-    def __init__(self) -> None:
-        self.sets = _UnionFind()
-        #: node id -> (kind code, x0, y0, x1, y1)
-        self.rows: List[Tuple[int, int, int, int, int]] = []
-        #: kind -> runs of the previous slab: list of (interval, node)
-        self._previous: Dict[str, List[Tuple[Interval, int]]] = {}
-        self._previous_top: Optional[int] = None
-
-    def start_slab(self, y0: int, y1: int) -> None:
-        """Begin a new slab (the previous slab's runs stay as the
-        stitch base; ``add_runs`` checks actual y-adjacency)."""
-        self._current: Dict[str, List[Tuple[Interval, int]]] = {}
-        self._y0, self._y1 = y0, y1
-
-    def add_runs(self, kind: str, runs: Iterable[Interval]) -> List[int]:
-        """Place ``kind`` runs for the current slab; returns node ids."""
-        nodes: List[int] = []
-        entries: List[Tuple[Interval, int]] = []
-        previous = self._previous.get(kind, ())
-        adjacent = self._previous_top == self._y0
-        code = _KIND_CODE[kind]
-        for run in runs:
-            node = self.sets.make()
-            self.rows.append((code, run[0], self._y0, run[1], self._y1))
-            if adjacent:
-                for other_run, other_node in previous:
-                    if _overlapping(run, other_run):
-                        self.sets.union(node, other_node)
-            entries.append((run, node))
-            nodes.append(node)
-        self._current[kind] = entries
-        return nodes
-
-    def current_runs(self, kind: str) -> List[Tuple[Interval, int]]:
-        """(interval, node) pairs of ``kind`` placed in the current slab."""
-        return self._current.get(kind, [])
-
-    def end_slab(self) -> None:
-        """Seal the slab: current runs become the stitch base."""
-        self._previous = self._current
-        self._previous_top = self._y1
-
-    def nodes(self) -> _SweepNodes:
-        """Every node placed so far, as columns."""
-        return _SweepNodes.from_rows(self.rows)
 
 
 #: what one sweep pass hands to the netlist-resolution phase:
@@ -314,98 +205,15 @@ def _largest_node_roots(total: int, a, b):
     return parent
 
 
-def _sweep_reference(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
-    """The interpreted slab walk over the conductor masks.
-
-    One :func:`~repro.geometry.sweep.slab_decompose` pass feeds the
-    :class:`_RunGraph`; gates, depletion markers, terminals, and cut
-    links are discovered per slab with interval scans.  Retained as the
-    equivalence oracle for :func:`_sweep_batch`, which reproduces its
-    node numbering and union sequence exactly.
-    """
-    graph = _RunGraph()
-    # channel component node -> flags/links discovered during the sweep
-    gate_of: Dict[int, Set[int]] = {}
-    terminals_of: Dict[int, Set[int]] = {}
-    depletion: Set[int] = set()
-    cut_links: List[List[int]] = []
-
-    previous_channels: List[Tuple[Interval, int]] = []
-    previous_diff: List[Tuple[Interval, int]] = []
-    previous_top: Optional[int] = None
-
-    for y0, y1, runs in slab_decompose(sweep_input):
-        graph.start_slab(y0, y1)
-        poly_runs = runs["poly"]
-        diff_runs = runs["diff"]
-        cut_runs = runs["cut"]
-        implant_runs = runs["implant"]
-        channel_runs = subtract_intervals(
-            _intersect_runs(poly_runs, diff_runs), cut_runs
-        )
-        diff_conductor = subtract_intervals(diff_runs, channel_runs)
-
-        graph.add_runs("poly", poly_runs)
-        graph.add_runs("metal1", runs["metal1"])
-        graph.add_runs("diff", diff_conductor)
-        graph.add_runs("channel", channel_runs)
-
-        channel_nodes = graph.current_runs("channel")
-        diff_nodes = graph.current_runs("diff")
-        poly_nodes = graph.current_runs("poly")
-
-        for run, node in channel_nodes:
-            # Gate: the poly run covering this channel.
-            for poly_run, poly_node in poly_nodes:
-                if _overlapping(run, poly_run):
-                    gate_of.setdefault(node, set()).add(poly_node)
-            # Depletion marker.
-            if any(_overlapping(run, imp) for imp in implant_runs):
-                depletion.add(node)
-            # Horizontal channel/diff adjacency (shared endpoint).
-            for diff_run, diff_node in diff_nodes:
-                if _touching(run, diff_run):
-                    terminals_of.setdefault(node, set()).add(diff_node)
-            # Vertical adjacency against the previous slab.
-            if previous_top == y0:
-                for other_run, other_node in previous_diff:
-                    if _overlapping(run, other_run):
-                        terminals_of.setdefault(node, set()).add(other_node)
-        if previous_top == y0:
-            for run, node in diff_nodes:
-                for other_run, other_node in previous_channels:
-                    if _overlapping(run, other_run):
-                        terminals_of.setdefault(other_node, set()).add(node)
-
-        # Cuts union every conductor they positively overlap.
-        for cut_run in cut_runs:
-            linked: List[int] = []
-            for kind in ("poly", "metal1", "diff"):
-                for run, node in graph.current_runs(kind):
-                    if _overlapping(cut_run, run):
-                        linked.append(node)
-            if len(linked) >= 2:
-                cut_links.append(linked)
-
-        previous_channels = channel_nodes
-        previous_diff = diff_nodes
-        previous_top = y1
-        graph.end_slab()
-
-    return (
-        graph.sets, graph.nodes(), gate_of, terminals_of, depletion, cut_links
-    )
-
-
 def _sweep_batch(sweep_input: Dict[str, BoxArray]) -> _SweepResult:
     """Numpy batch build of the slab walk.
 
     ``sweep_input`` holds one :class:`~repro.geometry.batch.BoxArray`
-    per mask of ``_SWEEP_MASKS``; the oracle takes the same masks as
-    ``Box`` lists.  All slabs are materialised at once: merged runs per
+    per mask of ``_SWEEP_MASKS``; the interpreted oracle takes the same
+    masks as ``Box`` lists.  All slabs are materialised at once: merged runs per
     mask come from :func:`~repro.geometry.batch.merged_slab_runs`, the
     channel/conductor algebra from the keyed event-depth combinators,
-    and every per-slab interval scan of :func:`_sweep_reference` (slab
+    and every per-slab interval scan of the interpreted walk (slab
     stitching, gates, depletion, terminals, cut links) becomes a keyed
     ``searchsorted`` pair query.  Node ids are assigned in exactly the
     interpreted order — (slab, kind, x) — and the nodes stay columns.

@@ -32,9 +32,9 @@ also leaves the union's class count unchanged.  The per-class
 populations behind the verdict and the mismatch lines are
 ``bincount`` s over each side's colours.
 
-:func:`compare_netlists_reference` is the earlier build, kept as the
-test oracle: it refines each netlist on its own and rolls colours
-through a content hash of their ``repr`` so the two sides compare.
+The earlier build, which refines each netlist on its own and rolls
+colours through a content hash of their ``repr``, is the test oracle
+(``tests/oracles/lvs.py``).
 
 Pins sharing a role are compared as multisets, so a transistor's
 interchangeable source/drain never produce a spurious mismatch, while
@@ -47,7 +47,6 @@ dropped, retyped or rewired — changes a colour and is caught;
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
@@ -55,7 +54,7 @@ import numpy as np
 
 from .netlist import SwitchNetlist
 
-__all__ = ["LvsReport", "compare_netlists", "compare_netlists_reference"]
+__all__ = ["LvsReport", "compare_netlists"]
 
 
 class LvsReport:
@@ -325,7 +324,8 @@ def compare_netlists(
     Primary inputs/outputs are matched by *order* (the k-th input of
     one side pairs with the k-th of the other), rails by role; internal
     nets need no correspondence — refinement finds it or proves there
-    is none.  Gives the report :func:`compare_netlists_reference` gives.
+    is none.  Gives the report the per-netlist content-hash refinement
+    gives.
     """
     report = _new_report(extracted, golden)
     if report.mismatches:
@@ -389,88 +389,5 @@ def compare_netlists(
         report,
         pinned + sum(unmatched_pinless.values()),
         extracted.num_nets + golden.num_nets,
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Per-netlist content-hash refinement (the oracle)
-# ---------------------------------------------------------------------------
-def _digest(value: object) -> str:
-    """Stable fixed-size colour from any repr-able value."""
-    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:16]
-
-
-def _refine_reference(netlist: SwitchNetlist) -> Tuple[Counter, Counter, int]:
-    """Stable (net-colour multiset, device-colour multiset, rounds)."""
-    input_rank = {net: k for k, net in enumerate(netlist.inputs)}
-    output_rank = {net: k for k, net in enumerate(netlist.outputs)}
-    net_colour = [
-        _digest(
-            (
-                "seed",
-                net in netlist.vdd_nets,
-                net in netlist.gnd_nets,
-                input_rank.get(net, -1),
-                output_rank.get(net, -1),
-            )
-        )
-        for net in range(netlist.num_nets)
-    ]
-    device_colour = [_digest(("seed", d.kind)) for d in netlist.devices]
-    incident: List[List[Tuple[int, str]]] = [[] for _ in range(netlist.num_nets)]
-    for index, device in enumerate(netlist.devices):
-        for role, net in device.pins:
-            incident[net].append((index, role))
-
-    classes = len(set(net_colour)) + len(set(device_colour))
-    rounds = 0
-    limit = netlist.num_nets + len(netlist.devices) + 2
-    while rounds < limit:
-        rounds += 1
-        device_colour = [
-            _digest(
-                (
-                    device.kind,
-                    tuple(sorted((role, net_colour[net]) for role, net in device.pins)),
-                )
-            )
-            for device in netlist.devices
-        ]
-        net_colour = [
-            _digest(
-                (
-                    net_colour[net],
-                    tuple(sorted((device_colour[i], role) for i, role in incident[net])),
-                )
-            )
-            for net in range(netlist.num_nets)
-        ]
-        refined = len(set(net_colour)) + len(set(device_colour))
-        if refined == classes:
-            break
-        classes = refined
-    return Counter(net_colour), Counter(device_colour), rounds
-
-
-def compare_netlists_reference(
-    extracted: SwitchNetlist, golden: SwitchNetlist
-) -> LvsReport:
-    """Oracle of :func:`compare_netlists`: each side refined on its own.
-
-    Colours are sha256 digests of each element's ``repr``-ed
-    neighbourhood, so the two sides' final multisets compare directly.
-    """
-    report = _new_report(extracted, golden)
-    if report.mismatches:
-        return report
-
-    nets_a, devices_a, rounds_a = _refine_reference(extracted)
-    nets_b, devices_b, rounds_b = _refine_reference(golden)
-    report.rounds = max(rounds_a, rounds_b)
-    _mismatch_lines(
-        report,
-        sum(((devices_a - devices_b) + (devices_b - devices_a)).values()),
-        sum(((nets_a - nets_b) + (nets_b - nets_a)).values()),
     )
     return report

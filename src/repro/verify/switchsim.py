@@ -22,9 +22,8 @@ state is four Python-int planes — ``hi`` (may be 1), ``lo`` (may be
 drive) — and each device becomes a handful of bitwise operations over
 all lanes.  Nets are relaxed in id order; a net that changes
 re-queues the nets that read it, until nothing changes
-(``docs/architecture.md`` section 16).  :func:`simulate_reference` is
-the one-vector event-driven solver it replaced, kept as the test
-oracle.
+(``docs/architecture.md`` section 16).  The one-vector event-driven
+solver it replaced is the test oracle (``tests/oracles/switchsim.py``).
 
 :func:`exhaustive_vectors` and :func:`sample_vectors` provide the two
 evaluation regimes the verifier uses: every input combination for
@@ -38,13 +37,12 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .netlist import Device, SwitchNetlist
+from .netlist import SwitchNetlist
 
 __all__ = [
     "SimulationError",
     "X",
     "simulate",
-    "simulate_reference",
     "exhaustive_vectors",
     "input_planes",
     "sample_vectors",
@@ -53,8 +51,6 @@ __all__ = [
 
 #: the unknown logic value
 X = 2
-
-_RAIL, _DRIVE, _PULL, _FLOAT = 3, 2, 1, 0
 
 
 class SimulationError(ValueError):
@@ -219,113 +215,6 @@ def simulate(
 #: one-lane two-rail words of the three logic values, and back
 _ONE_LANE = {1: 0b01, 0: 0b10, X: 0b11}
 _ONE_LANE_VALUE = {0b01: 1, 0b10: 0, 0b11: X}
-
-
-def _resolve(values: Iterable[int]) -> int:
-    """Combine equal-strength contributions: agreement or X."""
-    result: Optional[int] = None
-    for value in values:
-        if result is None:
-            result = value
-        elif result != value:
-            return X
-    return X if result is None else result
-
-
-def simulate_reference(
-    netlist: SwitchNetlist,
-    input_values: Dict[int, int],
-    max_events: Optional[int] = None,
-) -> List[int]:
-    """One-vector event-driven oracle for :func:`simulate`.
-
-    Same contract as ``simulate(netlist, input_values)``: a value
-    (0/1/``X``) per net.  A worklist seeded with the forced nets
-    re-examines only the devices adjacent to nets that changed.  Tests
-    and benchmarks compare the lane engine against it; production code
-    does not call it.
-    """
-    _check_transistors(netlist)
-    forced: Dict[int, int] = {}
-    for net in netlist.vdd_nets:
-        forced[net] = 1
-    for net in netlist.gnd_nets:
-        forced[net] = 0
-    for net, value in input_values.items():
-        forced[net] = value
-
-    count = netlist.num_nets
-    values = [X] * count
-    strengths = [_FLOAT] * count
-    for net, value in forced.items():
-        values[net] = value
-        strengths[net] = _RAIL
-
-    # Adjacency: net -> devices touching it (by channel or gate).
-    by_channel: List[List[Device]] = [[] for _ in range(count)]
-    by_gate: List[List[Device]] = [[] for _ in range(count)]
-    for device in netlist.devices:
-        for net in device.pins_with_role("ch"):
-            by_channel[net].append(device)
-        for net in device.pins_with_role("g"):
-            by_gate[net].append(device)
-
-    def contributions(net: int) -> Tuple[int, int]:
-        """(strength, value) of the strongest drive reaching ``net``."""
-        if net in forced:
-            return _RAIL, forced[net]
-        best = _FLOAT
-        best_values: List[int] = []
-        for device in by_channel[net]:
-            a, b = device.pins_with_role("ch")
-            other = b if a == net else a
-            if device.kind == "dep":
-                conduct, cap = 1, _PULL
-            else:
-                gate = device.pins_with_role("g")[0]
-                conduct, cap = values[gate], _DRIVE
-            if conduct == 0:
-                continue
-            strength = min(strengths[other], cap)
-            if strength == _FLOAT:
-                continue
-            value = values[other] if conduct == 1 else X
-            if strength > best:
-                best, best_values = strength, [value]
-            elif strength == best:
-                best_values.append(value)
-        return best, _resolve(best_values) if best > _FLOAT else X
-
-    worklist: List[int] = list(forced)
-    queued = set(worklist)
-    budget = max_events if max_events is not None else _default_budget(netlist)
-    events = 0
-    while worklist:
-        events += 1
-        if events > budget:
-            raise SimulationError(
-                f"relaxation did not settle within {budget} events"
-            )
-        net = worklist.pop()
-        queued.discard(net)
-        affected: List[int] = []
-        # A changed net affects its channel neighbours...
-        for device in by_channel[net]:
-            a, b = device.pins_with_role("ch")
-            affected.append(b if a == net else a)
-        # ... and everything on the far side of devices it gates.
-        for device in by_gate[net]:
-            affected.extend(device.pins_with_role("ch"))
-        for other in affected:
-            if other in forced:
-                continue
-            strength, value = contributions(other)
-            if (strength, value) != (strengths[other], values[other]):
-                strengths[other], values[other] = strength, value
-                if other not in queued:
-                    queued.add(other)
-                    worklist.append(other)
-    return values
 
 
 def exhaustive_vectors(width: int) -> List[Tuple[int, ...]]:

@@ -132,7 +132,10 @@ class Oracle:
             return special(form, frame)
         if name in ARITHMETIC:
             values = [self.eval(item, frame) for item in form.items[1:]]
-            return ARITHMETIC[name](values)
+            try:
+                return ARITHMETIC[name](values)
+            except Exception as exc:
+                raise EvalError(f"line {form.line}: {name}: {exc}") from exc
         return self.call(name, form, frame)
 
     def call(self, name: str, form: Form, frame: Environment) -> Any:
@@ -326,7 +329,7 @@ def _fold(values: List[Any], combine: Callable[[Any, Any], Any]) -> Any:
 
 def _minus(values: List[Any]) -> Any:
     if not values:
-        raise EvalError("'-' needs at least one argument")
+        raise EvalError("needs at least one argument")
     if len(values) == 1:
         return -values[0]
     return _fold(values, operator.isub)  # the interpreter folds with -=
@@ -334,7 +337,7 @@ def _minus(values: List[Any]) -> Any:
 
 def _divide(values: List[Any]) -> Any:
     if len(values) != 2:
-        raise EvalError("'//' needs exactly two arguments")
+        raise EvalError("needs exactly two arguments")
     a, b = values
     if b == 0:
         raise EvalError("division by zero")
@@ -344,17 +347,23 @@ def _divide(values: List[Any]) -> Any:
 
 def _mod(values: List[Any]) -> Any:
     if len(values) != 2:
-        raise EvalError("'mod' needs exactly two arguments")
+        raise EvalError("needs exactly two arguments")
     a, b = values
     if b == 0:
         raise EvalError("mod by zero")
     return a % b if b > 0 else -((-a) % (-b))
 
 
+def _one(values: List[Any]) -> Any:
+    if len(values) != 1:
+        raise EvalError("needs exactly one argument")
+    return values[0]
+
+
 def _comparison(test: Callable[[Any, Any], Any]) -> Callable[[List[Any]], bool]:
     def compare(values: List[Any]) -> bool:
         if len(values) < 2:
-            raise EvalError("comparison needs two arguments")
+            raise EvalError("needs at least two arguments")
         return all(test(a, b) for a, b in zip(values, values[1:]))
 
     return compare
@@ -375,6 +384,6 @@ ARITHMETIC: Dict[str, Callable[[List[Any]], Any]] = {
     "<=": _comparison(lambda a, b: a <= b),
     "min": lambda values: min(values),
     "max": lambda values: max(values),
-    "abs": lambda values: abs(*values),
-    "not": lambda values: not truthy(*values),
+    "abs": lambda values: abs(_one(values)),
+    "not": lambda values: not truthy(_one(values)),
 }

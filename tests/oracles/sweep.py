@@ -1,14 +1,14 @@
-"""Interpreted sweep-line primitives for the geometry oracles.
+"""Interpreted sweep-line primitives the geometry oracles are written in.
 
-The production geometry passes run on flat arrays
-(:mod:`repro.geometry.batch`).  This module keeps the interpreted
-plane-sweep pieces their oracles and tests are written in:
+The program's geometry passes run on flat arrays
+(``repro.geometry.batch``).  These are the plane-sweep pieces of their
+oracles:
 
 * :func:`slab_decompose` — a y-event sweep that carries an active
   interval set per layer and yields merged x runs per slab, touching
   only the material that is actually live instead of rescanning every
-  box per slab; the mask walk of
-  :func:`repro.verify.extract._sweep_reference` drains it;
+  box per slab; the extraction mask walk of ``oracles/extract.py``
+  drains it;
 * interval-set utilities (:func:`merge_intervals`,
   :func:`subtract_intervals`).
 
@@ -17,18 +17,10 @@ intervals coalesce — the semantics shared by box merging and run
 construction throughout the code base.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left, insort
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .box import Box
-
-__all__ = [
-    "merge_intervals",
-    "subtract_intervals",
-    "slab_decompose",
-]
+from repro.geometry import Box
 
 Interval = Tuple[int, int]
 
@@ -87,7 +79,7 @@ def slab_decompose(
     The event grid is every distinct ``ymin``/``ymax`` over *all* boxes
     of *all* layers (degenerate boxes contribute grid lines but no
     material), matching the slab semantics of
-    :func:`repro.geometry.batch.slab_grid`.  For each consecutive grid pair ``(y0, y1)`` the yielded
+    ``repro.geometry.batch.slab_grid``.  For each consecutive grid pair ``(y0, y1)`` the yielded
     dict maps every layer name to the sorted merged x intervals of its
     boxes fully covering the slab.
 

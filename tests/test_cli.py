@@ -96,6 +96,19 @@ class TestMain:
         assert message in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("form", ['(abs 1 2)', '(+ 1 "a")', '(+ 1 2 "a")', '(- 1 "a")'])
+    def test_design_arithmetic_error_is_a_design_error(self, flow_files, capsys, form):
+        """A bad operand in the design file exits 3 with its line, not
+        70 as an internal error."""
+        parameter, _ = flow_files
+        design = parameter.parent / "mult.design"
+        design.write_text(design.read_text() + form + "\n")
+        lines = design.read_text().count("\n")
+        assert main([str(parameter)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: line {lines}: " in err
+        assert "internal error" not in err
+
     def test_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.par"
         bad.write_text("x=1\n")

@@ -40,6 +40,7 @@ import random
 from collections import Counter
 
 import pytest
+from oracles.scanline import visibility_constraints_reference
 
 from repro import cli
 from repro.compact import (
@@ -53,7 +54,6 @@ from repro.compact import (
     naive_constraints,
     solve_longest_path,
     visibility_constraints,
-    visibility_constraints_reference,
 )
 from repro.compact import constraints as constraints_module
 from repro.compact import flat as flat_module

@@ -3,8 +3,9 @@
 The array-aware flatten (:class:`repro.core.cell.CellDefinition`)
 computes each definition's flattened geometry once per orientation and
 stamps instances by integer translation; the pre-memo recursive walkers
-are retained as ``flatten_reference`` / ``flatten_ports_reference`` /
-``flatten_labels_reference`` / ``bounding_box_reference``.  These
+are the oracle (``tests/oracles/cell.py``: ``flatten_reference`` /
+``flatten_ports_reference`` / ``flatten_labels_reference`` /
+``bounding_box_reference``).  These
 property tests drive randomized hierarchies — random depth, shared
 sub-definitions, all eight orientations, unplaced instances, degenerate
 boxes — through both builds, under random outer transforms, and require
@@ -19,6 +20,12 @@ import random
 from collections import Counter
 
 import pytest
+from oracles.cell import (
+    bounding_box_reference,
+    flatten_labels_reference,
+    flatten_ports_reference,
+    flatten_reference,
+)
 
 from repro.compact import TECH_A, TECH_B, HierarchicalCompactor
 from repro.core.cell import CellDefinition, Instance, layer_table
@@ -89,7 +96,7 @@ class TestFlattenEquivalence:
         top = random_hierarchy(seed)
         for transform in (Transform(), random_transform(seed)):
             assert list(top.flatten(transform)) == list(
-                top.flatten_reference(transform)
+                flatten_reference(top, transform)
             )
 
     def test_boxes_identical_under_every_orientation(self, seed):
@@ -97,32 +104,32 @@ class TestFlattenEquivalence:
         for orientation in ALL_ORIENTATIONS:
             transform = Transform(Vec2(seed, -seed), orientation)
             assert Counter(top.flatten(transform)) == Counter(
-                top.flatten_reference(transform)
+                flatten_reference(top, transform)
             )
 
     def test_ports_identical_names_and_positions(self, seed):
         top = random_hierarchy(seed)
         transform = random_transform(seed)
         assert list(top.flatten_ports(transform, prefix="x/")) == list(
-            top.flatten_ports_reference(transform, prefix="x/")
+            flatten_ports_reference(top, transform, prefix="x/")
         )
 
     def test_labels_identical(self, seed):
         top = random_hierarchy(seed)
         transform = random_transform(seed)
         assert list(top.flatten_labels(transform)) == list(
-            top.flatten_labels_reference(transform)
+            flatten_labels_reference(top, transform)
         )
 
     def test_bounding_box_matches_reference(self, seed):
         top = random_hierarchy(seed)
-        assert top.bounding_box() == top.bounding_box_reference()
+        assert top.bounding_box() == bounding_box_reference(top)
 
     def test_memo_survives_repeated_queries(self, seed):
         top = random_hierarchy(seed)
         first = list(top.flatten())
         assert list(top.flatten()) == first
-        assert list(top.flatten()) == list(top.flatten_reference())
+        assert list(top.flatten()) == list(flatten_reference(top))
 
     def test_mutation_between_queries_invalidates(self, seed):
         """Flatten, mutate a shared leaf, flatten again: both must track."""
@@ -135,8 +142,8 @@ class TestFlattenEquivalence:
         while node.instances:
             node = rng.choice(node.instances).definition
         node.add_box("metal1", 500, 500, 520, 520)
-        assert list(top.flatten()) == list(top.flatten_reference())
-        assert top.bounding_box() == top.bounding_box_reference()
+        assert list(top.flatten()) == list(flatten_reference(top))
+        assert top.bounding_box() == bounding_box_reference(top)
 
     def test_replacement_after_instance_move(self, seed):
         """Re-placing an instance through the property setter tracks."""
@@ -144,8 +151,8 @@ class TestFlattenEquivalence:
         list(top.flatten())
         instance = top.instances[0]
         instance.location = Vec2(999, -999)
-        assert list(top.flatten()) == list(top.flatten_reference())
-        assert top.bounding_box() == top.bounding_box_reference()
+        assert list(top.flatten()) == list(flatten_reference(top))
+        assert top.bounding_box() == bounding_box_reference(top)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
@@ -169,8 +176,8 @@ def test_hierarchical_compactor_stamped_flatten_consistent(seed, rules):
         for j in range(4):
             top.add_instance(leaves[(i + j) % 3], Vec2(i * 90, j * 45))
     compacted = HierarchicalCompactor(rules).compact(top)
-    assert list(compacted.flatten()) == list(compacted.flatten_reference())
-    assert compacted.bounding_box() == compacted.bounding_box_reference()
+    assert list(compacted.flatten()) == list(flatten_reference(compacted))
+    assert compacted.bounding_box() == bounding_box_reference(compacted)
     assert compacted.count_instances(recursive=True) == top.count_instances(
         recursive=True
     )
@@ -197,7 +204,7 @@ def test_flatten_matches_known_transform_composition():
 # ----------------------------------------------------------------------
 def reference_columns(cell, orientation):
     """``flatten_reference`` under ``orientation`` as (layers, x0, y0, x1, y1)."""
-    items = list(cell.flatten_reference(Transform(Vec2(0, 0), orientation)))
+    items = list(flatten_reference(cell, Transform(Vec2(0, 0), orientation)))
     return (
         [item.layer for item in items],
         [item.box.xmin for item in items],
@@ -294,7 +301,7 @@ def test_instance_shared_by_two_owners_invalidates_both():
         assert memo_columns(cell, ALL_ORIENTATIONS[2]) == reference_columns(
             cell, ALL_ORIENTATIONS[2]
         )
-    assert list(top.flatten()) == list(top.flatten_reference())
+    assert list(top.flatten()) == list(flatten_reference(top))
 
 
 def test_empty_definition_has_empty_columns():

@@ -63,6 +63,36 @@ class TestArithmetic:
         with pytest.raises(EvalError):
             interp.run("(// 1 0)")
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("(abs 1 2)", "line 2: abs: needs exactly one argument"),
+            ("(not)", "line 2: not: needs exactly one argument"),
+            ("(+ 1 \"a\")", "line 2: +: unsupported operand type(s) for +: 'int' and 'str'"),
+            ("(+ 1 2 \"a\")", "line 2: +: unsupported operand type(s) for +"),
+            ("(- 1 \"a\")", "line 2: -: unsupported operand type(s) for -=: 'int' and 'str'"),
+            ("(- 1 2 \"a\")", "line 2: -: unsupported operand type(s) for -="),
+            ("(< 1 \"a\")", "line 2: <: '<' not supported between"),
+            ("(< 1 2 \"a\")", "line 2: <: '<' not supported between"),
+            ("(min)", "line 2: min: "),
+            ("(// 1 0)", "line 2: //: division by zero"),
+            ("(mod 1 2 3)", "line 2: mod: needs exactly two arguments"),
+        ],
+    )
+    def test_operand_errors_name_the_line_and_operator(self, interp, expr, message):
+        """A primitive's failure is the design file's EvalError, with the
+        line and the operator, on the two-operand and the n-ary path."""
+        with pytest.raises(EvalError) as caught:
+            interp.run("(setq x 1)\n" + expr)
+        assert str(caught.value).startswith(message)
+
+    def test_operand_error_is_reported_once(self, interp):
+        """An operand's own error is not re-wrapped by the enclosing
+        operator."""
+        with pytest.raises(EvalError) as caught:
+            interp.run("(+ 1\n(abs 1 2))")
+        assert str(caught.value) == "line 2: abs: needs exactly one argument"
+
     def test_logic_short_circuit(self, interp):
         assert interp.run("(and 1 2 3)") == 3
         assert interp.run("(and 1 false 3)") is False

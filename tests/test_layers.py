@@ -4,15 +4,13 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.layers import expand_contact, expand_gate, expand_layout
 
 from repro.compact import (
     TECH_A,
     TECH_B,
     check_layout,
     cut_count,
-    expand_contact,
-    expand_gate,
-    expand_layout,
 )
 from repro.compact.layers import expand_columns
 from repro.geometry import Box, batch

@@ -15,11 +15,12 @@ import functools
 import random
 
 import pytest
+from oracles.lvs import compare_netlists_reference
 
 from repro.multiplier import generate_multiplier
 from repro.multiplier.generator import intended_multiplier_netlist
 from repro.verify import SwitchNetlist, cell_graph_netlist, collect_occurrences
-from repro.verify.lvs import compare_netlists, compare_netlists_reference
+from repro.verify.lvs import compare_netlists
 from repro.verify.netlist import Device
 
 

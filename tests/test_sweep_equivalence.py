@@ -3,10 +3,10 @@
 Every geometry pass — visibility constraint generation, DRC, box
 merging, wire extraction and the mask walk of netlist extraction — has
 one production build on flat arrays (:mod:`repro.geometry.batch`) and
-one interpreted ``*_reference`` build retained as its oracle.  These
-property tests drive randomized layouts through both builds across
-multiple seeds, densities and box shapes (short boxes, and tall columns
-and long rows spanning the whole layout) and require *identical*
+one interpreted ``*_reference`` build as its oracle (``tests/oracles/``).
+These property tests drive randomized layouts through both builds
+across multiple seeds, densities and box shapes (short boxes, and tall
+columns and long rows spanning the whole layout) and require *identical*
 observable results: the same constraint multiset and solved widths, the
 same merged geometry, the same violation multiset, the same extracted
 components, the same extraction node partition.  Plus direct unit
@@ -19,6 +19,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles.database import merge_boxes_reference
+from oracles.drc import check_layout_reference
+from oracles.extract import _sweep_reference, extract_layers
+from oracles.route_extract import wire_components_reference
+from oracles.scanline import visibility_constraints_reference
+from oracles.sweep import merge_intervals, slab_decompose, subtract_intervals
 
 from repro.compact import (
     TECH_A,
@@ -26,21 +32,14 @@ from repro.compact import (
     add_width_constraints,
     build_edge_variables,
     check_layout,
-    check_layout_reference,
     distinct_leaf_cells,
     solve_longest_path,
     visibility_constraints,
-    visibility_constraints_reference,
 )
 from repro.core.errors import InfeasibleConstraintsError
-from repro.geometry import (
-    Box,
-    merge_intervals,
-    slab_decompose,
-    subtract_intervals,
-)
+from repro.geometry import Box
 from repro.geometry import batch
-from repro.layout.database import merge_boxes, merge_boxes_reference
+from repro.layout.database import merge_boxes
 from repro.pla import (
     HplaGenerator,
     TruthTable,
@@ -48,14 +47,9 @@ from repro.pla import (
     generate_pla,
     generate_rom,
 )
-from repro.route.extract import wire_components, wire_components_reference
+from repro.route.extract import wire_components
 from repro.route.style import RouteStyle
-from repro.verify.extract import (
-    CONDUCTOR_LAYERS,
-    _sweep_batch,
-    _sweep_reference,
-    extract_layers,
-)
+from repro.verify.extract import CONDUCTOR_LAYERS, _sweep_batch
 
 LAYERS = ["diff", "poly", "metal1", "implant"]
 

@@ -13,6 +13,7 @@ old per-vector loop gave.
 import random
 
 import pytest
+from oracles.switchsim import simulate_reference
 
 from repro.pla import (
     HplaGenerator,
@@ -39,7 +40,6 @@ from repro.verify import (
     verify_pla,
 )
 from repro.verify.driver import VerificationReport, pla_layout_netlist
-from repro.verify.switchsim import simulate_reference
 
 TABLE = TruthTable.parse("1-0 | 10\n01- | 11\n-11 | 01\n00- | 10")
 ROM_WORDS = [5, 0, 7, 2, 6, 1]

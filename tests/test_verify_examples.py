@@ -14,6 +14,7 @@ import random
 from pathlib import Path
 
 import pytest
+from oracles.lvs import compare_netlists_reference
 
 from repro.multiplier import generate_multiplier
 from repro.pla import TruthTable, generate_decoder, generate_pla, generate_rom
@@ -26,7 +27,6 @@ from repro.verify import (
     verify_pla,
 )
 from repro.verify.driver import pla_layout_netlist
-from repro.verify.lvs import compare_netlists_reference
 from repro.verify.netlist import Device
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
