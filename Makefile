@@ -82,8 +82,10 @@ bench-smoke:
 # src/repro/obs/, src/repro/pla/, src/repro/route/,
 # src/repro/service/ or src/repro/verify/ lack docstrings — the documentation surface the architecture notes depend
 # on — or when a test oracle (a *_reference name, repro.geometry.sweep,
-# an import of the test tree) grows back into the package.
+# an import of the test tree) grows back into the package, or when a
+# cold `import repro.cli` loads importlib.metadata, email, http.server
+# or scipy (tests/test_import_surface.py).
 docs-check:
-	$(PY) -m pytest tests/test_docstrings.py tests/test_package_surface.py -q
+	$(PY) -m pytest tests/test_docstrings.py tests/test_package_surface.py tests/test_import_surface.py -q
 
 all: test bench docs-check

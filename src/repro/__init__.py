@@ -76,7 +76,17 @@ def _resolve_version() -> str:
         return "1.0.0"
 
 
-__version__ = _resolve_version()
+def __getattr__(name: str):
+    """Resolve ``__version__`` on first read, not at import.
+
+    ``importlib.metadata`` pulls in ``email`` and ``socket``; a run that
+    never asks for the version does not pay for them.
+    """
+    if name == "__version__":
+        value = globals()["__version__"] = _resolve_version()
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Rsg",

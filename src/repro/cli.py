@@ -259,6 +259,27 @@ def _print_result(result, cache: Optional[CompactionCache], output_stream) -> No
         print(line, file=output_stream)
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: print ``repro <version>`` and exit.
+
+    argparse's own version action takes the text when the parser is
+    built; this one reads :data:`repro.__version__` only when asked, so
+    a run without ``--version`` never loads the packaging metadata.
+    """
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, help=None):
+        super().__init__(
+            option_strings=option_strings, dest=dest, default=argparse.SUPPRESS,
+            nargs=0, help=help,
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from . import __version__
+
+        print(f"{parser.prog} {__version__}")
+        parser.exit()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: the batch flow plus the service verbs."""
     arguments_list = list(sys.argv[1:] if argv is None else argv)
@@ -297,12 +318,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         " 'gc', 'stats' and 'trace' verbs operate the layout service"
         " instead (see 'repro <verb> --help').",
     )
-    from . import __version__
-
     parser.add_argument(
         "--version",
-        action="version",
-        version=f"%(prog)s {__version__}",
+        action=_VersionAction,
         help="print the installed package version and exit",
     )
     parser.add_argument("parameter_file", help="the parameter file (Appendix C style)")

@@ -24,6 +24,13 @@ order is exactly the recursive walk's.  ``flatten()`` and
 :func:`~repro.layout.database.flatten_cell` decode boxes from that memo;
 the compactor reads the columns directly and builds no box object.
 
+A definition's placed instances are read as columns too
+(:meth:`CellDefinition.instance_table`: child index, orientation code,
+x and y), built once per definition and kept until the definition
+itself mutates.  The flatten gather, the bounding box, the recursive
+instance count, CIF ``C`` lines and the verifiers' hierarchy walks read
+it; the :class:`Instance` objects stay the source of truth.
+
 A flat cell can also be *born* from columns
 (:meth:`CellDefinition.from_columns`, the compactor's output): its
 ``boxes`` list is decoded on first read, and until then the flatten
@@ -43,17 +50,17 @@ module.  Mutations must go through this API — appending to
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry import Box, NORTH, Orientation, Transform, Vec2
+from ..geometry import ALL_ORIENTATIONS, Box, NORTH, Orientation, Transform, Vec2
 from ..geometry.batch import BoxArray, boxes_from_arrays, boxes_to_arrays
 from .errors import DuplicateCellError, UnknownCellError
 
 __all__ = [
-    "LayerBox", "Port", "Label", "Instance", "CellDefinition", "CellTable",
-    "layer_table",
+    "LayerBox", "Port", "Label", "Instance", "InstanceTable", "CellDefinition",
+    "CellTable", "layer_table",
 ]
 
 #: The process layer table: a flattened box's layer code indexes it.
@@ -281,6 +288,33 @@ class Instance:
         return f"Instance({self.celltype!r} {where})"
 
 
+class InstanceTable(NamedTuple):
+    """A cell's placed instances as read-only int64 columns
+    (:meth:`CellDefinition.instance_table`).
+
+    Row ``i`` is entry ``rows[i]`` of the cell's ``instances``: a call
+    of ``children[child[i]]`` under orientation
+    ``ALL_ORIENTATIONS[turn[i]]`` (the :attr:`Orientation.code`) at
+    ``(x[i], y[i])``, rows in instance order.  Unplaced instances have
+    no row, but ``children`` names every distinct definition the cell
+    calls, placed or not, in order of first call, and ``uses[k]``
+    counts the instances that call ``children[k]``.
+    """
+
+    children: Tuple["CellDefinition", ...]
+    uses: Tuple[int, ...]
+    rows: np.ndarray
+    child: np.ndarray
+    turn: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+
+_NO_COLUMN = _frozen(np.zeros(0, dtype=np.int64))
+#: the instance table of every definition without instances
+_NO_INSTANCES = InstanceTable((), (), *[_NO_COLUMN] * 5)
+
+
 class CellDefinition:
     """A named cell: a list of boxes, ports, labels, and sub-instances."""
 
@@ -304,6 +338,8 @@ class CellDefinition:
         self._subtree_memo: Tuple[int, int] = (-1, 0)
         # (subtree stamp, bbox) — None until first query
         self._bbox_memo: Optional[Tuple[int, Optional[Box]]] = None
+        # (own stamp, instance table) — None until first query
+        self._table_memo: Optional[Tuple[int, InstanceTable]] = None
         # orientation -> (subtree stamp, (layer codes, box columns))
         self._flat_memo: Dict[Orientation, Tuple[int, Tuple[np.ndarray, BoxArray]]] = {}
         self._port_memo: Dict[Orientation, Tuple[int, Tuple[Port, ...]]] = {}
@@ -403,6 +439,7 @@ class CellDefinition:
             state["_born"] = None
         state["_subtree_memo"] = (-1, 0)
         state["_bbox_memo"] = None
+        state["_table_memo"] = None
         state["_flat_memo"] = {}
         state["_port_memo"] = {}
         state["_label_memo"] = {}
@@ -416,6 +453,7 @@ class CellDefinition:
         invalidation, so every unpickled definition gets a fresh stamp.
         """
         self.__dict__.update(state)
+        self._table_memo = None
         self._stamp = self._next_stamp()
 
     # ------------------------------------------------------------------
@@ -489,12 +527,56 @@ class CellDefinition:
                 return port
         raise KeyError(f"cell {self.name!r} has no port {name!r}")
 
+    def instance_table(self) -> InstanceTable:
+        """This definition's placed instances as columns (:class:`InstanceTable`).
+
+        Built in one pass over :attr:`instances` and reused until this
+        definition's own mutation stamp moves (``add_instance``,
+        ``adopt`` and every placement change bump it); the columns are
+        read-only.  The readers after generation (CIF calls, bounding
+        boxes, flatten, instance counts and the verifiers' hierarchy
+        walks) read it instead of the :class:`Instance` objects.
+        """
+        memo = self._table_memo
+        if memo is not None and memo[0] == self._stamp:
+            return memo[1]
+        if not self.instances:
+            return _NO_INSTANCES
+        index: Dict[CellDefinition, int] = {}
+        find = index.get
+        placed: List[int] = []
+        unplaced: List[Tuple[int, int]] = []
+        for instance in self.instances:
+            definition = instance._definition
+            child = find(definition)
+            if child is None:
+                child = index[definition] = len(index)
+            location, turn = instance._location, instance._orientation
+            if location is None or turn is None:
+                unplaced.append((len(placed) // 4 + len(unplaced), child))
+            else:
+                placed += (child, turn.code, location.x, location.y)
+        columns = np.array(placed, dtype=np.int64).reshape(-1, 4).T.copy()
+        rows = np.arange(len(self.instances), dtype=np.int64)
+        if unplaced:
+            rows = np.delete(rows, [row for row, _ in unplaced])
+        rows.flags.writeable = columns.flags.writeable = False
+        uses = np.bincount(columns[0], minlength=len(index)).tolist()
+        for _, child in unplaced:
+            uses[child] += 1
+        table = InstanceTable(tuple(index), tuple(uses), rows, *columns)
+        self._table_memo = (self._stamp, table)
+        return table
+
     def bounding_box(self) -> Optional[Box]:
         """Bounding box over own geometry and placed sub-instances.
 
         Cached per definition and invalidated by the subtree stamp, so
         the hot callers (``compose()``, routing, rendering) pay the
-        hierarchical walk once instead of on every query.
+        hierarchical walk once instead of on every query.  The placed
+        instances reduce per (child, orientation) group of the
+        :meth:`instance_table`: one turned child box per group, then one
+        minimum and maximum over the rows' points of call.
         """
         stamp = self.subtree_stamp()
         memo = self._bbox_memo
@@ -508,11 +590,24 @@ class CellDefinition:
                              int(arrays.xmax.max()), int(arrays.ymax.max()))
         for layer_box in self._boxes or ():
             result = layer_box.box if result is None else result.union(layer_box.box)
-        for instance in self.instances:
-            if not instance.is_placed:
-                continue
-            sub = instance.bounding_box()
-            if sub is not None:
+        table = self.instance_table()
+        if len(table.rows):
+            groups, member = np.unique(table.child * 8 + table.turn, return_inverse=True)
+            corners = []
+            for key in groups.tolist():
+                inner = table.children[key >> 3].bounding_box()
+                if inner is None:
+                    corners.append((0, 0, 0, 0, False))
+                else:
+                    inner = inner.transformed(ALL_ORIENTATIONS[key & 7])
+                    corners.append((inner.xmin, inner.ymin, inner.xmax, inner.ymax, True))
+            corners = np.array(corners, dtype=np.int64)[member]
+            drawn = corners[:, 4].astype(bool)
+            if drawn.any():
+                x, y = table.x[drawn], table.y[drawn]
+                corners = corners[drawn]
+                sub = Box(int((corners[:, 0] + x).min()), int((corners[:, 1] + y).min()),
+                          int((corners[:, 2] + x).max()), int((corners[:, 3] + y).max()))
                 result = sub if result is None else result.union(sub)
         self._bbox_memo = (stamp, result)
         return result
@@ -531,11 +626,12 @@ class CellDefinition:
         orientation))``.  Built once per (definition, orientation) and
         reused until the subtree mutates; the columns are read-only.
 
-        One gather per definition: the placed instances are grouped by
-        (child, instance orientation), each group's child columns are
-        fetched once under the composed orientation, and every instance
-        is stamped by adding its translated point of call to its group's
-        rows, in instance order after the definition's own boxes.
+        One gather per definition: the rows of the
+        :meth:`instance_table` are grouped by (child, orientation code),
+        each group's child columns are fetched once under the composed
+        orientation, and every instance is stamped by adding its
+        translated point of call to its group's rows, in instance order
+        after the definition's own boxes.
         """
         stamp = self.subtree_stamp()
         memo = self._flat_memo.get(orientation)
@@ -546,37 +642,24 @@ class CellDefinition:
                                dtype=np.int64)[codes]]
         column_parts = [own if orientation.is_identity else _oriented(orientation, own)]
 
-        groups: Dict[Tuple["CellDefinition", Orientation], int] = {}
-        members: List[int] = []
-        xs: List[int] = []
-        ys: List[int] = []
-        for instance in self.instances:
-            location, turn = instance._location, instance._orientation
-            if location is None or turn is None:
-                continue
-            key = (instance._definition, turn)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = len(groups)
-            members.append(group)
-            xs.append(location.x)
-            ys.append(location.y)
-        if members:
+        table = self.instance_table()
+        if len(table.rows):
+            groups, member = np.unique(table.child * 8 + table.turn, return_inverse=True)
             blocks = [
-                child.flat_columns(orientation.compose(turn)) for child, turn in groups
+                table.children[key >> 3].flat_columns(
+                    orientation.compose(ALL_ORIENTATIONS[key & 7])
+                )
+                for key in groups.tolist()
             ]
             sizes = np.array([len(block[0]) for block in blocks], dtype=np.int64)
             firsts = np.cumsum(sizes) - sizes
-            member = np.array(members, dtype=np.int64)
             lengths = sizes[member]
             total = int(lengths.sum())
             starts = np.cumsum(lengths) - lengths
             rows = np.repeat(firsts[member] - starts, lengths) + np.arange(
                 total, dtype=np.int64
             )
-            dx, dy = orientation.apply(
-                np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-            )
+            dx, dy = orientation.apply(table.x, table.y)
             dx, dy = np.repeat(dx, lengths), np.repeat(dy, lengths)
             code_parts.append(np.concatenate([block[0] for block in blocks])[rows])
             column_parts.append(BoxArray(*(
@@ -715,12 +798,26 @@ class CellDefinition:
                 yield Label(item.text, item.position + child_offset)
 
     def count_instances(self, recursive: bool = False) -> int:
-        """Number of sub-instances (transitively when ``recursive``)."""
+        """Number of sub-instances (transitively when ``recursive``, as
+        many as the instance paths below this cell).
+
+        The transitive count visits each distinct definition once: a
+        definition's total is its :meth:`instance_table` ``uses``
+        weighted by one plus each child's total.
+        """
         if not recursive:
             return len(self.instances)
-        total = 0
-        for instance in self.instances:
-            total += 1 + instance.definition.count_instances(recursive=True)
+        return self._paths_below({})
+
+    def _paths_below(self, totals: Dict["CellDefinition", int]) -> int:
+        """The recursive instance count, memoised per definition in ``totals``."""
+        total = totals.get(self)
+        if total is None:
+            table = self.instance_table()
+            total = totals[self] = sum(
+                uses * (1 + child._paths_below(totals))
+                for child, uses in zip(table.children, table.uses)
+            )
         return total
 
     def layers(self) -> Tuple[str, ...]:

@@ -60,10 +60,12 @@ class Orientation:
     ``r`` is the number of counter-clockwise quarter turns (0..3) and ``k``
     indicates whether a reflection about the y axis is applied before the
     rotation.  Instances are immutable, hashable, and interned: there are
-    only eight distinct objects.
+    only eight distinct objects.  ``code`` is ``r + 4 * k``, the
+    orientation's index in :data:`ALL_ORIENTATIONS` (instance tables
+    store it as an int column).
     """
 
-    __slots__ = ("r", "k")
+    __slots__ = ("r", "k", "code")
 
     _cache: dict = {}
 
@@ -77,6 +79,7 @@ class Orientation:
         self = super().__new__(cls)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "code", r + 4 * k)
         cls._cache[key] = self
         return self
 

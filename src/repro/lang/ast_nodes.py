@@ -9,7 +9,7 @@ interpreter, not by the parser, matching the paper's Lisp heritage.
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Union
 
 __all__ = ["Symbol", "IndexedVar", "Form", "Statement"]
 

@@ -21,7 +21,7 @@ Comments start with ``#`` or ``;``.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..core.errors import ParseError
 from .environment import Alias

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..core.cell import CellDefinition, CellTable
 from ..core.errors import ParseError
-from ..geometry import FLIP_NORTH, NORTH, Orientation, Vec2
+from ..geometry import ALL_ORIENTATIONS, FLIP_NORTH, NORTH, Orientation, Vec2
 
 __all__ = ["write_cif", "cif_text", "read_cif"]
 
@@ -74,23 +74,9 @@ def write_cif(
             name = cif_names[layer] = (cleaned or "X")[:8]
         return name
 
-    # Collect cells bottom-up so every call refers to an earlier symbol.
-    order: List[CellDefinition] = []
-    seen: Dict[int, int] = {}
-
-    def visit(node: CellDefinition) -> None:
-        if id(node) in seen:
-            return
-        for instance in node.instances:
-            visit(instance.definition)
-        seen[id(node)] = len(order) + 1
-        order.append(node)
-
-    visit(cell)
-
+    symbols = _symbols(cell)
     stream.write(f"( CIF generated by repro RSG for cell {cell.name} );\n")
-    for node in order:
-        symbol = seen[id(node)]
+    for node, symbol in symbols.items():
         stream.write(f"DS {symbol} 1 1;\n")
         stream.write(f"9 {node.name};\n")
         _write_boxes(stream, node, cif_layer, scale)
@@ -102,18 +88,59 @@ def write_cif(
                 f"94 {port.name} {port.position.x * scale}"
                 f" {port.position.y * scale}{suffix};\n"
             )
-        for instance in node.instances:
-            if not instance.is_placed:
-                continue
-            directives = _orientation_directives(instance.orientation)
-            offset = instance.location
-            call = f"C {seen[id(instance.definition)]}"
-            if directives:
-                call += f" {directives}"
-            call += f" T {offset.x * scale} {offset.y * scale}"
-            stream.write(call + ";\n")
+        _write_calls(stream, node, symbols, scale)
         stream.write("DF;\n")
-    stream.write(f"C {seen[id(cell)]};\nE\n")
+    stream.write(f"C {symbols[cell]};\nE\n")
+
+
+def _symbols(cell: CellDefinition) -> Dict[CellDefinition, int]:
+    """Every definition under ``cell`` numbered bottom-up from 1.
+
+    A depth-first walk over each definition's distinct children
+    (:meth:`~repro.core.cell.CellDefinition.instance_table`), in order
+    of first call, numbers a definition after all of its children, so
+    every call refers to an earlier symbol.  The dict iterates in
+    symbol order.
+    """
+    symbols: Dict[CellDefinition, int] = {}
+    _number(cell, symbols)
+    return symbols
+
+
+def _number(node: CellDefinition, symbols: Dict[CellDefinition, int]) -> None:
+    if node in symbols:
+        return
+    for child in node.instance_table().children:
+        _number(child, symbols)
+    symbols[node] = len(symbols) + 1
+
+
+def _write_calls(
+    stream: TextIO, node: CellDefinition, symbols: Dict[CellDefinition, int], scale: int
+) -> None:
+    """The ``C`` lines of one symbol, from its instance table.
+
+    One head (``C <symbol> <directives> T``) is formatted per (child,
+    orientation) group, and the symbol's calls are written in one ``%``
+    over the points of call, in instance order.
+    """
+    table = node.instance_table()
+    count = len(table.rows)
+    if not count:
+        return
+    groups, member = np.unique(table.child * 8 + table.turn, return_inverse=True)
+    heads = []
+    for key in groups.tolist():
+        directives = _orientation_directives(ALL_ORIENTATIONS[key & 7])
+        call = f"C {symbols[table.children[key >> 3]]}"
+        if directives:
+            call += f" {directives}"
+        heads.append(call + " T %d %d;\n")
+    values = np.empty((count, 2), dtype=np.int64)
+    np.multiply(table.x, scale, out=values[:, 0])
+    np.multiply(table.y, scale, out=values[:, 1])
+    template = "".join([heads[group] for group in member.tolist()])
+    stream.write(template % tuple(values.ravel().tolist()))
 
 
 def _write_boxes(

@@ -12,9 +12,9 @@ really carry the connectivity the architecture intends (e.g. each cell's
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.cell import CellDefinition, Port
+from ..core.cell import CellDefinition
 from ..geometry import Transform, Vec2
 
 __all__ = ["PortNetlist", "extract_ports"]

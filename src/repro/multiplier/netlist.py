@@ -15,7 +15,6 @@ cells evaluates every vector at once (see :meth:`Netlist.evaluate`).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Ref", "Cell", "Netlist"]

@@ -20,7 +20,7 @@ lives entirely in the parameter domain, as the paper proposes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["RegisterConfiguration", "register_configuration"]
 

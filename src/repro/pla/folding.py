@@ -19,7 +19,7 @@ sample layout does not constrain the output architecture.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.cell import CellDefinition
 from ..core.graph import Node

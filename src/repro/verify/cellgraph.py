@@ -20,18 +20,23 @@ because the stylised seams mix them).  LVS against the generator's
 ``intended_netlist`` hook then checks placement and wiring;
 :func:`multiplier_personality` reads the personality grid back for the
 functional product check.  Both read the host occurrences of one
-hierarchy walk (:func:`collect_occurrences`), which lands every mask on
-its host through a bucket index over the hosts' bounding boxes and
-reports a mask that lands on no host, or on several, as a stray.
+hierarchy walk (:func:`collect_occurrences`).  It visits each distinct
+(definition, orientation) once, placing instances with column
+arithmetic over the cells' instance tables, lands every mask on its
+host in one vectorised lookup in a bucket grid over the hosts'
+bounding boxes, and reports a mask that lands on no host, or on
+several, as a stray.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..core.cell import CellDefinition
-from ..geometry import NORTH, Box, Orientation
+from ..geometry import ALL_ORIENTATIONS, NORTH
+from ..geometry.batch import expand_ranges
 from .netlist import SwitchNetlist
 
 __all__ = [
@@ -77,13 +82,165 @@ class _Occurrence:
 
     __slots__ = ("celltype", "prefix", "origin", "bbox", "masks", "ports")
 
-    def __init__(self, celltype, prefix, origin, bbox, ports):
+    def __init__(self, celltype, prefix, origin, bbox, ports, masks=None):
         self.celltype = celltype
         self.prefix = prefix
         self.origin = origin
         self.bbox = bbox
-        self.masks: List[str] = []
+        self.masks: List[str] = [] if masks is None else masks
         self.ports: List[Tuple[str, int, int]] = ports
+
+
+#: ``_LINEAR[code]`` is ``(a, b, c, d)``: orientation ``code`` maps
+#: ``(x, y)`` to ``(a x + b y, c x + d y)``
+_LINEAR = np.array([sum(o.matrix(), ()) for o in ALL_ORIENTATIONS], dtype=np.int64)
+#: ``_COMPOSE[o, t]`` is the code of orientation ``o`` composed after ``t``
+_COMPOSE = np.array(
+    [[o.compose(t).code for t in ALL_ORIENTATIONS] for o in ALL_ORIENTATIONS],
+    dtype=np.int64,
+)
+_NONE = np.zeros(0, dtype=np.int64)
+
+
+class _Below(NamedTuple):
+    """The host occurrences and mask hits below one definition placed at
+    the origin under one orientation, in walk order.
+
+    Host ``i`` is host cell ``host[i]`` (an index into the walk's host
+    definitions) at ``(x[i], y[i])`` under orientation code
+    ``turn[i]``, named by the instance path ``names[i]``; mask ``j`` is
+    mask ``mask[j]`` (an index into the walk's mask names) placed at
+    ``(mask_x[j], mask_y[j])``.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    turn: np.ndarray
+    host: np.ndarray
+    names: List[str]
+    mask_x: np.ndarray
+    mask_y: np.ndarray
+    mask: np.ndarray
+
+
+_NOTHING = _Below(_NONE, _NONE, _NONE, _NONE, [], _NONE, _NONE, _NONE)
+
+
+def _tags(instances, positions: np.ndarray) -> List[str]:
+    """The path tags of the instances at ``positions``: the instance
+    name, or ``<celltype>#<position>`` for an unnamed one."""
+    return [
+        instances[position].name or f"{instances[position]._definition.name}#{position}"
+        for position in positions.tolist()
+    ]
+
+
+def _merged(own_rows: np.ndarray, below_rows: np.ndarray):
+    """The order that puts each row's own entry before the entries
+    below it, rows in order (own entries first in the concatenation)."""
+    if not len(own_rows) or not len(below_rows):
+        return None
+    return np.argsort(np.concatenate((own_rows * 2, below_rows * 2 + 1)), kind="stable")
+
+
+class _Walk:
+    """One hierarchy walk of :func:`collect_occurrences`, over distinct
+    (definition, orientation) pairs rather than instance paths."""
+
+    def __init__(self, hosts: Sequence[str], masks: Sequence[str]) -> None:
+        self.host_names = set(hosts)
+        self.mask_names = list(dict.fromkeys(masks))
+        self.mask_codes = {name: code for code, name in enumerate(self.mask_names)}
+        self.hosts: Dict[CellDefinition, int] = {}
+        self.memo: Dict[Tuple[CellDefinition, int], _Below] = {}
+
+    def below(self, node: CellDefinition, turn: int) -> _Below:
+        """Every host and mask under ``node`` placed at the origin under
+        orientation code ``turn``.
+
+        The instance table's rows are turned and their orientations
+        composed as columns.  Each row contributes its own entry when
+        it calls a host or a mask, then, when its child has instances,
+        the child's entries (memoised per child and orientation) moved
+        to its point of call, as in
+        :meth:`~repro.core.cell.CellDefinition.flat_columns`.
+        """
+        found = self.memo.get((node, turn))
+        if found is not None:
+            return found
+        table = node.instance_table()
+        if not len(table.rows):
+            self.memo[node, turn] = _NOTHING
+            return _NOTHING
+        a, b, c, d = _LINEAR[turn].tolist()
+        x = a * table.x + b * table.y
+        y = c * table.x + d * table.y
+        turns = _COMPOSE[turn][table.turn]
+        kinds = []
+        for child in table.children:
+            if child.name in self.host_names:
+                code = self.hosts.setdefault(child, len(self.hosts))
+                kinds.append((code, -1, len(child.instances)))
+            else:
+                kinds.append((-1, self.mask_codes.get(child.name, -1), len(child.instances)))
+        host, mask, deep = np.array(kinds, dtype=np.int64)[table.child].T
+        own = np.flatnonzero(host >= 0)
+        hit = np.flatnonzero(mask >= 0)
+        hosts = [x[own], y[own], turns[own], host[own]]
+        names = _tags(node.instances, table.rows[own])
+        masks = [x[hit], y[hit], mask[hit]]
+        deep = np.flatnonzero(deep)
+        host_order = mask_order = None
+        if len(deep):
+            groups, member = np.unique(
+                table.child[deep] * 8 + turns[deep], return_inverse=True
+            )
+            blocks = [
+                self.below(table.children[key >> 3], key & 7) for key in groups.tolist()
+            ]
+            hosts, rows, index, host_order = _stacked(
+                own, hosts, blocks, ("x", "y", "turn", "host"), member, deep, x, y
+            )
+            tags = _tags(node.instances, table.rows[deep])
+            below_names = [name for block in blocks for name in block.names]
+            names += [
+                f"{tags[row]}/{below_names[source]}"
+                for row, source in zip(rows.tolist(), index.tolist())
+            ]
+            masks, _, _, mask_order = _stacked(
+                hit, masks, blocks, ("mask_x", "mask_y", "mask"), member, deep, x, y
+            )
+        if host_order is not None:
+            hosts = [column[host_order] for column in hosts]
+            names = [names[index] for index in host_order.tolist()]
+        if mask_order is not None:
+            masks = [column[mask_order] for column in masks]
+        result = _Below(*hosts, names, *masks)
+        self.memo[node, turn] = result
+        return result
+
+
+def _stacked(own_rows, own, blocks, fields, member, deep, x, y):
+    """The ``own`` columns (one entry per row of ``own_rows``) followed
+    by the ``fields`` of each ``deep`` row's block ``member[i]`` moved
+    to the row's point of call ``(x, y)``.
+
+    Returns the columns, each entry from below's row (an index into
+    ``deep``) and index in the blocks end to end, and the order that
+    puts the entries in row order, each row's own entry first (None
+    when the columns already are).
+    """
+    parts = [[getattr(block, field) for block in blocks] for field in fields]
+    sizes = np.array([len(part) for part in parts[0]], dtype=np.int64)
+    firsts = (np.cumsum(sizes) - sizes)[member]
+    rows, index = expand_ranges(firsts, firsts + sizes[member])
+    at = deep[rows]
+    shifts = (x[at], y[at]) + (0,) * (len(fields) - 2)
+    columns = [
+        np.concatenate((column, np.concatenate(part)[index] + shift))
+        for column, part, shift in zip(own, parts, shifts)
+    ]
+    return columns, rows, index, _merged(own_rows, at)
 
 
 def collect_occurrences(
@@ -91,101 +248,110 @@ def collect_occurrences(
     hosts: Sequence[str] = MULTIPLIER_HOSTS,
     masks: Sequence[str] = MULTIPLIER_MASKS,
 ) -> Tuple[List[_Occurrence], List[str]]:
-    """Walk the placed hierarchy once; land each mask on its host cell.
+    """Collect the placed hierarchy's hosts; land each mask on its host cell.
 
     Returns the host occurrences, masks attached, in walk order, plus
     one line per stray mask: a mask inside no host's bounding box, or
     inside more than one, has no cell to personalise.
     :func:`cell_graph_netlist` and :func:`multiplier_personality` both
     read the occurrences this returns.
+
+    The walk visits each distinct (definition, orientation) once and
+    places its instances with column arithmetic over the definitions'
+    instance tables; the masks land on hosts in one vectorised grid
+    lookup.  Only the host names are formed per occurrence.
     """
-    host_set, mask_set = set(hosts), set(masks)
-    occurrences: List[_Occurrence] = []
-    mask_hits: List[Tuple[str, int, int]] = []
-    # (definition id, orientation) -> its bbox and ports turned about the origin
-    shapes: Dict[Tuple[int, Orientation], Tuple[Optional[Box], list]] = {}
-
-    def shape(definition: CellDefinition, orientation: Orientation):
-        key = (id(definition), orientation)
-        if key not in shapes:
-            bbox = definition.bounding_box()
-            shapes[key] = (
-                bbox.transformed(orientation) if bbox is not None else None,
-                [
-                    (port.name, *orientation.apply(port.position.x, port.position.y))
-                    for port in definition.ports
-                ],
-            )
-        return shapes[key]
-
-    def walk(node: CellDefinition, x: int, y: int, orientation: Orientation,
-             prefix: str) -> None:
-        for index, instance in enumerate(node.instances):
-            if not instance.is_placed:
-                continue
-            location = instance.location
-            dx, dy = orientation.apply(location.x, location.y)
-            wx, wy = x + dx, y + dy
-            definition = instance.definition
-            celltype = definition.name
-            is_host = celltype in host_set
-            if not is_host and celltype in mask_set:
-                mask_hits.append((celltype, wx, wy))
-            if not (is_host or definition.instances):
-                continue
-            turn = orientation.compose(instance.orientation)
-            tag = instance.name or f"{celltype}#{index}"
-            if is_host:
-                bbox, ports = shape(definition, turn)
-                occurrences.append(_Occurrence(
-                    celltype,
-                    f"{prefix}{tag}",
-                    (wx, wy),
-                    None if bbox is None else (
-                        bbox.xmin + wx, bbox.ymin + wy, bbox.xmax + wx, bbox.ymax + wy
-                    ),
-                    ports,
-                ))
-            if definition.instances:
-                walk(definition, wx, wy, turn, f"{prefix}{tag}/")
-
-    walk(cell, 0, 0, NORTH, "")
-    return occurrences, _attach_masks(occurrences, mask_hits)
+    walk = _Walk(hosts, masks)
+    below = walk.below(cell, NORTH.code)
+    definitions = list(walk.hosts)
+    groups, member = np.unique(below.host * 8 + below.turn, return_inverse=True)
+    # per (host, orientation code): its bbox and ports turned about the origin
+    shapes = []
+    for key in groups.tolist():
+        definition, orientation = definitions[key >> 3], ALL_ORIENTATIONS[key & 7]
+        bbox = definition.bounding_box()
+        if bbox is not None:
+            bbox = bbox.transformed(orientation)
+        shapes.append((definition.name, bbox, [
+            (port.name, *orientation.apply(port.position.x, port.position.y))
+            for port in definition.ports
+        ]))
+    drawn = np.array([bbox is not None for _, bbox, _ in shapes], dtype=bool)[member]
+    corners = np.array(
+        [(0, 0, 0, 0) if bbox is None else (bbox.xmin, bbox.ymin, bbox.xmax, bbox.ymax)
+         for _, bbox, _ in shapes],
+        dtype=np.int64,
+    ).reshape(-1, 4)[member]
+    boxes = corners + np.stack((below.x, below.y, below.x, below.y), axis=1)
+    landed, strays = _land_masks(boxes, drawn, below, walk.mask_names)
+    occurrences = [
+        _Occurrence(shapes[group][0], name, (x, y), bbox if is_drawn else None,
+                    shapes[group][2], masks)
+        for group, name, x, y, bbox, is_drawn, masks in zip(
+            member.tolist(), below.names, below.x.tolist(), below.y.tolist(),
+            map(tuple, boxes.tolist()), drawn.tolist(), landed,
+        )
+    ]
+    return occurrences, strays
 
 
-def _attach_masks(
-    occurrences: List[_Occurrence],
-    mask_hits: List[Tuple[str, int, int]],
-) -> List[str]:
-    """Append each mask to the one host whose bbox contains it.
+def _land_masks(
+    boxes: np.ndarray, drawn: np.ndarray, below: _Below, mask_names: List[str]
+) -> Tuple[List[List[str]], List[str]]:
+    """Land each mask of ``below`` on the one host whose bbox contains it.
 
-    The hosts tile the array, so a grid of buckets as large as the
-    largest host files each host under at most four buckets, and a
-    mask's candidates are the hosts of the one bucket it falls in.
-    Returns a line for each mask with no host, or with several.
+    ``boxes`` holds each host's world ``(xmin, ymin, xmax, ymax)``, to
+    be read only where ``drawn``.  The hosts tile the array, so in a
+    grid of buckets as large as the largest host, a host containing a
+    mask has its lower-left corner in the mask's bucket or in the
+    bucket to its left, below it, or both.  Each mask is tested against
+    the hosts filed under those four buckets, all masks at once.
+    Returns the names of the masks landed on each host, in walk order,
+    and a line for each mask with no host, or with several.
     """
-    boxes = [(*o.bbox, o) for o in occurrences if o.bbox is not None]
-    width = max([x1 - x0 for x0, _, x1, _, _ in boxes] + [1])
-    height = max([y1 - y0 for _, y0, _, y1, _ in boxes] + [1])
-    buckets: Dict[Tuple[int, int], list] = defaultdict(list)
-    for entry in boxes:
-        x0, y0, x1, y1, _ = entry
-        for column in range(x0 // width, (x1 - 1) // width + 1):
-            for row in range(y0 // height, (y1 - 1) // height + 1):
-                buckets[column, row].append(entry)
+    landed: List[List[str]] = [[] for _ in range(len(boxes))]
+    count = len(below.mask)
+    if not count:
+        return landed, []
+    hosts = np.flatnonzero(drawn)
+    x0, y0, x1, y1 = boxes[hosts].T
+    width = max(int((x1 - x0).max(initial=0)), 1)
+    height = max(int((y1 - y0).max(initial=0)), 1)
+    # One integer per bucket, columns ``span`` apart.  A neighbour key
+    # outside the host rows may alias another column's bucket; the
+    # containment test drops the extra candidates that brings.
+    low = int((y0 // height).min(initial=0)) - 1
+    span = int((y0 // height).max(initial=0)) - low + 2
+    keys = (x0 // width) * span + (y0 // height - low)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    mx, my = below.mask_x, below.mask_y
+    wanted = (
+        ((mx // width)[None, :] + np.array([[-1], [-1], [0], [0]])) * span
+        + (my // height - low)[None, :] + np.array([[-1], [0], [-1], [0]])
+    ).ravel()
+    which, host = expand_ranges(
+        np.searchsorted(keys, wanted, "left"), np.searchsorted(keys, wanted, "right")
+    )
+    which, host = which % count, order[host]
+    px, py = mx[which], my[which]
+    inside = (x0[host] <= px) & (px < x1[host]) & (y0[host] <= py) & (py < y1[host])
+    which, host = which[inside], hosts[host[inside]]
+    hits = np.bincount(which, minlength=count)
+    target = np.zeros(count, dtype=np.int64)
+    target[which] = host
+    single = hits == 1
+    for index, code in zip(target[single].tolist(), below.mask[single].tolist()):
+        landed[index].append(mask_names[code])
     strays = []
-    for mask, x, y in mask_hits:
-        found = [
-            occurrence
-            for x0, y0, x1, y1, occurrence in buckets.get((x // width, y // height), ())
-            if x0 <= x < x1 and y0 <= y < y1
-        ]
-        if len(found) == 1:
-            found[0].masks.append(mask)
-        else:
-            where = f"{len(found)} host cells" if found else "no host cell"
-            strays.append(f"mask {mask} at {(x, y)} lands on {where}")
-    return strays
+    for index in np.flatnonzero(~single).tolist():
+        hit = int(hits[index])
+        where = f"{hit} host cells" if hit else "no host cell"
+        strays.append(
+            f"mask {mask_names[int(below.mask[index])]} at"
+            f" {(int(mx[index]), int(my[index]))} lands on {where}"
+        )
+    return landed, strays
 
 
 def _device_kind(occurrence: _Occurrence) -> str:

@@ -109,15 +109,20 @@ class VerificationReport:
 
 
 def _celltypes(cell: CellDefinition) -> set:
-    names = set()
+    """The names of every definition called anywhere below ``cell``.
 
-    def walk(node: CellDefinition) -> None:
-        for instance in node.instances:
-            names.add(instance.celltype)
-            walk(instance.definition)
-
-    walk(cell)
-    return names
+    Each distinct definition is visited once, through its instance
+    table's ``children`` (unplaced calls included).
+    """
+    seen = {cell}
+    pending = [cell]
+    while pending:
+        for child in pending.pop().instance_table().children:
+            if child not in seen:
+                seen.add(child)
+                pending.append(child)
+    seen.discard(cell)
+    return {definition.name for definition in seen}
 
 
 def _extract(cell: CellDefinition, rules: Optional[DesignRules]) -> SwitchNetlist:

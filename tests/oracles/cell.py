@@ -6,7 +6,9 @@ to every object of the subtree: instance-proportional transform work,
 but straight-line enough to trust.  They read no memo and no column,
 and must give the identical sequence (and box) to the cell's
 ``flatten``, ``flatten_ports``, ``flatten_labels`` and
-``bounding_box`` on any input.
+``bounding_box`` on any input; ``count_instances_reference`` counts
+the instance paths one visit at a time, as ``count_instances`` did
+before it read the instance tables.
 """
 
 from typing import Iterator, Optional
@@ -28,6 +30,13 @@ def bounding_box_reference(cell: CellDefinition) -> Optional[Box]:
             sub = instance.transform.apply_box(sub)
             result = sub if result is None else result.union(sub)
     return result
+
+
+def count_instances_reference(cell: CellDefinition) -> int:
+    """Every instance path below ``cell``, one recursive visit each."""
+    return sum(
+        1 + count_instances_reference(instance.definition) for instance in cell.instances
+    )
 
 
 def flatten_reference(

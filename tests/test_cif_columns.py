@@ -1,22 +1,31 @@
-"""CIF ``B`` lines from columns against the per-box writer.
+"""CIF ``B`` and ``C`` lines from columns against the per-object writers.
 
 ``write_cif`` formats each symbol's boxes from its columns
 (:meth:`~repro.core.cell.CellDefinition.own_columns`), one ``%`` per
-layer run.  The oracle below is the per-box loop it replaced: one
-``L`` line whenever a box's CIF layer differs from the previous box's,
-then one f-string per box, read from ``node.boxes``.  Every case must
-give byte-identical text: the shipped generators, flat-compacted
-outputs on every axis under both techs, the hierarchical pipeline's
-output, ``read_cif`` round trips, empty cells, cells with ports and
-labels, layer names that collide in CIF or hold a ``%``, negative
-coordinates and odd scales.
+layer run, and its calls from its instance table
+(:meth:`~repro.core.cell.CellDefinition.instance_table`), one head per
+(child, orientation) and one ``%`` over the points of call.  The
+oracles are the loops they replaced: for boxes, one ``L`` line whenever
+a box's CIF layer differs from the previous box's, then one f-string
+per box, read from ``node.boxes`` (below); for calls, symbols numbered
+by one recursive visit per instance and one f-string per placed
+instance (``tests/oracles/cif.py``).  Every case must give
+byte-identical text: the shipped generators, flat-compacted outputs on
+every axis under both techs, the hierarchical pipeline's output,
+``read_cif`` round trips, empty cells, cells with ports and labels,
+layer names that collide in CIF or hold a ``%``, negative coordinates,
+odd scales, and seeded random hierarchies with all eight orientations,
+unplaced and shared instances, before and after a mutation.
 """
 
 import io
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
+from oracles.cif import symbols_reference, write_calls_reference
+from test_instance_table import mutate, random_placements
 from test_sweep_equivalence import SWEEP_LAYOUTS, random_table
 
 from repro.compact import TECH_A, TECH_B, HierarchicalCompactor, compact_passes
@@ -51,9 +60,12 @@ def reference_write_boxes(stream, node, cif_layer, scale):
 
 
 def reference_cif(cell, **options):
-    """``write_cif`` with the per-box oracle writing every symbol's boxes."""
+    """``write_cif`` with the oracles numbering the symbols and writing
+    every symbol's boxes and calls."""
     buffer = io.StringIO()
-    with mock.patch.object(cif_module, "_write_boxes", reference_write_boxes):
+    with mock.patch.object(cif_module, "_write_boxes", reference_write_boxes), \
+            mock.patch.object(cif_module, "_symbols", symbols_reference), \
+            mock.patch.object(cif_module, "_write_calls", write_calls_reference):
         write_cif(cell, buffer, **options)
     return buffer.getvalue()
 
@@ -69,6 +81,7 @@ def written_cif(cell, **options):
 GENERATORS = {
     **SWEEP_LAYOUTS,
     "multiplier": lambda: generate_multiplier(3, 4),
+    "multiplier-square": lambda: generate_multiplier(4, 4),
     "multiplier-language": lambda: generate_via_language(4, 3)[0],
     "multiplier-retimed": lambda: generate_retimed_multiplier(4, 4, beta=1)[0],
     "pla-language": lambda: generate_pla_via_language(
@@ -151,3 +164,37 @@ def test_born_cell_writes_the_cif_of_its_decoded_twin():
     twin.add_boxes(list(born.boxes))
     assert undecoded == written_cif(born) == written_cif(twin)
     assert written_cif(read_cif(undecoded).lookup("twin")) == undecoded
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_hierarchies_write_the_per_instance_calls(seed):
+    """All eight orientations, unplaced instances, an instance shared by
+    two cells, and a mutation after each memoised write."""
+    top, cells = random_placements(seed)
+    rng = random.Random(seed + 900)
+    for _ in range(4):
+        for options in ({}, {"scale": 3}):
+            assert written_cif(top, **options) == reference_cif(top, **options)
+        mutate(rng, cells)
+    assert written_cif(top) == reference_cif(top)
+
+
+def test_calls_written_in_group_order_fail_the_comparison():
+    """A writer that emits a symbol's calls group by group, not in
+    instance order, differs from the oracle on interleaved groups."""
+    def grouped(stream, node, symbols, scale):
+        placed = sorted(
+            (instance for instance in node.instances if instance.is_placed),
+            key=lambda instance: (symbols[instance.definition], instance.orientation.code),
+        )
+        write_calls_reference(stream, SimpleNamespace(instances=placed), symbols, scale)
+
+    leaf, other = CellDefinition("leaf"), CellDefinition("other")
+    top = CellDefinition("top")
+    for index, (child, turn) in enumerate([(leaf, NORTH), (other, NORTH), (leaf, EAST),
+                                           (leaf, NORTH)]):
+        top.add_instance(child, Vec2(index, -index), turn)
+    with mock.patch.object(cif_module, "_write_calls", grouped):
+        mutant = written_cif(top)
+    assert mutant != reference_cif(top)
+    assert written_cif(top) == reference_cif(top)
