@@ -50,7 +50,9 @@ bench:
 # bench`), and the flat-compaction guards
 # (bench_flat_compaction — flat xy compaction grows <= 6x per 4x-box
 # size step with the collector paused and with it on, one rubber-band
-# pass peaks < 200 MB RSS; the 32x32-with-collector < 0.5 s and
+# pass peaks < 200 MB RSS, a cached xy chain costs <= 1.15x the uncached
+# one cold and <= 0.2x warm, at 16x16 here and 32x32 via `make bench`;
+# the 32x32-with-collector < 0.5 s and
 # small-cell leaf-row bounds run via `make bench`), and the packed
 # multiplier check (bench_multiplier_correctness — all 65 536 8x8
 # operand pairs in under 1 s), and the lane-parallel switch-level

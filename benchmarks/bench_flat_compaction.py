@@ -26,6 +26,16 @@ Baugh-Wooley multiplier (each size step quadruples the box count):
   container: 1.00-1.09x its median (3.3-5.0 ms); a one-box leaf costs
   about 1.7x, the two- and five-box leaves 0.5-0.8x.  Row
   ``flat_leaves`` (n = multiplier size).
+* **compaction cache** — a two-pass ``xy`` chain
+  (``compact_passes``) through an empty in-memory
+  :class:`~repro.compact.CompactionCache` (cold: both passes computed,
+  fingerprinted and stored) and through a filled one (warm: both passes
+  read), against the uncached chain, in alternating rounds.  Cold must
+  cost at most 1.15x the uncached chain and warm at most 0.2x (the
+  medians of 7 rounds; up to 3 attempts).  When every entry was
+  deep-copied on ``put`` and ``get`` they read 1.29-1.34x and
+  0.35-0.38x.  Rows ``flat_cached_cold``, ``flat_cached_warm`` and
+  ``flat_uncached`` (n = box count).
 * **rubber-band memory guard** — one rubber-band x pass, in a fresh
   interpreter, must peak under 200 MB RSS.  The dense LP rows it once
   built peaked at 565 MB on 8x8 and grow with constraints x variables
@@ -33,19 +43,28 @@ Baugh-Wooley multiplier (each size step quadruples the box count):
 
 The guards run in smoke mode too (``REPRO_BENCH_SMOKE=1``), at
 4 -> 8 and on 8x8 (the small-cell row on the 4x4 multiplier's leaves,
-without its bound); full sizes are 8 -> 16 -> 32 and 16x16.
+without its bound, and the cache guard on 16x16); full sizes are
+8 -> 16 -> 32, 16x16 and, for the cache guard, 32x32.
 """
 
 import gc
 import json
 import os
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from conftest import best_time, doubling_ratio
 
-from repro.compact import TECH_A, compact_cells, distinct_leaf_cells
+from repro.compact import (
+    TECH_A,
+    CompactionCache,
+    compact_cells,
+    compact_passes,
+    distinct_leaf_cells,
+)
 from repro.compact.flat import compact_layout_xy
 from repro.layout.database import flatten_cell
 from repro.multiplier import generate_via_language
@@ -168,6 +187,54 @@ def _impl_small_cells(report, record):
 def test_small_cells(benchmark, report, record):
     benchmark.pedantic(
         lambda: _impl_small_cells(report, record), rounds=1, iterations=1
+    )
+
+
+def _impl_cached_chain(report, record):
+    size = 16 if SMOKE else 32
+    cell = generate_via_language(size, size)[0]
+    filled = CompactionCache()
+    compact_passes(cell, TECH_A, "xy", cache=filled)  # also warms the flatten memo
+    boxes = sum(1 for _ in cell.flatten())
+    runs = {
+        "flat_uncached": lambda: compact_passes(cell, TECH_A, "xy"),
+        "flat_cached_cold": lambda: compact_passes(
+            cell, TECH_A, "xy", cache=CompactionCache()
+        ),
+        "flat_cached_warm": lambda: compact_passes(cell, TECH_A, "xy", cache=filled),
+    }
+
+    def medians():
+        times = {name: [] for name in runs}
+        for _ in range(7):
+            for name, run in runs.items():
+                start = time.perf_counter()
+                run()
+                times[name].append(time.perf_counter() - start)
+        return {name: statistics.median(values) for name, values in times.items()}
+
+    for _ in range(3):
+        seconds = medians()
+        cold = seconds["flat_cached_cold"] / seconds["flat_uncached"]
+        warm = seconds["flat_cached_warm"] / seconds["flat_uncached"]
+        if cold <= 1.15 and warm <= 0.2:
+            break
+    for name, value in seconds.items():
+        record(name, boxes, value)
+    report(
+        f"E-FLAT cached xy chain, {size}x{size} multiplier ({boxes} boxes):"
+        f" uncached {seconds['flat_uncached'] * 1000:7.1f} ms,"
+        f" cold {seconds['flat_cached_cold'] * 1000:7.1f} ms ({cold:.2f}x, must be <= 1.15),"
+        f" warm {seconds['flat_cached_warm'] * 1000:7.1f} ms ({warm:.2f}x,"
+        f" must be <= 0.2)"
+    )
+    assert cold <= 1.15, f"a cold cached chain cost {cold:.2f}x the uncached one"
+    assert warm <= 0.2, f"a warm cached chain cost {warm:.2f}x the uncached one"
+
+
+def test_cached_chain(benchmark, report, record):
+    benchmark.pedantic(
+        lambda: _impl_cached_chain(report, record), rounds=1, iterations=1
     )
 
 

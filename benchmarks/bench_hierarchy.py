@@ -12,10 +12,10 @@ guards the acceptance criteria name:
   the flatten time < 3x.  Runs in smoke mode too.  Rows ``flatten`` /
   ``flatten_reference`` additionally compare the memoized stamp-flatten
   against the recursive walker of ``tests/oracles/cell.py`` —
-  informational only: the root is deliberately streamed rather than
-  memoized (memory over repeat speed), so the advantage is the
-  constant-factor difference between translating child memos and
-  recursive transform composition.
+  informational only: the root's flatten is memoized as columns like
+  every other definition's, so with the memos warm the memo side only
+  decodes the root's columns into boxes, and the gap is that decode
+  against recursive transform composition.
 
 Timing rows land in ``BENCH_compaction.json`` via the ``record``
 fixture.  Set ``REPRO_BENCH_SMOKE=1`` for the small sizes (the 5x

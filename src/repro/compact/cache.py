@@ -5,11 +5,12 @@ large arrays out of a handful of distinct leaf cells, so the expensive
 work — constraint generation plus longest-path/LP solving — should be
 paid once per *cell type*, not once per *instance* (and ideally once per
 *content*, across runs).  :class:`CompactionCache` memoizes
-flat passes (a :class:`~repro.compact.flat.CompactionResult` without
-its boxes, plus the pass's solved columns, which the next pass reads),
-hierarchical leaf compactions and
-:class:`~repro.compact.leafcell.LeafCellResult` values under a stable
-content hash of everything that determines the outcome:
+flat passes (a record of the pass's widths, constraint counts and
+solver counters, plus its solved columns, which the next pass reads),
+hierarchical leaf compactions (the leaf's solved columns and its last
+pass record) and leaf-cell solves (the integer pitches and the solved
+edge values) under a stable content hash of everything that determines
+the outcome:
 
 * the input geometry (box lists in insertion order, hierarchy included),
 * the :class:`~repro.compact.rules.DesignRules` content (widths,
@@ -22,11 +23,12 @@ content hash of everything that determines the outcome:
 Entries live in an in-process dict and, when a ``directory`` is given,
 as pickle files named by their key — the on-disk form survives the
 process, so a re-generation run pays only fingerprinting.
-:meth:`CompactionCache.put` stores a deep copy and
-:meth:`CompactionCache.get` returns one, so their callers may mutate
-what they hand in or get back.  :meth:`CompactionCache.peek` returns the
-shared stored object without a copy: the hierarchical pipeline reads its
-warm hits that way, and must not mutate them.
+
+Entries are immutable, so the cache never copies one:
+:meth:`CompactionCache.put` stores the tuple it is given and
+:meth:`CompactionCache.get` returns it, its numpy columns read-only
+(numpy unpickles arrays writeable, so a disk hit is frozen again).
+Readers build their own results from an entry.
 
 ``cache=None`` everywhere reproduces the uncached behaviour exactly and
 is the equivalence oracle for the cached paths.
@@ -38,7 +40,6 @@ shape is never found, so it can never be unpickled into this one.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import os
 import pickle
@@ -64,7 +65,7 @@ __all__ = [
 
 #: shape of the cached result values; part of every compaction key.
 #: Bump it whenever a cached class changes what it stores.
-FORMAT_VERSION = "columns-4"
+FORMAT_VERSION = "columns-5"
 
 
 def cache_key(*parts: Any) -> str:
@@ -216,6 +217,16 @@ class CacheStats:
         return asdict(self)
 
 
+def _frozen(value: Any) -> Any:
+    """``value`` with every numpy array among its items (when it is a
+    tuple) made read-only."""
+    if isinstance(value, tuple):
+        for item in value:
+            if isinstance(item, np.ndarray):
+                item.flags.writeable = False
+    return value
+
+
 #: a lock file untouched for this long belongs to a dead writer
 #: (default; per-instance override via ``stale_lock_seconds`` or the
 #: ``REPRO_CACHE_STALE_LOCK_S`` environment variable)
@@ -288,23 +299,12 @@ class CompactionCache:
         return self.directory / f"{key}.pkl"
 
     def get(self, key: str) -> Optional[Any]:
-        """Return a private copy of the entry for ``key``, or ``None``.
+        """Return the stored entry for ``key``, or ``None``.
 
         Checks memory first, then the on-disk store; a disk hit is
-        promoted into memory.  Unreadable disk entries (partial writes,
-        version skew, a concurrent delete) count as misses rather than
-        errors.
-        """
-        value = self.peek(key)
-        return copy.deepcopy(value) if value is not None else None
-
-    def peek(self, key: str) -> Optional[Any]:
-        """Like :meth:`get` but returns the *shared* stored object.
-
-        For read-only consumers on the hot path (the hierarchical
-        pipeline copies boxes out of the result anyway): skipping the
-        defensive deep copy is what makes a warm cache hit nearly free.
-        The returned value must not be mutated.
+        promoted into memory with its columns made read-only.
+        Unreadable disk entries (partial writes, version skew, a
+        concurrent delete) count as misses rather than errors.
         """
         if key in self._memory:
             self.cache_stats.hits += 1
@@ -312,7 +312,7 @@ class CompactionCache:
         if self.directory is not None:
             value, size = self._read_disk(key)
             if value is not None:
-                self._memory[key] = value
+                self._memory[key] = _frozen(value)
                 self.cache_stats.hits += 1
                 self.cache_stats.disk_hits += 1
                 self.cache_stats.bytes_read += size
@@ -339,7 +339,7 @@ class CompactionCache:
         return value, len(payload)
 
     def put(self, key: str, value: Any) -> None:
-        """Store a private copy of ``value`` under ``key``.
+        """Store ``value`` under ``key``, its columns made read-only.
 
         On-disk writes go through a temporary file and ``os.replace`` so
         a concurrent reader never sees a torn entry, and are guarded by
@@ -353,8 +353,7 @@ class CompactionCache:
         ``write_errors`` count — the cache is an optimisation, so I/O
         trouble must never fail the job that was being cached.
         """
-        value = copy.deepcopy(value)
-        self._memory[key] = value
+        self._memory[key] = _frozen(value)
         if self.directory is None:
             return
         path = self._path(key)

@@ -25,16 +25,17 @@ for the solve); a pass that does not rubber-band opens no
 With a :class:`~repro.compact.cache.CompactionCache`, every pass of a
 chain is probed under a key of its input columns
 (:func:`~repro.compact.cache.fingerprint_geometry`), the rule tables and
-its options; an entry holds the pass's result without ``layers`` and
-its solved columns.  A pass read from the cache hands the next pass
-columns exactly as a computed one does, so a cached chain runs the same
-statements as an uncached one and also builds no box object.
+its options.  An entry is immutable: the pass's record (widths,
+constraint counts, solver counters) and its solved columns, read-only.
+A computed pass and a cached one both build a fresh result from an
+entry and hand the next pass its columns, so a cached chain runs the
+same statements as an uncached one and also builds no box object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from .scanline import (
     solved_columns,
     visibility_constraints,
 )
-from .solver import SolveStats, solve_longest_path
+from .solver import SolveCounts, solve_longest_path
 
 __all__ = [
     "CompactionResult", "compact_layout", "compact_layout_xy", "compact_cell",
@@ -79,22 +80,22 @@ class CompactionResult:
     ``layers`` maps each layer (sorted) to its compacted boxes in column
     order.  It is decoded from the solved columns on first read; the
     earlier passes of a chain hand their columns on and keep it empty.
+    ``stats`` holds the solver's counters, not its solution.
 
     ``jog_before``/``jog_after`` are the total misalignment of
     drawn-connected boxes (:func:`~repro.compact.rubberband.misalignment`)
     before and after the rubber band.  A rubber-band pass computes both
     as it runs, since it needs the alignment pairs.  A plain pass, where
-    the two are equal, computes them on first read from its
-    compaction-frame boxes and ``stats.values``, so a pass whose jog
-    nobody reads pays for no alignment; a cached result gives the same
-    values.
+    the two are equal, computes them on first read from its input
+    columns and its solved ones, so a pass whose jog nobody reads pays
+    for no alignment; a cached pass gives the same values.
     """
 
     width_before: int = 0
     width_after: int = 0
     constraint_count: int = 0
     spacing_constraints: int = 0
-    stats: Optional[SolveStats] = None
+    stats: Optional[SolveCounts] = None
     #: decoded ``layers``, or ``None`` until the first read
     _layers: Optional[Dict[str, List[Box]]] = field(
         default=None, init=False, repr=False, compare=False
@@ -102,12 +103,14 @@ class CompactionResult:
     #: the layout-frame columns ``layers`` decodes (``None``: no boxes)
     _columns: Optional[EdgeBoxes] = field(default=None, init=False, repr=False,
                                           compare=False)
-    #: ``(jog_before, jog_after)``, unless ``_frame`` is still pending
+    #: ``(jog_before, jog_after)``, unless ``_pending`` is still set
     _jogs: Tuple[int, int] = field(default=(0, 0), init=False, repr=False,
                                    compare=False)
-    #: a plain pass's unbound compaction-frame boxes, until the jog is read
-    _frame: Optional[EdgeBoxes] = field(default=None, init=False, repr=False,
-                                        compare=False)
+    #: a plain pass's input columns, ``merge``, axis and solved columns,
+    #: until the jog is read
+    _pending: Optional[Tuple[EdgeBoxes, bool, str, EdgeBoxes]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def layers(self) -> Dict[str, List[Box]]:
@@ -132,15 +135,20 @@ class CompactionResult:
         return self._jog()[1]
 
     def _jog(self) -> Tuple[int, int]:
-        frame = self._frame
-        if frame is not None:
+        if self._pending is not None:
+            geometry, merge, axis, solved = self._pending
             with obs_trace.span("compact.align") as span:
-                # A fresh system numbers the edges as the pass's did.
-                _, boxes = build_edge_variables(frame)
+                # A fresh system numbers frame box i's edges 2i and 2i + 1;
+                # its solved edges are row i of the solved columns.
+                _, boxes = build_edge_variables(_frame(geometry, merge, axis))
                 align = alignment_pairs(boxes)
-                jog = misalignment(align, self.stats.values)
+                arrays = solved.arrays
+                low, high = (
+                    (arrays.ymin, arrays.ymax) if axis == "y" else (arrays.xmin, arrays.xmax)
+                )
+                jog = misalignment(align, np.column_stack((low, high)).ravel())
                 span.set(pairs=len(align), jog=jog)
-            self._jogs, self._frame = (jog, jog), None
+            self._jogs, self._pending = (jog, jog), None
         return self._jogs
 
     def violations(self, rules: DesignRules) -> List[Violation]:
@@ -213,6 +221,51 @@ def _frame(geometry: EdgeBoxes, merge: bool, axis: str) -> EdgeBoxes:
     return EdgeBoxes(geometry.layers, codes, arrays)
 
 
+class _Pass(NamedTuple):
+    """What one pass measured, without its geometry: the immutable half
+    of a pass's cache entry.  The first five fields are the
+    :class:`CompactionResult` fields of the same name, in order."""
+
+    width_before: int
+    width_after: int
+    constraint_count: int
+    spacing_constraints: int
+    stats: SolveCounts
+    #: ``(jog_before, jog_after)``; ``None`` on a plain pass, whose jog
+    #: is computed when it is read
+    jogs: Optional[Tuple[int, int]]
+
+
+def _entry(record: _Pass, layers, codes, arrays: batch.BoxArray) -> tuple:
+    """A cache entry: ``record``, then solved columns (layer names,
+    codes and the four coordinate columns)."""
+    return (record, tuple(layers), codes, arrays.xmin, arrays.ymin, arrays.xmax, arrays.ymax)
+
+
+def _result(
+    entry: tuple, source: Optional[Tuple[EdgeBoxes, bool, str]] = None
+) -> Tuple[CompactionResult, EdgeBoxes]:
+    """A fresh result of the pass an :func:`_entry` holds, and its solved
+    columns.  A plain pass computes its jog, when it is read, from those
+    and ``source``: the pass's input columns, ``merge`` and axis."""
+    record, layers, codes, *columns = entry
+    solved = EdgeBoxes(layers, codes, batch.BoxArray(*columns))
+    result = CompactionResult(*record[:5])
+    if record.jogs is None:
+        result._pending = (*source, solved)
+    else:
+        result._jogs = record.jogs
+    return result, solved
+
+
+def _record(result: CompactionResult) -> _Pass:
+    """The record of the pass ``result`` holds, its jog read."""
+    return _Pass(
+        result.width_before, result.width_after, result.constraint_count,
+        result.spacing_constraints, result.stats, (result.jog_before, result.jog_after),
+    )
+
+
 def _compact_pass(
     geometry: EdgeBoxes,
     rules: DesignRules,
@@ -223,14 +276,13 @@ def _compact_pass(
     merge: bool,
     sizing: Optional[Dict[Tuple[str, str], int]],
     sort_edges: bool,
-) -> Tuple[CompactionResult, EdgeBoxes]:
+) -> tuple:
     """One pass (options as in :func:`compact_layout`) over layout-frame
     columns.
 
-    Returns the result, its ``layers`` empty, and the compacted boxes as
-    layout-frame columns: the next pass's input, or the chain's output.
-    Only a rubber-band pass finds the alignment pairs; a plain pass
-    keeps its frame boxes for a later read of its jog.
+    Returns the pass's :func:`_entry`: its record and the compacted
+    boxes as layout-frame columns, the next pass's input or the chain's
+    output.  Only a rubber-band pass finds the alignment pairs.
     """
     with obs_trace.span("compact.edges", axis=axis) as span:
         boxes = _frame(geometry, merge, axis)
@@ -247,38 +299,35 @@ def _compact_pass(
         span.set(constraints=len(system), spacing=spacing_count)
     with obs_trace.span("solver.solve", axis=axis) as span:
         stats = solve_longest_path(system, sort_edges=sort_edges)
-        span.set(**stats.to_dict())
-    result = CompactionResult(
-        stats=stats, constraint_count=len(system), spacing_constraints=spacing_count
-    )
-    values = stats.values
-    if not rubber_band:
-        result._frame = EdgeBoxes(boxes.layers, boxes.codes, boxes.arrays)
-    else:
+        counts = stats.counts()
+        span.set(**counts.to_dict())
+    values, jogs = stats.values, None
+    if rubber_band:
         with obs_trace.span("compact.align") as span:
             align = alignment_pairs(boxes)
             jog = misalignment(align, values)
             span.set(pairs=len(align), jog=jog)
-        result._jogs = (jog, jog)
+        jogs = (jog, jog)
         if len(align):
             with obs_trace.span("compact.rubberband", pairs=len(align)) as span:
                 width_limit = max(values, default=0)
                 values = rubber_band_solve(system, boxes, width_limit, align)
-                result._jogs = (jog, misalignment(align, values))
-                span.set(jog=result._jogs[1])
+                jogs = (jog, misalignment(align, values))
+                span.set(jog=jogs[1])
 
     with obs_trace.span("compact.rebuild", boxes=boxes.count):
         solved = solved_columns(boxes, values, axis=axis)
         # The input extent is the unmerged boxes' bounding box.
+        width_before = 0
         if geometry.count:
             drawn = geometry.arrays
             if axis == "y":
-                result.width_before = int(drawn.ymax.max() - drawn.ymin.min())
+                width_before = int(drawn.ymax.max() - drawn.ymin.min())
             else:
-                result.width_before = int(drawn.xmax.max() - drawn.xmin.min())
-        if values:
-            result.width_after = max(values) - min(values)
-    return result, solved
+                width_before = int(drawn.xmax.max() - drawn.xmin.min())
+        width_after = max(values) - min(values) if values else 0
+    record = _Pass(width_before, width_after, len(system), spacing_count, counts, jogs)
+    return _entry(record, solved.layers, solved.codes, solved.arrays)
 
 
 def compact_layout(
@@ -371,13 +420,13 @@ def _chain(
 ) -> Tuple[List[CompactionResult], EdgeBoxes]:
     """One pass per letter of ``axes`` over layout-frame ``geometry``.
 
-    Each pass hands the next its solved columns, whether it computed
-    them or read them from ``cache``: an entry is a pass's result
-    (``layers`` empty) and its solved columns, under :func:`_pass_key`.
-    Returns the results in pass order, all with ``layers`` empty, and
-    the last pass's columns.  Every pass keeps its input's row order
-    (merging regroups a layer's strips in layer order), so columns read
-    with the layers sorted come out so.
+    Each pass's entry (:func:`_compact_pass`) is computed, or read from
+    ``cache`` under :func:`_pass_key`; either way a fresh result is built
+    from it and its solved columns go to the next pass.  Returns the
+    results in pass order, all with ``layers`` empty, and the last
+    pass's columns.  Every pass keeps its input's row order (merging
+    regroups a layer's strips in layer order), so columns read with the
+    layers sorted come out so.
     """
     if not axes:
         raise ValueError("axes must name at least one axis")
@@ -390,7 +439,9 @@ def _chain(
             entry = _compact_pass(geometry, rules, **pass_options)
             if key is not None:
                 cache.put(key, entry)
-        result, geometry = entry
+        result, geometry = _result(
+            entry, (geometry, pass_options["merge"], pass_options["axis"])
+        )
         results.append(result)
     return results, geometry
 

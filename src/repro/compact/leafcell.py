@@ -43,6 +43,7 @@ from .scanline import (
     EdgeBoxes,
     add_width_constraints,
     build_edge_variables,
+    solved_columns,
     visibility_constraints,
 )
 from .solver import SolveStats, solve_longest_path
@@ -281,9 +282,9 @@ class LeafCellCompactor:
         key = None
         if cache is not None:
             key = self._cache_key(cost)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
+            entry = cache.get(key)
+            if entry is not None:
+                return self._build_result(*entry, cost)
         from scipy import sparse  # deferred: see the module notes
         from scipy.optimize import linprog
 
@@ -338,11 +339,11 @@ class LeafCellCompactor:
                 f"leaf-cell LP infeasible: {result.message}"
             )
         fractional = {name: result.x[pitch_index[name]] for name in pitches}
-        solved = self._integerise(fractional, cost)
-        built = self._build_result(solved, cost)
+        pitch_values, stats = self._integerise(fractional, cost)
+        entry = (tuple(pitch_values.items()), np.array(stats.values, dtype=np.int64))
         if cache is not None and key is not None:
-            cache.put(key, built)
-        return built
+            cache.put(key, entry)
+        return self._build_result(*entry, cost)
 
     def _cache_key(self, cost: PitchCost) -> str:
         """Content hash of everything that determines the solve outcome.
@@ -404,35 +405,24 @@ class LeafCellCompactor:
         )
 
     def _build_result(
-        self,
-        solved: Tuple[Dict[str, int], SolveStats],
-        cost: PitchCost,
+        self, pitch_values: Tuple[Tuple[str, int], ...], edges: np.ndarray, cost: PitchCost
     ) -> LeafCellResult:
-        pitch_values, stats = solved
-        edges = stats.values
+        """The result at integer ``(pitch, value)`` pairs and solved edge
+        values by variable id: what a cache entry holds."""
         result = LeafCellResult()
-        result.pitches = pitch_values
-        result.edge_positions = stats.solution
+        result.pitches = dict(pitch_values)
+        result.edge_positions = dict(zip(self.system.variables, edges.tolist()))
         result.variable_count = self.system.variable_count + len(self.system.pitches)
         result.naive_variable_count = 0
         result.constraint_count = len(self.system)
         result.cost = sum(
-            cost.weight(name) * value for name, value in pitch_values.items()
+            cost.weight(name) * value for name, value in pitch_values
         )
         for name, boxes in self._cell_boxes.items():
-            cell = CellDefinition(name)
-            original = self.rsg.cells.lookup(name)
-            for left, right, layer_box in zip(
-                boxes.left.tolist(), boxes.right.tolist(), original.boxes
-            ):
-                cell.add_box(
-                    layer_box.layer,
-                    edges[left],
-                    layer_box.box.ymin,
-                    edges[right],
-                    layer_box.box.ymax,
-                )
-            for port in original.ports:
+            # The registered boxes with their solved x edges.
+            solved = solved_columns(boxes, edges)
+            cell = CellDefinition.from_columns(name, solved.layers, solved.codes, solved.arrays)
+            for port in self.rsg.cells.lookup(name).ports:
                 cell.add_port(port.name, port.position.x, port.position.y, port.layer)
             result.cells[name] = cell
             # Two instances per interface would double-count: naive

@@ -24,21 +24,19 @@ identical geometry (property-tested in ``tests/test_pipeline_cache.py``).
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.cell import CellDefinition
 from ..obs import trace as obs_trace
 from . import cache as cache_module
 from .cache import (
-    CacheStats,
     CompactionCache,
     cache_key,
     fingerprint_cell,
     fingerprint_rules,
 )
-from .flat import CompactionResult, compact_passes
+from .flat import CompactionResult, _entry, _record, _result, compact_passes
 from .rules import DesignRules
 
 __all__ = [
@@ -59,36 +57,47 @@ def compact_cells(
 
     One axis pass per letter of ``axes``; each compacted cell keeps its
     name.  Results come back in input order, and misses are written back
-    to the cache so the next run (or the next batch) hits.  Cache hits
-    are returned as shared (not copied) objects — treat them as
-    read-only, or copy before mutating.  Each item runs in a
+    to the cache so the next run (or the next batch) hits.  An entry
+    holds the leaf's solved columns and last pass record; each hit
+    builds its own cell and result.  Each item runs in a
     ``compact.leaf`` span whose ``cell`` and ``cached`` attributes say
     which leaf it was and whether the cache answered.
     """
+    fingerprint = fingerprint_cell if cache is not None else lambda cell: ""
+    return _compact_leaves(
+        [(name, cell, fingerprint(cell)) for name, cell in items], rules, cache, axes
+    )
+
+
+def _compact_leaves(
+    items: Sequence[Tuple[str, CellDefinition, str]],
+    rules: DesignRules,
+    cache: Optional[CompactionCache],
+    axes: str,
+) -> List[Tuple[str, CellDefinition, CompactionResult]]:
+    """:func:`compact_cells` over ``(name, cell, fingerprint)`` triples
+    (the fingerprint is read only with a cache)."""
     rules_print = fingerprint_rules(rules) if cache is not None else ""
     results: List[Tuple[str, CellDefinition, CompactionResult]] = []
-    for name, cell in items:
+    for name, cell, fingerprint in items:
         with obs_trace.span("compact.leaf", cell=name) as leaf:
-            key, hit = "", None
+            key, entry = "", None
             if cache is not None:
                 key = cache_key(
-                    "pipeline",
-                    cache_module.FORMAT_VERSION,
-                    fingerprint_cell(cell),
-                    rules_print,
-                    axes,
+                    "pipeline", cache_module.FORMAT_VERSION, fingerprint, rules_print, axes
                 )
-                # peek, not get: the stamped rebuild only reads the cached
-                # cell, so the defensive copy would be pure overhead.
-                hit = cache.peek(key)
-            leaf.set(cached=hit is not None)
-            if hit is None:
+                entry = cache.get(key)
+            leaf.set(cached=entry is not None)
+            if entry is None:
                 compacted, passes = compact_passes(cell, rules, axes, name=cell.name)
                 result = passes[-1]
                 if cache is not None:
-                    cache.put(key, (compacted, result))
+                    cache.put(key, _entry(_record(result), *compacted.own_columns()))
             else:
-                compacted, result = hit
+                result, columns = _result(entry)
+                compacted = CellDefinition.from_columns(
+                    cell.name, columns.layers, columns.codes, columns.arrays
+                )
         results.append((name, compacted, result))
     return results
 
@@ -152,6 +161,18 @@ class PipelineReport:
         }
 
 
+def _copy_of(definition: CellDefinition, columns) -> CellDefinition:
+    """A new cell named as ``definition``, with the boxes of ``columns``
+    (as :meth:`~repro.core.cell.CellDefinition.own_columns` gives them)
+    and ``definition``'s ports and labels; no instances."""
+    copy = CellDefinition.from_columns(definition.name, *columns)
+    for port in definition.ports:
+        copy.add_port(port.name, port.position.x, port.position.y, port.layer)
+    for label in definition.labels:
+        copy.add_label(label.text, label.position.x, label.position.y)
+    return copy
+
+
 class HierarchicalCompactor:
     """Compact each distinct leaf cell once, then re-stamp every instance.
 
@@ -198,64 +219,41 @@ class HierarchicalCompactor:
             distinct_cells=len(leaves),
             instance_count=cell.count_instances(recursive=True),
         )
-        before = CacheStats()
         if self.cache is not None:
-            before = copy.copy(self.cache.cache_stats)
+            before = replace(self.cache.cache_stats)
 
         # Deduplicate by content so a run compacts each unique geometry
         # exactly once even without a cache.
         by_content: Dict[str, List[CellDefinition]] = {}
         for leaf in leaves:
             by_content.setdefault(fingerprint_cell(leaf), []).append(leaf)
-        representatives = [(group[0].name, group[0]) for group in by_content.values()]
-        report.unique_contents = len(representatives)
+        report.unique_contents = len(by_content)
 
-        compacted_list = compact_cells(
-            representatives,
-            self.rules,
-            cache=self.cache,
-            axes=self.axes,
+        compacted_list = _compact_leaves(
+            [(group[0].name, group[0], content) for content, group in by_content.items()],
+            self.rules, self.cache, self.axes,
         )
-        replacement: Dict[int, CellDefinition] = {}
+        # Definition id -> its rebuilt copy, the compacted leaves first.
+        rebuilt: Dict[int, CellDefinition] = {}
         for group, (_, compacted, _) in zip(by_content.values(), compacted_list):
+            columns = compacted.own_columns()
             for leaf in group:
-                rebuilt = CellDefinition(leaf.name)
-                for layer_box in compacted.boxes:
-                    box = layer_box.box
-                    rebuilt.add_box(layer_box.layer, box.xmin, box.ymin, box.xmax, box.ymax)
-                for port in leaf.ports:
-                    rebuilt.add_port(port.name, port.position.x, port.position.y, port.layer)
-                for label in leaf.labels:
-                    rebuilt.add_label(label.text, label.position.x, label.position.y)
-                replacement[id(leaf)] = rebuilt
-
-        rebuilt_memo: Dict[int, CellDefinition] = {}
+                rebuilt[id(leaf)] = _copy_of(leaf, columns)
 
         def rebuild(definition: CellDefinition) -> CellDefinition:
-            known = rebuilt_memo.get(id(definition))
-            if known is not None:
-                return known
-            leaf = replacement.get(id(definition))
-            if leaf is not None:
-                rebuilt_memo[id(definition)] = leaf
-                return leaf
-            duplicate = CellDefinition(definition.name)
-            rebuilt_memo[id(definition)] = duplicate
-            for layer_box in definition.boxes:
-                box = layer_box.box
-                duplicate.add_box(layer_box.layer, box.xmin, box.ymin, box.xmax, box.ymax)
-            for port in definition.ports:
-                duplicate.add_port(port.name, port.position.x, port.position.y, port.layer)
-            for label in definition.labels:
-                duplicate.add_label(label.text, label.position.x, label.position.y)
-            for instance in definition.instances:
-                duplicate.add_instance(
-                    rebuild(instance.definition),
-                    instance.location,
-                    instance.orientation,
-                    instance.name,
+            copy = rebuilt.get(id(definition))
+            if copy is None:
+                copy = rebuilt[id(definition)] = _copy_of(
+                    definition, definition.own_columns()
                 )
-            return duplicate
+                for instance in definition.instances:
+                    copy.add_instance(
+                        rebuild(instance.definition),
+                        instance.location,
+                        instance.orientation,
+                        instance.name,
+                    )
+            return copy
 
         result = rebuild(cell)
         if self.cache is not None:

@@ -14,7 +14,7 @@ positive cycle: the system is infeasible.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Dict, List, Optional
 
 import numpy as np
@@ -22,7 +22,42 @@ import numpy as np
 from ..core.errors import InfeasibleConstraintsError
 from .constraints import ConstraintSystem, Variable, VariableNames
 
-__all__ = ["SolveStats", "resolve_weights", "seed_solution", "solve_longest_path"]
+__all__ = [
+    "SolveCounts", "SolveStats", "resolve_weights", "seed_solution", "solve_longest_path",
+]
+
+
+@dataclass(frozen=True)
+class SolveCounts:
+    """A solver run's counters without its solution: what a
+    :class:`SolveStats` prints and reports, and what a flat result keeps."""
+
+    #: the algorithm's name in printed stats and on trace spans
+    backend: ClassVar[str] = "bellman-ford"
+
+    passes: int
+    relaxations: int
+    sorted_edges: bool
+    variables: int
+    width: int
+    lower_bound: int
+
+    def __str__(self) -> str:
+        return ", ".join([
+            f"{self.backend}: {self.variables} vars",
+            f"width {self.width}",
+            f"{self.passes} pass{'es' if self.passes != 1 else ''}",
+            f"{self.relaxations} relaxations",
+        ])
+
+    def to_dict(self) -> Dict[str, object]:
+        """The counters as a JSON-ready dict.
+
+        This is what rides on ``solver.solve`` trace spans and in
+        machine-readable reports — counts and shape only; the solution
+        stays behind because it is large.
+        """
+        return {"backend": self.backend, **asdict(self)}
 
 
 @dataclass
@@ -35,8 +70,7 @@ class SolveStats:
     spelled on first use from ``names``.
     """
 
-    #: the algorithm's name in printed stats and on trace spans
-    backend: ClassVar[str] = "bellman-ford"
+    backend: ClassVar[str] = SolveCounts.backend
 
     passes: int = 0
     relaxations: int = 0
@@ -71,30 +105,19 @@ class SolveStats:
         low = min(min(self.values), self.lower_bound)
         return max(self.values) - low
 
+    def counts(self) -> SolveCounts:
+        """The run's counters, without the solution."""
+        return SolveCounts(
+            self.passes, self.relaxations, self.sorted_edges, len(self.values),
+            self.width(), self.lower_bound,
+        )
+
     def __str__(self) -> str:
-        return ", ".join([
-            f"{self.backend}: {len(self.values)} vars",
-            f"width {self.width()}",
-            f"{self.passes} pass{'es' if self.passes != 1 else ''}",
-            f"{self.relaxations} relaxations",
-        ])
+        return str(self.counts())
 
     def to_dict(self) -> Dict[str, object]:
-        """The diagnostics as a JSON-ready dict (no variable solution).
-
-        This is what rides on ``solver.solve`` trace spans and in
-        machine-readable reports — counts and shape only; the solution
-        stays behind because it is large.
-        """
-        return {
-            "backend": self.backend,
-            "passes": self.passes,
-            "relaxations": self.relaxations,
-            "sorted_edges": self.sorted_edges,
-            "variables": len(self.values),
-            "width": self.width(),
-            "lower_bound": self.lower_bound,
-        }
+        """The diagnostics as a JSON-ready dict (:meth:`SolveCounts.to_dict`)."""
+        return self.counts().to_dict()
 
 
 def resolve_weights(

@@ -119,10 +119,6 @@ class LayerBox:
         self.layer = layer
         self.box = box
 
-    def transformed(self, transform: Transform) -> "LayerBox":
-        """This box on the same layer, mapped by ``transform``."""
-        return LayerBox(self.layer, transform.apply_box(self.box))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LayerBox):
             return NotImplemented
@@ -144,10 +140,6 @@ class Port:
         self.name = name
         self.position = position
         self.layer = layer
-
-    def transformed(self, transform: Transform) -> "Port":
-        """This port, its position mapped by ``transform``."""
-        return Port(self.name, transform.apply(self.position), self.layer)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Port):
@@ -173,10 +165,6 @@ class Label:
     def __init__(self, text: str, position: Vec2) -> None:
         self.text = text
         self.position = position
-
-    def transformed(self, transform: Transform) -> "Label":
-        """This label, its position mapped by ``transform``."""
-        return Label(self.text, transform.apply(self.position))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Label):

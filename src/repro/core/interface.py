@@ -71,12 +71,6 @@ class Interface:
     def __reduce__(self):
         return (Interface, (self.vector, self.orientation))
 
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
     def __repr__(self) -> str:
         return f"Interface({self.vector!r}, {self.orientation!r})"
 

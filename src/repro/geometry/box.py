@@ -150,11 +150,5 @@ class Box:
     def __reduce__(self):
         return (Box, (self.xmin, self.ymin, self.xmax, self.ymax))
 
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
     def __repr__(self) -> str:
         return f"Box({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"

@@ -210,12 +210,6 @@ class Orientation:
     def __reduce__(self):
         return (Orientation, (self.r, self.k))
 
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
 
 NORTH = Orientation(0, 0)
 WEST = Orientation(1, 0)

@@ -60,12 +60,6 @@ class Transform:
     def __reduce__(self):
         return (Transform, (self.offset, self.orientation))
 
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
     def __repr__(self) -> str:
         return f"Transform({self.offset!r}, {self.orientation!r})"
 

@@ -73,12 +73,6 @@ class Vec2:
     def __reduce__(self):
         return (Vec2, (self.x, self.y))
 
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
     def __repr__(self) -> str:
         return f"Vec2({self.x}, {self.y})"
 

@@ -423,19 +423,18 @@ def verify_multiplier(
             )
         if report.failures:
             return report
-        total = 1 << (xsize + ysize)
-        if total <= max_vectors:
-            pairs = range(total)
-            a_values = [k >> ysize for k in pairs]
-            b_values = [k & ((1 << ysize) - 1) for k in pairs]
-            report.exhaustive = True
-        else:
-            words = sample_words(xsize + ysize, max_vectors, seed=total)
-            a_values = [word & ((1 << xsize) - 1) for word in words]
-            b_values = [word >> xsize for word in words]
-        with obs_trace.span(
-            "verify.sim", vectors=len(a_values), exhaustive=report.exhaustive
-        ):
+        with obs_trace.span("verify.sim") as sim_span:
+            total = 1 << (xsize + ysize)
+            if total <= max_vectors:
+                pairs = range(total)
+                a_values = [k >> ysize for k in pairs]
+                b_values = [k & ((1 << ysize) - 1) for k in pairs]
+                report.exhaustive = True
+            else:
+                words = sample_words(xsize + ysize, max_vectors, seed=total)
+                a_values = [word & ((1 << xsize) - 1) for word in words]
+                b_values = [word >> xsize for word in words]
+            sim_span.set(vectors=len(a_values), exhaustive=report.exhaustive)
             report.failures += multiplier_mismatches(
                 build_baugh_wooley(xsize, ysize), a_values, b_values, xsize, ysize
             )

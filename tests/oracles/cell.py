@@ -44,7 +44,7 @@ def flatten_reference(
 ) -> Iterator[LayerBox]:
     """Every box of the subtree, in the recursive walk's order."""
     for layer_box in cell.boxes:
-        yield layer_box.transformed(transform)
+        yield LayerBox(layer_box.layer, transform.apply_box(layer_box.box))
     for instance in cell.instances:
         if not instance.is_placed:
             continue
@@ -58,9 +58,7 @@ def flatten_ports_reference(
 ) -> Iterator[Port]:
     """Every port of the subtree, named by its instance path."""
     for port in cell.ports:
-        item = port.transformed(transform)
-        item.name = prefix + port.name
-        yield item
+        yield Port(prefix + port.name, transform.apply(port.position), port.layer)
     for index, instance in enumerate(cell.instances):
         if not instance.is_placed:
             continue
@@ -77,7 +75,7 @@ def flatten_labels_reference(
 ) -> Iterator[Label]:
     """Every label of the subtree."""
     for label in cell.labels:
-        yield label.transformed(transform)
+        yield Label(label.text, transform.apply(label.position))
     for instance in cell.instances:
         if not instance.is_placed:
             continue

@@ -248,6 +248,94 @@ class TestLeafCellCache:
         assert len(stale.cells["A"].boxes) == 2
 
 
+class TestImmutableEntries:
+    """The cache hands out its stored entries without copying them, so
+    every family's reader builds values of its own: changing what one
+    read returned leaves the next read unchanged."""
+
+    @staticmethod
+    def columns_of(cell):
+        _, codes, arrays = cell.own_columns()
+        return [codes, arrays.xmin, arrays.ymin, arrays.xmax, arrays.ymax]
+
+    def test_flat_read_is_unchanged_by_changing_the_previous_one(self):
+        cache = CompactionCache()
+        expected, expected_result = compact_cell(make_leaf("x"), TECH_A)
+        for _ in range(2):
+            cell, result = compact_cell(make_leaf("x"), TECH_A, cache=cache)
+            assert [(b.layer, b.box) for b in cell.boxes] == [
+                (b.layer, b.box) for b in expected.boxes
+            ]
+            assert (result.width_after, result.jog_before, str(result.stats)) == (
+                expected_result.width_after, expected_result.jog_before,
+                str(expected_result.stats),
+            )
+            cell.add_box("diff", 0, 0, 2, 10)
+            result.width_after = -1
+            result.layers.clear()
+        assert cache.hits == 1
+
+    def test_compact_cells_read_is_unchanged_by_changing_the_previous_one(self):
+        cache = CompactionCache()
+        items = [("x", make_leaf("x", boxes=2))]
+        for _ in range(3):
+            ((_, cell, result),) = compact_cells(items, TECH_A, cache=cache)
+            assert len(cell.boxes) == 2
+            cell.add_box("diff", 100, 0, 102, 10)
+            result.width_after = -1
+        ((_, cell, result),) = compact_cells(items, TECH_A, cache=cache)
+        ((_, plain, plain_result),) = compact_cells(items, TECH_A)
+        assert [(b.layer, b.box) for b in cell.boxes] == [
+            (b.layer, b.box) for b in plain.boxes
+        ]
+        assert (result.width_after, result.jog_before, str(result.stats)) == (
+            plain_result.width_after, plain_result.jog_before, str(plain_result.stats)
+        )
+        assert cache.hits == 3
+
+    def test_leaf_cell_read_is_unchanged_by_changing_the_previous_one(self):
+        cache = CompactionCache()
+        expected = TestLeafCellCache.solve(TestLeafCellCache.workspace(), None)
+        for _ in range(2):
+            result = TestLeafCellCache.solve(TestLeafCellCache.workspace(), cache)
+            assert result.pitches == expected.pitches
+            assert result.edge_positions == expected.edge_positions
+            assert [(b.layer, b.box) for b in result.cells["A"].boxes] == [
+                (b.layer, b.box) for b in expected.cells["A"].boxes
+            ]
+            result.pitches.clear()
+            result.edge_positions.clear()
+            result.cells["A"].add_box("diff", 40, 0, 42, 10)
+        assert cache.hits == 1
+
+    def test_stored_columns_are_read_only(self, tmp_path):
+        cache = CompactionCache(str(tmp_path))
+        for _ in range(2):  # cold, then warm from memory
+            cell, _ = compact_cell(make_leaf("x"), TECH_A, cache=cache)
+            for column in self.columns_of(cell):
+                assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                cell.own_columns()[2].xmin[0] = 7
+
+    def test_entry_promoted_from_disk_is_read_only(self, tmp_path):
+        import numpy as np
+
+        compact_cell(make_leaf("x"), TECH_A, cache=CompactionCache(str(tmp_path)))
+        compact_cells([("x", make_leaf("x"))], TECH_A, cache=CompactionCache(str(tmp_path)))
+        reader = CompactionCache(str(tmp_path))
+        cell, _ = compact_cell(make_leaf("x"), TECH_A, cache=reader)
+        ((_, leaf, _),) = compact_cells([("x", make_leaf("x"))], TECH_A, cache=reader)
+        assert reader.disk_hits == 2
+        for column in self.columns_of(cell) + self.columns_of(leaf):
+            assert not column.flags.writeable
+        arrays = [
+            item for entry in reader._memory.values() for item in entry
+            if isinstance(item, np.ndarray)
+        ]
+        assert len(arrays) == 10
+        assert not any(array.flags.writeable for array in arrays)
+
+
 class TestFormatVersion:
     """Keys carry the cached values' format, so an entry pickled by a
     build with another result shape is never found."""

@@ -470,6 +470,29 @@ class TestMultiplierVerification:
         assert sim.attributes["vectors"] == 4096
         assert sim.attributes["exhaustive"] is False
 
+    def test_sampled_operands_are_built_inside_the_sim_span(self, monkeypatch):
+        """The operand lists are simulation work: ``sample_words`` runs
+        inside ``verify.sim``, not in its parent's unattributed time."""
+        from repro.multiplier import generate_via_language
+        from repro.obs import Tracer, activated
+        from repro.verify import driver
+
+        tracer = Tracer()
+
+        def sampled(*args, **kwargs):
+            current = tracer.current()
+            assert current is not None and current.name == "verify.sim"
+            return sample_words(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "sample_words", sampled)
+        cell, _ = generate_via_language(4, 4)
+        with activated(tracer):
+            report = verify_cell(cell, mode="sim", max_vectors=64)
+        assert report.ok and report.vectors_checked == 64
+        assert not report.exhaustive
+        (sim,) = [span for span in tracer.finished() if span.name == "verify.sim"]
+        assert sim.attributes == {"vectors": 64, "exhaustive": False}
+
     def test_pla_verify_has_lvs_and_sim_spans(self):
         from repro.obs import Tracer, activated
 
