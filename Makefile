@@ -85,8 +85,9 @@ bench-smoke:
 # src/repro/service/ or src/repro/verify/ lack docstrings — the documentation surface the architecture notes depend
 # on — or when a test oracle (a *_reference name, repro.geometry.sweep,
 # an import of the test tree) grows back into the package, or when a
-# cold `import repro.cli` loads importlib.metadata, email, http.server
-# or scipy (tests/test_import_surface.py).
+# cold `import repro.cli` loads importlib.metadata, email, http.server,
+# scipy or a compactor, verifier, router or service module, or a package's
+# lazy export table drifts from its __all__ (tests/test_import_surface.py).
 docs-check:
 	$(PY) -m pytest tests/test_docstrings.py tests/test_package_surface.py tests/test_import_surface.py -q
 

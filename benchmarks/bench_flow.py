@@ -36,14 +36,32 @@ Guard: each stage grows at most 3x per doubling of the terms; the
 8 -> 16 step runs in ``make bench-smoke``, 16 -> 32 in ``make bench``.
 Rows ``flow_pla_verify_<stage>`` (n = the term count), best of three
 jobs per size.
+
+Two informational rows time what a user waits for outside the job, in
+fresh interpreters (no guard):
+
+* ``flow_mult_xy_process`` — the wall time of a fresh ``python -m repro
+  <par> --compact xy --timings`` process at 8x8, 16x16 and 32x32, beside
+  ``flow_mult_xy_process_run``, that run's ``repro.run`` span.  The gap
+  is interpreter start plus teardown; best of three processes per size.
+* ``flow_cold_start`` — a fresh ``import repro.cli`` plus both sample
+  library loads (flowbench's cold start), beside ``flow_cold_start_numpy``,
+  a fresh ``import numpy``: the floor no CLI that generates can go under.
+  Best of five interpreters each, n = 1.
 """
 
 import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 from bench_verify import plane_table
 
 from repro.layout.cif import cif_text
 from repro.obs import trace as obs_trace
+from repro.multiplier import DESIGN_FILE, MULTIPLIER_SAMPLE, PARAMETER_FILE
 from repro.pla import generate_pla_via_language
 from repro.service.jobs import JobSpec, execute_job
 from repro.verify import verify_cell
@@ -189,3 +207,76 @@ def test_flow_pla_verify_ladder(report, record):
     report("E-FLOW: PLA generate -> verify -> emit, per-stage scaling ladder", *rows)
     broken = {key: ratio for key, ratio in ratios.items() if ratio > PLA_STEP_LIMIT}
     assert not broken, f"stages grew over {PLA_STEP_LIMIT}x per term doubling: {broken}"
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+COLD_START = """
+import json, time
+t0 = time.perf_counter()
+import repro.cli
+from repro.multiplier import load_multiplier_library
+from repro.pla import load_pla_library
+load_multiplier_library()
+load_pla_library()
+print(json.dumps(time.perf_counter() - t0))
+"""
+COLD_NUMPY = """
+import json, time
+t0 = time.perf_counter()
+import numpy
+print(json.dumps(time.perf_counter() - t0))
+"""
+
+
+def _python(*argv):
+    """Run a fresh interpreter on ``src/``; (wall seconds, stdout)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, check=True, env=env,
+    )
+    return time.perf_counter() - start, done.stdout
+
+
+def test_flow_mult_xy_process(tmp_path, report, record):
+    """A fresh ``repro`` process at each size, beside its ``repro.run``."""
+    (tmp_path / "mult.sample").write_text(MULTIPLIER_SAMPLE)
+    (tmp_path / "mult.design").write_text(DESIGN_FILE)
+    parameters = tmp_path / "mult.par"
+    parameters.write_text(
+        f".example_file:{tmp_path / 'mult.sample'}\n"
+        f".concept_file:{tmp_path / 'mult.design'}\n"
+        f".output_file:{tmp_path / 'mult.cif'}\n"
+        ".output_cell:thewholething\n" + PARAMETER_FILE
+    )
+    rows = []
+    for size in SIZES:
+        runs = []
+        for _ in range(3):
+            wall, out = _python(
+                "-m", "repro", str(parameters), "--set", f"xsize={size}",
+                "--set", f"ysize={size}", "--compact", "xy", "--timings",
+            )
+            run_ms = float(re.search(r"^  repro\.run  ([\d.]+) ms", out, re.M).group(1))
+            runs.append((wall, run_ms / 1000.0))
+        wall, run = min(runs)
+        record("flow_mult_xy_process", size, wall)
+        record("flow_mult_xy_process_run", size, run)
+        rows.append(
+            f"  {size:>2}x{size:<2} process {wall * 1000:7.1f} ms"
+            f"  repro.run {run * 1000:7.1f} ms  ({wall / run:.2f}x)"
+        )
+    report("E-FLOW: a fresh repro --compact xy process, beside its repro.run", *rows)
+
+
+def test_flow_cold_start(report, record):
+    """The CLI's cold start, beside a bare numpy import."""
+    cold = min(float(_python("-c", COLD_START)[1]) for _ in range(5))
+    floor = min(float(_python("-c", COLD_NUMPY)[1]) for _ in range(5))
+    record("flow_cold_start", 1, cold)
+    record("flow_cold_start_numpy", 1, floor)
+    report(
+        "E-FLOW: cold start (import repro.cli + both sample libraries)",
+        f"  cold start {cold * 1000:7.1f} ms  import numpy {floor * 1000:7.1f} ms"
+        f"  ({cold / floor:.2f}x)",
+    )

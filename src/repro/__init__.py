@@ -31,62 +31,7 @@ Quickstart::
     row = rsg.mk_cell("row", nodes[0])
 """
 
-from .core import (
-    CellDefinition,
-    CellTable,
-    Instance,
-    Interface,
-    InterfaceTable,
-    Node,
-    Rsg,
-    RsgError,
-    derive_interface,
-    inherit_interface,
-    propagate_placement,
-)
-from .geometry import (
-    EAST,
-    FLIP_EAST,
-    FLIP_NORTH,
-    FLIP_SOUTH,
-    FLIP_WEST,
-    NORTH,
-    SOUTH,
-    WEST,
-    Box,
-    Orientation,
-    Transform,
-    Vec2,
-)
-
-def _resolve_version() -> str:
-    """Package version from installed metadata, with a source fallback.
-
-    Deployed copies (``pip install``) report the version recorded by
-    packaging metadata; a source checkout without metadata falls back
-    to the pyproject default so ``repro --version`` always answers.
-    """
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-    except ImportError:  # pragma: no cover - Python < 3.8 only
-        return "1.0.0"
-    try:
-        return version("repro-rsg")
-    except PackageNotFoundError:
-        return "1.0.0"
-
-
-def __getattr__(name: str):
-    """Resolve ``__version__`` on first read, not at import.
-
-    ``importlib.metadata`` pulls in ``email`` and ``socket``; a run that
-    never asks for the version does not pay for them.
-    """
-    if name == "__version__":
-        value = globals()["__version__"] = _resolve_version()
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from ._lazy import lazy_exports
 
 __all__ = [
     "Rsg",
@@ -114,3 +59,18 @@ __all__ = [
     "FLIP_WEST",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": [
+        "Rsg", "CellDefinition", "CellTable", "Instance", "Interface",
+        "InterfaceTable", "Node", "RsgError", "derive_interface",
+        "inherit_interface", "propagate_placement",
+    ],
+    ".geometry": [
+        "Box", "Orientation", "Transform", "Vec2", "NORTH", "EAST", "SOUTH",
+        "WEST", "FLIP_NORTH", "FLIP_EAST", "FLIP_SOUTH", "FLIP_WEST",
+    ],
+    # importlib.metadata pulls in email and socket: a run that never
+    # asks for the version does not pay for them.
+    "._version": ["__version__"],
+})

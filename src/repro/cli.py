@@ -77,11 +77,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .compact import CompactionCache
-# Unused here: flowbench/tracing.py's LAYERS wraps repro.cli.compact_cell by name.
-from .compact import compact_cell  # noqa: F401
+from ._lazy import lazy_exports
 from .core.cell import CellDefinition
 from .core.errors import (
     LanguageError,
@@ -95,11 +93,25 @@ from .layout.render import ascii_render, svg_render
 from .obs import trace as obs_trace
 from .obs.render import render_trace
 
+if TYPE_CHECKING:
+    from .compact.cache import CompactionCache
+
 __all__ = [
     "main",
     "run_flow",
     "exit_code_for",
 ]
+
+# The CLI never calls compact_cell; flowbench/tracing.py's LAYERS wraps
+# repro.cli.compact_cell by name, and resolving it on that first read
+# keeps the compactor out of `import repro.cli`.
+__getattr__ = lazy_exports(__name__, {"repro.compact": ["compact_cell"]})[0]
+
+#: ``(start, end)`` ``time.perf_counter()`` marks around the import of
+#: this module, set by ``python -m repro`` (:mod:`repro.__main__`);
+#: :func:`main` records the window as an ``import.cli`` span that opens
+#: the ``repro.run`` root.
+import_window: Optional[Tuple[float, float]] = None
 
 # Exit-code families: every failure mode maps to a stable, distinct
 # code (tested in tests/test_cli.py) so scripts and CI can branch on
@@ -197,7 +209,7 @@ def run_flow(
     # Imported here, not at module level, so `import repro.cli` stays
     # light; the span keeps the first call's import out of the root's
     # unattributed time.
-    with obs_trace.span("import.service"):
+    with obs_trace.import_span("import.service"):
         from .service.jobs import run_job, spec_from_files, tracing
 
     route_text = None
@@ -210,7 +222,11 @@ def run_flow(
         route_text=route_text, router=router,
     )
     directives = parse_parameters(spec.parameters).directives
-    cache = CompactionCache(cache_dir) if cache_dir else None
+    cache = None
+    if cache_dir:
+        from .compact.cache import CompactionCache
+
+        cache = CompactionCache(cache_dir)
     with tracing():
         try:
             cell, result = run_job(spec, cache=cache)
@@ -238,7 +254,7 @@ def run_flow(
     return cell
 
 
-def _print_result(result, cache: Optional[CompactionCache], output_stream) -> None:
+def _print_result(result, cache: Optional["CompactionCache"], output_stream) -> None:
     """Print a job result's stage reports, in pipeline order."""
     if output_stream is None or result is None:
         return
@@ -257,6 +273,15 @@ def _print_result(result, cache: Optional[CompactionCache], output_stream) -> No
         lines.append(result.verification["summary"])
     for line in lines:
         print(line, file=output_stream)
+
+
+def _record_import(tracer, root, started: float, imported: float) -> None:
+    """Start ``root`` at ``started`` and add the ``import.cli`` span under it."""
+    root.begin(at=started)
+    tracer.add(obs_trace.Span(
+        name="import.cli", trace_id=tracer.trace_id, parent_id=root.span_id,
+        start_s=root.start_s, duration_s=imported - started,
+    ))
 
 
 class _VersionAction(argparse.Action):
@@ -417,7 +442,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                      " is built from the uncompacted workspace cells)")
     tracer = obs_trace.Tracer()
     try:
-        with obs_trace.activated(tracer), tracer.span("repro.run"):
+        with obs_trace.activated(tracer), tracer.span("repro.run") as root:
+            if import_window is not None:
+                _record_import(tracer, root, *import_window)
             cell = run_flow(
                 arguments.parameter_file,
                 arguments.set,

@@ -1,33 +1,6 @@
 """Core RSG machinery: cells, interfaces, connectivity graphs, operators."""
 
-from .cell import CellDefinition, CellTable, Instance, Label, LayerBox, Port
-from .errors import (
-    CellError,
-    CompactionError,
-    DisconnectedGraphError,
-    DuplicateCellError,
-    DuplicateInterfaceError,
-    EvalError,
-    GraphError,
-    InconsistentGraphError,
-    InfeasibleConstraintsError,
-    InterfaceError,
-    LanguageError,
-    ParseError,
-    RsgError,
-    UnboundVariableError,
-    UnknownCellError,
-    UnknownInterfaceError,
-)
-from .graph import Edge, Node, collect_graph, expand_graph
-from .interface import (
-    Interface,
-    derive_interface,
-    inherit_interface,
-    propagate_placement,
-)
-from .interface_table import InterfaceTable
-from .operators import Rsg
+from .._lazy import lazy_exports
 
 __all__ = [
     "CellDefinition",
@@ -63,3 +36,23 @@ __all__ = [
     "CompactionError",
     "InfeasibleConstraintsError",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cell": [
+        "CellDefinition", "CellTable", "Instance", "Label", "LayerBox", "Port",
+    ],
+    ".errors": [
+        "CellError", "CompactionError", "DisconnectedGraphError",
+        "DuplicateCellError", "DuplicateInterfaceError", "EvalError",
+        "GraphError", "InconsistentGraphError", "InfeasibleConstraintsError",
+        "InterfaceError", "LanguageError", "ParseError", "RsgError",
+        "UnboundVariableError", "UnknownCellError", "UnknownInterfaceError",
+    ],
+    ".graph": ["Edge", "Node", "collect_graph", "expand_graph"],
+    ".interface": [
+        "Interface", "derive_interface", "inherit_interface",
+        "propagate_placement",
+    ],
+    ".interface_table": ["InterfaceTable"],
+    ".operators": ["Rsg"],
+})

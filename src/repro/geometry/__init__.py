@@ -1,22 +1,6 @@
 """Geometry substrate: vectors, boxes, the D4 group, and the array kernel."""
 
-from .box import Box
-from .orientation import (
-    ALL_ORIENTATIONS,
-    EAST,
-    FLIP_EAST,
-    FLIP_NORTH,
-    FLIP_SOUTH,
-    FLIP_WEST,
-    NORTH,
-    REFLECTIONS,
-    ROTATIONS,
-    SOUTH,
-    WEST,
-    Orientation,
-)
-from .transform import IDENTITY, Transform
-from .vector import ORIGIN, Vec2
+from .._lazy import lazy_exports
 
 __all__ = [
     "Box",
@@ -37,3 +21,14 @@ __all__ = [
     "ROTATIONS",
     "REFLECTIONS",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".box": ["Box"],
+    ".orientation": [
+        "ALL_ORIENTATIONS", "EAST", "FLIP_EAST", "FLIP_NORTH", "FLIP_SOUTH",
+        "FLIP_WEST", "NORTH", "REFLECTIONS", "ROTATIONS", "SOUTH", "WEST",
+        "Orientation",
+    ],
+    ".transform": ["IDENTITY", "Transform"],
+    ".vector": ["ORIGIN", "Vec2"],
+})

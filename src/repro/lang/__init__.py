@@ -1,11 +1,6 @@
 """The design-file language: tokenizer, parser, environments, interpreter."""
 
-from .ast_nodes import Form, IndexedVar, Statement, Symbol
-from .environment import Alias, Environment, GlobalEnvironment
-from .interpreter import Interpreter, Procedure
-from .param_file import ParameterSet, parse_parameters
-from .parser import parse_program, parse_statement
-from .tokens import Token, tokenize
+from .._lazy import lazy_exports
 
 __all__ = [
     "tokenize",
@@ -24,3 +19,12 @@ __all__ = [
     "ParameterSet",
     "parse_parameters",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".ast_nodes": ["Form", "IndexedVar", "Statement", "Symbol"],
+    ".environment": ["Alias", "Environment", "GlobalEnvironment"],
+    ".interpreter": ["Interpreter", "Procedure"],
+    ".param_file": ["ParameterSet", "parse_parameters"],
+    ".parser": ["parse_program", "parse_statement"],
+    ".tokens": ["Token", "tokenize"],
+})

@@ -1,10 +1,6 @@
 """Layout database, sample-layout ingestion, CIF I/O, rendering."""
 
-from .cif import cif_text, read_cif, write_cif
-from .connectivity import PortNetlist, extract_ports
-from .database import FlatLayout, flatten_cell, merge_boxes
-from .render import ascii_render, svg_render
-from .sample import SampleSummary, dump_sample, load_sample, loads_sample
+from .._lazy import lazy_exports
 
 __all__ = [
     "PortNetlist",
@@ -22,3 +18,11 @@ __all__ = [
     "ascii_render",
     "svg_render",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cif": ["cif_text", "read_cif", "write_cif"],
+    ".connectivity": ["PortNetlist", "extract_ports"],
+    ".database": ["FlatLayout", "flatten_cell", "merge_boxes"],
+    ".render": ["ascii_render", "svg_render"],
+    ".sample": ["SampleSummary", "dump_sample", "load_sample", "loads_sample"],
+})

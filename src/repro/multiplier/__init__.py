@@ -1,31 +1,6 @@
 """The pipelined Baugh-Wooley array multiplier case study (chapter 5)."""
 
-from .baughwooley import (
-    build_baugh_wooley,
-    cell_type_grid,
-    from_bits,
-    multiply,
-    reference_product,
-    to_bits,
-    to_signed,
-)
-from .cells import CELL_PITCH, MULTIPLIER_SAMPLE, REG_PITCH, load_multiplier_library
-from .designfile import (
-    DESIGN_FILE,
-    DESIGN_FILE_RETIMED,
-    PARAMETER_FILE,
-    generate_retimed_multiplier,
-    generate_via_language,
-)
-from .regconfig import RegisterConfiguration, register_configuration
-from .generator import (
-    MultiplierReport,
-    generate_multiplier,
-    intended_multiplier_netlist,
-    report_for,
-)
-from .netlist import Cell, Netlist
-from .retiming import PipelinedSimulator, RegisterAssignment, retime
+from .._lazy import lazy_exports
 
 __all__ = [
     "build_baugh_wooley",
@@ -56,3 +31,25 @@ __all__ = [
     "report_for",
     "MultiplierReport",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".baughwooley": [
+        "build_baugh_wooley", "cell_type_grid", "from_bits", "multiply",
+        "reference_product", "to_bits", "to_signed",
+    ],
+    ".cells": [
+        "CELL_PITCH", "MULTIPLIER_SAMPLE", "REG_PITCH",
+        "load_multiplier_library",
+    ],
+    ".designfile": [
+        "DESIGN_FILE", "DESIGN_FILE_RETIMED", "PARAMETER_FILE",
+        "generate_retimed_multiplier", "generate_via_language",
+    ],
+    ".regconfig": ["RegisterConfiguration", "register_configuration"],
+    ".generator": [
+        "MultiplierReport", "generate_multiplier",
+        "intended_multiplier_netlist", "report_for",
+    ],
+    ".netlist": ["Cell", "Netlist"],
+    ".retiming": ["PipelinedSimulator", "RegisterAssignment", "retime"],
+})

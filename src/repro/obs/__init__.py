@@ -21,21 +21,7 @@ a near-zero-cost no-op, so the batched geometry kernels pay nothing for
 it.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.render import render_trace, spans_from_jsonl, spans_to_jsonl
-from repro.obs.trace import (
-    TRACE_HEADER,
-    Span,
-    Tracer,
-    activated,
-    active,
-    annotate,
-    is_enabled,
-    parse_token,
-    propagation_token,
-    span,
-    stage_span,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "TRACE_HEADER",
@@ -48,6 +34,7 @@ __all__ = [
     "activated",
     "active",
     "annotate",
+    "import_span",
     "is_enabled",
     "parse_token",
     "propagation_token",
@@ -57,3 +44,13 @@ __all__ = [
     "spans_to_jsonl",
     "stage_span",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".metrics": ["Counter", "Gauge", "Histogram", "MetricsRegistry"],
+    ".render": ["render_trace", "spans_from_jsonl", "spans_to_jsonl"],
+    ".trace": [
+        "TRACE_HEADER", "Span", "Tracer", "activated", "active", "annotate",
+        "import_span", "is_enabled", "parse_token", "propagation_token",
+        "span", "stage_span",
+    ],
+})

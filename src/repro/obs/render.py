@@ -60,6 +60,7 @@ _SHOWN_ATTRIBUTES = (
     "worker_pid",
     "http_status",
     "gc_s",
+    "modules",
 )
 
 

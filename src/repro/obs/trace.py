@@ -32,6 +32,7 @@ another thread triggers during the stage counts too.
 import contextlib
 import gc
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -75,10 +76,15 @@ class Span:
     status: str = "ok"
     _t0: float = field(default=0.0, repr=False, compare=False)
 
-    def begin(self) -> "Span":
-        """Stamp the wall-clock start and the monotonic reference point."""
-        self.start_s = time.time()
-        self._t0 = time.perf_counter()
+    def begin(self, at: Optional[float] = None) -> "Span":
+        """Stamp the wall-clock start and the monotonic reference point.
+
+        ``at`` backdates the start to an earlier ``time.perf_counter()``
+        mark, for work that ran before the tracer existed.
+        """
+        now = time.perf_counter()
+        self._t0 = now if at is None else at
+        self.start_s = time.time() - (now - self._t0)
         return self
 
     def finish(self, status: Optional[str] = None) -> "Span":
@@ -304,6 +310,25 @@ def stage_span(name: str, **attributes: Any) -> Iterator[Any]:
                 gc_s=round(_COLLECTOR[0] - seconds, 6),
                 gc_collections=_COLLECTOR[1] - collections,
             )
+
+
+@contextlib.contextmanager
+def import_span(name: str) -> Iterator[Any]:
+    """:func:`span` around a deferred import, stamped with ``modules``.
+
+    ``modules`` is how many modules the block added to ``sys.modules``:
+    zero when an earlier import (or a warmed parent process) had
+    already loaded them.  A no-op span when tracing is off.
+    """
+    if _ACTIVE is None:
+        yield _NOOP
+        return
+    before = len(sys.modules)
+    with _ACTIVE.span(name) as opened:
+        try:
+            yield opened
+        finally:
+            opened.set(modules=len(sys.modules) - before)
 
 
 def annotate(**attributes: Any) -> None:

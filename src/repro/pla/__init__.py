@@ -1,22 +1,6 @@
 """PLA generation: RSG-based generator plus the HPLA relocation baseline."""
 
-from .cells import CONNECT_WIDTH, PLA_PITCH, PLA_SAMPLE, load_pla_library
-from .designfile import (
-    PLA_DESIGN_FILE,
-    PLA_PARAMETER_FILE,
-    generate_pla_via_language,
-)
-from .folding import FoldingPlan, generate_folded_pla, plan_column_folding
-from .generator import (
-    extract_personality,
-    generate_decoder,
-    generate_pla,
-    intended_decoder_netlist,
-    intended_pla_netlist,
-)
-from .hpla import HplaDescription, HplaGenerator, compile_description
-from .rom import generate_rom, intended_rom_netlist, read_rom_back, rom_table
-from .truthtable import TruthTable
+from .._lazy import lazy_exports
 
 __all__ = [
     "generate_rom",
@@ -43,3 +27,20 @@ __all__ = [
     "HplaDescription",
     "compile_description",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cells": ["CONNECT_WIDTH", "PLA_PITCH", "PLA_SAMPLE", "load_pla_library"],
+    ".designfile": [
+        "PLA_DESIGN_FILE", "PLA_PARAMETER_FILE", "generate_pla_via_language",
+    ],
+    ".folding": ["FoldingPlan", "generate_folded_pla", "plan_column_folding"],
+    ".generator": [
+        "extract_personality", "generate_decoder", "generate_pla",
+        "intended_decoder_netlist", "intended_pla_netlist",
+    ],
+    ".hpla": ["HplaDescription", "HplaGenerator", "compile_description"],
+    ".rom": [
+        "generate_rom", "intended_rom_netlist", "read_rom_back", "rom_table",
+    ],
+    ".truthtable": ["TruthTable"],
+})

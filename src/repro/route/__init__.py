@@ -20,19 +20,7 @@ wires as ordinary geometry.
   technology table and the routers' common geometry output.
 """
 
-from .channel import Pin, channel_route
-from .compose import (
-    NetRequest,
-    WiringPlan,
-    compose,
-    compose_from_netfile,
-    parse_net_file,
-    verify_composite,
-)
-from .extract import routed_netlist, wire_components
-from .river import river_route
-from .style import RouteStyle, RoutingError
-from .wiring import Wiring
+from .._lazy import lazy_exports
 
 __all__ = [
     "Pin",
@@ -50,3 +38,20 @@ __all__ = [
     "RoutingError",
     "Wiring",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".channel": ["Pin", "channel_route"],
+    ".compose": [
+        "NetRequest", "WiringPlan", "compose", "compose_from_netfile",
+        "parse_net_file", "verify_composite",
+    ],
+    ".extract": ["routed_netlist", "wire_components"],
+    ".river": ["river_route"],
+    ".style": ["RouteStyle", "RoutingError"],
+    ".wiring": ["Wiring"],
+})
+
+# ``compose`` is also the name of its submodule, and a first import of
+# ``repro.route.compose`` rebinds the package attribute to that module;
+# bound here, the attribute is the function before any such import.
+from .compose import compose  # noqa: E402

@@ -48,22 +48,14 @@ quarantine torn artifacts, submissions shed load with 429 +
 ``Retry-After`` once the queue is full, and ``repro gc``
 (:func:`gc_main`) evicts least-recently-used artifacts down to a byte
 budget without touching live jobs.
+
+Importing the package loads none of these modules: each export resolves
+on first read (:mod:`repro._lazy`).  ``repro <par>`` imports only
+:mod:`repro.service.jobs`, which imports no sibling, so a one-shot run
+never loads the HTTP, SQLite or multiprocessing stack.
 """
 
-from .chaos import FaultPlan, FaultSpec
-from .client import ServiceClient, stats_main, submit_main, trace_main
-from .jobs import (
-    JobResult,
-    JobSpec,
-    execute_job,
-    fingerprint_spec,
-    run_job,
-    spec_from_files,
-)
-from .metrics import build_registry
-from .server import DEFAULT_PORT, LayoutServer, serve_main
-from .store import Store, gc_main
-from .workers import WorkerPool
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_PORT",
@@ -86,3 +78,16 @@ __all__ = [
     "submit_main",
     "trace_main",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".chaos": ["FaultPlan", "FaultSpec"],
+    ".client": ["ServiceClient", "stats_main", "submit_main", "trace_main"],
+    ".jobs": [
+        "JobResult", "JobSpec", "execute_job", "fingerprint_spec", "run_job",
+        "spec_from_files",
+    ],
+    ".metrics": ["build_registry"],
+    ".server": ["DEFAULT_PORT", "LayoutServer", "serve_main"],
+    ".store": ["Store", "gc_main"],
+    ".workers": ["WorkerPool"],
+})

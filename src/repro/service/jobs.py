@@ -552,7 +552,7 @@ def _verify_stage(
         return
     # The first call pays the package import: a span of its own keeps it
     # out of the stage's unattributed time.
-    with obs_trace.span("import.verify"):
+    with obs_trace.import_span("import.verify"):
         from ..verify import verify_cell
         from ..verify.driver import DEFAULT_MAX_VECTORS
 

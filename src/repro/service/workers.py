@@ -35,6 +35,7 @@ A supervisor thread in the parent enforces the pool contract:
 from __future__ import annotations
 
 import copy
+import importlib
 import multiprocessing
 import os
 import threading
@@ -48,6 +49,19 @@ from .jobs import JobSpec, execute_job
 from .store import Store, fork_guard
 
 __all__ = ["WorkerPool", "worker_loop"]
+
+#: every stage module a job can reach that the pipeline imports on
+#: first use; the pool imports them before it forks, so no worker's
+#: first job pays for them
+STAGE_MODULES = (
+    "repro.multiplier.designfile",
+    "repro.multiplier.generator",
+    "repro.multiplier.baughwooley",
+    "repro.pla.generator",
+    "repro.route.compose",
+    "repro.verify.driver",
+    "repro.verify.cellgraph",
+)
 
 
 def _job_tracer(store: Store, fingerprint: str) -> Optional[Tracer]:
@@ -246,9 +260,14 @@ class WorkerPool:
 
     def start(self) -> None:
         """Spawn the workers, the supervisor heartbeat and the listener
-        that turns worker announcements into waiter wake-ups."""
+        that turns worker announcements into waiter wake-ups.
+
+        The stage modules (:data:`STAGE_MODULES`) are imported first,
+        so forked workers inherit them."""
         self._halt.clear()
         self._stop.clear()
+        for name in STAGE_MODULES:
+            importlib.import_module(name)
         for _ in range(self.workers):
             self._spawn()
         self._supervisor = threading.Thread(

@@ -11,25 +11,7 @@ from generated mask geometry back to logical function.
   points the CLI and the examples call.
 """
 
-from .cellgraph import cell_graph_netlist, collect_occurrences, multiplier_personality
-from .driver import (
-    VerificationReport,
-    verify_cell,
-    verify_multiplier,
-    verify_pla,
-)
-from .extract import ExtractionError, extract_netlist
-from .lvs import LvsReport, compare_netlists
-from .netlist import Device, SwitchNetlist
-from .switchsim import (
-    SimulationError,
-    X,
-    exhaustive_vectors,
-    input_planes,
-    sample_vectors,
-    sample_words,
-    simulate,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Device",
@@ -53,3 +35,19 @@ __all__ = [
     "verify_multiplier",
     "verify_pla",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cellgraph": [
+        "cell_graph_netlist", "collect_occurrences", "multiplier_personality",
+    ],
+    ".driver": [
+        "VerificationReport", "verify_cell", "verify_multiplier", "verify_pla",
+    ],
+    ".extract": ["ExtractionError", "extract_netlist"],
+    ".lvs": ["LvsReport", "compare_netlists"],
+    ".netlist": ["Device", "SwitchNetlist"],
+    ".switchsim": [
+        "SimulationError", "X", "exhaustive_vectors", "input_planes",
+        "sample_vectors", "sample_words", "simulate",
+    ],
+})

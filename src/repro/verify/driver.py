@@ -374,7 +374,7 @@ def verify_multiplier(
     """
     # The first call pays these imports: a span of its own keeps them
     # out of the stage's unattributed time.
-    with obs_trace.span("import.multiplier"):
+    with obs_trace.import_span("import.multiplier"):
         from ..multiplier.baughwooley import build_baugh_wooley, cell_type_grid
         from ..multiplier.generator import intended_multiplier_netlist
         from .cellgraph import (

@@ -967,6 +967,23 @@ class TestTimingsFlag:
         assert shapes["0"] == shapes["1"]
         assert plain["0"] == plain["1"]
 
+    def test_fresh_process_times_the_cli_import(self, flow_files):
+        """``python -m repro`` starts the clock before it imports the
+        CLI: the import is the root's first child, inside the root's
+        interval, and ``repro.run`` covers it."""
+        import subprocess
+        import sys
+
+        parameter, _ = flow_files
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", str(parameter), "--timings"],
+            capture_output=True, text=True, check=True,
+        )
+        rows = _tree_rows(completed.stdout)
+        root, first = rows[0], _children(rows, "repro.run")[0]
+        assert (root[1], first[1]) == ("repro.run", "import.cli")
+        assert 0.0 < first[2] <= root[2]
+
     def test_fresh_process_closes_each_stage_with_unattributed_time(
         self, flow_files
     ):
@@ -987,8 +1004,8 @@ class TestTimingsFlag:
         rows = _tree_rows(completed.stdout)
         assert rows[0][1] == "repro.run"
         assert _child_names(rows, "repro.run") == [
-            "import.service", "job.generate", "job.verify", "job.emit",
-            "(unattributed)",
+            "import.cli", "import.service", "job.generate", "job.verify",
+            "job.emit", "(unattributed)",
         ]
         assert _child_names(rows, "job.verify") == [
             "import.verify", "import.multiplier", "verify.collect",

@@ -356,3 +356,48 @@ class TestDrain:
         # workers: the re-queued slow job is older and claims one)
         revived = make_pool(root, request, workers=2)
         assert wait_for(lambda: store.status(queued)["state"] == "done")
+
+
+#: a fresh interpreter that starts a pool, runs one verify="all"
+#: multiplier job on it and prints the job's import spans
+_FIRST_JOB = """
+import json, sys, time
+from repro.service.jobs import JobSpec
+from repro.service.store import Store
+from repro.service.workers import WorkerPool
+
+root = sys.argv[1]
+pool = WorkerPool(root, workers=1)
+pool.start()
+try:
+    store = Store(root)
+    job = store.submit(JobSpec(kind="multiplier", parameters="xsize=3\\nysize=3\\n",
+                               verify="all"))["job"]
+    deadline = time.monotonic() + 60.0
+    while store.status(job)["state"] not in ("done", "failed"):
+        assert time.monotonic() < deadline, "job did not finish"
+        time.sleep(0.02)
+    assert store.status(job)["state"] == "done", store.status(job)
+    print(json.dumps({span.name: span.attributes.get("modules")
+                      for span in store.trace_spans(job)
+                      if span.name.startswith("import.")}))
+finally:
+    pool.stop(drain=False, timeout=5.0)
+"""
+
+
+class TestWarmFork:
+    def test_first_job_imports_no_stage_module(self, root):
+        """The pool imports every stage module before it forks: a fresh
+        worker's first verify="all" job loads no module in its import
+        spans (each would otherwise pay tens of milliseconds)."""
+        import json
+        import subprocess
+        import sys
+
+        completed = subprocess.run(
+            [sys.executable, "-c", _FIRST_JOB, root],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        spans = json.loads(completed.stdout.strip().splitlines()[-1])
+        assert spans == {"import.verify": 0, "import.multiplier": 0}
