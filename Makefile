@@ -84,7 +84,9 @@ bench-smoke:
 # src/repro/obs/, src/repro/pla/, src/repro/route/,
 # src/repro/service/ or src/repro/verify/ lack docstrings — the documentation surface the architecture notes depend
 # on — or when a test oracle (a *_reference name, repro.geometry.sweep,
-# an import of the test tree) grows back into the package, or when a
+# the band scan naive_constraints/_gap_covered, an import of the test
+# tree) grows back into the package, or a flat entry point accepts
+# **kwargs, method, merge, sizing or sort_edges, or when a
 # cold `import repro.cli` loads importlib.metadata, email, http.server,
 # scipy or a compactor, verifier, router or service module, or a package's
 # lazy export table drifts from its __all__ (tests/test_import_surface.py).

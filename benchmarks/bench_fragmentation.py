@@ -5,9 +5,12 @@ band-scan generator forces the result to roughly n * pitch (it spaces
 every facing edge pair), while the visibility method (with box merging
 implicitly taken care of) reaches the single-wire minimum.  The series
 to check: naive width grows linearly in n, visibility width is flat.
+The band scan and merged input are not options of the compactor, so
+their rows run the experiment pass of ``tests/oracles/scanline.py``.
 """
 
 import pytest
+from oracles.scanline import compact
 
 from repro.compact import TECH_A, compact_layout
 from repro.geometry import Box
@@ -26,9 +29,7 @@ def test_indiscriminate_band_scan(benchmark, n, report):
     layout = fragmented_wire(n)
 
     def run():
-        return compact_layout(
-            layout, TECH_A, method="naive-indiscriminate", width_mode="min"
-        )
+        return compact(layout, TECH_A, method="naive-indiscriminate", width_mode="min")
 
     result = benchmark(run)
     report(
@@ -43,7 +44,7 @@ def test_visibility_scan(benchmark, n, report):
     layout = fragmented_wire(n)
 
     def run():
-        return compact_layout(layout, TECH_A, method="visibility", width_mode="min")
+        return compact_layout(layout, TECH_A, width_mode="min")
 
     result = benchmark(run)
     report(
@@ -54,14 +55,13 @@ def test_visibility_scan(benchmark, n, report):
 
 
 def test_merge_preprocessing(benchmark, report):
-    """Explicit merging, the preprocessing section 6.4.1 describes —
-    and which is incompatible with tag-based device sizing."""
+    """Explicit merging (``FlatLayout.merged()``), the preprocessing
+    section 6.4.1 describes — and which is incompatible with tag-based
+    device sizing."""
     layout = fragmented_wire(16)
 
     def run():
-        return compact_layout(
-            layout, TECH_A, method="visibility", width_mode="min", merge=True
-        )
+        return compact(layout, TECH_A, width_mode="min", merge=True)
 
     result = benchmark(run)
     report(

@@ -53,9 +53,9 @@ def test_three_phase_breakdown(benchmark, report):
     )
     # Shape check: every phase contributes measurably.  Deviation from
     # the paper: our interpreter dominates (the paper's CLU interpreter
-    # was compiled; see EXPERIMENTS.md E-T2 for the discussion).  A
-    # single cold run (--benchmark-disable smoke mode) has too much
-    # variance for the share bound, so only warmed runs check it.
+    # was compiled; see the E-T2 row of ROADMAP.md item 19).  A single
+    # cold run (--benchmark-disable smoke mode) has too much variance
+    # for the share bound, so only warmed runs check it.
     for t in (read_t, exec_t, write_t):
         assert t > 0
         if benchmark.stats is not None:

@@ -22,14 +22,13 @@ import random
 import pytest
 
 from conftest import best_time, compare_kernel, doubling_ratio, sweep_layout_pairs
-from oracles.scanline import visibility_constraints_reference
+from oracles.scanline import compact, naive_constraints, visibility_constraints_reference
 
 from repro.compact import (
     TECH_A,
     build_edge_variables,
     check_layout,
     compact_layout,
-    naive_constraints,
     visibility_constraints,
 )
 from repro.compact.constraints import ConstraintSystem
@@ -47,8 +46,6 @@ def random_boxes(n, seed=11):
         y = rng.randrange(0, 60, 2)
         boxes.append(("diff", Box(x, y, x + rng.randrange(2, 8), y + rng.randrange(2, 10))))
     return boxes
-
-
 
 
 @pytest.mark.parametrize("n", [20, 50, 100])
@@ -94,9 +91,9 @@ def _impl_figure_66_legality(report):
     layout.add("diff", Box(0, 0, 4, 20))
     layout.add("diff", Box(10, 0, 14, 20))
     layout.add("diff", Box(2, 0, 12, 8))
-    bad = compact_layout(layout, TECH_A, method="naive-skip-hidden")
-    good = compact_layout(layout, TECH_A, method="visibility")
-    bad_violations = len(bad.violations(TECH_A))
+    bad = compact(layout, TECH_A, method="naive-skip-hidden")
+    good = compact_layout(layout, TECH_A)
+    bad_violations = len(check_layout(bad.layers, TECH_A))
     good_violations = len(good.violations(TECH_A))
     report(
         "E-6.7 Figure 6.6 (partially hidden edge):",

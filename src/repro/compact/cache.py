@@ -16,7 +16,7 @@ the outcome:
 * the :class:`~repro.compact.rules.DesignRules` content (widths,
   spacings, contact expansion, gate rule — the ``name`` is deliberately
   excluded so renamed-but-identical rule sets share entries),
-* the width mode, axis, and the other driver options,
+* for a flat pass: the axis, the width mode and the rubber band,
 * for leaf-cell compaction: the registered interfaces (pitch
   constraints) and the pitch cost function.
 

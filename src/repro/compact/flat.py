@@ -1,9 +1,13 @@
 """Flat (classical) one-dimensional compaction driver.
 
 The experimental compactor of section 6.4: flatten a cell, generate
-constraints with a scan method, solve by Bellman-Ford (optionally with
-the rubber-band refinement), and rebuild the geometry.  Supports both
-axes by transposing coordinates for the y pass.
+constraints with the visibility scan (Figure 6.7), solve by sorted-edge
+Bellman-Ford (optionally with the rubber-band refinement), and rebuild
+the geometry.  Supports both axes by transposing coordinates for the y
+pass.  A pass takes three options: the axis, the width mode and the
+rubber band.  The band scan of Figures 6.5/6.6, pre-merged input,
+sizing and unsorted edges are the paper's experiments (E-6.5, E-6.7),
+run from the test tree (``tests/oracles/scanline.py``).
 
 Geometry crosses from objects to arrays once per *job*, not once per
 pass.  A cell is read into the columns of an
@@ -41,7 +45,7 @@ import numpy as np
 
 from ..core.cell import CellDefinition, layer_table
 from ..geometry import Box, batch
-from ..layout.database import FlatLayout, merge_box_arrays
+from ..layout.database import FlatLayout
 # Unused here: flowbench/tracing.py's LAYERS wraps repro.compact.flat.flatten_cell by name.
 from ..layout.database import flatten_cell  # noqa: F401
 from ..obs import trace as obs_trace
@@ -53,7 +57,6 @@ from .scanline import (
     EdgeBoxes,
     add_width_constraints,
     build_edge_variables,
-    naive_constraints,
     rebuild_boxes,
     solved_columns,
     visibility_constraints,
@@ -64,14 +67,6 @@ __all__ = [
     "CompactionResult", "compact_layout", "compact_layout_xy", "compact_cell",
     "compact_passes",
 ]
-
-#: band-scan method name -> :func:`naive_constraints` options
-_NAIVE_METHODS = {
-    "naive": {},
-    "naive-indiscriminate": {"merge_aware": False},
-    "naive-skip-hidden": {"skip_hidden": True},
-}
-
 
 @dataclass
 class CompactionResult:
@@ -106,9 +101,9 @@ class CompactionResult:
     #: ``(jog_before, jog_after)``, unless ``_pending`` is still set
     _jogs: Tuple[int, int] = field(default=(0, 0), init=False, repr=False,
                                    compare=False)
-    #: a plain pass's input columns, ``merge``, axis and solved columns,
-    #: until the jog is read
-    _pending: Optional[Tuple[EdgeBoxes, bool, str, EdgeBoxes]] = field(
+    #: a plain pass's input columns, axis and solved columns, until the
+    #: jog is read
+    _pending: Optional[Tuple[EdgeBoxes, str, EdgeBoxes]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -136,11 +131,11 @@ class CompactionResult:
 
     def _jog(self) -> Tuple[int, int]:
         if self._pending is not None:
-            geometry, merge, axis, solved = self._pending
+            geometry, axis, solved = self._pending
             with obs_trace.span("compact.align") as span:
                 # A fresh system numbers frame box i's edges 2i and 2i + 1;
                 # its solved edges are row i of the solved columns.
-                _, boxes = build_edge_variables(_frame(geometry, merge, axis))
+                _, boxes = build_edge_variables(_frame(geometry, axis))
                 align = alignment_pairs(boxes)
                 arrays = solved.arrays
                 low, high = (
@@ -189,36 +184,16 @@ def _cell_geometry(cell: CellDefinition) -> EdgeBoxes:
     ))
 
 
-def _frame(geometry: EdgeBoxes, merge: bool, axis: str) -> EdgeBoxes:
-    """``geometry`` in the compaction frame of ``axis`` (itself when
-    that frame is the layout's).
-
-    Each layer is merged into strips first when ``merge``; for
-    ``axis="y"`` the x and y columns swap, so the compacted axis is
-    always x.
-    """
-    if not merge and axis == "x":
+def _frame(geometry: EdgeBoxes, axis: str) -> EdgeBoxes:
+    """``geometry`` in the compaction frame of ``axis``: itself for
+    ``"x"``; for ``"y"`` the x and y columns swap, so the compacted axis
+    is always x."""
+    if axis == "x":
         return geometry
-    arrays, codes = geometry.arrays, geometry.codes
-    if merge:
-        parts = []
-        for code in range(len(geometry.layers)):
-            members = (codes == code).nonzero()[0]
-            parts.append(merge_box_arrays(batch.BoxArray(
-                arrays.xmin[members], arrays.ymin[members],
-                arrays.xmax[members], arrays.ymax[members],
-            )))
-        codes = np.arange(len(parts), dtype=np.int64).repeat(
-            [len(part) for part in parts]
-        )
-        arrays = batch.BoxArray(*(
-            np.concatenate([getattr(part, column) for part in parts])
-            if parts else np.empty(0, dtype=np.int64)
-            for column in ("xmin", "ymin", "xmax", "ymax")
-        ))
-    if axis == "y":
-        arrays = batch.BoxArray(arrays.ymin, arrays.xmin, arrays.ymax, arrays.xmax)
-    return EdgeBoxes(geometry.layers, codes, arrays)
+    arrays = geometry.arrays
+    return EdgeBoxes(geometry.layers, geometry.codes, batch.BoxArray(
+        arrays.ymin, arrays.xmin, arrays.ymax, arrays.xmax
+    ))
 
 
 class _Pass(NamedTuple):
@@ -243,11 +218,11 @@ def _entry(record: _Pass, layers, codes, arrays: batch.BoxArray) -> tuple:
 
 
 def _result(
-    entry: tuple, source: Optional[Tuple[EdgeBoxes, bool, str]] = None
+    entry: tuple, source: Optional[Tuple[EdgeBoxes, str]] = None
 ) -> Tuple[CompactionResult, EdgeBoxes]:
     """A fresh result of the pass an :func:`_entry` holds, and its solved
     columns.  A plain pass computes its jog, when it is read, from those
-    and ``source``: the pass's input columns, ``merge`` and axis."""
+    and ``source``: the pass's input columns and axis."""
     record, layers, codes, *columns = entry
     solved = EdgeBoxes(layers, codes, batch.BoxArray(*columns))
     result = CompactionResult(*record[:5])
@@ -267,15 +242,7 @@ def _record(result: CompactionResult) -> _Pass:
 
 
 def _compact_pass(
-    geometry: EdgeBoxes,
-    rules: DesignRules,
-    method: str,
-    width_mode: str,
-    rubber_band: bool,
-    axis: str,
-    merge: bool,
-    sizing: Optional[Dict[Tuple[str, str], int]],
-    sort_edges: bool,
+    geometry: EdgeBoxes, rules: DesignRules, axis: str, width_mode: str, rubber_band: bool
 ) -> tuple:
     """One pass (options as in :func:`compact_layout`) over layout-frame
     columns.
@@ -285,20 +252,14 @@ def _compact_pass(
     output.  Only a rubber-band pass finds the alignment pairs.
     """
     with obs_trace.span("compact.edges", axis=axis) as span:
-        boxes = _frame(geometry, merge, axis)
-        system, boxes = build_edge_variables(boxes)
+        system, boxes = build_edge_variables(_frame(geometry, axis))
         span.set(boxes=boxes.count, variables=system.variable_count)
-    with obs_trace.span("compact.constraints", method=method) as span:
-        add_width_constraints(system, boxes, rules, mode=width_mode, sizing=sizing)
-        if method == "visibility":
-            spacing_count = visibility_constraints(system, boxes, rules)
-        else:
-            spacing_count = naive_constraints(
-                system, boxes, rules, **_NAIVE_METHODS[method]
-            )
+    with obs_trace.span("compact.constraints") as span:
+        add_width_constraints(system, boxes, rules, mode=width_mode)
+        spacing_count = visibility_constraints(system, boxes, rules)
         span.set(constraints=len(system), spacing=spacing_count)
     with obs_trace.span("solver.solve", axis=axis) as span:
-        stats = solve_longest_path(system, sort_edges=sort_edges)
+        stats = solve_longest_path(system)
         counts = stats.counts()
         span.set(**counts.to_dict())
     values, jogs = stats.values, None
@@ -317,7 +278,6 @@ def _compact_pass(
 
     with obs_trace.span("compact.rebuild", boxes=boxes.count):
         solved = solved_columns(boxes, values, axis=axis)
-        # The input extent is the unmerged boxes' bounding box.
         width_before = 0
         if geometry.count:
             drawn = geometry.arrays
@@ -333,81 +293,40 @@ def _compact_pass(
 def compact_layout(
     layout: FlatLayout,
     rules: DesignRules,
-    method: str = "visibility",
+    *,
+    axis: str = "x",
     width_mode: str = "preserve",
     rubber_band: bool = False,
-    axis: str = "x",
-    merge: bool = False,
-    sizing: Optional[Dict[Tuple[str, str], int]] = None,
-    sort_edges: bool = True,
     cache=None,
 ) -> CompactionResult:
     """Compact a flat layout along one axis.
 
     ``axis`` is ``"x"`` or ``"y"`` (anything else raises
-    ``ValueError``).  ``method`` is ``"visibility"`` (Figure 6.7),
-    ``"naive"`` (band scan), ``"naive-indiscriminate"`` (Figure 6.5
-    overconstraint) or ``"naive-skip-hidden"`` (Figure 6.6 bug).
-    ``merge`` pre-merges boxes per layer (section 6.4.1's preprocessing
-    — incompatible with tag-based ``sizing``, which is rejected; the
-    flat pass tags every box ``""``, so its sizing keys read
-    ``("", layer)``).  ``sort_edges`` presorts the constraint list
-    for the Bellman-Ford solve (section 6.4.2).  ``cache`` (a
-    :class:`~repro.compact.cache.CompactionCache`) memoizes the pass
-    under a content hash of the input geometry, the rule tables and
-    every option listed above; ``cache=None`` is the uncached oracle.
+    ``ValueError``).  ``width_mode="preserve"`` pins each box to its
+    drawn width, ``"min"`` lets it shrink to the rule width
+    (:func:`~repro.compact.scanline.add_width_constraints`), and
+    ``rubber_band`` smooths the greedy solve's jogs (section 6.4.3).
+    ``cache`` (a :class:`~repro.compact.cache.CompactionCache`)
+    memoizes the pass under a content hash of the input geometry, the
+    rule tables and those three options; ``cache=None`` is the uncached
+    oracle.
     """
     _check_axis(axis)
     (result,), solved = _chain(
-        _layers_geometry(layout.layers), rules, axis, cache, {
-            "method": method, "width_mode": width_mode, "rubber_band": rubber_band,
-            "merge": merge, "sizing": sizing, "sort_edges": sort_edges,
-        },
+        _layers_geometry(layout.layers), rules, axis, width_mode, rubber_band, cache
     )
     result.layers = rebuild_boxes(solved)
     return result
 
 
-def _checked_options(
-    method: str = "visibility",
-    width_mode: str = "preserve",
-    rubber_band: bool = False,
-    axis: str = "x",
-    merge: bool = False,
-    sizing: Optional[Dict[Tuple[str, str], int]] = None,
-    sort_edges: bool = True,
-) -> Dict[str, object]:
-    """The pass options as keywords, rejecting an unknown axis or
-    method and merging combined with sizing."""
-    _check_axis(axis)
-    if merge and sizing:
-        raise ValueError(
-            "box merging loses the cell tags that device sizing needs"
-            " (section 6.4.1); choose one"
-        )
-    if method != "visibility" and method not in _NAIVE_METHODS:
-        raise ValueError(f"unknown constraint method {method!r}")
-    return {
-        "method": method, "width_mode": width_mode, "rubber_band": rubber_band,
-        "axis": axis, "merge": merge, "sizing": sizing, "sort_edges": sort_edges,
-    }
-
-
-def _pass_key(geometry: EdgeBoxes, rules: DesignRules, options: Dict[str, object]) -> str:
+def _pass_key(
+    geometry: EdgeBoxes, rules: DesignRules, axis: str, width_mode: str, rubber_band: bool
+) -> str:
     """The cache key of one pass: its input columns, the rule tables and
-    its options (as :func:`_checked_options` returns them)."""
+    its options."""
     return cache_module.cache_key(
-        "flat",
-        cache_module.FORMAT_VERSION,
-        cache_module.fingerprint_geometry(geometry),
-        cache_module.fingerprint_rules(rules),
-        options["method"],
-        options["width_mode"],
-        options["rubber_band"],
-        options["axis"],
-        options["merge"],
-        sorted(options["sizing"].items()) if options["sizing"] else None,
-        options["sort_edges"],
+        "flat", cache_module.FORMAT_VERSION, cache_module.fingerprint_geometry(geometry),
+        cache_module.fingerprint_rules(rules), width_mode, rubber_band, axis,
     )
 
 
@@ -415,8 +334,9 @@ def _chain(
     geometry: EdgeBoxes,
     rules: DesignRules,
     axes: str,
+    width_mode: str,
+    rubber_band: bool,
     cache,
-    options: Dict[str, object],
 ) -> Tuple[List[CompactionResult], EdgeBoxes]:
     """One pass per letter of ``axes`` over layout-frame ``geometry``.
 
@@ -424,24 +344,23 @@ def _chain(
     ``cache`` under :func:`_pass_key`; either way a fresh result is built
     from it and its solved columns go to the next pass.  Returns the
     results in pass order, all with ``layers`` empty, and the last
-    pass's columns.  Every pass keeps its input's row order (merging
-    regroups a layer's strips in layer order), so columns read with the
-    layers sorted come out so.
+    pass's columns.  Every pass keeps its input's row order, so columns
+    read with the layers sorted come out so.
     """
     if not axes:
         raise ValueError("axes must name at least one axis")
-    passes = [_checked_options(axis=axis, **options) for axis in axes]
+    for axis in axes:
+        _check_axis(axis)
     results: List[CompactionResult] = []
-    for pass_options in passes:
-        key = None if cache is None else _pass_key(geometry, rules, pass_options)
+    for axis in axes:
+        options = (axis, width_mode, rubber_band)
+        key = None if cache is None else _pass_key(geometry, rules, *options)
         entry = None if key is None else cache.get(key)
         if entry is None:
-            entry = _compact_pass(geometry, rules, **pass_options)
+            entry = _compact_pass(geometry, rules, *options)
             if key is not None:
                 cache.put(key, entry)
-        result, geometry = _result(
-            entry, (geometry, pass_options["merge"], pass_options["axis"])
-        )
+        result, geometry = _result(entry, (geometry, axis))
         results.append(result)
     return results, geometry
 
@@ -450,7 +369,10 @@ def compact_layout_xy(
     layout: FlatLayout,
     rules: DesignRules,
     order: str = "xy",
-    **options,
+    *,
+    width_mode: str = "preserve",
+    rubber_band: bool = False,
+    cache=None,
 ) -> Tuple[CompactionResult, CompactionResult]:
     """Two one-dimensional passes (the classical x-then-y compactor).
 
@@ -461,13 +383,12 @@ def compact_layout_xy(
     order matters (try ``order="yx"``).  Returns the two pass results;
     the second result's ``layers`` is the final geometry (the first
     pass hands the second its boxes as columns, so its ``layers`` is
-    empty).  ``options`` are :func:`compact_layout`'s, minus ``axis``.
+    empty).  The keywords are :func:`compact_layout`'s.
     """
     if sorted(order) != ["x", "y"]:
         raise ValueError("order must be 'xy' or 'yx'")
-    cache = options.pop("cache", None)
     (first, second), solved = _chain(
-        _layers_geometry(layout.layers), rules, order, cache, options
+        _layers_geometry(layout.layers), rules, order, width_mode, rubber_band, cache
     )
     second.layers = rebuild_boxes(solved)
     return first, second
@@ -478,8 +399,10 @@ def compact_passes(
     rules: DesignRules,
     axes: str,
     name: Optional[str] = None,
+    *,
+    width_mode: str = "preserve",
+    rubber_band: bool = False,
     cache=None,
-    **options,
 ) -> Tuple[CellDefinition, List[CompactionResult]]:
     """Flatten ``cell`` once and run one pass per letter of ``axes``.
 
@@ -492,16 +415,15 @@ def compact_passes(
     (``name``, by default ``<cell>_compacted``; layers sorted, each
     layer's boxes in column order) and one result per pass, in pass
     order; only the last one has ``layers``, decoded on first read.
-    ``options`` are
-    :func:`compact_layout`'s, minus ``axis``; ``cache`` probes and fills
-    each pass exactly as :func:`compact_layout` does for the same input.
-    The cell holds boxes only: ports and labels are neither flattened
-    nor carried over.
+    The keywords are :func:`compact_layout`'s; ``cache`` probes and
+    fills each pass exactly as :func:`compact_layout` does for the same
+    input.  The cell holds boxes only: ports and labels are neither
+    flattened nor carried over.
     """
     with obs_trace.span("compact.flatten") as span:
         geometry = _cell_geometry(cell)
         span.set(boxes=geometry.count)
-    results, solved = _chain(geometry, rules, axes, cache, options)
+    results, solved = _chain(geometry, rules, axes, width_mode, rubber_band, cache)
     with obs_trace.span("compact.rebuild", boxes=solved.count):
         results[-1]._columns = solved
         compacted = CellDefinition.from_columns(
@@ -514,15 +436,20 @@ def compact_cell(
     cell: CellDefinition,
     rules: DesignRules,
     name: Optional[str] = None,
-    **options,
+    *,
+    axis: str = "x",
+    width_mode: str = "preserve",
+    rubber_band: bool = False,
+    cache=None,
 ) -> Tuple[CellDefinition, CompactionResult]:
     """Flatten ``cell``, compact it, and return a new flat cell.
 
-    One pass of :func:`compact_passes` along ``axis`` (default
-    ``"x"``); ``options`` are :func:`compact_layout`'s.
+    One pass of :func:`compact_passes` along ``axis``; the keywords are
+    :func:`compact_layout`'s.
     """
-    axis = options.pop("axis", "x")
     _check_axis(axis)
-    compacted, results = compact_passes(cell, rules, axis, name=name, **options)
+    compacted, results = compact_passes(
+        cell, rules, axis, name, width_mode=width_mode, rubber_band=rubber_band,
+        cache=cache,
+    )
     return compacted, results[-1]
-

@@ -1,23 +1,17 @@
 """Constraint generation by scanning (section 6.4.1).
 
-Two generators are provided, matching the paper's narrative:
+:func:`visibility_constraints` is the "correct scan line method" of
+Figure 6.7: a vertical line sweeps left to right carrying, per layer,
+what a viewer on the line looking left would see; constraints are
+generated only against visible material.  Hidden edges never appear,
+so box merging is implicitly taken care of.  The horizontal-band scan
+the author built first, whose failures Figures 6.5 and 6.6 show, is
+not part of the compactor: it lives with the test oracles
+(``tests/oracles/scanline.py``), where the E-6.5/E-6.7 experiments run
+it.
 
-* :func:`naive_constraints` — the horizontal-band scan the author first
-  built: every facing pair of edges within a y band receives a spacing
-  constraint.  With ``skip_hidden=True`` it tries to be "smart" about
-  hidden edges and reproduces the Figure 6.6 bug (a partially hidden
-  edge pair whose constraint is missed); with ``skip_hidden=False`` it
-  overconstrains fragmented layouts (Figure 6.5: n abutting boxes are
-  forced to n times the minimum width).
-
-* :func:`visibility_constraints` — the "correct scan line method" of
-  Figure 6.7: a vertical line sweeps left to right carrying, per layer,
-  what a viewer on the line looking left would see; constraints are
-  generated only against visible material.  Hidden edges never appear,
-  so box merging is implicitly taken care of.
-
-Both generators also emit connection-preserving constraints for
-same-layer overlapping boxes (:func:`connection_rows`), and
+The scan also emits connection-preserving constraints for same-layer
+overlapping boxes (:func:`connection_rows`), and
 :func:`add_width_constraints` adds the width rows.  Boxes travel as the
 columns of an :class:`EdgeBoxes`, and every generator appends whole
 columns of variable ids to the :class:`ConstraintSystem`.
@@ -39,7 +33,6 @@ __all__ = [
     "EdgeBoxes",
     "build_edge_variables",
     "add_width_constraints",
-    "naive_constraints",
     "visibility_constraints",
     "rebuild_boxes",
     "solved_columns",
@@ -273,121 +266,6 @@ def connection_rows(boxes: EdgeBoxes, a, b, widths: np.ndarray):
         _interleave(left[high], right[high], right[low]),
         _interleave(zero, zero, keep),
     )
-
-
-def naive_constraints(
-    system: ConstraintSystem,
-    boxes: EdgeBoxes,
-    rules: DesignRules,
-    skip_hidden: bool = False,
-    merge_aware: bool = True,
-) -> int:
-    """Band-scan generation: all facing pairs in a y band.
-
-    Returns the number of spacing constraints generated.
-
-    ``merge_aware=False`` reproduces the indiscriminate generator of
-    Figure 6.5: abutting same-layer boxes (fragmented wires) receive
-    spacing constraints instead of connection constraints, forcing a
-    fragmented wire to n times the minimum pitch.
-
-    ``skip_hidden=True`` drops a facing pair whenever a third box of the
-    same layer covers the gap over the pair's full shared y band — the
-    overly clever heuristic that misses the *partially* hidden edge of
-    Figure 6.6 and produces an illegal layout.
-
-    Pairs are visited as the band scan visits them — boxes sorted by
-    ``xmin`` (ties in input order), every ``(i, j > i)`` — in blocks of
-    rows classified with column arithmetic; rows are emitted in visit
-    order, three per connected pair and one per spaced pair.
-    """
-    count = boxes.count
-    if count < 2:
-        return 0
-    arrays = boxes.arrays
-    order = arrays.xmin.argsort(kind="stable")
-    xmin, xmax = arrays.xmin[order], arrays.xmax[order]
-    ymin, ymax = arrays.ymin[order], arrays.ymax[order]
-    codes = boxes.codes[order]
-    spacing_matrix = _spacing_matrix(rules, boxes.layers)
-    firsts, seconds, connects = [], [], []
-    step = max(1, 250_000 // count)
-    later = np.arange(count)[None, :]
-    for low in range(0, count - 1, step):
-        rows = np.arange(low, min(count - 1, low + step))[:, None]
-        i, j = rows, later
-        y_overlap = np.minimum(ymax[i], ymax[j]) > np.maximum(ymin[i], ymin[j])
-        same = codes[i] == codes[j]
-        closed = (
-            (xmin[i] <= xmax[j]) & (xmin[j] <= xmax[i])
-            & (ymin[i] <= ymax[j]) & (ymin[j] <= ymax[i])
-        )
-        opened = (
-            (xmin[i] < xmax[j]) & (xmin[j] < xmax[i])
-            & (ymin[i] < ymax[j]) & (ymin[j] < ymax[i])
-        )
-        touching = same & closed & ~opened
-        connect = same & closed
-        if not merge_aware:
-            connect &= ~touching
-        # Sorted by xmin, so box i is the left box of the pair: its gap
-        # to j is open unless they cross (touching same-layer boxes are
-        # spaced when the generator is not merge-aware).
-        spaced = (
-            ~connect & (spacing_matrix[codes[i], codes[j]] >= 0)
-            & ((xmin[j] > xmax[i]) | touching)
-        )
-        event = (j > i) & y_overlap & (connect | spaced)
-        row, column = np.nonzero(event)
-        firsts.append(row + low)
-        seconds.append(column)
-        connects.append(connect[row, column])
-    first = np.concatenate(firsts)
-    second = np.concatenate(seconds)
-    connect = np.concatenate(connects)
-    if skip_hidden:
-        keep = np.ones(first.size, dtype=bool)
-        for event in np.flatnonzero(~connect).tolist():
-            keep[event] = not _gap_covered(
-                xmin, xmax, ymin, ymax, codes, first[event], second[event]
-            )
-        first, second, connect = first[keep], second[keep], connect[keep]
-    # Back to box indices, then rows in visit order.
-    first, second = order[first], order[second]
-    per_event = np.where(connect, 3, 1)
-    start = np.cumsum(per_event) - per_event
-    total = int(per_event.sum())
-    source, target, weight = (np.empty(total, dtype=np.int64) for _ in range(3))
-    kind = np.full(total, SPACING, dtype=np.int64)
-    linked = (start[connect][:, None] + np.arange(3)).ravel()
-    (source[linked], target[linked], weight[linked]) = connection_rows(
-        boxes, first[connect], second[connect], _width_table(rules, boxes.layers)
-    )
-    kind[linked] = CONNECT
-    spaced = ~connect
-    at = start[spaced]
-    source[at] = boxes.right[first[spaced]]
-    target[at] = boxes.left[second[spaced]]
-    weight[at] = spacing_matrix[boxes.codes[first[spaced]], boxes.codes[second[spaced]]]
-    system.extend(source, target, weight, kind)
-    return int(spaced.sum())
-
-
-def _gap_covered(xmin, xmax, ymin, ymax, codes, left, right) -> bool:
-    """The (buggy) hidden-edge test of Figure 6.6.
-
-    Decides hidden-ness where the pair first enters the horizontal band
-    scan — the bottom of the shared y range — so a box that covers the
-    gap at ``y1`` but not at ``y2`` wrongly suppresses the constraint.
-    Indices are positions in the columns given.
-    """
-    y0 = max(ymin[left], ymin[right])
-    cover = (
-        (codes == codes[left]) & (xmin <= xmax[left]) & (xmax >= xmin[right])
-        & (ymin <= y0) & (y0 < ymax)
-    )
-    cover[left] = cover[right] = False
-    return bool(cover.any())
 
 
 def visibility_constraints(

@@ -68,9 +68,6 @@ class Interface:
     def __hash__(self) -> int:
         return hash((self.vector, self.orientation))
 
-    def __reduce__(self):
-        return (Interface, (self.vector, self.orientation))
-
     def __repr__(self) -> str:
         return f"Interface({self.vector!r}, {self.orientation!r})"
 

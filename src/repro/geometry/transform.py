@@ -57,9 +57,6 @@ class Transform:
     def __hash__(self) -> int:
         return hash((self.offset, self.orientation))
 
-    def __reduce__(self):
-        return (Transform, (self.offset, self.orientation))
-
     def __repr__(self) -> str:
         return f"Transform({self.offset!r}, {self.orientation!r})"
 

@@ -12,9 +12,10 @@ object-era build (``Constraint`` records, ``CompactionBox`` objects and
   4x4 and 8x8 rubber-band boxes, all captured with the object-era
   build;
 * **pinned library runs** — solver stats, row counts, widths and a box
-  digest of ``compact_layout`` over random layouts across methods,
-  width modes, sizing, merging, axes and edge sorting, also captured
-  with the object-era build;
+  digest of a flat pass over random layouts across methods, width
+  modes, sizing, merging, axes and edge sorting, also captured with the
+  object-era build: ``compact_layout`` runs the options it takes, the
+  experiment pass ``oracles.scanline.compact`` the rest;
 * **constraint lists** — the column generators against the object-era
   generators kept below as the oracle (``visibility_constraints_reference``
   for the visibility scan);
@@ -40,7 +41,8 @@ import random
 from collections import Counter
 
 import pytest
-from oracles.scanline import visibility_constraints_reference
+from oracles.scanline import compact, naive_constraints, visibility_constraints_reference
+from oracles.scanline import _add_connection as connection_oracle
 
 from repro import cli
 from repro.compact import (
@@ -51,7 +53,6 @@ from repro.compact import (
     compact_cell,
     compact_layout,
     compact_passes,
-    naive_constraints,
     solve_longest_path,
     visibility_constraints,
 )
@@ -363,10 +364,14 @@ PINNED = {
 }
 
 
-def observe(seed, n, spread, options, rules):
-    """One pinned library run, as recorded in :data:`PINNED`."""
+#: the options of :data:`OPTIONS` that ``compact_layout`` takes
+PASS_OPTIONS = {"axis", "width_mode"}
+
+
+def observe(seed, n, spread, options, rules, run):
+    """One pinned library run by ``run``, as recorded in :data:`PINNED`."""
     try:
-        result = compact_layout(random_layout(seed, n, spread), rules, **options)
+        result = run(random_layout(seed, n, spread), rules, **options)
     except InfeasibleConstraintsError:
         return "infeasible"
     boxes = sorted(
@@ -398,15 +403,6 @@ def width_oracle(system, items, rules, mode="preserve", sizing=None):
         if mode == "preserve":
             minimum = max(minimum, item.box.width)
         system.add(item.left, item.right, minimum, kind="width")
-
-
-def connection_oracle(system, a, b, rules):
-    overlap = min(a.box.xmax, b.box.xmax) - max(a.box.xmin, b.box.xmin)
-    keep = max(0, min(overlap, rules.width(a.layer)))
-    left_box, right_box = (a, b) if a.box.xmin <= b.box.xmin else (b, a)
-    system.add(left_box.left, right_box.left, 0, kind="connect")
-    system.add(left_box.right, right_box.right, 0, kind="connect")
-    system.add(right_box.left, left_box.right, keep, kind="connect")
 
 
 def gap_covered_oracle(items, layer, left_box, right_box):
@@ -568,7 +564,10 @@ def test_alignment_runs_only_for_a_rubber_band_or_a_jog_read():
 def test_library_run_equals_the_object_era_build(key):
     (seed, n, spread), index = key
     rules = TECH_A if (seed + index) % 2 else TECH_B
-    assert observe(seed, n, spread, OPTIONS[index], rules) == PINNED[key]
+    # The experiment pass runs every slot, compact_layout the ones it takes.
+    assert observe(seed, n, spread, OPTIONS[index], rules, compact) == PINNED[key]
+    if set(OPTIONS[index]) <= PASS_OPTIONS:
+        assert observe(seed, n, spread, OPTIONS[index], rules, compact_layout) == PINNED[key]
 
 
 # ----------------------------------------------------------------------
@@ -654,7 +653,7 @@ def test_edge_order_leaves_the_geometry_unchanged(seed, n, spread, axis):
     # unique, so the compacted boxes cannot depend on the edge order
     layout = random_layout(seed, n, spread)
     results = [
-        compact_layout(layout, TECH_A, axis=axis, width_mode="min", sort_edges=order)
+        compact(layout, TECH_A, axis=axis, width_mode="min", sort_edges=order)
         for order in (True, False)
     ]
     # every variable is an edge of one box, so equal layers mean equal solutions
@@ -685,7 +684,10 @@ def test_infeasible_layout_raises_through_the_driver(sort_edges):
     for box in (Box(13, 6, 17, 8), Box(11, 7, 23, 8), Box(19, 2, 38, 8)):
         layout.add("metal1", box)
     with pytest.raises(InfeasibleConstraintsError):
-        compact_layout(layout, TECH_A, sort_edges=sort_edges)
+        if sort_edges:
+            compact_layout(layout, TECH_A)
+        else:
+            compact(layout, TECH_A, sort_edges=False)
 
 
 def test_flat_pass_builds_no_records_boxes_or_names(monkeypatch):
@@ -702,11 +704,9 @@ def test_flat_pass_builds_no_records_boxes_or_names(monkeypatch):
     for axis in "xy":
         cell, result = compact_cell(cell, TECH_A, axis=axis)
         assert result.constraint_count and result.layers
-    layout = random_layout(5, 40, 90)
-    for method in ("visibility", "naive", "naive-indiscriminate", "naive-skip-hidden"):
-        compact_layout(layout, TECH_B, method=method, width_mode="min")
-    compact_layout(layout, TECH_B, width_mode="min", merge=True)
-    smoothed = compact_layout(layout, TECH_B, width_mode="min", rubber_band=True)
+    smoothed = compact_layout(
+        random_layout(5, 40, 90), TECH_B, width_mode="min", rubber_band=True
+    )
     assert smoothed.jog_after <= smoothed.jog_before
 
 
@@ -817,8 +817,8 @@ def test_born_cell_reads_as_its_decoded_twin():
 @pytest.mark.parametrize("axes", ["x", "y", "xy", "yx", "xyx"])
 @pytest.mark.parametrize(
     "options",
-    [{}, {"width_mode": "min", "merge": True}, {"sort_edges": False}],
-    ids=["preserve", "min-merged", "unsorted"],
+    [{}, {"width_mode": "min"}, {"rubber_band": True}],
+    ids=["preserve", "min", "rubber-band"],
 )
 def test_chained_passes_equal_one_compact_cell_per_axis(axes, options):
     cell, _ = generate_via_language(4, 4)
@@ -873,8 +873,9 @@ def chain_runs(tmp_path, cell, axes, options):
 @pytest.mark.parametrize("axes", ["x", "y", "xy", "yx"])
 @pytest.mark.parametrize(
     "options",
-    [{}, {"merge": True}, {"rubber_band": True}, {"merge": True, "rubber_band": True}],
-    ids=["plain", "merged", "rubber-band", "merged-rubber-band"],
+    [{}, {"width_mode": "min"}, {"rubber_band": True},
+     {"width_mode": "min", "rubber_band": True}],
+    ids=["plain", "min", "rubber-band", "min-rubber-band"],
 )
 def test_cached_chain_equals_the_uncached_chain(tmp_path, axes, options):
     cell, _ = generate_via_language(4, 4)

@@ -50,16 +50,6 @@ class TestCompactLayout:
         boxes = sorted(result.layers["diff"], key=lambda box: box.ymin)
         assert boxes[1].ymin - boxes[0].ymax == TECH_A.min_spacing["diff"]
 
-    def test_merge_rejects_sizing(self):
-        layout = make_layout([("diff", Box(0, 0, 2, 2))])
-        with pytest.raises(ValueError):
-            compact_layout(layout, TECH_A, merge=True, sizing={("c", "diff"): 5})
-
-    def test_unknown_method(self):
-        layout = make_layout([("diff", Box(0, 0, 2, 2))])
-        with pytest.raises(ValueError):
-            compact_layout(layout, TECH_A, method="magic")
-
     @pytest.mark.parametrize("axis", ["z", "X", "Y", "", "xy"])
     def test_unknown_axis(self, axis):
         # Two boxes 40 wide and 3 tall: any axis other than "x"/"y" once

@@ -164,10 +164,16 @@ class TestFlatCompactionCache:
             != Counter((box.layer, box.box) for box in b.boxes)
         )
 
-    def test_miss_on_option_change(self):
+    @pytest.mark.parametrize(
+        "option", [{"width_mode": "min"}, {"rubber_band": True}, {"axis": "y"}],
+        ids=["width-mode", "rubber-band", "axis"],
+    )
+    def test_miss_on_option_change(self, option):
+        """Each pass option is a field of the key: a plain pass and one
+        with the option set are two misses."""
         cache = CompactionCache()
-        compact_cell(make_leaf("x"), TECH_A, width_mode="preserve", cache=cache)
-        compact_cell(make_leaf("x"), TECH_A, width_mode="min", cache=cache)
+        compact_cell(make_leaf("x"), TECH_A, cache=cache)
+        compact_cell(make_leaf("x"), TECH_A, cache=cache, **option)
         assert cache.hits == 0 and cache.misses == 2
 
     def test_cached_result_equals_uncached_oracle(self):

@@ -2,14 +2,13 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.scanline import compact
 
 from repro.compact import (
     TECH_A,
-    ConstraintSystem,
     add_width_constraints,
     build_edge_variables,
     check_layout,
-    naive_constraints,
     rebuild_boxes,
     solve_longest_path,
     solved_columns,
@@ -18,27 +17,16 @@ from repro.compact import (
 from repro.geometry import Box
 
 
-def compact(boxes, method="visibility", width_mode="preserve", **kwargs):
-    system, comp = build_edge_variables(boxes)
-    add_width_constraints(system, comp, TECH_A, mode=width_mode)
-    if method == "visibility":
-        visibility_constraints(system, comp, TECH_A)
-    else:
-        naive_constraints(system, comp, TECH_A, **kwargs)
-    stats = solve_longest_path(system)
-    layers = rebuild_boxes(solved_columns(comp, stats.values))
-    return layers, system, stats
-
-
 class TestWidthConstraints:
     def test_preserve_mode_pins_width(self):
-        layers, _, _ = compact([("metal1", Box(0, 0, 7, 4))])
+        layers = compact([("metal1", Box(0, 0, 7, 4))], TECH_A
+        ).layers
         assert layers["metal1"][0].width == 7
 
     def test_min_mode_shrinks_to_rule(self):
-        layers, _, _ = compact(
-            [("metal1", Box(0, 0, 7, 4))], width_mode="min"
-        )
+        layers = compact(
+            [("metal1", Box(0, 0, 7, 4))], TECH_A, width_mode="min"
+        ).layers
         assert layers["metal1"][0].width == TECH_A.width("metal1")
 
     def test_sizing_directive_overrides(self):
@@ -54,46 +42,46 @@ class TestWidthConstraints:
 
 class TestSpacing:
     def test_pair_pushed_to_rule_spacing(self):
-        layers, _, _ = compact(
-            [("diff", Box(0, 0, 2, 10)), ("diff", Box(20, 0, 22, 10))]
-        )
+        layers = compact(
+            [("diff", Box(0, 0, 2, 10)), ("diff", Box(20, 0, 22, 10))], TECH_A
+        ).layers
         a, b = sorted(layers["diff"], key=lambda box: box.xmin)
         assert b.xmin - a.xmax == TECH_A.min_spacing["diff"]
 
     def test_no_constraint_without_y_overlap(self):
-        layers, _, _ = compact(
-            [("diff", Box(0, 0, 2, 5)), ("diff", Box(20, 10, 22, 15))]
-        )
+        layers = compact(
+            [("diff", Box(0, 0, 2, 5)), ("diff", Box(20, 10, 22, 15))], TECH_A
+        ).layers
         xs = sorted(box.xmin for box in layers["diff"])
         assert xs == [0, 0]  # both slide fully left
 
     def test_inter_layer_rule(self):
-        layers, _, _ = compact(
-            [("poly", Box(0, 0, 2, 10)), ("diff", Box(20, 0, 22, 10))]
-        )
+        layers = compact(
+            [("poly", Box(0, 0, 2, 10)), ("diff", Box(20, 0, 22, 10))], TECH_A
+        ).layers
         gap = layers["diff"][0].xmin - layers["poly"][0].xmax
         assert gap == TECH_A.spacing("poly", "diff")
 
     def test_unrelated_layers_free(self):
-        layers, _, _ = compact(
-            [("implant", Box(0, 0, 2, 10)), ("metal1", Box(20, 0, 23, 10))]
-        )
+        layers = compact(
+            [("implant", Box(0, 0, 2, 10)), ("metal1", Box(20, 0, 23, 10))], TECH_A
+        ).layers
         assert layers["metal1"][0].xmin == 0
 
     def test_drawn_crossing_exempt(self):
         """Different layers crossing in the drawing stay legal."""
-        layers, system, _ = compact(
-            [("poly", Box(0, 0, 2, 10)), ("diff", Box(0, 4, 10, 6))]
-        )
+        layers = compact(
+            [("poly", Box(0, 0, 2, 10)), ("diff", Box(0, 4, 10, 6))], TECH_A
+        ).layers
         assert not check_layout(layers, TECH_A)
 
 
 class TestConnections:
     def test_overlapping_boxes_stay_connected(self):
-        layers, _, _ = compact(
+        layers = compact(
             [("metal1", Box(0, 0, 10, 3)), ("metal1", Box(8, 0, 18, 3)),
-             ("metal1", Box(40, 0, 43, 3))]
-        )
+             ("metal1", Box(40, 0, 43, 3))], TECH_A
+        ).layers
         a, b, c = sorted(layers["metal1"], key=lambda box: box.xmin)
         assert a.overlaps(b)
 
@@ -105,8 +93,8 @@ class TestConnections:
             ("diff", Box(10, 0, 12, 10)),
             ("diff", Box(20, 0, 22, 10)),
         ]
-        _, sys_vis, _ = compact(boxes, method="visibility")
-        _, sys_naive, _ = compact(boxes, method="naive")
+        sys_vis = compact(boxes, TECH_A, method="visibility").system
+        sys_naive = compact(boxes, TECH_A, method="naive").system
         vis_spacing = [c for c in sys_vis.constraints if c.kind == "spacing"]
         naive_spacing = [c for c in sys_naive.constraints if c.kind == "spacing"]
         assert len(vis_spacing) == 2
@@ -118,8 +106,8 @@ class TestConnections:
             ("diff", Box(10, 0, 12, 10)),
             ("diff", Box(20, 0, 22, 10)),
         ]
-        l1, _, s1 = compact(boxes, method="visibility")
-        l2, _, s2 = compact(boxes, method="naive")
+        s1 = compact(boxes, TECH_A, method="visibility").stats
+        s2 = compact(boxes, TECH_A, method="naive").stats
         assert s1.width() == s2.width()
 
 
@@ -129,23 +117,23 @@ class TestFigure65Fragmentation:
     def test_indiscriminate_forces_n_lambda(self):
         """'Indiscriminately generating constraints ... would force the
         x size to be at least n*lambda.'"""
-        layers, _, stats = compact(
-            self.FRAGMENTS, method="naive", merge_aware=False
-        )
+        stats = compact(
+            self.FRAGMENTS, TECH_A, method="naive-indiscriminate"
+        ).stats
         n = len(self.FRAGMENTS)
         assert stats.width() >= n * TECH_A.min_spacing["diff"]
 
     def test_visibility_allows_minimum_width(self):
-        _, _, stats = compact(self.FRAGMENTS, method="visibility",
-                              width_mode="min")
+        stats = compact(
+            self.FRAGMENTS, TECH_A, method="visibility", width_mode="min"
+        ).stats
         assert stats.width() == TECH_A.width("diff")
 
     def test_merge_aware_naive_still_overconstrains(self):
         """Figure 6.4: the band scan generates constraints across hidden
         edges 'regardless of the presence of the middle box', so even the
         connection-aware naive generator cannot reach the minimum."""
-        _, _, stats = compact(self.FRAGMENTS, method="naive",
-                              width_mode="min", merge_aware=True)
+        stats = compact(self.FRAGMENTS, TECH_A, method="naive", width_mode="min").stats
         assert stats.width() > TECH_A.width("diff")
 
 
@@ -157,15 +145,15 @@ class TestFigure66HiddenEdges:
     ]
 
     def test_skip_hidden_heuristic_is_illegal(self):
-        layers, _, _ = compact(self.LAYOUT, method="naive", skip_hidden=True)
+        layers = compact(self.LAYOUT, TECH_A, method="naive-skip-hidden").layers
         assert check_layout(layers, TECH_A)
 
     def test_visibility_method_is_legal(self):
-        layers, _, _ = compact(self.LAYOUT, method="visibility")
+        layers = compact(self.LAYOUT, TECH_A, method="visibility").layers
         assert not check_layout(layers, TECH_A)
 
     def test_full_naive_is_legal_but_overconstrained(self):
-        layers, _, _ = compact(self.LAYOUT, method="naive")
+        layers = compact(self.LAYOUT, TECH_A, method="naive").layers
         assert not check_layout(layers, TECH_A)
 
 
@@ -239,5 +227,5 @@ def test_abutting_bars_keep_their_joint_width():
     case ``TestLegalityProperty`` finds now and then."""
     drawn = [("metal1", Box(10, 0, 12, 10)), ("metal1", Box(12, 0, 14, 10))]
     assert check_layout({"metal1": [box for _, box in drawn]}, TECH_A) == []
-    layers, _, _ = compact(drawn)
+    layers = compact(drawn, TECH_A).layers
     assert check_layout(layers, TECH_A) == []
