@@ -30,8 +30,8 @@ bench:
 
 # One pass over every benchmark at its smallest size: the benchmark
 # fixture runs each workload once without timing loops, and the
-# REPRO_BENCH_SMOKE knob trims size-parameterised benchmarks (routing,
-# connectivity) to their smallest case.  The scaling guards still run
+# REPRO_BENCH_SMOKE knob trims size-parameterised benchmarks (routing
+# among them) to their smallest case.  The scaling guards still run
 # here: the geometry-pass guards (bench_scanline, bench_sweep — doubling
 # the box count must stay sub-quadratic), the hierarchy-pipeline
 # flatten guard (bench_hierarchy — doubling the instance count must
@@ -89,8 +89,13 @@ bench-smoke:
 # **kwargs, method, merge, sizing or sort_edges, or when a
 # cold `import repro.cli` loads importlib.metadata, email, http.server,
 # scipy or a compactor, verifier, router or service module, or a package's
-# lazy export table drifts from its __all__ (tests/test_import_surface.py).
+# lazy export table drifts from its __all__ (tests/test_import_surface.py),
+# or when the set of src/ functions no flow runs drifts from
+# tests/reach_allowlist.txt (tests/test_reach.py: a fixed matrix of
+# repro runs, service verbs, the flow benchmark's library calls and the
+# examples under sys.setprofile; every unreached def is listed with a
+# reason, and a listed def that now runs fails too).
 docs-check:
-	$(PY) -m pytest tests/test_docstrings.py tests/test_package_surface.py tests/test_import_surface.py -q
+	$(PY) -m pytest tests/test_docstrings.py tests/test_package_surface.py tests/test_import_surface.py tests/test_reach.py -q
 
 all: test bench docs-check

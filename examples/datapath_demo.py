@@ -22,6 +22,9 @@ the channel passes the compactor's DRC oracle with zero violations.
 Run:  python examples/datapath_demo.py
 """
 
+import os
+import tempfile
+
 from repro.compact import TECH_A, check_layout
 from repro.geometry import Transform
 from repro.layout import ascii_render, svg_render, write_cif
@@ -143,10 +146,12 @@ def main():
 
     print("\n=== the composite, end to end ===")
     print(ascii_render(swizzled, max_width=100, max_height=40))
-    write_cif(swizzled, "/tmp/datapath.cif")
-    with open("/tmp/datapath.svg", "w", encoding="utf-8") as handle:
+    cif_path = os.path.join(tempfile.gettempdir(), "datapath.cif")
+    svg_path = os.path.join(tempfile.gettempdir(), "datapath.svg")
+    write_cif(swizzled, cif_path)
+    with open(svg_path, "w", encoding="utf-8") as handle:
         handle.write(svg_render(swizzled, show_labels=True))
-    print("\nCIF written to /tmp/datapath.cif, SVG to /tmp/datapath.svg")
+    print(f"\nCIF written to {cif_path}, SVG to {svg_path}")
     print(
         "\nTwo independently generated arrays, wired by derivation —"
         "\nthe channel between them is exactly as tall as the routing"

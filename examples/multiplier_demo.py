@@ -13,8 +13,10 @@
 Run:  python examples/multiplier_demo.py [size]
 """
 
+import os
 import random
 import sys
+import tempfile
 
 from repro.layout import ascii_render, flatten_cell, write_cif
 from repro.multiplier import (
@@ -45,8 +47,9 @@ def main(size=6):
     print()
     print(ascii_render(top, max_width=100, max_height=36))
 
-    write_cif(top, "/tmp/multiplier.cif")
-    print("\nCIF written to /tmp/multiplier.cif")
+    cif_path = os.path.join(tempfile.gettempdir(), "multiplier.cif")
+    write_cif(top, cif_path)
+    print(f"\nCIF written to {cif_path}")
 
     # --- arithmetic verification --------------------------------------
     print(f"\n=== functional check: {size}x{size} Baugh-Wooley array ===")

@@ -228,8 +228,7 @@ def _frozen(value: Any) -> Any:
 
 
 #: a lock file untouched for this long belongs to a dead writer
-#: (default; per-instance override via ``stale_lock_seconds`` or the
-#: ``REPRO_CACHE_STALE_LOCK_S`` environment variable)
+#: (default; per-instance override via ``stale_lock_seconds``)
 _STALE_LOCK_SECONDS = 30.0
 
 #: chaos seam — when not ``None``, called as ``chaos_hook(site, **ctx)``
@@ -251,48 +250,27 @@ class CompactionCache:
     ``O_EXCL`` lock file on top of the atomic rename, and a torn or
     unreadable entry reads as a miss, never an error.  A
     :class:`CacheStats` instance (``cache_stats``) makes the reuse
-    observable; the legacy ``hits``/``misses``/``disk_hits`` attributes
-    remain as read-only views of it.
+    observable.
     """
 
     def __init__(
         self,
         directory: Optional[str] = None,
-        stale_lock_seconds: Optional[float] = None,
+        stale_lock_seconds: float = _STALE_LOCK_SECONDS,
     ) -> None:
-        """``stale_lock_seconds`` overrides the lock-break window (how
-        long an untouched lock file is trusted before it is judged to
-        belong to a dead writer); falls back to the
-        ``REPRO_CACHE_STALE_LOCK_S`` environment variable, then to the
-        30 s default — chaos runs shrink it to exercise the break path
-        deterministically."""
+        """``stale_lock_seconds`` is the lock-break window: how long an
+        untouched lock file is trusted before it is judged to belong to
+        a dead writer (30 s by default; chaos runs shrink it to exercise
+        the break path deterministically)."""
         self.directory: Optional[Path] = Path(directory) if directory else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        if stale_lock_seconds is None:
-            env = os.environ.get("REPRO_CACHE_STALE_LOCK_S")
-            stale_lock_seconds = float(env) if env else _STALE_LOCK_SECONDS
         self.stale_lock_seconds = stale_lock_seconds
         self._memory: Dict[str, Any] = {}
         self.cache_stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._memory)
-
-    @property
-    def hits(self) -> int:
-        """Successful lookups so far (see :attr:`cache_stats`)."""
-        return self.cache_stats.hits
-
-    @property
-    def misses(self) -> int:
-        """Empty lookups so far (see :attr:`cache_stats`)."""
-        return self.cache_stats.misses
-
-    @property
-    def disk_hits(self) -> int:
-        """Hits promoted from the on-disk store (see :attr:`cache_stats`)."""
-        return self.cache_stats.disk_hits
 
     def _path(self, key: str) -> Path:
         assert self.directory is not None
@@ -449,7 +427,8 @@ class CompactionCache:
 
     def stats(self) -> str:
         """One printable line: entries, hits (disk share), misses."""
+        stats = self.cache_stats
         return (
-            f"cache: {len(self._memory)} entries, {self.hits} hits"
-            f" ({self.disk_hits} from disk), {self.misses} misses"
+            f"cache: {len(self._memory)} entries, {stats.hits} hits"
+            f" ({stats.disk_hits} from disk), {stats.misses} misses"
         )

@@ -227,10 +227,6 @@ class ConstraintSystem:
             self._names = self.names().spell()
         return self._names
 
-    def index_of(self, variable: Variable) -> int:
-        """Id of the variable called ``variable``."""
-        return self._name_index()[variable]
-
     # ------------------------------------------------------------------
     # Constraints
     # ------------------------------------------------------------------

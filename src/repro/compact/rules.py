@@ -84,12 +84,6 @@ class DesignRules:
             },
         )
 
-    def constrained_pairs(self) -> Tuple[LayerPair, ...]:
-        """Every layer pair (or single layer) with a spacing rule."""
-        pairs = [frozenset((layer,)) for layer in self.min_spacing]
-        pairs.extend(self.inter_spacing)
-        return tuple(pairs)
-
     def scaled(self, numerator: int, denominator: int = 1, name: str = "") -> "DesignRules":
         """A proportionally scaled rule set (ceiling division)."""
 

@@ -183,8 +183,11 @@ def add_width_constraints(
     ``(tag, layer)`` to an explicit minimum width — the device/bus
     sizing mechanism of section 6.4.1 (tagged cells whose instances the
     compactor must size); a sized box gets one ``width`` row of at
-    least the directive, in either mode.
+    least the directive, in either mode.  Any other ``mode`` raises
+    ``ValueError``.
     """
+    if mode not in ("preserve", "min"):
+        raise ValueError(f"width mode must be 'preserve' or 'min', not {mode!r}")
     if boxes.count == 0:
         return
     arrays = boxes.arrays

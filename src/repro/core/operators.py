@@ -15,7 +15,7 @@ from ..geometry import NORTH, Orientation, Vec2
 from ..obs import trace as obs_trace
 from .cell import CellDefinition, CellTable, Instance
 from .errors import GraphError
-from .graph import Node, collect_graph, expand_graph
+from .graph import Node, expand_graph
 from .interface import Interface, derive_interface, inherit_interface
 from .interface_table import InterfaceTable
 
@@ -170,7 +170,3 @@ class Rsg:
         for left, right in zip(items, items[1:]):
             self.connect(left, right, index)
         return items
-
-    def graph_nodes(self, root: Node) -> List[Node]:
-        """All nodes reachable from ``root`` (diagnostic helper)."""
-        return collect_graph(root)

@@ -149,11 +149,6 @@ class Orientation:
         return bool(self.k)
 
     @property
-    def is_rotation(self) -> bool:
-        """True for the four pure rotations (including identity)."""
-        return not self.k
-
-    @property
     def is_identity(self) -> bool:
         return self.r == 0 and self.k == 0
 

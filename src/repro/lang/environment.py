@@ -71,10 +71,6 @@ class Environment:
         """Bind (or rebind) ``key`` in this frame."""
         self.bindings[key] = value
 
-    def has_local(self, key: BindingKey) -> bool:
-        """True when ``key`` is bound in this frame itself."""
-        return key in self.bindings
-
     def local(self, key: BindingKey) -> Any:
         """Read a binding from this frame only (the ``subcell`` accessor)."""
         try:

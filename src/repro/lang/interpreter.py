@@ -839,11 +839,6 @@ class Interpreter:
                 result = code(self, frame)
         return result
 
-    def run_file(self, path: str) -> Any:
-        """Execute the design file at ``path`` (see :meth:`run`)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return self.run(handle.read())
-
     def set_parameter(self, name: str, value: Any) -> None:
         """Bind a parameter-file value in the global environment."""
         self.globals.bind(name, value)

@@ -9,7 +9,7 @@ language lives on the integer layout grid.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple
+from typing import List, NamedTuple
 
 from ..core.errors import ParseError
 
@@ -98,6 +98,3 @@ def tokenize(text: str) -> List[Token]:
             tokens.append(Token("symbol", word, start_line, start_column))
     return tokens
 
-
-def iter_tokens(text: str) -> Iterator[Token]:
-    return iter(tokenize(text))

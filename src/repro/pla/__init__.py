@@ -9,9 +9,6 @@ __all__ = [
     "PLA_DESIGN_FILE",
     "PLA_PARAMETER_FILE",
     "generate_pla_via_language",
-    "FoldingPlan",
-    "generate_folded_pla",
-    "plan_column_folding",
     "TruthTable",
     "PLA_SAMPLE",
     "load_pla_library",
@@ -33,7 +30,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".designfile": [
         "PLA_DESIGN_FILE", "PLA_PARAMETER_FILE", "generate_pla_via_language",
     ],
-    ".folding": ["FoldingPlan", "generate_folded_pla", "plan_column_folding"],
     ".generator": [
         "extract_personality", "generate_decoder", "generate_pla",
         "intended_decoder_netlist", "intended_pla_netlist",

@@ -1,7 +1,7 @@
 """Connectivity extraction through routed wire geometry.
 
-Coincidence extraction (:mod:`repro.layout.connectivity`) connects
-ports that land on the same point — the abutment story.  Routed
+Coincidence extraction (:func:`repro.verify.cellgraph.cell_graph_netlist`)
+connects ports that land on the same point — the abutment story.  Routed
 composites connect ports through *wires*, so this module traces the
 wire geometry instead: same-layer boxes that touch are electrically
 one node, and a via square joins whatever it overlaps across layers

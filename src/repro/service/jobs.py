@@ -523,9 +523,10 @@ def _verify_stage(
 ) -> None:
     """Run the requested verification, raising unless it passes.
 
-    A failed check raises :class:`~repro.core.errors.VerificationError`;
-    its message carries the report summary and ``error.result`` the
-    partial result.
+    A failed check, or masks that do not extract as a circuit, raises
+    :class:`~repro.core.errors.VerificationError`; its message carries
+    the report summary (or the extraction error) and ``error.result``
+    the partial result.
     """
     if plan is not None:
         from ..route.compose import verify_composite
@@ -553,14 +554,21 @@ def _verify_stage(
     # The first call pays the package import: a span of its own keeps it
     # out of the stage's unattributed time.
     with obs_trace.import_span("import.verify"):
-        from ..verify import verify_cell
+        from ..verify import ExtractionError, verify_cell
         from ..verify.driver import DEFAULT_MAX_VECTORS
 
-    report = verify_cell(
-        cell, mode=spec.verify or "all",
-        max_vectors=spec.sim_vectors or DEFAULT_MAX_VECTORS,
-        rules=rules,
-    )
+    try:
+        report = verify_cell(
+            cell, mode=spec.verify or "all",
+            max_vectors=spec.sim_vectors or DEFAULT_MAX_VECTORS,
+            rules=rules,
+        )
+    except ExtractionError as error:
+        # masks that do not read as a circuit fail the check, like a mismatch
+        raise VerificationError(
+            f"verification failed for {cell.name!r}: extraction failed: {error}",
+            result=result,
+        ) from error
     result.verification = report.to_dict()
     if not report.ok:
         raise VerificationError(

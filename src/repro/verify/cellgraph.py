@@ -14,9 +14,8 @@ This module extracts exactly that as a cell-level
 :class:`~repro.verify.netlist.SwitchNetlist`: one device per leaf cell
 occurrence, kind encoding the cell type *and* the masks landed on it,
 pins labelled with the cell's port names, and nets formed by port
-coincidence (ports sharing a grid point are one node — the same
-convention as :mod:`repro.layout.connectivity`, with layers ignored
-because the stylised seams mix them).  LVS against the generator's
+coincidence (ports sharing a grid point are one node, whatever their
+layers, because the stylised seams mix them).  LVS against the generator's
 ``intended_netlist`` hook then checks placement and wiring;
 :func:`multiplier_personality` reads the personality grid back for the
 functional product check.  Both read the host occurrences of one

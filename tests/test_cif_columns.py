@@ -38,7 +38,7 @@ from repro.multiplier import (
     generate_retimed_multiplier,
     generate_via_language,
 )
-from repro.pla import generate_folded_pla, generate_pla_via_language
+from repro.pla import generate_pla_via_language
 
 
 def reference_write_boxes(stream, node, cif_layer, scale):
@@ -77,7 +77,7 @@ def written_cif(cell, **options):
 
 
 #: the shipped generators: the extraction sweep's PLAs, decoders, ROM
-#: and HPLA, plus the multiplier three ways and the folded PLA
+#: and HPLA, plus the multiplier three ways and the language PLA
 GENERATORS = {
     **SWEEP_LAYOUTS,
     "multiplier": lambda: generate_multiplier(3, 4),
@@ -87,7 +87,6 @@ GENERATORS = {
     "pla-language": lambda: generate_pla_via_language(
         random_table(random.Random(3), 4, 3, 6)
     )[0],
-    "folded-pla": lambda: generate_folded_pla(random_table(random.Random(5), 4, 4, 6))[0],
 }
 
 

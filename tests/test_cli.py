@@ -522,6 +522,24 @@ class TestExitCodes:
         assert exit_code_for(OSError("x")) == EXIT_IO
         assert exit_code_for(ValueError("x")) == EXIT_INTERNAL
 
+    @pytest.mark.parametrize("verify", ["lvs", "sim", "all"])
+    @pytest.mark.parametrize("compact", ["x", "xy", "yx"])
+    def test_masks_that_do_not_extract_exit_verify(self, flow_files, capsys, compact, verify):
+        """A TECH_B multiplier compacted along x first, or after y, does
+        not extract as a circuit: that fails verification (exit 4), not
+        the program, whichever check asked for the circuit."""
+        from repro.cli import EXIT_VERIFY
+
+        parameter, _ = flow_files
+        assert main([
+            str(parameter), "--set", "xsize=4", "--set", "ysize=4",
+            "--tech", "B", "--compact", compact, "--verify", verify,
+        ]) == EXIT_VERIFY
+        err = capsys.readouterr().err
+        cell = "thewholething" + "_compacted" * len(compact)
+        assert err.startswith(f"error: verification failed for '{cell}'")
+        assert "extraction failed: channel region" in err
+
     def test_bad_parameter_syntax_exits_parse(self, tmp_path, capsys):
         from repro.cli import EXIT_PARSE
 

@@ -50,11 +50,15 @@ class TestCompose:
         composite, plan = compose("combo", *blocks, ALIGNED)
         assert plan.router == "river"
         assert plan.vias == 0
+        assert plan.tracks == plan.wiring.tracks
+        assert plan.wirelength() == plan.wiring.wirelength() > 0
 
     def test_auto_picks_channel_for_crossings(self, blocks):
         composite, plan = compose("combo", *blocks, CROSSED)
         assert plan.router == "channel"
         assert plan.vias > 0
+        assert plan.tracks == plan.wiring.tracks > 0
+        assert plan.wirelength() == plan.wiring.wirelength()
 
     @pytest.mark.parametrize("nets", [ALIGNED, CROSSED], ids=["river", "channel"])
     def test_connectivity_round_trip(self, blocks, nets):

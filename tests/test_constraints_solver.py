@@ -163,6 +163,15 @@ class TestConstraintSystem:
         system.add("a", "b", 2, pitch_terms=(("lam", -1),))
         assert system.has_pitch_terms()
 
+    def test_each_record_says_whether_it_carries_a_pitch(self):
+        system = ConstraintSystem()
+        system.add_variable("a")
+        system.add_variable("b")
+        system.add_pitch("lam")
+        system.add("a", "b", 2, pitch_terms=(("lam", -1),))
+        system.add("b", "a", -5)
+        assert [c.has_pitch_terms() for c in system.constraints] == [True, False]
+
 
 class TestSolver:
     def test_minimal_solution(self):

@@ -857,12 +857,13 @@ def chain_runs(tmp_path, cell, axes, options):
     }
     for state in CACHE_STATES:
         cache = caches[state]
-        before = (cache.hits, cache.disk_hits) if cache is not None else (0, 0)
+        stats = None if cache is None else cache.cache_stats
+        before = (stats.hits, stats.disk_hits) if stats is not None else (0, 0)
         compacted, results = compact_passes(
             cell, TECH_A, axes, name="out", cache=cache, **options
         )
-        if cache is not None:
-            hits = (cache.hits - before[0], cache.disk_hits - before[1])
+        if stats is not None:
+            hits = (stats.hits - before[0], stats.disk_hits - before[1])
             assert hits == {
                 "cold": (0, 0), "warm-memory": (len(axes), 0),
                 "warm-disk": (len(axes), len(axes)),

@@ -66,6 +66,40 @@ class TestCompactLayout:
         with pytest.raises(ValueError, match="axis"):
             compact_cell(cell, TECH_A, axis=axis)
 
+    @pytest.mark.parametrize("mode", ["bogus", "Min", "", "preserve "])
+    def test_unknown_width_mode(self, mode):
+        """A width mode other than "preserve"/"min" is an error, on the
+        cached path too (it once ran min mode under a key of its own)."""
+        from repro.compact import CompactionCache
+
+        layout = make_layout([("metal1", Box(0, 0, 7, 10))])
+        cache = CompactionCache()
+        with pytest.raises(ValueError, match="width mode"):
+            compact_layout(layout, TECH_A, width_mode=mode, cache=cache)
+        assert len(cache) == 0
+        cell = CellDefinition("one")
+        cell.add_box("metal1", 0, 0, 7, 10)
+        with pytest.raises(ValueError, match="width mode"):
+            compact_cell(cell, TECH_A, width_mode=mode)
+        with pytest.raises(ValueError, match="width mode"):
+            compact_layout(FlatLayout("empty"), TECH_A, width_mode=mode)
+
+    @pytest.mark.parametrize("order", ["xy", "yx"])
+    def test_unknown_width_mode_in_two_pass_chains(self, order):
+        """Both two-pass entry points reject the mode before the first
+        pass, so no pass is cached either."""
+        from repro.compact import CompactionCache, compact_layout_xy, compact_passes
+
+        layout = make_layout([("metal1", Box(0, 0, 7, 10))])
+        cache = CompactionCache()
+        with pytest.raises(ValueError, match="width mode"):
+            compact_layout_xy(layout, TECH_A, order, width_mode="bogus", cache=cache)
+        cell = CellDefinition("one")
+        cell.add_box("metal1", 0, 0, 7, 10)
+        with pytest.raises(ValueError, match="width mode"):
+            compact_passes(cell, TECH_A, order, width_mode="bogus", cache=cache)
+        assert len(cache) == 0
+
     def test_technology_transport(self):
         """Design in TECH_A, compact into TECH_B: spacing re-solves to
         the new rules (section 6.1's motivation)."""

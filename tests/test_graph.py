@@ -208,6 +208,14 @@ class TestConnectivity:
         nb.connect(nc, 1)
         assert len(list(iter_edges(collect_graph(na)))) == 2
 
+    def test_edge_endpoints_and_node_degree(self, table, cells):
+        na, nb, nc = (Node(cells[n]) for n in "abc")
+        na.connect(nb, 1)
+        nb.connect(nc, 1)
+        assert [na.degree(), nb.degree(), nc.degree()] == [1, 2, 1]
+        (edge,) = na.edges
+        assert edge.other(na) is nb and edge.other(nb) is na
+
 
 class TestDirectedSameCelltype:
     """Figures 3.5-3.7: directed edges resolve the I_aa ambiguity."""

@@ -158,6 +158,12 @@ class TestProceduresAndMacros:
     def test_function_returns_last_value(self, interp):
         assert interp.run("(defun f (x) (locals) (+ x 1) (* x 2)) (f 5)") == 10
 
+    def test_call_applies_a_defined_procedure_from_python(self, interp):
+        interp.run("(defun twice (x) (* x 2))")
+        assert interp.call("twice", 21) == 42
+        with pytest.raises(EvalError, match="no procedure named 'thrice'"):
+            interp.call("thrice", 1)
+
     def test_macro_returns_environment(self, interp):
         result = interp.run("(macro mthing () (locals a) (setq a 42)) (mthing)")
         assert isinstance(result, Environment)

@@ -43,6 +43,12 @@ class TestFigure63:
         assert result.variable_count == 5
         assert result.naive_variable_count == 8
 
+    @pytest.mark.parametrize("mode", ["bogus", "Min", "", "preserve "])
+    def test_unknown_width_mode_rejected(self, rsg, mode):
+        compactor = LeafCellCompactor(rsg, TECH_A, width_mode=mode)
+        with pytest.raises(ValueError, match="width mode"):
+            compactor.add_cell("A")
+
     def test_pitch_compacts(self, rsg):
         compactor = LeafCellCompactor(rsg, TECH_A)
         compactor.add_cell("A")

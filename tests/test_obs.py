@@ -234,6 +234,11 @@ class TestMetrics:
         with pytest.raises(ValueError):
             counter.inc(-1)
 
+    def test_counter_merge_folds_another_in(self):
+        total = Counter(value=2.0)
+        assert total.merge(Counter(value=3.0)) is total
+        assert total.value == 5.0
+
     def test_gauge_sets_and_merges(self):
         gauge = Gauge()
         gauge.set(4)

@@ -149,7 +149,7 @@ class TestFlatCompactionCache:
         cache = CompactionCache()
         first, _ = compact_cell(make_leaf("one"), TECH_A, cache=cache)
         second, _ = compact_cell(make_leaf("two"), TECH_A, cache=cache)
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.cache_stats.hits == 1 and cache.cache_stats.misses == 1
         assert Counter(
             (b.layer, b.box) for b in first.boxes
         ) == Counter((b.layer, b.box) for b in second.boxes)
@@ -158,7 +158,7 @@ class TestFlatCompactionCache:
         cache = CompactionCache()
         a, result_a = compact_cell(make_leaf("x"), TECH_A, cache=cache)
         b, result_b = compact_cell(make_leaf("x"), TECH_B, cache=cache)
-        assert cache.hits == 0 and cache.misses == 2
+        assert cache.cache_stats.hits == 0 and cache.cache_stats.misses == 2
         assert result_a.width_after != result_b.width_after or (
             Counter((box.layer, box.box) for box in a.boxes)
             != Counter((box.layer, box.box) for box in b.boxes)
@@ -174,7 +174,7 @@ class TestFlatCompactionCache:
         cache = CompactionCache()
         compact_cell(make_leaf("x"), TECH_A, cache=cache)
         compact_cell(make_leaf("x"), TECH_A, cache=cache, **option)
-        assert cache.hits == 0 and cache.misses == 2
+        assert cache.cache_stats.hits == 0 and cache.cache_stats.misses == 2
 
     def test_cached_result_equals_uncached_oracle(self):
         cache = CompactionCache()
@@ -216,7 +216,7 @@ class TestLeafCellCache:
         cache = CompactionCache()
         first = self.solve(self.workspace(), cache)
         second = self.solve(self.workspace(), cache)
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.cache_stats.hits == 1 and cache.cache_stats.misses == 1
         assert first.pitches == second.pitches
         assert first.edge_positions == second.edge_positions
 
@@ -224,14 +224,14 @@ class TestLeafCellCache:
         cache = CompactionCache()
         a = self.solve(self.workspace(), cache, rules=TECH_A)
         b = self.solve(self.workspace(), cache, rules=TECH_B)
-        assert cache.hits == 0 and cache.misses == 2
+        assert cache.cache_stats.hits == 0 and cache.cache_stats.misses == 2
         assert a.pitches != b.pitches  # diff spacing differs across techs
 
     def test_miss_on_interface_constraint_change(self):
         cache = CompactionCache()
         self.solve(self.workspace(pitch=14), cache)
         self.solve(self.workspace(pitch=20), cache)
-        assert cache.hits == 0 and cache.misses == 2
+        assert cache.cache_stats.hits == 0 and cache.cache_stats.misses == 2
 
     def test_key_snapshots_geometry_at_registration(self):
         """A workspace mutation between add_cell and solve must not
@@ -249,7 +249,7 @@ class TestLeafCellCache:
         fresh.add_cell("A")
         fresh.add_interface("A", "A", 1)
         current = fresh.solve(cache=cache)
-        assert cache.misses == 2 and cache.hits == 0
+        assert cache.cache_stats.misses == 2 and cache.cache_stats.hits == 0
         assert len(current.cells["A"].boxes) == 3
         assert len(stale.cells["A"].boxes) == 2
 
@@ -279,7 +279,7 @@ class TestImmutableEntries:
             cell.add_box("diff", 0, 0, 2, 10)
             result.width_after = -1
             result.layers.clear()
-        assert cache.hits == 1
+        assert cache.cache_stats.hits == 1
 
     def test_compact_cells_read_is_unchanged_by_changing_the_previous_one(self):
         cache = CompactionCache()
@@ -297,7 +297,7 @@ class TestImmutableEntries:
         assert (result.width_after, result.jog_before, str(result.stats)) == (
             plain_result.width_after, plain_result.jog_before, str(plain_result.stats)
         )
-        assert cache.hits == 3
+        assert cache.cache_stats.hits == 3
 
     def test_leaf_cell_read_is_unchanged_by_changing_the_previous_one(self):
         cache = CompactionCache()
@@ -312,7 +312,7 @@ class TestImmutableEntries:
             result.pitches.clear()
             result.edge_positions.clear()
             result.cells["A"].add_box("diff", 40, 0, 42, 10)
-        assert cache.hits == 1
+        assert cache.cache_stats.hits == 1
 
     def test_stored_columns_are_read_only(self, tmp_path):
         cache = CompactionCache(str(tmp_path))
@@ -331,7 +331,7 @@ class TestImmutableEntries:
         reader = CompactionCache(str(tmp_path))
         cell, _ = compact_cell(make_leaf("x"), TECH_A, cache=reader)
         ((_, leaf, _),) = compact_cells([("x", make_leaf("x"))], TECH_A, cache=reader)
-        assert reader.disk_hits == 2
+        assert reader.cache_stats.disk_hits == 2
         for column in self.columns_of(cell) + self.columns_of(leaf):
             assert not column.flags.writeable
         arrays = [
@@ -359,10 +359,10 @@ class TestFormatVersion:
         layout = self.layout()
         compact_layout(layout, TECH_A, cache=cache)
         compact_layout(layout, TECH_A, cache=cache)
-        assert cache.hits == 1 and len(cache) == 1
+        assert cache.cache_stats.hits == 1 and len(cache) == 1
         monkeypatch.setattr(cache_module, "FORMAT_VERSION", "another-format")
         compact_layout(layout, TECH_A, cache=cache)
-        assert cache.misses == 2 and len(cache) == 2
+        assert cache.cache_stats.misses == 2 and len(cache) == 2
 
     def test_entry_under_the_unversioned_key_is_a_miss(self):
         from repro.compact import EdgeBoxes, cache_key, compact_layout, fingerprint_geometry
@@ -381,7 +381,7 @@ class TestFormatVersion:
         cache.put(old_key, "stale object-era result")
         result = compact_layout(layout, TECH_A, cache=cache)
         assert result != "stale object-era result"
-        assert cache.misses == 1 and cache.hits == 0
+        assert cache.cache_stats.misses == 1 and cache.cache_stats.hits == 0
         assert result.layers == compact_layout(layout, TECH_A).layers
 
     def test_entry_under_the_previous_format_key_is_a_miss(self, tmp_path):
@@ -403,7 +403,7 @@ class TestFormatVersion:
         (tmp_path / f"{old_key}.pkl").write_bytes(pickle.dumps("stale columns-3 entry"))
         cache = CompactionCache(str(tmp_path))
         result = compact_layout(layout, TECH_A, cache=cache)
-        assert cache.misses == 1 and cache.hits == 0
+        assert cache.cache_stats.misses == 1 and cache.cache_stats.hits == 0
         assert result.layers == compact_layout(layout, TECH_A).layers
 
     def test_token_change_changes_leaf_cell_key(self, monkeypatch):
@@ -423,7 +423,7 @@ class TestFormatVersion:
         compact_cells([("x", make_leaf("x"))], TECH_A, cache=cache)
         monkeypatch.setattr(cache_module, "FORMAT_VERSION", "another-format")
         compact_cells([("x", make_leaf("x"))], TECH_A, cache=cache)
-        assert cache.hits == 0 and len(cache) == 2
+        assert cache.cache_stats.hits == 0 and len(cache) == 2
 
 
 class TestOnDiskCache:
@@ -431,10 +431,10 @@ class TestOnDiskCache:
         directory = tmp_path / "cache"
         writer = CompactionCache(str(directory))
         compact_cell(make_leaf("x"), TECH_A, cache=writer)
-        assert writer.disk_hits == 0
+        assert writer.cache_stats.disk_hits == 0
         reader = CompactionCache(str(directory))
         cell, result = compact_cell(make_leaf("x"), TECH_A, cache=reader)
-        assert reader.hits == 1 and reader.disk_hits == 1
+        assert reader.cache_stats.hits == 1 and reader.cache_stats.disk_hits == 1
         plain, _ = compact_cell(make_leaf("x"), TECH_A)
         assert layer_multiset(cell) == layer_multiset(plain)
 
@@ -456,7 +456,7 @@ class TestOnDiskCache:
         subprocess.run([sys.executable, "-c", script], check=True)
         reader = CompactionCache(str(directory))
         compact_cell(make_leaf("anything"), TECH_A, cache=reader)
-        assert reader.disk_hits == 1
+        assert reader.cache_stats.disk_hits == 1
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
         directory = tmp_path / "cache"
@@ -466,7 +466,7 @@ class TestOnDiskCache:
             entry.write_bytes(b"not a pickle")
         reader = CompactionCache(str(directory))
         cell, _ = compact_cell(make_leaf("x"), TECH_A, cache=reader)
-        assert reader.misses == 1 and reader.hits == 0
+        assert reader.cache_stats.misses == 1 and reader.cache_stats.hits == 0
         assert cell.boxes
 
 
@@ -480,7 +480,7 @@ class TestCompactCells:
         compact_cells(self.batch()[:2], TECH_A, cache=cache)
         mixed = compact_cells(self.batch(), TECH_A, cache=cache)
         assert [name for name, _, _ in mixed] == [name for name, _ in self.batch()]
-        assert cache.hits == 2
+        assert cache.cache_stats.hits == 2
 
     def test_equals_compacting_each_cell_alone(self):
         """The batch is exactly one compaction per item, in order."""
@@ -497,7 +497,7 @@ class TestCompactCells:
         oracle = compact_cells(self.batch(), TECH_A, axes="xy")
         compact_cells(self.batch(), TECH_A, cache=cache, axes="xy")
         cached = compact_cells(self.batch(), TECH_A, cache=cache, axes="xy")
-        assert cache.hits == 5
+        assert cache.cache_stats.hits == 5
         for (_, cell_o, result_o), (_, cell_c, result_c) in zip(oracle, cached):
             assert layer_multiset(cell_o) == layer_multiset(cell_c)
             assert result_o.width_after == result_c.width_after
@@ -507,7 +507,7 @@ class TestCompactCells:
         cache = CompactionCache()
         items = [("a", make_leaf("a", seed=3)), ("b", make_leaf("b", seed=3))]
         results = compact_cells(items, TECH_A, cache=cache)
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert (cache.cache_stats.hits, cache.cache_stats.misses) == (1, 1)
         assert [name for name, _, _ in results] == ["a", "b"]
         assert layer_multiset(results[0][1]) == layer_multiset(results[1][1])
 
@@ -614,6 +614,13 @@ class TestCacheStats:
         assert stats.bytes_read == writer.cache_stats.bytes_written
         assert stats.hit_rate == 1.0
 
+    def test_cache_stats_is_the_one_counter_surface(self):
+        cache = CompactionCache()
+        compact_cell(make_leaf("x"), TECH_A, cache=cache)
+        assert cache.cache_stats.misses == 1
+        for name in ("hits", "misses", "disk_hits"):
+            assert not hasattr(cache, name)
+
     def test_hit_rate_is_zero_when_idle(self):
         from repro.compact import CacheStats
 
@@ -650,15 +657,6 @@ class TestCacheStats:
             "locks_broken": 0,
             "write_errors": 1,
         }
-
-    def test_legacy_attributes_view_the_stats(self):
-        cache = CompactionCache()
-        compact_cell(make_leaf("x"), TECH_A, cache=cache)
-        compact_cell(make_leaf("x"), TECH_A, cache=cache)
-        assert (cache.hits, cache.misses) == (
-            cache.cache_stats.hits,
-            cache.cache_stats.misses,
-        ) == (1, 1)
 
     def test_pipeline_report_carries_cache_stats(self):
         top = CellDefinition("top")
@@ -717,6 +715,7 @@ class TestConcurrentWrites:
         import time
 
         directory = tmp_path / "cache"
+        assert CompactionCache(str(directory)).stale_lock_seconds == 30.0
         cache = CompactionCache(str(directory), stale_lock_seconds=0.1)
         assert cache.stale_lock_seconds == 0.1
         lock = directory / "somekey.lock"
@@ -727,15 +726,23 @@ class TestConcurrentWrites:
         assert not lock.exists()
         assert cache.cache_stats.locks_broken == 1
 
-    def test_stale_window_reads_the_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_STALE_LOCK_S", "7.5")
-        assert CompactionCache(str(tmp_path)).stale_lock_seconds == 7.5
-        monkeypatch.delenv("REPRO_CACHE_STALE_LOCK_S")
-        assert CompactionCache(str(tmp_path)).stale_lock_seconds == 30.0
-        # an explicit constructor value beats the environment
-        monkeypatch.setenv("REPRO_CACHE_STALE_LOCK_S", "7.5")
-        explicit = CompactionCache(str(tmp_path), stale_lock_seconds=2.0)
-        assert explicit.stale_lock_seconds == 2.0
+    def test_stale_window_ignores_the_environment(self, tmp_path, monkeypatch):
+        """Only the constructor sets the window: a lock a second old is
+        fresh under the 30 s default whatever the environment says."""
+        import os
+        import time
+
+        monkeypatch.setenv("REPRO_CACHE_STALE_LOCK_S", "0.1")
+        directory = tmp_path / "cache"
+        cache = CompactionCache(str(directory))
+        assert cache.stale_lock_seconds == 30.0
+        lock = directory / "somekey.lock"
+        lock.touch()
+        recent = time.time() - 1.0
+        os.utime(lock, (recent, recent))
+        cache.put("somekey", {"value": 5})
+        assert lock.exists() and not (directory / "somekey.pkl").exists()
+        assert cache.cache_stats.locks_broken == 0
 
     def test_many_processes_hammer_one_directory(self, tmp_path):
         """N processes write and read the same keys; nobody crashes and

@@ -5,7 +5,7 @@ import pytest
 from repro.core import Rsg
 from repro.core.errors import ParseError, UnknownCellError
 from repro.geometry import FLIP_NORTH, NORTH, SOUTH, Vec2
-from repro.layout import dump_sample, loads_sample
+from repro.layout import dump_sample, load_sample, loads_sample
 
 
 BASIC = """
@@ -25,6 +25,16 @@ class TestCells:
         assert len(tile.boxes) == 1
         assert tile.boxes[0].layer == "metal"
         assert tile.port("a").position == Vec2(5, 10)
+
+    def test_load_sample_reads_a_path_or_a_stream(self, tmp_path):
+        import io
+
+        path = tmp_path / "basic.sample"
+        path.write_text(BASIC)
+        from_path, from_stream = Rsg(), Rsg()
+        assert load_sample(str(path), from_path).cells == ["tile"]
+        assert load_sample(io.StringIO(BASIC), from_stream).cells == ["tile"]
+        assert from_path.cells.lookup("tile").boxes == from_stream.cells.lookup("tile").boxes
 
     def test_port_without_layer(self):
         rsg = Rsg()

@@ -145,6 +145,16 @@ class TestFaultPlans:
         with pytest.raises(ValueError, match="unknown fault action"):
             FaultSpec.from_dict({"site": "worker.claimed", "action": "melt"})
 
+    def test_describe_lists_each_fault(self):
+        plan = FaultPlan(faults=[
+            FaultSpec("cache.read_disk", "raise", after=1, times=2),
+            FaultSpec("worker.claimed", "kill"),
+        ])
+        assert plan.describe() == (
+            "cache.read_disk: raise (after 1, x2); worker.claimed: kill (after 0, x1)"
+        )
+        assert FaultPlan(faults=[]).describe() == "no faults"
+
     def test_fire_honours_the_trigger_window(self):
         plan = FaultPlan(
             faults=[

@@ -355,6 +355,58 @@ class TestExecuteJob:
         (verify,) = [s for s in tracer.finished() if s.name == "job.verify"]
         assert verify.status == "error"
 
+    def test_extraction_error_is_a_verification_error(self):
+        """Masks that do not read as a circuit fail the verify stage with
+        the verification family's code (what a worker records as the
+        job's ``error_code``), naming the cell and the extraction error."""
+        from unittest import mock
+
+        from repro.cli import EXIT_VERIFY, exit_code_for
+        from repro.verify import ExtractionError
+
+        def unreadable(cell, **kwargs):
+            raise ExtractionError("channel region with 1 terminal(s)")
+
+        with mock.patch("repro.verify.verify_cell", side_effect=unreadable):
+            with pytest.raises(VerificationError) as caught:
+                execute_job(custom(verify="lvs"))
+        assert caught.value.headline == (
+            "verification failed for 'top': extraction failed:"
+            " channel region with 1 terminal(s)"
+        )
+        assert caught.value.result is not None
+        assert exit_code_for(caught.value) == EXIT_VERIFY
+
+    @pytest.mark.parametrize("verify", ["lvs", "sim", "all"])
+    def test_tech_b_flat_multiplier_fails_verification(self, verify):
+        """The real case behind the wrapping above: x-compacted under
+        TECH_B, the multiplier's masks leave a channel with one
+        terminal, and the job fails in the verification family."""
+        from repro.cli import EXIT_VERIFY, exit_code_for
+
+        spec = JobSpec(
+            kind="multiplier", parameters="xsize=3\nysize=3", tech="B",
+            compact="x", verify=verify,
+        )
+        with pytest.raises(VerificationError) as caught:
+            execute_job(spec)
+        assert caught.value.headline.startswith(
+            "verification failed for 'thewholething_compacted': extraction failed:"
+            " channel region with 1 terminal(s)"
+        )
+        assert exit_code_for(caught.value) == EXIT_VERIFY
+
+    def test_tech_b_multiplier_compacted_along_y_verifies(self):
+        """Control: compacted along y alone, the same multiplier extracts
+        and passes every check."""
+        spec = JobSpec(
+            kind="multiplier", parameters="xsize=3\nysize=3", tech="B",
+            compact="y", verify="all",
+        )
+        result = execute_job(spec)
+        assert result.cell_name == "thewholething_compacted"
+        assert result.verification is not None and result.verification["ok"]
+
     def test_design_without_a_cell_is_a_generic_error(self):
         from repro.core.errors import RsgError
 

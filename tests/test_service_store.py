@@ -187,6 +187,17 @@ class TestCompletionAndArtifacts:
         job = store.submit(spec())["job"]
         assert store.artifact_bytes(job, "layout.cif") is None
 
+    def test_quarantine_moves_artifacts_out_of_serving_range(self, store):
+        store.submit(spec())
+        fingerprint, claimed = store.claim(worker_pid=1)
+        store.complete(fingerprint, execute_job(claimed))
+        moved = store.quarantine(fingerprint, reason="digest mismatch")
+        assert moved == store.root / "quarantine" / fingerprint
+        assert (moved / "layout.cif").is_file()
+        assert store.artifact_bytes(fingerprint, "layout.cif") is None
+        assert store.counter("quarantined") == 1
+        assert store.quarantine(fingerprint) is None
+
     def test_unknown_job_status_is_none(self, store):
         assert store.status("nope") is None
         assert store.result("nope") is None

@@ -19,7 +19,6 @@ from repro.pla import (
     HplaGenerator,
     TruthTable,
     generate_decoder,
-    generate_folded_pla,
     generate_pla,
     generate_pla_via_language,
     generate_rom,
@@ -97,9 +96,6 @@ FAMILY = {
     "pla": lambda: generate_pla(TABLE),
     "rom": lambda: generate_rom(ROM_WORDS, 3)[0],
     "decoder": lambda: generate_decoder(3),
-    # A table with no foldable output pair: a folded column's flipped
-    # top buffer does not extract at the transistor level.
-    "folded": lambda: generate_folded_pla(TABLE)[0],
     "hpla": lambda: HplaGenerator().generate(TABLE),
     "language": _language_pla,
 }
@@ -112,18 +108,6 @@ def test_pla_family_lanes_match_the_oracle(family):
     assert width and netlist.outputs
     vectors = exhaustive_vectors(width) + with_unknowns(width, 8, seed=width)
     assert_engines_agree(netlist, netlist.inputs, vectors)
-
-
-def test_folded_column_does_not_extract():
-    """Why the folded case above uses an unfoldable table."""
-    from repro.verify import ExtractionError
-
-    cell, plan = generate_folded_pla(
-        TruthTable.parse("1-0 | 10\n01- | 10\n-11 | 01\n00- | 01")
-    )
-    assert plan.folded_pairs == 1
-    with pytest.raises(ExtractionError):
-        pla_layout_netlist(cell)
 
 
 # ---------------------------------------------------------------------------

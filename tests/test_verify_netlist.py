@@ -1,117 +1,9 @@
-"""Unit tests for PortNetlist merge/connected and the switch netlist.
-
-The satellite surface of the verification PR: direct coverage of
-``PortNetlist.merge`` and the wildcard handling of ``connected`` (empty
-netlists, self-connection, dangling ports queried twice), plus the
-``SwitchNetlist`` building blocks the extractor sits on.
-"""
+"""Unit tests for the switch netlist: the ``SwitchNetlist`` building
+blocks the extractor sits on."""
 
 import pytest
 
-from repro import CellDefinition, Transform
-from repro.layout.connectivity import PortNetlist, extract_ports
 from repro.verify.netlist import Device, SwitchNetlist
-
-
-class TestPortNetlistConnected:
-    def test_empty_netlist(self):
-        netlist = PortNetlist()
-        assert netlist.net_of("a") is None
-        assert not netlist.connected("a", "b")
-        assert netlist.multi_terminal_nets() == []
-        assert netlist.dangling_ports() == []
-
-    def test_self_connection(self):
-        netlist = PortNetlist()
-        netlist.add_net(["a", "b"])
-        assert netlist.connected("a", "a")
-        netlist.add_net(["solo"])
-        assert netlist.connected("solo", "solo")
-
-    def test_dangling_port_queried_twice(self):
-        """A dangling port answers consistently on repeated queries."""
-        netlist = PortNetlist()
-        netlist.add_net(["lonely"])
-        for _ in range(2):
-            assert netlist.net_of("lonely") == 0
-            assert not netlist.connected("lonely", "other")
-            assert netlist.dangling_ports() == ["lonely"]
-
-    def test_wildcard_port_on_two_nets(self):
-        """A layerless port sits on several nets; connected must look
-        through *both* directions of the index."""
-        netlist = PortNetlist()
-        netlist.add_net(["metal_a", "wild"])
-        netlist.add_net(["poly_b", "wild"])
-        # Index records the first net for "wild"; the symmetric lookup
-        # still finds the second-net relationship.
-        assert netlist.connected("wild", "metal_a")
-        assert netlist.connected("wild", "poly_b")
-        assert netlist.connected("poly_b", "wild")
-        assert not netlist.connected("metal_a", "poly_b")
-
-    def test_unknown_port_never_connected(self):
-        netlist = PortNetlist()
-        netlist.add_net(["a", "b"])
-        assert not netlist.connected("ghost", "a")
-        assert not netlist.connected("a", "ghost")
-
-
-class TestPortNetlistMerge:
-    def test_merge_into_empty(self):
-        left = PortNetlist()
-        right = PortNetlist()
-        right.ports["x"] = (1, 2)
-        right.add_net(["x", "y"])
-        left.merge(right)
-        assert left.net_of("x") == 0
-        assert left.connected("x", "y")
-        assert left.ports["x"] == (1, 2)
-
-    def test_merge_renumbers_nets(self):
-        left = PortNetlist()
-        left.add_net(["a", "b"])
-        right = PortNetlist()
-        right.add_net(["c", "d"])
-        right.add_net(["e"])
-        left.merge(right)
-        assert left.net_of("c") == 1
-        assert left.net_of("e") == 2
-        assert left.connected("c", "d")
-        assert not left.connected("a", "c")
-        assert left.dangling_ports() == ["e"]
-
-    def test_merge_keeps_first_index_for_shared_port(self):
-        """Wildcard convention: a port present in both keeps the first
-        net it was indexed under."""
-        left = PortNetlist()
-        left.ports["w"] = (0, 0)
-        left.add_net(["w", "l1"])
-        right = PortNetlist()
-        right.ports["w"] = (9, 9)
-        right.add_net(["w", "r1"])
-        left.merge(right)
-        assert left.net_of("w") == 0
-        assert left.ports["w"] == (0, 0)
-        # Both relationships survive through the symmetric lookup.
-        assert left.connected("w", "l1")
-        assert left.connected("w", "r1")
-
-    def test_merge_returns_self_for_chaining(self):
-        left = PortNetlist()
-        assert left.merge(PortNetlist()) is left
-
-    def test_merge_of_extracted_netlists(self):
-        """Merging two real extractions equals extracting a combined cell."""
-        def make(name, dx):
-            cell = CellDefinition(name)
-            cell.add_port("p", dx, 0, "metal1")
-            cell.add_port("q", dx, 0, "metal1")
-            return extract_ports(cell)
-
-        combined = make("a", 0).merge(make("b", 5))
-        assert combined.connected("p", "q")
-        assert len(combined.nets) == 2
 
 
 class TestSwitchNetlist:
