@@ -13,13 +13,17 @@ once per process, then evaluated) and records it as the ``generate_mult``
 rows; each size step (4x cells) may grow it at most 5x, and the 8 -> 16
 step runs in ``make bench-smoke``.
 
-``test_language_over_api`` tracks the interpreter's own cost: the
+``test_language_over_api`` guards the interpreter's own cost: the
 ``generate_mult_lang_over_api`` row is ``generate_via_language`` over
 ``generate_multiplier`` (both load the sample library and expand the
-same graphs), best of five each, at 8, 16 and 32.  The row holds a
-ratio, not seconds, and no bound.
+same graphs), best of five each with the collector paused, at 8, 16 and
+32.  The row holds a ratio, not seconds.  At 16 and 32 it is bounded by
+``LANGUAGE_OVER_API_LIMIT`` (the closure-compiled interpreter read
+1.9-2.2, the generated Python functions 1.6-1.75); 8, where the fixed
+costs weigh most, is recorded unguarded.
 """
 
+import gc
 import os
 
 import pytest
@@ -36,8 +40,10 @@ SIZES = [8] if SMOKE else [8, 16, 32, 64]
 #: design-language generation sizes (4x cells a step) and the step bound
 LANGUAGE_SIZES = [8, 16] if SMOKE else [8, 16, 32]
 LANGUAGE_STEP_LIMIT = 5.0
-#: sizes of the unguarded language-over-API ratio row
+#: sizes of the language-over-API ratio row, and those it bounds
 RATIO_SIZES = [8] if SMOKE else [8, 16, 32]
+GUARDED_RATIO_SIZES = (16, 32)
+LANGUAGE_OVER_API_LIMIT = 1.8
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -88,14 +94,34 @@ def test_language_generation_scaling_guard(report, record):
 
 
 def test_language_over_api(report, record):
-    """Design-language generation time over Python-API generation time."""
+    """Design-language generation time over Python-API generation time,
+    <= LANGUAGE_OVER_API_LIMIT at 16 and 32 (best of three rounds)."""
+    generate_via_language(RATIO_SIZES[0], RATIO_SIZES[0])  # compile the design text
     rows = []
+    failures = []
     for n in RATIO_SIZES:
-        language = best_time(lambda: generate_via_language(n, n), repeats=5)
-        api = best_time(lambda: generate_multiplier(n, n), repeats=5)
+        best = None
+        for _ in range(3):
+            gc.collect()
+            gc.disable()
+            try:
+                language = best_time(lambda: generate_via_language(n, n), repeats=5)
+                api = best_time(lambda: generate_multiplier(n, n), repeats=5)
+            finally:
+                gc.enable()
+            if best is None or language / api < best[0] / best[1]:
+                best = (language, api)
+            if n not in GUARDED_RATIO_SIZES or language / api <= LANGUAGE_OVER_API_LIMIT:
+                break
+        language, api = best
         record("generate_mult_lang_over_api", n, language / api)
+        guarded = n in GUARDED_RATIO_SIZES
         rows.append(
             f"  {n}x{n}: language {language * 1000:.1f} ms, API"
-            f" {api * 1000:.1f} ms ({language / api:.2f}x)"
+            f" {api * 1000:.1f} ms ({language / api:.2f}x"
+            + (f", limit {LANGUAGE_OVER_API_LIMIT}x)" if guarded else ", unguarded)")
         )
+        if guarded and language / api > LANGUAGE_OVER_API_LIMIT:
+            failures.append(f"{n}x{n}: {language / api:.2f}x")
     report("E-T1: the interpreter's own cost (language over API)", *rows)
+    assert not failures, f"language over API above {LANGUAGE_OVER_API_LIMIT}x: {failures}"

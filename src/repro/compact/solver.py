@@ -7,8 +7,10 @@ list pass after pass until a fixpoint.  Bamji: the algorithm "proved to
 be extremely fast, especially if the edges are traversed in sorted
 (according to their abscissa) order" — when the drawn edge ordering
 survives compaction, exactly one productive pass suffices and a second
-pass confirms the fixpoint.  More than ``|V| + 1`` passes means a
-positive cycle: the system is infeasible.
+pass confirms the fixpoint.  That confirming pass is one array test
+(is any constraint still violated?) rather than a sweep, counted as a
+pass all the same.  More than ``|V| + 1`` passes means a positive
+cycle: the system is infeasible.
 """
 
 from __future__ import annotations
@@ -205,6 +207,12 @@ def solve_longest_path(
             raise InfeasibleConstraintsError(
                 "positive cycle: the constraint system is overconstrained"
             )
+        # The next pass relaxes something exactly when some constraint
+        # is violated now; when none is, it is the confirming pass.
+        values = np.asarray(x)
+        if not (values[source] + weight > values[target]).any():
+            passes += 1
+            break
     return SolveStats(
         passes=passes, relaxations=relaxations, sorted_edges=sort_edges,
         values=x, lower_bound=lower_bound, names=system.names(),

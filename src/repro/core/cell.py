@@ -499,10 +499,14 @@ class CellDefinition:
 
     def adopt_all(self, instances: Iterable[Instance]) -> None:
         """:meth:`adopt` every instance, in order, under one mutation stamp."""
+        append = self.instances.append
         for instance in instances:
-            if self not in instance.owners:
-                instance.owners = instance.owners + (self,)
-            self.instances.append(instance)
+            owners = instance.owners
+            if not owners:
+                instance.owners = (self,)
+            elif self not in owners:
+                instance.owners = owners + (self,)
+            append(instance)
         self._touch()
 
     # ------------------------------------------------------------------

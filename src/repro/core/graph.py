@@ -71,7 +71,7 @@ class Node:
     __slots__ = ("instance", "edges", "name")
 
     def __init__(self, definition: CellDefinition, name: str = "") -> None:
-        self.instance = Instance(definition, name=name)
+        self.instance = Instance(definition, None, None, name)
         self.edges: List[Edge] = []
         self.name = name
 
@@ -209,7 +209,12 @@ def expand_graph(
                         f" {neighbor.instance.orientation!r})"
                     )
                 continue
-            neighbor.instance.place(location, orientation)
+            far = neighbor.instance
+            if far.owners:
+                far.place(location, orientation)
+            else:  # no owner's memos to invalidate
+                far._location = location
+                far._orientation = orientation
             placed.add(id(neighbor))
             order.append(neighbor)
             queue.append((neighbor, edge))

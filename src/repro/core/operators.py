@@ -53,7 +53,9 @@ class Rsg:
     # ------------------------------------------------------------------
     def mk_instance(self, cell: CellRef, name: str = "") -> Node:
         """Create a partial-instance node for ``cell`` (section 4.4.1)."""
-        return Node(self._resolve(cell), name=name)
+        if not isinstance(cell, CellDefinition):
+            cell = self.cells.lookup(cell)
+        return Node(cell, name)
 
     def connect(self, source: Node, target: Node, index: int) -> Node:
         """Join two nodes with a directed edge (section 4.4.2).

@@ -15,32 +15,52 @@ Executes the Lisp-subset language of Appendix A against an
 * procedures are *not* first class (they live in a separate procedure
   table and cannot be passed as values).
 
-Each statement is compiled once to a closure ``code(interpreter, env)``
-(closure compilation: Feeley and Lapalme, "Using closures for code
-generation", Computer Languages 12(1), 1987): a form's head is
-classified and its special form dispatched when the closure is built,
-not each time it runs.  Each design text is parsed and compiled once per
-process: compiled programs are cached by text and hold no per-run state,
-so one program serves every interpreter that runs that text.
+A design text is translated to Python source and compiled once per
+process (:func:`_compile_program`, cached by text): one function per
+``defun``/``macro`` body and one for the program, each
+``code(interpreter, frame)``.  The compiled program holds no per-run
+state, so one program serves every interpreter that runs that text.
 
-What the closure fixes at compile time: a variable's name (or an indexed
-variable's base and index code), a binding's target, a two-operand
-``+ - *`` or comparison's ``operator`` function.  What stays a run-time
-lookup, because a run can change it: the binding itself, probed in the
-frame and then the globals inside the reading closure (aliases and
-cell names go through :meth:`Environment.lookup`), and the callee, a
-builtin before a procedure.  Frames stay dictionaries: macros return
+What the generated code fixes at compile time: ``cond``/``do``/``prog``/
+``and``/``or`` are Python control flow; a two-operand ``+ - *`` or
+comparison calls a helper that computes ints directly and hands
+anything else to the primitive (its value and its error text), and on
+the variables of counting ``do`` loops it is the Python operator
+itself; ``mk_instance``/``connect`` call the workspace through one
+checking helper each.  What stays a run-time lookup, because a run can
+change it: every binding and the callee (a builtin before a procedure).
+A read of a name certainly bound in the frame and never to an alias (a
+formal, a local, an assigned variable: :func:`_frame_facts`) is the
+frame's dictionary entry; any other read is :meth:`Environment.lookup`,
+which chases aliases into the globals and the cell table.  A call that
+passes an alias runs a second body, generated when first needed, that
+reads the formals the long way.  Frames stay dictionaries: macros return
 them, ``subcell`` reads them by name, and indexed keys are run-time
-values, so there is no fixed slot layout to compile to.  Every arity or
-type error is raised when the malformed statement runs (a malformed
-form in a branch never taken is never an error).
+values, so there is no fixed slot layout to compile to.
+
+Two rules keep the translation safe for design texts a remote client
+sends.  *Literals only*: a name or string of the design text enters the
+Python source only as the ``repr`` of a ``str`` or ``int`` (binding keys,
+messages), and other quoted values only as an index into the program's
+constant table, never as an identifier or raw text; the generated
+functions see only the helpers below and a handful of builtins.
+*Bounded nesting*: a block form that would start deeper than
+``_MAX_BLOCKS`` levels moves into a function of its own, and a form more
+than ``_MAX_NESTING`` operands deep is computed into a temporary first,
+so no design text, however deep, reaches CPython's limits on nested
+blocks, indentation or parentheses.  Every arity or type error is raised
+when the malformed statement runs (a malformed form in a branch never
+taken is never an error), with the text the tree-walking oracle
+(``tests/oracles/lang.py``) raises.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from ..core.cell import CellDefinition, Instance
 from ..core.errors import EvalError, UnknownCellError
@@ -57,7 +77,7 @@ __all__ = ["Interpreter", "Procedure"]
 class Procedure:
     """A user-defined function or macro (not a first-class value)."""
 
-    __slots__ = ("name", "formals", "locals", "body", "is_macro", "code")
+    __slots__ = ("name", "formals", "locals", "body", "is_macro", "code", "aliased")
 
     def __init__(
         self,
@@ -66,14 +86,20 @@ class Procedure:
         locals_: List[str],
         body: List[Statement],
         is_macro: bool,
+        code: Optional[Callable[["Interpreter", Environment], Any]] = None,
     ) -> None:
         self.name = name
         self.formals = formals
         self.locals = locals_
         self.body = body
         self.is_macro = is_macro
-        #: the body compiled once, when the definition is compiled
-        self.code = _compile_body(body)
+        #: the body's generated function ``code(interpreter, frame)``,
+        #: set when the program defining it compiles; it reads the
+        #: formals as plain values
+        self.code = code
+        #: the body generated for a call that passes an alias, whose
+        #: formals' reads chase it (made when first needed)
+        self.aliased: Optional[Callable[["Interpreter", Environment], Any]] = None
 
     def __repr__(self) -> str:
         kind = "macro" if self.is_macro else "defun"
@@ -90,7 +116,7 @@ _ARITH: Dict[str, Callable[..., Any]] = {}
 
 def _register_arith() -> None:
     # A primitive's EvalError text follows "line N: <op>: " (see
-    # _compile_arith), so it does not repeat the operator's name.
+    # _primitive), so it does not repeat the operator's name.
     def fold(op: Callable[[int, int], int], unit: int):
         def call(*args: int) -> int:
             if not args:
@@ -204,161 +230,18 @@ def _register_table_builtins(builtins: Dict[str, Callable[..., Any]]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Compilation: every statement becomes a closure ``code(interpreter, env)``
+# Run-time support: the only names generated code calls
 # ----------------------------------------------------------------------
-Code = Callable[["Interpreter", Environment], Any]
+def _raiser(message: str) -> Any:
+    """Raise ``EvalError(message)``: a malformed form, when it runs."""
+    raise EvalError(message)
 
 
-def _constant(value: Any) -> Code:
-    return lambda interpreter, env: value
-
-
-def _raiser(message: str) -> Code:
-    """A statement that raises ``EvalError(message)`` when it runs."""
-
-    def fail(interpreter: "Interpreter", env: Environment) -> Any:
-        raise EvalError(message)
-
-    return fail
-
-
-def _compile(statement: Statement) -> Code:
-    if isinstance(statement, int) or isinstance(statement, str):
-        return _constant(statement)
-    if isinstance(statement, Symbol):
-        return _compile_variable(statement.name)
-    if isinstance(statement, IndexedVar):
-        return _compile_indexed_variable(statement)
-    if isinstance(statement, Form):
-        return _compile_form(statement)
-    return _raiser(f"cannot evaluate {statement!r}")
-
-
-def _compile_body(statements: Sequence[Statement]) -> Tuple[Code, ...]:
-    return tuple(_compile(statement) for statement in statements)
-
-
-def _read(env: Environment, key: Any) -> Any:
-    """Read ``key`` in ``env``, probing the frame and then the globals.
-
-    Only what those dictionaries cannot answer goes through
-    :meth:`Environment.lookup`: an alias, which re-enters Figure 4.1's
-    chain at this frame one step deep (so the 32-step bound counts from
-    here), and a key bound in neither (a cell name, or unbound).
-    """
-    bindings = env.bindings
-    if key in bindings:
-        value = bindings[key]
-    else:
-        bindings = env.globals.bindings
-        if key not in bindings:
-            return env.lookup(key)
-        value = bindings[key]
-    if isinstance(value, Alias):
-        return env.lookup(value.name, 1)
-    return value
-
-
-def _compile_variable(name: str) -> Code:
-    """A variable read: :func:`_read` with the name fixed, its body
-    inlined (this is the most frequent closure of a design file)."""
-
-    def read(interpreter: "Interpreter", env: Environment) -> Any:
-        bindings = env.bindings
-        if name in bindings:
-            value = bindings[name]
-        else:
-            bindings = env.globals.bindings
-            if name not in bindings:
-                return env.lookup(name)
-            value = bindings[name]
-        if isinstance(value, Alias):
-            return env.lookup(value.name, 1)
+def _index(value: Any, base: str, line: int) -> int:
+    """An evaluated index of the indexed variable ``base``."""
+    if isinstance(value, int):
         return value
-
-    return read
-
-
-def _compile_indexed_variable(var: IndexedVar) -> Code:
-    """An indexed-variable read: its key, then :func:`_read`."""
-    key = _compile_index_key(var)
-    return lambda interpreter, env: _read(env, key(interpreter, env))
-
-
-def _compile_index_key(var: IndexedVar) -> Code:
-    """The binding key ``(base, (i,))`` or ``(base, (i, j))`` of ``var``."""
-    base, line = var.base, var.line
-    indices = _compile_body(var.indices)
-
-    def bad_index(value: Any) -> EvalError:
-        return EvalError(
-            f"line {line}: index of {base!r} must be an integer, got {value!r}"
-        )
-
-    if len(indices) == 1:
-        (index,) = indices
-
-        def key1(interpreter: "Interpreter", env: Environment) -> Any:
-            value = index(interpreter, env)
-            if not isinstance(value, int):
-                raise bad_index(value)
-            return (base, (value,))
-
-        return key1
-
-    def key(interpreter: "Interpreter", env: Environment) -> Any:
-        values = []
-        for index in indices:
-            value = index(interpreter, env)
-            if not isinstance(value, int):
-                raise bad_index(value)
-            values.append(value)
-        return (base, tuple(values))
-
-    return key
-
-
-def _compile_target(target: Statement) -> Code:
-    """The binding key an assignment or ``mk_instance`` writes."""
-    if isinstance(target, Symbol):
-        return _constant(target.name)
-    if isinstance(target, IndexedVar):
-        return _compile_index_key(target)
-    return _raiser("assignment target must be a variable")
-
-
-def _compile_form(form: Form) -> Code:
-    if len(form) == 0:
-        return _constant(None)
-    head = form[0]
-    if not isinstance(head, Symbol):
-        return _raiser(f"line {form.line}: form head must be a name")
-    name = head.name
-    special = _SPECIAL_FORMS.get(name)
-    if special is not None:
-        return special(form)
-    arguments = _compile_body(form.items[1:])
-    if name in _ARITH:
-        return _compile_arith(name, arguments, form.line)
-    return _compile_call(name, arguments, form.line)
-
-
-#: two-operand arithmetic, as ``operator`` functions (``-`` is the
-#: n-ary fold's ``-=``, whose type error names that operator)
-_BINARY: Dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.isub,
-    "*": operator.mul,
-}
-#: two-operand comparisons (their results are made True/False)
-_COMPARISONS: Dict[str, Callable[[Any, Any], Any]] = {
-    "=": operator.eq,
-    "/=": operator.ne,
-    ">": operator.gt,
-    "<": operator.lt,
-    ">=": operator.ge,
-    "<=": operator.le,
-}
+    raise EvalError(f"line {line}: index of {base!r} must be an integer, got {value!r}")
 
 
 def _arith_error(name: str, line: int, exc: Exception) -> EvalError:
@@ -366,69 +249,518 @@ def _arith_error(name: str, line: int, exc: Exception) -> EvalError:
     return EvalError(f"line {line}: {name}: {exc}")
 
 
-def _compile_arith(name: str, arguments: Tuple[Code, ...], line: int) -> Code:
-    # Two operands (loop steps and tests) call the operator directly.
-    # The operands run outside the ``try``: an error of theirs is not
-    # this operator's.
-    if len(arguments) == 2:
-        left, right = arguments
-        if name in _BINARY:
-            binary = _BINARY[name]
+def _primitive(name: str, line: int, *values: Any) -> Any:
+    """Apply an arithmetic primitive to evaluated operands.
 
-            def binary_call(interpreter: "Interpreter", env: Environment) -> Any:
-                a = left(interpreter, env)
-                b = right(interpreter, env)
-                try:
-                    return binary(a, b)
-                except Exception as exc:
-                    raise _arith_error(name, line, exc) from exc
+    The operands ran before this call: an error of theirs is not this
+    operator's.
+    """
+    try:
+        return _ARITH[name](*values)
+    except Exception as exc:
+        raise _arith_error(name, line, exc) from exc
 
-            return binary_call
-        if name in _COMPARISONS:
-            compare = _COMPARISONS[name]
 
-            def compare_call(interpreter: "Interpreter", env: Environment) -> bool:
-                a = left(interpreter, env)
-                b = right(interpreter, env)
-                try:
-                    return True if compare(a, b) else False
-                except Exception as exc:
-                    raise _arith_error(name, line, exc) from exc
+def _infix(name: str, on_ints: Callable[[int, int], Any]) -> Callable[[Any, Any, int], Any]:
+    """A two-operand primitive: ``on_ints`` when both operands are
+    ints, else :func:`_primitive` (its result and its error text)."""
 
-            return compare_call
-    function = _ARITH[name]
+    def apply(left: Any, right: Any, line: int) -> Any:
+        if type(left) is int is type(right):
+            return on_ints(left, right)
+        return _primitive(name, line, left, right)
 
-    def call(interpreter: "Interpreter", env: Environment) -> Any:
-        values = [argument(interpreter, env) for argument in arguments]
+    return apply
+
+
+def _callee(interpreter: "Interpreter", name: str, line: int) -> bool:
+    """Classify a call site before its arguments run: True for a
+    builtin, False for a procedure; an unknown name is an error."""
+    if name in interpreter.builtins:
+        return True
+    if name in interpreter.procedures:
+        return False
+    raise EvalError(f"line {line}: unknown procedure {name!r}")
+
+
+def _call(
+    interpreter: "Interpreter", name: str, line: int, builtin: Optional[bool], *values: Any
+) -> Any:
+    """Call the builtin or procedure ``name`` on evaluated arguments.
+
+    ``builtin`` is :func:`_callee`'s answer, or None when the arguments
+    can neither fail nor change anything, so that they may run before
+    the call site is classified here.  The procedure is fetched after
+    the arguments ran: one of them may redefine it.
+    """
+    if builtin is None:
+        builtin = name in interpreter.builtins
+        if not builtin and name not in interpreter.procedures:
+            raise EvalError(f"line {line}: unknown procedure {name!r}")
+    if builtin:
         try:
-            return function(*values)
+            return interpreter.builtins[name](*values)
+        except EvalError:
+            raise
         except Exception as exc:
-            raise _arith_error(name, line, exc) from exc
+            raise EvalError(f"line {line}: {name}: {exc}") from exc
+    return interpreter._apply(interpreter.procedures[name], values)
 
-    return call
+
+def _mk_instance(interpreter: "Interpreter", cell: Any, line: int) -> Node:
+    """``mk_instance`` of an evaluated cell (a definition or its name)."""
+    if not isinstance(cell, CellDefinition):
+        cell = interpreter._resolve_cell(cell, line)
+    return interpreter.rsg.mk_instance(cell)
 
 
-def _compile_call(name: str, arguments: Tuple[Code, ...], line: int) -> Code:
-    """A builtin or procedure call; the callee is looked up when it runs."""
+def _bind_instance(
+    interpreter: "Interpreter", bindings: Dict[Any, Any], name: str, cell: Any, line: int
+) -> Node:
+    """``mk_instance`` into a plain variable: the node, bound and returned."""
+    if not isinstance(cell, CellDefinition):
+        cell = interpreter._resolve_cell(cell, line)
+    node = bindings[name] = interpreter.rsg.mk_instance(cell)
+    return node
 
-    def call(interpreter: "Interpreter", env: Environment) -> Any:
-        builtins = interpreter.builtins
-        if name in builtins:
-            values = [argument(interpreter, env) for argument in arguments]
-            try:
-                return builtins[name](*values)
-            except EvalError:
-                raise
-            except Exception as exc:
-                raise EvalError(f"line {line}: {name}: {exc}") from exc
-        procedures = interpreter.procedures
-        if name in procedures:
-            values = [argument(interpreter, env) for argument in arguments]
-            # fetched after the arguments ran: one of them may redefine it
-            return interpreter._apply(procedures[name], values)
-        raise EvalError(f"line {line}: unknown procedure {name!r}")
 
-    return call
+def _connect(
+    interpreter: "Interpreter", source: Any, target: Any, number: Any, line: int
+) -> Node:
+    """``connect``: check the evaluated operands, then join the nodes."""
+    if not isinstance(source, Node) or not isinstance(target, Node):
+        raise EvalError(f"line {line}: connect arguments must be instances")
+    if not isinstance(number, int):
+        raise EvalError(f"line {line}: interface number must be an integer")
+    return interpreter.rsg.connect(source, target, number)
+
+
+def _frame(value: Any, line: int) -> Environment:
+    """``subcell``'s first operand, checked (before an indexed key is
+    evaluated: ``SC(F(env, line), key, line)``)."""
+    if not isinstance(value, Environment):
+        raise EvalError(
+            f"line {line}: subcell's first argument must be a macro"
+            f" environment, got {type(value).__name__}"
+        )
+    return value
+
+
+def _subcell(env: Any, key: Any, line: int) -> Any:
+    """Read ``key`` out of a macro's returned environment."""
+    if not isinstance(env, Environment):
+        _frame(env, line)
+    bindings = env.bindings
+    if key in bindings:
+        return bindings[key]
+    return env.local(key)  # raises the unbound-variable error
+
+
+def _declare_interface(
+    interpreter: "Interpreter",
+    cell_c: CellDefinition,
+    cell_d: CellDefinition,
+    new: Any,
+    inst_a: Any,
+    inst_b: Any,
+    existing: Any,
+    line: int,
+) -> Any:
+    """``declare_interface`` on evaluated (and resolved) operands."""
+    if not isinstance(new, int) or not isinstance(existing, int):
+        raise EvalError(f"line {line}: interface numbers must be integers")
+    if not isinstance(inst_a, (Node, Instance)) or not isinstance(inst_b, (Node, Instance)):
+        raise EvalError(f"line {line}: declare_interface subcells must be instances")
+    return interpreter.rsg.declare_interface(
+        cell_c, cell_d, new, inst_a, inst_b, existing
+    )
+
+
+#: two-operand primitives: the generated code's name for each, and the
+#: Python operator it is on two ints
+_INFIX: Dict[str, Tuple[str, str]] = {
+    "+": ("ADD", "+"), "-": ("SUB", "-"), "*": ("MUL", "*"),
+    "=": ("EQ", "=="), "/=": ("NE", "!="), ">": ("GT", ">"), "<": ("LT", "<"),
+    ">=": ("GE", ">="), "<=": ("LE", "<="),
+}
+#: the global namespace of every generated function: the helpers above
+#: under short names, and only the builtins the generated code uses
+_NAMESPACE: Dict[str, Any] = {
+    "__builtins__": {"isinstance": isinstance, "str": str},
+    "Node": Node,
+    "X": _index,
+    "P": _primitive,
+    "CK": _callee,
+    "CA": _call,
+    "MI": _mk_instance,
+    "MK": _bind_instance,
+    "CN": _connect,
+    "F": _frame,
+    "SC": _subcell,
+    "DI": _declare_interface,
+    "RZ": _raiser,
+    "LOOP": range(10_000_001),
+    "ADD": _infix("+", operator.add),
+    "SUB": _infix("-", operator.sub),
+    "MUL": _infix("*", operator.mul),
+    "EQ": _infix("=", operator.eq),
+    "NE": _infix("/=", operator.ne),
+    "GT": _infix(">", operator.gt),
+    "LT": _infix("<", operator.lt),
+    "GE": _infix(">=", operator.ge),
+    "LE": _infix("<=", operator.le),
+}
+#: primitives whose value is always True or False
+_BOOLEAN = frozenset(("=", "/=", ">", "<", ">=", "<=", "not"))
+#: a block form starting at this indentation moves into its own function
+_MAX_BLOCKS = 8
+#: a form this many operands deep is computed into a temporary first
+_MAX_NESTING = 8
+
+
+# ----------------------------------------------------------------------
+# Code generation: every design text becomes a few Python functions
+# ----------------------------------------------------------------------
+class _Program:
+    """The Python source of one design text, and its constant table."""
+
+    def __init__(self) -> None:
+        self.functions: List[str] = []
+        #: objects the source names as ``K[i]`` (procedures, quoted forms)
+        self.constants: List[Any] = []
+        #: (procedure, name of its body's function)
+        self.procedures: List[Tuple[Procedure, str]] = []
+        self.names = 0
+
+    def constant(self, value: Any) -> str:
+        self.constants.append(value)
+        return f"K[{len(self.constants) - 1}]"
+
+    def function(
+        self, parameters: str, known: Set[str], facts: "_Facts",
+        ints: Optional[Set[str]] = None,
+    ) -> "_Function":
+        """A new function ``f<n>(parameters)``; :meth:`_Function.finish`
+        adds its source."""
+        self.names += 1
+        return _Function(self, f"f{self.names}", parameters, known, facts, ints)
+
+    def body(self, procedure: Procedure, aliased: bool) -> str:
+        """Generate ``procedure``'s body as ``f<n>(I,E)``; with
+        ``aliased``, its formals may be bound to aliases."""
+        formals, locals_ = procedure.formals, procedure.locals
+        initial = locals_ if aliased else locals_ + formals
+        fn = self.function(
+            "I,E", set(formals) | set(locals_), _frame_facts(procedure.body, initial)
+        )
+        fn.emit("B=E.bindings")
+        # A macro's value is its frame: its statements' values are not used.
+        return fn.finish(fn.block(procedure.body, not procedure.is_macro))
+
+    def compile(self, entry: str) -> Callable[["Interpreter", Environment], Any]:
+        namespace = dict(_NAMESPACE, K=tuple(self.constants))
+        exec(compile("\n".join(self.functions), "<design file>", "exec"), namespace)
+        for procedure, name in self.procedures:
+            procedure.code = namespace[name]
+        return namespace[entry]
+
+
+class _Function:
+    """One generated function: its lines, indentation and temporaries.
+
+    ``known`` holds the names certainly bound in the frame where the
+    next statement runs (formals, locals, loop variables, assigned
+    names) and ``ints`` the loop variables certainly bound to an int;
+    ``facts`` what the frame's statements do to it (:func:`_frame_facts`),
+    shared by every function of one frame.  A read of a name in ``ints``,
+    or known and plain, is ``B[name]``; any other goes through
+    :meth:`Environment.lookup`.
+    """
+
+    def __init__(
+        self, program: _Program, name: str, parameters: str,
+        known: Set[str], facts: "_Facts", ints: Optional[Set[str]] = None,
+    ) -> None:
+        self.program = program
+        self.name = name
+        self.lines = [f"def {name}({parameters}):"]
+        self.indent = 1
+        self.temps = 0
+        self.nesting = 0
+        self.known = known
+        self.facts = facts
+        self.plain = facts.plain
+        self.ints: Set[str] = ints or set()
+        #: expressions that evaluate to the same value wherever they are
+        #: evaluated: literals and temporaries
+        self.stable: Set[str] = {"None", "True"}
+
+    def emit(self, line: str) -> None:
+        self.lines.append(" " * self.indent + line)
+
+    def temp(self) -> str:
+        name = f"t{self.temps}"
+        self.temps += 1
+        self.stable.add(name)
+        return name
+
+    def literal(self, value: Any) -> str:
+        text = repr(value)
+        self.stable.add(text)
+        return text
+
+    def spill(self, expr: str) -> str:
+        if expr in self.stable:
+            return expr
+        name = self.temp()
+        self.emit(f"{name}={expr}")
+        return name
+
+    def finish(self, result: Optional[str]) -> str:
+        if result is not None and result != "None":
+            self.emit(f"return {result}")
+        elif len(self.lines) == 1:
+            self.emit("pass")
+        self.program.functions.append("\n".join(self.lines))
+        return self.name
+
+    def safe(self, node: Statement) -> bool:
+        """Whether evaluating ``node`` can neither fail nor change anything."""
+        return isinstance(node, (int, str)) or (
+            isinstance(node, Symbol) and (
+                node.name in self.ints or node.name in self.known and node.name in self.plain
+            )
+        )
+
+    def integral(self, node: Statement) -> bool:
+        """Whether ``node`` certainly evaluates to an int (and cannot fail)."""
+        if isinstance(node, Symbol):
+            return node.name in self.ints
+        if isinstance(node, Form):
+            items = node.items
+            return (
+                len(items) == 3 and _head_of(items) in ("+", "-", "*")
+                and self.integral(items[1]) and self.integral(items[2])
+            )
+        return isinstance(node, int)
+
+    # -- expressions -------------------------------------------------------
+    def value(self, node: Statement, want: bool = True) -> Optional[str]:
+        """A Python expression for ``node``'s value; statements it needs
+        first are emitted before it.  Without ``want`` the value is not
+        used, and a form may emit all of itself and return None."""
+        if not isinstance(node, Form):
+            if isinstance(node, (int, str)):
+                return self.literal(node)
+            if isinstance(node, Symbol):
+                name = node.name
+                if name in self.ints or name in self.known and name in self.plain:
+                    return f"B[{name!r}]"
+                return f"E.lookup({name!r})"
+            if isinstance(node, IndexedVar):
+                return f"E.lookup({_compile_index_key(self, node)})"
+            return f"RZ({f'cannot evaluate {node!r}'!r})"
+        items = node.items
+        if not items:
+            return "None"
+        if not isinstance(items[0], Symbol):
+            return f"RZ({f'line {node.line}: form head must be a name'!r})"
+        name = items[0].name
+        generate = _SPECIAL_FORMS.get(name) or (
+            _compile_arith if name in _ARITH else _compile_call
+        )
+        nesting = self.nesting
+        # A statement form starts new statements; a form too deep in
+        # operands is computed into a temporary first.
+        deep = nesting >= _MAX_NESTING
+        if deep or name in _STATEMENT_FORMS:
+            self.nesting = 0
+        if name in _BLOCK_FORMS and self.indent >= _MAX_BLOCKS:
+            # The nesting rule: the form gets a function of its own.
+            inner = self.program.function("I,E,B", set(self.known), self.facts, set(self.ints))
+            expr: Optional[str] = f"{inner.finish(generate(inner, node, want))}(I,E,B)"
+        else:
+            expr = generate(self, node, want)
+        self.nesting = nesting
+        if deep and expr is not None:
+            expr = self.spill(expr)
+        return expr
+
+    def sequence(self, items: List[Any]) -> List[str]:
+        """Expressions of ``items`` (statements, or callables that
+        generate an expression), evaluated left to right.
+
+        An item that emits statements runs them before the whole
+        sequence is evaluated, so each earlier expression that is not
+        stable is first saved in a temporary, ahead of those statements.
+        """
+        exprs: List[str] = []
+        self.nesting += 1
+        for item in items:
+            mark = len(self.lines)
+            expr = item() if callable(item) else self.value(item)
+            if len(self.lines) > mark:
+                saves = []
+                for number, earlier in enumerate(exprs):
+                    if earlier not in self.stable:
+                        exprs[number] = name = self.temp()
+                        saves.append(" " * self.indent + f"{name}={earlier}")
+                self.lines[mark:mark] = saves
+            exprs.append(expr)
+        self.nesting -= 1
+        return exprs
+
+    def truth(self, node: Statement) -> str:
+        """A Python condition: ``node`` is neither nil nor false."""
+        if isinstance(node, Form) and _head(node) in _BOOLEAN:
+            return self.value(node)
+        if isinstance(node, (int, str)):
+            return "True"
+        return f"(v:={self.value(node)}) is not None and v is not False"
+
+    def block(self, statements: List[Statement], want: bool) -> Optional[str]:
+        """Emit a body; with ``want``, return its last statement's value."""
+        nesting, self.nesting = self.nesting, 0
+        result: Optional[str] = "None" if want else None
+        last = len(statements) - 1
+        for number, statement in enumerate(statements):
+            if want and number == last:
+                result = self.value(statement)
+            elif not isinstance(statement, (int, str)):
+                expr = self.value(statement, False)  # a read can raise
+                if expr is not None and expr not in self.stable:
+                    self.emit(expr)
+        self.nesting = nesting
+        return result
+
+
+def _may_alias(node: Statement) -> bool:
+    """Whether ``node``'s value may be an :class:`Alias` (conservative).
+
+    A read resolves aliases, and literals, arithmetic on such values and
+    the graph primitives yield none; a call, ``subcell`` or ``read``
+    yields whatever the host or another frame holds.
+    """
+    name = _head(node) if isinstance(node, Form) else None
+    if name is None:
+        return False
+    items = node.items
+    if name in _SPECIAL_FORMS:
+        if name in ("assign", "setq"):
+            return len(items) == 3 and _may_alias(items[2])
+        if name in ("prog", "and", "print"):
+            return len(items) > 1 and _may_alias(items[-1])
+        if name == "do":
+            return len(items) > 2 and _may_alias(items[-1])
+        if name == "cond":
+            return any(
+                _may_alias(clause.items[-1]) for clause in items[1:]
+                if isinstance(clause, Form) and clause.items
+            )
+        if name == "or":
+            return any(_may_alias(item) for item in items[1:])
+        return name in ("subcell", "read", "declare_interface", "declareinterface")
+    if name in _ARITH:
+        return any(_may_alias(item) for item in items[1:])
+    return True
+
+
+class _Facts(NamedTuple):
+    """What a frame's statements do to it (:func:`_frame_facts`)."""
+
+    #: names never bound to an :class:`Alias`
+    plain: Set[str]
+    #: how many forms assign each name
+    writes: Dict[str, int]
+
+
+def _frame_facts(statements: List[Statement], initial: List[str]) -> _Facts:
+    """The facts of a frame ``statements`` run in: of the names bound at
+    entry (``initial``) and the names assigned, those every assignment
+    of which :func:`_may_alias` clears are plain."""
+    clear = dict.fromkeys(initial, True)
+    writes: Dict[str, int] = {}
+    for name, values in _assignments(statements):
+        clear[name] = clear.get(name, True) and not any(map(_may_alias, values))
+        writes[name] = writes.get(name, 0) + 1
+    return _Facts({name for name, ok in clear.items() if ok}, writes)
+
+
+def _assignments(statements: List[Statement]) -> Iterator[Tuple[str, List[Statement]]]:
+    """``(name, values)`` for each assignment in ``statements`` to a
+    plain variable of their frame (``mk_instance`` assigns a node, no
+    value statement).
+
+    A frame is written only by its own statements: nested definitions
+    have frames of their own, and quoted forms never run.
+    """
+    pending = [node for node in statements if isinstance(node, Form)]
+    while pending:
+        items = pending.pop().items
+        head = _head_of(items)
+        if head in ("defun", "macro", "quote"):
+            continue
+        target, values = None, []
+        if head in ("assign", "setq") and len(items) == 3:
+            target, values = items[1], [items[2]]
+        elif head in ("mk_instance", "mkinstance") and len(items) == 3:
+            target = items[1]
+        elif head == "do" and len(items) >= 2 and isinstance(items[1], Form):
+            header = items[1].items
+            if len(header) == 4:
+                target, values = header[0], header[1:3]
+        if isinstance(target, Symbol):
+            yield target.name, values
+        pending.extend(item for item in items if isinstance(item, Form))
+
+
+def _head(form: Form) -> Optional[str]:
+    """The name heading ``form``, or None."""
+    return _head_of(form.items)
+
+
+def _head_of(items: List[Statement]) -> Optional[str]:
+    if items and isinstance(items[0], Symbol):
+        return items[0].name
+    return None
+
+
+def _compile_index_key(fn: _Function, var: IndexedVar) -> str:
+    """The binding key ``(base, (i,))`` or ``(base, (i, j))`` of ``var``."""
+    base = repr(var.base)
+    indices = [
+        index if isinstance(index, int)
+        else functools.partial(_checked_index, fn, index, base, var.line)
+        for index in var.indices
+    ]
+    return f"({base},({','.join(fn.sequence(indices))},))"
+
+
+def _checked_index(fn: _Function, index: Statement, base: str, line: int) -> str:
+    if fn.integral(index):
+        return fn.value(index)
+    return f"X({fn.value(index)},{base},{line})"
+
+
+def _compile_arith(fn: _Function, form: Form, want: bool) -> str:
+    name = form.items[0].name
+    operands = fn.sequence(form.items[1:])
+    if len(operands) == 2 and name in _INFIX:
+        helper, python = _INFIX[name]
+        if all(fn.integral(node) for node in form.items[1:]):
+            return f"({operands[0]}{python}{operands[1]})"
+        return f"{helper}({','.join(operands)},{form.line})"
+    return f"P({name!r},{form.line},{','.join(operands)})"
+
+
+def _compile_call(fn: _Function, form: Form, want: bool) -> str:
+    """A builtin or procedure call: classified before its arguments run
+    (:func:`_callee`), applied after (:func:`_call`)."""
+    key, line, arguments = repr(form.items[0].name), form.line, form.items[1:]
+    if all(fn.safe(node) for node in arguments):
+        return f"CA(I,{key},{line},None,{','.join(fn.sequence(arguments))})"
+    classify = functools.partial(str, f"CK(I,{key},{line})")
+    return f"CA(I,{key},{line},{','.join(fn.sequence([classify] + arguments))})"
 
 
 # ----------------------------------------------------------------------
@@ -473,296 +805,301 @@ def _formal_name(item: Statement, form: Form) -> str:
     return item.name
 
 
-def _compile_definition(form: Form, is_macro: bool) -> Code:
-    """``defun``/``macro``: the procedure is built once, bound per run."""
+def _compile_definition(fn: _Function, form: Form, is_macro: bool) -> Optional[str]:
+    """``defun``/``macro``: the body is generated once, bound per run."""
     try:
         procedure = _procedure(form, is_macro)
     except EvalError as error:
-        return _raiser(str(error))
-
-    def define(interpreter: "Interpreter", env: Environment) -> None:
-        interpreter.procedures[procedure.name] = procedure
-
-    return define
+        return f"RZ({str(error)!r})"
+    fn.program.procedures.append((procedure, fn.program.body(procedure, aliased=False)))
+    fn.emit(f"I.procedures[{procedure.name!r}]={fn.program.constant(procedure)}")
+    return "None"
 
 
 # ----------------------------------------------------------------------
 # Special forms: control
 # ----------------------------------------------------------------------
-def _compile_cond(form: Form) -> Code:
-    clauses = []
+def _compile_cond(fn: _Function, form: Form, want: bool) -> Optional[str]:
+    clauses: List[Form] = []
     malformed = None
     for clause in form.items[1:]:
         if not isinstance(clause, Form) or len(clause) < 1:
             # Clauses after a malformed one are unreachable.
             malformed = f"line {form.line}: malformed cond clause"
             break
-        clauses.append((_compile(clause[0]), _compile_body(clause.items[1:])))
+        clauses.append(clause)
+    result = fn.temp() if want else None
+    known = set(fn.known)
+    opened = 0
+    for number, clause in enumerate(clauses):
+        if number:
+            fn.emit("else:")
+            fn.indent += 1
+            opened += 1
+            if fn.indent >= _MAX_BLOCKS:
+                # The clauses left, as a cond of their own (the nesting rule).
+                rest = fn.value(Form([form[0]] + form.items[number + 1:], form.line), want)
+                fn.emit(f"{result}={rest}" if want else rest)
+                clauses = []
+                break
+            mark = len(fn.lines)
+            test = fn.truth(clause[0])
+            if len(fn.lines) == mark:
+                del fn.lines[mark - 1]
+                fn.indent -= 1
+                opened -= 1
+                fn.emit(f"elif {test}:")
+            else:
+                fn.emit(f"if {test}:")
+        else:
+            fn.emit(f"if {fn.truth(clause[0])}:")
+        fn.indent += 1
+        mark = len(fn.lines)
+        value = fn.block(clause.items[1:], want)
+        if want:
+            fn.emit(f"{result}={value}")
+        elif len(fn.lines) == mark:
+            fn.emit("pass")
+        fn.indent -= 1
+        fn.known = set(known)
+    fail = f"RZ({malformed!r})" if malformed else None
+    if clauses and (fail or want):
+        fn.emit("else:")
+        fn.indent += 1
+        fn.emit(fail or f"{result}=None")
+        fn.indent -= 1
+    elif not clauses and opened == 0 and (fail or want):
+        fn.emit(fail or f"{result}=None")
+    fn.indent -= opened
+    fn.known = known
+    return result
 
-    def cond(interpreter: "Interpreter", env: Environment) -> Any:
-        for test, body in clauses:
-            value = test(interpreter, env)
-            if value is not None and value is not False:
-                result = None
-                for code in body:
-                    result = code(interpreter, env)
-                return result
-        if malformed is not None:
-            raise EvalError(malformed)
-        return None
 
-    return cond
-
-
-def _compile_do(form: Form) -> Code:
+def _compile_do(fn: _Function, form: Form, want: bool) -> Optional[str]:
     if len(form) < 2 or not isinstance(form[1], Form) or len(form[1]) != 4:
-        return _raiser(f"line {form.line}: do needs (var initial next exit) header")
+        return f"RZ({f'line {form.line}: do needs (var initial next exit) header'!r})"
     variable = form[1][0]
     if not isinstance(variable, Symbol):
-        return _raiser(f"line {form.line}: do variable must be a symbol")
-    name = variable.name
-    initial, step, finished = _compile_body(form[1].items[1:])
-    body = _compile_body(form.items[2:])
-    runaway = f"line {form.line}: runaway do loop"
+        return f"RZ({f'line {form.line}: do variable must be a symbol'!r})"
+    name, key = variable.name, repr(variable.name)
+    initial, step, finished = form[1].items[1:]
+    body = form.items[2:]
+    # A counting loop: an int to start, steps of int arithmetic on it,
+    # and no other form of the frame assigning it; its reads need no
+    # checks.
+    if fn.integral(initial) and fn.facts.writes.get(name) == 1:
+        fn.ints.add(name)
+        if not fn.integral(step):
+            fn.ints.discard(name)
+    fn.emit(f"B[{key}]={fn.value(initial)}")
+    fn.known.add(name)
+    known = set(fn.known)
+    result = fn.temp() if want and body else None
+    if result:
+        fn.emit(f"{result}=None")
+    # At most LOOP's length of steps: the loop's else is a runaway loop.
+    fn.emit("for v in LOOP:")
+    fn.indent += 1
+    fn.emit(f"if {fn.truth(finished)}: break")
+    value = fn.block(body, result is not None)
+    if result:
+        fn.emit(f"{result}={value}")
+    fn.known = set(known)
+    fn.emit(f"B[{key}]={fn.value(step)}")
+    fn.indent -= 1
+    fn.emit(f"else: RZ({f'line {form.line}: runaway do loop'!r})")
+    fn.known = known
+    fn.ints.discard(name)
+    return result or "None"
 
-    def loop(interpreter: "Interpreter", env: Environment) -> Any:
-        bindings = env.bindings
-        bindings[name] = initial(interpreter, env)
-        result: Any = None
-        iterations = 0
-        done = finished(interpreter, env)
-        while done is None or done is False:
-            for code in body:
-                result = code(interpreter, env)
-            bindings[name] = step(interpreter, env)
-            iterations += 1
-            if iterations > 10_000_000:
-                raise EvalError(runaway)
-            done = finished(interpreter, env)
+
+def _compile_prog(fn: _Function, form: Form, want: bool) -> Optional[str]:
+    return fn.block(form.items[1:], want)
+
+
+def _compile_and(
+    fn: _Function, form: Form, want: bool, conjunction: bool = True
+) -> str:
+    """``and`` (and, with ``conjunction`` false, ``or``): each operand
+    runs only while the value is undecided; ``and`` yields its last
+    value or false, ``or`` its first true value or false."""
+    operands = form.items[1:]
+    result = fn.temp()
+    if not operands:
+        fn.emit(f"{result}={conjunction}")
         return result
-
-    return loop
-
-
-def _compile_prog(form: Form) -> Code:
-    body = _compile_body(form.items[1:])
-
-    def prog(interpreter: "Interpreter", env: Environment) -> Any:
-        result: Any = None
-        for code in body:
-            result = code(interpreter, env)
-        return result
-
-    return prog
-
-
-def _compile_and(form: Form) -> Code:
-    operands = _compile_body(form.items[1:])
-
-    def conjunction(interpreter: "Interpreter", env: Environment) -> Any:
-        value: Any = True
-        for operand in operands:
-            value = operand(interpreter, env)
-            if value is None or value is False:
-                return False
-        return value
-
-    return conjunction
+    known = set(fn.known)  # only the first operand surely runs
+    opened = 0
+    for number, operand in enumerate(operands):
+        if number and fn.indent >= _MAX_BLOCKS:
+            # The operands left, as a form of their own (the nesting rule).
+            rest = fn.value(Form([form[0]] + operands[number:], form.line))
+            fn.emit(f"{result}={rest}")
+            break
+        last = number == len(operands) - 1
+        fn.emit(f"{result}={fn.value(operand)}")
+        fn.emit(f"if {result} is None or {result} is False:")
+        if conjunction:
+            fn.emit(f" {result}=False")
+            if last:
+                break
+            fn.emit("else:")
+        elif last:
+            fn.emit(f" {result}=False")
+            break
+        fn.indent += 1
+        opened += 1
+    fn.indent -= opened
+    fn.known = known
+    return result
 
 
-def _compile_or(form: Form) -> Code:
-    operands = _compile_body(form.items[1:])
-
-    def disjunction(interpreter: "Interpreter", env: Environment) -> Any:
-        for operand in operands:
-            value = operand(interpreter, env)
-            if value is not None and value is not False:
-                return value
-        return False
-
-    return disjunction
-
-
-def _compile_quote(form: Form) -> Code:
+def _compile_quote(fn: _Function, form: Form, want: bool) -> str:
     if len(form) != 2:
-        return _raiser(f"line {form.line}: quote needs one argument")
+        return f"RZ({f'line {form.line}: quote needs one argument'!r})"
     item = form[1]
-    return _constant(item.name if isinstance(item, Symbol) else item)
+    if isinstance(item, Symbol):
+        return fn.literal(item.name)
+    if isinstance(item, (int, str)):
+        return fn.literal(item)
+    constant = fn.program.constant(item)
+    fn.stable.add(constant)
+    return constant
 
 
 # ----------------------------------------------------------------------
 # Special forms: assignment and environment access
 # ----------------------------------------------------------------------
-def _compile_assign(form: Form) -> Code:
+def _compile_assign(fn: _Function, form: Form, want: bool) -> Optional[str]:
     if len(form) != 3:
-        return _raiser(f"line {form.line}: assign needs target and value")
-    target, value = _compile_target(form[1]), _compile(form[2])
+        return f"RZ({f'line {form.line}: assign needs target and value'!r})"
+    return _bind(fn, form[1], fn.value(form[2]), want)
 
-    def assign(interpreter: "Interpreter", env: Environment) -> Any:
-        result = value(interpreter, env)
-        env.bindings[target(interpreter, env)] = result
+
+def _bind(fn: _Function, target: Statement, value: str, want: bool) -> Optional[str]:
+    """Bind an evaluated ``value`` to an assignment target; the
+    target's key is evaluated after the value."""
+    if isinstance(target, Symbol):
+        key = repr(target.name)
+        fn.known.add(target.name)
+        if not want:
+            fn.emit(f"B[{key}]={value}")
+            return None
+        result = fn.temp()
+        fn.emit(f"B[{key}]={result}={value}")
         return result
+    if not isinstance(target, IndexedVar):
+        value = fn.spill(value)
+        fn.emit(f"RZ({'assignment target must be a variable'!r})")
+        return value
+    value, key = fn.sequence([
+        functools.partial(str, value), functools.partial(_compile_index_key, fn, target)
+    ])
+    if not want:
+        fn.emit(f"B[{key}]={value}")
+        return None
+    result = fn.temp()
+    fn.emit(f"B[{key}]={result}={value}")
+    return result
 
-    return assign
 
-
-def _compile_subcell(form: Form) -> Code:
+def _compile_subcell(fn: _Function, form: Form, want: bool) -> str:
     line = form.line
     if len(form) != 3:
-        return _raiser(f"line {line}: subcell needs env and variable")
-    source = _compile(form[1])
+        return f"RZ({f'line {line}: subcell needs env and variable'!r})"
     key_node = form[2]
+    (source,) = fn.sequence([form[1]])
     if isinstance(key_node, Symbol):
-        key = _constant(key_node.name)
-    elif isinstance(key_node, IndexedVar):
+        return f"SC({source},{key_node.name!r},{line})"
+    checked = f"F({source},{line})"
+    if isinstance(key_node, IndexedVar):
         # Index expressions evaluate in the *caller's* environment.
-        key = _compile_index_key(key_node)
-    else:
-        key = _raiser(f"line {line}: subcell variable must be a name")
-
-    def subcell(interpreter: "Interpreter", env: Environment) -> Any:
-        target_env = source(interpreter, env)
-        if not isinstance(target_env, Environment):
-            raise EvalError(
-                f"line {line}: subcell's first argument must be a macro"
-                f" environment, got {type(target_env).__name__}"
-            )
-        name = key(interpreter, env)
-        bindings = target_env.bindings
-        if name in bindings:
-            return bindings[name]
-        return target_env.local(name)  # raises the unbound-variable error
-
-    return subcell
+        checked, key = fn.sequence([
+            functools.partial(str, checked),
+            functools.partial(_compile_index_key, fn, key_node),
+        ])
+        return f"SC({checked},{key},{line})"
+    return f"SC({checked},RZ({f'line {line}: subcell variable must be a name'!r}),{line})"
 
 
 # ----------------------------------------------------------------------
 # Special forms: graph primitives (section 4.4)
 # ----------------------------------------------------------------------
-def _compile_mk_instance(form: Form) -> Code:
+def _compile_mk_instance(fn: _Function, form: Form, want: bool) -> Optional[str]:
     line = form.line
     if len(form) != 3:
-        return _raiser(f"line {line}: mk_instance needs variable and cell")
-    target, cell = _compile_target(form[1]), _compile(form[2])
-
-    def mk_instance(interpreter: "Interpreter", env: Environment) -> Node:
-        node = interpreter.rsg.mk_instance(
-            interpreter._resolve_cell(cell(interpreter, env), line)
-        )
-        env.bindings[target(interpreter, env)] = node
-        return node
-
-    return mk_instance
+        return f"RZ({f'line {line}: mk_instance needs variable and cell'!r})"
+    target = form[1]
+    (cell,) = fn.sequence([form[2]])
+    if isinstance(target, Symbol):
+        fn.known.add(target.name)
+        return f"MK(I,B,{target.name!r},{cell},{line})"
+    return _bind(fn, target, f"MI(I,{cell},{line})", want)
 
 
-def _compile_connect(form: Form) -> Code:
+def _compile_connect(fn: _Function, form: Form, want: bool) -> str:
     line = form.line
     if len(form) != 4:
-        return _raiser(
-            f"line {line}: connect needs two nodes and an interface number"
-        )
-    source, target, index = _compile_body(form.items[1:])
-
-    def connect(interpreter: "Interpreter", env: Environment) -> Node:
-        source_node = source(interpreter, env)
-        target_node = target(interpreter, env)
-        number = index(interpreter, env)
-        if not isinstance(source_node, Node) or not isinstance(target_node, Node):
-            raise EvalError(f"line {line}: connect arguments must be instances")
-        if not isinstance(number, int):
-            raise EvalError(f"line {line}: interface number must be an integer")
-        return interpreter.rsg.connect(source_node, target_node, number)
-
-    return connect
+        return f"RZ({f'line {line}: connect needs two nodes and an interface number'!r})"
+    return f"CN(I,{','.join(fn.sequence(form.items[1:]))},{line})"
 
 
-def _compile_mk_cell(form: Form) -> Code:
+def _compile_mk_cell(fn: _Function, form: Form, want: bool) -> Optional[str]:
     line = form.line
     if len(form) != 3:
-        return _raiser(f"line {line}: mk_cell needs a name and a node")
-    name, root = _compile(form[1]), _compile(form[2])
-
-    def mk_cell(interpreter: "Interpreter", env: Environment) -> CellDefinition:
-        cell_name = name(interpreter, env)
-        if not isinstance(cell_name, str):
-            raise EvalError(f"line {line}: cell name must be a string")
-        root_node = root(interpreter, env)
-        if not isinstance(root_node, Node):
-            raise EvalError(f"line {line}: mk_cell root must be an instance")
-        return interpreter.rsg.mk_cell(cell_name, root_node)
-
-    return mk_cell
+        return f"RZ({f'line {line}: mk_cell needs a name and a node'!r})"
+    name = fn.spill(fn.value(form[1]))
+    if not isinstance(form[1], str):
+        fn.emit(f"if not isinstance({name},str): RZ({f'line {line}: cell name must be a string'!r})")
+    root = fn.spill(fn.value(form[2]))
+    fn.emit(f"if not isinstance({root},Node): RZ({f'line {line}: mk_cell root must be an instance'!r})")
+    return f"I.rsg.mk_cell({name},{root})"
 
 
-def _compile_declare_interface(form: Form) -> Code:
+def _compile_declare_interface(fn: _Function, form: Form, want: bool) -> str:
     line = form.line
     if len(form) != 7:
-        return _raiser(
-            f"line {line}: declare_interface needs"
-            " cellC cellD newindex instA instB existingindex"
+        return (
+            f"RZ({f'line {line}: declare_interface needs cellC cellD newindex instA instB existingindex'!r})"
         )
-    cell_c, cell_d, new_index, inst_a, inst_b, existing_index = _compile_body(
-        form.items[1:]
-    )
+    cells = [
+        functools.partial(_resolved_cell, fn, node, line) for node in form.items[1:3]
+    ]
+    return f"DI(I,{','.join(fn.sequence(cells + form.items[3:]))},{line})"
 
-    def declare_interface(interpreter: "Interpreter", env: Environment) -> Any:
-        resolve = interpreter._resolve_cell
-        c = resolve(cell_c(interpreter, env), line)
-        d = resolve(cell_d(interpreter, env), line)
-        new = new_index(interpreter, env)
-        a = inst_a(interpreter, env)
-        b = inst_b(interpreter, env)
-        existing = existing_index(interpreter, env)
-        if not isinstance(new, int) or not isinstance(existing, int):
-            raise EvalError(f"line {line}: interface numbers must be integers")
-        if not isinstance(a, (Node, Instance)) or not isinstance(b, (Node, Instance)):
-            raise EvalError(
-                f"line {line}: declare_interface subcells must be instances"
-            )
-        return interpreter.rsg.declare_interface(c, d, new, a, b, existing)
 
-    return declare_interface
+def _resolved_cell(fn: _Function, node: Statement, line: int) -> str:
+    return f"I._resolve_cell({fn.value(node)},{line})"
 
 
 # ----------------------------------------------------------------------
 # Special forms: I/O
 # ----------------------------------------------------------------------
-def _compile_print(form: Form) -> Code:
-    operands = _compile_body(form.items[1:])
-
-    def show(interpreter: "Interpreter", env: Environment) -> Any:
-        value: Any = None
-        for operand in operands:
-            value = operand(interpreter, env)
-            interpreter.output.append(value)
-        return value
-
-    return show
+def _compile_print(fn: _Function, form: Form, want: bool) -> Optional[str]:
+    value = "None"
+    for operand in form.items[1:]:
+        value = fn.spill(fn.value(operand))
+        fn.emit(f"I.output.append({value})")
+    return value
 
 
-def _compile_read(form: Form) -> Code:
+def _compile_read(fn: _Function, form: Form, want: bool) -> str:
     empty = f"line {form.line}: read with empty input queue"
-
-    def read(interpreter: "Interpreter", env: Environment) -> Any:
-        if not interpreter.input_queue:
-            raise EvalError(empty)
-        return interpreter.input_queue.pop(0)
-
-    return read
+    return f"(I.input_queue.pop(0) if I.input_queue else RZ({empty!r}))"
 
 
-#: special-form name -> compiler (the legacy Appendix B spellings
+#: special-form name -> generator (the legacy Appendix B spellings
 #: ``mkinstance``/``mkcell``/``declareinterface`` included)
-_SPECIAL_FORMS: Dict[str, Callable[[Form], Code]] = {
-    "defun": lambda form: _compile_definition(form, is_macro=False),
-    "macro": lambda form: _compile_definition(form, is_macro=True),
+_SPECIAL_FORMS: Dict[str, Callable[[_Function, Form, bool], Optional[str]]] = {
+    "defun": lambda fn, form, want: _compile_definition(fn, form, is_macro=False),
+    "macro": lambda fn, form, want: _compile_definition(fn, form, is_macro=True),
     "cond": _compile_cond,
     "do": _compile_do,
     "assign": _compile_assign,
     "setq": _compile_assign,
     "prog": _compile_prog,
     "and": _compile_and,
-    "or": _compile_or,
+    "or": lambda fn, form, want: _compile_and(fn, form, want, conjunction=False),
     "subcell": _compile_subcell,
     "mk_instance": _compile_mk_instance,
     "mkinstance": _compile_mk_instance,
@@ -775,17 +1112,34 @@ _SPECIAL_FORMS: Dict[str, Callable[[Form], Code]] = {
     "read": _compile_read,
     "quote": _compile_quote,
 }
+#: forms that emit statements (their operands start a new statement)
+_STATEMENT_FORMS = frozenset((
+    "defun", "macro", "cond", "do", "assign", "setq", "prog", "and", "or",
+    "mk_cell", "mkcell", "print",
+))
+#: forms that open blocks (the nesting rule moves them)
+_BLOCK_FORMS = frozenset(("cond", "do", "and", "or"))
 
 
 @functools.lru_cache(maxsize=32)
-def _compile_program(text: str) -> Tuple[Code, ...]:
+def _compile_program(text: str) -> Callable[["Interpreter", Environment], Any]:
     """Parse and compile design-file text, once per distinct text.
 
     The ``lang.compile`` span is opened only here, so it appears in a
     trace only when the cache missed.
     """
     with obs_trace.span("lang.compile"):
-        return _compile_body(parse_program(text))
+        program, entry = _generate(text)
+        return program.compile(entry)
+
+
+def _generate(text: str) -> Tuple[_Program, str]:
+    """The Python source of ``text``, and the name of its entry function."""
+    statements = parse_program(text)
+    program = _Program()
+    main = program.function("I,E", set(), _frame_facts(statements, []))
+    main.emit("B=E.bindings")
+    return program, main.finish(main.block(statements, True))
 
 
 class Interpreter:
@@ -833,11 +1187,15 @@ class Interpreter:
         """
         program = _compile_program(text)
         frame = Environment(self.globals, "__toplevel__")
-        result: Any = None
         with obs_trace.span("lang.eval"):
-            for code in program:
-                result = code(self, frame)
-        return result
+            return program(self, frame)
+
+    @staticmethod
+    def precompile(text: str) -> None:
+        """Compile design-file text now rather than at its first
+        :meth:`run` (the per-process cache is shared: a pool compiles
+        its builtin texts before it forks workers)."""
+        _compile_program(text)
 
     def set_parameter(self, name: str, value: Any) -> None:
         """Bind a parameter-file value in the global environment."""
@@ -858,7 +1216,7 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Run-time support for compiled code
     # ------------------------------------------------------------------
-    def _apply(self, procedure: Procedure, args: List[Any]) -> Any:
+    def _apply(self, procedure: Procedure, args: Sequence[Any]) -> Any:
         if len(args) != len(procedure.formals):
             raise EvalError(
                 f"{procedure.name} expects {len(procedure.formals)}"
@@ -870,13 +1228,21 @@ class Interpreter:
         bindings = frame.bindings
         for formal, value in zip(procedure.formals, args):
             bindings[formal] = value
+        code = procedure.code
+        for value in args:
+            if isinstance(value, Alias):
+                code = procedure.aliased
+                if code is None:
+                    program = _Program()
+                    code = procedure.aliased = program.compile(
+                        program.body(procedure, aliased=True)
+                    )
+                break
         for local in procedure.locals:
             bindings[local] = None
         self._depth += 1
-        result: Any = None
         try:
-            for code in procedure.code:
-                result = code(self, frame)
+            result = code(self, frame)
         finally:
             self._depth -= 1
         return frame if procedure.is_macro else result

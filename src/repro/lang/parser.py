@@ -9,107 +9,111 @@ form, e.g. ``l.(- i 1)``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Tuple
 
 from ..core.errors import ParseError
 from .ast_nodes import Form, IndexedVar, Statement, Symbol
-from .tokens import Token, tokenize
+from .tokens import tokenize
 
 __all__ = ["parse_program", "parse_statement"]
 
+_ATOMS = frozenset(("symbol", "int", "string"))
 
-class _Parser:
-    def __init__(self, tokens: List[Token]) -> None:
-        self.tokens = tokens
-        self.position = 0
 
-    def peek(self) -> Optional[Token]:
-        if self.position < len(self.tokens):
-            return self.tokens[self.position]
-        return None
+def _reader(text: str) -> Tuple[Callable[[], Statement], Callable[[], bool]]:
+    """``(statement, more)`` over the tokens of ``text``: ``statement()``
+    parses the next statement, ``more()`` says whether tokens are left.
 
-    def next(self) -> Token:
-        token = self.peek()
-        if token is None:
+    The whole text is tokenized first, so an unterminated string is
+    reported before any syntax error.
+    """
+    tokens = tokenize(text)
+    count = len(tokens)
+    position = 0
+
+    def statement() -> Statement:
+        nonlocal position
+        if position >= count:
             raise ParseError("unexpected end of input")
-        self.position += 1
-        return token
-
-    def parse_statement(self) -> Statement:
-        token = self.next()
-        if token.kind == "int":
-            return self._maybe_indexed(int(token.text), token)
-        if token.kind == "string":
-            return token.text
-        if token.kind == "symbol":
-            return self._maybe_indexed(Symbol(token.text, token.line), token)
-        if token.kind == "lparen":
+        kind, word, line, _ = tokens[position]
+        position += 1
+        if kind == "lparen":
             items: List[Statement] = []
             while True:
-                look = self.peek()
-                if look is None:
-                    raise ParseError(
-                        f"line {token.line}: unterminated form opened here"
+                if position >= count:
+                    raise ParseError(f"line {line}: unterminated form opened here")
+                inner, word, line_of, _ = tokens[position]
+                if inner == "rparen":
+                    position += 1
+                    return Form(items, line)
+                # An atom not followed by a dot is read here, the rest
+                # by a recursive call.
+                following = position + 1
+                if inner in _ATOMS and (following >= count or tokens[following][0] != "dot"):
+                    position = following
+                    items.append(
+                        Symbol(word, line_of) if inner == "symbol"
+                        else int(word) if inner == "int" else word
                     )
-                if look.kind == "rparen":
-                    self.next()
-                    break
-                items.append(self.parse_statement())
-            return Form(items, token.line)
-        if token.kind == "rparen":
-            raise ParseError(f"line {token.line}: unexpected ')'")
-        raise ParseError(f"line {token.line}: unexpected token {token.text!r}")
-
-    def _maybe_indexed(self, atom, token: Token) -> Statement:
-        """Attach ``.index`` suffixes to a symbol (or reject them on ints)."""
-        look = self.peek()
-        if look is None or look.kind != "dot":
+                else:
+                    items.append(statement())
+        if kind == "symbol":
+            atom: Statement = Symbol(word, line)
+        elif kind == "int":
+            atom = int(word)
+        elif kind == "string":
+            return word
+        elif kind == "rparen":
+            raise ParseError(f"line {line}: unexpected ')'")
+        else:
+            raise ParseError(f"line {line}: unexpected token {word!r}")
+        if position >= count or tokens[position][0] != "dot":
             return atom
+        # Attach ``.index`` suffixes to a symbol (or reject them on ints).
         if not isinstance(atom, Symbol):
-            raise ParseError(
-                f"line {token.line}: only variables can be indexed with '.'"
-            )
+            raise ParseError(f"line {line}: only variables can be indexed with '.'")
         indices: List[Statement] = []
-        while True:
-            look = self.peek()
-            if look is None or look.kind != "dot":
-                break
-            self.next()  # consume the dot
-            indices.append(self._parse_index())
+        while position < count and tokens[position][0] == "dot":
+            position += 1
+            indices.append(index())
             if len(indices) > 2:
-                raise ParseError(
-                    f"line {token.line}: at most two indices are supported"
-                )
-        return IndexedVar(atom.name, indices, token.line)
+                raise ParseError(f"line {line}: at most two indices are supported")
+        return IndexedVar(word, indices, line)
 
-    def _parse_index(self) -> Statement:
+    def index() -> Statement:
         """An index is an atom or a parenthesised form (no nested dots)."""
-        token = self.next()
-        if token.kind == "int":
-            return int(token.text)
-        if token.kind == "symbol":
-            return Symbol(token.text, token.line)
-        if token.kind == "lparen":
-            self.position -= 1
-            return self.parse_statement()
-        raise ParseError(
-            f"line {token.line}: bad index token {token.text!r} after '.'"
-        )
+        nonlocal position
+        if position >= count:
+            raise ParseError("unexpected end of input")
+        kind, word, line, _ = tokens[position]
+        if kind == "lparen":
+            return statement()
+        position += 1
+        if kind == "int":
+            return int(word)
+        if kind == "symbol":
+            return Symbol(word, line)
+        raise ParseError(f"line {line}: bad index token {word!r} after '.'")
+
+    def more() -> bool:
+        return position < count
+
+    return statement, more
 
 
 def parse_program(text: str) -> List[Statement]:
     """Parse design-file text into a list of top-level statements."""
-    parser = _Parser(tokenize(text))
+    statement, more = _reader(text)
     program: List[Statement] = []
-    while parser.peek() is not None:
-        program.append(parser.parse_statement())
+    while more():
+        program.append(statement())
     return program
 
 
 def parse_statement(text: str) -> Statement:
     """Parse a single statement; raises if trailing input remains."""
-    parser = _Parser(tokenize(text))
-    statement = parser.parse_statement()
-    if parser.peek() is not None:
+    statement, more = _reader(text)
+    result = statement()
+    if more():
         raise ParseError("trailing input after statement")
-    return statement
+    return result

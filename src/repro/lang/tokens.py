@@ -9,6 +9,7 @@ language lives on the integer layout grid.
 
 from __future__ import annotations
 
+import re
 from typing import List, NamedTuple
 
 from ..core.errors import ParseError
@@ -23,78 +24,47 @@ class Token(NamedTuple):
     column: int
 
 
-_SYMBOL_BREAKERS = set("().;\" \t\r\n")
+#: one token, after any whitespace and comments: a parenthesis or dot,
+#: a string, a word (an integer or a symbol), an unterminated string's
+#: quote, or the end of the text.  Every match starts where the last one
+#: ended, and the possessive quantifiers never backtrack.
+_TOKEN = re.compile(
+    r'(?:[ \t\r\n]|;[^\n]*+)*+'
+    r'([().]|"[^"]*+"|[^().;" \t\r\n]++|"|\Z)'
+)
+_PUNCT = {"(": "lparen", ")": "rparen", ".": "dot"}
 
 
 def tokenize(text: str) -> List[Token]:
     """Split design-file text into tokens.
 
     Comments run from ``;`` to end of line.  Raises :class:`ParseError`
-    on unterminated strings.
+    on unterminated strings.  Lines count ``\n`` characters and columns
+    the characters since the last one, both from 1.
     """
     tokens: List[Token] = []
-    line = 1
-    column = 1
-    index = 0
-    length = len(text)
-
-    def advance(count: int = 1) -> None:
-        nonlocal index, line, column
-        for _ in range(count):
-            if index < length and text[index] == "\n":
-                line += 1
-                column = 1
+    append = tokens.append
+    make = tuple.__new__  # a Token without NamedTuple's Python-level __new__
+    line, line_start, counted = 1, 0, 0
+    for match in _TOKEN.finditer(text):
+        start, end = match.span(1)
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", counted, start) + 1
+        counted = start
+        word = text[start:end]
+        kind = _PUNCT.get(word)
+        if kind is None:
+            if not word:
+                break  # the end of the text
+            if word[0] == '"':
+                if len(word) == 1:
+                    raise ParseError(f"line {line}: unterminated string literal")
+                kind, word = "string", word[1:-1]
+            elif word.lstrip("-").isdigit() and word != "-":
+                kind = "int"
             else:
-                column += 1
-            index += 1
-
-    while index < length:
-        ch = text[index]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == ";":
-            while index < length and text[index] != "\n":
-                advance()
-            continue
-        if ch == "(":
-            tokens.append(Token("lparen", "(", line, column))
-            advance()
-            continue
-        if ch == ")":
-            tokens.append(Token("rparen", ")", line, column))
-            advance()
-            continue
-        if ch == ".":
-            tokens.append(Token("dot", ".", line, column))
-            advance()
-            continue
-        if ch == '"':
-            start_line, start_column = line, column
-            advance()
-            chars: List[str] = []
-            while index < length and text[index] != '"':
-                chars.append(text[index])
-                advance()
-            if index >= length:
-                raise ParseError(
-                    f"line {start_line}: unterminated string literal"
-                )
-            advance()  # closing quote
-            tokens.append(Token("string", "".join(chars), start_line, start_column))
-            continue
-        # Integer (possibly negative) or symbol.
-        start_line, start_column = line, column
-        chars = []
-        while index < length and text[index] not in _SYMBOL_BREAKERS:
-            chars.append(text[index])
-            advance()
-        word = "".join(chars)
-        if not word:
-            raise ParseError(f"line {line}: unexpected character {ch!r}")
-        if word.lstrip("-").isdigit() and word not in ("-",):
-            tokens.append(Token("int", word, start_line, start_column))
-        else:
-            tokens.append(Token("symbol", word, start_line, start_column))
+                kind = "symbol"
+        append(make(Token, (kind, word, line, start - line_start + 1)))
     return tokens
-

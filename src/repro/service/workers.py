@@ -38,6 +38,7 @@ import copy
 import importlib
 import multiprocessing
 import os
+import sys
 import threading
 import time
 from typing import Any, Dict, List, Optional
@@ -57,10 +58,19 @@ STAGE_MODULES = (
     "repro.multiplier.designfile",
     "repro.multiplier.generator",
     "repro.multiplier.baughwooley",
+    "repro.pla.designfile",
     "repro.pla.generator",
+    "repro.compact.flat",
+    "repro.compact.pipeline",
     "repro.route.compose",
     "repro.verify.driver",
     "repro.verify.cellgraph",
+)
+#: (module, name) of the builtin design texts the pool compiles before
+#: it forks, so no worker's first job pays ``lang.compile``
+DESIGN_TEXTS = (
+    ("repro.multiplier.designfile", "DESIGN_FILE"),
+    ("repro.pla.designfile", "PLA_DESIGN_FILE"),
 )
 
 
@@ -262,12 +272,17 @@ class WorkerPool:
         """Spawn the workers, the supervisor heartbeat and the listener
         that turns worker announcements into waiter wake-ups.
 
-        The stage modules (:data:`STAGE_MODULES`) are imported first,
-        so forked workers inherit them."""
+        The stage modules (:data:`STAGE_MODULES`) are imported and the
+        builtin design texts (:data:`DESIGN_TEXTS`) compiled first, so
+        forked workers inherit them."""
         self._halt.clear()
         self._stop.clear()
         for name in STAGE_MODULES:
             importlib.import_module(name)
+        from ..lang.interpreter import Interpreter
+
+        for module, name in DESIGN_TEXTS:
+            Interpreter.precompile(getattr(sys.modules[module], name))
         for _ in range(self.workers):
             self._spawn()
         self._supervisor = threading.Thread(

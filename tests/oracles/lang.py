@@ -12,14 +12,18 @@ them as well as values and printed output.
 
 Not covered: the graph primitives (``mk_instance``, ``connect``,
 ``mk_cell``, ``declare_interface``) and ``read``.
+
+:func:`tokenize_reference` is the tokenizer's oracle: it walks the text
+one character at a time, where ``repro.lang.tokens`` matches one
+pattern per token.
 """
 
 import operator
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.cell import CellTable
-from repro.core.errors import EvalError, UnboundVariableError
-from repro.lang import Alias
+from repro.core.errors import EvalError, ParseError, UnboundVariableError
+from repro.lang import Alias, Token
 from repro.lang.ast_nodes import Form, IndexedVar, Statement, Symbol
 
 
@@ -387,3 +391,79 @@ ARITHMETIC: Dict[str, Callable[[List[Any]], Any]] = {
     "abs": lambda values: abs(_one(values)),
     "not": lambda values: not truthy(_one(values)),
 }
+
+
+# ----------------------------------------------------------------------
+# The tokenizer, one character at a time
+# ----------------------------------------------------------------------
+_SYMBOL_BREAKERS = set("().;\" \t\r\n")
+
+
+def tokenize_reference(text: str) -> List[Token]:
+    """Split design-file text into tokens, advancing a character at a
+    time; raises :class:`ParseError` on an unterminated string."""
+    tokens: List[Token] = []
+    line = 1
+    column = 1
+    index = 0
+    length = len(text)
+
+    def advance(count: int = 1) -> None:
+        nonlocal index, line, column
+        for _ in range(count):
+            if index < length and text[index] == "\n":
+                line += 1
+                column = 1
+            else:
+                column += 1
+            index += 1
+
+    while index < length:
+        ch = text[index]
+        if ch in " \t\r\n":
+            advance()
+            continue
+        if ch == ";":
+            while index < length and text[index] != "\n":
+                advance()
+            continue
+        if ch == "(":
+            tokens.append(Token("lparen", "(", line, column))
+            advance()
+            continue
+        if ch == ")":
+            tokens.append(Token("rparen", ")", line, column))
+            advance()
+            continue
+        if ch == ".":
+            tokens.append(Token("dot", ".", line, column))
+            advance()
+            continue
+        if ch == '"':
+            start_line, start_column = line, column
+            advance()
+            chars: List[str] = []
+            while index < length and text[index] != '"':
+                chars.append(text[index])
+                advance()
+            if index >= length:
+                raise ParseError(
+                    f"line {start_line}: unterminated string literal"
+                )
+            advance()  # closing quote
+            tokens.append(Token("string", "".join(chars), start_line, start_column))
+            continue
+        # Integer (possibly negative) or symbol.
+        start_line, start_column = line, column
+        chars = []
+        while index < length and text[index] not in _SYMBOL_BREAKERS:
+            chars.append(text[index])
+            advance()
+        word = "".join(chars)
+        if not word:
+            raise ParseError(f"line {line}: unexpected character {ch!r}")
+        if word.lstrip("-").isdigit() and word not in ("-",):
+            tokens.append(Token("int", word, start_line, start_column))
+        else:
+            tokens.append(Token("symbol", word, start_line, start_column))
+    return tokens

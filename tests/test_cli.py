@@ -837,14 +837,16 @@ class TestTimingsFlag:
         parameter, _ = flow_files
         assert main([str(parameter), "--compact", "xy", "--timings"]) == 0
         rows = _children(_tree_rows(capsys.readouterr().out), "job.compact")
-        # One flatten for the chain, one solve per pass, one output cell;
-        # a plain pass finds no alignment pairs.
+        # The compactor's import, one flatten for the chain, one solve per
+        # pass, one output cell; a plain pass finds no alignment pairs.
         one_pass = [
             "compact.edges", "compact.constraints", "solver.solve", "compact.rebuild",
         ]
         assert [row[1] for row in rows] == (
-            ["compact.flatten"] + one_pass * 2 + ["compact.rebuild", "(unattributed)"]
+            ["import.compact", "compact.flatten"] + one_pass * 2
+            + ["compact.rebuild", "(unattributed)"]
         )
+        assert re.fullmatch(r"modules=\d+", rows[0][3]), rows[0]
         attributes = dict((row[1], row[3]) for row in rows)
         assert re.fullmatch(r"boxes=\d+", attributes["compact.flatten"])
         assert re.fullmatch(r"variables=\d+ boxes=\d+", attributes["compact.edges"])
@@ -858,8 +860,8 @@ class TestTimingsFlag:
 
         parameter, _ = flow_files
         stages = {
-            "compact.flatten", "compact.edges", "compact.constraints",
-            "solver.solve", "compact.rebuild",
+            "import.compact", "compact.flatten", "compact.edges",
+            "compact.constraints", "solver.solve", "compact.rebuild",
         }
         coverage = 0.0
         for _ in range(3):
@@ -873,9 +875,9 @@ class TestTimingsFlag:
             (stage,) = [span for span in spans if span.name == "job.compact"]
             children = [span for span in spans if span.parent_id == stage.span_id]
             assert {span.name for span in children} == stages
-            # One flatten for the chain, each other stage once per pass,
-            # plus the output cell's rebuild.
-            assert len(children) == 1 + 2 * (len(stages) - 1) + 1
+            # The import and one flatten for the chain, each other stage
+            # once per pass, plus the output cell's rebuild.
+            assert len(children) == 2 + 2 * (len(stages) - 2) + 1
             covered = sum(span.duration_s for span in children) / stage.duration_s
             coverage = max(coverage, covered)
             if coverage >= 0.9:
@@ -943,7 +945,8 @@ class TestTimingsFlag:
                 "--cache-dir", str(tmp_path / "cache"), "--timings",
             ]) == 0
             rows = _children(_tree_rows(capsys.readouterr().out), "job.compact")
-            assert [(row[1], row[3]) for row in rows[:-1]] == [
+            assert rows[0][1] == "import.compact"
+            assert [(row[1], row[3]) for row in rows[1:-1]] == [
                 ("compact.leaf", f"cell={name} cached={cached}") for name in leaves
             ]
             assert rows[-1][1] == "(unattributed)"

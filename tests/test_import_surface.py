@@ -107,6 +107,30 @@ def test_one_shot_flow_leaves_the_service_stack_unloaded(tmp_path):
     assert out.splitlines()[-1] == "0 []"
 
 
+def test_verify_only_flow_leaves_the_compactor_unloaded(tmp_path):
+    """A run that verifies without compacting imports no compactor: the
+    pipeline imports ``repro.compact.flat`` and ``.pipeline`` inside its
+    compact stage."""
+    from repro.multiplier import DESIGN_FILE, MULTIPLIER_SAMPLE, PARAMETER_FILE
+
+    (tmp_path / "mult.sample").write_text(MULTIPLIER_SAMPLE)
+    (tmp_path / "mult.design").write_text(DESIGN_FILE)
+    parameters = tmp_path / "mult.par"
+    parameters.write_text(
+        f".example_file:{tmp_path / 'mult.sample'}\n"
+        f".concept_file:{tmp_path / 'mult.design'}\n"
+        f".output_file:{tmp_path / 'mult.cif'}\n"
+        ".output_cell:thewholething\n" + PARAMETER_FILE
+    )
+    argv = [str(parameters), "--set", "xsize=3", "--set", "ysize=3", "--verify", "all"]
+    compactor = ("repro.compact.flat", "repro.compact.pipeline")
+    out = _run("-c", (
+        f"import sys; from repro.cli import main; code = main({argv!r});"
+        f" print(code, sorted(m for m in {compactor!r} if m in sys.modules))"
+    ))
+    assert out.splitlines()[-1] == "0 []"
+
+
 def test_version_resolves_on_first_read():
     out = _run("-c", (
         "import sys, repro; before = 'importlib.metadata' in sys.modules;"

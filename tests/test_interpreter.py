@@ -412,3 +412,44 @@ class TestCompiledEvaluation:
             interpreter.set_parameter("n", n)
             environments.append(interpreter.run(text))
         assert [env.local("x") for env in environments] == [1, 2]
+
+
+class TestGeneratedReads:
+    """What the generated code reads without a lookup, and when it must
+    not: an alias passed as an argument, a loop variable the body
+    assigns, a loop over a non-integer."""
+
+    TEXT = """(defun pick (a b) (locals c)
+  (setq c (+ a 1))
+  (print a)
+  (+ c b))"""
+
+    def test_an_alias_argument_is_chased_where_the_formal_is_read(self, interp):
+        interp.register_builtin("alias", lambda name: Alias(name))
+        interp.set_parameter("g", 5)
+        interp.run(self.TEXT)
+        assert interp.run('(pick (alias "g") 2)') == 8
+        assert interp.output == [5]
+        assert interp.call("pick", 1, Alias("g")) == 7
+        # The callee's frame is where the chase starts (Figure 4.1).
+        assert interp.run(
+            '(defun own (a) (locals g) (setq g 9) (+ a 0)) (own (alias "g"))'
+        ) == 9
+
+    def test_plain_arguments_run_the_plain_body(self, interp):
+        interp.run(self.TEXT.replace("pick", "plainpick"))
+        assert interp.run("(plainpick 3 4)") == 8
+        assert interp.procedures["plainpick"].aliased is None
+
+    def test_loop_variable_assigned_in_the_body(self, interp):
+        text = "(setq n 0) (do (i 1 (+ i 1) (> i 9)) (setq i (* i 2)) (setq n (+ n i))) n"
+        assert interp.run(text) == 2 + 6 + 14
+
+    def test_loop_over_a_string_fails_in_its_test(self, interp):
+        interp.set_parameter("start", "a")
+        with pytest.raises(EvalError) as raised:
+            interp.run("(do (i start (+ i 1) (> i 3)) i)")
+        assert str(raised.value).startswith("line 1: >: ")
+
+    def test_loop_variable_reads_after_the_loop(self, interp):
+        assert interp.run("(do (i 1 (+ 1 i) (> i 3)) (setq t i)) (+ (* 10 i) t)") == 43

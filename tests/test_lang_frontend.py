@@ -1,6 +1,7 @@
 """Tests for the tokenizer and parser (Appendix A grammar)."""
 
 import pytest
+from oracles.lang import tokenize_reference
 
 from repro.core.errors import ParseError
 from repro.lang import Form, IndexedVar, Symbol, parse_program, parse_statement, tokenize
@@ -37,6 +38,43 @@ class TestTokenizer:
 
     def test_underscore_symbols(self):
         assert tokenize("mk_instance")[0].text == "mk_instance"
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as error:
+        return ("ParseError", str(error))
+
+
+class TestTokenizerOracle:
+    """The one-pattern tokenizer gives the character-at-a-time oracle's
+    tokens (kinds, texts, lines, columns) and its errors."""
+
+    @pytest.mark.parametrize("name", ["DESIGN_FILE", "DESIGN_FILE_RETIMED", "PLA_DESIGN_FILE"])
+    def test_shipped_design_files(self, name):
+        from repro.multiplier import designfile as multiplier
+        from repro.pla import designfile as pla
+
+        text = getattr(multiplier, name, None) or getattr(pla, name)
+        assert tokenize(text) == tokenize_reference(text)
+
+    def test_differential_programs(self):
+        from test_lang_differential import SEEDS, case
+
+        for seed in SEEDS:
+            text, _ = case(seed)
+            assert tokenize(text) == tokenize_reference(text), seed
+
+    @pytest.mark.parametrize("text", [
+        "-", "(- 1)", "(-)", "- -", "-3", "(+ -3 --4 -0)", "a-1 -a 3-",
+        ".", "l.i", "a.1.2", "x.(- i 1).j", "1.2", ". . .", "a..b",
+        '"one\ntwo"', '(print "a\n\n b")\n x', '"a";b\n c', '""', '"(; .)"',
+        '"unterminated', '(a "b', 'x\n\n"y', '"', "; only a comment", "a ;c\n;d\n b",
+        "\t(\r\n a\f b)", "\u00b2 \u0661 \u00e9t\u00e9", "", " \n ",
+    ])
+    def test_edge_cases(self, text):
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(tokenize_reference, text)
 
 
 class TestParser:

@@ -366,21 +366,22 @@ from repro.service.jobs import JobSpec
 from repro.service.store import Store
 from repro.service.workers import WorkerPool
 
-root = sys.argv[1]
+root, compact = sys.argv[1], sys.argv[2] or None
 pool = WorkerPool(root, workers=1)
 pool.start()
 try:
     store = Store(root)
     job = store.submit(JobSpec(kind="multiplier", parameters="xsize=3\\nysize=3\\n",
-                               verify="all"))["job"]
+                               compact=compact, verify="all"))["job"]
     deadline = time.monotonic() + 60.0
     while store.status(job)["state"] not in ("done", "failed"):
         assert time.monotonic() < deadline, "job did not finish"
         time.sleep(0.02)
     assert store.status(job)["state"] == "done", store.status(job)
+    spans = store.trace_spans(job)
     print(json.dumps({span.name: span.attributes.get("modules")
-                      for span in store.trace_spans(job)
-                      if span.name.startswith("import.")}))
+                      for span in spans
+                      if span.name.startswith("import.") or span.name == "lang.compile"}))
 finally:
     pool.stop(drain=False, timeout=5.0)
 """
@@ -396,8 +397,24 @@ class TestWarmFork:
         import sys
 
         completed = subprocess.run(
-            [sys.executable, "-c", _FIRST_JOB, root],
+            [sys.executable, "-c", _FIRST_JOB, root, ""],
             capture_output=True, text=True, timeout=120, check=True,
         )
         spans = json.loads(completed.stdout.strip().splitlines()[-1])
         assert spans == {"import.verify": 0, "import.multiplier": 0}
+
+    def test_first_compacting_job_compiles_and_imports_nothing(self, root):
+        """The pool also imports the compactor and compiles the builtin
+        design texts before it forks: a fresh worker's first compacting
+        job has no ``lang.compile`` span and loads no module in its
+        ``import.compact`` span."""
+        import json
+        import subprocess
+        import sys
+
+        completed = subprocess.run(
+            [sys.executable, "-c", _FIRST_JOB, root, "hier"],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        spans = json.loads(completed.stdout.strip().splitlines()[-1])
+        assert spans == {"import.compact": 0, "import.verify": 0, "import.multiplier": 0}
