@@ -58,9 +58,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import (
-    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
-)
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.cell import CellDefinition, Instance
 from ..core.errors import EvalError, UnknownCellError
@@ -494,6 +492,8 @@ class _Function:
         #: expressions that evaluate to the same value wherever they are
         #: evaluated: literals and temporaries
         self.stable: Set[str] = {"None", "True"}
+        #: whether the function reads through ``L``, its frame's lookup
+        self.lookups = False
 
     def emit(self, line: str) -> None:
         self.lines.append(" " * self.indent + line)
@@ -521,6 +521,8 @@ class _Function:
             self.emit(f"return {result}")
         elif len(self.lines) == 1:
             self.emit("pass")
+        if self.lookups:
+            self.lines.insert(1, " L=E.lookup")
         self.program.functions.append("\n".join(self.lines))
         return self.name
 
@@ -549,16 +551,18 @@ class _Function:
         """A Python expression for ``node``'s value; statements it needs
         first are emitted before it.  Without ``want`` the value is not
         used, and a form may emit all of itself and return None."""
-        if not isinstance(node, Form):
+        if type(node) is not Form:
             if isinstance(node, (int, str)):
                 return self.literal(node)
             if isinstance(node, Symbol):
                 name = node.name
                 if name in self.ints or name in self.known and name in self.plain:
                     return f"B[{name!r}]"
-                return f"E.lookup({name!r})"
+                self.lookups = True
+                return f"L({name!r})"
             if isinstance(node, IndexedVar):
-                return f"E.lookup({_compile_index_key(self, node)})"
+                self.lookups = True
+                return f"L({_compile_index_key(self, node)})"
             return f"RZ({f'cannot evaluate {node!r}'!r})"
         items = node.items
         if not items:
@@ -686,7 +690,7 @@ def _frame_facts(statements: List[Statement], initial: List[str]) -> _Facts:
     return _Facts({name for name, ok in clear.items() if ok}, writes)
 
 
-def _assignments(statements: List[Statement]) -> Iterator[Tuple[str, List[Statement]]]:
+def _assignments(statements: List[Statement]) -> List[Tuple[str, List[Statement]]]:
     """``(name, values)`` for each assignment in ``statements`` to a
     plain variable of their frame (``mk_instance`` assigns a node, no
     value statement).
@@ -694,24 +698,24 @@ def _assignments(statements: List[Statement]) -> Iterator[Tuple[str, List[Statem
     A frame is written only by its own statements: nested definitions
     have frames of their own, and quoted forms never run.
     """
-    pending = [node for node in statements if isinstance(node, Form)]
+    found: List[Tuple[str, List[Statement]]] = []
+    pending = [node for node in statements if type(node) is Form]
     while pending:
         items = pending.pop().items
         head = _head_of(items)
-        if head in ("defun", "macro", "quote"):
+        if head in _ASSIGNING:
+            target, values = items[1] if len(items) == 3 else None, items[2:]
+            if head == "do":
+                header = items[1].items if len(items) >= 2 and type(items[1]) is Form else ()
+                target, values = (header[0], header[1:3]) if len(header) == 4 else (None, [])
+            elif head != "assign" and head != "setq":
+                values = []  # mk_instance: a node
+            if type(target) is Symbol:
+                found.append((target.name, values))
+        elif head in ("defun", "macro", "quote"):
             continue
-        target, values = None, []
-        if head in ("assign", "setq") and len(items) == 3:
-            target, values = items[1], [items[2]]
-        elif head in ("mk_instance", "mkinstance") and len(items) == 3:
-            target = items[1]
-        elif head == "do" and len(items) >= 2 and isinstance(items[1], Form):
-            header = items[1].items
-            if len(header) == 4:
-                target, values = header[0], header[1:3]
-        if isinstance(target, Symbol):
-            yield target.name, values
-        pending.extend(item for item in items if isinstance(item, Form))
+        pending += [item for item in items if type(item) is Form]
+    return found
 
 
 def _head(form: Form) -> Optional[str]:
@@ -1119,6 +1123,8 @@ _STATEMENT_FORMS = frozenset((
 ))
 #: forms that open blocks (the nesting rule moves them)
 _BLOCK_FORMS = frozenset(("cond", "do", "and", "or"))
+#: forms that assign a plain variable of their frame
+_ASSIGNING = frozenset(("assign", "setq", "mk_instance", "mkinstance", "do"))
 
 
 @functools.lru_cache(maxsize=32)

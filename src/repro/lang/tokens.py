@@ -24,12 +24,13 @@ class Token(NamedTuple):
     column: int
 
 
-#: one token, after any whitespace and comments: a parenthesis or dot,
-#: a string, a word (an integer or a symbol), an unterminated string's
-#: quote, or the end of the text.  Every match starts where the last one
-#: ended, and the possessive quantifiers never backtrack.
+#: the whitespace and comments before a token, and the token: a
+#: parenthesis or dot, a string, a word (an integer or a symbol), an
+#: unterminated string's quote, or the end of the text.  Every match
+#: starts where the last one ended, and the possessive quantifiers never
+#: backtrack.
 _TOKEN = re.compile(
-    r'(?:[ \t\r\n]|;[^\n]*+)*+'
+    r'((?:[ \t\r\n]|;[^\n]*+)*+)'
     r'([().]|"[^"]*+"|[^().;" \t\r\n]++|"|\Z)'
 )
 _PUNCT = {"(": "lparen", ")": "rparen", ".": "dot"}
@@ -45,15 +46,13 @@ def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
     append = tokens.append
     make = tuple.__new__  # a Token without NamedTuple's Python-level __new__
-    line, line_start, counted = 1, 0, 0
-    for match in _TOKEN.finditer(text):
-        start, end = match.span(1)
-        newlines = text.count("\n", counted, start)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", counted, start) + 1
-        counted = start
-        word = text[start:end]
+    line, line_start, start = 1, 0, 0
+    for space, word in _TOKEN.findall(text):
+        if space:
+            if "\n" in space:
+                line += space.count("\n")
+                line_start = start + space.rfind("\n") + 1
+            start += len(space)
         kind = _PUNCT.get(word)
         if kind is None:
             if not word:
@@ -61,10 +60,13 @@ def tokenize(text: str) -> List[Token]:
             if word[0] == '"':
                 if len(word) == 1:
                     raise ParseError(f"line {line}: unterminated string literal")
-                kind, word = "string", word[1:-1]
-            elif word.lstrip("-").isdigit() and word != "-":
-                kind = "int"
-            else:
-                kind = "symbol"
+                append(make(Token, ("string", word[1:-1], line, start - line_start + 1)))
+                if "\n" in word:  # a string spanning lines
+                    line += word.count("\n")
+                    line_start = start + word.rfind("\n") + 1
+                start += len(word)
+                continue
+            kind = "int" if word.lstrip("-").isdigit() and word != "-" else "symbol"
         append(make(Token, (kind, word, line, start - line_start + 1)))
+        start += len(word)
     return tokens

@@ -135,7 +135,7 @@ def test_hostile_programs_reach_values_errors_and_output():
 #: identifiers the generated source may contain: its parameters, its
 #: temporaries and function names, the namespace it runs in, and the
 #: attributes it reads
-GENERATED_NAME = re.compile(r"(B|E|I|K|v|t\d+|f\d+)$")
+GENERATED_NAME = re.compile(r"(B|E|I|K|L|v|t\d+|f\d+)$")
 ATTRIBUTES = {"bindings", "lookup", "procedures", "rsg", "mk_cell", "_resolve_cell",
               "output", "append", "input_queue", "pop"}
 
