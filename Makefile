@@ -6,6 +6,11 @@ PY := PYTHONPATH=src python
 
 .PHONY: test chaos bench bench-smoke docs-check all
 
+# Tier-1.  Besides the unit, oracle and golden tests it holds the
+# deterministic counter gates (tests/test_scaling_counters.py): counts
+# the program keeps cannot flake on a loaded host, so they gate scaling
+# at small sizes here — extraction's extract.sweep nodes and device
+# count grow <= 2.05x per doubling of a PLA's product terms, 8 -> 64.
 test:
 	$(PY) -m pytest tests/ -q
 

@@ -24,7 +24,12 @@ SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 def _impl_verify_extract_vec(report, record):
     from bench_verify import plane_table
-    from oracles.extract import _sweep_reference, extract_layers
+    from oracles.extract import (
+        _sweep_reference,
+        extract_layers,
+        production_parts,
+        reference_parts,
+    )
 
     from repro.geometry import batch
     from repro.pla import generate_pla
@@ -38,15 +43,11 @@ def _impl_verify_extract_vec(report, record):
     masks["implant"] = list(layers.get("implant", ()))
     columns = {name: batch.boxes_to_arrays(boxes) for name, boxes in masks.items()}
 
-    def roots(result):
-        sets = result[0]
-        return [sets.find(i) for i in range(len(sets.parent))]
-
-    result_reference = _sweep_reference(masks)
-    result_batch = _sweep_batch(columns)
-    # boxes/gates/terminals/... and the union-find partition
-    assert result_reference[1:] == result_batch[1:]
-    assert roots(result_reference) == roots(result_batch)
+    # nodes, every relation, and the node partition with the cut links
+    # applied
+    assert production_parts(_sweep_batch(columns)) == reference_parts(
+        _sweep_reference(masks)
+    )
     compare_kernel(
         report,
         record,

@@ -8,6 +8,13 @@
   both at n; n = 4 in smoke mode, 8 otherwise) must stay < 3x: twice
   the terms is about twice the sweep nodes, so only linear growth fits.
 
+* **extraction sub-spans** (no bound) — for each ``pla-verify`` shape
+  of the flow benchmark (seed 1, built through the design language),
+  the best of three traced ``extract_netlist`` calls on fresh cells,
+  one row per sub-span: ``verify_extract_flatten``,
+  ``verify_extract_sweep`` and ``verify_extract_resolve``, each keyed
+  by the shape's sweep node count.
+
 * **lane-parallel simulation** — every exhaustive input vector of
   an extracted PLA in one :func:`~repro.verify.switchsim.simulate`
   call, checked net for net against the truth table.
@@ -114,6 +121,43 @@ def test_flat_scaling_guard(report, record):
     assert ratio < SCALING_LIMIT, (
         f"flat extraction grew {ratio:.2f}x on doubled product terms"
     )
+
+
+#: the flow benchmark's ``pla-verify`` shapes: (inputs, terms, outputs)
+FLOW_PLA_SHAPES = [
+    (5, 32, 2), (8, 8, 2), (6, 24, 5), (7, 16, 2), (5, 24, 8), (7, 8, 8), (6, 32, 2),
+]
+EXTRACT_SPANS = ("extract.flatten", "extract.sweep", "extract.resolve")
+
+
+def test_extract_sub_spans_on_flow_shapes(report, record):
+    """Record each extraction sub-span on the flow benchmark's PLAs."""
+    from test_sweep_equivalence import random_table
+
+    from repro.obs import trace as obs_trace
+    from repro.pla import generate_pla_via_language
+
+    rows = []
+    for inputs, terms, outputs in FLOW_PLA_SHAPES:
+        table = random_table(random.Random(1), inputs, outputs, terms)
+        best = dict.fromkeys(EXTRACT_SPANS, float("inf"))
+        for _ in range(3):
+            cell, _ = generate_pla_via_language(table)
+            tracer = obs_trace.Tracer()
+            with obs_trace.activated(tracer):
+                extract_netlist(cell)
+            for span in tracer.finished():
+                if span.name in best:
+                    best[span.name] = min(best[span.name], span.duration_s)
+                if span.name == "extract.sweep":
+                    nodes = span.attributes["nodes"]
+        for name, seconds in best.items():
+            record("verify_" + name.replace(".", "_"), nodes, seconds)
+        rows.append(
+            f"  {inputs}-in {terms}-term {outputs}-out ({nodes} nodes): "
+            + ", ".join(f"{name} {best[name] * 1000:.2f} ms" for name in EXTRACT_SPANS)
+        )
+    report("E-VERIFY: extraction sub-spans on the flow benchmark's PLAs", *rows)
 
 
 def exhaustive_sim(inputs, terms, outputs):

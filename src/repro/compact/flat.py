@@ -262,7 +262,7 @@ def _compact_pass(
         stats = solve_longest_path(system)
         counts = stats.counts()
         span.set(**counts.to_dict())
-    values, jogs = stats.values, None
+    values, jogs = stats.array, None
     if rubber_band:
         with obs_trace.span("compact.align") as span:
             align = alignment_pairs(boxes)
@@ -271,8 +271,10 @@ def _compact_pass(
         jogs = (jog, jog)
         if len(align):
             with obs_trace.span("compact.rubberband", pairs=len(align)) as span:
-                width_limit = max(values, default=0)
-                values = rubber_band_solve(system, boxes, width_limit, align)
+                width_limit = int(values.max()) if values.size else 0
+                values = np.asarray(
+                    rubber_band_solve(system, boxes, width_limit, align), dtype=np.int64
+                )
                 jogs = (jog, misalignment(align, values))
                 span.set(jog=jogs[1])
 
@@ -285,7 +287,7 @@ def _compact_pass(
                 width_before = int(drawn.ymax.max() - drawn.ymin.min())
             else:
                 width_before = int(drawn.xmax.max() - drawn.xmin.min())
-        width_after = max(values) - min(values) if values else 0
+        width_after = int(values.max() - values.min()) if values.size else 0
     record = _Pass(width_before, width_after, len(system), spacing_count, counts, jogs)
     return _entry(record, solved.layers, solved.codes, solved.arrays)
 

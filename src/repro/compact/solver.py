@@ -68,7 +68,9 @@ class SolveStats:
 
     ``passes``/``relaxations`` count solver work (a *pass* is one sweep
     over the constraint list).  ``values`` is the solution by variable
-    id; :attr:`solution` is the same solution keyed by variable name,
+    id and ``array`` the same values as one int64 array, converted once
+    (the solver hands over the one its confirming test built);
+    :attr:`solution` is the same solution keyed by variable name,
     spelled on first use from ``names``.
     """
 
@@ -80,9 +82,14 @@ class SolveStats:
     values: List[int] = field(default_factory=list)
     lower_bound: int = 0
     names: Optional[VariableNames] = field(default=None, repr=False, compare=False)
+    array: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _solution: Optional[Dict[Variable, int]] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if self.array is None:
+            self.array = np.asarray(self.values, dtype=np.int64)
 
     @property
     def solution(self) -> Dict[Variable, int]:
@@ -102,10 +109,9 @@ class SolveStats:
         the wall).  For a fresh minimal solve some variable always
         rests on ``lower_bound`` and the two definitions agree.
         """
-        if not self.values:
+        if not self.array.size:
             return 0
-        low = min(min(self.values), self.lower_bound)
-        return max(self.values) - low
+        return int(self.array.max()) - min(int(self.array.min()), self.lower_bound)
 
     def counts(self) -> SolveCounts:
         """The run's counters, without the solution."""
@@ -196,6 +202,7 @@ def solve_longest_path(
     while True:
         passes += 1
         before = relaxations
+        values = None
         for s, t, bound in zip(sources, targets, weights):
             candidate = x[s] + bound
             if candidate > x[t]:
@@ -213,7 +220,9 @@ def solve_longest_path(
         if not (values[source] + weight > values[target]).any():
             passes += 1
             break
+    # The confirming test's array is the solution; a pass that relaxes
+    # nothing (so the first) leaves none.
     return SolveStats(
         passes=passes, relaxations=relaxations, sorted_edges=sort_edges,
-        values=x, lower_bound=lower_bound, names=system.names(),
+        values=x, lower_bound=lower_bound, names=system.names(), array=values,
     )

@@ -401,15 +401,17 @@ class CellDefinition:
         O(1) while the process-wide mutation counter is unchanged; after
         a mutation anywhere, the next query revalidates with one walk
         over the definition DAG (memoized per counter value, so shared
-        sub-definitions are visited once).
+        sub-definitions are visited once).  The walk reads each distinct
+        child definition once, from the :meth:`instance_table`, not once
+        per instance.
         """
         counter = CellDefinition._mutation_counter
         cached_at, value = self._subtree_memo
         if cached_at == counter:
             return value
         value = self._stamp
-        for instance in self.instances:
-            child = instance.definition.subtree_stamp()
+        for definition in self.instance_table().children:
+            child = definition.subtree_stamp()
             if child > value:
                 value = child
         self._subtree_memo = (counter, value)

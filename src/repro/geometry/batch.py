@@ -10,7 +10,7 @@ merging; here those loops are restructured around flat int64 arrays:
   once, not once per comparison);
 * sorted event vectors and ``searchsorted``/masking instead of bisect
   loops (:func:`merged_slab_runs`, :func:`overlap_pairs`,
-  :func:`touching_pairs`, :func:`runs_intersect`, :func:`runs_subtract`);
+  :func:`touching_pairs`, :func:`combine_runs`);
 * segmented scans (:func:`segmented_cummax`) for the per-slab run merge
   and for the visibility front, which collapses to a running
   ``(xmax, arrival)`` argmax per elementary y slab
@@ -46,8 +46,7 @@ __all__ = [
     "overlap_pairs",
     "touching_pairs",
     "expand_ranges",
-    "runs_intersect",
-    "runs_subtract",
+    "combine_runs",
 ]
 
 
@@ -202,28 +201,35 @@ def _slab_incidence(ys, boxes: BoxArray):
     first = np.searchsorted(ys, boxes.ymin[indices])
     last = np.searchsorted(ys, boxes.ymax[indices])
     counts = last - first
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     box_index = np.repeat(indices, counts)
-    bases = np.repeat(np.cumsum(counts) - counts, counts)
-    slab = np.repeat(first, counts) + (np.arange(total, dtype=np.int64) - bases)
+    slab = np.arange(total, dtype=np.int64) + np.repeat(first - (ends - counts), counts)
     return box_index, slab
 
 
-def merged_slab_runs(ys, boxes: BoxArray):
+def merged_slab_runs(ys, boxes: BoxArray, keys=None):
     """All-slab merged x runs of one layer, as flat arrays.
 
     Returns ``(slab, x0, x1)`` sorted by ``(slab, x0)``: the disjoint
     (touching-coalesced) x intervals of the layer's material per
     elementary slab of the ``ys`` grid — the batch equivalent of
     draining the oracles' interpreted slab sweep for one layer.
+
+    ``keys`` (one non-negative int64 per box) merges several layers in
+    one pass: boxes merge only with boxes of their own key, and a run of
+    key ``k`` in slab ``s`` reports ``k * ys.size + s`` as its slab, so
+    the runs come out sorted by key, then slab, then x.
     """
     box_index, slab = _slab_incidence(ys, boxes)
     empty = np.empty(0, dtype=np.int64)
     if box_index.size == 0:
         return empty, empty, empty
+    if keys is not None:
+        slab = slab + keys[box_index] * np.int64(ys.size)
     x0 = boxes.xmin[box_index]
     x1 = boxes.xmax[box_index]
     # Sort by (slab, x0); the x1 order within ties cannot affect the run
@@ -232,7 +238,8 @@ def merged_slab_runs(ys, boxes: BoxArray):
     # suffices when the key fits in int64.
     base = int(x0.min())
     span = int(x1.max()) - base + 1
-    if int(ys.size) * span < 2**62:
+    keyed_size = ys.size if keys is None else ys.size * (int(keys.max()) + 1)
+    if keyed_size * span < 2**62:
         order = np.argsort(slab * np.int64(span) + (x0 - base))
     else:
         order = np.lexsort((x0, slab))
@@ -252,54 +259,59 @@ def merged_slab_runs(ys, boxes: BoxArray):
 # ----------------------------------------------------------------------
 # Keyed interval algebra over (slab, x0, x1) run vectors
 # ----------------------------------------------------------------------
-def _run_events(slab, x0, x1, weight):
-    """(slab, coordinate, depth-delta) event triples for a run set."""
-    doubled = np.concatenate([slab, slab])
-    coords = np.concatenate([x0, x1])
-    deltas = np.empty(coords.size, dtype=np.int64)
-    deltas[: x0.size] = weight
-    deltas[x0.size:] = -weight
-    return doubled, coords, deltas
+def combine_runs(slab, x0, x1, member, selections):
+    """Boolean combinations of slab-keyed run sets, in one event pass.
 
-
-def _boolean_runs(target, slab_a, a0, a1, slab_b, b0, b1):
-    """Slab-keyed boolean combination of two disjoint run sets.
-
-    Sweeps the merged event vector per slab tracking coverage depth
-    (``a`` contributes 1, ``b`` contributes 2) and keeps the positive-
-    length segments whose depth equals ``target``: 3 for intersection,
-    1 for subtraction (``a`` minus ``b``).
+    Run ``i`` covers ``[x0[i], x1[i]]`` of slab ``slab[i]`` and belongs
+    to set ``member[i]``, one of at most seven; within one set the runs
+    of a slab must be disjoint and must not touch (as
+    :func:`merged_slab_runs` gives them).  One sorted event vector gives every elementary x segment
+    of every slab its coverage state, the sum of ``1 << member`` over
+    the sets covering it.  Each entry of ``selections`` is a boolean
+    table indexed by state; its result is the maximal runs of the
+    segments whose state it selects, as ``(slab, x0, x1)`` sorted by
+    ``(slab, x0)``.  Returns one such triple per selection.
     """
-    sa, ca, da = _run_events(slab_a, a0, a1, 1)
-    sb, cb, db = _run_events(slab_b, b0, b1, 2)
-    slab = np.concatenate([sa, sb])
-    coords = np.concatenate([ca, cb])
-    deltas = np.concatenate([da, db])
     empty = np.empty(0, dtype=np.int64)
     if slab.size == 0:
-        return empty, empty, empty
-    order = np.lexsort((coords, slab))
-    slab, coords, deltas = slab[order], coords[order], deltas[order]
-    depth = np.cumsum(deltas)
-    keep = np.empty(slab.size, dtype=bool)
-    keep[-1] = False
-    keep[:-1] = (
-        (depth[:-1] == target)
-        & (slab[1:] == slab[:-1])
-        & (coords[1:] > coords[:-1])
-    )
-    indices = np.flatnonzero(keep)
-    return slab[indices], coords[indices], coords[indices + 1]
-
-
-def runs_intersect(slab_a, a0, a1, slab_b, b0, b1):
-    """Positive-length intersection of two slab-keyed run sets."""
-    return _boolean_runs(3, slab_a, a0, a1, slab_b, b0, b1)
-
-
-def runs_subtract(slab_a, a0, a1, slab_b, b0, b1):
-    """Slab-keyed set difference ``a - b`` of two disjoint run sets."""
-    return _boolean_runs(1, slab_a, a0, a1, slab_b, b0, b1)
+        return [(empty, empty, empty) for _ in selections]
+    weight = np.left_shift(1, member).astype(np.int8)
+    slabs = np.concatenate([slab, slab])
+    coords = np.concatenate([x0, x1])
+    base = int(coords.min())
+    span = int(coords.max()) - base + 1
+    if (int(slabs.max()) + 1) * span < 2**62:
+        order = np.argsort(slabs * np.int64(span) + (coords - base), kind="stable")
+    else:
+        order = np.lexsort((coords, slabs))
+    slabs, coords = slabs[order], coords[order]
+    # Within one set the runs never overlap, so a state fits its bits.
+    state = np.concatenate([weight, -weight])[order].cumsum(dtype=np.int8)
+    # The event columns die here, not at return: extraction's memory
+    # peak falls in this pass.
+    del order
+    # The positive-length segments; within a slab they tile its events'
+    # extent, so two neighbours in this list touch when they share a slab.
+    segment = np.flatnonzero((slabs[1:] == slabs[:-1]) & (coords[1:] > coords[:-1]))
+    seg_slab, seg_state = slabs[segment], state[segment]
+    lo, hi = coords[segment], coords[segment + 1]
+    del slabs, coords, state, segment
+    joined = np.empty(seg_slab.size + 1, dtype=bool)
+    joined[0] = joined[-1] = False
+    np.equal(seg_slab[1:], seg_slab[:-1], out=joined[1:-1])
+    results = []
+    for table in selections:
+        keep = table[seg_state]
+        # A run starts at a kept segment whose left neighbour is not a
+        # kept one of its slab, and ends symmetrically.
+        chained = np.empty(seg_slab.size + 1, dtype=bool)
+        chained[0] = chained[-1] = False
+        np.logical_and(keep[1:], keep[:-1], out=chained[1:-1])
+        chained &= joined
+        first = np.flatnonzero(keep & ~chained[:-1])
+        last = np.flatnonzero(keep & ~chained[1:])
+        results.append((seg_slab[first], lo[first], hi[last]))
+    return results
 
 
 def expand_ranges(lo, hi):
@@ -309,13 +321,13 @@ def expand_ranges(lo, hi):
     ``for i: for j in range(lo[i], hi[i])``.
     """
     counts = np.maximum(hi - lo, 0)
-    total = int(counts.sum())
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     query = np.arange(lo.size, dtype=np.int64).repeat(counts)
-    bases = (counts.cumsum() - counts).repeat(counts)
-    hits = np.arange(total, dtype=np.int64) - bases + lo.repeat(counts)
+    hits = np.arange(total, dtype=np.int64) + (lo - (ends - counts)).repeat(counts)
     return query, hits
 
 
@@ -332,7 +344,9 @@ def overlap_pairs(slab_a, a0, a1, slab_b, b0, b1, closed=False):
     makes the overlap window of each ``a`` run a contiguous index range
     found by two ``searchsorted`` probes.  ``closed=True`` counts runs
     that merely share an endpoint; the default requires positive
-    overlap.  Returns ``(a_index, b_index)`` arrays.
+    overlap; a boolean array chooses per ``a`` run.  Returns
+    ``(a_index, b_index)`` arrays, sorted by ``a_index``, then
+    ``b_index``.
     """
     empty = np.empty(0, dtype=np.int64)
     if slab_a.size == 0 or slab_b.size == 0:
@@ -340,16 +354,19 @@ def overlap_pairs(slab_a, a0, a1, slab_b, b0, b1, closed=False):
     base = int(min(a0.min(), b0.min()))
     top = int(max(a1.max(), b1.max()))
     span = np.int64(top - base + 2)
-    b_start = _slab_keys(slab_b, b0, span, base)
-    b_end = _slab_keys(slab_b, b1, span, base)
-    key_a0 = _slab_keys(slab_a, a0, span, base)
-    key_a1 = _slab_keys(slab_a, a1, span, base)
-    if closed:
-        lo = np.searchsorted(b_end, key_a0, side="left")
-        hi = np.searchsorted(b_start, key_a1, side="right")
-    else:
-        lo = np.searchsorted(b_end, key_a0, side="right")
-        hi = np.searchsorted(b_start, key_a1, side="left")
+    # On integer keys a closed test is the open one on the run widened
+    # by one at each end; the spare key per slab keeps that in its slab.
+    widen = np.asarray(closed, dtype=np.int64)
+    lo = np.searchsorted(
+        _slab_keys(slab_b, b1, span, base),
+        _slab_keys(slab_a, a0, span, base) - widen,
+        side="right",
+    )
+    hi = np.searchsorted(
+        _slab_keys(slab_b, b0, span, base),
+        _slab_keys(slab_a, a1, span, base) + widen,
+        side="left",
+    )
     return expand_ranges(lo, hi)
 
 

@@ -28,11 +28,14 @@ extractor derives
   edge-adjacent to it, and an implant overlapping the channel marks a
   depletion load (gate dropped, per the netlist convention).
 
-The sweep's nodes (one per merged run per slab) stay int64 columns
+The sweep is three array passes (:func:`_sweep_batch`): one keyed merge
+of the five masks' slab runs, one event pass for the channel algebra,
+and one keyed overlap query for every relation between runs.  Its
+nodes (one per merged run per slab) stay int64 columns
 (:class:`_SweepNodes`) from the walk to the netlist: every node's root
-is one array computation, devices come from a loop over channel nodes
-only, and ports attach in one array pass.  No ``Box`` is built per
-node.
+is one array computation, devices and nets are array joins over the
+relations, and ports attach in one array pass.  No ``Box`` is built per
+node, and no Python loop runs per node or per relation pair.
 
 Port and label names attach to the net whose conductor geometry
 contains their position; names ending in ``!`` merge globally so
@@ -41,7 +44,7 @@ physically disjoint rails become one electrical node.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -51,7 +54,7 @@ from ..core.cell import CellDefinition, layer_table
 from ..geometry import Transform, batch
 from ..geometry.batch import BoxArray
 from ..obs import trace as obs_trace
-from .netlist import SwitchNetlist
+from .netlist import GLOBAL_SUFFIX, Device, SwitchNetlist
 
 __all__ = ["ExtractionError", "extract_netlist", "CONDUCTOR_LAYERS"]
 
@@ -61,36 +64,6 @@ CONDUCTOR_LAYERS = ("diff", "poly", "metal1")
 
 class ExtractionError(ValueError):
     """Raised when mask geometry cannot be read as a circuit."""
-
-
-class _UnionFind:
-    """Path-halving disjoint sets, grown on demand.
-
-    The batch sweep hands one over with ``parent`` already flat (every
-    entry a root), so the cut-link unions replayed on it stay short.
-    """
-
-    def __init__(self) -> None:
-        self.parent: List[int] = []
-
-    def make(self) -> int:
-        """New singleton; returns its id."""
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, a: int) -> int:
-        """Representative of ``a``'s set."""
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        """Merge the sets holding ``a`` and ``b``."""
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 #: the masks the slab walk reads, each one :class:`BoxArray` of columns
@@ -160,16 +133,27 @@ class _SweepNodes:
     __hash__ = None  # type: ignore[assignment]
 
 
-#: what one sweep pass hands to the netlist-resolution phase:
-#: (union-find, node columns, gate_of, terminals_of, depletion, cut_links)
-_SweepResult = Tuple[
-    _UnionFind,
-    _SweepNodes,
-    Dict[int, Set[int]],
-    Dict[int, Set[int]],
-    Set[int],
-    List[List[int]],
-]
+class _Sweep(NamedTuple):
+    """What one sweep pass hands to the netlist-resolution phase.
+
+    ``roots[i]`` labels node ``i``'s component: its largest node id,
+    with same-kind stitches across slabs and contact cuts both applied.
+    The relations are pair columns: ``gates`` (channel node, poly node)
+    and ``terminals`` (channel node, diffusion node), each grouped by
+    channel node in ascending order, a channel's terminals listed as
+    found — same slab, then the slab below, then the slab above, each by
+    node id; ``depletion`` holds the channel nodes under implant,
+    ascending; ``cut_links`` (cut run, conductor node) lists the
+    conductors each contact cut overlaps, by cut, then poly, metal1 and
+    diffusion, then node id.
+    """
+
+    nodes: "_SweepNodes"
+    roots: np.ndarray
+    gates: Tuple[np.ndarray, np.ndarray]
+    terminals: Tuple[np.ndarray, np.ndarray]
+    depletion: np.ndarray
+    cut_links: Tuple[np.ndarray, np.ndarray]
 
 
 def _jump(parent):
@@ -184,11 +168,8 @@ def _jump(parent):
 def _largest_node_roots(total: int, a, b):
     """Every node's root under the unions ``(a[i], b[i])``, as an array.
 
-    The root of a component is its largest node id: what
-    :class:`_UnionFind` ends with when the unions are applied in
-    ascending ``(new, previous)`` order and each new node is still a
-    singleton when first met, as the slab stitch guarantees.  Computed
-    by hooking every root onto the largest root across its edges and
+    The root of a component is its largest node id.  Computed by
+    hooking every root onto the largest root across its edges and
     pointer jumping to stars, until no edge spans two trees (Shiloach
     and Vishkin, J. Algorithms 3(1), 1982).  Pointers only ever grow,
     so no cycle can form, and the star left with the largest id never
@@ -205,151 +186,166 @@ def _largest_node_roots(total: int, a, b):
     return parent
 
 
-def _sweep_batch(sweep_input: Dict[str, BoxArray]) -> _SweepResult:
+#: key codes of the run sets the relation query reads: the node kinds,
+#: then the two masks that only mark them
+_CUT, _IMPLANT = len(_SWEEP_KINDS), len(_SWEEP_KINDS) + 1
+#: the coverage states of the channel algebra, bit 0 poly, bit 1
+#: diffusion, bit 2 cut: a channel is poly over diffusion without a cut,
+#: conducting diffusion is diffusion that is not channel
+_CHANNEL_STATES = np.array([state == 0b011 for state in range(8)])
+_DIFF_STATES = np.array([state & 0b010 and state != 0b011 for state in range(8)])
+#: the probes per channel run, as (target kind, slab step, closed):
+#: gate poly, implant, then the terminal diffusion of the same slab
+#: (a shared endpoint counts), the slab below and the slab above
+_CHANNEL_PROBES = (
+    (_KIND_CODE["poly"], 0, False),
+    (_IMPLANT, 0, False),
+    (_KIND_CODE["diff"], 0, True),
+    (_KIND_CODE["diff"], -1, False),
+    (_KIND_CODE["diff"], 1, False),
+)
+#: the conductors a cut links, in link order
+_CUT_PROBES = tuple(_KIND_CODE[kind] for kind in ("poly", "metal1", "diff"))
+
+
+def _runs(ys, sweep_input: Dict[str, BoxArray]):
+    """Every run set the walk reads, as ``(kind, slab, x0, x1)`` columns.
+
+    The sets come in kind order — poly, metal1, conducting diffusion,
+    channel, cut, implant — each sorted by slab, then x.  One keyed
+    merge gives every mask's runs; one event pass over poly, diffusion
+    and cut gives the channels (poly and diffusion without a cut) and
+    the conducting diffusion (diffusion without channel).
+    """
+    stride = np.int64(ys.size)
+    masks = [sweep_input[name] for name in ("poly", "metal1", "diff", "cut", "implant")]
+    boxes = BoxArray(*(
+        np.concatenate([getattr(mask, column) for mask in masks])
+        for column in BoxArray.__slots__
+    ))
+    keys = np.repeat(np.arange(5, dtype=np.int64), [len(mask) for mask in masks])
+    keyed, x0, x1 = batch.merged_slab_runs(ys, boxes, keys)
+    bounds = np.searchsorted(keyed, np.arange(6, dtype=np.int64) * stride).tolist()
+    poly, metal, diff, cut, implant = [
+        (keyed[lo:hi] - code * stride, x0[lo:hi], x1[lo:hi])
+        for code, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    member = np.repeat(np.arange(3, dtype=np.int64), [poly[0].size, diff[0].size, cut[0].size])
+    channel, diff_cond = batch.combine_runs(
+        *(np.concatenate(column) for column in zip(poly, diff, cut)),
+        member, (_CHANNEL_STATES, _DIFF_STATES),
+    )
+    kinds = (poly, metal, diff_cond, channel, cut, implant)
+    return (
+        np.repeat(np.arange(len(kinds), dtype=np.int64), [run[0].size for run in kinds]),
+        *(np.concatenate(column) for column in zip(*kinds)),
+    )
+
+
+def _sweep_batch(sweep_input: Dict[str, BoxArray]) -> _Sweep:
     """Numpy batch build of the slab walk.
 
     ``sweep_input`` holds one :class:`~repro.geometry.batch.BoxArray`
     per mask of ``_SWEEP_MASKS``; the interpreted oracle takes the same
-    masks as ``Box`` lists.  All slabs are materialised at once: merged runs per
-    mask come from :func:`~repro.geometry.batch.merged_slab_runs`, the
-    channel/conductor algebra from the keyed event-depth combinators,
-    and every per-slab interval scan of the interpreted walk (slab
-    stitching, gates, depletion, terminals, cut links) becomes a keyed
-    ``searchsorted`` pair query.  Node ids are assigned in exactly the
-    interpreted order — (slab, kind, x) — and the nodes stay columns.
-    The stitch roots come from one array computation
-    (:func:`_largest_node_roots`) equal to the interpreted union
-    sequence's, handed over as an already-flat union-find, so the roots
-    (and hence downstream net numbering) are *identical*, not merely
-    isomorphic.
-    """
-    sets = _UnionFind()
-    gate_of: Dict[int, Set[int]] = {}
-    terminals_of: Dict[int, Set[int]] = {}
-    depletion: Set[int] = set()
-    cut_links: List[List[int]] = []
-    empty = np.empty(0, dtype=np.int64)
-    nothing = (
-        sets, _SweepNodes(empty, empty, empty, empty, empty),
-        gate_of, terminals_of, depletion, cut_links,
-    )
+    masks as ``Box`` lists.  All slabs are materialised at once, in
+    three array passes:
 
+    * one keyed :func:`~repro.geometry.batch.merged_slab_runs` gives
+      every mask's merged runs per slab (:func:`_runs`);
+    * one :func:`~repro.geometry.batch.combine_runs` event pass over
+      poly, diffusion and cut gives the channels and the conducting
+      diffusion (:func:`_runs`);
+    * one keyed :func:`~repro.geometry.batch.overlap_pairs` query
+      answers every per-slab interval scan of the interpreted walk:
+      same-kind stitches across slabs, gates, depletion, terminals and
+      cut links.  Every run set sits in one key space,
+      ``kind * ys.size + slab + 1``, so each probe names its target
+      kind and slab by its key.
+
+    Node ids are assigned in exactly the interpreted order — (slab,
+    kind, x) — and the nodes stay columns.  The roots come from one
+    array computation (:func:`_largest_node_roots`) over the stitches
+    and cut links.  A cut links conductors only, so a channel's root
+    is the largest node of its stitched region, the root the
+    interpreted walk's union sequence gives it, and the devices keep
+    the interpreted order.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    nothing = _Sweep(
+        _SweepNodes(empty, empty, empty, empty, empty), empty,
+        (empty, empty), (empty, empty), empty, (empty, empty),
+    )
     ys = batch.slab_grid(sweep_input.values())
     if ys.size < 2:
         return nothing
-    poly = batch.merged_slab_runs(ys, sweep_input["poly"])
-    metal = batch.merged_slab_runs(ys, sweep_input["metal1"])
-    diff = batch.merged_slab_runs(ys, sweep_input["diff"])
-    cut = batch.merged_slab_runs(ys, sweep_input["cut"])
-    implant = batch.merged_slab_runs(ys, sweep_input["implant"])
-    channel = batch.runs_subtract(*batch.runs_intersect(*poly, *diff), *cut)
-    diff_cond = batch.runs_subtract(*diff, *channel)
-
-    kinds = (poly, metal, diff_cond, channel)
-    sizes = [int(runs[0].size) for runs in kinds]
-    total = sum(sizes)
+    stride = np.int64(ys.size)
+    kind, slab, x0, x1 = _runs(ys, sweep_input)
+    total = int(np.count_nonzero(kind < _CUT))
     if total == 0:
         return nothing
-    slab_all = np.concatenate([runs[0] for runs in kinds])
-    x0_all = np.concatenate([runs[1] for runs in kinds])
-    x1_all = np.concatenate([runs[2] for runs in kinds])
-    rank_all = np.repeat(np.arange(4, dtype=np.int64), sizes)
+    key = kind * stride + slab + 1
+
     # Node ids in interpreted creation order: slab, then kind, then x.
-    order = np.lexsort((x0_all, rank_all, slab_all))
+    # Each kind's runs are sorted by (slab, x), so a stable sort on
+    # (slab, kind) finishes the order.
+    order = np.argsort(slab[:total] * _CUT + kind[:total], kind="stable")
     node_of = np.empty(total, dtype=np.int64)
     node_of[order] = np.arange(total, dtype=np.int64)
-    offsets = np.cumsum(sizes) - sizes
-    nid = [
-        node_of[offsets[index]: offsets[index] + sizes[index]]
-        for index in range(4)
-    ]
-    slab_sorted = slab_all[order]
+    node_slab = slab[order]
     nodes = _SweepNodes(
-        rank_all[order], x0_all[order], ys[slab_sorted], x1_all[order],
-        ys[slab_sorted + 1],
+        kind[order], x0[order], ys[node_slab], x1[order], ys[node_slab + 1]
     )
-    result = (sets, nodes, gate_of, terminals_of, depletion, cut_links)
 
-    # Same-kind stitches across adjacent slabs.  Applied in ascending
-    # (new node, previous node) order they leave each component rooted
-    # at its largest node, which is what the array computation gives.
-    stitch_cur: List[Any] = []
-    stitch_prev: List[Any] = []
-    for index in range(4):
-        slab, x0, x1 = kinds[index]
-        if slab.size == 0:
-            continue
-        cur_rows, prev_rows = batch.overlap_pairs(slab, x0, x1, slab + 1, x0, x1)
-        if cur_rows.size:
-            stitch_cur.append(nid[index][cur_rows])
-            stitch_prev.append(nid[index][prev_rows])
-    if stitch_cur:
-        roots = _largest_node_roots(
-            total, np.concatenate(stitch_cur), np.concatenate(stitch_prev)
-        )
-        sets.parent = roots.tolist()
-    else:
-        sets.parent = list(range(total))
-
-    chan_nid, diff_nid, poly_nid, metal_nid = nid[3], nid[2], nid[0], nid[1]
-    # Gates: poly runs positively overlapping a channel, same slab.
-    rows_a, rows_b = batch.overlap_pairs(*channel, *poly)
-    for node, gate in zip(chan_nid[rows_a].tolist(), poly_nid[rows_b].tolist()):
-        gate_of.setdefault(node, set()).add(gate)
-    # Depletion markers.
-    rows_a, _ = batch.overlap_pairs(*channel, *implant)
-    depletion.update(chan_nid[rows_a].tolist())
-    # Horizontal channel/diff adjacency (shared endpoint counts).
-    rows_a, rows_b = batch.overlap_pairs(*channel, *diff_cond, closed=True)
-    for node, term in zip(chan_nid[rows_a].tolist(), diff_nid[rows_b].tolist()):
-        terminals_of.setdefault(node, set()).add(term)
-    # Vertical adjacency, both directions across the slab boundary.
-    chan_slab, chan_x0, chan_x1 = channel
-    diff_slab, diff_x0, diff_x1 = diff_cond
-    rows_a, rows_b = batch.overlap_pairs(
-        chan_slab, chan_x0, chan_x1, diff_slab + 1, diff_x0, diff_x1
+    # One query for every relation: a probe keyed k * stride + s + 1
+    # meets the runs of kind k in slab s.  The probes are every node run
+    # (its stitch to the slab below), then each channel run once per
+    # channel probe, then each cut run once per kind it links.
+    chan_rows = np.flatnonzero(kind == _CHANNEL)
+    cut_rows = np.flatnonzero(kind == _CUT)
+    chan_keys = np.array([code * stride + step for code, step, _ in _CHANNEL_PROBES])
+    cut_keys = np.array(_CUT_PROBES) * stride
+    rows = np.concatenate([
+        np.arange(total),
+        np.repeat(chan_rows, len(_CHANNEL_PROBES)),
+        np.repeat(cut_rows, len(_CUT_PROBES)),
+    ])
+    channel_start = total
+    cut_start = channel_start + chan_rows.size * len(_CHANNEL_PROBES)
+    closed = np.zeros(rows.size, dtype=bool)
+    closed[channel_start:cut_start] = np.tile(
+        [flag for _, _, flag in _CHANNEL_PROBES], chan_rows.size
     )
-    for node, term in zip(chan_nid[rows_a].tolist(), diff_nid[rows_b].tolist()):
-        terminals_of.setdefault(node, set()).add(term)
-    rows_a, rows_b = batch.overlap_pairs(
-        diff_slab, diff_x0, diff_x1, chan_slab + 1, chan_x0, chan_x1
+    query, target = batch.overlap_pairs(
+        np.concatenate([
+            key[:total] - 1,
+            (slab[chan_rows, None] + 1 + chan_keys).ravel(),
+            (slab[cut_rows, None] + 1 + cut_keys).ravel(),
+        ]),
+        x0[rows], x1[rows], key, x0, x1, closed=closed,
     )
-    for term, node in zip(diff_nid[rows_a].tolist(), chan_nid[rows_b].tolist()):
-        terminals_of.setdefault(node, set()).add(term)
+    split = np.searchsorted(query, [channel_start, cut_start]).tolist()
 
-    # Cuts union every conductor they positively overlap, in slab/x
-    # order with the linked nodes listed poly, then metal1, then diff.
-    cut_slab, cut_x0, cut_x1 = cut
-    if cut_slab.size:
-        link_cut: List[Any] = []
-        link_rank: List[Any] = []
-        link_node: List[Any] = []
-        for rank, (runs, ids) in enumerate(
-            ((poly, poly_nid), (metal, metal_nid), (diff_cond, diff_nid))
-        ):
-            rows_a, rows_b = batch.overlap_pairs(cut_slab, cut_x0, cut_x1, *runs)
-            if rows_a.size:
-                link_cut.append(rows_a)
-                link_rank.append(np.full(rows_a.size, rank, dtype=np.int64))
-                link_node.append(ids[rows_b])
-        if link_cut:
-            cuts = np.concatenate(link_cut)
-            ranks = np.concatenate(link_rank)
-            nodes = np.concatenate(link_node)
-            sequence = np.lexsort((nodes, ranks, cuts))
-            linked_by_cut: Dict[int, List[int]] = {}
-            for cut_index, node in zip(
-                cuts[sequence].tolist(), nodes[sequence].tolist()
-            ):
-                linked_by_cut.setdefault(cut_index, []).append(node)
-            for cut_index in sorted(linked_by_cut):
-                linked = linked_by_cut[cut_index]
-                if len(linked) >= 2:
-                    cut_links.append(linked)
-    return result
+    stitched = slice(0, split[0])
+    probe = query[split[0]:split[1]] - channel_start
+    probe_kind = probe % len(_CHANNEL_PROBES)
+    probe_node = node_of[chan_rows[probe // len(_CHANNEL_PROBES)]]
+    probe_target = target[split[0]:split[1]]
+    gated = probe_kind == 0
+    terminal = probe_kind >= 2
+    gates = (probe_node[gated], node_of[probe_target[gated]])
+    terminals = (probe_node[terminal], node_of[probe_target[terminal]])
+    depletion = batch.unique_sorted(probe_node[probe_kind == 1])
 
-
-_NO_NODES: frozenset = frozenset()
+    link_cut = (query[split[1]:] - cut_start) // len(_CUT_PROBES)
+    link_node = node_of[target[split[1]:]]
+    # A cut joins the conductors it links: chain each to the next.
+    chained = np.flatnonzero(link_cut[1:] == link_cut[:-1])
+    roots = _largest_node_roots(
+        total,
+        np.concatenate([node_of[query[stitched]], link_node[chained]]),
+        np.concatenate([node_of[target[stitched]], link_node[chained + 1]]),
+    )
+    return _Sweep(nodes, roots, gates, terminals, depletion, (link_cut, link_node))
 
 
 def _conductor_order(nodes: _SweepNodes, roots):
@@ -448,70 +444,158 @@ def _port_nodes(nodes: _SweepNodes, conductor, order, ports: Sequence) -> List[i
     return found
 
 
-def _resolve(
-    nodes: _SweepNodes,
-    roots,
-    gate_of: Dict[int, Set[int]],
-    terminals_of: Dict[int, Set[int]],
-    depletion: Set[int],
-    ports: Sequence,
-) -> SwitchNetlist:
+def _collected(pairs, channels) -> Set[int]:
+    """The node set a device collects from one relation, built by the
+    set operations of the interpreted walk: per channel node, in
+    ascending order, the set of its partners in the order found, unioned
+    into the device's set.  Those operations fix the set's iteration
+    order, and that order numbers the nets the device asks for first.
+    """
+    chan, node = pairs
+    starts = np.searchsorted(chan, channels).tolist()
+    stops = np.searchsorted(chan, channels, side="right").tolist()
+    collected: Set[int] = set()
+    for start, stop in zip(starts, stops):
+        collected |= set(node[start:stop].tolist())
+    return collected
+
+
+def _resolve(sweep: _Sweep, ports: Sequence) -> SwitchNetlist:
     """Devices, nets and port names from the swept nodes and their roots.
 
-    Devices come from one loop over the channel nodes, in order of
-    their component roots; a conductor component gets a net only when a
-    device terminal or a port asks for it, in that order.
+    A device is a channel component, in ascending root order.  A
+    conductor component gets a net when it is first asked for: the
+    devices in order, each its gates, then its terminals, then the
+    ports in order.  When one device step asks for several new
+    components, the iteration order of the node set the device collects
+    (:func:`_collected`) orders them.  Components that carry one global
+    (``!``) name share a net, numbered where the first of them is; nets
+    with neither a name nor a device pin (a depletion load's gate stub)
+    are dropped, and the rest keep their order.
     """
-    netlist = SwitchNetlist()
-    net_of_component: Dict[int, int] = {}
-    root_of: List[int] = roots.tolist()
+    nodes, roots = sweep.nodes, sweep.roots
+    total = len(nodes)
+    channels = np.flatnonzero(nodes.kind == _CHANNEL)
+    device_roots = batch.unique_sorted(roots[channels])
+    devices = int(device_roots.size)
 
-    def net_for(node: int) -> int:
-        root = root_of[node]
-        net = net_of_component.get(root)
-        if net is None:
-            net = netlist.add_net()
-            net_of_component[root] = net
-        return net
+    def per_device(chan, node):
+        """The distinct (device, component) pairs of a relation."""
+        pairs = batch.unique_sorted(
+            np.searchsorted(device_roots, roots[chan]) * total + roots[node]
+        )
+        return pairs // total, pairs % total
 
-    # Channel components -> devices (deduplicated by component root).
-    channels = np.flatnonzero(nodes.kind == _CHANNEL).tolist()
-    seen_channels: Dict[int, Tuple[Set[int], Set[int], bool]] = {}
-    for node in channels:
-        root = root_of[node]
-        gates, terminals, isdep = seen_channels.get(root) or (set(), set(), False)
-        gates |= gate_of.get(node, _NO_NODES)
-        terminals |= terminals_of.get(node, _NO_NODES)
-        seen_channels[root] = (gates, terminals, isdep or node in depletion)
-
-    for root in sorted(seen_channels):
-        gates, terminals, isdep = seen_channels[root]
-        gate_nets = sorted({net_for(node) for node in gates})
-        terminal_nets = sorted({net_for(node) for node in terminals})
-        if len(terminal_nets) < 2:
+    gate_device, gate_comp = per_device(*sweep.gates)
+    term_device, term_comp = per_device(*sweep.terminals)
+    gate_count = np.bincount(gate_device, minlength=devices)
+    term_count = np.bincount(term_device, minlength=devices)
+    depletion = np.zeros(devices, dtype=bool)
+    depletion[np.searchsorted(device_roots, roots[sweep.depletion])] = True
+    bad = np.flatnonzero((term_count != 2) | (~depletion & (gate_count != 1)))
+    if bad.size:
+        first = int(bad[0])
+        terminals = int(term_count[first])
+        if terminals < 2:
             raise ExtractionError(
-                f"channel region with {len(terminal_nets)} terminal(s); "
+                f"channel region with {terminals} terminal(s); "
                 "a transistor needs source and drain diffusion"
             )
-        if len(terminal_nets) > 2:
+        if terminals > 2:
             raise ExtractionError(
-                f"channel region touching {len(terminal_nets)} diffusion"
+                f"channel region touching {terminals} diffusion"
                 " nets; split the channel or merge the diffusion"
             )
-        if isdep:
-            netlist.add_transistor(None, *terminal_nets, depletion=True)
-        else:
-            if len(gate_nets) != 1:
-                raise ExtractionError(
-                    f"enhancement channel with {len(gate_nets)} gate nets"
-                )
-            netlist.add_transistor(gate_nets[0], *terminal_nets)
+        raise ExtractionError(
+            f"enhancement channel with {int(gate_count[first])} gate nets"
+        )
 
     conductor, order = _conductor_order(nodes, roots)
-    for port, node in zip(ports, _port_nodes(nodes, conductor, order, ports)):
-        if node >= 0:
-            position = port.position
-            netlist.name_net(net_for(node), port.name, (position.x, position.y))
+    landed = [
+        (port, node)
+        for port, node in zip(ports, _port_nodes(nodes, conductor, order, ports))
+        if node >= 0
+    ]
+    count = len(landed)
+    port_comp = roots[np.array([node for _, node in landed], dtype=np.int64)]
+
+    # Nets before merging, in order of first request.  A request's key
+    # is its step: device d's gates 2d, its terminals 2d + 1, the ports
+    # last, in port order.
+    step = np.int64(count + 1)
+    span = (2 * devices + 1) * step
+    requests = batch.unique_sorted(np.concatenate([
+        gate_comp * span + 2 * gate_device * step,
+        term_comp * span + (2 * term_device + 1) * step,
+        port_comp * span + 2 * devices * step + np.arange(count, dtype=np.int64),
+    ]))
+    comp = requests // span
+    lead = np.ones(comp.size, dtype=bool)
+    np.not_equal(comp[1:], comp[:-1], out=lead[1:])
+    comps, first_key = comp[lead], requests[lead] % span
+    tie = np.zeros(comps.size, dtype=np.int64)
+    keys = np.sort(first_key)
+    for key in batch.unique_sorted(keys[1:][keys[1:] == keys[:-1]]).tolist():
+        # One device step asks for several new components.
+        device, terminal = divmod(key // int(step), 2)
+        collected = _collected(
+            sweep.terminals if terminal else sweep.gates,
+            channels[roots[channels] == device_roots[device]],
+        )
+        seen: Dict[int, int] = {}
+        for node in collected:
+            seen.setdefault(int(roots[node]), len(seen))
+        members = np.flatnonzero(first_key == key)
+        tie[members] = [seen[member] for member in comps[members].tolist()]
+    net = np.empty(comps.size, dtype=np.int64)
+    net[np.lexsort((tie, first_key))] = np.arange(comps.size, dtype=np.int64)
+
+    def net_of(components):
+        return net[np.searchsorted(comps, components)]
+
+    # Global names merge nets: a class is numbered by its first net.
+    port_net = net_of(port_comp).tolist()
+    label = list(range(comps.size))
+
+    def find(item: int) -> int:
+        while label[item] != item:
+            item = label[item]
+        return item
+
+    holder: Dict[str, int] = {}
+    for (port, _), item in zip(landed, port_net):
+        leaf = port.name.rsplit("/", 1)[-1].lower()
+        if leaf.endswith(GLOBAL_SUFFIX):
+            low, high = sorted((find(item), find(holder.setdefault(leaf, item))))
+            label[high] = low
+    merged = _jump(np.array(label, dtype=np.int64))
+    # A class survives with a name or a device pin.
+    enhancement = ~depletion[gate_device]
+    gate_net = np.zeros(devices, dtype=np.int64)
+    gate_net[gate_device[enhancement]] = net_of(gate_comp[enhancement])
+    term_net = np.sort(net_of(term_comp).reshape(devices, 2), axis=1)
+    used = np.zeros(comps.size, dtype=bool)
+    used[merged[port_net]] = True
+    used[merged[term_net.ravel()]] = True
+    used[merged[gate_net[~depletion]]] = True
+    final = (np.cumsum(used) - 1)[merged]
+
+    netlist = SwitchNetlist()
+    netlist.net_names = [set() for _ in range(int(used.sum()))]
+    port_final = final[port_net].tolist()
+    # A net's position is its first port's, the nets taken by number.
+    for index in sorted(range(count), key=port_net.__getitem__):
+        port = landed[index][0]
+        position = port.position
+        netlist.name_net(port_final[index], port.name, (position.x, position.y))
+    netlist.classify_rails()
+    netlist.devices = [
+        Device("dep", (("ch", a), ("ch", b))) if isdep
+        else Device("enh", (("g", gate), ("ch", a), ("ch", b)))
+        for isdep, gate, (a, b) in zip(
+            depletion.tolist(), final[gate_net].tolist(), final[term_net].tolist()
+        )
+    ]
     return netlist
 
 
@@ -538,18 +622,8 @@ def extract_netlist(
     sweep_input = {name: masks.get(name, none) for name in _SWEEP_MASKS}
 
     with obs_trace.span("extract.sweep") as sweep_span:
-        sets, nodes, gate_of, terminals_of, depletion, cut_links = _sweep_batch(
-            sweep_input
-        )
-        for linked in cut_links:
-            for node in linked[1:]:
-                sets.union(linked[0], node)
-        roots = _jump(np.array(sets.parent, dtype=np.int64))
-        sweep_span.set(nodes=len(nodes))
+        sweep = _sweep_batch(sweep_input)
+        sweep_span.set(nodes=len(sweep.nodes))
 
     with obs_trace.span("extract.resolve", ports=len(ports)):
-        netlist = _resolve(nodes, roots, gate_of, terminals_of, depletion, ports)
-        netlist.merge_global_names()
-        netlist.classify_rails()
-        netlist.prune_floating()
-    return netlist
+        return _resolve(sweep, ports)

@@ -23,13 +23,14 @@ only compares kinds, roles and graph shape.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["Device", "SwitchNetlist", "GLOBAL_SUFFIX"]
 
 #: net names ending with this character are power-style globals: every
 #: net carrying the same global name is one electrical node even when
-#: the mask geometry leaves the rails physically disjoint.
+#: the mask geometry leaves the rails physically disjoint (the extractor
+#: merges them, :func:`repro.verify.extract.extract_netlist`).
 GLOBAL_SUFFIX = "!"
 
 
@@ -46,10 +47,6 @@ class Device:
     def __init__(self, kind: str, pins: Sequence[Tuple[str, int]]) -> None:
         self.kind = kind
         self.pins = tuple(pins)
-
-    def nets(self) -> Tuple[int, ...]:
-        """Every net this device touches, in pin order."""
-        return tuple(net for _, net in self.pins)
 
     def pins_with_role(self, role: str) -> Tuple[int, ...]:
         """Nets attached through pins of the given role."""
@@ -145,107 +142,6 @@ class SwitchNetlist:
             return len(self.devices)
         return sum(1 for device in self.devices if device.kind == kind)
 
-    # ------------------------------------------------------------------
-    # Global-name merging
-    # ------------------------------------------------------------------
-    def merge_global_names(self) -> "SwitchNetlist":
-        """Union nets that share a power-style global name (in place).
-
-        A name whose final path component ends with :data:`GLOBAL_SUFFIX`
-        (``vdd!``, ``gnd!``) is global: every net carrying it collapses
-        into one.  Returns ``self`` for chaining.
-        """
-        groups: Dict[str, List[int]] = {}
-        for net, names in enumerate(self.net_names):
-            for name in names:
-                leaf = name.rsplit("/", 1)[-1].lower()
-                if leaf.endswith(GLOBAL_SUFFIX):
-                    groups.setdefault(leaf, []).append(net)
-        parent = list(range(self.num_nets))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for nets in groups.values():
-            for other in nets[1:]:
-                parent[find(other)] = find(nets[0])
-        if all(parent[i] == i for i in range(self.num_nets)):
-            return self
-        self.remap({net: find(net) for net in range(self.num_nets)})
-        return self
-
-    def remap(self, mapping: Dict[int, int]) -> None:
-        """Apply a net-id mapping (ids may collapse), compacting ids."""
-        dense: Dict[int, int] = {}
-        for old in range(self.num_nets):
-            target = mapping.get(old, old)
-            if target not in dense:
-                dense[target] = len(dense)
-        translate = {
-            old: dense[mapping.get(old, old)] for old in range(self.num_nets)
-        }
-        names: List[Set[str]] = [set() for _ in range(len(dense))]
-        positions: Dict[int, Tuple[int, int]] = {}
-        for old, new in translate.items():
-            names[new] |= self.net_names[old]
-            if old in self.net_positions and new not in positions:
-                positions[new] = self.net_positions[old]
-        self.net_names = names
-        self.net_positions = positions
-        self.devices = [
-            Device(d.kind, [(role, translate[net]) for role, net in d.pins])
-            for d in self.devices
-        ]
-        self.inputs = _stable_unique(translate[n] for n in self.inputs)
-        self.outputs = _stable_unique(translate[n] for n in self.outputs)
-        self.vdd_nets = {translate[n] for n in self.vdd_nets}
-        self.gnd_nets = {translate[n] for n in self.gnd_nets}
-
-    def prune_floating(self) -> "SwitchNetlist":
-        """Drop unnamed nets that touch no device.
-
-        Extraction leaves behind electrically meaningless conductors —
-        a depletion load's floating gate stub, marker-adjacent scraps —
-        that a golden netlist never contains; pruning them makes the
-        two comparable.  Named nets survive even without devices (a
-        port on a plain wire is still an observation point).  Returns
-        ``self`` for chaining.
-        """
-        used: Set[int] = set(self.inputs) | set(self.outputs)
-        used.update(
-            net for net, names in enumerate(self.net_names) if names
-        )
-        for device in self.devices:
-            used.update(device.nets())
-        if len(used) == self.num_nets:
-            return self
-        translate: Dict[int, int] = {}
-        for net in range(self.num_nets):
-            if net in used:
-                translate[net] = len(translate)
-        self.net_names = [
-            names
-            for net, names in enumerate(self.net_names)
-            if net in translate
-        ]
-        self.net_positions = {
-            translate[net]: position
-            for net, position in self.net_positions.items()
-            if net in translate
-        }
-        self.devices = [
-            Device(d.kind, [(role, translate[net]) for role, net in d.pins])
-            for d in self.devices
-        ]
-        self.inputs = [translate[n] for n in self.inputs]
-        self.outputs = [translate[n] for n in self.outputs]
-        self.vdd_nets = {translate[n] for n in self.vdd_nets if n in translate}
-        self.gnd_nets = {translate[n] for n in self.gnd_nets if n in translate}
-        return self
-
     def classify_rails(self) -> None:
         """Fill ``vdd_nets``/``gnd_nets`` from attached rail names."""
         for net, names in enumerate(self.net_names):
@@ -261,13 +157,3 @@ class SwitchNetlist:
             f"SwitchNetlist(nets={self.num_nets},"
             f" devices={len(self.devices)})"
         )
-
-
-def _stable_unique(items: Iterable[int]) -> List[int]:
-    seen: Set[int] = set()
-    result: List[int] = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            result.append(item)
-    return result

@@ -8,7 +8,9 @@ and must give the identical sequence (and box) to the cell's
 ``flatten``, ``flatten_ports``, ``flatten_labels`` and
 ``bounding_box`` on any input; ``count_instances_reference`` counts
 the instance paths one visit at a time, as ``count_instances`` did
-before it read the instance tables.
+before it read the instance tables, and ``subtree_stamp_reference``
+takes the subtree's largest mutation stamp the same way, as
+``subtree_stamp`` did.
 """
 
 from typing import Iterator, Optional
@@ -36,6 +38,15 @@ def count_instances_reference(cell: CellDefinition) -> int:
     """Every instance path below ``cell``, one recursive visit each."""
     return sum(
         1 + count_instances_reference(instance.definition) for instance in cell.instances
+    )
+
+
+def subtree_stamp_reference(cell: CellDefinition) -> int:
+    """The largest mutation stamp of ``cell`` and every instance path
+    below it, one recursive visit each."""
+    return max(
+        [cell._stamp]
+        + [subtree_stamp_reference(instance.definition) for instance in cell.instances]
     )
 
 

@@ -3,9 +3,11 @@
 
 One :func:`~oracles.sweep.slab_decompose` pass over the expanded masks
 feeds a run graph slab by slab; gates, depletion markers, terminals and
-cut links are found with interval scans.  It returns the program's
-result tuple (union-find, node columns, gates, terminals, depletion,
-cut links), so the two builds compare directly.
+cut links are found with interval scans.  It returns a union-find of
+the slab stitches, the node columns, and the relations as sets and
+lists.  :func:`reference_parts` and :func:`production_parts` bring the
+two builds to one comparable form: the node partition once the cut
+links are applied, the nodes, and every relation.
 """
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -15,15 +17,87 @@ import numpy as np
 from repro.compact.rules import DesignRules
 from repro.core.cell import CellDefinition
 from repro.geometry import Box, batch
-from repro.verify.extract import (
-    _KIND_CODE,
-    _mask_columns,
-    _SweepNodes,
-    _SweepResult,
-    _UnionFind,
-)
+from repro.verify.extract import _KIND_CODE, _mask_columns, _Sweep, _SweepNodes
 
 from .sweep import Interval, slab_decompose, subtract_intervals
+
+
+class _UnionFind:
+    """Path-halving disjoint sets, grown on demand."""
+
+    def __init__(self) -> None:
+        self.parent: List[int] = []
+
+    def make(self) -> int:
+        """New singleton; returns its id."""
+        self.parent.append(len(self.parent))
+        return len(self.parent) - 1
+
+    def find(self, a: int) -> int:
+        """Representative of ``a``'s set."""
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> None:
+        """Merge the sets holding ``a`` and ``b``."""
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+#: what the interpreted walk returns: (stitch union-find, node columns,
+#: gate_of, terminals_of, depletion, cut_links)
+_SweepResult = Tuple[
+    _UnionFind,
+    _SweepNodes,
+    Dict[int, Set[int]],
+    Dict[int, Set[int]],
+    Set[int],
+    List[List[int]],
+]
+
+
+def _canonical(labels: Sequence[int]) -> List[int]:
+    """A partition's labels renamed by first appearance."""
+    names: Dict[int, int] = {}
+    return [names.setdefault(label, len(names)) for label in labels]
+
+
+def reference_parts(result: _SweepResult) -> tuple:
+    """The oracle's result as (partition, nodes, gate_of, terminals_of,
+    depletion, cut_links); the partition applies the cut links to the
+    stitches, as the program's roots do."""
+    sets, nodes, gate_of, terminals_of, depletion, cut_links = result
+    for linked in cut_links:
+        for node in linked[1:]:
+            sets.union(linked[0], node)
+    partition = _canonical([sets.find(node) for node in range(len(sets.parent))])
+    return partition, nodes, gate_of, terminals_of, depletion, cut_links
+
+
+def production_parts(sweep: _Sweep) -> tuple:
+    """The program's :class:`_Sweep` in the form of :func:`reference_parts`."""
+
+    def grouped(first, second) -> Dict[int, Set[int]]:
+        groups: Dict[int, Set[int]] = {}
+        for key, value in zip(first.tolist(), second.tolist()):
+            groups.setdefault(key, set()).add(value)
+        return groups
+
+    links: Dict[int, List[int]] = {}
+    for cut, node in zip(*(column.tolist() for column in sweep.cut_links)):
+        links.setdefault(cut, []).append(node)
+    return (
+        _canonical(sweep.roots.tolist()),
+        sweep.nodes,
+        grouped(*sweep.gates),
+        grouped(*sweep.terminals),
+        set(sweep.depletion.tolist()),
+        [linked for _, linked in sorted(links.items()) if len(linked) >= 2],
+    )
 
 
 def _intersect_runs(a: Sequence[Interval], b: Sequence[Interval]) -> List[Interval]:
@@ -131,8 +205,8 @@ def _sweep_reference(sweep_input: Dict[str, List[Box]]) -> _SweepResult:
     One :func:`~oracles.sweep.slab_decompose` pass feeds the
     :class:`_RunGraph`; gates, depletion markers, terminals, and cut
     links are discovered per slab with interval scans.  The program's
-    ``_sweep_batch`` reproduces its node numbering and union sequence
-    exactly.
+    ``_sweep_batch`` reproduces its node numbering, every relation and
+    the node partition the stitches and cut links make.
     """
     graph = _RunGraph()
     # channel component node -> flags/links discovered during the sweep

@@ -6,6 +6,8 @@ cell's own mutation stamp.  Its readers after generation must give what
 the per-instance loops they replaced give (``tests/oracles/``):
 
 * ``count_instances(recursive=True)`` against ``count_instances_reference``;
+* ``subtree_stamp`` of every definition against
+  ``subtree_stamp_reference``, which visits each instance;
 * ``verify.driver._celltypes`` against ``celltypes_reference``;
 * ``verify.cellgraph.collect_occurrences`` (occurrences in walk order,
   landed masks and stray lines) against ``collect_occurrences_reference``;
@@ -24,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles.cell import count_instances_reference
+from oracles.cell import count_instances_reference, subtree_stamp_reference
 from oracles.cellgraph import collect_occurrences_reference
 from oracles.driver import celltypes_reference
 from test_sweep_equivalence import SWEEP_LAYOUTS, random_table
@@ -179,6 +181,7 @@ def assert_occurrences_match(cell, **options):
 def assert_readers_match(cell):
     for node in definitions_below(cell):
         assert_table_matches(node)
+        assert node.subtree_stamp() == subtree_stamp_reference(node)
     assert cell.count_instances(recursive=True) == count_instances_reference(cell)
     assert driver._celltypes(cell) == celltypes_reference(cell)
     assert_occurrences_match(cell)

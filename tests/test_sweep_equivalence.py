@@ -21,7 +21,12 @@ import numpy as np
 import pytest
 from oracles.database import merge_boxes_reference
 from oracles.drc import check_layout_reference
-from oracles.extract import _sweep_reference, extract_layers
+from oracles.extract import (
+    _sweep_reference,
+    extract_layers,
+    production_parts,
+    reference_parts,
+)
 from oracles.route_extract import wire_components_reference
 from oracles.scanline import visibility_constraints_reference
 from oracles.sweep import merge_intervals, slab_decompose, subtract_intervals
@@ -279,6 +284,59 @@ class TestBatchPrimitives:
         assert got == expected
 
 
+    def test_keyed_merged_slab_runs_merge_each_key_alone(self):
+        rng = random.Random(13)
+        boxes = [box for _, box in random_pairs(5, 90, 60)]
+        keys = np.array([rng.randrange(4) for _ in boxes], dtype=np.int64)
+        arrays = batch.boxes_to_arrays(boxes)
+        ys = batch.slab_grid([arrays])
+        got = batch.merged_slab_runs(ys, arrays, keys)
+        expected = []
+        for key in range(4):
+            rows = np.flatnonzero(keys == key)
+            slab, x0, x1 = batch.merged_slab_runs(ys, batch.BoxArray(
+                arrays.xmin[rows], arrays.ymin[rows], arrays.xmax[rows], arrays.ymax[rows]
+            ))
+            expected += zip((slab + key * ys.size).tolist(), x0.tolist(), x1.tolist())
+        assert list(zip(*(column.tolist() for column in got))) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_combine_runs_matches_per_segment_membership(self, seed):
+        rng = random.Random(seed)
+        sets = 3
+        runs = {}  # (slab, member) -> merged intervals
+        for slab in range(6):
+            for member in range(sets):
+                spans = []
+                for _ in range(rng.randrange(0, 5)):
+                    x = rng.randrange(0, 30)
+                    spans.append((x, x + rng.randrange(1, 8)))
+                runs[slab, member] = merge_intervals(spans)
+        rows = [
+            (slab, x0, x1, member)
+            for (slab, member), spans in sorted(runs.items())
+            for x0, x1 in spans
+        ]
+        columns = [np.array(column, dtype=np.int64) for column in zip(*rows)]
+        tables = [np.array([rng.random() < 0.5 for _ in range(1 << sets)]) for _ in range(4)]
+        tables.append(np.array([state == 0b011 for state in range(8)]))
+        got = batch.combine_runs(*columns, tables)
+        for table, (slab, x0, x1) in zip(tables, got):
+            expected = []
+            for index in range(6):
+                cuts = sorted({x for member in range(sets)
+                               for run in runs[index, member] for x in run})
+                selected = [
+                    (lo, hi) for lo, hi in zip(cuts, cuts[1:])
+                    if table[sum(
+                        1 << member for member in range(sets)
+                        if any(a <= lo and hi <= b for a, b in runs[index, member])
+                    )]
+                ]
+                expected += [(index, lo, hi) for lo, hi in merge_intervals(selected)]
+            assert list(zip(slab.tolist(), x0.tolist(), x1.tolist())) == expected
+
+
 def _merged_runs_at(boxes, lo, hi):
     """Oracle: merged x intervals of the material covering slab (lo, hi)."""
     spans = [
@@ -338,15 +396,11 @@ SWEEP_LAYOUTS = {
 
 
 def _assert_sweeps_agree(masks):
-    reference = _sweep_reference(masks)
+    # Same nodes, gates, terminals, depletion markers and cut links, and
+    # the same node partition once the cut links are applied (canonical
+    # labels, not root ids).
     production = _sweep_batch({k: batch.boxes_to_arrays(v) for k, v in masks.items()})
-    # Same boxes, gates, and terminals; the union-find must induce the
-    # same node partition (compare canonical roots, not parent arrays).
-    assert reference[1:] == production[1:]
-    reference_sets, production_sets = reference[0], production[0]
-    assert [
-        reference_sets.find(i) for i in range(len(reference_sets.parent))
-    ] == [production_sets.find(i) for i in range(len(production_sets.parent))]
+    assert production_parts(production) == reference_parts(_sweep_reference(masks))
 
 
 def _sweep_masks(cell):

@@ -44,6 +44,12 @@ TABLE = TruthTable.parse(
 )
 
 
+#: the flow benchmark's ``pla-verify`` shapes: (inputs, terms, outputs)
+FLOW_PLA_SHAPES = [
+    (5, 32, 2), (8, 8, 2), (6, 24, 5), (7, 16, 2), (5, 24, 8), (7, 8, 8), (6, 32, 2),
+]
+
+
 def make_cell(boxes, ports=()):
     cell = CellDefinition("dut")
     for layer, x0, y0, x1, y1 in boxes:
@@ -143,6 +149,51 @@ class TestDeviceExtraction:
         )
         with pytest.raises(ExtractionError):
             extract_netlist(cell, TECH_A)
+
+    def test_global_names_merge_disjoint_rails(self):
+        """Disjoint rails carrying one global name are one net, numbered
+        where the first of them is; a device between them has both its
+        channel pins on it."""
+        cell = make_cell(
+            [
+                ("metal1", 0, 20, 4, 22),
+                ("diff", 0, 0, 10, 2),
+                ("poly", 4, -2, 6, 4),
+            ],
+            [
+                ("g", 5, -2, "poly"),
+                ("left/vdd!", 0, 1, "diff"),
+                ("probe", 0, 21, "metal1"),
+                ("right/VDD!", 10, 1, "diff"),
+            ],
+        )
+        netlist = extract_netlist(cell, TECH_A)
+        assert netlist.num_nets == 3
+        vdd = netlist.find_net("left/vdd!")
+        assert netlist.find_net("right/VDD!") == vdd
+        assert netlist.vdd_nets == {vdd}
+        (device,) = netlist.devices
+        assert device.pins_with_role("ch") == (vdd, vdd)
+        assert device.pins_with_role("g") == (netlist.find_net("g"),)
+
+    def test_unnamed_gate_stub_of_a_depletion_load_is_dropped(self):
+        """A net with neither a name nor a device pin leaves the netlist
+        and the nets after it move down; a named wire stays."""
+        cell = make_cell(
+            [
+                ("diff", 0, 0, 10, 2),
+                ("poly", 4, -2, 6, 4),
+                ("implant", 4, 0, 6, 2),
+                ("metal1", 20, 0, 24, 2),
+            ],
+            [("s", 0, 1, "diff"), ("d", 10, 1, "diff"), ("probe", 20, 1, "metal1")],
+        )
+        netlist = extract_netlist(cell, TECH_A)
+        (device,) = netlist.devices
+        assert device.kind == "dep"
+        assert netlist.num_nets == 3
+        assert sorted(device.pins_with_role("ch")) == [0, 1]
+        assert netlist.find_net("probe") == 2
 
     def test_derived_gate_layer_expands_to_device(self):
         """The compactor's derived ``gate`` layer extracts as poly/diff."""
@@ -492,6 +543,40 @@ class TestMultiplierVerification:
         assert not report.exhaustive
         (sim,) = [span for span in tracer.finished() if span.name == "verify.sim"]
         assert sim.attributes == {"vectors": 64, "exhaustive": False}
+
+    @pytest.mark.parametrize("inputs, terms, outputs", FLOW_PLA_SHAPES)
+    def test_pla_verify_spans_cover_the_call(self, inputs, terms, outputs):
+        """A whole ``verify_cell(..., mode="all")`` of each flow
+        benchmark PLA shape is >= 90% inside its ``verify.extract``,
+        ``verify.lvs`` and ``verify.sim`` spans (best of three runs on
+        fresh cells: a scheduler stall between two spans is not a hot
+        spot)."""
+        import random
+        import time
+
+        from test_sweep_equivalence import random_table
+
+        from repro.obs import Tracer, activated
+        from repro.pla import generate_pla_via_language
+
+        table = random_table(random.Random(1), inputs, outputs, terms)
+        coverage = 0.0
+        for _ in range(3):
+            cell, _ = generate_pla_via_language(table)
+            tracer = Tracer()
+            with activated(tracer):
+                start = time.perf_counter()
+                report = verify_cell(cell, mode="all", table=table)
+                wall = time.perf_counter() - start
+            assert report.ok, report.summary()
+            inside = sum(
+                span.duration_s for span in tracer.finished()
+                if span.name in ("verify.extract", "verify.lvs", "verify.sim")
+            )
+            coverage = max(coverage, inside / wall)
+            if coverage >= 0.9:
+                break
+        assert coverage >= 0.9, f"verify spans cover {coverage:.0%} of verify_cell"
 
     def test_pla_verify_has_lvs_and_sim_spans(self):
         from repro.obs import Tracer, activated

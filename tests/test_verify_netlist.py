@@ -28,26 +28,6 @@ class TestSwitchNetlist:
         with pytest.raises(ValueError):
             netlist.add_transistor(None, a, b)
 
-    def test_global_name_merge(self):
-        netlist = SwitchNetlist()
-        one = netlist.add_net("left/vdd!")
-        two = netlist.add_net("right/vdd!")
-        other = netlist.add_net("signal")
-        netlist.add_transistor(other, one, two)
-        netlist.merge_global_names()
-        assert netlist.num_nets == 2
-        assert netlist.find_net("left/vdd!") == netlist.find_net("right/vdd!")
-
-    def test_prune_floating_drops_unnamed_deviceless_nets(self):
-        netlist = SwitchNetlist()
-        g, a, b = (netlist.add_net() for _ in range(3))
-        netlist.add_net()               # an unnamed floating scrap
-        named = netlist.add_net("probe")  # a named observation point
-        netlist.add_transistor(g, a, b)
-        netlist.prune_floating()
-        assert netlist.num_nets == 4
-        assert netlist.find_net("probe") is not None
-
     def test_nets_with_suffix_ordered_by_position(self):
         netlist = SwitchNetlist()
         right = netlist.add_net()
