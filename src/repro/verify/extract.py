@@ -432,16 +432,14 @@ def _port_nodes(nodes: _SweepNodes, conductor, order, ports: Sequence) -> List[i
     row_of = np.concatenate(hit_row)
     layerless = np.array([not port.layer for port in ports])
     rank = np.where(layerless[port_of], layer_rank[kind[row_of]], 0)
-    best = np.lexsort((order[row_of], rank, port_of))
-    leading = np.empty(best.size, dtype=bool)
-    leading[0] = True
-    np.not_equal(port_of[best][1:], port_of[best][:-1], out=leading[1:])
-    chosen = best[leading]
-    for index, node in zip(
-        port_of[chosen].tolist(), conductor[row_of[chosen]].tolist()
-    ):
-        found[index] = node
-    return found
+    # Each port takes its least (rank, order) hit.  An order key is
+    # below len(nodes) ** 2 and ends in the node id (its remainder by
+    # len(nodes)), so one minimum per port names the node.
+    total = np.int64(len(nodes))
+    unset = np.iinfo(np.int64).max
+    best = np.full(len(ports), unset, dtype=np.int64)
+    np.minimum.at(best, port_of, rank * total * total + order[row_of])
+    return np.where(best == unset, -1, best % total).tolist()
 
 
 def _collected(pairs, channels) -> Set[int]:
@@ -547,8 +545,11 @@ def _resolve(sweep: _Sweep, ports: Sequence) -> SwitchNetlist:
             seen.setdefault(int(roots[node]), len(seen))
         members = np.flatnonzero(first_key == key)
         tie[members] = [seen[member] for member in comps[members].tolist()]
+    # The (first request, tie) keys are distinct and, the ties counting
+    # fewer than the components, fit where the request keys do.
+    width = int(tie.max()) + 1 if tie.size else 1
     net = np.empty(comps.size, dtype=np.int64)
-    net[np.lexsort((tie, first_key))] = np.arange(comps.size, dtype=np.int64)
+    net[np.argsort(first_key * width + tie)] = np.arange(comps.size, dtype=np.int64)
 
     def net_of(components):
         return net[np.searchsorted(comps, components)]
