@@ -123,22 +123,19 @@ def test_flat_scaling_guard(report, record):
     )
 
 
-#: the flow benchmark's ``pla-verify`` shapes: (inputs, terms, outputs)
-FLOW_PLA_SHAPES = [
-    (5, 32, 2), (8, 8, 2), (6, 24, 5), (7, 16, 2), (5, 24, 8), (7, 8, 8), (6, 32, 2),
-]
 EXTRACT_SPANS = ("extract.flatten", "extract.sweep", "extract.resolve")
 
 
 def test_extract_sub_spans_on_flow_shapes(report, record):
     """Record each extraction sub-span on the flow benchmark's PLAs."""
+    from test_extract import FLOW_SHAPES
     from test_sweep_equivalence import random_table
 
     from repro.obs import trace as obs_trace
     from repro.pla import generate_pla_via_language
 
     rows = []
-    for inputs, terms, outputs in FLOW_PLA_SHAPES:
+    for inputs, terms, outputs in FLOW_SHAPES:
         table = random_table(random.Random(1), inputs, outputs, terms)
         best = dict.fromkeys(EXTRACT_SPANS, float("inf"))
         for _ in range(3):

@@ -7,6 +7,7 @@ and geometry drawn across placed instances extracts as one circuit.
 """
 
 import pytest
+from test_extract import FLOW_SHAPES
 
 from repro import CellDefinition
 from repro.compact.rules import TECH_A
@@ -42,12 +43,6 @@ TABLE = TruthTable.parse(
     00- | 10
     """
 )
-
-
-#: the flow benchmark's ``pla-verify`` shapes: (inputs, terms, outputs)
-FLOW_PLA_SHAPES = [
-    (5, 32, 2), (8, 8, 2), (6, 24, 5), (7, 16, 2), (5, 24, 8), (7, 8, 8), (6, 32, 2),
-]
 
 
 def make_cell(boxes, ports=()):
@@ -544,7 +539,7 @@ class TestMultiplierVerification:
         (sim,) = [span for span in tracer.finished() if span.name == "verify.sim"]
         assert sim.attributes == {"vectors": 64, "exhaustive": False}
 
-    @pytest.mark.parametrize("inputs, terms, outputs", FLOW_PLA_SHAPES)
+    @pytest.mark.parametrize("inputs, terms, outputs", FLOW_SHAPES)
     def test_pla_verify_spans_cover_the_call(self, inputs, terms, outputs):
         """A whole ``verify_cell(..., mode="all")`` of each flow
         benchmark PLA shape is >= 90% inside its ``verify.extract``,
